@@ -1,0 +1,55 @@
+"""Golden SHA-256 digests of ``sample`` payloads and the ``verify`` report.
+
+The digests were computed before the grid-steering path was batched; any
+change of output bits must be deliberate and come with new digests here.
+One small grid per representation branch: real and complex Wigner D, the
+O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
+spinor rep and the null-cone section.
+"""
+
+import hashlib
+
+import pytest
+
+from steerkit.cli import main
+
+SAMPLE_GOLDENS = [
+    (("so3", "2", "1", "real", "sphere:4x3"),
+     "ddeaf9b7a32b2fe51c687a7fd5b6e1426b332eb304bf33c617351482da5e7e1f"),
+    (("so3", "2", "2", "complex", "sphere:4x3"),
+     "74e3cf32b18c269f4e4e55f46f2994262ecede299e9f4669b61f9305349c866a"),
+    (("o3", "2-", "1+", "real", "sphere:4x3"),
+     "a838a3195bc7715d34baeda253b0d107c90100329614f29bfe73e7794da4d4df"),
+    (("so2", "2", "3", "real", "circle:8"),
+     "f559c7ccce1b24848069f03ba57f6b44c1afb1b4e74a89ba488b06d770ac301b"),
+    (("lorentz", "tensor20", "tensor20", "real", "massive:3x2x2:eta=2"),
+     "a670108b139fcc6684ddc6c070829dacb988b95718a6cf453392ef7ebbecbd78"),
+    (("lorentz", "dirac", "dirac", "real", "massive:3x2x2:eta=2"),
+     "6f17daf51f011d390760daff724fdad40e850b0d65e58465a2c078530361501b"),
+    (("lorentz", "tensor20", "tensor20", "real", "cone:3x2x2:eta=2"),
+     "d081a2804fb04a98cb5c1bf07f050baa422b5beaf41469bfab60297723dd3b3e"),
+]
+
+VERIFY_SEED7_GOLDEN = (
+    "b5255317aae54f1205cafb4359181ca0463c132abb14e351856b5b442a30c08e")
+
+
+@pytest.mark.parametrize("case,golden", SAMPLE_GOLDENS,
+                         ids=[" ".join(c[:3]) + " " + c[4]
+                              for c, _ in SAMPLE_GOLDENS])
+def test_sample_payload_matches_golden(case, golden, tmp_path, capsys):
+    group, j, l, field, grid = case
+    out = str(tmp_path / "dump")
+    code = main(["sample", "--group", group, "--j", j, "--l", l,
+                 "--field", field, "--grid", grid, "--out", out])
+    capsys.readouterr()
+    assert code == 0
+    with open(out + ".bin", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == golden
+
+
+def test_verify_seed7_report_matches_golden(capsys):
+    code = main(["verify", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED7_GOLDEN
