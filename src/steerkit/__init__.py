@@ -17,10 +17,9 @@ from .groups import (Circle, GroupElement, MassiveHyperboloid, NullCone,
                      lorentz_element, massive_point, o2_element, o3_element,
                      so2_element, so3_element, sphere_point,
                      stabilizer_sample)
-from .irreps import (IrrepLabel, RestrictionBlocks, dirac_irrep, o2_irrep,
-                     o3_irrep, real_change_of_basis, rep_matrix,
-                     restrict_to_stabilizer, sl2c_to_lorentz, so2_irrep,
-                     so3_irrep, spinor_vector_irrep, tensor_irrep,
+from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
+                     real_change_of_basis, rep_matrix, sl2c_to_lorentz,
+                     so2_irrep, so3_irrep, spinor_vector_irrep, tensor_irrep,
                      wigner_small_d)
 from .numerics import kron, nullspace, principal_angle_distance
 from .stabilizer_solver import (IntertwinerSpace, predicted_dimension,
@@ -39,10 +38,9 @@ __all__ = [
     "coset_representative", "identity", "lorentz_element", "massive_point",
     "o2_element", "o3_element", "so2_element", "so3_element", "sphere_point",
     "stabilizer_sample",
-    "IrrepLabel", "RestrictionBlocks", "dirac_irrep", "o2_irrep", "o3_irrep",
-    "real_change_of_basis", "rep_matrix", "restrict_to_stabilizer",
-    "sl2c_to_lorentz", "so2_irrep", "so3_irrep", "spinor_vector_irrep",
-    "tensor_irrep", "wigner_small_d",
+    "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
+    "real_change_of_basis", "rep_matrix", "sl2c_to_lorentz", "so2_irrep",
+    "so3_irrep", "spinor_vector_irrep", "tensor_irrep", "wigner_small_d",
     "kron", "nullspace", "principal_angle_distance",
     "IntertwinerSpace", "predicted_dimension", "solve_basepoint",
     "kernel_at", "steer",

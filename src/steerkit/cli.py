@@ -9,8 +9,7 @@ Dump format, version 1: a JSON manifest ``<out>.json`` describing the case,
 grid and conventions plus the SHA-256 of the payload, and a raw
 little-endian float64 file ``<out>.bin`` with layout
 ``[basis_index][grid_point][row][col][re, im]`` (the trailing axis is absent
-for real kernels).  ``STEERKIT_THREADS`` caps the grid-evaluation
-parallelism (default 1).
+for real kernels).
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,41 +174,20 @@ def parse_grid(text: str, radius: float, mass: float) -> GridSpec:
     raise CliError(f"unknown grid kind {kind!r}")
 
 
-def _threads() -> int:
-    raw = os.environ.get("STEERKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"STEERKIT_THREADS={raw!r} is not a positive integer")
-    if n < 1:
-        raise CliError("STEERKIT_THREADS must be >= 1")
-    return n
-
-
 def evaluate_on_grid(elements, grid: GridSpec) -> np.ndarray:
-    """Stack of kernel values, shape (n_basis, n_points, dim_j, dim_l)."""
+    """Stack of kernel values, shape (n_basis, n_points, dim_j, dim_l).
+
+    One coset section and one steer per point: the representation factors
+    depend on the point only, so the whole basis is steered as one stack.
+    """
     pts = grid.points()
-    n_threads = _threads()
-    out = np.zeros((len(elements), len(pts), elements[0].j.dim,
-                    elements[0].l.dim),
-                   dtype=complex if elements[0].j.field == COMPLEX else float)
-
-    def fill(block):
-        lo, hi = block
-        for p in range(lo, hi):
-            g = groups.coset_representative(pts[p], elements[0].group)
-            for b, e in enumerate(elements):
-                out[b, p] = steering.steer(e.base_matrix, e.j, e.l, g)
-
-    chunk = max(1, (len(pts) + n_threads - 1) // n_threads)
-    blocks = [(lo, min(lo + chunk, len(pts)))
-              for lo in range(0, len(pts), chunk)]
-    if n_threads == 1:
-        for blk in blocks:
-            fill(blk)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill, blocks))
+    e0 = elements[0]
+    k0 = np.stack([e.base_matrix for e in elements])
+    out = np.zeros((len(elements), len(pts), e0.j.dim, e0.l.dim),
+                   dtype=complex if e0.j.field == COMPLEX else float)
+    for p, x in enumerate(pts):
+        g = groups.coset_representative(x, e0.group)
+        out[:, p] = steering.steer(k0, e0.j, e0.l, g)
     return out
 
 

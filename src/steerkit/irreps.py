@@ -34,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from .groups import (ETA, LORENTZ, O2, O3, SO2, SO3, Circle, GroupElement,
-                     MassiveHyperboloid, NullCone, Orbit, Sphere)
+from .groups import ETA, LORENTZ, O2, O3, SO2, SO3, GroupElement
 
 REAL, COMPLEX = "real", "complex"
 
@@ -428,38 +427,6 @@ def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # restriction to stabilizers
 
-@dataclass(frozen=True)
-class RestrictionBlock:
-    """One isotypic slot: descriptor, spin (Lorentz) and index range."""
-
-    descriptor: str
-    start: int
-    stop: int
-    spin: Optional[Fraction] = None
-
-
-@dataclass(frozen=True, eq=False)
-class RestrictionBlocks:
-    """Block structure of an irrep restricted to an orbit stabilizer.
-
-    ``basis_change`` columns form the adapted basis Q; ``None`` means the
-    native basis is already adapted.  ``Q^dag rho(h) Q`` is block-diagonal in
-    the declared index ranges for every stabilizer element h.
-    """
-
-    parent: IrrepLabel
-    stabilizer: str
-    blocks: tuple[RestrictionBlock, ...]
-    basis_change: Optional[np.ndarray] = None
-
-    def multiplicities(self) -> dict:
-        out: dict = {}
-        for b in self.blocks:
-            key = b.spin if b.spin is not None else b.descriptor
-            out[key] = out.get(key, 0) + 1
-        return out
-
-
 _E4 = np.eye(4)
 
 
@@ -560,146 +527,3 @@ def massless_weight_content(label: IrrepLabel) -> dict:
     if label.realified:
         out = {m: 2 * n for m, n in out.items()}
     return out
-
-
-def _embed_complex_columns(cols: np.ndarray) -> np.ndarray:
-    """Realified orthonormal basis {v, iv, ...} of a complex column span."""
-    out = []
-    for k in range(cols.shape[1]):
-        v = cols[:, k]
-        out.append(np.concatenate([v.real, v.imag]))
-        iv = 1j * v
-        out.append(np.concatenate([iv.real, iv.imag]))
-    return np.column_stack(out)
-
-
-def _massless_weight_blocks(label: IrrepLabel):
-    """Adapted real basis and weight blocks for tensor reps on the cone."""
-    e = np.eye(4)
-    wp = (e[:, 1] + 1j * e[:, 2]) / math.sqrt(2.0)  # weight +1: rho = e^{-i theta}
-    base = [(0, e[:, 0]), (0, e[:, 3]), (1, wp), (-1, wp.conj())]
-    p, q = label.tensor
-    if p + q == 0:
-        vectors = [(0, np.array([1.0 + 0j]))]
-    elif p + q == 1:
-        vectors = [(m, v.astype(complex)) for m, v in base]
-    else:
-        vectors = [(m1 + m2, np.kron(v1, v2).astype(complex))
-                   for m1, v1 in base for m2, v2 in base]
-    cols, blocks = [], []
-    pos = 0
-    # weight-0 vectors: realize conjugate pairs, keep real ones as they are
-    zero_done = set()
-    zeros = [(i, v) for i, (m, v) in enumerate(vectors) if m == 0]
-    for i, v in zeros:
-        if i in zero_done:
-            continue
-        if np.abs(v.imag).max() < 1e-14:
-            cands = [v.real]
-            zero_done.add(i)
-        else:
-            vb = v.conj()
-            jmatch = next(jj for jj, vv in zeros
-                          if jj not in zero_done and jj != i
-                          and np.allclose(vv, vb))
-            cands = [((v + vb) / math.sqrt(2.0)).real,
-                     (-1j * (v - vb) / math.sqrt(2.0)).real]
-            zero_done.update({i, jmatch})
-        for c in cands:
-            cols.append(c)
-            blocks.append(RestrictionBlock("weight=0", pos, pos + 1, Fraction(0)))
-            pos += 1
-    # positive weights: one real 2-dim block per complex vector
-    top = max(m for m, _ in vectors)
-    for m in range(1, top + 1):
-        for mm, v in vectors:
-            if mm != m:
-                continue
-            vb = v.conj()
-            cols.append(((v + vb) / math.sqrt(2.0)).real)
-            cols.append((-1j * (v - vb) / math.sqrt(2.0)).real)
-            blocks.append(RestrictionBlock(f"weight={m}", pos, pos + 2, Fraction(m)))
-            pos += 2
-    return np.column_stack(cols), tuple(blocks)
-
-
-def restrict_to_stabilizer(label: IrrepLabel, orbit: Orbit) -> RestrictionBlocks:
-    """Isotypic block structure of ``label`` restricted to the stabilizer."""
-    if label.group in (SO2, O2):
-        if not isinstance(orbit, Circle):
-            raise IrrepError("SO(2)/O(2) labels restrict on circle orbits")
-        tag = "0~" if label.tilde else str(label.j)
-        stab = "trivial" if label.group == SO2 else "Z2(r_y)"
-        return RestrictionBlocks(label, stab,
-                                 (RestrictionBlock(tag, 0, label.dim),))
-    if label.group == SO3:
-        if not isinstance(orbit, Sphere):
-            raise IrrepError("SO(3) labels restrict on sphere orbits")
-        l = label.j
-        if label.field == COMPLEX:
-            blocks = tuple(RestrictionBlock(f"m={l - i}", i, i + 1)
-                           for i in range(2 * l + 1))
-            return RestrictionBlocks(label, "so2(z)", blocks)
-        blocks = (RestrictionBlock("m=0", 0, 1),) + tuple(
-            RestrictionBlock(f"m={m}", 2 * m - 1, 2 * m + 1)
-            for m in range(1, l + 1))
-        return RestrictionBlocks(label, "so2(z)", blocks)
-    if label.group == O3:
-        if not isinstance(orbit, Sphere):
-            raise IrrepError("O(3) labels restrict on sphere orbits")
-        l, eps = label.j, label.parity
-        sign = "+" if eps > 0 else "-"
-        if label.field == COMPLEX:
-            # Group the +-m pair subspaces contiguously.
-            order = [l] + [i for m in range(1, l + 1) for i in (l - m, l + m)]
-            q = np.eye(2 * l + 1, dtype=complex)[:, order]
-            blocks = (RestrictionBlock(f"rho_0{'' if eps > 0 else '~'}", 0, 1),) + tuple(
-                RestrictionBlock(f"rho_({m},{sign})", 2 * m - 1, 2 * m + 1)
-                for m in range(1, l + 1))
-            return RestrictionBlocks(label, "o2(z)", blocks, q)
-        blocks = (RestrictionBlock(f"rho_0{'' if eps > 0 else '~'}", 0, 1),) + tuple(
-            RestrictionBlock(f"rho_({m},{sign})", 2 * m - 1, 2 * m + 1)
-            for m in range(1, l + 1))
-        return RestrictionBlocks(label, "o2(z)", blocks)
-    # Lorentz labels
-    if isinstance(orbit, MassiveHyperboloid):
-        if label.tensor is not None:
-            pos, blocks, cols = 0, [], []
-            for slot in TENSOR_SLOTS[label.tensor]:
-                spin, emb = slot_embedding(label, slot)
-                d = emb.shape[1]
-                blocks.append(RestrictionBlock(slot, pos, pos + d, spin))
-                cols.append(emb)
-                pos += d
-            q = np.column_stack(cols)
-            if np.allclose(q, np.eye(label.dim)):
-                q = None
-            return RestrictionBlocks(label, "so3", tuple(blocks), q)
-        if label.spinor == DIRAC:
-            # Eigenbasis of gamma^0: the two spin-1/2 blocks.
-            inv = 1.0 / math.sqrt(2.0)
-            qc = np.array([[inv, 0, inv, 0],
-                           [0, inv, 0, inv],
-                           [inv, 0, -inv, 0],
-                           [0, inv, 0, -inv]]).T.astype(complex)
-            if label.realified:
-                q = np.column_stack([_embed_complex_columns(qc[:, :2]),
-                                     _embed_complex_columns(qc[:, 2:])])
-                blocks = (RestrictionBlock("spin=1/2(+)", 0, 4, Fraction(1, 2)),
-                          RestrictionBlock("spin=1/2(-)", 4, 8, Fraction(1, 2)))
-            else:
-                q = qc
-                blocks = (RestrictionBlock("spin=1/2(+)", 0, 2, Fraction(1, 2)),
-                          RestrictionBlock("spin=1/2(-)", 2, 4, Fraction(1, 2)))
-            return RestrictionBlocks(label, "so3", blocks, q)
-        raise IrrepError(
-            "explicit restriction blocks for the spinor-vector are not "
-            "implemented; use massive_spin_content for the multiplicities")
-    if isinstance(orbit, NullCone):
-        if label.tensor is None:
-            raise IrrepError("massless restriction blocks cover tensor labels")
-        q, blocks = _massless_weight_blocks(label)
-        if np.allclose(q, np.eye(label.dim)):
-            q = None
-        return RestrictionBlocks(label, "so2(z)", blocks, q)
-    raise IrrepError(f"unsupported restriction: {label} on {orbit}")

@@ -98,12 +98,6 @@ def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL) -> np.ndarray:
     return basis
 
 
-def rank(a, tol: float = DEFAULT_NULLSPACE_TOL) -> int:
-    """Numerical rank from the same SVD cut as :func:`nullspace`."""
-    _, kept, _ = nullspace_with_spectrum(a, tol)
-    return len(kept)
-
-
 def principal_angle_distance(u, v) -> tuple[float, bool]:
     """Largest principal angle between two orthonormal column spans.
 

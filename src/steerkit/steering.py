@@ -16,9 +16,14 @@ from .irreps import IrrepError, IrrepLabel, rep_inverse, rep_matrix
 
 def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel,
           g: groups.GroupElement) -> np.ndarray:
-    """``rho_j(g) @ k0 @ rho_l(g)^-1``."""
+    """``rho_j(g) @ k0 @ rho_l(g)^-1``.
+
+    ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)`` or a stack
+    of them, shape ``(..., dim_j, dim_l)``; every kernel in the stack is
+    steered by the same representation matrices.
+    """
     k0 = np.asarray(k0)
-    if k0.shape != (j.dim, l.dim):
+    if k0.shape[-2:] != (j.dim, l.dim):
         raise IrrepError(
             f"kernel shape {k0.shape} does not match ({j.dim}, {l.dim})")
     return rep_matrix(j, g) @ k0 @ rep_inverse(l, g)

@@ -123,6 +123,17 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     return float(worst)
 
 
+def _gauge_span(n: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the massless gauge span, vectorized: the
+    symmetrized ``n (x) e_i`` and ``n (x) n`` with the second index lowered."""
+    span = np.column_stack([
+        numerics.vec(np.outer(n, groups.ETA @ e1) + np.outer(e1, groups.ETA @ n)),
+        numerics.vec(np.outer(n, groups.ETA @ e2) + np.outer(e2, groups.ETA @ n)),
+        numerics.vec(np.outer(n, groups.ETA @ n)),
+    ])
+    return numerics.orthonormal_columns(span)
+
+
 def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
                             eta_max: float = 2.0) -> float:
     """Steerability of the massless kernels, modulo the gauge freedom.
@@ -156,18 +167,10 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
                 lam_gx = groups.coset_representative(gx, groups.LORENTZ).matrix
                 n_new = np.asarray(gx.vector)
                 e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
-                span = np.column_stack([
-                    numerics.vec(np.outer(n_new, groups.ETA @ e1)
-                                 + np.outer(e1, groups.ETA @ n_new)),
-                    numerics.vec(np.outer(n_new, groups.ETA @ e2)
-                                 + np.outer(e2, groups.ETA @ n_new)),
-                    numerics.vec(np.outer(n_new, groups.ETA @ n_new)),
-                ])
-                basis = numerics.orthonormal_columns(span)
                 diff = numerics.vec(elem.at(gx) - steered).reshape(-1, 1)
                 if np.linalg.norm(diff) > 1e-12 * scale:
-                    worst = max(worst,
-                                numerics.projection_residual(diff, basis))
+                    worst = max(worst, numerics.projection_residual(
+                        diff, _gauge_span(n_new, e1, e2)))
     return float(worst)
 
 
@@ -321,14 +324,8 @@ def gauge_shift_residual(seed: int = 0, n_draws: int = 10,
         _, nbar_shift = bases.massless_pair(x, gauge=a)
         diff = (bases.massless_transverse_projector(n, nbar_shift)
                 - bases.massless_transverse_projector(n, nbar))
-        span = np.column_stack([
-            numerics.vec(np.outer(n, groups.ETA @ e1) + np.outer(e1, groups.ETA @ n)),
-            numerics.vec(np.outer(n, groups.ETA @ e2) + np.outer(e2, groups.ETA @ n)),
-            numerics.vec(np.outer(n, groups.ETA @ n)),
-        ])
-        basis = numerics.orthonormal_columns(span)
         resid = numerics.projection_residual(
-            numerics.vec(diff).reshape(-1, 1), basis)
+            numerics.vec(diff).reshape(-1, 1), _gauge_span(n, e1, e2))
         worst = max(worst, resid)
     return float(worst)
 

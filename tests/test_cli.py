@@ -149,29 +149,6 @@ def test_dump_rejects_tampering(tmp_path, capsys):
         read_dump(out)
 
 
-def test_threaded_sampling_is_deterministic(tmp_path, capsys, monkeypatch):
-    out1 = str(tmp_path / "a")
-    out2 = str(tmp_path / "b")
-    monkeypatch.setenv("STEERKIT_THREADS", "1")
-    run_cli(capsys, "sample", "--group", "so3", "--j", "2", "--l", "2",
-            "--grid", "sphere:6x4", "--out", out1)
-    monkeypatch.setenv("STEERKIT_THREADS", "4")
-    run_cli(capsys, "sample", "--group", "so3", "--j", "2", "--l", "2",
-            "--grid", "sphere:6x4", "--out", out2)
-    b1 = open(out1 + ".bin", "rb").read()
-    b2 = open(out2 + ".bin", "rb").read()
-    assert b1 == b2
-
-
-def test_bad_threads_env(monkeypatch):
-    monkeypatch.setenv("STEERKIT_THREADS", "zero")
-    with pytest.raises(cli.CliError):
-        cli._threads()
-    monkeypatch.setenv("STEERKIT_THREADS", "0")
-    with pytest.raises(cli.CliError):
-        cli._threads()
-
-
 def test_lorentz_dims_table(capsys):
     code, out, _ = run_cli(capsys, "dims", "--group", "lorentz")
     assert code == 0

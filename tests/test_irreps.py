@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from steerkit import groups, irreps
-from steerkit.groups import (Circle, MassiveHyperboloid, NullCone, Sphere,
-                             boost_matrix, random_element)
-from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, IrrepError,
-                             dirac_irrep, massive_spin_content,
+from steerkit.groups import MassiveHyperboloid, boost_matrix, random_element
+from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, TENSOR_SLOTS,
+                             IrrepError, dirac_irrep, massive_spin_content,
                              massless_weight_content, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverse, rep_matrix,
-                             restrict_to_stabilizer, sl2c_to_lorentz,
-                             so2_irrep, so3_irrep, spinor_vector_irrep,
-                             tensor_irrep, wigner_D, wigner_small_d)
+                             sl2c_to_lorentz, slot_embedding, so2_irrep,
+                             so3_irrep, spinor_vector_irrep, tensor_irrep,
+                             wigner_D, wigner_small_d)
 
 
 def sample_labels(max_l=4):
@@ -377,83 +376,26 @@ def test_sl2c_sign_invariance_and_validation():
 # ---------------------------------------------------------------------------
 # restriction to stabilizers
 
-def _assert_block_diagonal(rb, orbit, rng, tol=1e-11):
-    q = rb.basis_change
-    for _ in range(6):
-        h = groups.random_stabilizer_element(orbit, rb.parent.group, rng)
-        r = rep_matrix(rb.parent, h)
-        if q is not None:
-            r = q.conj().T @ r @ q
-        mask = np.ones_like(r, dtype=bool)
-        for b in rb.blocks:
-            mask[b.start:b.stop, b.start:b.stop] = False
-        assert np.abs(r[mask]).max() <= tol
-
-
-def test_restriction_partitions_and_block_diagonality():
+def test_tensor_slots_partition_and_are_stabilizer_invariant():
+    # The slot embeddings behind massive_spin_content: together they form an
+    # orthonormal basis of the tensor space, and the massive stabilizer
+    # (rotations) maps every slot into itself.
     rng = np.random.default_rng(59)
-    cases = [
-        (so3_irrep(2, "complex"), Sphere()),
-        (so3_irrep(3), Sphere()),
-        (o3_irrep(2, -1), Sphere()),
-        (o3_irrep(2, 1, "complex"), Sphere()),
-        (tensor_irrep(1, 0), MassiveHyperboloid()),
-        (tensor_irrep(2, 0), MassiveHyperboloid()),
-        (tensor_irrep(1, 1), MassiveHyperboloid()),
-        (dirac_irrep(), MassiveHyperboloid()),
-        (dirac_irrep(realified=True), MassiveHyperboloid()),
-        (tensor_irrep(1, 0), NullCone()),
-        (tensor_irrep(2, 0), NullCone()),
-    ]
-    for lab, orbit in cases:
-        rb = restrict_to_stabilizer(lab, orbit)
-        stops = sorted((b.start, b.stop) for b in rb.blocks)
-        assert stops[0][0] == 0 and stops[-1][1] == lab.dim
-        for (s1, e1), (s2, _) in zip(stops, stops[1:]):
-            assert e1 == s2
-        if rb.basis_change is not None:
-            q = rb.basis_change
-            np.testing.assert_allclose(q.conj().T @ q, np.eye(lab.dim),
-                                       atol=1e-12)
-        _assert_block_diagonal(rb, orbit, rng)
-
-
-def test_restriction_so3_complex_is_one_dimensional_weights():
-    rb = restrict_to_stabilizer(so3_irrep(2, "complex"), Sphere())
-    assert len(rb.blocks) == 5
-    assert all(b.stop - b.start == 1 for b in rb.blocks)
-    assert [b.descriptor for b in rb.blocks] == [
-        "m=2", "m=1", "m=0", "m=-1", "m=-2"]
-
-
-def test_restriction_vector_spins():
-    rb = restrict_to_stabilizer(tensor_irrep(1, 0), MassiveHyperboloid())
-    assert [(b.spin, b.stop - b.start) for b in rb.blocks] == [
-        (Fraction(0), 1), (Fraction(1), 3)]
-
-
-def test_restriction_rank2_spins():
-    rb = restrict_to_stabilizer(tensor_irrep(2, 0), MassiveHyperboloid())
-    spins = [b.spin for b in rb.blocks]
-    dims = [b.stop - b.start for b in rb.blocks]
-    assert spins == [Fraction(0), Fraction(1), Fraction(1), Fraction(0),
-                     Fraction(1), Fraction(2)]
-    assert dims == [1, 3, 3, 1, 3, 5]
-    assert sum(dims) == 16
-
-
-def test_restriction_dirac_multiplicity_two():
-    rb = restrict_to_stabilizer(dirac_irrep(), MassiveHyperboloid())
-    assert rb.multiplicities() == {Fraction(1, 2): 2}
-
-
-def test_restriction_unsupported_combinations():
-    with pytest.raises(IrrepError):
-        restrict_to_stabilizer(so3_irrep(2), Circle())
-    with pytest.raises(IrrepError):
-        restrict_to_stabilizer(spinor_vector_irrep(True), MassiveHyperboloid())
-    with pytest.raises(IrrepError):
-        restrict_to_stabilizer(dirac_irrep(), NullCone())
+    hs = [groups.random_stabilizer_element(MassiveHyperboloid(), rng=rng)
+          for _ in range(6)]
+    for sig, slots in TENSOR_SLOTS.items():
+        lab = tensor_irrep(*sig)
+        embeds = [slot_embedding(lab, slot) for slot in slots]
+        q = np.column_stack([cols for _, cols in embeds])
+        assert q.shape == (lab.dim, lab.dim)
+        np.testing.assert_allclose(q.T @ q, np.eye(lab.dim), atol=1e-14)
+        for spin, cols in embeds:
+            assert cols.shape[1] == 2 * spin + 1
+        for h in hs:
+            r = rep_matrix(lab, h)
+            for _, cols in embeds:
+                moved = r @ cols
+                assert np.abs(moved - cols @ (cols.T @ moved)).max() <= 1e-12
 
 
 def test_spin_and_weight_content_tables():

@@ -7,7 +7,7 @@ from steerkit import numerics
 from steerkit.numerics import (NumericsError, kron, nullspace,
                                nullspace_with_spectrum,
                                principal_angle_distance, projection_residual,
-                               rank, vec)
+                               vec)
 
 
 def test_nullspace_identity_is_trivial():
@@ -44,7 +44,7 @@ def test_rank_nullity_on_random_matrices():
         a = (rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
              if r else np.zeros((m, n)))
         basis = nullspace(a)
-        assert rank(a) + basis.shape[1] == n
+        assert basis.shape[1] == n - r
         if basis.shape[1]:
             norm_a = np.linalg.norm(a, 2)
             assert np.linalg.norm(a @ basis, 2) <= 10 * 1e-9 * max(norm_a, 1e-30)

@@ -103,8 +103,28 @@ def test_steerability_defect_is_small_for_analytic_elements():
 
 
 def test_steer_shape_mismatch_rejected():
-    with pytest.raises(IrrepError):
-        steer(np.eye(3), so2_irrep(1), so2_irrep(1), groups.so2_element(0.1))
+    g = groups.so2_element(0.1)
+    for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2)):
+        with pytest.raises(IrrepError):
+            steer(bad, so2_irrep(1), so2_irrep(1), g)
+
+
+def test_steer_stack_matches_elementwise():
+    # The grid sampler steers a whole basis as one stack; each slice must
+    # equal steering that element on its own, bit for bit.
+    rng = np.random.default_rng(11)
+    cases = [
+        (so3_irrep(2, "complex"), so3_irrep(1, "complex"), "so3"),
+        (tensor_irrep(2, 0), tensor_irrep(1, 0), "lorentz"),
+        (dirac_irrep(realified=True), dirac_irrep(realified=True), "lorentz"),
+    ]
+    for j, l, gname in cases:
+        stack = rng.normal(size=(5, j.dim, l.dim))
+        g = groups.random_element(gname, rng, eta_max=1.0)
+        out = steer(stack, j, l, g)
+        assert out.shape == stack.shape
+        for k0, got in zip(stack, out):
+            assert np.array_equal(got, steer(k0, j, l, g))
 
 
 def test_kernel_at_wrong_orbit_rejected():
