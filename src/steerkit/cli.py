@@ -2,8 +2,8 @@
 
 Subcommands: ``dims`` (predicted vs oracle dimension tables), ``basis``
 (basis matrices at one orbit point), ``verify`` (run the verification suite)
-and ``sample`` (evaluate a basis on a grid and write a manifest + binary
-payload).
+and ``sample`` (evaluate a basis on a grid with ``steering.kernels_at`` and
+write a manifest + binary payload).
 
 Dump format, version 1: a JSON manifest ``<out>.json`` describing the case,
 grid and conventions plus the SHA-256 of the payload, and a raw
@@ -100,6 +100,15 @@ def _parse_point(orbit, text: str) -> groups.OrbitPoint:
     return groups.cone_point(vals)
 
 
+GRID_GRAMMAR = ("circle:N | sphere:NAxNB | massive:NAxNBxNE[:eta=H] "
+                "| cone:NAxNBxNE[:eta=H]")
+
+#: Largest grid rapidity.  A grid point's time component grows like
+#: exp(eta) and the orbit-membership check squares it, which overflows
+#: float64 beyond this bound.
+MAX_ETA = 0.5 * math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid on one orbit.
@@ -116,8 +125,9 @@ class GridSpec:
     def __post_init__(self):
         if any(n < 1 for n in self.shape):
             raise CliError("grid resolutions must be >= 1")
-        if len(self.shape) == 3 and self.eta_max <= 0:
-            raise CliError("eta_max must be positive")
+        if len(self.shape) == 3 and not 0 < self.eta_max <= MAX_ETA:
+            raise CliError(f"eta_max must be in (0, {MAX_ETA:.1f}], "
+                           f"got {self.eta_max}")
 
     def points(self) -> list[groups.OrbitPoint]:
         if isinstance(self.orbit, Circle):
@@ -136,9 +146,9 @@ class GridSpec:
         pts = []
         for ia in range(na):
             for ib in range(nb):
+                rot = groups.so3_element(2 * math.pi * ia / na,
+                                         math.pi * (ib + 0.5) / nb, 0.0)
                 for eta in etas:
-                    rot = groups.so3_element(2 * math.pi * ia / na,
-                                             math.pi * (ib + 0.5) / nb, 0.0)
                     g = groups.GroupElement(
                         groups.LORENTZ, rot.params + (0.0, 0.0, float(eta)))
                     pts.append(groups.act(g, base))
@@ -151,49 +161,40 @@ class GridSpec:
         return d
 
 
+_GRID_RANK = {"circle": 1, "sphere": 2, "massive": 3, "cone": 3}
+
+
 def parse_grid(text: str, radius: float, mass: float) -> GridSpec:
     """Parse specs like ``circle:64``, ``sphere:16x8``,
     ``massive:8x4x5:eta=2`` or ``cone:8x4x5:eta=2``."""
-    parts = text.split(":")
-    kind = parts[0]
+    kind, _, rest = text.partition(":")
+    res, _, option = rest.partition(":")
+    key, _, val = option.partition("=")
+    rank = _GRID_RANK.get(kind)
+    try:
+        shape = tuple(int(v) for v in res.split("x"))
+        eta_max = float(val) if option else 1.0
+    except ValueError:
+        rank = None
+    if (rank is None or len(shape) != rank
+            or (option and (rank != 3 or key != "eta"))):
+        raise CliError(f"bad grid {text!r}; expected {GRID_GRAMMAR}")
     if kind == "circle":
-        return GridSpec(Circle(radius), (int(parts[1]),))
+        return GridSpec(Circle(radius), shape)
     if kind == "sphere":
-        na, nb = (int(v) for v in parts[1].split("x"))
-        return GridSpec(Sphere(radius), (na, nb))
-    if kind in ("massive", "cone"):
-        na, nb, ne = (int(v) for v in parts[1].split("x"))
-        eta_max = 1.0
-        if len(parts) > 2:
-            key, _, val = parts[2].partition("=")
-            if key != "eta":
-                raise CliError(f"unknown grid option {parts[2]!r}")
-            eta_max = float(val)
-        orbit = MassiveHyperboloid(mass) if kind == "massive" else NullCone()
-        return GridSpec(orbit, (na, nb, ne), eta_max)
-    raise CliError(f"unknown grid kind {kind!r}")
-
-
-def evaluate_on_grid(elements, grid: GridSpec) -> np.ndarray:
-    """Stack of kernel values, shape (n_basis, n_points, dim_j, dim_l).
-
-    One coset section and one steer per point: the representation factors
-    depend on the point only, so the whole basis is steered as one stack.
-    """
-    pts = grid.points()
-    e0 = elements[0]
-    k0 = np.stack([e.base_matrix for e in elements])
-    out = np.zeros((len(elements), len(pts), e0.j.dim, e0.l.dim),
-                   dtype=complex if e0.j.field == COMPLEX else float)
-    for p, x in enumerate(pts):
-        g = groups.coset_representative(x, e0.group)
-        out[:, p] = steering.steer(k0, e0.j, e0.l, g)
-    return out
+        return GridSpec(Sphere(radius), shape)
+    orbit = MassiveHyperboloid(mass) if kind == "massive" else NullCone()
+    return GridSpec(orbit, shape, eta_max)
 
 
 def write_dump(out_path: str, elements, grid: GridSpec, seed: int) -> dict:
     """Write ``<out>.json`` + ``<out>.bin``; returns the manifest."""
-    values = evaluate_on_grid(elements, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflow is reported once, as the error below.
+        values = steering.kernels_at(elements, grid.points())
+    if not np.isfinite(values).all():
+        raise CliError("kernel values overflow float64 on this grid; "
+                       "lower eta_max")
     is_complex = np.iscomplexobj(values)
     if is_complex:
         payload = np.stack([values.real, values.imag], axis=-1)
@@ -370,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("so2", "o2", "so3", "o3", "lorentz"))
     p.add_argument("--j", required=True)
     p.add_argument("--l", required=True)
-    p.add_argument("--grid", required=True,
-                   help="circle:N | sphere:NAxNB | massive:NAxNBxNE[:eta=H] "
-                        "| cone:NAxNBxNE[:eta=H]")
+    p.add_argument("--grid", required=True, help=GRID_GRAMMAR)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)

@@ -323,15 +323,27 @@ class OrbitPoint:
         return np.array(self.coords)
 
 
+def _require_finite(what: str, *values) -> None:
+    # Written as "accept if finite": a NaN fails every comparison, so
+    # "reject if out of range" checks alone would let it through.
+    if not all(map(math.isfinite, values)):
+        raise GroupError(f"{what} must be finite, got {tuple(map(float, values))}")
+
+
+def _require_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise GroupError(f"{what} must be positive and finite, got {value}")
+
+
 def circle_point(phi: float, radius: float = 1.0) -> OrbitPoint:
-    if radius <= 0:
-        raise GroupError("circle radius must be positive")
+    _require_positive("circle radius", radius)
+    _require_finite("circle angle", phi)
     return OrbitPoint(Circle(radius), (_wrap(phi),))
 
 
 def sphere_point(alpha: float, beta: float, radius: float = 1.0) -> OrbitPoint:
-    if radius <= 0:
-        raise GroupError("sphere radius must be positive")
+    _require_positive("sphere radius", radius)
+    _require_finite("sphere angles", alpha, beta)
     if not 0.0 <= beta <= math.pi + 1e-12:
         b = _wrap(beta)
         if b > math.pi:
@@ -345,8 +357,10 @@ def massive_point(x, mass: float = 1.0) -> OrbitPoint:
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise GroupError("hyperboloid point must be a 4-vector")
+    _require_positive("hyperboloid mass", mass)
+    _require_finite("hyperboloid point", *x)
     scale = max(1.0, x[0] ** 2)
-    if x[0] <= 0 or abs(minkowski(x, x) - mass ** 2) > 1e-11 * scale:
+    if not (x[0] > 0 and abs(minkowski(x, x) - mass ** 2) <= 1e-11 * scale):
         raise GroupError(f"{x} is not on the mass-{mass} hyperboloid")
     return OrbitPoint(MassiveHyperboloid(mass), tuple(x))
 
@@ -355,7 +369,8 @@ def cone_point(x) -> OrbitPoint:
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise GroupError("cone point must be a 4-vector")
-    if x[0] <= 0 or abs(minkowski(x, x)) > 1e-11 * x[0] ** 2:
+    _require_finite("cone point", *x)
+    if not (x[0] > 0 and abs(minkowski(x, x)) <= 1e-11 * x[0] ** 2):
         raise GroupError(f"{x} is not on the forward null cone")
     return OrbitPoint(NullCone(), tuple(x))
 

@@ -322,15 +322,6 @@ def sl2c_to_lorentz(a) -> GroupElement:
     return groups.element_from_matrix(LORENTZ, lam)
 
 
-def dirac_matrix(g: GroupElement) -> np.ndarray:
-    """Weyl-basis spinor rep S(Lambda) = diag((A^dag)^-1, A), A = sl2_of(g)."""
-    a = sl2_of(g)
-    s = np.zeros((4, 4), dtype=complex)
-    s[:2, :2] = _sl2_inverse(a.conj().T)
-    s[2:, 2:] = a
-    return s
-
-
 def realify(m: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors."""
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
@@ -376,20 +367,8 @@ def rep_matrix(label: IrrepLabel, g: GroupElement) -> np.ndarray:
         return m
     # Lorentz
     if label.tensor is not None:
-        p, q = label.tensor
-        lam = g.matrix
-        if p + q == 0:
-            return np.array([[1.0]])
-        lam_dual = ETA @ lam @ ETA  # inverse transpose, exact for Lorentz
-        factors = [lam] * p + [lam_dual] * q
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
-    s = dirac_matrix(g)
-    if label.spinor == SPINOR_VECTOR:
-        s = np.kron(g.matrix, s)
-    return realify(s) if label.realified else s
+        return _tensor_rep(*label.tensor, g, inverse=False)
+    return _spinor_rep(label, g, inverse=False)
 
 
 def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
@@ -405,22 +384,40 @@ def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
     if label.group != LORENTZ:
         return rep_matrix(label, g).conj().T
     if label.tensor is not None:
-        p, q = label.tensor
-        if p + q == 0:
-            return np.array([[1.0]])
-        lam_t = g.matrix.T
-        inv = ETA @ lam_t @ ETA
-        factors = [inv] * p + [lam_t] * q
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
+        return _tensor_rep(*label.tensor, g, inverse=True)
+    return _spinor_rep(label, g, inverse=True)
+
+
+def _tensor_rep(p: int, q: int, g: GroupElement, inverse: bool) -> np.ndarray:
+    """Kronecker chain of p factors Lambda and q factors of its inverse
+    transpose ``eta Lambda eta`` (exact for Lorentz); with ``inverse``, of
+    ``Lambda^-1 = eta Lambda^T eta`` and ``Lambda^T``."""
+    if p + q == 0:
+        return np.array([[1.0]])
+    lam = g.matrix
+    if inverse:
+        lam, lam_dual = ETA @ lam.T @ ETA, lam.T
+    else:
+        lam_dual = ETA @ lam @ ETA
+    factors = [lam] * p + [lam_dual] * q
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def _spinor_rep(label: IrrepLabel, g: GroupElement, inverse: bool) -> np.ndarray:
+    """Weyl-basis spinor rep S(Lambda) = diag((A^dag)^-1, A), A = sl2_of(g),
+    or with ``inverse`` its inverse diag(A^dag, A^-1); tensored with the
+    vector rep for the spinor-vector and realified when asked."""
     a = sl2_of(g)
     s = np.zeros((4, 4), dtype=complex)
-    s[:2, :2] = a.conj().T
-    s[2:, 2:] = _sl2_inverse(a)
+    if inverse:
+        s[:2, :2], s[2:, 2:] = a.conj().T, _sl2_inverse(a)
+    else:
+        s[:2, :2], s[2:, 2:] = _sl2_inverse(a.conj().T), a
     if label.spinor == SPINOR_VECTOR:
-        s = np.kron(ETA @ g.matrix.T @ ETA, s)
+        s = np.kron(_tensor_rep(1, 0, g, inverse), s)
     return realify(s) if label.realified else s
 
 

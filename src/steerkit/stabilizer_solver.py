@@ -41,7 +41,6 @@ class IntertwinerSpace:
     j: IrrepLabel
     l: IrrepLabel
     orbit: Orbit
-    field: str
     basis: np.ndarray
 
     @property
@@ -51,11 +50,6 @@ class IntertwinerSpace:
     def matrices(self) -> list[np.ndarray]:
         dj, dl = self.j.dim, self.l.dim
         return [self.basis[:, k].reshape(dj, dl) for k in range(self.dimension)]
-
-    def residual_of(self, k: np.ndarray) -> float:
-        """Relative distance of ``vec(k)`` from the solution span."""
-        return numerics.projection_residual(
-            numerics.vec(k).reshape(-1, 1).astype(self.basis.dtype), self.basis)
 
 
 def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
@@ -108,7 +102,7 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
     stack = np.vstack(ops)
     basis, kept, dropped = numerics.nullspace_with_spectrum(stack, tol)
     require_rank_gap(kept, dropped, f" for {j} / {l}")
-    return IntertwinerSpace(j, l, orbit, j.field, basis)
+    return IntertwinerSpace(j, l, orbit, basis)
 
 
 def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
@@ -154,21 +148,3 @@ def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
     cl = massless_weight_content(l)
     return sum(n * cl.get(m, 0) for m, n in cj.items())
 
-
-def verify_space(space: IntertwinerSpace, n_draws: int = 20,
-                 seed: int = 0) -> float:
-    """Max constraint residual of the solution basis over fresh random
-    stabilizer elements (not the ones the solver sampled)."""
-    rng = np.random.default_rng(seed)
-    group = space.j.group
-    worst = 0.0
-    mats = space.matrices()
-    for _ in range(n_draws):
-        h = groups.random_stabilizer_element(space.orbit, group, rng)
-        rj = rep_matrix(space.j, h)
-        rli = rep_inverse(space.l, h)
-        for k in mats:
-            resid = np.linalg.norm(rj @ k @ rli - k)
-            scale = max(1.0, np.linalg.norm(k))
-            worst = max(worst, resid / scale)
-    return worst

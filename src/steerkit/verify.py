@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import analytic_bases as bases
-from . import groups, numerics, stabilizer_solver
+from . import groups, numerics, stabilizer_solver, steering
 from .groups import Circle, MassiveHyperboloid, NullCone, Orbit, Sphere
 from .irreps import (COMPLEX, REAL, IrrepLabel, dirac_irrep, o2_irrep,
-                     o3_irrep, rep_inverse, rep_matrix, so2_irrep, so3_irrep,
-                     spinor_vector_irrep, tensor_irrep)
+                     o3_irrep, so2_irrep, so3_irrep, spinor_vector_irrep,
+                     tensor_irrep)
 
 SPAN_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -90,11 +90,11 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
                        seed: int, eta_max: float = 2.0) -> float:
     """Worst relative steerability defect over random (g, x) draws.
 
-    Shares the representation matrices across the elements of a case; the
-    kernel at g.x is evaluated through the coset section and compared with
-    the steered kernel at x.  On the null cone the kernel is well defined
-    only modulo the gauge choice of the auxiliary null vector, so the
-    massless cases are dispatched to :func:`massless_steer_residual`.
+    For each g the kernels at g.x, evaluated through the coset section, are
+    compared with the kernels at x steered by g.  On the null cone the
+    kernel is well defined only modulo the gauge choice of the auxiliary
+    null vector, so the massless cases are dispatched to
+    :func:`massless_steer_residual`.
     """
     if not elements:
         return 0.0
@@ -102,23 +102,18 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
         return massless_steer_residual(elements[0], n_g, n_x, seed, eta_max)
     rng = np.random.default_rng(seed)
     j, l = elements[0].j, elements[0].l
-    group = elements[0].group
     xs = [groups.random_orbit_point(orbit, rng, eta_max) for _ in range(n_x)]
-    kxs = [[e.at(x) for e in elements] for x in xs]
-    scales = [[max(1.0, np.linalg.norm(k)) for k in row] for row in kxs]
+    kx = steering.kernels_at(elements, xs)
+    # Per-kernel 2-D norms: a norm over axis=(-2, -1) sums in another order.
+    scales = [[max(1.0, np.linalg.norm(k)) for k in row] for row in kx]
     worst = 0.0
     for _ in range(n_g):
-        g = groups.random_element(group, rng, eta_max=eta_max)
-        rj = rep_matrix(j, g)
-        rli = rep_inverse(l, g)
-        for x, krow, srow in zip(xs, kxs, scales):
-            gx = groups.act(g, x)
-            rep_at_gx = groups.coset_representative(gx, group)
-            rj_gx = rep_matrix(j, rep_at_gx)
-            rli_gx = rep_inverse(l, rep_at_gx)
-            for e, kx, scale in zip(elements, krow, srow):
-                kgx = rj_gx @ e.base_matrix @ rli_gx
-                resid = np.linalg.norm(kgx - rj @ kx @ rli) / scale
+        g = groups.random_element(j.group, rng, eta_max=eta_max)
+        kgx = steering.kernels_at(elements, [groups.act(g, x) for x in xs])
+        steered = steering.steer(kx, j, l, g)
+        for b, srow in enumerate(scales):
+            for p, scale in enumerate(srow):
+                resid = np.linalg.norm(kgx[b, p] - steered[b, p]) / scale
                 worst = max(worst, resid)
     return float(worst)
 
@@ -158,7 +153,7 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
         for _ in range(n_g):
             g = groups.random_element(groups.LORENTZ, rng, eta_max=eta_max)
             gx = groups.act(g, x)
-            steered = (rep_matrix(elem.j, g) @ kx @ rep_inverse(elem.l, g))
+            steered = steering.steer(kx, elem.j, elem.l, g)
             nbar_t = g.matrix @ (lam_x @ bases.NBAR0)
             direct = build(np.asarray(gx.vector), nbar_t)
             worst = max(worst, np.linalg.norm(steered - direct) / scale)
@@ -435,7 +430,7 @@ def negative_control_residual(seed: int = 0) -> float:
     worst = 0.0
     for _ in range(10):
         g = groups.random_element(groups.SO2, rng)
-        steered = rep_matrix(j, g) @ k0 @ rep_inverse(l, g)
+        steered = steering.steer(k0, j, l, g)
         worst = max(worst, float(np.linalg.norm(k0 - steered) / scale))
     return worst
 

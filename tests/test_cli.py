@@ -74,6 +74,37 @@ def test_bad_label_reports_json_error(capsys):
     assert "error" in json.loads(err)
 
 
+def test_bad_grid_reports_json_error(tmp_path, capsys):
+    # Malformed or out-of-range grids exit 1 with a JSON error that says
+    # why, write nothing, and never steer a NaN point as the rest frame.
+    out = str(tmp_path / "dump")
+    cases = [
+        ("circle", [], "expected circle:N"),
+        ("sphere", [], "expected circle:N"),
+        ("massive", [], "expected circle:N"),
+        ("sphere:4", [], "expected circle:N"),
+        ("circle:4:eta=1", [], "expected circle:N"),
+        ("massive:2x2x2:eta=abc", [], "expected circle:N"),
+        ("massive:2x2x2:eta=800", [], "eta_max must be in"),
+        ("massive:2x2x2:eta=nan", [], "eta_max must be in"),
+        ("cone:2x2x2:eta=inf", [], "eta_max must be in"),
+        ("massive:2x2x2:eta=200", [], "overflow float64"),
+        ("massive:2x2x2", ["--mass", "nan"], "mass must be positive"),
+    ]
+    for grid, extra, why in cases:
+        code, _, err = run_cli(capsys, "sample", "--group", "lorentz",
+                               "--j", "tensor20", "--l", "tensor20",
+                               "--grid", grid, "--out", out, *extra)
+        assert code == 1, grid
+        assert why in json.loads(err)["error"], grid
+    code, _, err = run_cli(capsys, "sample", "--group", "so3", "--j", "1",
+                           "--l", "1", "--grid", "sphere:2x2", "--radius",
+                           "nan", "--out", out)
+    assert code == 1
+    assert "radius must be positive" in json.loads(err)["error"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_parse_label_variants():
     assert parse_label("o2", "real", "0~").tilde
     assert parse_label("o3", "real", "2-").parity == -1
@@ -111,9 +142,10 @@ def test_sample_roundtrip_bit_exact(tmp_path, capsys):
     # re-evaluate through the same code path: bit-exact agreement
     from steerkit import analytic_bases as bases
     from steerkit.irreps import so3_irrep
+    from steerkit.steering import kernels_at
     elements = bases.basis_for(so3_irrep(1), so3_irrep(2), Sphere())
     grid = parse_grid("sphere:4x3", 1.0, 1.0)
-    fresh = cli.evaluate_on_grid(elements, grid)
+    fresh = kernels_at(elements, grid.points())
     assert np.array_equal(arr, fresh)
 
 

@@ -182,6 +182,24 @@ def test_orbit_point_validation():
         cone_point([-1.0, 0.0, 0.0, 1.0])
     with pytest.raises(GroupError):
         groups.point_from_vector(Circle(), np.array([2.0, 0.0]))
+    # Non-finite input fails every "reject if out of range" comparison, so
+    # each constructor must reject it explicitly.
+    nan, inf = math.nan, math.inf
+    for build, args in [(massive_point, ([nan] * 4,)),
+                        (massive_point, ([inf, 0.0, 0.0, inf],)),
+                        (massive_point, ([1.0, 0.0, 0.0, 0.0], nan)),
+                        (cone_point, ([nan] * 4,)),
+                        (cone_point, ([inf, 0.0, 0.0, inf],)),
+                        (circle_point, (0.1, nan)),
+                        (circle_point, (nan,)),
+                        (sphere_point, (0.1, 0.2, nan)),
+                        (sphere_point, (0.1, nan)),
+                        (sphere_point, (inf, 0.2))]:
+        with pytest.raises(GroupError, match="finite"):
+            build(*args)
+    # A finite 4-vector whose squared norm overflows is not on the orbit.
+    with pytest.raises(GroupError):
+        massive_point([1e200, 0.0, 0.0, 1e200])
 
 
 def test_element_validation():

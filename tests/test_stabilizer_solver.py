@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from steerkit import groups
+from steerkit import groups, numerics
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              rep_inverse, rep_matrix, so2_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep)
 from steerkit.stabilizer_solver import (DegenerateSpectrumError,
                                         predicted_dimension, require_rank_gap,
-                                        solve_basepoint, verify_space)
+                                        solve_basepoint)
+from steerkit.steering import steer
 
 
 def _check(j, l, orbit, expected=None):
@@ -97,8 +98,9 @@ def test_lorentz_spinor_vector_count_and_containment():
     from steerkit.analytic_bases import lorentz_massive_basis
     sv = spinor_vector_irrep(realified=True)
     space = _check(sv, sv, MassiveHyperboloid(), 80)
-    for elem in lorentz_massive_basis(sv, sv):
-        assert space.residual_of(elem.base_matrix) <= 1e-10
+    vecs = np.column_stack([numerics.vec(e.base_matrix)
+                            for e in lorentz_massive_basis(sv, sv)])
+    assert numerics.projection_residual(vecs, space.basis) <= 1e-10
 
 
 def test_lorentz_tensor_spinor_cross_is_empty():
@@ -143,9 +145,16 @@ def test_solutions_commute_with_fresh_stabilizer_elements():
          MassiveHyperboloid()),
         (tensor_irrep(2, 0), tensor_irrep(2, 0), NullCone()),
     ]
+    rng = np.random.default_rng(1)
     for j, l, orbit in cases:
         space = solve_basepoint(j, l, orbit)
-        assert verify_space(space, n_draws=20, seed=1) <= 1e-10
+        kernels = np.stack(space.matrices())
+        scales = [max(1.0, np.linalg.norm(k)) for k in kernels]
+        for _ in range(20):
+            h = groups.random_stabilizer_element(orbit, j.group, rng)
+            moved = steer(kernels, j, l, h)
+            for k, k_h, scale in zip(kernels, moved, scales):
+                assert np.linalg.norm(k_h - k) / scale <= 1e-10
 
 
 def test_basis_is_orthonormal_and_deterministic():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import groups
-from steerkit.groups import MassiveHyperboloid
+from steerkit import groups, verify
+from steerkit.groups import MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (IrrepError, dirac_irrep, so2_irrep,
                              so3_irrep, tensor_irrep, wigner_D)
-from steerkit.steering import kernel_at, steer, steer_residual
+from steerkit.steering import kernel_at, kernels_at, steer
 
 
 def test_steer_identity_leaves_kernel():
@@ -93,13 +93,9 @@ def test_kernel_at_is_section_independent():
 
 
 def test_steerability_defect_is_small_for_analytic_elements():
-    rng = np.random.default_rng(11)
-    for elem in bases.basis_so3(2, 2) + bases.basis_so2(1, 3):
-        orbit = elem.orbit
-        for _ in range(5):
-            g = groups.random_element(elem.group, rng)
-            x = groups.random_orbit_point(orbit, rng)
-            assert steer_residual(elem, g, x) <= 1e-11
+    for els in (bases.basis_so3(2, 2), bases.basis_so2(1, 3)):
+        assert verify.max_steer_residual(els, els[0].orbit, n_g=5, n_x=5,
+                                         seed=11) <= 1e-11
 
 
 def test_steer_shape_mismatch_rejected():
@@ -125,6 +121,38 @@ def test_steer_stack_matches_elementwise():
         assert out.shape == stack.shape
         for k0, got in zip(stack, out):
             assert np.array_equal(got, steer(k0, j, l, g))
+    # kernels_at steers the whole basis as one stack per point; each slice
+    # must equal the kernel_at reference, including at the section's
+    # singular points (poles, rest frame, backward null direction).
+    vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
+    poles = [groups.sphere_point(0.0, 0.0), groups.sphere_point(0.3, math.pi)]
+    evaluated = [
+        (bases.basis_so3(2, 1), Sphere()),
+        (bases.basis_so3(1, 2, "complex"), Sphere()),
+        (bases.basis_o3(2, -1, 1, 1), Sphere()),
+        (bases.lorentz_massive_basis(t20, vec), MassiveHyperboloid()),
+        (bases.lorentz_massive_basis(dirac_irrep(realified=True),
+                                     dirac_irrep(realified=True)),
+         MassiveHyperboloid()),
+        (bases.basis_lorentz_massless(2), NullCone()),
+    ]
+    for els, orbit in evaluated:
+        pts = [groups.random_orbit_point(orbit, rng) for _ in range(4)]
+        if isinstance(orbit, Sphere):
+            pts += poles
+        elif isinstance(orbit, MassiveHyperboloid):
+            pts.append(groups.base_point(orbit))
+        else:
+            pts += [groups.cone_point([1.0, 0.0, 0.0, 1.0]),
+                    groups.cone_point([1.0, 0.0, 0.0, -1.0])]
+        values = kernels_at(els, pts)
+        assert values.shape == (len(els), len(pts), els[0].j.dim,
+                                els[0].l.dim)
+        for b, elem in enumerate(els):
+            for p, x in enumerate(pts):
+                assert np.array_equal(values[b, p], kernel_at(elem, x))
+    with pytest.raises(IrrepError):
+        kernels_at(bases.basis_so3(1, 1), [groups.sphere_point(0.1, 0.2, 2.0)])
 
 
 def test_kernel_at_wrong_orbit_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steerkit import verify
+from steerkit.analytic_bases import KernelBasisElement
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (dirac_irrep, o2_irrep, o3_irrep, so2_irrep,
                              so3_irrep, tensor_irrep)
@@ -84,6 +85,23 @@ def test_equivariance_demo_validation():
 
 def test_negative_control_is_large():
     assert negative_control_residual(0) >= 0.05
+
+
+def test_max_steer_residual_detects_non_steerable_kernels():
+    # A fixed random base matrix is not stabilizer-invariant, so the kernel
+    # at g.x and the steered kernel at x disagree; the stacked check must
+    # see that and not compare a stack with itself.
+    rng = np.random.default_rng(3)
+    cases = [
+        (so3_irrep(1), so3_irrep(1), Sphere()),
+        (o3_irrep(1, 1), o3_irrep(1, -1), Sphere()),
+        (tensor_irrep(1, 0), tensor_irrep(1, 0), MassiveHyperboloid()),
+    ]
+    for j, l, orbit in cases:
+        elem = KernelBasisElement(j, l, orbit, "random",
+                                  rng.normal(size=(j.dim, l.dim)))
+        assert verify.max_steer_residual([elem], orbit, n_g=4, n_x=3,
+                                         seed=5) >= 0.05
 
 
 def test_compact_case_grid_sizes():
