@@ -7,10 +7,9 @@ the orbit.  An SVD nullspace oracle independently recomputes every
 intertwiner space and cross-checks the closed forms.
 """
 
-from .analytic_bases import (KernelBasisElement, SpinBlockSpec, basis_for,
-                             basis_lorentz_massive, basis_lorentz_massless,
-                             basis_o2, basis_o3, basis_so2, basis_so3,
-                             lorentz_massive_basis)
+from .analytic_bases import (KernelBasisElement, basis_for,
+                             basis_lorentz_massless, basis_o2, basis_o3,
+                             basis_so2, basis_so3, lorentz_massive_basis)
 from .groups import (Circle, GroupElement, MassiveHyperboloid, NullCone,
                      OrbitPoint, Sphere, act, base_point, circle_point,
                      compose, cone_point, coset_representative, identity,
@@ -30,8 +29,7 @@ from .verify import check_case, check_projectors, equivariance_demo, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "KernelBasisElement", "SpinBlockSpec", "basis_for",
-    "basis_lorentz_massive", "basis_lorentz_massless", "basis_o2",
+    "KernelBasisElement", "basis_for", "basis_lorentz_massless", "basis_o2",
     "basis_o3", "basis_so2", "basis_so3", "lorentz_massive_basis",
     "Circle", "GroupElement", "MassiveHyperboloid", "NullCone", "OrbitPoint",
     "Sphere", "act", "base_point", "circle_point", "compose", "cone_point",

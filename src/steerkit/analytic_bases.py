@@ -24,7 +24,6 @@ matrices are the canonical solutions of the stabilizer constraint:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +31,10 @@ import numpy as np
 from . import groups, steering
 from .groups import (ETA, LORENTZ, O2, O3, SO2, SO3, Circle,
                      MassiveHyperboloid, NullCone, Orbit, OrbitPoint, Sphere)
-from .irreps import (CHARGE_CONJUGATION, COMPLEX, DIRAC, GAMMA, REAL,
+from .irreps import (CHARGE_CONJUGATION, COMPLEX, DIRAC, GAMMA, REAL, SLOTS,
                      SPINOR_VECTOR, TENSOR_SLOTS, IrrepError, IrrepLabel,
-                     dirac_irrep, o2_irrep, o3_irrep, realify,
-                     realify_antilinear, slot_embedding, so2_irrep, so3_irrep,
-                     spinor_vector_irrep, tensor_irrep)
+                     o2_irrep, o3_irrep, realify, realify_antilinear,
+                     so2_irrep, so3_irrep, tensor_irrep)
 
 #: Auxiliary null vector at the cone base point; n0 . nbar0 = 1.
 NBAR0 = np.array([0.5, 0.0, 0.0, -0.5])
@@ -243,14 +241,17 @@ def transverse_projector(u: np.ndarray) -> np.ndarray:
     return np.eye(4) - spin0_projector(u)
 
 
+def _symmetric_traceless(d: np.ndarray, rank: int) -> np.ndarray:
+    """Symmetric traceless square on (2,0) tensors, 16x16, of a mixed-index
+    projector ``d`` of the given rank."""
+    t = 0.5 * (np.einsum("mr,ns->mnrs", d, d) + np.einsum("ms,nr->mnrs", d, d))
+    t -= np.einsum("mn,rs->mnrs", d @ ETA, ETA @ d) / rank
+    return t.reshape(16, 16)
+
+
 def spin2_projector(u: np.ndarray) -> np.ndarray:
     """Symmetric traceless transverse projector on (2,0) tensors, 16x16."""
-    d = transverse_projector(u)
-    d_up = d @ ETA
-    d_low = ETA @ d
-    t = 0.5 * (np.einsum("mr,ns->mnrs", d, d) + np.einsum("ms,nr->mnrs", d, d))
-    t -= np.einsum("mn,rs->mnrs", d_up, d_low) / 3.0
-    return t.reshape(16, 16)
+    return _symmetric_traceless(transverse_projector(u), 3)
 
 
 def slash(v: np.ndarray) -> np.ndarray:
@@ -280,16 +281,6 @@ def rarita_projector(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lorentz: massive bases
 
-@dataclass(frozen=True)
-class SpinBlockSpec:
-    """Input/output Lorentz labels plus the matched stabilizer spin."""
-
-    j: IrrepLabel
-    l: IrrepLabel
-    spin: Fraction
-    mass: float = 1.0
-
-
 _QUATERNION_KINDS = ("1", "i", "C", "iC")
 
 
@@ -306,77 +297,47 @@ def _quaternion_realified(base: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def basis_lorentz_massive(spec: SpinBlockSpec) -> list[KernelBasisElement]:
-    """Massive-orbit basis elements for one matched spin block.
-
-    Integer spins: one element per (output-slot, input-slot) pair of
-    spin-``spec.spin`` subspaces of the two tensor reps; the base matrix is
-    the partial isometry between the slots and steers to the covariant
-    projector when the slots coincide.  Half-integer spins: the eight
-    quaternion x energy-sign elements on the realified spinor spaces.
-    """
-    j, l, spin = spec.j, spec.l, spec.spin
-    orbit = MassiveHyperboloid(spec.mass)
-    if j.group != LORENTZ or l.group != LORENTZ:
-        raise IrrepError("massive bases take Lorentz labels")
-    if spin.denominator == 1:
-        if j.tensor is None or l.tensor is None:
-            return []
-        out = []
-        for oslot in TENSOR_SLOTS[j.tensor]:
-            so, eo = slot_embedding(j, oslot)
-            if so != spin:
-                continue
-            for islot in TENSOR_SLOTS[l.tensor]:
-                si, ei = slot_embedding(l, islot)
-                if si != spin:
-                    continue
-                out.append(_element(j, l, orbit,
-                                    f"spin{spin}:{islot}->{oslot}",
-                                    eo @ ei.T))
-        return out
-    if spin == Fraction(1, 2) and j.spinor == DIRAC and l.spinor == DIRAC:
-        jj, ll = dirac_irrep(realified=True), dirac_irrep(realified=True)
-        base_plus = energy_projector(np.array([1.0, 0, 0, 0]), +1)
-        out = []
-        for sign, base in ((+1, base_plus), (-1, np.eye(4) - base_plus)):
-            for kind, mat in zip(_QUATERNION_KINDS, _quaternion_realified(base)):
-                out.append(_element(jj, ll, orbit, f"({kind},P{sign:+d})", mat))
-        return out
-    if spin == Fraction(3, 2) and j.spinor == SPINOR_VECTOR and l.spinor == SPINOR_VECTOR:
-        jj = spinor_vector_irrep(realified=True)
-        u0 = np.array([1.0, 0, 0, 0])
-        pi = rarita_projector(u0)
-        out = []
-        for sign in (+1, -1):
-            base = pi @ np.kron(np.eye(4), energy_projector(u0, sign))
-            for kind, mat in zip(_QUATERNION_KINDS, _quaternion_realified(base)):
-                out.append(_element(jj, jj, orbit, f"({kind},P{sign:+d})", mat))
-        return out
-    if j.spinor is not None or l.spinor is not None:
-        raise IrrepError(
-            f"half-integer blocks are implemented for Dirac->Dirac (1/2) and "
-            f"spinor-vector->spinor-vector (3/2); got {j} / {l} spin {spin}")
-    return []
-
-
 def lorentz_massive_basis(j: IrrepLabel, l: IrrepLabel,
                           mass: float = 1.0) -> list[KernelBasisElement]:
-    """All supported massive basis elements for a pair of Lorentz labels."""
-    out = []
+    """All supported massive basis elements for a pair of Lorentz labels.
+
+    Tensor pairs: one element per (output slot, input slot) pair of equal
+    SO(3) spin, ordered by spin, then output slot, then input slot; the base
+    matrix is the partial isometry between the slots and steers to the
+    covariant projector when the slots coincide.  Dirac and spinor-vector
+    pairs (spin 1/2 and 3/2): the eight quaternion x energy-sign elements on
+    the realified spinor spaces.  Tensor-spinor pairs share no spin.
+    """
+    if j.group != LORENTZ or l.group != LORENTZ:
+        raise IrrepError("massive bases take Lorentz labels")
+    orbit = MassiveHyperboloid(mass)
     if j.tensor is not None and l.tensor is not None:
-        spins = sorted({slot_embedding(j, s)[0] for s in TENSOR_SLOTS[j.tensor]}
-                       & {slot_embedding(l, s)[0] for s in TENSOR_SLOTS[l.tensor]})
-        for spin in spins:
-            out.extend(basis_lorentz_massive(SpinBlockSpec(j, l, spin, mass)))
-        return out
-    if j.spinor == DIRAC and l.spinor == DIRAC:
-        return basis_lorentz_massive(SpinBlockSpec(j, l, Fraction(1, 2), mass))
-    if j.spinor == SPINOR_VECTOR and l.spinor == SPINOR_VECTOR:
-        return basis_lorentz_massive(SpinBlockSpec(j, l, Fraction(3, 2), mass))
+        pairs = sorted(((SLOTS[o][0], o, i) for o in TENSOR_SLOTS[j.tensor]
+                        for i in TENSOR_SLOTS[l.tensor]
+                        if SLOTS[o][0] == SLOTS[i][0]), key=lambda t: t[0])
+        return [_element(j, l, orbit, f"spin{spin}:{i}->{o}",
+                         SLOTS[o][1] @ SLOTS[i][1].T) for spin, o, i in pairs]
+    if not all(lab.realified for lab in (j, l) if lab.spinor is not None):
+        raise IrrepError(
+            f"massive spinor bases take realified labels, where the charge "
+            f"conjugation is a real matrix; got {j} / {l}")
     if (j.spinor is None) != (l.spinor is None):
         return []  # integer vs half-integer spins never match
-    raise IrrepError(f"unsupported massive pair {j} / {l}")
+    u0 = np.array([1.0, 0, 0, 0])
+    if j.spinor == l.spinor == DIRAC:
+        p_plus = energy_projector(u0, +1)
+        blocks = ((+1, p_plus), (-1, np.eye(4) - p_plus))
+    elif j.spinor == l.spinor == SPINOR_VECTOR:
+        pi = rarita_projector(u0)
+        blocks = [(sign, pi @ np.kron(np.eye(4), energy_projector(u0, sign)))
+                  for sign in (+1, -1)]
+    else:
+        raise IrrepError(
+            f"massive spinor blocks are implemented for Dirac->Dirac (1/2) "
+            f"and spinor-vector->spinor-vector (3/2); got {j} / {l}")
+    return [_element(j, l, orbit, f"({kind},P{sign:+d})", mat)
+            for sign, base in blocks
+            for kind, mat in zip(_QUATERNION_KINDS, _quaternion_realified(base))]
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +366,7 @@ def massless_transverse_projector(n: np.ndarray, nbar: np.ndarray) -> np.ndarray
 
 def massless_spin2_projector(n: np.ndarray, nbar: np.ndarray) -> np.ndarray:
     """Spin-2 massless projector with the 2-dimensional trace subtraction."""
-    d = massless_transverse_projector(n, nbar)
-    d_up = d @ ETA
-    d_low = ETA @ d
-    t = 0.5 * (np.einsum("mr,ns->mnrs", d, d) + np.einsum("ms,nr->mnrs", d, d))
-    t -= 0.5 * np.einsum("mn,rs->mnrs", d_up, d_low)
-    return t.reshape(16, 16)
+    return _symmetric_traceless(massless_transverse_projector(n, nbar), 2)
 
 
 def basis_lorentz_massless(spin: int) -> list[KernelBasisElement]:

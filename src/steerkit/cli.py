@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic_bases as bases
 from . import groups, stabilizer_solver, steering, verify
 from .groups import Circle, MassiveHyperboloid, NullCone, Sphere
-from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel, basis_convention,
+from .irreps import (COMPLEX, REAL, IrrepLabel, basis_convention,
                      dirac_irrep, o2_irrep, o3_irrep, so2_irrep, so3_irrep,
                      spinor_vector_irrep, tensor_irrep)
 
@@ -71,7 +71,7 @@ def parse_label(group: str, field: str, text: str) -> IrrepLabel:
     if group == "so3":
         return so3_irrep(int(text), field)
     if group == "o3":
-        if text[-1] not in "+-":
+        if text[-1:] not in ("+", "-"):
             raise CliError("O(3) labels look like '2+' or '2-'")
         return o3_irrep(int(text[:-1]), 1 if text[-1] == "+" else -1, field)
     if group == "lorentz":
@@ -387,8 +387,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, IrrepError, groups.GroupError,
-            stabilizer_solver.DegenerateSpectrumError, ValueError,
+    except (ValueError, stabilizer_solver.DegenerateSpectrumError,
             OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -41,6 +41,13 @@ class GroupError(ValueError):
     """Invalid group element, orbit point or operation."""
 
 
+def _require_finite(what: str, *values) -> None:
+    # Written as "accept if finite": a NaN fails every comparison, so
+    # "reject if out of range" checks alone would let it through.
+    if not all(map(math.isfinite, values)):
+        raise GroupError(f"{what} must be finite, got {tuple(map(float, values))}")
+
+
 def _wrap(angle: float) -> float:
     a = float(angle) % TWO_PI
     # Collapse the 2*pi boundary so wrapped values stay in [0, 2*pi).
@@ -159,12 +166,14 @@ class GroupElement:
 
 
 def so2_element(phi: float) -> GroupElement:
+    _require_finite("SO(2) angle", phi)
     return GroupElement(SO2, (_wrap(phi),))
 
 
 def o2_element(phi: float, s: int = 1) -> GroupElement:
     if s not in (1, -1):
         raise GroupError("O(2) sign must be +1 or -1")
+    _require_finite("O(2) angle", phi)
     return GroupElement(O2, (_wrap(phi), float(s)))
 
 
@@ -176,6 +185,7 @@ def o2_reflection() -> GroupElement:
 def so3_element(alpha: float, beta: float, gamma: float) -> GroupElement:
     # Canonicalize through the matrix so any input lands in the standard
     # z-y-z ranges.
+    _require_finite("Euler angles", alpha, beta, gamma)
     return element_from_matrix(SO3, euler_zyz_matrix(alpha, beta, gamma))
 
 
@@ -192,6 +202,7 @@ def lorentz_element(alpha: float, beta: float, gamma: float,
     e = np.asarray(eta, dtype=float)
     if e.shape != (3,):
         raise GroupError("rapidity must be a 3-vector")
+    _require_finite("rapidity", *e)
     return GroupElement(LORENTZ, g.params + tuple(e))
 
 
@@ -297,6 +308,10 @@ class NullCone:
 
 Orbit = Union[Circle, Sphere, MassiveHyperboloid, NullCone]
 
+#: Groups acting on each orbit type; the first is the default.
+ORBIT_GROUPS = {Circle: (SO2, O2), Sphere: (SO3, O3),
+                MassiveHyperboloid: (LORENTZ,), NullCone: (LORENTZ,)}
+
 
 def minkowski(x, y) -> float:
     x = np.asarray(x, dtype=float)
@@ -321,13 +336,6 @@ class OrbitPoint:
             return self.orbit.radius * np.array(
                 [math.cos(a) * math.sin(b), math.sin(a) * math.sin(b), math.cos(b)])
         return np.array(self.coords)
-
-
-def _require_finite(what: str, *values) -> None:
-    # Written as "accept if finite": a NaN fails every comparison, so
-    # "reject if out of range" checks alone would let it through.
-    if not all(map(math.isfinite, values)):
-        raise GroupError(f"{what} must be finite, got {tuple(map(float, values))}")
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -359,8 +367,10 @@ def massive_point(x, mass: float = 1.0) -> OrbitPoint:
         raise GroupError("hyperboloid point must be a 4-vector")
     _require_positive("hyperboloid mass", mass)
     _require_finite("hyperboloid point", *x)
-    scale = max(1.0, x[0] ** 2)
-    if not (x[0] > 0 and abs(minkowski(x, x) - mass ** 2) <= 1e-11 * scale):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing square fails the comparison and is rejected here.
+        on_orbit = abs(minkowski(x, x) - mass ** 2) <= 1e-11 * max(1.0, x[0] ** 2)
+    if not (x[0] > 0 and on_orbit):
         raise GroupError(f"{x} is not on the mass-{mass} hyperboloid")
     return OrbitPoint(MassiveHyperboloid(mass), tuple(x))
 
@@ -370,7 +380,9 @@ def cone_point(x) -> OrbitPoint:
     if x.shape != (4,):
         raise GroupError("cone point must be a 4-vector")
     _require_finite("cone point", *x)
-    if not (x[0] > 0 and abs(minkowski(x, x)) <= 1e-11 * x[0] ** 2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_orbit = abs(minkowski(x, x)) <= 1e-11 * x[0] ** 2
+    if not (x[0] > 0 and on_orbit):
         raise GroupError(f"{x} is not on the forward null cone")
     return OrbitPoint(NullCone(), tuple(x))
 
@@ -409,11 +421,7 @@ def point_from_vector(orbit: Orbit, v: np.ndarray) -> OrbitPoint:
 
 
 def _compatible(group: str, orbit: Orbit) -> bool:
-    if isinstance(orbit, Circle):
-        return group in (SO2, O2)
-    if isinstance(orbit, Sphere):
-        return group in (SO3, O3)
-    return group == LORENTZ
+    return group in ORBIT_GROUPS.get(type(orbit), ())
 
 
 def act(g: GroupElement, x: OrbitPoint) -> OrbitPoint:
@@ -424,11 +432,9 @@ def act(g: GroupElement, x: OrbitPoint) -> OrbitPoint:
 
 
 def default_group(orbit: Orbit) -> str:
-    if isinstance(orbit, Circle):
-        return SO2
-    if isinstance(orbit, Sphere):
-        return SO3
-    return LORENTZ
+    if type(orbit) not in ORBIT_GROUPS:
+        raise GroupError(f"unknown orbit {orbit!r}")
+    return ORBIT_GROUPS[type(orbit)][0]
 
 
 def coset_representative(x: OrbitPoint, group: Optional[str] = None) -> GroupElement:

@@ -26,6 +26,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -438,6 +439,7 @@ def _slot_columns() -> dict:
     e = _E4
     k = np.kron
     cols = {
+        "scalar": (0, np.array([[1.0]])),
         "time": (0, e[:, [0]]),
         "space": (1, e[:, 1:4]),
         "00": (0, k(e[:, [0]], e[:, [0]])),
@@ -472,27 +474,12 @@ TENSOR_SLOTS = {
 }
 
 
-def slot_embedding(label: IrrepLabel, slot: str) -> tuple[Fraction, np.ndarray]:
-    """(spin, orthonormal columns) of a named slot inside a tensor rep."""
-    if label.tensor is None:
-        raise IrrepError("slots are defined for tensor labels")
-    if slot == "scalar" and label.tensor == (0, 0):
-        return Fraction(0), np.array([[1.0]])
-    if slot not in TENSOR_SLOTS.get(label.tensor, ()):
-        raise IrrepError(f"label {label} has no slot {slot!r}")
-    spin, cols = SLOTS[slot]
-    return Fraction(spin), cols
-
-
 def massive_spin_content(label: IrrepLabel) -> dict:
     """Multiplicity of each SO(3) spin in the restriction to the massive
     stabilizer.  Keys are Fractions."""
     if label.tensor is not None:
-        counts: dict = {}
-        for slot in TENSOR_SLOTS[label.tensor]:
-            s = Fraction(0) if slot == "scalar" else Fraction(SLOTS[slot][0])
-            counts[s] = counts.get(s, 0) + 1
-        return counts
+        return dict(Counter(Fraction(SLOTS[s][0])
+                            for s in TENSOR_SLOTS[label.tensor]))
     if label.spinor == DIRAC:
         return {Fraction(1, 2): 2}
     if label.spinor == SPINOR_VECTOR:

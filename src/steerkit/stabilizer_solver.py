@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, numerics
-from .groups import Circle, MassiveHyperboloid, NullCone, Orbit, Sphere
+from .groups import MassiveHyperboloid, Orbit
 from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel,
                      massive_spin_content, massless_weight_content,
                      rep_inverse, rep_matrix)
@@ -57,11 +57,7 @@ def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
         raise IrrepError(f"labels from different groups: {j} vs {l}")
     if j.field != l.field:
         raise IrrepError(f"labels over different fields: {j} vs {l}")
-    ok = (isinstance(orbit, Circle) and j.group in (groups.SO2, groups.O2)) or \
-         (isinstance(orbit, Sphere) and j.group in (groups.SO3, groups.O3)) or \
-         (isinstance(orbit, (MassiveHyperboloid, NullCone))
-          and j.group == groups.LORENTZ)
-    if not ok:
+    if j.group not in groups.ORBIT_GROUPS.get(type(orbit), ()):
         raise IrrepError(f"{j.group} labels do not live on {type(orbit).__name__}")
     return j.group
 

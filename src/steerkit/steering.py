@@ -48,12 +48,17 @@ def kernels_at(elements, points) -> np.ndarray:
     """Values of a basis at orbit points, shape
     ``(n_basis, n_points, dim_j, dim_l)``.
 
-    The elements share ``j``, ``l`` and the orbit.  One coset section and one
-    steer per point: the representation factors depend on the point only,
-    so the whole basis is steered as one stack.  Each slice equals
+    The elements must share ``j``, ``l`` and the orbit.  One coset section
+    and one steer per point: the representation factors depend on the point
+    only, so the whole basis is steered as one stack.  Each slice equals
     :func:`kernel_at` bit for bit.
     """
+    if not elements:
+        raise IrrepError("kernels_at needs at least one basis element")
     e0 = elements[0]
+    if any((e.j, e.l, e.orbit) != (e0.j, e0.l, e0.orbit) for e in elements):
+        raise IrrepError("basis elements must share j, l and the orbit; "
+                         "they are steered as one stack")
     k0 = np.stack([e.base_matrix for e in elements])
     out = np.zeros((len(elements), len(points), e0.j.dim, e0.l.dim),
                    dtype=complex if e0.j.field == COMPLEX else float)

@@ -10,7 +10,7 @@ yields a byte-identical report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,20 +45,6 @@ class CaseReport:
     span_angle: Optional[float] = None
     containment_residual: Optional[float] = None
     passed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group, "field": self.field, "j": self.j,
-            "l": self.l, "orbit": self.orbit,
-            "oracle_dim": self.oracle_dim,
-            "predicted_dim": self.predicted_dim,
-            "analytic_count": self.analytic_count,
-            "span_angle": self.span_angle,
-            "containment_residual": self.containment_residual,
-            "max_steer_residual": self.max_steer_residual,
-            "independence_ratio": self.independence_ratio,
-            "passed": self.passed,
-        }
 
 
 def _orbit_tag(orbit: Orbit) -> str:
@@ -457,7 +443,7 @@ def run_suite(seed: int = 0, group: Optional[str] = None, jmax_2d: int = 4,
         rep = check_case(a, b, orbit, seed=int(
             np.random.SeedSequence([seed, idx]).generate_state(1)[0]),
             n_g=n_g, n_x=n_x)
-        reports.append(rep.to_dict())
+        reports.append(asdict(rep))
     out = {
         "seed": seed,
         "cases": reports,

@@ -1,14 +1,12 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
 from steerkit import groups, numerics, stabilizer_solver, verify
-from steerkit.analytic_bases import (SpinBlockSpec, basis_for,
-                                     basis_lorentz_massive,
-                                     basis_lorentz_massless, basis_o2,
+from steerkit.analytic_bases import (basis_for, basis_lorentz_massless,
+                                     basis_o2,
                                      basis_o3, basis_so2, basis_so3,
                                      energy_projector, lorentz_massive_basis,
                                      massless_pair,
@@ -239,16 +237,21 @@ def test_o3_steerability_includes_parity():
 # ---------------------------------------------------------------------------
 # Lorentz massive
 
+def _spin_block(j, l, spin):
+    """The massive elements of one matched spin, in builder order."""
+    return [e for e in lorentz_massive_basis(j, l)
+            if e.kind.startswith(f"spin{spin}:")]
+
+
 def test_massive_spin0_base_point():
     vec = tensor_irrep(1, 0)
-    spec = SpinBlockSpec(vec, vec, Fraction(0))
-    (elem,) = basis_lorentz_massive(spec)
+    (elem,) = _spin_block(vec, vec, 0)
     np.testing.assert_array_equal(elem.base_matrix, np.diag([1.0, 0, 0, 0]))
 
 
 def test_massive_spin1_is_transverse_projector():
     vec = tensor_irrep(1, 0)
-    (elem,) = basis_lorentz_massive(SpinBlockSpec(vec, vec, Fraction(1)))
+    (elem,) = _spin_block(vec, vec, 1)
     m = 1.0
     eta = 0.8
     x = groups.massive_point(
@@ -299,7 +302,7 @@ def test_massive_counts_match_predictions_for_tensor_pairs():
 
 def test_massive_spin_half_family():
     d = dirac_irrep(realified=True)
-    els = basis_lorentz_massive(SpinBlockSpec(d, d, Fraction(1, 2)))
+    els = lorentz_massive_basis(d, d)
     assert len(els) == 8
     kinds = {e.kind for e in els}
     assert "(C,P+1)" in kinds and "(i,P-1)" in kinds
@@ -317,7 +320,7 @@ def test_massive_spin_half_steered_forms_are_covariant():
     # moves the energy projector: K(x) = q o P_eps(u(x)) for each element
     from steerkit.irreps import CHARGE_CONJUGATION, realify_antilinear
     d = dirac_irrep(realified=True)
-    els = basis_lorentz_massive(SpinBlockSpec(d, d, Fraction(1, 2)))
+    els = lorentz_massive_basis(d, d)
     n = (CHARGE_CONJUGATION @ GAMMA[0]).real
     rng = np.random.default_rng(37)
     for _ in range(4):
@@ -342,7 +345,7 @@ def test_massive_spin_three_half_steered_forms_are_covariant():
     # together while the quaternion part stays fixed
     from steerkit.irreps import CHARGE_CONJUGATION, realify_antilinear
     sv = spinor_vector_irrep(realified=True)
-    els = basis_lorentz_massive(SpinBlockSpec(sv, sv, Fraction(3, 2)))
+    els = lorentz_massive_basis(sv, sv)
     n16 = np.kron(np.eye(4), (CHARGE_CONJUGATION @ GAMMA[0]).real)
     rng = np.random.default_rng(41)
     x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=1.5)
@@ -390,7 +393,7 @@ def test_rarita_projector_identities():
 
 def test_massive_spin_three_half_family():
     sv = spinor_vector_irrep(realified=True)
-    els = basis_lorentz_massive(SpinBlockSpec(sv, sv, Fraction(3, 2)))
+    els = lorentz_massive_basis(sv, sv)
     assert len(els) == 8
     assert all(e.base_matrix.shape == (32, 32) for e in els)
 
@@ -411,12 +414,25 @@ def test_massive_base_points_lie_in_oracle_space():
 def test_massive_unmatched_and_unsupported():
     vec = tensor_irrep(1, 0)
     t20 = tensor_irrep(2, 0)
-    assert basis_lorentz_massive(SpinBlockSpec(vec, vec, Fraction(2))) == []
+    assert _spin_block(vec, vec, 2) == []
     assert lorentz_massive_basis(dirac_irrep(True), vec) == []
-    with pytest.raises(IrrepError):
-        basis_lorentz_massive(
-            SpinBlockSpec(spinor_vector_irrep(True),
-                          spinor_vector_irrep(True), Fraction(1, 2)))
+    assert lorentz_massive_basis(t20, spinor_vector_irrep(True)) == []
+    # The Dirac <-> spinor-vector cross blocks are not implemented yet.
+    with pytest.raises(IrrepError, match="implemented for"):
+        lorentz_massive_basis(dirac_irrep(True), spinor_vector_irrep(True))
+    # Complex spinor labels: the charge conjugation is antilinear there, so
+    # the builder asks for the realified labels instead of relabelling.
+    for j, l in [(dirac_irrep(), dirac_irrep()),
+                 (spinor_vector_irrep(), spinor_vector_irrep()),
+                 (dirac_irrep(), vec), (vec, dirac_irrep())]:
+        with pytest.raises(IrrepError, match="realified"):
+            lorentz_massive_basis(j, l)
+    with pytest.raises(IrrepError, match="realified"):
+        basis_for(dirac_irrep(), dirac_irrep(), MassiveHyperboloid())
+    with pytest.raises(IrrepError, match="realified"):
+        verify.check_case(dirac_irrep(), dirac_irrep(), MassiveHyperboloid())
+    with pytest.raises(IrrepError, match="Lorentz labels"):
+        lorentz_massive_basis(so3_irrep(1), vec)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,12 @@ def test_bad_label_reports_json_error(capsys):
                            "--point", "1,0,0,0")
     assert code == 1
     assert "error" in json.loads(err)
+    # malformed O(3) labels, including an empty one
+    for bad in ("", "+", "1"):
+        code, _, err = run_cli(capsys, "basis", "--group", "o3", "--j", bad,
+                               "--l", "1+", "--point", "0,0")
+        assert code == 1
+        assert "error" in json.loads(err)
 
 
 def test_bad_grid_reports_json_error(tmp_path, capsys):

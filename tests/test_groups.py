@@ -209,6 +209,15 @@ def test_element_validation():
         compose(so2_element(0.1), so3_element(0, 0, 0))
     with pytest.raises(GroupError):
         groups.element_from_matrix("lorentz", -np.eye(4))
+    nan, inf = math.nan, math.inf
+    for make, args in [(so2_element, (nan,)), (o2_element, (inf, -1)),
+                       (so3_element, (nan, 0, 0)), (so3_element, (0, inf, 0)),
+                       (o3_element, (nan, 0, 0)),
+                       (groups.lorentz_element, (0, 0, 0, (nan, 0, 0))),
+                       (groups.lorentz_element, (0, 0, 0, (0, 0, -inf))),
+                       (groups.lorentz_element, (0, nan, 0))]:
+        with pytest.raises(GroupError, match="must be finite"):
+            make(*args)
 
 
 def test_angle_canonicalization():

@@ -6,12 +6,12 @@ import pytest
 
 from steerkit import groups, irreps
 from steerkit.groups import MassiveHyperboloid, boost_matrix, random_element
-from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, TENSOR_SLOTS,
+from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              IrrepError, dirac_irrep, massive_spin_content,
                              massless_weight_content, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverse, rep_matrix,
-                             sl2c_to_lorentz, slot_embedding, so2_irrep,
+                             sl2c_to_lorentz, so2_irrep,
                              so3_irrep, spinor_vector_irrep, tensor_irrep,
                              wigner_D, wigner_small_d)
 
@@ -385,7 +385,7 @@ def test_tensor_slots_partition_and_are_stabilizer_invariant():
           for _ in range(6)]
     for sig, slots in TENSOR_SLOTS.items():
         lab = tensor_irrep(*sig)
-        embeds = [slot_embedding(lab, slot) for slot in slots]
+        embeds = [SLOTS[slot] for slot in slots]
         q = np.column_stack([cols for _, cols in embeds])
         assert q.shape == (lab.dim, lab.dim)
         np.testing.assert_allclose(q.T @ q, np.eye(lab.dim), atol=1e-14)

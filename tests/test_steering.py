@@ -153,6 +153,17 @@ def test_steer_stack_matches_elementwise():
                 assert np.array_equal(values[b, p], kernel_at(elem, x))
     with pytest.raises(IrrepError):
         kernels_at(bases.basis_so3(1, 1), [groups.sphere_point(0.1, 0.2, 2.0)])
+    # An empty basis, or elements that do not share (j, l, orbit), cannot
+    # be steered as one stack; tensor(1,1) and tensor(2,0) even share shapes.
+    t11 = tensor_irrep(1, 1)
+    mixed = [(bases.lorentz_massive_basis(t11, t11)[:1]
+              + bases.lorentz_massive_basis(t20, t20)[:1]),
+             bases.basis_so3(1, 1) + bases.basis_so3(1, 1, "complex"),
+             bases.basis_so3(1, 1) + bases.basis_so3(1, 1, radius=2.0)]
+    for bad, x in [([], groups.base_point(Sphere()))] + [
+            (els, groups.base_point(els[0].orbit)) for els in mixed]:
+        with pytest.raises(IrrepError):
+            kernels_at(bad, [x])
 
 
 def test_kernel_at_wrong_orbit_rejected():
