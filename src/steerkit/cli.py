@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -60,31 +61,44 @@ class CliError(ValueError):
     pass
 
 
+#: The --j/--l grammar of each compact group: a pattern and its wording.
+_LABEL_GRAMMAR = {
+    "so2": (r"-?\d+", "an integer n (n >= 0 over the reals)"),
+    "o2": (r"\d+|0~|0t", "an integer j >= 0 or '0~'"),
+    "so3": (r"\d+", "an integer l >= 0"),
+    "o3": (r"\d+[+-]", "an integer l >= 0 and a parity, like '2+' or '2-'"),
+}
+
+POINT_GRAMMAR = "circle: phi | sphere: alpha,beta | Lorentz: t,x,y,z"
+
+
 def parse_label(group: str, field: str, text: str) -> IrrepLabel:
     text = text.strip()
-    if group == "so2":
-        return so2_irrep(int(text), field)
-    if group == "o2":
-        if text in ("0~", "0t"):
-            return o2_irrep("0~", field)
-        return o2_irrep(int(text), field)
-    if group == "so3":
-        return so3_irrep(int(text), field)
-    if group == "o3":
-        if text[-1:] not in ("+", "-"):
-            raise CliError("O(3) labels look like '2+' or '2-'")
-        return o3_irrep(int(text[:-1]), 1 if text[-1] == "+" else -1, field)
     if group == "lorentz":
         try:
             return _LORENTZ_LABELS[text]()
         except KeyError:
             raise CliError(f"unknown Lorentz label {text!r}; choose from "
                            f"{sorted(_LORENTZ_LABELS)}") from None
-    raise CliError(f"unknown group {group!r}")
+    if group not in _LABEL_GRAMMAR:
+        raise CliError(f"unknown group {group!r}")
+    pattern, grammar = _LABEL_GRAMMAR[group]
+    if not re.fullmatch(pattern, text):
+        raise CliError(f"bad {group} label {text!r}; expected {grammar}")
+    if group == "so2":
+        return so2_irrep(int(text), field)
+    if group == "o2":
+        return o2_irrep(text if text in ("0~", "0t") else int(text), field)
+    if group == "so3":
+        return so3_irrep(int(text), field)
+    return o3_irrep(int(text[:-1]), 1 if text[-1] == "+" else -1, field)
 
 
 def _parse_point(orbit, text: str) -> groups.OrbitPoint:
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"bad point {text!r}; expected {POINT_GRAMMAR}") from None
     if isinstance(orbit, Circle):
         if len(vals) != 1:
             raise CliError("circle points take one angle")
@@ -332,43 +346,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steerable kernel bases with a numerical oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
-    common.add_argument("--radius", type=float, default=1.0,
-                        help="circle/sphere radius")
-    common.add_argument("--mass", type=float, default=1.0,
-                        help="massive hyperboloid mass")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
+    orbit = argparse.ArgumentParser(add_help=False, parents=[field])
+    orbit.add_argument("--radius", type=float, default=1.0,
+                       help="circle/sphere radius")
+    orbit.add_argument("--mass", type=float, default=1.0,
+                       help="massive hyperboloid mass")
 
-    p = sub.add_parser("dims", parents=[common],
+    p = sub.add_parser("dims", parents=[field],
                        help="predicted vs oracle dimension table")
-    p.add_argument("--group", required=True,
-                   choices=("so2", "o2", "so3", "o3", "lorentz"))
+    p.add_argument("--group", required=True, choices=groups.GROUPS)
     p.add_argument("--jmax", type=int, default=4)
     p.add_argument("--full", action="store_true",
                    help="include the spinor-vector case (slow)")
     p.set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("basis", parents=[common],
+    p = sub.add_parser("basis", parents=[orbit],
                        help="basis matrices at one orbit point")
-    p.add_argument("--group", required=True,
-                   choices=("so2", "o2", "so3", "o3", "lorentz"))
+    p.add_argument("--group", required=True, choices=groups.GROUPS)
     p.add_argument("--j", required=True)
     p.add_argument("--l", required=True)
-    p.add_argument("--point", required=True,
-                   help="circle: phi; sphere: alpha,beta; Lorentz: 4-vector")
+    p.add_argument("--point", required=True, help=POINT_GRAMMAR)
     p.add_argument("--orbit", choices=("massive", "massless"),
                    default="massive")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--group", choices=("so2", "o2", "so3", "o3", "lorentz"))
+    p.add_argument("--group", choices=groups.GROUPS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[orbit],
                        help="sample a basis on a grid into manifest + payload")
-    p.add_argument("--group", required=True,
-                   choices=("so2", "o2", "so3", "o3", "lorentz"))
+    p.add_argument("--group", required=True, choices=groups.GROUPS)
     p.add_argument("--j", required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--grid", required=True, help=GRID_GRAMMAR)

@@ -206,14 +206,13 @@ def lorentz_element(alpha: float, beta: float, gamma: float,
     return GroupElement(LORENTZ, g.params + tuple(e))
 
 
+_IDENTITIES = {g: GroupElement(g, p) for g, p in (
+    (SO2, (0.0,)), (O2, (0.0, 1.0)), (SO3, (0.0,) * 3),
+    (O3, (0.0, 0.0, 0.0, 1.0)), (LORENTZ, (0.0,) * 6))}
+
+
 def identity(group: str) -> GroupElement:
-    return {
-        SO2: so2_element(0.0),
-        O2: o2_element(0.0, 1),
-        SO3: GroupElement(SO3, (0.0, 0.0, 0.0)),
-        O3: GroupElement(O3, (0.0, 0.0, 0.0, 1.0)),
-        LORENTZ: GroupElement(LORENTZ, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-    }[group]
+    return _IDENTITIES[group]
 
 
 def element_from_matrix(group: str, m: np.ndarray) -> GroupElement:
@@ -412,7 +411,7 @@ def point_from_vector(orbit: Orbit, v: np.ndarray) -> OrbitPoint:
             raise GroupError("vector is off the sphere")
         beta = math.acos(min(1.0, max(-1.0, v[2] / r)))
         alpha = math.atan2(v[1], v[0]) if math.sin(beta) > 1e-12 else 0.0
-        return OrbitPoint(orbit, (_wrap(alpha), beta))
+        return sphere_point(alpha, beta, orbit.radius)
     if isinstance(orbit, MassiveHyperboloid):
         return massive_point(v, orbit.mass)
     if isinstance(orbit, NullCone):

@@ -68,6 +68,11 @@ class IrrepLabel:
     spinor: Optional[str] = None
     realified: bool = False
 
+    def __post_init__(self):
+        if self.field not in (REAL, COMPLEX):
+            raise IrrepError(f"{self.group} label field must be 'real' or "
+                             f"'complex', got {self.field!r}")
+
     @property
     def dim(self) -> int:
         if self.group == SO2:
@@ -104,8 +109,15 @@ class IrrepLabel:
         return f"lorentz {self.spinor}{tag}"
 
 
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a non-integral label is rejected, not truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise IrrepError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def so2_irrep(n: int, field: str = REAL) -> IrrepLabel:
-    n = int(n)
+    n = _integer("SO(2) label n", n)
     if field == REAL and n < 0:
         raise IrrepError("real SO(2) irreps are labeled by j >= 0")
     return IrrepLabel(SO2, field, j=n)
@@ -117,28 +129,31 @@ def o2_irrep(j, field: str = REAL) -> IrrepLabel:
         if j not in ("0~", "0t"):
             raise IrrepError(f"unknown O(2) label {j!r}")
         return IrrepLabel(O2, field, j=0, tilde=True)
-    j = int(j)
+    j = _integer("O(2) label j", j)
     if j < 0:
         raise IrrepError("O(2) irreps are labeled by j >= 0 or '0~'")
     return IrrepLabel(O2, field, j=j)
 
 
 def so3_irrep(l: int, field: str = REAL) -> IrrepLabel:
+    l = _integer("SO(3) label l", l)
     if l < 0:
         raise IrrepError("SO(3) irreps are labeled by l >= 0")
-    return IrrepLabel(SO3, field, j=int(l))
+    return IrrepLabel(SO3, field, j=l)
 
 
 def o3_irrep(l: int, parity: int, field: str = REAL) -> IrrepLabel:
+    l = _integer("O(3) label l", l)
     if l < 0 or parity not in (1, -1):
         raise IrrepError("O(3) irreps are labeled by (l >= 0, parity)")
-    return IrrepLabel(O3, field, j=int(l), parity=parity)
+    return IrrepLabel(O3, field, j=l, parity=parity)
 
 
 def tensor_irrep(p: int, q: int) -> IrrepLabel:
+    p, q = _integer("tensor label p", p), _integer("tensor label q", q)
     if p < 0 or q < 0 or p + q > 2:
         raise IrrepError("tensor reps supported for p, q >= 0 with p + q <= 2")
-    return IrrepLabel(LORENTZ, REAL, tensor=(int(p), int(q)))
+    return IrrepLabel(LORENTZ, REAL, tensor=(p, q))
 
 
 def dirac_irrep(realified: bool = False) -> IrrepLabel:

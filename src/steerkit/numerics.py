@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-DEFAULT_NULLSPACE_TOL = 1e-9
+NULLSPACE_TOL = 1e-9  # relative rank cut: sigma <= tol * sigma_max is zero
 
 
 class NumericsError(ValueError):
@@ -61,25 +61,24 @@ def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def nullspace_with_spectrum(a, tol: float = DEFAULT_NULLSPACE_TOL):
+def nullspace_with_spectrum(a):
     """Nullspace basis plus the kept/dropped singular values.
 
     Returns ``(basis, kept, dropped)`` where ``basis`` has orthonormal columns
-    spanning the numerical kernel (singular values <= tol * sigma_max), and
+    spanning the numerical kernel (sigma <= NULLSPACE_TOL * sigma_max), and
     ``kept``/``dropped`` are the singular values above/below the cut, both in
     descending order.  Used by callers that need to inspect the rank gap.
     """
     a = as_matrix(a)
-    if tol <= 0:
-        raise NumericsError("tol must be positive")
     m, n = a.shape
     if n == 0:
         return a.reshape(m, 0)[:0].T, np.zeros(0), np.zeros(0)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # U is unused: only wide matrices need the full (n x n) V.
+    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     # Wide matrices have n - m implicit zero singular values.
     s_full = np.concatenate([s, np.zeros(n - len(s))])
     smax = s_full[0] if len(s_full) else 0.0
-    null_mask = s_full <= tol * smax
+    null_mask = s_full <= NULLSPACE_TOL * smax
     k = int(null_mask.sum())
     # Rows of vh are right-singular vectors, sigma descending; reverse the
     # null block so basis columns come out by ascending singular value.
@@ -88,13 +87,13 @@ def nullspace_with_spectrum(a, tol: float = DEFAULT_NULLSPACE_TOL):
     return basis, s_full[~null_mask], s_full[null_mask]
 
 
-def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of ``{v : ||A v|| <= tol * sigma_max * ||v||}``.
+def nullspace(a) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical kernel of ``a``.
 
     Columns are ordered by ascending singular value and sign-fixed so the
     first significant component of each column is positive real.
     """
-    basis, _, _ = nullspace_with_spectrum(a, tol)
+    basis, _, _ = nullspace_with_spectrum(a)
     return basis
 
 
@@ -142,11 +141,11 @@ def projection_residual(w, basis) -> float:
     return float((np.linalg.norm(resid, axis=0) / norms).max())
 
 
-def orthonormal_columns(a, tol: float = DEFAULT_NULLSPACE_TOL) -> np.ndarray:
+def orthonormal_columns(a) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (SVD based)."""
     a = as_matrix(a)
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s.size else 0
+    r = int(np.sum(s > NULLSPACE_TOL * s[0])) if s.size else 0
     return _fix_column_signs(u[:, :r])

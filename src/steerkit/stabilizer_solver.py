@@ -23,8 +23,6 @@ from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel,
 #: value; anything smaller means the rank detection is not trustworthy.
 GAP_RATIO = 1e6
 
-DEFAULT_TOL = 1e-9
-
 
 class DegenerateSpectrumError(RuntimeError):
     """Singular-value gap too small to declare the nullspace dimension."""
@@ -84,8 +82,8 @@ def require_rank_gap(kept: np.ndarray, dropped: np.ndarray,
                 f"{GAP_RATIO:.0e}{context}")
 
 
-def solve_basepoint(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
-                    tol: float = DEFAULT_TOL) -> IntertwinerSpace:
+def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
+                    orbit: Orbit) -> IntertwinerSpace:
     """Full intertwiner space Hom_H(V_l, V_j) at the orbit base point.
 
     Real labels are solved over the reals, complex labels over the complex
@@ -96,7 +94,7 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
     sample = groups.stabilizer_sample(orbit, group)
     ops = [constraint_operator(j, l, h) for h in sample.elements]
     stack = np.vstack(ops)
-    basis, kept, dropped = numerics.nullspace_with_spectrum(stack, tol)
+    basis, kept, dropped = numerics.nullspace_with_spectrum(stack)
     require_rank_gap(kept, dropped, f" for {j} / {l}")
     return IntertwinerSpace(j, l, orbit, basis)
 

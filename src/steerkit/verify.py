@@ -27,6 +27,11 @@ RESIDUAL_TOL = 1e-10
 PROJECTOR_TOL = 1e-11
 INDEPENDENCE_TOL = 1e-8
 
+#: The suite's fixed configuration: the largest label of each compact group,
+#: (n_g, n_x) group and point draws per case, and the gauge-check draws.
+SUITE_JMAX = {groups.SO2: 4, groups.O2: 4, groups.SO3: 2, groups.O3: 2}
+SUITE_DRAWS, GAUGE_DRAWS = (5, 3), 10
+
 
 @dataclass
 class CaseReport:
@@ -155,8 +160,8 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     return float(worst)
 
 
-def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit, seed: int = 0,
-               n_g: int = 6, n_x: int = 4) -> CaseReport:
+def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
+               seed: int = 0) -> CaseReport:
     """Full cross-check of one case: counts, spans and steerability.
 
     The analytic count must equal the oracle dimension except for the two
@@ -172,16 +177,16 @@ def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit, seed: int = 0,
         group=j.group, field=j.field, j=str(j), l=str(l),
         orbit=_orbit_tag(orbit), oracle_dim=space.dimension,
         predicted_dim=predicted, analytic_count=len(elements),
-        max_steer_residual=max_steer_residual(elements, orbit, n_g, n_x, seed),
+        max_steer_residual=max_steer_residual(elements, orbit, *SUITE_DRAWS,
+                                              seed),
         independence_ratio=independence_ratio(elements),
     )
     subset_family = j.spinor is not None or isinstance(orbit, NullCone)
     vecs = _vec_stack(elements, j.dim * l.dim).astype(space.basis.dtype)
     if len(elements) == space.dimension:
         analytic_span = numerics.orthonormal_columns(vecs)
-        angle, mismatch = numerics.principal_angle_distance(
+        report.span_angle, _ = numerics.principal_angle_distance(
             analytic_span, space.basis)
-        report.span_angle = angle if not mismatch else math.pi / 2
         span_ok = report.span_angle <= SPAN_TOL
     else:
         report.containment_residual = numerics.projection_residual(
@@ -277,8 +282,7 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     gperp_low = np.einsum("mn,nab->mab", groups.ETA, gperp)
     res["rarita_gamma_contraction"] = float(np.linalg.norm(
         np.einsum("mca,manb->cnb", gperp_low, pi4)))
-    xk = groups.act(groups.random_element(groups.LORENTZ, rng, eta_max),
-                    groups.base_point(NullCone()))
+    xk = groups.random_orbit_point(NullCone(), rng, eta_max)
     n, nbar = bases.massless_pair(xk)
     dm = bases.massless_transverse_projector(n, nbar)
     res["massless_pairing"] = abs(groups.minkowski(n, nbar) - 1.0)
@@ -289,15 +293,13 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     return res
 
 
-def gauge_shift_residual(seed: int = 0, n_draws: int = 10,
-                         eta_max: float = 2.0) -> float:
+def gauge_shift_residual(seed: int = 0, eta_max: float = 2.0) -> float:
     """Massless gauge covariance: Delta(nbar') - Delta(nbar) must lie in
     span{n (x) e_i symmetrized, n (x) n} (second index lowered)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_draws):
-        lam_el = groups.random_element(groups.LORENTZ, rng, eta_max)
-        x = groups.act(lam_el, groups.base_point(NullCone()))
+    for _ in range(GAUGE_DRAWS):
+        x = groups.random_orbit_point(NullCone(), rng, eta_max)
         lam = groups.coset_representative(x, groups.LORENTZ).matrix
         n, nbar = bases.massless_pair(x)
         e1, e2 = (lam @ v for v in bases.TRANSVERSE0)
@@ -421,28 +423,22 @@ def negative_control_residual(seed: int = 0) -> float:
     return worst
 
 
-def run_suite(seed: int = 0, group: Optional[str] = None, jmax_2d: int = 4,
-              jmax_3d: int = 2, n_g: int = 5, n_x: int = 3) -> dict:
+def run_suite(seed: int = 0, group: Optional[str] = None) -> dict:
     """Run the verification suite; deterministic for a fixed seed.
 
     Returns a JSON-ready dict with one report per case plus the projector,
     gauge, demo and negative-control summaries.
     """
-    wanted = [group] if group else [groups.SO2, groups.O2, groups.SO3,
-                                    groups.O3, groups.LORENTZ]
+    if group and group not in groups.GROUPS:
+        raise ValueError(f"unknown group {group!r}")
     cases = []
-    for gname in wanted:
-        if gname == groups.LORENTZ:
-            cases.extend(lorentz_case_grid())
-        elif gname in (groups.SO2, groups.O2):
-            cases.extend(compact_case_grid(gname, jmax_2d))
-        else:
-            cases.extend(compact_case_grid(gname, jmax_3d))
+    for gname in [group] if group else groups.GROUPS:
+        cases.extend(lorentz_case_grid() if gname == groups.LORENTZ
+                     else compact_case_grid(gname, SUITE_JMAX[gname]))
     reports = []
     for idx, (a, b, orbit) in enumerate(cases):
         rep = check_case(a, b, orbit, seed=int(
-            np.random.SeedSequence([seed, idx]).generate_state(1)[0]),
-            n_g=n_g, n_x=n_x)
+            np.random.SeedSequence([seed, idx]).generate_state(1)[0]))
         reports.append(asdict(rep))
     out = {
         "seed": seed,

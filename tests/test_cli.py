@@ -64,6 +64,10 @@ def test_unknown_flag_exits_2(capsys):
     code = main(["dims", "--group", "so2", "--bogus"])
     capsys.readouterr()
     assert code == 2
+    # dims always solves on unit orbits and takes no orbit size
+    for flag in ("--radius", "--mass"):
+        assert main(["dims", "--group", "so3", flag, "2"]) == 2
+        capsys.readouterr()
 
 
 def test_bad_label_reports_json_error(capsys):
@@ -77,7 +81,23 @@ def test_bad_label_reports_json_error(capsys):
         code, _, err = run_cli(capsys, "basis", "--group", "o3", "--j", bad,
                                "--l", "1+", "--point", "0,0")
         assert code == 1
-        assert "error" in json.loads(err)
+        assert "'2+' or '2-'" in json.loads(err)["error"]
+    # non-integer labels and points name the grammar, not Python's parser
+    cases = [
+        ("so3", "x", "1", "0,0", "an integer l >= 0"),
+        ("so3", "-1", "1", "0,0", "an integer l >= 0"),
+        ("o2", "1.5", "1", "0", "an integer j >= 0 or '0~'"),
+        ("so2", "n", "1", "0", "an integer n"),
+        ("so2", "1", "1", "0,x", cli.POINT_GRAMMAR),
+        ("so3", "1", "1", "", cli.POINT_GRAMMAR),
+        ("lorentz", "vector", "vector", "1,0,0,x", cli.POINT_GRAMMAR),
+    ]
+    for group, j, l, point, grammar in cases:
+        code, _, err = run_cli(capsys, "basis", "--group", group, "--j", j,
+                               "--l", l, "--point", point)
+        assert code == 1
+        message = json.loads(err)["error"]
+        assert grammar in message and "invalid literal" not in message
 
 
 def test_bad_grid_reports_json_error(tmp_path, capsys):

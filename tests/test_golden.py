@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of ``sample`` payloads and the ``verify`` report.
+"""Golden SHA-256 digests of ``sample`` payloads, the ``verify`` report and
+two ``dims`` oracle tables.
 
 The digests were computed before the grid-steering path was batched; any
 change of output bits must be deliberate and come with new digests here.
@@ -33,6 +34,15 @@ SAMPLE_GOLDENS = [
 VERIFY_SEED7_GOLDEN = (
     "b5255317aae54f1205cafb4359181ca0463c132abb14e351856b5b442a30c08e")
 
+#: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
+#: table, whose stacks are the ones a thin SVD rounds differently.
+DIMS_GOLDENS = [
+    (("--group", "lorentz", "--full"),
+     "af56c8648c01587c9eb458f49c201d11d39f89de3412c00f94dbf972abb95a20"),
+    (("--group", "o3", "--jmax", "4", "--field", "complex"),
+     "36682cd9cb9ba8c6dbcca180374f6c5c23064a96e953345b1294ccc8779ea653"),
+]
+
 
 @pytest.mark.parametrize("case,golden", SAMPLE_GOLDENS,
                          ids=[" ".join(c[:3]) + " " + c[4]
@@ -53,3 +63,12 @@ def test_verify_seed7_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED7_GOLDEN
+
+
+@pytest.mark.parametrize("args,golden", DIMS_GOLDENS,
+                         ids=[" ".join(a) for a, _ in DIMS_GOLDENS])
+def test_dims_table_matches_golden(args, golden, capsys):
+    code = main(["dims", *args])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden

@@ -439,3 +439,20 @@ def test_label_validation():
         rep_matrix(so2_irrep(1), groups.so3_element(0, 0, 0))
     with pytest.raises(IrrepError):
         tensor_irrep(1, 0).realify()
+    # non-integral labels are rejected, not truncated
+    for make, args in [(so3_irrep, (1.5,)), (so2_irrep, (2.7,)),
+                       (o3_irrep, (1.5, 1)), (o2_irrep, (2.9,)),
+                       (tensor_irrep, (1.5, 0)), (tensor_irrep, (0, 1.0)),
+                       (so3_irrep, ("2",))]:
+        with pytest.raises(IrrepError, match="must be an integer"):
+            make(*args)
+    # so is a field other than real or complex
+    for make, args in [(so3_irrep, (2,)), (so2_irrep, (1,)),
+                       (o2_irrep, (1,)), (o2_irrep, ("0~",)),
+                       (o3_irrep, (1, -1))]:
+        with pytest.raises(IrrepError, match="'cplx'"):
+            make(*args, "cplx")
+    # Python and numpy integers stay accepted
+    assert so3_irrep(np.int64(2)) == so3_irrep(2)
+    assert o3_irrep(np.int32(1), -1) == o3_irrep(1, -1)
+    assert tensor_irrep(np.int64(1), 0) == tensor_irrep(1, 0)
