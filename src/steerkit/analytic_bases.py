@@ -243,10 +243,12 @@ def transverse_projector(u: np.ndarray) -> np.ndarray:
 
 def _symmetric_traceless(d: np.ndarray, rank: int) -> np.ndarray:
     """Symmetric traceless square on (2,0) tensors, 16x16, of a mixed-index
-    projector ``d`` of the given rank."""
-    t = 0.5 * (np.einsum("mr,ns->mnrs", d, d) + np.einsum("ms,nr->mnrs", d, d))
-    t -= np.einsum("mn,rs->mnrs", d @ ETA, ETA @ d) / rank
-    return t.reshape(16, 16)
+    projector ``d`` of the given rank; a stack of projectors gives a
+    stack."""
+    t = 0.5 * (np.einsum("...mr,...ns->...mnrs", d, d)
+               + np.einsum("...ms,...nr->...mnrs", d, d))
+    t -= np.einsum("...mn,...rs->...mnrs", d @ ETA, ETA @ d) / rank
+    return t.reshape(d.shape[:-2] + (16, 16))
 
 
 def spin2_projector(u: np.ndarray) -> np.ndarray:
@@ -360,8 +362,11 @@ def massless_pair(x: OrbitPoint, gauge: Sequence[float] = (0.0, 0.0)):
 
 
 def massless_transverse_projector(n: np.ndarray, nbar: np.ndarray) -> np.ndarray:
-    """Mixed-index Delta^mu_nu = delta - n nbar - nbar n (lowered)."""
-    return (np.eye(4) - np.outer(n, ETA @ nbar) - np.outer(nbar, ETA @ n))
+    """Mixed-index Delta^mu_nu = delta - n nbar - nbar n (lowered); stacks
+    of null pairs, shape (..., 4), give a stack."""
+    n, nbar = np.asarray(n), np.asarray(nbar)
+    n_low, nbar_low = ((ETA @ v[..., None])[..., None, :, 0] for v in (n, nbar))
+    return np.eye(4) - n[..., :, None] * nbar_low - nbar[..., :, None] * n_low
 
 
 def massless_spin2_projector(n: np.ndarray, nbar: np.ndarray) -> np.ndarray:

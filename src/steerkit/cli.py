@@ -146,27 +146,26 @@ class GridSpec:
     def points(self) -> list[groups.OrbitPoint]:
         if isinstance(self.orbit, Circle):
             (n,) = self.shape
-            return [groups.circle_point(2 * math.pi * k / n, self.orbit.radius)
-                    for k in range(n)]
+            return groups.orbit_points(
+                self.orbit, (2 * math.pi * np.arange(n) / n)[:, None])
         if isinstance(self.orbit, Sphere):
             na, nb = self.shape
-            return [groups.sphere_point(2 * math.pi * ia / na,
-                                        math.pi * (ib + 0.5) / nb,
-                                        self.orbit.radius)
-                    for ia in range(na) for ib in range(nb)]
+            alpha = 2 * math.pi * np.arange(na) / na
+            beta = math.pi * (np.arange(nb) + 0.5) / nb
+            return groups.orbit_points(self.orbit, np.stack(
+                np.broadcast_arrays(alpha[:, None], beta[None, :]), -1
+            ).reshape(-1, 2))
+        # One boost along z per rapidity, rotated to each grid direction.
         na, nb, ne = self.shape
-        etas = np.linspace(0.0, self.eta_max, ne)
-        base = groups.base_point(self.orbit)
-        pts = []
+        params = np.zeros((na, nb, ne, 6))
         for ia in range(na):
             for ib in range(nb):
-                rot = groups.so3_element(2 * math.pi * ia / na,
-                                         math.pi * (ib + 0.5) / nb, 0.0)
-                for eta in etas:
-                    g = groups.GroupElement(
-                        groups.LORENTZ, rot.params + (0.0, 0.0, float(eta)))
-                    pts.append(groups.act(g, base))
-        return pts
+                params[ia, ib, :, :3] = groups.so3_element(
+                    2 * math.pi * ia / na, math.pi * (ib + 0.5) / nb, 0.0).params
+        params[..., 5] = np.linspace(0.0, self.eta_max, ne)
+        base = groups.base_point(self.orbit)
+        return groups.orbit_points(self.orbit, groups.act_points(
+            groups.LORENTZ, params.reshape(-1, 6), self.orbit, base.coords))
 
     def to_dict(self) -> dict:
         d = {"orbit": verify._orbit_tag(self.orbit), "shape": list(self.shape)}

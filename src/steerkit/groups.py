@@ -26,6 +26,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .numerics import row_dots
+
 TWO_PI = 2.0 * math.pi
 
 SO2, O2, SO3, O3, LORENTZ = "so2", "o2", "so3", "o3", "lorentz"
@@ -41,87 +43,160 @@ class GroupError(ValueError):
     """Invalid group element, orbit point or operation."""
 
 
-def _require_finite(what: str, *values) -> None:
+def _require_finite(what: str, values) -> None:
     # Written as "accept if finite": a NaN fails every comparison, so
     # "reject if out of range" checks alone would let it through.
-    if not all(map(math.isfinite, values)):
-        raise GroupError(f"{what} must be finite, got {tuple(map(float, values))}")
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise GroupError(f"{what} must be finite")
+
+
+def _wrap_angles(angles) -> np.ndarray:
+    """Angles reduced to [0, 2*pi), elementwise; the same remainder as
+    Python's float ``%``."""
+    a = np.remainder(angles, TWO_PI)
+    # Collapse the 2*pi boundary so wrapped values stay in [0, 2*pi).
+    return np.where((a >= TWO_PI) | (np.abs(a) < 1e-15)
+                    | (np.abs(a - TWO_PI) < 1e-15), 0.0, a)
 
 
 def _wrap(angle: float) -> float:
-    a = float(angle) % TWO_PI
-    # Collapse the 2*pi boundary so wrapped values stay in [0, 2*pi).
-    return 0.0 if a >= TWO_PI or abs(a) < 1e-15 or abs(a - TWO_PI) < 1e-15 else a
+    return float(_wrap_angles(float(angle)))
 
 
 # ---------------------------------------------------------------------------
 # matrix building blocks
+#
+# Every builder takes a stack of parameters (any leading shape, or none) and
+# returns the stack of matrices.  The entries are formed with the same
+# floating-point operations as for one element, so each matrix of a stack
+# equals the one built alone bit for bit: ``np.cos``/``np.sin`` agree with
+# ``math.cos``/``math.sin``, and stacked ``matmul`` runs the per-matrix
+# kernel.  ``np.cosh``/``np.sinh``/``np.arccos``/``np.arctan2`` do not agree
+# with ``math`` in the last bit, so those stay scalar ``math`` calls.
 
-def rot2(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _o2_matrix(phi: float, s: int) -> np.ndarray:
-    c, sn = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s * sn], [sn, s * c]])
-
-
-def _rotz3(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _roty3(b: float) -> np.ndarray:
-    c, s = math.cos(b), math.sin(b)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _scalar(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` of ``math`` applied entry by entry to equally shaped arrays."""
+    values = [fn(*v) for v in zip(*(a.ravel().tolist() for a in args))]
+    return np.array(values, dtype=float).reshape(args[0].shape)
 
 
-def euler_zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Stack of 2x2 matrices [[a, b], [c, d]] from equally shaped entries."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=np.result_type(a, b, c, d))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def rot2(phi) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    return _mat2(c, -s, s, c)
+
+
+def _o2_matrix(phi, s) -> np.ndarray:
+    c, sn = np.cos(phi), np.sin(phi)
+    return _mat2(c, -s * sn, sn, s * c)
+
+
+def _rotz3(a) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    out = np.zeros(np.shape(a) + (3, 3))
+    out[..., 0, 0], out[..., 0, 1], out[..., 2, 2] = c, -s, 1.0
+    out[..., 1, 0], out[..., 1, 1] = s, c
+    return out
+
+
+def _roty3(b) -> np.ndarray:
+    c, s = np.cos(b), np.sin(b)
+    out = np.zeros(np.shape(b) + (3, 3))
+    out[..., 0, 0], out[..., 0, 2], out[..., 1, 1] = c, s, 1.0
+    out[..., 2, 0], out[..., 2, 2] = -s, c
+    return out
+
+
+def euler_zyz_matrix(alpha, beta, gamma) -> np.ndarray:
+    """``Rz(alpha) Ry(beta) Rz(gamma)``; array angles give a stack."""
     return _rotz3(alpha) @ _roty3(beta) @ _rotz3(gamma)
 
 
-def boost_matrix(eta: np.ndarray) -> np.ndarray:
-    """Pure boost with rapidity vector ``eta`` (symmetric 4x4)."""
+def boost_matrix(eta) -> np.ndarray:
+    """Pure boost with rapidity vector ``eta`` (symmetric 4x4); a stack of
+    rapidity vectors, shape (..., 3), gives a stack of boosts."""
     eta = np.asarray(eta, dtype=float)
-    r = float(np.linalg.norm(eta))
-    out = np.eye(4)
-    if r == 0.0:
-        return out
-    n = eta / r
-    ch, sh = math.cosh(r), math.sinh(r)
-    out[0, 0] = ch
-    out[0, 1:] = sh * n
-    out[1:, 0] = sh * n
-    out[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    return out
+    flat = eta.reshape(-1, 3)
+    r = np.sqrt(row_dots(flat))
+    out = np.tile(np.eye(4), (len(flat), 1, 1))
+    moving = r != 0.0
+    if moving.any():
+        rm = r[moving]
+        n = flat[moving] / rm[:, None]
+        ch, sh = _scalar(math.cosh, rm), _scalar(math.sinh, rm)
+        out[moving, 0, 0] = ch
+        out[moving, 0, 1:] = sh[:, None] * n
+        out[moving, 1:, 0] = sh[:, None] * n
+        out[moving, 1:, 1:] = np.eye(3) + (ch - 1.0)[:, None, None] * (
+            n[:, :, None] * n[:, None, :])
+    return out.reshape(eta.shape[:-1] + (4, 4))
 
 
 def _rot4(r3: np.ndarray) -> np.ndarray:
-    out = np.eye(4)
-    out[1:, 1:] = r3
+    out = np.zeros(r3.shape[:-2] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = r3
     return out
 
 
-def _euler_from_rotation(r: np.ndarray) -> tuple[float, float, float]:
-    """z-y-z Euler angles from a 3x3 rotation matrix, beta in [0, pi]."""
-    cb = min(1.0, max(-1.0, float(r[2, 2])))
-    beta = math.acos(cb)
-    sb = math.sin(beta)
-    if sb > 1e-9:
-        alpha = math.atan2(r[1, 2], r[0, 2])
-        gamma = math.atan2(r[2, 1], -r[2, 0])
-    elif cb > 0.0:
-        # beta ~ 0: only alpha + gamma is defined, put it all in alpha.
-        beta = 0.0
-        alpha = math.atan2(r[1, 0], r[0, 0])
-        gamma = 0.0
-    else:
-        # beta ~ pi: R = Rz(alpha) Ry(pi), so R[:2,:2] = -Rz(alpha)[:2,:2]
-        beta = math.pi
-        alpha = math.atan2(-r[1, 0], -r[0, 0])
-        gamma = 0.0
-    return _wrap(alpha), beta, _wrap(gamma)
+#: Number of canonical parameters per element of each group.
+PARAM_COUNT = {SO2: 1, O2: 2, SO3: 3, O3: 4, LORENTZ: 6}
+
+
+def parameter_stack(group: str, params) -> np.ndarray:
+    """``params`` as a float array of shape (..., k) for ``group``."""
+    p = np.asarray(params, dtype=float)
+    if group not in PARAM_COUNT:
+        raise GroupError(f"unknown group {group!r}")
+    if p.ndim == 0 or p.shape[-1] != PARAM_COUNT[group]:
+        raise GroupError(f"{group} parameters have {PARAM_COUNT[group]} "
+                         f"entries per element, got shape {p.shape}")
+    return p
+
+
+def matrices(group: str, params) -> np.ndarray:
+    """Matrix realizations on R^d (d = 2, 3 or 4) of a stack of elements,
+    given by their canonical parameters, shape (..., k) -> (..., d, d)."""
+    p = parameter_stack(group, params)
+    if group == SO2:
+        return rot2(p[..., 0])
+    if group == O2:
+        return _o2_matrix(p[..., 0], p[..., 1])
+    rot = euler_zyz_matrix(p[..., 0], p[..., 1], p[..., 2])
+    if group == SO3:
+        return rot
+    if group == O3:
+        return p[..., 3, None, None] * rot
+    return _rot4(rot) @ boost_matrix(p[..., 3:6])
+
+
+def _euler_from_rotation(r) -> np.ndarray:
+    """z-y-z Euler angles of 3x3 rotation matrices, shape (..., 3, 3) ->
+    (..., 3), beta in [0, pi]."""
+    r = np.asarray(r, dtype=float)
+    m = r.reshape(-1, 3, 3)
+    cb = np.clip(m[:, 2, 2], -1.0, 1.0)
+    beta = _scalar(math.acos, cb)
+    alpha, gamma = np.zeros_like(beta), np.zeros_like(beta)
+    generic = np.sin(beta) > 1e-9
+    # beta ~ 0: only alpha + gamma is defined, put it all in alpha.
+    north = ~generic & (cb > 0.0)
+    # beta ~ pi: R = Rz(alpha) Ry(pi), so R[:2,:2] = -Rz(alpha)[:2,:2]
+    south = ~generic & ~(cb > 0.0)
+    g = m[generic]
+    alpha[generic] = _scalar(math.atan2, g[:, 1, 2], g[:, 0, 2])
+    gamma[generic] = _scalar(math.atan2, g[:, 2, 1], -g[:, 2, 0])
+    alpha[north] = _scalar(math.atan2, m[north, 1, 0], m[north, 0, 0])
+    alpha[south] = _scalar(math.atan2, -m[south, 1, 0], -m[south, 0, 0])
+    beta[north], beta[south] = 0.0, math.pi
+    angles = np.stack([_wrap_angles(alpha), beta, _wrap_angles(gamma)], axis=-1)
+    return angles.reshape(r.shape[:-2] + (3,))
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +217,7 @@ class GroupElement:
     @property
     def matrix(self) -> np.ndarray:
         """Concrete matrix realization on R^d (d = 2, 3 or 4)."""
-        p = self.params
-        if self.group == SO2:
-            return rot2(p[0])
-        if self.group == O2:
-            return _o2_matrix(p[0], int(p[1]))
-        if self.group == SO3:
-            return euler_zyz_matrix(*p)
-        if self.group == O3:
-            return p[3] * euler_zyz_matrix(p[0], p[1], p[2])
-        if self.group == LORENTZ:
-            return _rot4(euler_zyz_matrix(p[0], p[1], p[2])) @ boost_matrix(p[3:6])
-        raise GroupError(f"unknown group {self.group!r}")
+        return matrices(self.group, self.params)
 
     def inverse(self) -> "GroupElement":
         m = self.matrix
@@ -185,7 +249,7 @@ def o2_reflection() -> GroupElement:
 def so3_element(alpha: float, beta: float, gamma: float) -> GroupElement:
     # Canonicalize through the matrix so any input lands in the standard
     # z-y-z ranges.
-    _require_finite("Euler angles", alpha, beta, gamma)
+    _require_finite("Euler angles", (alpha, beta, gamma))
     return element_from_matrix(SO3, euler_zyz_matrix(alpha, beta, gamma))
 
 
@@ -202,7 +266,7 @@ def lorentz_element(alpha: float, beta: float, gamma: float,
     e = np.asarray(eta, dtype=float)
     if e.shape != (3,):
         raise GroupError("rapidity must be a 3-vector")
-    _require_finite("rapidity", *e)
+    _require_finite("rapidity", e)
     return GroupElement(LORENTZ, g.params + tuple(e))
 
 
@@ -224,10 +288,10 @@ def element_from_matrix(group: str, m: np.ndarray) -> GroupElement:
         s = 1 if np.linalg.det(m) > 0 else -1
         return o2_element(math.atan2(m[1, 0], m[0, 0]), s)
     if group == SO3:
-        return GroupElement(SO3, _euler_from_rotation(m))
+        return GroupElement(SO3, tuple(_euler_from_rotation(m).tolist()))
     if group == O3:
         p = 1.0 if np.linalg.det(m) > 0 else -1.0
-        return GroupElement(O3, _euler_from_rotation(p * m) + (p,))
+        return GroupElement(O3, tuple(_euler_from_rotation(p * m).tolist()) + (p,))
     if group == LORENTZ:
         return _lorentz_from_matrix(m)
     raise GroupError(f"unknown group {group!r}")
@@ -249,7 +313,7 @@ def _lorentz_from_matrix(m: np.ndarray) -> GroupElement:
         sh = float(np.linalg.norm(sh_vec))
         eta = 0.5 * math.asinh(sh) * (sh_vec / sh)
     rot4 = m @ boost_matrix(-eta)
-    alpha, beta, gamma = _euler_from_rotation(rot4[1:, 1:])
+    alpha, beta, gamma = _euler_from_rotation(rot4[1:, 1:]).tolist()
     return GroupElement(LORENTZ, (alpha, beta, gamma) + tuple(eta))
 
 
@@ -327,14 +391,21 @@ class OrbitPoint:
 
     @property
     def vector(self) -> np.ndarray:
-        if isinstance(self.orbit, Circle):
-            phi = self.coords[0]
-            return self.orbit.radius * np.array([math.cos(phi), math.sin(phi)])
-        if isinstance(self.orbit, Sphere):
-            a, b = self.coords
-            return self.orbit.radius * np.array(
-                [math.cos(a) * math.sin(b), math.sin(a) * math.sin(b), math.cos(b)])
-        return np.array(self.coords)
+        return orbit_vectors(self.orbit, self.coords)
+
+
+def orbit_vectors(orbit: Orbit, coords) -> np.ndarray:
+    """Ambient vectors of a stack of orbit points given by their
+    coordinates, shape (..., c) -> (..., d)."""
+    c = np.array(coords, dtype=float)
+    if isinstance(orbit, Circle):
+        return orbit.radius * np.stack([np.cos(c[..., 0]), np.sin(c[..., 0])],
+                                       axis=-1)
+    if isinstance(orbit, Sphere):
+        a, b = c[..., 0], c[..., 1]
+        return orbit.radius * np.stack(
+            [np.cos(a) * np.sin(b), np.sin(a) * np.sin(b), np.cos(b)], axis=-1)
+    return c
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -342,48 +413,81 @@ def _require_positive(what: str, value: float) -> None:
         raise GroupError(f"{what} must be positive and finite, got {value}")
 
 
+def _off_lorentz_orbit(orbit: Orbit, x: np.ndarray) -> np.ndarray:
+    """Mask of the 4-vectors of a finite stack that are not on ``orbit``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing square fails the comparison and is rejected here.
+        q = x[..., 0] * x[..., 0] - row_dots(x[..., 1:])
+        t2 = x[..., 0] ** 2
+        if isinstance(orbit, MassiveHyperboloid):
+            on = np.abs(q - orbit.mass ** 2) <= 1e-11 * np.maximum(1.0, t2)
+        else:
+            on = np.abs(q) <= 1e-11 * t2
+    return ~((x[..., 0] > 0) & on)
+
+
+def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
+    """Validated canonical coordinates of a stack of points, shape (n, c):
+    circle angles wrapped to [0, 2pi), sphere angles to alpha in [0, 2pi)
+    and beta in [0, pi], and 4-vectors checked to lie on their orbit."""
+    c = np.array(coords, dtype=float, ndmin=2)
+    if isinstance(orbit, Circle):
+        _require_positive("circle radius", orbit.radius)
+        _require_finite("circle angle", c)
+        return _wrap_angles(c)
+    if isinstance(orbit, Sphere):
+        _require_positive("sphere radius", orbit.radius)
+        _require_finite("sphere angles", c)
+        alpha, beta = c.T
+        out = ~((0.0 <= beta) & (beta <= math.pi + 1e-12))
+        b = _wrap_angles(beta[out])
+        # (alpha, beta) and (alpha + pi, 2pi - beta) are the same point
+        turn = b > math.pi
+        alpha[np.flatnonzero(out)[turn]] += math.pi
+        beta[out] = np.where(turn, TWO_PI - b, b)
+        return np.stack([_wrap_angles(alpha), np.minimum(beta, math.pi)], -1)
+    if isinstance(orbit, MassiveHyperboloid):
+        _require_positive("hyperboloid mass", orbit.mass)
+    if c.shape[1:] != (4,):
+        raise GroupError("a point on a Lorentz orbit must be a 4-vector")
+    _require_finite("Lorentz orbit point", c)
+    off = _off_lorentz_orbit(orbit, c)
+    if off.any():
+        where = (f"the mass-{orbit.mass} hyperboloid"
+                 if isinstance(orbit, MassiveHyperboloid)
+                 else "the forward null cone")
+        raise GroupError(f"{c[off][0]} is not on {where}")
+    return c
+
+
+def orbit_points(orbit: Orbit, coords) -> list[OrbitPoint]:
+    """OrbitPoints of a stack of coordinates, shape (n, c), in canonical
+    form; see :func:`_canonical_coords`."""
+    return [OrbitPoint(orbit, tuple(c))
+            for c in _canonical_coords(orbit, coords).tolist()]
+
+
 def circle_point(phi: float, radius: float = 1.0) -> OrbitPoint:
-    _require_positive("circle radius", radius)
-    _require_finite("circle angle", phi)
-    return OrbitPoint(Circle(radius), (_wrap(phi),))
+    return orbit_points(Circle(radius), [[phi]])[0]
 
 
 def sphere_point(alpha: float, beta: float, radius: float = 1.0) -> OrbitPoint:
-    _require_positive("sphere radius", radius)
-    _require_finite("sphere angles", alpha, beta)
-    if not 0.0 <= beta <= math.pi + 1e-12:
-        b = _wrap(beta)
-        if b > math.pi:
-            # (alpha, beta) and (alpha + pi, 2pi - beta) are the same point
-            return sphere_point(alpha + math.pi, TWO_PI - b, radius)
-        beta = b
-    return OrbitPoint(Sphere(radius), (_wrap(alpha), min(float(beta), math.pi)))
+    return orbit_points(Sphere(radius), [[alpha, beta]])[0]
 
 
 def massive_point(x, mass: float = 1.0) -> OrbitPoint:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise GroupError("hyperboloid point must be a 4-vector")
-    _require_positive("hyperboloid mass", mass)
-    _require_finite("hyperboloid point", *x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # An overflowing square fails the comparison and is rejected here.
-        on_orbit = abs(minkowski(x, x) - mass ** 2) <= 1e-11 * max(1.0, x[0] ** 2)
-    if not (x[0] > 0 and on_orbit):
-        raise GroupError(f"{x} is not on the mass-{mass} hyperboloid")
-    return OrbitPoint(MassiveHyperboloid(mass), tuple(x))
+    return orbit_points(MassiveHyperboloid(mass), _four_vector(x))[0]
 
 
 def cone_point(x) -> OrbitPoint:
+    return orbit_points(NullCone(), _four_vector(x))[0]
+
+
+def _four_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
-        raise GroupError("cone point must be a 4-vector")
-    _require_finite("cone point", *x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_orbit = abs(minkowski(x, x)) <= 1e-11 * x[0] ** 2
-    if not (x[0] > 0 and on_orbit):
-        raise GroupError(f"{x} is not on the forward null cone")
-    return OrbitPoint(NullCone(), tuple(x))
+        raise GroupError("a point on a Lorentz orbit must be a 4-vector")
+    return x[None]
 
 
 def base_point(orbit: Orbit) -> OrbitPoint:
@@ -398,36 +502,52 @@ def base_point(orbit: Orbit) -> OrbitPoint:
     raise GroupError(f"unknown orbit {orbit!r}")
 
 
-def point_from_vector(orbit: Orbit, v: np.ndarray) -> OrbitPoint:
-    v = np.asarray(v, dtype=float)
-    if isinstance(orbit, Circle):
-        r = float(np.linalg.norm(v))
-        if abs(r - orbit.radius) > 1e-10 * max(1.0, orbit.radius):
-            raise GroupError("vector is off the circle")
-        return circle_point(math.atan2(v[1], v[0]), orbit.radius)
-    if isinstance(orbit, Sphere):
-        r = float(np.linalg.norm(v))
-        if abs(r - orbit.radius) > 1e-10 * max(1.0, orbit.radius):
-            raise GroupError("vector is off the sphere")
-        beta = math.acos(min(1.0, max(-1.0, v[2] / r)))
-        alpha = math.atan2(v[1], v[0]) if math.sin(beta) > 1e-12 else 0.0
-        return sphere_point(alpha, beta, orbit.radius)
-    if isinstance(orbit, MassiveHyperboloid):
-        return massive_point(v, orbit.mass)
-    if isinstance(orbit, NullCone):
-        return cone_point(v)
-    raise GroupError(f"unknown orbit {orbit!r}")
+def _polar(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+    """Angles (alpha, beta) of directions with planar components (x, y) and
+    unit-scaled heights z; alpha is 0 on the z axis."""
+    beta = _scalar(math.acos, np.clip(z, -1.0, 1.0))
+    alpha = np.zeros_like(beta)
+    off_axis = np.sin(beta) > 1e-12
+    alpha[off_axis] = _scalar(math.atan2, y[off_axis], x[off_axis])
+    return alpha, beta
 
 
-def _compatible(group: str, orbit: Orbit) -> bool:
-    return group in ORBIT_GROUPS.get(type(orbit), ())
+def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
+    """Canonical coordinates of a stack of ambient vectors on ``orbit``,
+    shape (..., d) -> (..., c); raises if any vector is off the orbit."""
+    v = np.asarray(vectors, dtype=float)
+    flat = v.reshape(-1, v.shape[-1])
+    if isinstance(orbit, (Circle, Sphere)):
+        name = "circle" if isinstance(orbit, Circle) else "sphere"
+        r = np.sqrt(row_dots(flat))
+        if np.any(np.abs(r - orbit.radius) > 1e-10 * max(1.0, orbit.radius)):
+            raise GroupError(f"vector is off the {name}")
+        if isinstance(orbit, Circle):
+            flat = _scalar(math.atan2, flat[:, 1], flat[:, 0])[:, None]
+        else:
+            flat = np.stack(_polar(flat[:, 0], flat[:, 1], flat[:, 2] / r), -1)
+    coords = _canonical_coords(orbit, flat)
+    return coords.reshape(v.shape[:-1] + coords.shape[-1:])
+
+
+def _require_compatible(group: str, orbit: Orbit) -> None:
+    if group not in ORBIT_GROUPS.get(type(orbit), ()):
+        raise GroupError(f"{group} does not act on {type(orbit).__name__}")
+
+
+def act_points(group: str, params, orbit: Orbit, coords) -> np.ndarray:
+    """Coordinates of ``g . x`` for stacks of elements (parameters, shape
+    (..., k)) and points (coordinates, shape (..., c)); the leading shapes
+    broadcast."""
+    _require_compatible(group, orbit)
+    moved = matrices(group, params) @ orbit_vectors(orbit, coords)[..., None]
+    return orbit_coords(orbit, moved[..., 0])
 
 
 def act(g: GroupElement, x: OrbitPoint) -> OrbitPoint:
     """Linear action of ``g`` on the orbit point; the orbit is preserved."""
-    if not _compatible(g.group, x.orbit):
-        raise GroupError(f"{g.group} does not act on {type(x.orbit).__name__}")
-    return point_from_vector(x.orbit, g.matrix @ x.vector)
+    return OrbitPoint(x.orbit, tuple(
+        act_points(g.group, g.params, x.orbit, x.coords).tolist()))
 
 
 def default_group(orbit: Orbit) -> str:
@@ -436,43 +556,53 @@ def default_group(orbit: Orbit) -> str:
     return ORBIT_GROUPS[type(orbit)][0]
 
 
-def coset_representative(x: OrbitPoint, group: Optional[str] = None) -> GroupElement:
-    """Section g with ``g . x0 = x`` for the fixed base point of the orbit.
+def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndarray:
+    """Parameters of the coset section g with ``g . x0 = x`` for a stack of
+    points given by their coordinates, shape (..., c) -> (..., k).
 
-    For O(2)/O(3) the representative stays in the connected component
-    (s = p = +1).  The section is smooth except at the south pole / backward
-    null direction, where alpha is fixed to 0.
+    The section is fixed for each orbit: ``g_phi`` on the circle,
+    ``g_{alpha,beta,0}`` on the sphere, and ``R(alpha, beta, 0) Bz(eta)`` on
+    the hyperboloid and the cone.  For O(2)/O(3) it stays in the connected
+    component (s = p = +1).  It is smooth except at the south pole and the
+    backward null direction, where alpha is fixed to 0, and at the rest
+    frame, which gets the identity rotation.
     """
-    orbit = x.orbit
     group = group or default_group(orbit)
-    if not _compatible(group, orbit):
-        raise GroupError(f"{group} does not act on {type(orbit).__name__}")
+    _require_compatible(group, orbit)
+    c = np.asarray(coords, dtype=float)
+    flat = c.reshape(-1, c.shape[-1])
+    out = np.zeros((len(flat), PARAM_COUNT[group]))
     if isinstance(orbit, Circle):
-        phi = x.coords[0]
-        return so2_element(phi) if group == SO2 else o2_element(phi, 1)
-    if isinstance(orbit, Sphere):
-        a, b = x.coords
-        if group == SO3:
-            return GroupElement(SO3, (a, b, 0.0))
-        return GroupElement(O3, (a, b, 0.0, 1.0))
-    v = x.vector
-    if isinstance(orbit, MassiveHyperboloid):
-        m = orbit.mass
-        eta = math.acosh(max(1.0, v[0] / m))
-        sp = v[1:]
-        norm = float(np.linalg.norm(sp))
-        if norm < 1e-14:
-            return GroupElement(LORENTZ, (0.0, 0.0, 0.0, 0.0, 0.0, eta))
-        n = sp / norm
+        _require_finite("circle angle", flat)
+        out[:, 0] = _wrap_angles(flat[:, 0])
+        out[:, 1:] = 1.0
+    elif isinstance(orbit, Sphere):
+        out[:, :2] = flat
+        out[:, 3:] = 1.0
     else:
-        eta = math.log(v[0])
-        n = v[1:] / v[0]
-    cb = min(1.0, max(-1.0, float(n[2])))
-    beta = math.acos(cb)
-    alpha = math.atan2(n[1], n[0]) if math.sin(beta) > 1e-12 else 0.0
-    # R(alpha, beta, 0) maps z-hat to n-hat, then Bz supplies the rapidity.
-    rot = so3_element(alpha, beta, 0.0)
-    return GroupElement(LORENTZ, rot.params + (0.0, 0.0, eta))
+        if isinstance(orbit, MassiveHyperboloid):
+            out[:, 5] = _scalar(math.acosh, np.fmax(1.0, flat[:, 0] / orbit.mass))
+            norm = np.sqrt(row_dots(flat[:, 1:]))
+            moving = ~(norm < 1e-14)
+            n = flat[moving, 1:] / norm[moving, None]
+        else:
+            out[:, 5] = _scalar(math.log, flat[:, 0])
+            moving = np.ones(len(flat), dtype=bool)
+            n = flat[:, 1:] / flat[:, :1]
+        _require_finite("section direction", n)
+        alpha, beta = _polar(n[:, 0], n[:, 1], n[:, 2])
+        # R(alpha, beta, 0) maps z-hat to n-hat, canonicalized like
+        # so3_element; Bz then supplies the rapidity.
+        out[moving, :3] = _euler_from_rotation(euler_zyz_matrix(alpha, beta, 0.0))
+    return out.reshape(c.shape[:-1] + out.shape[-1:])
+
+
+def coset_representative(x: OrbitPoint, group: Optional[str] = None) -> GroupElement:
+    """Section g with ``g . x0 = x`` for the fixed base point of the orbit;
+    see :func:`section_params`."""
+    group = group or default_group(x.orbit)
+    return GroupElement(group, tuple(
+        section_params(x.orbit, x.coords, group).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +624,7 @@ class StabilizerSample:
 
 def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSample:
     group = group or default_group(orbit)
-    if not _compatible(group, orbit):
-        raise GroupError(f"{group} does not act on {type(orbit).__name__}")
+    _require_compatible(group, orbit)
     x0 = base_point(orbit)
     if isinstance(orbit, Circle):
         if group == SO2:
@@ -523,8 +652,9 @@ def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSa
             GroupElement(LORENTZ, (t, 0.0, 0.0, 0.0, 0.0, 0.0))
             for t in STABILIZER_ANGLES
         )
-    for h in elems:
-        if np.linalg.norm(h.matrix @ x0.vector - x0.vector) > _ORTHO_TOL * 10:
+    moved = matrices(group, [h.params for h in elems]) @ x0.vector - x0.vector
+    for h, shift in zip(elems, np.sqrt(row_dots(moved))):
+        if shift > _ORTHO_TOL * 10:
             raise GroupError(f"stabilizer sample element {h} moves the base point")
     return StabilizerSample(x0, elems)
 

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import groups
+from . import groups, numerics
 from .groups import ETA, LORENTZ, O2, O3, SO2, SO3, GroupElement
 
 REAL, COMPLEX = "real", "complex"
@@ -185,7 +185,8 @@ _LOG_FACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 2 * _MAX_L + 2)
 
 @lru_cache(maxsize=None)
 def _dsmall_terms(l: int):
-    """Term table for the factorial sum, vectorized over (row, col, s)."""
+    """Term table for the factorial sum, vectorized over (row, col, s): the
+    flat entry, the cos and sin powers and the coefficient of each term."""
     rows, cols, cps, sps, coefs = [], [], [], [], []
     for a in range(l, -l - 1, -1):          # row index l - a
         for b in range(l, -l - 1, -1):      # col index l - b
@@ -199,11 +200,33 @@ def _dsmall_terms(l: int):
                 cps.append(2 * l + b - a - 2 * s)
                 sps.append(a - b + 2 * s)
                 coefs.append((-1.0) ** (a - b + s) * math.exp(logc))
-    out = (np.array(rows), np.array(cols), np.array(cps), np.array(sps),
-           np.array(coefs))
+    out = (np.array(rows) * (2 * l + 1) + np.array(cols), np.array(cps),
+           np.array(sps), np.array(coefs))
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+def _check_l(l: int) -> None:
+    if l < 0:
+        raise IrrepError("l must be >= 0")
+    if l > _MAX_L:
+        raise IrrepError(f"l = {l} exceeds the supported maximum {_MAX_L}")
+
+
+def _wigner_small_d_stack(l: int, beta: np.ndarray) -> np.ndarray:
+    """d^l at a 1-D stack of angles, shape (n, 2l+1, 2l+1).  Each entry sums
+    its terms in the table's order, as one ``np.add.at`` over the stack."""
+    entry, cps, sps, coefs = _dsmall_terms(l)
+    n = 2 * l + 1
+    powers = np.arange(n)
+    cpow = np.power(np.cos(beta / 2.0)[:, None], powers)
+    spow = np.power(np.sin(beta / 2.0)[:, None], powers)
+    d = np.zeros(len(beta) * n * n)
+    if len(beta) > 1:
+        entry = (np.arange(len(beta))[:, None] * (n * n) + entry).ravel()
+    np.add.at(d, entry, (coefs * cpow[:, cps] * spow[:, sps]).ravel())
+    return d.reshape(len(beta), n, n)
 
 
 def wigner_small_d(l: int, beta: float) -> np.ndarray:
@@ -212,25 +235,31 @@ def wigner_small_d(l: int, beta: float) -> np.ndarray:
     Entry [i, k] is ``d^l_{m m'}(beta)`` with ``m = l - i`` and ``m' = l - k``
     (both indices descending from +l).
     """
-    if l < 0:
-        raise IrrepError("l must be >= 0")
-    if l > _MAX_L:
-        raise IrrepError(f"l = {l} exceeds the supported maximum {_MAX_L}")
-    rows, cols, cps, sps, coefs = _dsmall_terms(l)
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    cpow = np.power(c, np.arange(2 * l + 1))
-    spow = np.power(s, np.arange(2 * l + 1))
-    d = np.zeros((2 * l + 1, 2 * l + 1))
-    np.add.at(d, (rows, cols), coefs * cpow[cps] * spow[sps])
-    return d
+    _check_l(l)
+    return _wigner_small_d_stack(l, np.array([beta], dtype=float))[0]
+
+
+@lru_cache(maxsize=None)
+def _m_phase(l: int) -> np.ndarray:
+    """``-1j * m`` for m = l, ..., -l."""
+    phase = -1j * np.arange(l, -l - 1, -1)
+    phase.flags.writeable = False
+    return phase
+
+
+def _wigner_D_stack(l: int, angles: np.ndarray) -> np.ndarray:
+    """Wigner D^l at a 1-D stack of z-y-z Euler angles, shape (n, 3)."""
+    phase = _m_phase(l)
+    d = _wigner_small_d_stack(l, angles[:, 1])
+    left = np.exp(phase * angles[:, 0, None])
+    right = np.exp(phase * angles[:, 2, None])
+    return left[:, :, None] * d * right[:, None, :]
 
 
 def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Wigner D^l, the SO(3) irrep matrix for z-y-z Euler angles."""
-    m = np.arange(l, -l - 1, -1)
-    d = wigner_small_d(l, beta)
-    return np.exp(-1j * m * alpha)[:, None] * d * np.exp(-1j * m * gamma)[None, :]
+    _check_l(l)
+    return _wigner_D_stack(l, np.array([[alpha, beta, gamma]], dtype=float))[0]
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +286,9 @@ def real_change_of_basis(l: int) -> np.ndarray:
     return s
 
 
-def so3_real_matrix(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+def _so3_real_stack(l: int, angles: np.ndarray) -> np.ndarray:
     s = real_change_of_basis(l)
-    r = s.conj() @ wigner_D(l, alpha, beta, gamma) @ s.T
-    return r.real
+    return (s.conj() @ _wigner_D_stack(l, angles) @ s.T).real
 
 
 # ---------------------------------------------------------------------------
@@ -288,37 +316,44 @@ CHARGE_CONJUGATION.flags.writeable = False
 
 
 def _sl2_inverse(a: np.ndarray) -> np.ndarray:
-    # Adjugate; exact for unit determinant.
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    # Adjugate of each 2x2 block; exact for unit determinant.
+    return groups._mat2(a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0])
 
 
-def _sl2_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def _diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros(a.shape + (2, 2), dtype=np.result_type(a, b))
+    out[..., 0, 0], out[..., 1, 1] = a, b
+    return out
+
+
+def _sl2_stack(p: np.ndarray) -> np.ndarray:
+    """SL(2,C) elements covering a stack of Lorentz elements given by their
+    parameters, shape (n, 6): ``Uz(alpha) Uy(beta) Uz(gamma) A(eta)``."""
     def uz(t):
-        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+        return _diag2(np.exp(-0.5j * t), np.exp(0.5j * t))
 
-    def uy(t):
-        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
-    return uz(alpha) @ uy(beta) @ uz(gamma)
-
-
-def _sl2_boost(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    r = float(np.linalg.norm(eta))
-    if r == 0.0:
-        return np.eye(2, dtype=complex)
-    n = eta / r
-    return math.cosh(r / 2.0) * np.eye(2) + math.sinh(r / 2.0) * (
-        n[0] * _SIGMA[1] + n[1] * _SIGMA[2] + n[2] * _SIGMA[3])
+    c, s = np.cos(p[:, 1] / 2.0), np.sin(p[:, 1] / 2.0)
+    uy = groups._mat2(c, -s, s, c).astype(complex)
+    eta = p[:, 3:6]
+    r = np.sqrt(numerics.row_dots(eta))
+    boost = np.tile(np.eye(2, dtype=complex), (len(p), 1, 1))
+    moving = r != 0.0
+    if moving.any():
+        rm = r[moving]
+        n = eta[moving] / rm[:, None]
+        ch = groups._scalar(math.cosh, rm / 2.0)[:, None, None]
+        sh = groups._scalar(math.sinh, rm / 2.0)[:, None, None]
+        boost[moving] = ch * np.eye(2) + sh * (
+            n[:, 0, None, None] * _SIGMA[1] + n[:, 1, None, None] * _SIGMA[2]
+            + n[:, 2, None, None] * _SIGMA[3])
+    return uz(p[:, 0]) @ uy @ uz(p[:, 2]) @ boost
 
 
 def sl2_of(g: GroupElement) -> np.ndarray:
     """SL(2,C) element covering the Lorentz element (one of the two signs)."""
     if g.group != LORENTZ:
         raise IrrepError("sl2_of expects a Lorentz element")
-    p = g.params
-    return _sl2_rotation(p[0], p[1], p[2]) @ _sl2_boost(p[3:6])
+    return _sl2_stack(groups.parameter_stack(LORENTZ, [g.params]))[0]
 
 
 def sl2c_to_lorentz(a) -> GroupElement:
@@ -339,8 +374,10 @@ def sl2c_to_lorentz(a) -> GroupElement:
 
 
 def realify(m: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors;
+    a stack of maps gives a stack."""
+    return np.concatenate([np.concatenate([m.real, -m.imag], axis=-1),
+                           np.concatenate([m.imag, m.real], axis=-1)], axis=-2)
 
 
 def realify_antilinear(m: np.ndarray) -> np.ndarray:
@@ -350,90 +387,142 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # representation matrices
+#
+# ``rep_matrices`` and ``rep_inverses`` evaluate a stack of elements, given
+# by their canonical parameters, at once; ``rep_matrix`` and ``rep_inverse``
+# are their one-element views.  Each matrix of a stack equals the matrix of
+# that element alone bit for bit, and has the same memory layout when the
+# stack is uniform: a real SO(3)/O(3) matrix is the real part of the complex
+# product, a strided view, except that an O(3) parity element is a fresh
+# array.  numpy multiplies a matrix and a vector with BLAS only in the second
+# layout, and the two round differently, so ``steering.steer`` evaluates a
+# real O(3) stack that mixes parities as two uniform stacks.
+
+def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
+    """Representation matrices of a stack of elements of ``label.group``,
+    canonical parameters of shape (..., k) -> (..., dim, dim)."""
+    p = groups.parameter_stack(label.group, params)
+    flat = p.reshape(-1, p.shape[-1])
+    out = _rep_stack(label, flat, inverse=False)
+    return out.reshape(p.shape[:-1] + out.shape[-2:])
+
+
+def rep_inverses(label: IrrepLabel, params) -> np.ndarray:
+    """Matrices of ``rho(g)^-1`` for a stack of elements, by exact closed
+    forms.
+
+    Not the representation of the inverse elements: the spinor reps are
+    double-valued over the parameter section and that could flip the sign
+    relative to ``rho(g)``.  Not a numerical inverse either: the non-compact
+    reps are badly conditioned at large rapidity.  Compact reps invert by
+    unitarity, tensor reps by the metric identity
+    ``Lambda^-1 = eta Lambda^T eta``, and spinor reps by the SL(2,C)
+    adjugate.
+    """
+    p = groups.parameter_stack(label.group, params)
+    flat = p.reshape(-1, p.shape[-1])
+    if label.group == LORENTZ:
+        out = _rep_stack(label, flat, inverse=True)
+    else:
+        out = _rep_stack(label, flat, inverse=False).conj().swapaxes(-1, -2)
+    return out.reshape(p.shape[:-1] + out.shape[-2:])
+
+
+def _check_element(label: IrrepLabel, g: GroupElement) -> None:
+    if label.group != g.group:
+        raise IrrepError(f"label {label} does not accept {g.group} elements")
+
 
 def rep_matrix(label: IrrepLabel, g: GroupElement) -> np.ndarray:
     """Representation matrix of ``g`` in the conventions listed above."""
-    if label.group != g.group:
-        raise IrrepError(f"label {label} does not accept {g.group} elements")
-    if label.group == SO2:
-        phi = g.params[0]
-        if label.field == COMPLEX:
-            return np.array([[np.exp(1j * label.j * phi)]])
-        if label.j == 0:
-            return np.array([[1.0]])
-        return groups.rot2(label.j * phi)
-    if label.group == O2:
-        phi, s = g.params[0], int(g.params[1])
-        if label.tilde:
-            return np.array([[float(s)]])
-        if label.j == 0:
-            return np.array([[1.0]])
-        if label.field == COMPLEX:
-            rot = np.diag([np.exp(1j * label.j * phi), np.exp(-1j * label.j * phi)])
-            return rot if s == 1 else rot @ _SIGMA[1]
-        return groups.rot2(label.j * phi) @ np.diag([1.0, float(s)])
-    if label.group in (SO3, O3):
-        alpha, beta, gamma = g.params[:3]
-        if label.field == COMPLEX:
-            m = wigner_D(label.j, alpha, beta, gamma)
-        else:
-            m = so3_real_matrix(label.j, alpha, beta, gamma)
-        if label.group == O3 and g.params[3] < 0:
-            m = m * (label.parity * (-1.0) ** label.j)
-        return m
-    # Lorentz
-    if label.tensor is not None:
-        return _tensor_rep(*label.tensor, g, inverse=False)
-    return _spinor_rep(label, g, inverse=False)
+    _check_element(label, g)
+    return rep_matrices(label, g.params)
 
 
 def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
-    """Matrix of ``rho(g)^-1`` by exact closed forms.
+    """Matrix of ``rho(g)^-1``; see :func:`rep_inverses`."""
+    _check_element(label, g)
+    return rep_inverses(label, g.params)
 
-    Not ``rep_matrix(label, g.inverse())``: the spinor reps are double-valued
-    over the parameter section and that could flip the sign relative to
-    ``rho(g)``.  Not a numerical inverse either: the non-compact reps are
-    badly conditioned at large rapidity.  Compact reps invert by unitarity,
-    tensor reps by the metric identity ``Lambda^-1 = eta Lambda^T eta``, and
-    spinor reps by the SL(2,C) adjugate.
-    """
-    if label.group != LORENTZ:
-        return rep_matrix(label, g).conj().T
+
+def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool) -> np.ndarray:
+    """Matrices (inverses only for Lorentz labels) at parameters (n, k)."""
+    n = len(p)
+    ones = np.ones((n, 1, 1))
+    if label.group == SO2:
+        phi = p[:, 0]
+        if label.field == COMPLEX:
+            return np.exp(1j * label.j * phi)[:, None, None]
+        return ones if label.j == 0 else groups.rot2(label.j * phi)
+    if label.group == O2:
+        phi, s = p[:, 0], p[:, 1]
+        if label.tilde:
+            return s[:, None, None].copy()
+        if label.j == 0:
+            return ones
+        if label.field == COMPLEX:
+            rot = _diag2(np.exp(1j * label.j * phi), np.exp(-1j * label.j * phi))
+            refl = s != 1.0
+            rot[refl] = rot[refl] @ _SIGMA[1]
+            return rot
+        return groups.rot2(label.j * phi) @ _diag2(np.ones(n), s)
+    if label.group in (SO3, O3):
+        if label.field == COMPLEX:
+            m = _wigner_D_stack(label.j, p[:, :3])
+        else:
+            m = _so3_real_stack(label.j, p[:, :3])
+        if label.group == O3:
+            flip = p[:, 3] < 0
+            factor = label.parity * (-1.0) ** label.j
+            if flip.all():
+                m = m * factor
+            elif flip.any():
+                m[flip] = m[flip] * factor
+        return m
     if label.tensor is not None:
-        return _tensor_rep(*label.tensor, g, inverse=True)
-    return _spinor_rep(label, g, inverse=True)
+        return _tensor_stack(*label.tensor, p, inverse)
+    return _spinor_stack(label, p, inverse)
 
 
-def _tensor_rep(p: int, q: int, g: GroupElement, inverse: bool) -> np.ndarray:
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of matrices of two stacks."""
+    n, (ra, ca), (rb, cb) = len(a), a.shape[-2:], b.shape[-2:]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        n, ra * rb, ca * cb)
+
+
+def _tensor_stack(p: int, q: int, params: np.ndarray, inverse: bool) -> np.ndarray:
     """Kronecker chain of p factors Lambda and q factors of its inverse
     transpose ``eta Lambda eta`` (exact for Lorentz); with ``inverse``, of
     ``Lambda^-1 = eta Lambda^T eta`` and ``Lambda^T``."""
     if p + q == 0:
-        return np.array([[1.0]])
-    lam = g.matrix
+        return np.ones((len(params), 1, 1))
+    lam = groups.matrices(LORENTZ, params)
     if inverse:
-        lam, lam_dual = ETA @ lam.T @ ETA, lam.T
+        lam, lam_dual = ETA @ lam.swapaxes(-1, -2) @ ETA, lam.swapaxes(-1, -2)
     else:
         lam_dual = ETA @ lam @ ETA
     factors = [lam] * p + [lam_dual] * q
     out = factors[0]
     for f in factors[1:]:
-        out = np.kron(out, f)
+        out = _kron(out, f)
     return out
 
 
-def _spinor_rep(label: IrrepLabel, g: GroupElement, inverse: bool) -> np.ndarray:
-    """Weyl-basis spinor rep S(Lambda) = diag((A^dag)^-1, A), A = sl2_of(g),
-    or with ``inverse`` its inverse diag(A^dag, A^-1); tensored with the
-    vector rep for the spinor-vector and realified when asked."""
-    a = sl2_of(g)
-    s = np.zeros((4, 4), dtype=complex)
+def _spinor_stack(label: IrrepLabel, params: np.ndarray, inverse: bool) -> np.ndarray:
+    """Weyl-basis spinor rep S(Lambda) = diag((A^dag)^-1, A), A from
+    :func:`_sl2_stack`, or with ``inverse`` its inverse diag(A^dag, A^-1);
+    tensored with the vector rep for the spinor-vector and realified when
+    asked."""
+    a = _sl2_stack(params)
+    adag = a.conj().swapaxes(-1, -2)
+    s = np.zeros((len(params), 4, 4), dtype=complex)
     if inverse:
-        s[:2, :2], s[2:, 2:] = a.conj().T, _sl2_inverse(a)
+        s[:, :2, :2], s[:, 2:, 2:] = adag, _sl2_inverse(a)
     else:
-        s[:2, :2], s[2:, 2:] = _sl2_inverse(a.conj().T), a
+        s[:, :2, :2], s[:, 2:, 2:] = _sl2_inverse(adag), a
     if label.spinor == SPINOR_VECTOR:
-        s = np.kron(_tensor_rep(1, 0, g, inverse), s)
+        s = _kron(_tensor_stack(1, 0, params, inverse), s)
     return realify(s) if label.realified else s
 
 

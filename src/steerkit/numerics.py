@@ -22,14 +22,22 @@ class NumericsError(ValueError):
     """Invalid input to a numerics operation."""
 
 
+def as_stack(a) -> np.ndarray:
+    """Validate and return ``a`` as a finite stack of matrices, ndim >= 2."""
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise NumericsError(f"expected a matrix or a stack, got shape {a.shape}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise NumericsError("matrix has non-finite entries")
+    return a
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D ndarray."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise NumericsError(f"expected a 2-D matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NumericsError("matrix has non-finite entries")
-    return a
+    return as_stack(a)
 
 
 def kron(a, b) -> np.ndarray:
@@ -42,23 +50,46 @@ def vec(k) -> np.ndarray:
     return as_matrix(k).ravel(order="C")
 
 
+def row_dots(v: np.ndarray) -> np.ndarray:
+    """``v @ v`` over the last axis of a real stack of vectors, by the BLAS
+    dot that ``np.linalg.norm`` uses for one vector."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def norms(a) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, shape (..., m, n) -> (...);
+    for a C-ordered stack each equals ``np.linalg.norm`` of that matrix
+    alone bit for bit."""
+    a = np.ascontiguousarray(a)
+    v = a.reshape(a.shape[:-2] + (-1,))
+    if np.iscomplexobj(v):
+        return np.sqrt(row_dots(v.real) + row_dots(v.imag))
+    return np.sqrt(row_dots(v))
+
+
 def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     # Rotate each column so its first significant component is positive real;
-    # makes the basis deterministic beyond what LAPACK guarantees.
+    # makes the basis deterministic beyond what LAPACK guarantees.  Real
+    # stacks flip all columns at once; complex phases are fixed column by
+    # column, as vectorized complex arithmetic rounds differently.
+    if np.iscomplexobj(q):
+        q = q.copy()
+        for idx in np.ndindex(q.shape[:-2]):
+            for k in range(q.shape[-1]):
+                col = q[idx + (slice(None), k)]
+                mags = np.abs(col)
+                top = mags.max(initial=0.0)
+                if top == 0.0:
+                    continue
+                pivot = col[int(np.argmax(mags > 1e-8 * top))]
+                q[idx + (slice(None), k)] = col * (np.conj(pivot) / abs(pivot))
+        return q
+    mags = np.abs(q)
+    top = mags.max(axis=-2, initial=0.0)
+    first = np.argmax(mags > 1e-8 * top[..., None, :], axis=-2)
+    pivot = np.take_along_axis(q, first[..., None, :], axis=-2)
     q = q.copy()
-    for k in range(q.shape[1]):
-        col = q[:, k]
-        mags = np.abs(col)
-        top = mags.max(initial=0.0)
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-8 * top))
-        pivot = col[idx]
-        if np.iscomplexobj(q):
-            q[:, k] = col * (np.conj(pivot) / abs(pivot))
-        elif pivot < 0:
-            q[:, k] = -col
-    return q
+    return np.negative(q, out=q, where=pivot < 0)
 
 
 def nullspace_with_spectrum(a):
@@ -123,29 +154,36 @@ def principal_angle_distance(u, v) -> tuple[float, bool]:
     return float(np.arcsin(sin_max)), False
 
 
-def projection_residual(w, basis) -> float:
+def projection_residual(w, basis):
     """Max relative residual of columns of ``w`` projected onto span(basis).
 
-    Zero means every column of ``w`` lies inside the span.
+    Zero means every column of ``w`` lies inside the span.  Stacks of pairs,
+    shape (..., m, n) and (..., m, r), give an array of residuals.
     """
-    w = as_matrix(w)
-    basis = as_matrix(basis)
-    if w.shape[1] == 0:
-        return 0.0
-    if basis.shape[1] == 0:
+    w = as_stack(w)
+    basis = as_stack(basis)
+    if w.shape[-1] == 0:
+        out = np.zeros(np.broadcast_shapes(w.shape[:-2], basis.shape[:-2]))
+    elif basis.shape[-1] == 0:
         # empty span contains only zero columns
-        return 0.0 if np.linalg.norm(w) == 0.0 else 1.0
-    resid = w - basis @ (basis.conj().T @ w)
-    norms = np.linalg.norm(w, axis=0)
-    norms = np.where(norms == 0, 1.0, norms)
-    return float((np.linalg.norm(resid, axis=0) / norms).max())
+        out = np.where(norms(w) == 0.0, 0.0, 1.0)
+    else:
+        resid = w - basis @ (basis.conj().swapaxes(-1, -2) @ w)
+        scale = np.linalg.norm(w, axis=-2)
+        scale = np.where(scale == 0, 1.0, scale)
+        out = (np.linalg.norm(resid, axis=-2) / scale).max(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def orthonormal_columns(a) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a`` (SVD based)."""
-    a = as_matrix(a)
-    if a.shape[1] == 0:
+    """Orthonormal basis of the column space of ``a`` (SVD based).  A stack
+    of matrices gives a stack of bases; its matrices must share one rank."""
+    a = as_stack(a)
+    if a.shape[-1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > NULLSPACE_TOL * s[0])) if s.size else 0
-    return _fix_column_signs(u[:, :r])
+    ranks = (np.sum(s > NULLSPACE_TOL * s[..., :1], axis=-1) if s.shape[-1]
+             else np.zeros(s.shape[:-1], dtype=int))
+    if ranks.size and ranks.min() != ranks.max():
+        raise NumericsError("the matrices of the stack differ in rank")
+    return _fix_column_signs(u[..., :int(ranks.max(initial=0))])

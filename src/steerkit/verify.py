@@ -19,8 +19,8 @@ from . import analytic_bases as bases
 from . import groups, numerics, stabilizer_solver, steering
 from .groups import Circle, MassiveHyperboloid, NullCone, Orbit, Sphere
 from .irreps import (COMPLEX, REAL, IrrepLabel, dirac_irrep, o2_irrep,
-                     o3_irrep, so2_irrep, so3_irrep, spinor_vector_irrep,
-                     tensor_irrep)
+                     o3_irrep, rep_matrices, so2_irrep, so3_irrep,
+                     spinor_vector_irrep, tensor_irrep)
 
 SPAN_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -77,47 +77,60 @@ def independence_ratio(elements) -> float:
     return float(w[0] / w[-1])
 
 
+def _worst(worst: float, resid: np.ndarray) -> float:
+    """Running maximum; like ``max(worst, r)`` per value, NaNs are skipped."""
+    return max(worst, float(np.fmax.reduce(resid, axis=None)))
+
+
 def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
                        seed: int, eta_max: float = 2.0) -> float:
     """Worst relative steerability defect over random (g, x) draws.
 
-    For each g the kernels at g.x, evaluated through the coset section, are
-    compared with the kernels at x steered by g.  On the null cone the
-    kernel is well defined only modulo the gauge choice of the auxiliary
-    null vector, so the massless cases are dispatched to
-    :func:`massless_steer_residual`.
+    For each pair the kernels at g.x, evaluated through the coset section,
+    are compared with the kernels at x steered by g.  All n_g x n_x pairs
+    are evaluated as stacks, a block of group elements at a time within the
+    chunk budget.  On the null cone the kernel is well defined only modulo
+    the gauge choice of the auxiliary null vector, so the massless cases are
+    dispatched to :func:`massless_steer_residual`.
     """
-    if not elements:
+    if not elements or min(n_g, n_x) < 1:
         return 0.0
     if isinstance(orbit, NullCone):
         return massless_steer_residual(elements[0], n_g, n_x, seed, eta_max)
     rng = np.random.default_rng(seed)
     j, l = elements[0].j, elements[0].l
     xs = [groups.random_orbit_point(orbit, rng, eta_max) for _ in range(n_x)]
+    gs = np.array([groups.random_element(j.group, rng, eta_max=eta_max).params
+                   for _ in range(n_g)])
+    coords = np.array([x.coords for x in xs])
     kx = steering.kernels_at(elements, xs)
-    # Per-kernel 2-D norms: a norm over axis=(-2, -1) sums in another order.
-    scales = [[max(1.0, np.linalg.norm(k)) for k in row] for row in kx]
+    scale = np.fmax(1.0, numerics.norms(kx))[:, :, None]
     worst = 0.0
-    for _ in range(n_g):
-        g = groups.random_element(j.group, rng, eta_max=eta_max)
-        kgx = steering.kernels_at(elements, [groups.act(g, x) for x in xs])
-        steered = steering.steer(kx, j, l, g)
-        for b, srow in enumerate(scales):
-            for p, scale in enumerate(srow):
-                resid = np.linalg.norm(kgx[b, p] - steered[b, p]) / scale
-                worst = max(worst, resid)
-    return float(worst)
+    step = steering.chunk_length(kx.nbytes)
+    for i in range(0, n_g, step):
+        g = gs[i:i + step]
+        moved = groups.act_points(j.group, g, orbit, coords[:, None])
+        kgx = steering.section_kernels(elements, moved.reshape(-1, moved.shape[-1]))
+        steered = steering.steer(kx[:, :, None], j, l, g)
+        worst = _worst(worst, numerics.norms(
+            kgx.reshape(steered.shape) - steered) / scale)
+    return worst
 
 
 def _gauge_span(n: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the massless gauge span, vectorized: the
-    symmetrized ``n (x) e_i`` and ``n (x) n`` with the second index lowered."""
-    span = np.column_stack([
-        numerics.vec(np.outer(n, groups.ETA @ e1) + np.outer(e1, groups.ETA @ n)),
-        numerics.vec(np.outer(n, groups.ETA @ e2) + np.outer(e2, groups.ETA @ n)),
-        numerics.vec(np.outer(n, groups.ETA @ n)),
-    ])
-    return numerics.orthonormal_columns(span)
+    symmetrized ``n (x) e_i`` and ``n (x) n`` with the second index lowered.
+    Stacks of vectors, shape (..., 4), give a stack of bases."""
+    def lowered_outer(a, b):
+        low = (groups.ETA @ b[..., None])[..., None, :, 0]
+        return a[..., :, None] * low
+
+    span = np.stack([
+        lowered_outer(n, e1) + lowered_outer(e1, n),
+        lowered_outer(n, e2) + lowered_outer(e2, n),
+        lowered_outer(n, n),
+    ], axis=-1)
+    return numerics.orthonormal_columns(span.reshape(span.shape[:-3] + (16, 3)))
 
 
 def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
@@ -129,35 +142,48 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     projector built from ``(n(g.x), g . nbar(x))`` exactly; the section value
     at g.x uses the section's own nbar and may differ from the steered one
     only inside the gauge span ``{n e_i + e_i n, n n}``.  Both residuals are
-    folded into the returned maximum.
+    folded into the returned maximum.  Each x has its own n_g draws; the
+    pairs are evaluated as stacks, a block of points at a time.
     """
+    if min(n_g, n_x) < 1:
+        return 0.0
     rng = np.random.default_rng(seed)
     spin = 1 if elem.j.tensor == (1, 0) else 2
     build = (bases.massless_transverse_projector if spin == 1
              else bases.massless_spin2_projector)
-    worst = 0.0
+    cone, lorentz = NullCone(), groups.LORENTZ
+    xs, gs = [], []
     for _ in range(n_x):
-        x = groups.random_orbit_point(NullCone(), rng, eta_max)
-        lam_x = groups.coset_representative(x, groups.LORENTZ).matrix
-        kx = elem.at(x)
-        scale = max(1.0, np.linalg.norm(kx))
-        for _ in range(n_g):
-            g = groups.random_element(groups.LORENTZ, rng, eta_max=eta_max)
-            gx = groups.act(g, x)
-            steered = steering.steer(kx, elem.j, elem.l, g)
-            nbar_t = g.matrix @ (lam_x @ bases.NBAR0)
-            direct = build(np.asarray(gx.vector), nbar_t)
-            worst = max(worst, np.linalg.norm(steered - direct) / scale)
-            if spin == 1:
-                # section value vs steered: difference must be pure gauge
-                lam_gx = groups.coset_representative(gx, groups.LORENTZ).matrix
-                n_new = np.asarray(gx.vector)
-                e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
-                diff = numerics.vec(elem.at(gx) - steered).reshape(-1, 1)
-                if np.linalg.norm(diff) > 1e-12 * scale:
-                    worst = max(worst, numerics.projection_residual(
-                        diff, _gauge_span(n_new, e1, e2)))
-    return float(worst)
+        xs.append(groups.random_orbit_point(cone, rng, eta_max))
+        gs.append([groups.random_element(lorentz, rng, eta_max=eta_max).params
+                   for _ in range(n_g)])
+    gs = np.array(gs).reshape(n_x * n_g, -1)
+    coords = np.array([x.coords for x in xs])
+    nbar_x = groups.matrices(
+        lorentz, groups.section_params(cone, coords)) @ bases.NBAR0
+    kx = steering.kernels_at([elem], xs)[0]
+    scale = np.fmax(1.0, numerics.norms(kx))
+    worst = 0.0
+    step = steering.chunk_length(n_g * kx[0].nbytes) * n_g
+    for i in range(0, len(gs), step):
+        g = gs[i:i + step]
+        at = np.arange(i, i + len(g)) // n_g
+        gx = groups.act_points(lorentz, g, cone, coords[at])
+        steered = steering.steer(kx[at], elem.j, elem.l, g)
+        nbar_t = groups.matrices(lorentz, g) @ nbar_x[at][..., None]
+        direct = build(gx, nbar_t[..., 0])
+        worst = _worst(worst, numerics.norms(steered - direct) / scale[at])
+        if spin == 1:
+            # section value vs steered: difference must be pure gauge
+            lam_gx = groups.matrices(lorentz, groups.section_params(cone, gx))
+            e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
+            diff = (steering.section_kernels([elem], gx)[0] - steered).reshape(
+                len(g), -1, 1)
+            off = numerics.norms(diff) > 1e-12 * scale[at]
+            if off.any():
+                worst = _worst(worst, numerics.projection_residual(
+                    diff[off], _gauge_span(gx[off], e1[off], e2[off])))
+    return worst
 
 
 def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
@@ -316,21 +342,13 @@ def gauge_shift_residual(seed: int = 0, eta_max: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 # equivariance demo on a discretized circle
 
-def _so2_real_rep_batch(j: int, phis: np.ndarray) -> np.ndarray:
-    if j == 0:
-        return np.ones((len(phis), 1, 1))
-    c, s = np.cos(j * phis), np.sin(j * phis)
-    return np.stack([np.stack([c, -s], axis=-1),
-                     np.stack([s, c], axis=-1)], axis=-2)
-
-
 def _steerable_angular(j: int, l: int, phis: np.ndarray,
                        coeffs: np.ndarray) -> np.ndarray:
     """Batch-evaluate a fixed combination of the real SO(2) basis."""
     elements = bases.basis_so2(j, l, REAL)
     k0 = sum(c * e.base_matrix for c, e in zip(coeffs, elements))
-    rj = _so2_real_rep_batch(j, phis)
-    rl_inv = _so2_real_rep_batch(l, -phis)
+    rj = rep_matrices(so2_irrep(j), phis[:, None])
+    rl_inv = rep_matrices(so2_irrep(l), -phis[:, None])
     return np.einsum("nab,bc,ncd->nad", rj, k0, rl_inv)
 
 
@@ -390,8 +408,7 @@ def equivariance_demo(j: int, l: int, grid_size: int, steps: int,
         return np.einsum("kmab,mb->ka", kmat, field) * (2 * math.pi / n)
 
     def rotate_field(field, label_j, s_steps):
-        rep = _so2_real_rep_batch(label_j, np.array(
-            [2 * math.pi * s_steps / n]))[0]
+        rep = rep_matrices(so2_irrep(label_j), [2 * math.pi * s_steps / n])
         return np.roll(field, s_steps, axis=0) @ rep.T
 
     out_then_rot = rotate_field(convolve(f), j, steps)

@@ -1,18 +1,22 @@
-"""Golden SHA-256 digests of ``sample`` payloads, the ``verify`` report and
-two ``dims`` oracle tables.
+"""Golden SHA-256 digests of ``sample`` payloads, the ``verify`` report, two
+``dims`` oracle tables and a steerability sweep.
 
 The digests were computed before the grid-steering path was batched; any
 change of output bits must be deliberate and come with new digests here.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
-spinor rep and the null-cone section.
+spinor rep and the null-cone section.  The sweep digest pins the verifier's
+steering path at the benchmark's 50 x 20 draws.
 """
 
 import hashlib
 
 import pytest
 
+from steerkit import analytic_bases as bases
+from steerkit import verify
 from steerkit.cli import main
+from steerkit.irreps import dirac_irrep, spinor_vector_irrep, tensor_irrep
 
 SAMPLE_GOLDENS = [
     (("so3", "2", "1", "real", "sphere:4x3"),
@@ -44,6 +48,24 @@ DIMS_GOLDENS = [
 ]
 
 
+#: SHA-256 of the newline-joined reprs of ``verify.max_steer_residual`` at
+#: 50 x 20 draws (eta_max 2, seed = case index) for so3 real 2/2, so3
+#: complex 4/3, o3 0+/2+ (a 1x1 rep against parity elements), Lorentz
+#: tensor20/vector, realified Dirac, realified spinor-vector and the cone
+#: vector/vector case.
+SWEEP_GOLDEN = (
+    "320700254298f3b35c2925e8bfcee7e0507782be24e80591891fe2f52a7996ec")
+
+
+def _sweep_cases():
+    vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
+    dirac, sv = dirac_irrep(realified=True), spinor_vector_irrep(realified=True)
+    return [bases.basis_so3(2, 2), bases.basis_so3(4, 3, "complex"),
+            bases.basis_o3(0, 1, 2, 1), bases.lorentz_massive_basis(t20, vec),
+            bases.lorentz_massive_basis(dirac, dirac),
+            bases.lorentz_massive_basis(sv, sv), bases.basis_lorentz_massless(1)]
+
+
 @pytest.mark.parametrize("case,golden", SAMPLE_GOLDENS,
                          ids=[" ".join(c[:3]) + " " + c[4]
                               for c, _ in SAMPLE_GOLDENS])
@@ -72,3 +94,11 @@ def test_dims_table_matches_golden(args, golden, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden
+
+
+def test_steer_sweep_matches_golden():
+    text = "\n".join(
+        repr(verify.max_steer_residual(els, els[0].orbit, n_g=50, n_x=20,
+                                       seed=idx, eta_max=2.0))
+        for idx, els in enumerate(_sweep_cases()))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_GOLDEN

@@ -181,7 +181,7 @@ def test_orbit_point_validation():
     with pytest.raises(GroupError):
         cone_point([-1.0, 0.0, 0.0, 1.0])
     with pytest.raises(GroupError):
-        groups.point_from_vector(Circle(), np.array([2.0, 0.0]))
+        groups.orbit_coords(Circle(), np.array([2.0, 0.0]))
     # Non-finite input fails every "reject if out of range" comparison, so
     # each constructor must reject it explicitly.
     nan, inf = math.nan, math.inf

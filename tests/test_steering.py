@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, verify
-from steerkit.groups import MassiveHyperboloid, NullCone, Sphere
-from steerkit.irreps import (IrrepError, dirac_irrep, so2_irrep,
-                             so3_irrep, tensor_irrep, wigner_D)
+from steerkit import groups, steering, verify
+from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
+from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
+                             rep_inverse, rep_inverses, rep_matrices,
+                             rep_matrix, so2_irrep, so3_irrep,
+                             spinor_vector_irrep, tensor_irrep, wigner_D)
 from steerkit.steering import kernel_at, kernels_at, steer
 
 
@@ -105,52 +109,116 @@ def test_steer_shape_mismatch_rejected():
             steer(bad, so2_irrep(1), so2_irrep(1), g)
 
 
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: Points where the coset sections are singular or nearly so: both poles
+#: and their neighbours (beta = 0, pi), the rest frame, the backward null
+#: direction and the forward null direction at another scale.
+SINGULAR_POINTS = {
+    Circle: [groups.circle_point(0.0), groups.circle_point(math.pi)],
+    Sphere: [groups.sphere_point(0.0, 0.0), groups.sphere_point(0.3, math.pi),
+             groups.sphere_point(1.0, 1e-9), groups.sphere_point(2.0, math.pi - 1e-9)],
+    MassiveHyperboloid: [
+        groups.base_point(MassiveHyperboloid()),
+        groups.massive_point([math.cosh(1.0), 0.0, 0.0, -math.sinh(1.0)]),
+        groups.massive_point([math.cosh(0.5), 0.0, 0.0, math.sinh(0.5)])],
+    NullCone: [groups.cone_point([1.0, 0.0, 0.0, 1.0]),
+               groups.cone_point([1.0, 0.0, 0.0, -1.0]),
+               groups.cone_point([2.0, 0.0, 0.0, 2.0])],
+}
+
+#: A reflection or parity element of each group that has one.
+REFLECTIONS = {"o2": groups.o2_reflection(),
+               "o3": groups.GroupElement("o3", (0.0, math.pi, 0.0, -1.0))}
+
+#: One label of every representation family, with the orbit it acts on.
+STACK_LABELS = [
+    (so2_irrep(0), Circle()), (so2_irrep(3), Circle()),
+    (so2_irrep(-2, "complex"), Circle()), (o2_irrep("0~"), Circle()),
+    (o2_irrep(0, "complex"), Circle()), (o2_irrep(2), Circle()),
+    (o2_irrep(3, "complex"), Circle()),
+    (so3_irrep(0), Sphere()), (so3_irrep(2), Sphere()),
+    (so3_irrep(3, "complex"), Sphere()), (o3_irrep(0, 1), Sphere()),
+    (o3_irrep(2, -1), Sphere()), (o3_irrep(1, 1, "complex"), Sphere()),
+    (o3_irrep(0, -1, "complex"), Sphere()),
+] + [(tensor_irrep(p, q), MassiveHyperboloid())
+     for p in range(3) for q in range(3 - p)] + [
+    (dirac_irrep(realified=True), MassiveHyperboloid()),
+    (spinor_vector_irrep(realified=True), NullCone()),
+]
+
+
 def test_steer_stack_matches_elementwise():
-    # The grid sampler steers a whole basis as one stack; each slice must
-    # equal steering that element on its own, bit for bit.
+    # The batched representation, section, action and steering stacks must
+    # equal the one-element calls row by row, bit for bit, including at the
+    # sections' singular points.
     rng = np.random.default_rng(11)
-    cases = [
-        (so3_irrep(2, "complex"), so3_irrep(1, "complex"), "so3"),
-        (tensor_irrep(2, 0), tensor_irrep(1, 0), "lorentz"),
-        (dirac_irrep(realified=True), dirac_irrep(realified=True), "lorentz"),
-    ]
-    for j, l, gname in cases:
-        stack = rng.normal(size=(5, j.dim, l.dim))
-        g = groups.random_element(gname, rng, eta_max=1.0)
-        out = steer(stack, j, l, g)
-        assert out.shape == stack.shape
-        for k0, got in zip(stack, out):
-            assert np.array_equal(got, steer(k0, j, l, g))
-    # kernels_at steers the whole basis as one stack per point; each slice
-    # must equal the kernel_at reference, including at the section's
-    # singular points (poles, rest frame, backward null direction).
+    for label, orbit in STACK_LABELS:
+        pts = ([groups.random_orbit_point(orbit, rng) for _ in range(5)]
+               + SINGULAR_POINTS[type(orbit)])
+        elems = [groups.random_element(label.group, rng) for _ in range(6)]
+        elems += [REFLECTIONS.get(label.group, elems[0])]
+        elems += [groups.coset_representative(x, label.group) for x in pts]
+        params = np.array([g.params for g in elems])
+        for stack, single in ((rep_matrices, rep_matrix),
+                              (rep_inverses, rep_inverse)):
+            rows = stack(label, params)
+            for row, g in zip(rows, elems):
+                assert _same_bits(row, single(label, g)), (label, g)
+        coords = np.array([x.coords for x in pts])
+        sections = groups.section_params(orbit, coords, label.group)
+        moved = groups.act_points(label.group, params[:7, None], orbit, coords)
+        for p, x in enumerate(pts):
+            rep = groups.coset_representative(x, label.group)
+            assert sections[p].tolist() == list(rep.params), (label, x)
+            for i, g in enumerate(elems[:7]):
+                assert moved[i, p].tolist() == list(groups.act(g, x).coords)
+        k0 = rng.normal(size=(3, label.dim, label.dim))
+        steered = steer(k0[:, None], label, label, params)
+        for i, g in enumerate(elems):
+            assert _same_bits(steered[:, i], steer(k0, label, label, g))
+    # A stack of O(3) elements that mixes parities, against a 1x1 label.
+    j, l = o3_irrep(2, 1), o3_irrep(0, 1)
+    elems = [groups.random_element("o3", rng) for _ in range(12)]
+    assert len({g.params[3] for g in elems}) == 2
+    k0 = rng.normal(size=(4, 2, 5, 1))
+    steered = steer(k0, j, l, np.array([g.params for g in elems[:2]]))
+    for i, g in enumerate(elems[:2]):
+        assert _same_bits(steered[:, i], steer(k0[:, i], j, l, g))
+    params = np.array([g.params for g in elems])
+    steered = steer(k0[:, :1], j, l, params)
+    for i, g in enumerate(elems):
+        assert _same_bits(steered[:, i], steer(k0[:, 0], j, l, g))
+    # kernels_at steers the whole basis in chunks of stacked sections; each
+    # slice must equal the kernel_at reference, also across chunk borders.
     vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
-    poles = [groups.sphere_point(0.0, 0.0), groups.sphere_point(0.3, math.pi)]
+    sv = spinor_vector_irrep(realified=True)
     evaluated = [
         (bases.basis_so3(2, 1), Sphere()),
         (bases.basis_so3(1, 2, "complex"), Sphere()),
         (bases.basis_o3(2, -1, 1, 1), Sphere()),
+        (bases.basis_o2(0, 2, "complex"), Circle()),
         (bases.lorentz_massive_basis(t20, vec), MassiveHyperboloid()),
         (bases.lorentz_massive_basis(dirac_irrep(realified=True),
                                      dirac_irrep(realified=True)),
          MassiveHyperboloid()),
+        (bases.lorentz_massive_basis(sv, sv), MassiveHyperboloid()),
         (bases.basis_lorentz_massless(2), NullCone()),
     ]
     for els, orbit in evaluated:
-        pts = [groups.random_orbit_point(orbit, rng) for _ in range(4)]
-        if isinstance(orbit, Sphere):
-            pts += poles
-        elif isinstance(orbit, MassiveHyperboloid):
-            pts.append(groups.base_point(orbit))
-        else:
-            pts += [groups.cone_point([1.0, 0.0, 0.0, 1.0]),
-                    groups.cone_point([1.0, 0.0, 0.0, -1.0])]
+        e0 = els[0]
+        itemsize = 16 if e0.j.field == "complex" else 8
+        per_point = len(els) * e0.j.dim * e0.l.dim * itemsize
+        n = steering.chunk_length(per_point) + 3 if e0.j.dim > 8 else 4
+        pts = ([groups.random_orbit_point(orbit, rng) for _ in range(n)]
+               + SINGULAR_POINTS[type(orbit)])
         values = kernels_at(els, pts)
-        assert values.shape == (len(els), len(pts), els[0].j.dim,
-                                els[0].l.dim)
+        assert values.shape == (len(els), len(pts), e0.j.dim, e0.l.dim)
         for b, elem in enumerate(els):
             for p, x in enumerate(pts):
-                assert np.array_equal(values[b, p], kernel_at(elem, x))
+                assert _same_bits(values[b, p], kernel_at(elem, x))
     with pytest.raises(IrrepError):
         kernels_at(bases.basis_so3(1, 1), [groups.sphere_point(0.1, 0.2, 2.0)])
     # An empty basis, or elements that do not share (j, l, orbit), cannot
@@ -164,6 +232,71 @@ def test_steer_stack_matches_elementwise():
             (els, groups.base_point(els[0].orbit)) for els in mixed]:
         with pytest.raises(IrrepError):
             kernels_at(bad, [x])
+
+
+#: Angles at and next to the poles, where the sections switch branches.
+POLAR_EDGES = [0.0, 5e-324, 1e-12, 1e-9, 1e-6, math.pi,
+               math.nextafter(math.pi, 0.0), math.pi - 1e-12, math.pi - 1e-9,
+               math.pi - 1e-6]
+
+
+def _angles(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _orbit_points(draw, orbit):
+    alpha = draw(_angles(0.0, 2 * math.pi))
+    beta = draw(st.one_of(st.sampled_from(POLAR_EDGES), _angles(0.0, math.pi)))
+    if isinstance(orbit, Circle):
+        return groups.circle_point(alpha)
+    if isinstance(orbit, Sphere):
+        return groups.sphere_point(alpha, beta)
+    eta = draw(st.one_of(st.just(0.0), _angles(0.0, 2.0)))
+    n = [math.cos(alpha) * math.sin(beta), math.sin(alpha) * math.sin(beta),
+         math.cos(beta)]
+    if isinstance(orbit, MassiveHyperboloid):
+        return groups.massive_point([math.cosh(eta)]
+                                    + [math.sinh(eta) * c for c in n])
+    return groups.cone_point([math.exp(eta) * c for c in [1.0] + n])
+
+
+PROPERTY_BASES = [
+    bases.basis_so2(2, 3), bases.basis_o2("0~", 1, "complex"),
+    bases.basis_so3(2, 1), bases.basis_so3(1, 2, "complex"),
+    bases.basis_o3(0, 1, 2, 1), bases.basis_o3(1, -1, 1, -1, "complex"),
+    bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)),
+    bases.lorentz_massive_basis(dirac_irrep(realified=True),
+                                dirac_irrep(realified=True)),
+    bases.lorentz_massive_basis(spinor_vector_irrep(realified=True),
+                                spinor_vector_irrep(realified=True)),
+    bases.basis_lorentz_massless(1),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
+    # Stack identity only: the batched path must reproduce the reference
+    # path bit for bit wherever the reference is evaluated, including next
+    # to the poles where the steering equation itself loses accuracy.
+    els = data.draw(st.sampled_from(PROPERTY_BASES), label="basis")
+    orbit, j, l = els[0].orbit, els[0].j, els[0].l
+    pts = data.draw(st.lists(_orbit_points(orbit), min_size=1, max_size=24),
+                    label="points")
+    values = kernels_at(els, pts)
+    for b, elem in enumerate(els):
+        for p, x in enumerate(pts):
+            assert _same_bits(values[b, p], kernel_at(elem, x))
+    if j.group == "o3":
+        params = data.draw(st.lists(st.tuples(
+            _angles(0.0, 2 * math.pi), st.sampled_from(POLAR_EDGES),
+            _angles(0.0, 2 * math.pi), st.sampled_from([1.0, -1.0])),
+            min_size=1, max_size=12), label="o3 elements")
+        steered = steer(values[:, :1], j, l, np.array(params))
+        for i, g in enumerate(params):
+            assert _same_bits(steered[:, i],
+                              steer(values[:, 0], j, l, groups.GroupElement("o3", g)))
 
 
 def test_kernel_at_wrong_orbit_rejected():
