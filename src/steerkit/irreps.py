@@ -484,13 +484,6 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool) -> np.ndarray:
     return _spinor_stack(label, p, inverse)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of each pair of matrices of two stacks."""
-    n, (ra, ca), (rb, cb) = len(a), a.shape[-2:], b.shape[-2:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
-        n, ra * rb, ca * cb)
-
-
 def _tensor_stack(p: int, q: int, params: np.ndarray, inverse: bool) -> np.ndarray:
     """Kronecker chain of p factors Lambda and q factors of its inverse
     transpose ``eta Lambda eta`` (exact for Lorentz); with ``inverse``, of
@@ -505,7 +498,7 @@ def _tensor_stack(p: int, q: int, params: np.ndarray, inverse: bool) -> np.ndarr
     factors = [lam] * p + [lam_dual] * q
     out = factors[0]
     for f in factors[1:]:
-        out = _kron(out, f)
+        out = numerics.kron(out, f)
     return out
 
 
@@ -522,7 +515,7 @@ def _spinor_stack(label: IrrepLabel, params: np.ndarray, inverse: bool) -> np.nd
     else:
         s[:, :2, :2], s[:, 2:, 2:] = _sl2_inverse(adag), a
     if label.spinor == SPINOR_VECTOR:
-        s = _kron(_tensor_stack(1, 0, params, inverse), s)
+        s = numerics.kron(_tensor_stack(1, 0, params, inverse), s)
     return realify(s) if label.realified else s
 
 

@@ -41,8 +41,18 @@ def as_matrix(a) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, (A otimes B)[i*rB+k, j*cB+m] = A[i,j] * B[k,m]."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product, (A otimes B)[i*rB+k, j*cB+m] = A[i,j] * B[k,m].
+
+    Stacks (..., r, c) pair their matrices over broadcast leading axes.  Each
+    entry is one product, as in ``np.kron``, so every matrix of the result
+    equals ``np.kron`` of its pair bit for bit.  The result is a fresh
+    C-ordered array whatever the layout of the inputs.
+    """
+    a, b = as_stack(a), as_stack(b)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = np.multiply(a[..., :, None, :, None], b[..., None, :, None, :],
+                      order="C")
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
 def vec(k) -> np.ndarray:
@@ -104,7 +114,12 @@ def nullspace_with_spectrum(a):
     m, n = a.shape
     if n == 0:
         return a.reshape(m, 0)[:0].T, np.zeros(0), np.zeros(0)
-    # U is unused: only wide matrices need the full (n x n) V.
+    if m >= 2 * n:
+        # R-SVD (Chan 1982): A = QR and R share S and V^H, and U is unused.
+        # LAPACK's gesdd factors stacks this tall the same way before it
+        # bidiagonalizes R, so S and V^H are the same bits as its own.
+        a = np.linalg.qr(a, mode="r")
+    # Only wide matrices need the full (n x n) V.
     _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     # Wide matrices have n - m implicit zero singular values.
     s_full = np.concatenate([s, np.zeros(n - len(s))])

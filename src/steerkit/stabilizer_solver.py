@@ -2,9 +2,9 @@
 
 Solves the base-point constraint ``rho_j(h) K rho_l(h)^-1 = K`` over the
 sampled stabilizer generators by stacking the vectorized operators
-``kron(rho_j(h), rho_l(h)^-T) - I`` and extracting the joint nullspace.  The
-computation knows nothing about the closed-form bases; it is the independent
-cross-check for them.
+``kron(rho_j(h), rho_l(h)^-T) - I`` into one matrix and extracting its
+nullspace.  The computation knows nothing about the closed-form bases; it is
+the independent cross-check for them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import groups, numerics
 from .groups import MassiveHyperboloid, Orbit
 from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel,
                      massive_spin_content, massless_weight_content,
-                     rep_inverse, rep_matrix)
+                     rep_inverses, rep_matrices)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
 #: value; anything smaller means the rank detection is not trustworthy.
@@ -60,12 +60,19 @@ def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
     return j.group
 
 
-def constraint_operator(j: IrrepLabel, l: IrrepLabel, h) -> np.ndarray:
-    """Vectorized stabilizer constraint for one element h."""
-    rj = rep_matrix(j, h)
-    rli = rep_inverse(l, h)
-    op = numerics.kron(rj, rli.T)
-    return op - np.eye(op.shape[0])
+def constraint_operator(j: IrrepLabel, l: IrrepLabel, elements) -> np.ndarray:
+    """Vectorized stabilizer constraints of a sequence of elements h, the
+    blocks ``kron(rho_j(h), rho_l(h)^-T) - I`` stacked in order into one
+    (n * d, d) matrix, d = dim_j * dim_l."""
+    params = [h.params for h in elements]
+    ops = numerics.kron(rep_matrices(j, params),
+                        rep_inverses(l, params).swapaxes(-1, -2))
+    n, d = len(ops), ops.shape[-1]
+    # kron returns a fresh C-ordered stack: this reshape is a view, so the
+    # diagonals are written in place.
+    ops.reshape(n, d * d)[:, ::d + 1] -= 1.0
+    return ops.reshape(n * d, d)
+
 
 def require_rank_gap(kept: np.ndarray, dropped: np.ndarray,
                      context: str = "") -> None:
@@ -92,8 +99,7 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
     """
     group = _check_pair(j, l, orbit)
     sample = groups.stabilizer_sample(orbit, group)
-    ops = [constraint_operator(j, l, h) for h in sample.elements]
-    stack = np.vstack(ops)
+    stack = constraint_operator(j, l, sample.elements)
     basis, kept, dropped = numerics.nullspace_with_spectrum(stack)
     require_rank_gap(kept, dropped, f" for {j} / {l}")
     return IntertwinerSpace(j, l, orbit, basis)

@@ -1,5 +1,5 @@
 """Golden SHA-256 digests of ``sample`` payloads, the ``verify`` report, two
-``dims`` oracle tables and a steerability sweep.
+``dims`` oracle tables, a steerability sweep and the oracle's bases.
 
 The digests were computed before the grid-steering path was batched; any
 change of output bits must be deliberate and come with new digests here.
@@ -16,7 +16,10 @@ import pytest
 from steerkit import analytic_bases as bases
 from steerkit import verify
 from steerkit.cli import main
-from steerkit.irreps import dirac_irrep, spinor_vector_irrep, tensor_irrep
+from steerkit.groups import MassiveHyperboloid, NullCone, Sphere
+from steerkit.irreps import (dirac_irrep, o3_irrep, so3_irrep,
+                             spinor_vector_irrep, tensor_irrep)
+from steerkit.stabilizer_solver import solve_basepoint
 
 SAMPLE_GOLDENS = [
     (("so3", "2", "1", "real", "sphere:4x3"),
@@ -55,6 +58,13 @@ DIMS_GOLDENS = [
 #: vector/vector case.
 SWEEP_GOLDEN = (
     "320700254298f3b35c2925e8bfcee7e0507782be24e80591891fe2f52a7996ec")
+
+#: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
+#: realified spinor-vector pair (massive), tensor20/tensor20 on the cone, o3
+#: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
+#: tables pin only the dimensions; this pins the oracle's bits.
+ORACLE_GOLDEN = (
+    "e6f1ea0b56f6bc0e4f4b9c8eef35b5067ee787a5d5bda0a80caffeff01180f23")
 
 
 def _sweep_cases():
@@ -102,3 +112,16 @@ def test_steer_sweep_matches_golden():
                                        seed=idx, eta_max=2.0))
         for idx, els in enumerate(_sweep_cases()))
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_GOLDEN
+
+
+def test_oracle_bases_match_golden():
+    sv, t20 = spinor_vector_irrep(realified=True), tensor_irrep(2, 0)
+    dirac = dirac_irrep(realified=True)
+    cases = [(sv, sv, MassiveHyperboloid()), (t20, t20, NullCone()),
+             (o3_irrep(2, 1, "complex"), o3_irrep(3, -1, "complex"), Sphere()),
+             (so3_irrep(4), so3_irrep(4), Sphere()),
+             (dirac, dirac, MassiveHyperboloid())]
+    digest = hashlib.sha256()
+    for j, l, orbit in cases:
+        digest.update(solve_basepoint(j, l, orbit).basis.tobytes())
+    assert digest.hexdigest() == ORACLE_GOLDEN

@@ -64,12 +64,45 @@ def test_nullspace_rejects_nonfinite_and_bad_tol():
         nullspace(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_nullspace_spectrum_split():
+def _rank_deficient(rng, m, n, rank, dtype):
+    def draw(shape):
+        if dtype == complex:
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return rng.normal(size=shape)
+    return draw((m, rank)) @ draw((rank, n))
+
+
+def test_nullspace_spectrum_split(monkeypatch):
     a = np.diag([5.0, 3.0, 1e-14])
     basis, kept, dropped = nullspace_with_spectrum(a)
     assert basis.shape == (3, 1)
     np.testing.assert_allclose(kept, [5.0, 3.0])
     assert dropped[0] <= 1e-13
+    # Stacks at least twice as tall as wide are solved through their R
+    # factor; the spectrum and the basis are the bits of the thin SVD of the
+    # whole stack.
+    rng = np.random.default_rng(5)
+    n, rank = 40, 29
+    for dtype in (float, complex):
+        for ratio in (2, 3, 4):
+            a = _rank_deficient(rng, ratio * n, n, rank, dtype)
+            basis, kept, dropped = nullspace_with_spectrum(a)
+            _, s, vh = np.linalg.svd(a, full_matrices=False)
+            null = s <= numerics.NULLSPACE_TOL * s[0]
+            assert null.sum() == n - rank
+            expect = numerics._fix_column_signs(vh[rank:][::-1].conj().T)
+            assert basis.dtype == expect.dtype
+            np.testing.assert_array_equal(basis, expect)
+            np.testing.assert_array_equal(kept, s[~null])
+            np.testing.assert_array_equal(dropped, s[null])
+    # A stack less than twice as tall keeps the direct SVD.
+    def no_qr(*args, **kwargs):
+        raise AssertionError("QR taken for a stack at m/n = 1.5")
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for dtype in (float, complex):
+        basis, kept, dropped = nullspace_with_spectrum(
+            _rank_deficient(rng, 60, n, rank, dtype))
+        assert basis.shape == (n, n - rank) and kept.size == rank
 
 
 def test_kron_identities():
@@ -79,6 +112,25 @@ def test_kron_identities():
     expect = np.zeros((4, 4))
     expect[0, 2] = expect[1, 3] = 1.0
     np.testing.assert_array_equal(out, expect)
+    # Stacks pair their matrices over broadcast leading axes; each slice is
+    # np.kron of its pair bit for bit.
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(3, 1, 2, 4)) + 1j * rng.normal(size=(3, 1, 2, 4))
+    b = rng.normal(size=(5, 3, 2))
+    out = kron(a, b)
+    assert out.shape == (3, 5, 6, 8) and out.flags.c_contiguous
+    for i in range(3):
+        for k in range(5):
+            np.testing.assert_array_equal(out[i, k], np.kron(a[i, 0], b[k]))
+    out = kron(b[:, None], b.swapaxes(-1, -2)[0, ::-1])
+    assert out.flags.c_contiguous
+    out = out[:, 0]
+    for k in range(5):
+        np.testing.assert_array_equal(out[k], np.kron(b[k], b[0].T[::-1]))
+    with pytest.raises(NumericsError):
+        kron(np.ones(3), np.eye(2))
+    with pytest.raises(NumericsError):
+        kron(np.full((2, 2, 2), np.nan), np.eye(2))
 
 
 def test_kron_vectorization_against_direct_product():

@@ -7,6 +7,7 @@ from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              rep_inverse, rep_matrix, so2_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep)
 from steerkit.stabilizer_solver import (DegenerateSpectrumError,
+                                        constraint_operator,
                                         predicted_dimension, require_rank_gap,
                                         solve_basepoint)
 from steerkit.steering import steer
@@ -123,17 +124,34 @@ def test_lorentz_massless_weight_counts():
 
 
 def test_solutions_satisfy_constraint_for_all_samples():
+    mh = MassiveHyperboloid()
+    dirac, sv = dirac_irrep(realified=True), spinor_vector_irrep(realified=True)
     cases = [
         (so2_irrep(2), so2_irrep(3), Circle()),
+        (so2_irrep(2, "complex"), so2_irrep(-1, "complex"), Circle()),
         (o2_irrep(2), o2_irrep(3), Circle()),
+        (o2_irrep("0~", "complex"), o2_irrep(3, "complex"), Circle()),
         (so3_irrep(2, "complex"), so3_irrep(3, "complex"), Sphere()),
+        (so3_irrep(2), so3_irrep(1), Sphere()),
         (o3_irrep(2, 1), o3_irrep(2, -1), Sphere()),
-        (tensor_irrep(1, 0), tensor_irrep(2, 0), MassiveHyperboloid()),
+        (o3_irrep(1, -1, "complex"), o3_irrep(2, 1, "complex"), Sphere()),
+        (tensor_irrep(1, 0), tensor_irrep(2, 0), mh),
+        (tensor_irrep(1, 1), tensor_irrep(0, 2), mh),
+        (dirac, dirac, mh),
+        (sv, sv, mh),
         (tensor_irrep(1, 0), tensor_irrep(1, 0), NullCone()),
     ]
     for j, l, orbit in cases:
         space = solve_basepoint(j, l, orbit)
         sample = groups.stabilizer_sample(orbit, j.group)
+        # The one stacked constraint is the per-element vstack bit for bit.
+        blocks = []
+        for h in sample.elements:
+            op = np.kron(rep_matrix(j, h), rep_inverse(l, h).T)
+            blocks.append(op - np.eye(op.shape[0]))
+        stack = constraint_operator(j, l, sample.elements)
+        assert stack.dtype == blocks[0].dtype
+        np.testing.assert_array_equal(stack, np.vstack(blocks))
         for h in sample.elements:
             rj, rli = rep_matrix(j, h), rep_inverse(l, h)
             for k in space.matrices():
