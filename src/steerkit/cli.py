@@ -143,29 +143,31 @@ class GridSpec:
             raise CliError(f"eta_max must be in (0, {MAX_ETA:.1f}], "
                            f"got {self.eta_max}")
 
-    def points(self) -> list[groups.OrbitPoint]:
+    def coords(self) -> np.ndarray:
+        """Canonical coordinates of the grid points, shape (n, c)."""
         if isinstance(self.orbit, Circle):
             (n,) = self.shape
-            return groups.orbit_points(
+            return groups._canonical_coords(
                 self.orbit, (2 * math.pi * np.arange(n) / n)[:, None])
+        na, nb = self.shape[:2]
+        alpha = 2 * math.pi * np.arange(na) / na
+        beta = math.pi * (np.arange(nb) + 0.5) / nb
         if isinstance(self.orbit, Sphere):
-            na, nb = self.shape
-            alpha = 2 * math.pi * np.arange(na) / na
-            beta = math.pi * (np.arange(nb) + 0.5) / nb
-            return groups.orbit_points(self.orbit, np.stack(
+            return groups._canonical_coords(self.orbit, np.stack(
                 np.broadcast_arrays(alpha[:, None], beta[None, :]), -1
             ).reshape(-1, 2))
         # One boost along z per rapidity, rotated to each grid direction.
-        na, nb, ne = self.shape
+        ne = self.shape[2]
         params = np.zeros((na, nb, ne, 6))
-        for ia in range(na):
-            for ib in range(nb):
-                params[ia, ib, :, :3] = groups.so3_element(
-                    2 * math.pi * ia / na, math.pi * (ib + 0.5) / nb, 0.0).params
+        params[..., :3] = groups._euler_from_rotation(groups.euler_zyz_matrix(
+            alpha[:, None], beta[None, :], 0.0))[:, :, None]
         params[..., 5] = np.linspace(0.0, self.eta_max, ne)
         base = groups.base_point(self.orbit)
-        return groups.orbit_points(self.orbit, groups.act_points(
-            groups.LORENTZ, params.reshape(-1, 6), self.orbit, base.coords))
+        return groups.act_points(groups.LORENTZ, params.reshape(-1, 6),
+                                 self.orbit, base.coords)
+
+    def points(self) -> list[groups.OrbitPoint]:
+        return groups.orbit_points(self.orbit, self.coords())
 
     def to_dict(self) -> dict:
         d = {"orbit": verify._orbit_tag(self.orbit), "shape": list(self.shape)}
@@ -202,9 +204,12 @@ def parse_grid(text: str, radius: float, mass: float) -> GridSpec:
 
 def write_dump(out_path: str, elements, grid: GridSpec, seed: int) -> dict:
     """Write ``<out>.json`` + ``<out>.bin``; returns the manifest."""
+    if grid.orbit != elements[0].orbit:
+        raise CliError(f"grid on {grid.orbit} does not match the basis on "
+                       f"{elements[0].orbit}")
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflow is reported once, as the error below.
-        values = steering.kernels_at(elements, grid.points())
+        values = steering.section_kernels(elements, grid.coords())
     if not np.isfinite(values).all():
         raise CliError("kernel values overflow float64 on this grid; "
                        "lower eta_max")

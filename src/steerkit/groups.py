@@ -577,6 +577,7 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
         out[:, 0] = _wrap_angles(flat[:, 0])
         out[:, 1:] = 1.0
     elif isinstance(orbit, Sphere):
+        _require_finite("sphere angles", flat)
         out[:, :2] = flat
         out[:, 3:] = 1.0
     else:

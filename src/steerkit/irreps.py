@@ -186,13 +186,17 @@ _LOG_FACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 2 * _MAX_L + 2)
 @lru_cache(maxsize=None)
 def _dsmall_terms(l: int):
     """Term table for the factorial sum, vectorized over (row, col, s): the
-    flat entry, the cos and sin powers and the coefficient of each term."""
-    rows, cols, cps, sps, coefs = [], [], [], [], []
+    flat entry, the cos and sin powers and the coefficient of each term,
+    and the start of each rank.  A term's rank is its position among the
+    terms of its entry (s ascending); the table is ordered by rank, then by
+    entry, so rank 0 holds one term of every entry in entry order."""
+    rows, cols, cps, sps, coefs, ranks = [], [], [], [], [], []
     for a in range(l, -l - 1, -1):          # row index l - a
         for b in range(l, -l - 1, -1):      # col index l - b
             pref = 0.5 * (_LOG_FACT[l + a] + _LOG_FACT[l - a]
                           + _LOG_FACT[l + b] + _LOG_FACT[l - b])
-            for s in range(max(0, b - a), min(l + b, l - a) + 1):
+            first = max(0, b - a)
+            for s in range(first, min(l + b, l - a) + 1):
                 logc = pref - (_LOG_FACT[l + b - s] + _LOG_FACT[s]
                                + _LOG_FACT[a - b + s] + _LOG_FACT[l - a - s])
                 rows.append(l - a)
@@ -200,8 +204,11 @@ def _dsmall_terms(l: int):
                 cps.append(2 * l + b - a - 2 * s)
                 sps.append(a - b + 2 * s)
                 coefs.append((-1.0) ** (a - b + s) * math.exp(logc))
-    out = (np.array(rows) * (2 * l + 1) + np.array(cols), np.array(cps),
-           np.array(sps), np.array(coefs))
+                ranks.append(s - first)
+    order = np.argsort(ranks, kind="stable")
+    starts = np.searchsorted(np.array(ranks)[order], np.arange(l + 2))
+    out = tuple(np.array(v)[order] for v in (
+        np.array(rows) * (2 * l + 1) + np.array(cols), cps, sps, coefs)) + (starts,)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -216,17 +223,22 @@ def _check_l(l: int) -> None:
 
 def _wigner_small_d_stack(l: int, beta: np.ndarray) -> np.ndarray:
     """d^l at a 1-D stack of angles, shape (n, 2l+1, 2l+1).  Each entry sums
-    its terms in the table's order, as one ``np.add.at`` over the stack."""
-    entry, cps, sps, coefs = _dsmall_terms(l)
+    its terms in rank order starting from 0.0, one rank at a time over the
+    whole stack; the terms are laid out as (entry, angle)."""
+    entry, cps, sps, coefs, starts = _dsmall_terms(l)
     n = 2 * l + 1
     powers = np.arange(n)
-    cpow = np.power(np.cos(beta / 2.0)[:, None], powers)
-    spow = np.power(np.sin(beta / 2.0)[:, None], powers)
-    d = np.zeros(len(beta) * n * n)
-    if len(beta) > 1:
-        entry = (np.arange(len(beta))[:, None] * (n * n) + entry).ravel()
-    np.add.at(d, entry, (coefs * cpow[:, cps] * spow[:, sps]).ravel())
-    return d.reshape(len(beta), n, n)
+    cpow = np.power(np.cos(beta / 2.0)[:, None], powers).T
+    spow = np.power(np.sin(beta / 2.0)[:, None], powers).T
+    # (coef * c) * s per term, formed in place in the gathered powers.
+    terms = cpow[cps]
+    terms *= coefs[:, None]
+    terms *= spow[sps]
+    # 0.0 + t, not t: a -0.0 first term sums to +0.0.
+    d = 0.0 + terms[:n * n]
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        d[entry[lo:hi]] += terms[lo:hi]
+    return np.ascontiguousarray(d.T).reshape(len(beta), n, n)
 
 
 def wigner_small_d(l: int, beta: float) -> np.ndarray:

@@ -6,9 +6,11 @@ points through the fixed coset section.  Well-definedness across section
 choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`steer` is the one place that forms the product, for one element or a
-stack of elements; :func:`kernels_at` and :func:`section_kernels` evaluate a
-whole basis at a stack of points through it, chunk by chunk, and
-:func:`kernel_at` is the element-by-element reference path.
+stack of elements, into fresh arrays or into arrays the caller owns;
+:func:`kernels_at` and :func:`section_kernels` evaluate a whole basis at a
+stack of points through it, writing chunk by chunk in place into the output
+with one work array per call, and :func:`kernel_at` is the
+element-by-element reference path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .groups import O3
+from .groups import LORENTZ, O3
 from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel, rep_inverses,
                      rep_matrices)
 
@@ -30,7 +32,15 @@ def chunk_length(item_bytes: int) -> int:
     return max(1, CHUNK_BYTES // item_bytes)
 
 
-def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g) -> np.ndarray:
+def _require_shape(shape: tuple, *arrays) -> None:
+    for a in arrays:
+        if a is not None and a.shape != shape:
+            raise IrrepError(f"output shape {a.shape} does not match {shape}")
+
+
+def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
+          out: np.ndarray | None = None,
+          work: np.ndarray | None = None) -> np.ndarray:
     """``rho_j(g) @ k0 @ rho_l(g)^-1``.
 
     ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)`` or a stack
@@ -39,6 +49,11 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g) -> np.ndarray:
     by their canonical parameters, shape ``(n, k)``: element i steers
     ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1) and the
     result has shape ``(..., n, dim_j, dim_l)``.
+
+    With ``out``, the result is written into it and ``out`` is returned;
+    with ``work``, ``rho_j(g) @ k0`` is formed there.  Both have the
+    result's shape and dtype and may be strided views; the values equal
+    the fresh result bit for bit.
     """
     k0 = np.asarray(k0)
     if k0.shape[-2:] != (j.dim, l.dim):
@@ -49,26 +64,36 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g) -> np.ndarray:
             if label.group != g.group:
                 raise IrrepError(
                     f"label {label} does not accept {g.group} elements")
-        return steer(k0[..., None, :, :], j, l, [g.params])[..., 0, :, :]
+        out, work = (None if a is None else a[..., None, :, :]
+                     for a in (out, work))
+        return steer(k0[..., None, :, :], j, l, [g.params], out=out,
+                     work=work)[..., 0, :, :]
     params = groups.parameter_stack(j.group, g)
     if params.ndim != 2:
         raise IrrepError(f"expected an (n, k) parameter stack, got shape "
                          f"{params.shape}")
+    shape = np.broadcast_shapes(k0.shape[:-2], params.shape[:1]) + k0.shape[-2:]
+    _require_shape(shape, out, work)
     if j.group == O3 and j.field == REAL:
         # Parity elements have contiguous real O(3) matrices, the others
         # strided ones (see irreps.rep_matrices): steer each layout apart.
         flip = params[:, 3] < 0
         if flip.any() and not flip.all():
             own_axis = k0.ndim > 2 and k0.shape[-3] == len(params)
-            parts = [(m, steer(k0[..., m, :, :] if own_axis else k0, j, l,
-                               params[m])) for m in (flip, ~flip)]
-            batch = np.broadcast_shapes(k0.shape[:-3], parts[0][1].shape[:-3])
-            out = np.empty(batch + (len(params), j.dim, l.dim),
-                           dtype=parts[0][1].dtype)
-            for m, part in parts:
-                out[..., m, :, :] = part
+            if out is None:
+                out = np.empty(shape, dtype=np.result_type(k0, float))
+            for m in (flip, ~flip):
+                out[..., m, :, :] = steer(k0[..., m, :, :] if own_axis else k0,
+                                          j, l, params[m])
             return out
-    return rep_matrices(j, params) @ k0 @ rep_inverses(l, params)
+    rho = rep_matrices(j, params)
+    if j == l and j.group != LORENTZ:
+        # Compact inverses are conjugate transposes (see irreps.rep_inverses).
+        rho_inv = rho.conj().swapaxes(-1, -2)
+    else:
+        rho_inv = rep_inverses(l, params)
+    work = np.matmul(rho, k0, out=work)
+    return np.matmul(work, rho_inv, out=out)
 
 
 def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
@@ -111,25 +136,32 @@ def kernels_at(elements, points) -> np.ndarray:
                            if len(points) else np.zeros((0, 1)))
 
 
-def section_kernels(elements, coords) -> np.ndarray:
+def section_kernels(elements, coords, out=None, work=None) -> np.ndarray:
     """Values of a basis at a stack of points of its orbit given by their
     coordinates, shape (n, c) -> ``(n_basis, n, dim_j, dim_l)``.
 
     The coset sections of all points are computed at once, and the whole
     basis is steered by stacks of sections that fit the chunk budget, each
-    written straight into the output.
+    written in place into the output through one work array per call.
+    ``out`` and ``work``, when given, have the output's shape and dtype.
     """
     _check_basis(elements)
     e0 = elements[0]
     j, l = e0.j, e0.l
     coords = np.asarray(coords, dtype=float)
-    out = np.empty((len(elements), len(coords), j.dim, l.dim),
-                   dtype=complex if j.field == COMPLEX else float)
+    shape = (len(elements), len(coords), j.dim, l.dim)
+    dtype = complex if j.field == COMPLEX else float
+    if out is None:
+        out = np.empty(shape, dtype)
+    _require_shape(shape, out, work)
     if not len(coords):
         return out
     params = groups.section_params(e0.orbit, coords, j.group)
     k0 = np.stack([e.base_matrix for e in elements])[:, None]
     step = chunk_length(out.itemsize * len(elements) * j.dim * l.dim)
+    if work is None:
+        work = np.empty(shape[:1] + (min(step, len(params)),) + shape[2:], dtype)
     for i in range(0, len(params), step):
-        out[:, i:i + step] = steer(k0, j, l, params[i:i + step])
+        g = params[i:i + step]
+        steer(k0, j, l, g, out=out[:, i:i + step], work=work[:, :len(g)])
     return out

@@ -89,9 +89,10 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     For each pair the kernels at g.x, evaluated through the coset section,
     are compared with the kernels at x steered by g.  All n_g x n_x pairs
     are evaluated as stacks, a block of group elements at a time within the
-    chunk budget.  On the null cone the kernel is well defined only modulo
-    the gauge choice of the auxiliary null vector, so the massless cases are
-    dispatched to :func:`massless_steer_residual`.
+    chunk budget, into arrays allocated once per call.  On the null cone the
+    kernel is well defined only modulo the gauge choice of the auxiliary
+    null vector, so the massless cases are dispatched to
+    :func:`massless_steer_residual`.
     """
     if not elements or min(n_g, n_x) < 1:
         return 0.0
@@ -107,13 +108,20 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     scale = np.fmax(1.0, numerics.norms(kx))[:, :, None]
     worst = 0.0
     step = steering.chunk_length(kx.nbytes)
+    # Flat buffers: the leading part of each is a C-ordered block of any
+    # length up to step.
+    bufs = [np.empty(min(step, n_g) * kx.size, kx.dtype) for _ in range(3)]
     for i in range(0, n_g, step):
         g = gs[i:i + step]
+        shape = kx.shape[:2] + (len(g),) + kx.shape[2:]
+        kgx, steered, work = (b[:math.prod(shape)].reshape(shape) for b in bufs)
         moved = groups.act_points(j.group, g, orbit, coords[:, None])
-        kgx = steering.section_kernels(elements, moved.reshape(-1, moved.shape[-1]))
-        steered = steering.steer(kx[:, :, None], j, l, g)
+        flat = (len(elements), -1, j.dim, l.dim)
+        steering.section_kernels(elements, moved.reshape(-1, moved.shape[-1]),
+                                 out=kgx.reshape(flat), work=work.reshape(flat))
+        steering.steer(kx[:, :, None], j, l, g, out=steered, work=work)
         worst = _worst(worst, numerics.norms(
-            kgx.reshape(steered.shape) - steered) / scale)
+            np.subtract(kgx, steered, out=steered)) / scale)
     return worst
 
 

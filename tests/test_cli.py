@@ -173,6 +173,9 @@ def test_sample_roundtrip_bit_exact(tmp_path, capsys):
     grid = parse_grid("sphere:4x3", 1.0, 1.0)
     fresh = kernels_at(elements, grid.points())
     assert np.array_equal(arr, fresh)
+    # A grid on another sphere than the basis's is not evaluated.
+    with pytest.raises(ValueError):
+        cli.write_dump(out, elements, parse_grid("sphere:4x3", 2.0, 1.0), 3)
 
 
 def test_sample_complex_payload_roundtrip(tmp_path, capsys):

@@ -36,6 +36,11 @@ SAMPLE_GOLDENS = [
      "6f17daf51f011d390760daff724fdad40e850b0d65e58465a2c078530361501b"),
     (("lorentz", "tensor20", "tensor20", "real", "cone:3x2x2:eta=2"),
      "d081a2804fb04a98cb5c1bf07f050baa422b5beaf41469bfab60297723dd3b3e"),
+    # Several chunks, the last one partial: 26 + 26 + 4 and 89 + 39 points.
+    (("so3", "8", "8", "real", "sphere:8x7"),
+     "8d739170baba6f56d012da101fe8663b56437aca0d2fa8e586a43336d0b39755"),
+    (("so3", "4", "4", "complex", "sphere:16x8"),
+     "6e07c0cff87e8ab6a3bd15eb12360682dc28e33031797ae9aff21d2d1da00999"),
 ]
 
 VERIFY_SEED7_GOLDEN = (

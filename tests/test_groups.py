@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from steerkit import groups
+from steerkit import analytic_bases as bases
+from steerkit import groups, steering
 from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              NullCone, Sphere, act, base_point, boost_matrix,
                              circle_point, compose, cone_point,
@@ -200,6 +201,12 @@ def test_orbit_point_validation():
     # A finite 4-vector whose squared norm overflows is not on the orbit.
     with pytest.raises(GroupError):
         massive_point([1e200, 0.0, 0.0, 1e200])
+    # Sections of raw sphere coordinates, as a dump or a kernel stack uses.
+    for build in (lambda: groups.section_params(Sphere(), [[inf, 0.5]]),
+                  lambda: steering.section_kernels(bases.basis_so3(1, 1),
+                                                   [[nan, 0.5]])):
+        with pytest.raises(GroupError, match="sphere angles must be finite"):
+            build()
 
 
 def test_element_validation():

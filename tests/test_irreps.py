@@ -34,6 +34,23 @@ def test_wigner_small_d_degenerate_cases():
     for l in range(5):
         np.testing.assert_allclose(wigner_small_d(l, 0.0), np.eye(2 * l + 1),
                                    atol=1e-14)
+    # The stacked sum equals a scalar loop over the term table, each entry
+    # starting from 0.0, bit for bit (a -0.0 first term sums to +0.0).
+    rng = np.random.default_rng(3)
+    betas = np.concatenate([[0.0, math.pi, 1e-9, math.pi - 1e-9],
+                            rng.uniform(0.0, math.pi, 5)])
+    for l in (0, 1, 2, 4, 8, 16, 32):
+        n = 2 * l + 1
+        d = irreps._wigner_small_d_stack(l, betas)
+        assert d.shape == (len(betas), n, n) and d.flags.c_contiguous
+        cpow = np.power(np.cos(betas / 2.0)[:, None], np.arange(n)).tolist()
+        spow = np.power(np.sin(betas / 2.0)[:, None], np.arange(n)).tolist()
+        terms = list(zip(*(a.tolist() for a in irreps._dsmall_terms(l)[:4])))
+        for i in range(len(betas)):
+            ref = [0.0] * (n * n)
+            for entry, cp, sp, coef in terms:
+                ref[entry] += coef * cpow[i][cp] * spow[i][sp]
+            assert d[i].ravel().tobytes() == np.array(ref).tobytes(), (l, i)
 
 
 def test_wigner_small_d_orthogonal():

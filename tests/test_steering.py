@@ -179,6 +179,19 @@ def test_steer_stack_matches_elementwise():
         steered = steer(k0[:, None], label, label, params)
         for i, g in enumerate(elems):
             assert _same_bits(steered[:, i], steer(k0, label, label, g))
+            # j == l steers through one stack; rep_inverse is the reference.
+            assert _same_bits(steered[:, i], rep_matrix(label, g) @ k0
+                              @ rep_inverse(label, g)), (label, g)
+        # Into strided caller memory, with nothing written beside it.
+        dest = np.full((2, 3, 2 * len(elems), label.dim, label.dim), np.nan,
+                       steered.dtype)
+        out, work = dest[0, :, ::2], dest[1, :, 1::2]
+        assert steer(k0[:, None], label, label, params, out=out,
+                     work=work) is out
+        assert _same_bits(out, steered) and np.isnan(dest[0, :, 1::2]).all()
+        one = np.empty_like(steered[:, 0])
+        steer(k0, label, label, elems[-1], out=one, work=np.empty_like(one))
+        assert _same_bits(one, steered[:, -1])
     # A stack of O(3) elements that mixes parities, against a 1x1 label.
     j, l = o3_irrep(2, 1), o3_irrep(0, 1)
     elems = [groups.random_element("o3", rng) for _ in range(12)]
@@ -191,6 +204,14 @@ def test_steer_stack_matches_elementwise():
     steered = steer(k0[:, :1], j, l, params)
     for i, g in enumerate(elems):
         assert _same_bits(steered[:, i], steer(k0[:, 0], j, l, g))
+    dest = np.full((4, 24, 5, 1), np.nan)
+    out = dest[:, ::2]
+    assert steer(k0[:, :1], j, l, params, out=out,
+                 work=np.empty_like(steered)) is out
+    assert _same_bits(out, steered) and np.isnan(dest[:, 1::2]).all()
+    for bad in ({"out": out[:, 1:]}, {"work": np.empty((4, 12, 5, 2))}):
+        with pytest.raises(IrrepError):
+            steer(k0[:, :1], j, l, params, **bad)
     # kernels_at steers the whole basis in chunks of stacked sections; each
     # slice must equal the kernel_at reference, also across chunk borders.
     vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
