@@ -12,13 +12,13 @@ from .analytic_bases import (KernelBasisElement, basis_for,
                              basis_so2, basis_so3, lorentz_massive_basis)
 from .groups import (Circle, GroupElement, MassiveHyperboloid, NullCone,
                      OrbitPoint, Sphere, act, base_point, circle_point,
-                     compose, cone_point, coset_representative, identity,
+                     cone_point, coset_representative, identity,
                      lorentz_element, massive_point, o2_element, o3_element,
                      so2_element, so3_element, sphere_point,
                      stabilizer_sample)
 from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
-                     real_change_of_basis, rep_matrix, sl2c_to_lorentz,
-                     so2_irrep, so3_irrep, spinor_vector_irrep, tensor_irrep,
+                     real_change_of_basis, rep_matrix, so2_irrep,
+                     so3_irrep, spinor_vector_irrep, tensor_irrep,
                      wigner_small_d)
 from .numerics import kron, nullspace, principal_angle_distance
 from .stabilizer_solver import (IntertwinerSpace, predicted_dimension,
@@ -32,12 +32,12 @@ __all__ = [
     "KernelBasisElement", "basis_for", "basis_lorentz_massless", "basis_o2",
     "basis_o3", "basis_so2", "basis_so3", "lorentz_massive_basis",
     "Circle", "GroupElement", "MassiveHyperboloid", "NullCone", "OrbitPoint",
-    "Sphere", "act", "base_point", "circle_point", "compose", "cone_point",
+    "Sphere", "act", "base_point", "circle_point", "cone_point",
     "coset_representative", "identity", "lorentz_element", "massive_point",
     "o2_element", "o3_element", "so2_element", "so3_element", "sphere_point",
     "stabilizer_sample",
     "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
-    "real_change_of_basis", "rep_matrix", "sl2c_to_lorentz", "so2_irrep",
+    "real_change_of_basis", "rep_matrix", "so2_irrep",
     "so3_irrep", "spinor_vector_irrep", "tensor_irrep", "wigner_small_d",
     "kron", "nullspace", "principal_angle_distance",
     "IntertwinerSpace", "predicted_dimension", "solve_basepoint",

@@ -159,8 +159,8 @@ class GridSpec:
         # One boost along z per rapidity, rotated to each grid direction.
         ne = self.shape[2]
         params = np.zeros((na, nb, ne, 6))
-        params[..., :3] = groups._euler_from_rotation(groups.euler_zyz_matrix(
-            alpha[:, None], beta[None, :], 0.0))[:, :, None]
+        params[..., 0] = alpha[:, None, None]
+        params[..., 1] = beta[None, :, None]
         params[..., 5] = np.linspace(0.0, self.eta_max, ne)
         base = groups.base_point(self.orbit)
         return groups.act_points(groups.LORENTZ, params.reshape(-1, 6),

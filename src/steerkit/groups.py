@@ -13,9 +13,9 @@ SO+(1,3).  Conventions fixed here and relied on everywhere else:
 * Coset sections: circle ``x0 = (R, 0)`` with ``g_phi``; sphere ``x0 =
   (0, 0, R)`` with ``g_{alpha,beta,0}``; massive hyperboloid ``x0 =
   (m, 0, 0, 0)`` with ``R(alpha,beta,0) Bz(eta)``; null cone ``x0 =
-  (1, 0, 0, 1)`` likewise with ``exp(eta) = x^0``.  At the coordinate
-  singularities (south pole, backward null direction) the section fixes
-  ``alpha = 0``.
+  (1, 0, 0, 1)`` likewise with ``exp(eta) = x^0``.  On the z axis (the
+  poles, the rest frame, the forward and backward null directions) the
+  section fixes ``alpha = 0``, and the rest frame gets the identity.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def _wrap(angle: float) -> float:
 # floating-point operations as for one element, so each matrix of a stack
 # equals the one built alone bit for bit: ``np.cos``/``np.sin`` agree with
 # ``math.cos``/``math.sin``, and stacked ``matmul`` runs the per-matrix
-# kernel.  ``np.cosh``/``np.sinh``/``np.arccos``/``np.arctan2`` do not agree
-# with ``math`` in the last bit, so those stay scalar ``math`` calls.
+# kernel.  ``np.cosh``/``np.sinh``/``np.arctan2`` do not agree with ``math``
+# in the last bit, so the boosts and circle angles, whose bits are pinned,
+# stay scalar ``math`` calls.
 
 def _scalar(fn, *args: np.ndarray) -> np.ndarray:
     """``fn`` of ``math`` applied entry by entry to equally shaped arrays."""
@@ -176,29 +177,6 @@ def matrices(group: str, params) -> np.ndarray:
     return _rot4(rot) @ boost_matrix(p[..., 3:6])
 
 
-def _euler_from_rotation(r) -> np.ndarray:
-    """z-y-z Euler angles of 3x3 rotation matrices, shape (..., 3, 3) ->
-    (..., 3), beta in [0, pi]."""
-    r = np.asarray(r, dtype=float)
-    m = r.reshape(-1, 3, 3)
-    cb = np.clip(m[:, 2, 2], -1.0, 1.0)
-    beta = _scalar(math.acos, cb)
-    alpha, gamma = np.zeros_like(beta), np.zeros_like(beta)
-    generic = np.sin(beta) > 1e-9
-    # beta ~ 0: only alpha + gamma is defined, put it all in alpha.
-    north = ~generic & (cb > 0.0)
-    # beta ~ pi: R = Rz(alpha) Ry(pi), so R[:2,:2] = -Rz(alpha)[:2,:2]
-    south = ~generic & ~(cb > 0.0)
-    g = m[generic]
-    alpha[generic] = _scalar(math.atan2, g[:, 1, 2], g[:, 0, 2])
-    gamma[generic] = _scalar(math.atan2, g[:, 2, 1], -g[:, 2, 0])
-    alpha[north] = _scalar(math.atan2, m[north, 1, 0], m[north, 0, 0])
-    alpha[south] = _scalar(math.atan2, -m[south, 1, 0], -m[south, 0, 0])
-    beta[north], beta[south] = 0.0, math.pi
-    angles = np.stack([_wrap_angles(alpha), beta, _wrap_angles(gamma)], axis=-1)
-    return angles.reshape(r.shape[:-2] + (3,))
-
-
 # ---------------------------------------------------------------------------
 # group elements
 
@@ -208,7 +186,10 @@ class GroupElement:
 
     ``params`` is the canonical parameter tuple: ``(phi,)`` for SO(2),
     ``(phi, s)`` for O(2), ``(alpha, beta, gamma)`` for SO(3), plus parity
-    ``p`` for O(3), plus the rapidity vector for the Lorentz group.
+    ``p`` for O(3), plus the rapidity vector for the Lorentz group.  The
+    constructors put the angles in ``[0, 2pi)``, except ``beta`` in
+    ``[0, pi]``, with ``gamma = 0`` when ``beta`` is 0 or pi; ``s`` and
+    ``p`` are +-1 and the rapidity vector is any finite 3-vector.
     """
 
     group: str
@@ -218,15 +199,6 @@ class GroupElement:
     def matrix(self) -> np.ndarray:
         """Concrete matrix realization on R^d (d = 2, 3 or 4)."""
         return matrices(self.group, self.params)
-
-    def inverse(self) -> "GroupElement":
-        m = self.matrix
-        if self.group == LORENTZ:
-            return element_from_matrix(self.group, ETA @ m.T @ ETA)
-        return element_from_matrix(self.group, m.T)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
 
 
 def so2_element(phi: float) -> GroupElement:
@@ -247,10 +219,19 @@ def o2_reflection() -> GroupElement:
 
 
 def so3_element(alpha: float, beta: float, gamma: float) -> GroupElement:
-    # Canonicalize through the matrix so any input lands in the standard
-    # z-y-z ranges.
+    """``R(alpha, beta, gamma)`` with its angles folded into the z-y-z
+    ranges without forming the matrix."""
     _require_finite("Euler angles", (alpha, beta, gamma))
-    return element_from_matrix(SO3, euler_zyz_matrix(alpha, beta, gamma))
+    beta = float(beta) % TWO_PI
+    if beta > math.pi:
+        # Ry(beta) = Rz(pi) Ry(2pi - beta) Rz(pi)
+        alpha, beta, gamma = alpha + math.pi, TWO_PI - beta, gamma + math.pi
+    # Only alpha + gamma (beta = 0) or alpha - gamma (beta = pi) is defined.
+    if beta == 0.0:
+        alpha, gamma = alpha + gamma, 0.0
+    elif beta == math.pi:
+        alpha, gamma = alpha - gamma, 0.0
+    return GroupElement(SO3, (_wrap(alpha), beta, _wrap(gamma)))
 
 
 def o3_element(alpha: float, beta: float, gamma: float, parity: int = 1) -> GroupElement:
@@ -277,51 +258,6 @@ _IDENTITIES = {g: GroupElement(g, p) for g, p in (
 
 def identity(group: str) -> GroupElement:
     return _IDENTITIES[group]
-
-
-def element_from_matrix(group: str, m: np.ndarray) -> GroupElement:
-    """Recover canonical parameters from a matrix realization."""
-    m = np.asarray(m, dtype=float)
-    if group == SO2:
-        return so2_element(math.atan2(m[1, 0], m[0, 0]))
-    if group == O2:
-        s = 1 if np.linalg.det(m) > 0 else -1
-        return o2_element(math.atan2(m[1, 0], m[0, 0]), s)
-    if group == SO3:
-        return GroupElement(SO3, tuple(_euler_from_rotation(m).tolist()))
-    if group == O3:
-        p = 1.0 if np.linalg.det(m) > 0 else -1.0
-        return GroupElement(O3, tuple(_euler_from_rotation(p * m).tolist()) + (p,))
-    if group == LORENTZ:
-        return _lorentz_from_matrix(m)
-    raise GroupError(f"unknown group {group!r}")
-
-
-def _lorentz_from_matrix(m: np.ndarray) -> GroupElement:
-    if m[0, 0] < 1.0 - 1e-9 or np.linalg.det(m) < 0:
-        raise GroupError("matrix is not proper orthochronous")
-    # Polar split Lambda = R B: B^2 = Lambda^T Lambda is SPD because R is
-    # Euclidean-orthogonal and B symmetric.
-    b2 = m.T @ m
-    b2 = 0.5 * (b2 + b2.T)
-    ch = b2[0, 0]
-    if ch <= 1.0 + 1e-14:
-        eta = np.zeros(3)
-    else:
-        # B^2 is the boost of rapidity 2*eta along the same axis.
-        sh_vec = b2[0, 1:]
-        sh = float(np.linalg.norm(sh_vec))
-        eta = 0.5 * math.asinh(sh) * (sh_vec / sh)
-    rot4 = m @ boost_matrix(-eta)
-    alpha, beta, gamma = _euler_from_rotation(rot4[1:, 1:]).tolist()
-    return GroupElement(LORENTZ, (alpha, beta, gamma) + tuple(eta))
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product ``a * b`` (matrices multiply left to right)."""
-    if a.group != b.group:
-        raise GroupError(f"cannot compose {a.group} with {b.group}")
-    return element_from_matrix(a.group, a.matrix @ b.matrix)
 
 
 def random_element(group: str, rng: np.random.Generator,
@@ -503,13 +439,12 @@ def base_point(orbit: Orbit) -> OrbitPoint:
 
 
 def _polar(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
-    """Angles (alpha, beta) of directions with planar components (x, y) and
-    unit-scaled heights z; alpha is 0 on the z axis."""
-    beta = _scalar(math.acos, np.clip(z, -1.0, 1.0))
-    alpha = np.zeros_like(beta)
-    off_axis = np.sin(beta) > 1e-12
-    alpha[off_axis] = _scalar(math.atan2, y[off_axis], x[off_axis])
-    return alpha, beta
+    """Angles (alpha, beta) of the directions (x, y, z), of any length:
+    ``alpha = atan2(y, x)`` wrapped to [0, 2pi) and ``beta = atan2(hypot(x,
+    y), z)``.  Adding 0.0 turns -0.0 into +0.0, so alpha is 0 on the z axis
+    and beta is 0 at the origin."""
+    x, y, z = x + 0.0, y + 0.0, z + 0.0
+    return _wrap_angles(np.arctan2(y, x)), np.arctan2(np.hypot(x, y), z)
 
 
 def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
@@ -525,7 +460,7 @@ def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
         if isinstance(orbit, Circle):
             flat = _scalar(math.atan2, flat[:, 1], flat[:, 0])[:, None]
         else:
-            flat = np.stack(_polar(flat[:, 0], flat[:, 1], flat[:, 2] / r), -1)
+            flat = np.stack(_polar(*flat.T), -1)
     coords = _canonical_coords(orbit, flat)
     return coords.reshape(v.shape[:-1] + coords.shape[-1:])
 
@@ -563,38 +498,32 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
     The section is fixed for each orbit: ``g_phi`` on the circle,
     ``g_{alpha,beta,0}`` on the sphere, and ``R(alpha, beta, 0) Bz(eta)`` on
     the hyperboloid and the cone.  For O(2)/O(3) it stays in the connected
-    component (s = p = +1).  It is smooth except at the south pole and the
-    backward null direction, where alpha is fixed to 0, and at the rest
-    frame, which gets the identity rotation.
+    component (s = p = +1).  The parameters come straight from the
+    coordinates, checked and canonicalized by :func:`_canonical_coords`:
+    ``alpha = atan2(y, x)``, ``beta = atan2(hypot(x, y), z)`` of the spatial
+    part, ``eta = asinh(|x|/m)`` on the hyperboloid and ``log x^0`` on the
+    cone.  The section is smooth except on the z axis, where alpha is 0,
+    and the rest frame gets the identity.
     """
     group = group or default_group(orbit)
     _require_compatible(group, orbit)
     c = np.asarray(coords, dtype=float)
-    flat = c.reshape(-1, c.shape[-1])
+    flat = _canonical_coords(orbit, c.reshape(-1, c.shape[-1]))
     out = np.zeros((len(flat), PARAM_COUNT[group]))
     if isinstance(orbit, Circle):
-        _require_finite("circle angle", flat)
-        out[:, 0] = _wrap_angles(flat[:, 0])
+        out[:, 0] = flat[:, 0]
         out[:, 1:] = 1.0
     elif isinstance(orbit, Sphere):
-        _require_finite("sphere angles", flat)
         out[:, :2] = flat
         out[:, 3:] = 1.0
     else:
+        # R(alpha, beta, 0) turns z-hat to the direction of the spatial
+        # part, then Bz supplies the rapidity.
+        out[:, 0], out[:, 1] = _polar(*flat[:, 1:].T)
         if isinstance(orbit, MassiveHyperboloid):
-            out[:, 5] = _scalar(math.acosh, np.fmax(1.0, flat[:, 0] / orbit.mass))
-            norm = np.sqrt(row_dots(flat[:, 1:]))
-            moving = ~(norm < 1e-14)
-            n = flat[moving, 1:] / norm[moving, None]
+            out[:, 5] = np.arcsinh(np.sqrt(row_dots(flat[:, 1:])) / orbit.mass)
         else:
-            out[:, 5] = _scalar(math.log, flat[:, 0])
-            moving = np.ones(len(flat), dtype=bool)
-            n = flat[:, 1:] / flat[:, :1]
-        _require_finite("section direction", n)
-        alpha, beta = _polar(n[:, 0], n[:, 1], n[:, 2])
-        # R(alpha, beta, 0) maps z-hat to n-hat, canonicalized like
-        # so3_element; Bz then supplies the rapidity.
-        out[moving, :3] = _euler_from_rotation(euler_zyz_matrix(alpha, beta, 0.0))
+            out[:, 5] = np.log(flat[:, 0])
     return out.reshape(c.shape[:-1] + out.shape[-1:])
 
 
@@ -658,30 +587,6 @@ def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSa
         if shift > _ORTHO_TOL * 10:
             raise GroupError(f"stabilizer sample element {h} moves the base point")
     return StabilizerSample(x0, elems)
-
-
-def random_stabilizer_element(orbit: Orbit, group: Optional[str] = None,
-                              rng: Optional[np.random.Generator] = None) -> GroupElement:
-    """Fresh random element of the stabilizer of the orbit's base point."""
-    group = group or default_group(orbit)
-    rng = rng if rng is not None else np.random.default_rng()
-    theta = rng.uniform(0.0, TWO_PI)
-    if isinstance(orbit, Circle):
-        if group == SO2:
-            return identity(SO2)
-        return o2_reflection() if rng.random() < 0.5 else identity(O2)
-    if isinstance(orbit, Sphere):
-        if group == SO3:
-            return GroupElement(SO3, (theta, 0.0, 0.0))
-        if rng.random() < 0.5:
-            return GroupElement(O3, (theta, 0.0, 0.0, 1.0))
-        refl = compose(o3_element(theta, 0.0, 0.0),
-                       GroupElement(O3, (0.0, math.pi, 0.0, -1.0)))
-        return refl
-    if isinstance(orbit, MassiveHyperboloid):
-        g3 = random_element(SO3, rng)
-        return GroupElement(LORENTZ, g3.params + (0.0, 0.0, 0.0))
-    return GroupElement(LORENTZ, (theta, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def random_orbit_point(orbit: Orbit, rng: np.random.Generator,

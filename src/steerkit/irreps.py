@@ -368,23 +368,6 @@ def sl2_of(g: GroupElement) -> np.ndarray:
     return _sl2_stack(groups.parameter_stack(LORENTZ, [g.params]))[0]
 
 
-def sl2c_to_lorentz(a) -> GroupElement:
-    """Lorentz element of an SL(2,C) matrix via the sigma-trace formula.
-
-    ``Lambda^mu_nu = Tr(sigma_mu a sigma_nu a^dagger) / 2``; a and -a map to
-    the same element.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2) or abs(np.linalg.det(a) - 1.0) > 1e-12:
-        raise IrrepError("expected a 2x2 matrix with unit determinant")
-    lam = np.empty((4, 4))
-    adag = a.conj().T
-    for mu in range(4):
-        for nu in range(4):
-            lam[mu, nu] = 0.5 * np.trace(_SIGMA[mu] @ a @ _SIGMA[nu] @ adag).real
-    return groups.element_from_matrix(LORENTZ, lam)
-
-
 def realify(m: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors;
     a stack of maps gives a stack."""

@@ -1,0 +1,129 @@
+"""Exact reference kernels on the Lorentz orbits, for the tests only.
+
+A kernel at x is ``rho_j(g) K0 rho_l(g)^-1`` for a group element g with
+``g . x0 = x``.  At the points built here g has rational entries, so the
+kernel is evaluated exactly, with the base matrix entering as the exact
+value of its float64 entries (``Fraction(float)``), and rounded to float64
+once.  The sections differ from the library's on purpose where the kernels
+allow it:
+
+* massive tensors: the pure boost B(u) of the 4-velocity u.  Massive
+  kernels are invariant under the stabilizer, the rotations, so any section
+  gives the same kernel.
+* realified Dirac: the SL(2,C) boost ``((1 + u0) I + u.sigma) / sqrt(2 (1 +
+  u0))``, rational when ``e^(eta/2)`` is.
+* null cone: the library's own section ``R(alpha, beta, 0) Bz(eta)``,
+  because massless kernels depend on the section up to gauge.
+
+A direction is given by the rational cosines and sines of its angles (see
+:func:`half_angle`), a rapidity by the rational ``e^(eta/2)`` (massive) or
+``e^eta = x^0`` (cone).  Rational matrices are kept as an integer object
+array over one common denominator.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from steerkit.irreps import DIRAC
+
+
+def half_angle(t) -> tuple:
+    """(cos, sin) of the angle 2 atan(t), rational for rational t."""
+    t = Fraction(t)
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
+def _rational(entries) -> tuple:
+    """Rational matrix (integer numerators, common denominator)."""
+    f = np.vectorize(Fraction, otypes=[object])(np.asarray(entries, dtype=object))
+    den = math.lcm(*(x.denominator for x in f.ravel()))
+    return np.vectorize(lambda x: x.numerator * (den // x.denominator),
+                        otypes=[object])(f), den
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    return a[0] @ b[0], a[1] * b[1]
+
+
+def _kron(a: tuple, b: tuple) -> tuple:
+    return np.kron(a[0], b[0]), a[1] * b[1]
+
+
+def _float(a: tuple) -> np.ndarray:
+    # int / int is correctly rounded.
+    return np.vectorize(lambda x: x / a[1], otypes=[float])(a[0])
+
+
+_ETA = np.diag([1, -1, -1, -1]).astype(object)
+
+
+def _tensor_rep(p: int, q: int, lam) -> tuple:
+    out = _rational([[1]])
+    for f in [lam] * p + [_ETA @ lam @ _ETA] * q:
+        out = _kron(out, _rational(f))
+    return out
+
+
+def _dirac_realified(c, s, n) -> tuple:
+    """Realified Weyl-basis S(A) = diag(A^-1, A) of the Hermitian SL(2,C)
+    boost ``A = c I + s n.sigma``."""
+    re = np.array([[n[2], n[0]], [n[0], -n[2]]], dtype=object)
+    im = np.array([[0, -n[1]], [n[1], 0]], dtype=object)
+    eye, zero = np.eye(2, dtype=int).astype(object), np.zeros((2, 2), int)
+    s_re = np.block([[c * eye - s * re, zero], [zero, c * eye + s * re]])
+    s_im = np.block([[-s * im, zero], [zero, s * im]])
+    return _rational(np.block([[s_re, -s_im], [s_im, s_re]]))
+
+
+def _steer(elements, rho, rho_inv) -> np.ndarray:
+    return np.stack([_float(_mul(_mul(rho, _rational(e.base_matrix)),
+                                 rho_inv)) for e in elements])
+
+
+def _direction(alpha, beta) -> list:
+    (ca, sa), (cb, sb) = alpha, beta
+    return [sb * ca, sb * sa, cb]
+
+
+def massive_kernels(elements, alpha, beta, h) -> tuple:
+    """The point of the unit-mass hyperboloid with direction angles
+    ``alpha``, ``beta`` (rational (cos, sin) pairs) and ``e^(eta/2) = h``,
+    as a float 4-vector, and the exact kernels of ``elements`` there."""
+    h = Fraction(h)
+    c, s = (h + 1 / h) / 2, (h - 1 / h) / 2   # cosh, sinh of eta / 2
+    n = _direction(alpha, beta)
+    u0, u = c * c + s * s, [2 * c * s * v for v in n]
+    point = [float(v) for v in [u0] + u]
+    e0 = elements[0]
+    if e0.j.spinor == DIRAC:
+        return point, _steer(elements, _dirac_realified(c, s, n),
+                             _dirac_realified(c, -s, n))
+    lam = np.empty((4, 4), dtype=object)
+    lam[0, 0], lam[0, 1:], lam[1:, 0] = u0, u, u
+    lam[1:, 1:] = [[int(a == b) + ua * ub / (1 + u0)
+                    for b, ub in enumerate(u)] for a, ua in enumerate(u)]
+    inv = _ETA @ lam.T @ _ETA
+    return point, _steer(elements, _tensor_rep(*e0.j.tensor, lam),
+                         _tensor_rep(*e0.l.tensor, inv))
+
+
+def cone_kernels(elements, alpha, beta, x0) -> tuple:
+    """The null-cone point ``x0 (1, n)`` with direction angles ``alpha``,
+    ``beta``, as a float 4-vector, and the exact kernels of ``elements``
+    there through the section ``R(alpha, beta, 0) Bz(log x0)``."""
+    x0 = Fraction(x0)
+    (ca, sa), (cb, sb) = alpha, beta
+    ch, sh = (x0 + 1 / x0) / 2, (x0 - 1 / x0) / 2
+    rz = np.array([[1, 0, 0, 0], [0, ca, -sa, 0], [0, sa, ca, 0],
+                   [0, 0, 0, 1]], dtype=object)
+    ry = np.array([[1, 0, 0, 0], [0, cb, 0, sb], [0, 0, 1, 0],
+                   [0, -sb, 0, cb]], dtype=object)
+    bz = np.array([[ch, 0, 0, sh], [0, 1, 0, 0], [0, 0, 1, 0],
+                   [sh, 0, 0, ch]], dtype=object)
+    lam = rz @ ry @ bz
+    point = [float(x0 * v) for v in [1] + _direction(alpha, beta)]
+    e0 = elements[0]
+    return point, _steer(elements, _tensor_rep(*e0.j.tensor, lam),
+                         _tensor_rep(*e0.l.tensor, _ETA @ lam.T @ _ETA))

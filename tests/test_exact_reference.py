@@ -1,0 +1,92 @@
+"""Lorentz kernels against the exact reference of ``exact_reference``.
+
+The points sit where the coset section is hardest to get right: next to
+the z axis on both sides, next to the rest frame, and at the backward null
+direction.  Each kernel from ``section_kernels`` and from ``kernel_at`` is
+within 1e-14 of the exact kernel, relative to max(1, |K|).
+"""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from steerkit import analytic_bases as bases
+from steerkit import groups
+from steerkit.groups import MassiveHyperboloid
+from steerkit.irreps import dirac_irrep, tensor_irrep
+from steerkit.steering import kernel_at, section_kernels
+
+from exact_reference import cone_kernels, half_angle, massive_kernels
+
+TOL = 1e-14
+
+GENERIC = (half_angle(Fraction(1, 2)), half_angle(Fraction(1, 3)))
+#: Directions about 1e-8 rad from +z and from -z.
+NEAR_NORTH = (half_angle(Fraction(1, 2)), half_angle(Fraction(1, 2 * 10**8)))
+NEAR_SOUTH = (half_angle(Fraction(1, 2)), half_angle(2 * 10**8))
+
+#: (direction, e^(eta/2)) on the unit-mass hyperboloid.
+MASSIVE_POINTS = {
+    "generic": (GENERIC, Fraction(3, 2)),
+    "near+z": (NEAR_NORTH, Fraction(33, 20)),       # eta ~ 1
+    "near-z": (NEAR_SOUTH, Fraction(33, 20)),
+    "eta1e-7": (GENERIC, 1 + Fraction(1, 2 * 10**7)),
+    "eta1e-9": (GENERIC, 1 + Fraction(1, 2 * 10**9)),
+    "rest": (GENERIC, Fraction(1)),
+}
+
+#: (direction, x^0) on the null cone; the backward direction has alpha = 0,
+#: the library's section there.
+CONE_POINTS = {
+    "generic": (GENERIC, Fraction(3, 2)),
+    "near+z": (NEAR_NORTH, Fraction(11, 4)),
+    "near-z": (NEAR_SOUTH, Fraction(11, 4)),
+    "backward": (((1, 0), (-1, 0)), Fraction(2)),
+}
+
+#: Every tensor pair with p + q <= 2 (all share spin 0, so each has a
+#: basis) and the realified Dirac pair.
+_TENSORS = [tensor_irrep(p, q) for p in range(3) for q in range(3 - p)]
+MASSIVE_BASES = [bases.lorentz_massive_basis(j, l)
+                 for j in _TENSORS for l in _TENSORS] + [
+    bases.lorentz_massive_basis(dirac_irrep(True), dirac_irrep(True))]
+CONE_BASES = [bases.basis_lorentz_massless(1), bases.basis_lorentz_massless(2)]
+
+
+def _check(elements, point, exact, make_point):
+    stacked = section_kernels(elements, np.array([point]))[:, 0]
+    x = make_point(point)
+    for elem, k_stack, k_exact in zip(elements, stacked, exact):
+        scale = max(1.0, np.linalg.norm(k_exact))
+        for k in (k_stack, kernel_at(elem, x)):
+            err = np.linalg.norm(k - k_exact) / scale
+            assert err <= TOL, (str(elem.j), str(elem.l), elem.kind, err)
+
+
+@pytest.mark.parametrize("name", MASSIVE_POINTS)
+def test_massive_kernels_match_exact_reference(name):
+    (alpha, beta), h = MASSIVE_POINTS[name]
+    for elements in MASSIVE_BASES:
+        point, exact = massive_kernels(elements, alpha, beta, h)
+        _check(elements, point, exact, groups.massive_point)
+
+
+@pytest.mark.parametrize("name", CONE_POINTS)
+def test_cone_kernels_match_exact_reference(name):
+    (alpha, beta), x0 = CONE_POINTS[name]
+    for elements in CONE_BASES:
+        point, exact = cone_kernels(elements, alpha, beta, x0)
+        _check(elements, point, exact, groups.cone_point)
+
+
+@pytest.mark.parametrize("name", ["eta1e-7", "eta1e-9"])
+def test_section_rapidity_near_rest_frame(name):
+    (alpha, beta), h = MASSIVE_POINTS[name]
+    point, _ = massive_kernels(MASSIVE_BASES[0], alpha, beta, h)
+    eta = groups.section_params(MassiveHyperboloid(), [point])[0, 5]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = float(2 * (Decimal(h.numerator) / Decimal(h.denominator)).ln())
+    assert abs(eta - exact) <= 4 * np.spacing(exact)

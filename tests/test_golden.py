@@ -3,6 +3,10 @@
 
 The digests were computed before the grid-steering path was batched; any
 change of output bits must be deliberate and come with new digests here.
+The three Lorentz ``sample`` payloads, the ``verify`` report and the sweep
+were re-pinned once since, when the coset sections and sphere coordinates
+began to be computed from the point with atan2 and asinh instead of being
+read back from a rotation matrix; CHANGES.md gives the differences.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digest pins the verifier's
@@ -31,11 +35,11 @@ SAMPLE_GOLDENS = [
     (("so2", "2", "3", "real", "circle:8"),
      "f559c7ccce1b24848069f03ba57f6b44c1afb1b4e74a89ba488b06d770ac301b"),
     (("lorentz", "tensor20", "tensor20", "real", "massive:3x2x2:eta=2"),
-     "a670108b139fcc6684ddc6c070829dacb988b95718a6cf453392ef7ebbecbd78"),
+     "20651c56851977ba020efc9bef13901fc11587cfdbeb5a339a791487c27cd101"),
     (("lorentz", "dirac", "dirac", "real", "massive:3x2x2:eta=2"),
-     "6f17daf51f011d390760daff724fdad40e850b0d65e58465a2c078530361501b"),
+     "48a83578b00f9b647e6794487907b435fd8f9e875e1b655a0462ff170f35f243"),
     (("lorentz", "tensor20", "tensor20", "real", "cone:3x2x2:eta=2"),
-     "d081a2804fb04a98cb5c1bf07f050baa422b5beaf41469bfab60297723dd3b3e"),
+     "8052b88270ed7753874ef7e7bd390587d3dbe76c1b834a801928091c091100d8"),
     # Several chunks, the last one partial: 26 + 26 + 4 and 89 + 39 points.
     (("so3", "8", "8", "real", "sphere:8x7"),
      "8d739170baba6f56d012da101fe8663b56437aca0d2fa8e586a43336d0b39755"),
@@ -44,7 +48,7 @@ SAMPLE_GOLDENS = [
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "b5255317aae54f1205cafb4359181ca0463c132abb14e351856b5b442a30c08e")
+    "24465091f51f548019b77a91cefdba7d31dc5135ca2d60c1d7a67816e01f2b93")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -62,7 +66,7 @@ DIMS_GOLDENS = [
 #: tensor20/vector, realified Dirac, realified spinor-vector and the cone
 #: vector/vector case.
 SWEEP_GOLDEN = (
-    "320700254298f3b35c2925e8bfcee7e0507782be24e80591891fe2f52a7996ec")
+    "255b8bb8a16a2d627009d2bf859e8f46e49fbe4015c2b36b3eb842148c72ca90")
 
 #: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
 #: realified spinor-vector pair (massive), tensor20/tensor20 on the cone, o3

@@ -7,18 +7,20 @@ from steerkit import analytic_bases as bases
 from steerkit import groups, steering
 from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              NullCone, Sphere, act, base_point, boost_matrix,
-                             circle_point, compose, cone_point,
-                             coset_representative, identity, massive_point,
-                             o2_element, o2_reflection, o3_element,
-                             random_element, random_orbit_point,
-                             random_stabilizer_element, so2_element,
-                             so3_element, sphere_point, stabilizer_sample)
+                             circle_point, cone_point, coset_representative,
+                             identity, massive_point, o2_element,
+                             o2_reflection, o3_element, random_element,
+                             random_orbit_point, so2_element, so3_element,
+                             sphere_point, stabilizer_sample)
+from steerkit.irreps import tensor_irrep
+
+from group_law import inverse, product, stabilizer_draw
 
 ALL_GROUPS = ("so2", "o2", "so3", "o3", "lorentz")
 
 
 def test_so2_composition_adds_angles():
-    g = compose(so2_element(0.3), so2_element(0.4))
+    g = product(so2_element(0.3), so2_element(0.4))
     assert abs(g.params[0] - 0.7) < 1e-14
 
 
@@ -26,14 +28,14 @@ def test_o2_reflection_conjugation_flips_angle():
     # r_y g_phi r_y = g_{-phi}
     phi = 1.234
     ry = o2_reflection()
-    g = compose(compose(ry, o2_element(phi)), ry)
+    g = product(product(ry, o2_element(phi)), ry)
     assert abs(g.params[0] - (2 * math.pi - phi)) < 1e-12
     assert g.params[1] == 1.0
 
 
 def test_so3_inverse_composes_to_identity():
     g = so3_element(0.4, 1.1, 2.2)
-    e = compose(g, g.inverse())
+    e = product(g, inverse(g))
     np.testing.assert_allclose(e.matrix, np.eye(3), atol=1e-13)
 
 
@@ -42,7 +44,7 @@ def test_inverse_matrix_property(group):
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = random_element(group, rng)
-        prod = g.inverse().matrix @ g.matrix
+        prod = inverse(g).matrix @ g.matrix
         np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-12)
 
 
@@ -57,7 +59,7 @@ def test_action_is_associative(group, orbit):
         a = random_element(group, rng)
         b = random_element(group, rng)
         x = random_orbit_point(orbit, rng)
-        lhs = act(compose(a, b), x).vector
+        lhs = act(product(a, b), x).vector
         rhs = act(a, act(b, x)).vector
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, abs(lhs[0])))
 
@@ -168,7 +170,7 @@ def test_random_stabilizer_elements_fix_base_point():
                          ("lorentz", NullCone())]:
         x0 = base_point(orbit)
         for _ in range(5):
-            h = random_stabilizer_element(orbit, group, rng)
+            h = stabilizer_draw(orbit, group, rng)
             assert h.group == group
             np.testing.assert_allclose(h.matrix @ x0.vector, x0.vector,
                                        atol=1e-12)
@@ -207,15 +209,33 @@ def test_orbit_point_validation():
                                                    [[nan, 0.5]])):
         with pytest.raises(GroupError, match="sphere angles must be finite"):
             build()
+    # Sections check their points like the point constructors: off the
+    # orbit (wrong mass, backward in time, off the cone) there is none.
+    vec = tensor_irrep(1, 0)
+    for elements, point in [
+            (bases.lorentz_massive_basis(vec, vec), [3.0, 0.0, 0.0, 0.0]),
+            (bases.lorentz_massive_basis(vec, vec), [-2.0, 0.0, 0.0, 1.0]),
+            (bases.basis_lorentz_massless(1), [1.0, 0.0, 0.5, 0.0])]:
+        for build in (lambda: groups.section_params(elements[0].orbit, [point]),
+                      lambda: steering.section_kernels(elements, [point])):
+            with pytest.raises(GroupError):
+                build()
+    # The rest frame gets the identity, also with negative zeros.
+    for mass in (1.0, 2.5):
+        params = groups.section_params(MassiveHyperboloid(mass),
+                                       [[mass, -0.0, -0.0, -0.0]])
+        assert not params.any()
+    # Canonical compact coordinates pass through with their bits.
+    rng = np.random.default_rng(3)
+    for orbit, shape in ((Circle(), (20, 1)), (Sphere(), (20, 2))):
+        coords = groups._canonical_coords(orbit, rng.uniform(-7, 7, shape))
+        params = groups.section_params(orbit, coords)
+        assert params[:, :shape[1]].tobytes() == coords.tobytes()
 
 
 def test_element_validation():
     with pytest.raises(GroupError):
         o2_element(0.1, s=0)
-    with pytest.raises(GroupError):
-        compose(so2_element(0.1), so3_element(0, 0, 0))
-    with pytest.raises(GroupError):
-        groups.element_from_matrix("lorentz", -np.eye(4))
     nan, inf = math.nan, math.inf
     for make, args in [(so2_element, (nan,)), (o2_element, (inf, -1)),
                        (so3_element, (nan, 0, 0)), (so3_element, (0, inf, 0)),
@@ -236,6 +256,25 @@ def test_angle_canonicalization():
     np.testing.assert_allclose(g.matrix,
                                groups.euler_zyz_matrix(7.0, 2.0, -3.0),
                                atol=1e-13)
+    # The angles are folded without a round trip through the matrix: the
+    # same rotation up to the rounding of alpha + pi and gamma + pi.
+    for beta in (0.0, 1e-12, 1e-8, math.pi - 1e-8, math.pi, -0.3, 4.0, 7.0):
+        g = so3_element(0.3, beta, 1.1)
+        a, b, c = g.params
+        assert 0 <= a < 2 * math.pi and 0 <= b <= math.pi and 0 <= c < 2 * math.pi
+        err = np.abs(g.matrix - groups.euler_zyz_matrix(0.3, beta, 1.1))
+        assert err.max() <= 5 * np.finfo(float).eps, beta
+
+
+def test_sphere_coords_near_the_poles():
+    for beta in (1e-8, 1e-6, math.pi - 1e-8):
+        for radius in (1.0, 3.0):
+            v = radius * np.array([math.sin(beta) * math.cos(0.7),
+                                   math.sin(beta) * math.sin(0.7),
+                                   math.cos(beta)])
+            a, b = groups.orbit_coords(Sphere(radius), v)
+            assert abs(b - beta) <= 4 * math.ulp(beta), (beta, radius)
+            assert abs(a - 0.7) <= 4 * math.ulp(0.7)
 
 
 def test_identity_elements():

@@ -11,9 +11,10 @@ from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              massless_weight_content, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverse, rep_matrix,
-                             sl2c_to_lorentz, so2_irrep,
-                             so3_irrep, spinor_vector_irrep, tensor_irrep,
-                             wigner_D, wigner_small_d)
+                             so2_irrep, so3_irrep, spinor_vector_irrep,
+                             tensor_irrep, wigner_D, wigner_small_d)
+
+from group_law import inverse, product, stabilizer_draw
 
 
 def sample_labels(max_l=4):
@@ -171,7 +172,7 @@ def test_rep_homomorphism(lab):
     for _ in range(50):
         a = random_element(lab.group, rng)
         b = random_element(lab.group, rng)
-        lhs = rep_matrix(lab, groups.compose(a, b))
+        lhs = rep_matrix(lab, product(a, b))
         rhs = rep_matrix(lab, a) @ rep_matrix(lab, b)
         assert (np.linalg.norm(lhs - rhs)
                 <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
@@ -186,7 +187,7 @@ def test_spinor_rep_homomorphism_up_to_cover_sign(spinor):
     for _ in range(50):
         a = random_element("lorentz", rng)
         b = random_element("lorentz", rng)
-        lhs = rep_matrix(spinor, groups.compose(a, b))
+        lhs = rep_matrix(spinor, product(a, b))
         rhs = rep_matrix(spinor, a) @ rep_matrix(spinor, b)
         defect = min(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs + rhs))
         assert defect <= 1e-11 * max(1.0, np.linalg.norm(rhs))
@@ -210,7 +211,7 @@ def test_rep_inverse_matches_inverse_element():
         for _ in range(5):
             g = random_element(lab.group, rng)
             lhs = rep_inverse(lab, g)
-            rhs = rep_matrix(lab, g.inverse())
+            rhs = rep_matrix(lab, inverse(g))
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -364,30 +365,31 @@ def test_sigma_map_preserves_minkowski_norm():
                    - groups.minkowski(x, x)) < 1e-12
 
 
-def test_sl2c_to_lorentz_examples():
-    np.testing.assert_allclose(sl2c_to_lorentz(np.eye(2)).matrix, np.eye(4),
-                               atol=1e-14)
+def _sigma_trace(a: np.ndarray) -> np.ndarray:
+    """Lorentz matrix covered by the SL(2,C) matrix ``a``:
+    ``Lambda^mu_nu = Tr(sigma_mu a sigma_nu a^dagger) / 2``."""
+    return 0.5 * np.einsum("mij,jk,nkl,li->mn", irreps._SIGMA, a,
+                           irreps._SIGMA, a.conj().T).real
+
+
+def test_sl2_of_covers_lorentz_elements():
+    np.testing.assert_allclose(_sigma_trace(np.eye(2)), np.eye(4), atol=1e-14)
     eta = 1.3
     g2 = np.diag([math.exp(eta / 2), math.exp(-eta / 2)]).astype(complex)
-    np.testing.assert_allclose(sl2c_to_lorentz(g2).matrix,
-                               boost_matrix([0, 0, eta]), atol=1e-12)
+    np.testing.assert_allclose(_sigma_trace(g2), boost_matrix([0, 0, eta]),
+                               atol=1e-12)
     theta = 0.9
     g2 = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     expect = np.eye(4)
     expect[1:, 1:] = groups.so3_element(theta, 0, 0).matrix
-    np.testing.assert_allclose(sl2c_to_lorentz(g2).matrix, expect, atol=1e-12)
-
-
-def test_sl2c_sign_invariance_and_validation():
+    np.testing.assert_allclose(_sigma_trace(g2), expect, atol=1e-12)
+    # sl2_of covers the element, and a and -a cover the same one.
     rng = np.random.default_rng(53)
     g = random_element("lorentz", rng)
     a = irreps.sl2_of(g)
-    np.testing.assert_allclose(sl2c_to_lorentz(a).matrix,
-                               sl2c_to_lorentz(-a).matrix, atol=1e-12)
-    np.testing.assert_allclose(sl2c_to_lorentz(a).matrix, g.matrix,
-                               atol=1e-11)
-    with pytest.raises(IrrepError):
-        sl2c_to_lorentz(2.0 * np.eye(2))
+    np.testing.assert_allclose(_sigma_trace(a), _sigma_trace(-a), atol=1e-12)
+    np.testing.assert_allclose(_sigma_trace(a),
+                               groups.matrices("lorentz", g.params), atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def test_tensor_slots_partition_and_are_stabilizer_invariant():
     # orthonormal basis of the tensor space, and the massive stabilizer
     # (rotations) maps every slot into itself.
     rng = np.random.default_rng(59)
-    hs = [groups.random_stabilizer_element(MassiveHyperboloid(), rng=rng)
+    hs = [stabilizer_draw(MassiveHyperboloid(), "lorentz", rng)
           for _ in range(6)]
     for sig, slots in TENSOR_SLOTS.items():
         lab = tensor_irrep(*sig)
