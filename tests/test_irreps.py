@@ -372,7 +372,7 @@ def _sigma_trace(a: np.ndarray) -> np.ndarray:
                            irreps._SIGMA, a.conj().T).real
 
 
-def test_sl2_of_covers_lorentz_elements():
+def test_sl2c_to_lorentz_examples():
     np.testing.assert_allclose(_sigma_trace(np.eye(2)), np.eye(4), atol=1e-14)
     eta = 1.3
     g2 = np.diag([math.exp(eta / 2), math.exp(-eta / 2)]).astype(complex)
@@ -383,13 +383,20 @@ def test_sl2_of_covers_lorentz_elements():
     expect = np.eye(4)
     expect[1:, 1:] = groups.so3_element(theta, 0, 0).matrix
     np.testing.assert_allclose(_sigma_trace(g2), expect, atol=1e-12)
-    # sl2_of covers the element, and a and -a cover the same one.
+
+
+def test_sl2c_sign_invariance_and_validation():
+    # sl2_of covers the element with a unit-determinant matrix, a and -a
+    # cover the same one, and non-Lorentz elements are rejected.
     rng = np.random.default_rng(53)
     g = random_element("lorentz", rng)
     a = irreps.sl2_of(g)
+    assert abs(np.linalg.det(a) - 1.0) < 1e-12
     np.testing.assert_allclose(_sigma_trace(a), _sigma_trace(-a), atol=1e-12)
     np.testing.assert_allclose(_sigma_trace(a),
                                groups.matrices("lorentz", g.params), atol=1e-11)
+    with pytest.raises(IrrepError):
+        irreps.sl2_of(groups.so3_element(0.3, 0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------
