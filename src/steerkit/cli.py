@@ -284,6 +284,8 @@ def _default_orbit(group: str, args) -> object:
 
 
 def _cmd_dims(args) -> int:
+    if args.jmax < 0:
+        raise CliError(f"--jmax must be >= 0, got {args.jmax}")
     rows = []
     if args.group == "lorentz":
         cases = verify.lorentz_case_grid(include_spinor_vector=args.full)

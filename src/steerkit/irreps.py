@@ -11,7 +11,8 @@ Conventions fixed here:
   d^l_{mm'}(beta) exp(-i m' gamma)`` in the spherical-harmonic basis with
   Condon-Shortley phases and rows/columns ordered by m descending from +l.
 * SO(3) real irreps are ``R^l = conj(S^l) D^l S^l.T`` in the real-harmonic
-  order ``(Y_l0, Yc_l1, Ys_l1, ..., Yc_ll, Ys_ll)``.
+  order ``(Y_l0, Yc_l1, Ys_l1, ..., Yc_ll, Ys_ll)``.  Both turn one table of
+  d^l(beta) per l and basis by z rotations; l is at most ``_MAX_L = 32``.
 * O(3) irreps multiply by ``eps * (-1)^l`` on parity elements.
 * Lorentz tensor reps of signature (p, q) are Kronecker products of p copies
   of Lambda and q copies of its inverse transpose, indices ordered
@@ -40,6 +41,8 @@ from .groups import ETA, LORENTZ, O2, O3, SO2, SO3, GroupElement
 REAL, COMPLEX = "real", "complex"
 
 DIRAC, SPINOR_VECTOR = "dirac", "spinor_vector"
+
+_MAX_L = 32     # the largest SO(3)/O(3) label l
 
 
 class IrrepError(ValueError):
@@ -137,14 +140,14 @@ def o2_irrep(j, field: str = REAL) -> IrrepLabel:
 
 def so3_irrep(l: int, field: str = REAL) -> IrrepLabel:
     l = _integer("SO(3) label l", l)
-    if l < 0:
-        raise IrrepError("SO(3) irreps are labeled by l >= 0")
+    _check_l(l)
     return IrrepLabel(SO3, field, j=l)
 
 
 def o3_irrep(l: int, parity: int, field: str = REAL) -> IrrepLabel:
     l = _integer("O(3) label l", l)
-    if l < 0 or parity not in (1, -1):
+    _check_l(l)
+    if parity not in (1, -1):
         raise IrrepError("O(3) irreps are labeled by (l >= 0, parity)")
     return IrrepLabel(O3, field, j=l, parity=parity)
 
@@ -177,68 +180,82 @@ def basis_convention(label: IrrepLabel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Wigner small-d and D matrices
+# Wigner D matrices: D^l(alpha, beta, gamma) = Z(alpha) d^l(beta) Z(gamma) in
+# both bases, Z the z rotation, and d^l(beta) = K Z(beta) K^-1 for
+# K = D^l(R_x(-pi/2)), tabulated once per l and basis from d^l(pi/2).
 
-_MAX_L = 32
-_LOG_FACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 2 * _MAX_L + 2)))])
+def _round_sqrt(num: int, den: int) -> float:
+    """The float nearest to sign(num) sqrt(|num| / den), for roots above
+    2^-74: an inexact root lies strictly between s and s + 1 times 2^-128,
+    where no rounding boundary falls, so it rounds like s + 1/2."""
+    s = math.isqrt((abs(num) << 256) // den)
+    inexact = s * s * den != abs(num) << 256
+    return math.copysign((2 * s + inexact) / (1 << 129), num)
 
 
 @lru_cache(maxsize=None)
-def _dsmall_terms(l: int):
-    """Term table for the factorial sum, vectorized over (row, col, s): the
-    flat entry, the cos and sin powers and the coefficient of each term,
-    and the start of each rank.  A term's rank is its position among the
-    terms of its entry (s ascending); the table is ordered by rank, then by
-    entry, so rank 0 holds one term of every entry in entry order."""
-    rows, cols, cps, sps, coefs, ranks = [], [], [], [], [], []
-    for a in range(l, -l - 1, -1):          # row index l - a
-        for b in range(l, -l - 1, -1):      # col index l - b
-            pref = 0.5 * (_LOG_FACT[l + a] + _LOG_FACT[l - a]
-                          + _LOG_FACT[l + b] + _LOG_FACT[l - b])
-            first = max(0, b - a)
-            for s in range(first, min(l + b, l - a) + 1):
-                logc = pref - (_LOG_FACT[l + b - s] + _LOG_FACT[s]
-                               + _LOG_FACT[a - b + s] + _LOG_FACT[l - a - s])
-                rows.append(l - a)
-                cols.append(l - b)
-                cps.append(2 * l + b - a - 2 * s)
-                sps.append(a - b + 2 * s)
-                coefs.append((-1.0) ** (a - b + s) * math.exp(logc))
-                ranks.append(s - first)
-    order = np.argsort(ranks, kind="stable")
-    starts = np.searchsorted(np.array(ranks)[order], np.arange(l + 2))
-    out = tuple(np.array(v)[order] for v in (
-        np.array(rows) * (2 * l + 1) + np.array(cols), cps, sps, coefs)) + (starts,)
-    for arr in out:
-        arr.flags.writeable = False
+def _half_pi_d(l: int) -> np.ndarray:
+    """Delta = d^l(pi/2), rows and columns m = l, ..., -l: the factorial sum
+    at cos(pi/4) = sin(pi/4) in integers, each entry rounded once."""
+    f = [math.factorial(i) for i in range(2 * l + 1)]
+    ms = range(l, -l - 1, -1)
+    out = np.empty((2 * l + 1, 2 * l + 1))
+    for i, a in enumerate(ms):
+        for k, b in enumerate(ms):
+            r = sum((-1) ** (a - b + s) * f[2 * l] // (
+                f[l + b - s] * f[s] * f[a - b + s] * f[l - a - s])
+                for s in range(max(0, b - a), min(l + b, l - a) + 1))
+            out[i, k] = _round_sqrt(r * abs(r) * f[l + a] * f[l - a]
+                                    * f[l + b] * f[l - b], 4 ** l * f[2 * l] ** 2)
     return out
 
 
-def _check_l(l: int) -> None:
-    if l < 0:
-        raise IrrepError("l must be >= 0")
-    if l > _MAX_L:
-        raise IrrepError(f"l = {l} exceeds the supported maximum {_MAX_L}")
-
-
-def _wigner_small_d_stack(l: int, beta: np.ndarray) -> np.ndarray:
-    """d^l at a 1-D stack of angles, shape (n, 2l+1, 2l+1).  Each entry sums
-    its terms in rank order starting from 0.0, one rank at a time over the
-    whole stack; the terms are laid out as (entry, angle)."""
-    entry, cps, sps, coefs, starts = _dsmall_terms(l)
+@lru_cache(maxsize=None)
+def _small_d_table(l: int, field: str) -> np.ndarray:
+    """d^l(beta) in the basis of ``field``: coefficients of 1, cos(k beta) - 1
+    and sin(k beta), k = 1..l, one row each.  ``d_ab = i^(a-b) sum_m
+    Delta_ma Delta_mb exp(-i m beta)`` and ``conj(S) d S^T`` (real basis)
+    add equal or opposite terms of m and -m: only products and scales round."""
     n = 2 * l + 1
-    powers = np.arange(n)
-    cpow = np.power(np.cos(beta / 2.0)[:, None], powers).T
-    spow = np.power(np.sin(beta / 2.0)[:, None], powers).T
-    # (coef * c) * s per term, formed in place in the gathered powers.
-    terms = cpow[cps]
-    terms *= coefs[:, None]
-    terms *= spow[sps]
-    # 0.0 + t, not t: a -0.0 first term sums to +0.0.
-    d = 0.0 + terms[:n * n]
-    for lo, hi in zip(starts[1:-1], starts[2:]):
-        d[entry[lo:hi]] += terms[lo:hi]
-    return np.ascontiguousarray(d.T).reshape(len(beta), n, n)
+    delta = _half_pi_d(l)
+    m = np.arange(l, -l - 1, -1)
+    quarter = np.subtract.outer(m, m) % 4
+    re_i = np.array([1.0, 0.0, -1.0, 0.0])          # Re i^q
+    table = np.empty((n, n, n))
+    table[0] = np.eye(n)
+    for k in range(1, l + 1):
+        plus = np.outer(delta[l - k], delta[l - k])
+        minus = np.outer(delta[l + k], delta[l + k])
+        table[k] = re_i[quarter] * (plus + minus)
+        table[l + k] = re_i[(quarter - 1) % 4] * (plus - minus)
+    if field == REAL:
+        # Y_0 is row m = 0 twice, Yc_k and Ys_k rows m = +-k with signs.
+        k = np.repeat(np.arange(l + 1), 2)[1:]
+        sign = np.where((np.arange(n) % 2 == 0) & (k > 0), -1.0, 1.0) * (-1.0) ** k
+        rows = table[:, l - k] + sign[:, None] * table[:, l + k]
+        scale = np.where(k == 0, 0.25, 0.5)
+        table = ((rows[:, :, l - k] + sign * rows[:, :, l + k])
+                 * np.sqrt(np.outer(scale, scale)))
+    table = np.ascontiguousarray(table).reshape(n, n * n)
+    table.flags.writeable = False
+    return table
+
+
+def _check_l(l: int) -> None:
+    if not 0 <= l <= _MAX_L:
+        raise IrrepError(f"l must be in 0..{_MAX_L}, got {l}")
+
+
+def _small_d_stack(l: int, beta: np.ndarray, field: str) -> np.ndarray:
+    """d^l in the basis of ``field`` at a 1-D stack of angles, a fresh
+    C-ordered (n, 2l+1, 2l+1) array.  ``np.einsum`` sums each entry over
+    the table rows in order and without BLAS, so every matrix of a stack
+    equals the matrix of its angle alone bit for bit."""
+    half = np.multiply.outer(0.5 * beta, np.arange(1, l + 1))
+    s, c = np.sin(half), np.cos(half)
+    trig = np.concatenate([np.ones((len(beta), 1)), -2.0 * s * s, 2.0 * s * c], 1)
+    return np.einsum("nk,kd->nd", trig, _small_d_table(l, field)).reshape(
+        len(beta), 2 * l + 1, 2 * l + 1)
 
 
 def wigner_small_d(l: int, beta: float) -> np.ndarray:
@@ -248,30 +265,35 @@ def wigner_small_d(l: int, beta: float) -> np.ndarray:
     (both indices descending from +l).
     """
     _check_l(l)
-    return _wigner_small_d_stack(l, np.array([beta], dtype=float))[0]
+    return _small_d_stack(l, np.array([beta], dtype=float), COMPLEX)[0]
 
 
-@lru_cache(maxsize=None)
-def _m_phase(l: int) -> np.ndarray:
-    """``-1j * m`` for m = l, ..., -l."""
-    phase = -1j * np.arange(l, -l - 1, -1)
-    phase.flags.writeable = False
-    return phase
-
-
-def _wigner_D_stack(l: int, angles: np.ndarray) -> np.ndarray:
-    """Wigner D^l at a 1-D stack of z-y-z Euler angles, shape (n, 3)."""
-    phase = _m_phase(l)
-    d = _wigner_small_d_stack(l, angles[:, 1])
-    left = np.exp(phase * angles[:, 0, None])
-    right = np.exp(phase * angles[:, 2, None])
-    return left[:, :, None] * d * right[:, None, :]
+def _so3_stack(l: int, angles: np.ndarray, field: str) -> np.ndarray:
+    """D^l in the basis of ``field`` at a stack of z-y-z Euler angles,
+    shape (n, 3); a fresh C-ordered array."""
+    d = _small_d_stack(l, angles[:, 1], field)
+    if field == COMPLEX:
+        phase = -1j * np.arange(l, -l - 1, -1)
+        left, right = np.exp(phase * angles[:, :1]), np.exp(phase * angles[:, 2:])
+        return left[:, :, None] * d * right[:, None, :]
+    # Z(alpha) @ d, then d @ Z(gamma) = (Z(-gamma) @ d^T)^T, in place: the
+    # rows (Yc_k, Ys_k) turn by k theta.
+    for rows, theta in ((d, angles[:, 0]), (d.swapaxes(1, 2), -angles[:, 2])):
+        k = np.multiply.outer(theta, np.arange(1, l + 1))
+        c, s = np.cos(k)[:, :, None], np.sin(k)[:, :, None]
+        x, y = rows[:, 1::2], rows[:, 2::2]
+        turned = c * x - s * y
+        y *= c
+        y += s * x
+        x[...] = turned
+    return d
 
 
 def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Wigner D^l, the SO(3) irrep matrix for z-y-z Euler angles."""
     _check_l(l)
-    return _wigner_D_stack(l, np.array([[alpha, beta, gamma]], dtype=float))[0]
+    return _so3_stack(l, np.array([[alpha, beta, gamma]], dtype=float),
+                      COMPLEX)[0]
 
 
 @lru_cache(maxsize=None)
@@ -296,11 +318,6 @@ def real_change_of_basis(l: int) -> np.ndarray:
         s[2 * m, l + m] = 1j * cs * inv
     s.flags.writeable = False
     return s
-
-
-def _so3_real_stack(l: int, angles: np.ndarray) -> np.ndarray:
-    s = real_change_of_basis(l)
-    return (s.conj() @ _wigner_D_stack(l, angles) @ s.T).real
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +403,7 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 # ``rep_matrices`` and ``rep_inverses`` evaluate a stack of elements, given
 # by their canonical parameters, at once; ``rep_matrix`` and ``rep_inverse``
 # are their one-element views.  Each matrix of a stack equals the matrix of
-# that element alone bit for bit, and has the same memory layout when the
-# stack is uniform: a real SO(3)/O(3) matrix is the real part of the complex
-# product, a strided view, except that an O(3) parity element is a fresh
-# array.  numpy multiplies a matrix and a vector with BLAS only in the second
-# layout, and the two round differently, so ``steering.steer`` evaluates a
-# real O(3) stack that mixes parities as two uniform stacks.
+# that element alone bit for bit.
 
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
     """Representation matrices of a stack of elements of ``label.group``,
@@ -462,17 +474,9 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool) -> np.ndarray:
             return rot
         return groups.rot2(label.j * phi) @ _diag2(np.ones(n), s)
     if label.group in (SO3, O3):
-        if label.field == COMPLEX:
-            m = _wigner_D_stack(label.j, p[:, :3])
-        else:
-            m = _so3_real_stack(label.j, p[:, :3])
+        m = _so3_stack(label.j, p[:, :3], label.field)
         if label.group == O3:
-            flip = p[:, 3] < 0
-            factor = label.parity * (-1.0) ** label.j
-            if flip.all():
-                m = m * factor
-            elif flip.any():
-                m[flip] = m[flip] * factor
+            m[p[:, 3] < 0] *= label.parity * (-1.0) ** label.j
         return m
     if label.tensor is not None:
         return _tensor_stack(*label.tensor, p, inverse)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .groups import LORENTZ, O3
-from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel, rep_inverses,
+from .groups import LORENTZ
+from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_inverses,
                      rep_matrices)
 
 #: Byte budget of the kernel stacks formed at a time: the batched paths
@@ -48,7 +48,10 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
     which steers every kernel of the stack, or a stack of n elements given
     by their canonical parameters, shape ``(n, k)``: element i steers
     ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1) and the
-    result has shape ``(..., n, dim_j, dim_l)``.
+    result has shape ``(..., n, dim_j, dim_l)``.  The representation
+    stacks are fresh C-ordered arrays for every group, so one pair of
+    stacked products steers any mix of elements, O(3) parity elements
+    included, and each slice equals the one-element call bit for bit.
 
     With ``out``, the result is written into it and ``out`` is returned;
     with ``work``, ``rho_j(g) @ k0`` is formed there.  Both have the
@@ -74,18 +77,6 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
                          f"{params.shape}")
     shape = np.broadcast_shapes(k0.shape[:-2], params.shape[:1]) + k0.shape[-2:]
     _require_shape(shape, out, work)
-    if j.group == O3 and j.field == REAL:
-        # Parity elements have contiguous real O(3) matrices, the others
-        # strided ones (see irreps.rep_matrices): steer each layout apart.
-        flip = params[:, 3] < 0
-        if flip.any() and not flip.all():
-            own_axis = k0.ndim > 2 and k0.shape[-3] == len(params)
-            if out is None:
-                out = np.empty(shape, dtype=np.result_type(k0, float))
-            for m in (flip, ~flip):
-                out[..., m, :, :] = steer(k0[..., m, :, :] if own_axis else k0,
-                                          j, l, params[m])
-            return out
     rho = rep_matrices(j, params)
     if j == l and j.group != LORENTZ:
         # Compact inverses are conjugate transposes (see irreps.rep_inverses).

@@ -1,4 +1,5 @@
-"""Exact reference kernels on the Lorentz orbits, for the tests only.
+"""Exact reference kernels on the Lorentz orbits and a 50-digit reference
+for the Wigner matrices, for the tests only.
 
 A kernel at x is ``rho_j(g) K0 rho_l(g)^-1`` for a group element g with
 ``g . x0 = x``.  At the points built here g has rational entries, so the
@@ -19,10 +20,17 @@ A direction is given by the rational cosines and sines of its angles (see
 :func:`half_angle`), a rapidity by the rational ``e^(eta/2)`` (massive) or
 ``e^eta = x^0`` (cone).  Rational matrices are kept as an integer object
 array over one common denominator.
+
+The Wigner D^l reference takes float Euler angles exactly (``Fraction``)
+and evaluates d^l(beta) by the factorial sum, the phases by Taylor series
+and the real harmonics by the change of basis ``conj(S) D S^T``, all in
+``decimal`` with guard digits beyond the 50 it is good for.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,3 +135,126 @@ def cone_kernels(elements, alpha, beta, x0) -> tuple:
     e0 = elements[0]
     return point, _steer(elements, _tensor_rep(*e0.j.tensor, lam),
                          _tensor_rep(*e0.l.tensor, _ETA @ lam.T @ _ETA))
+
+
+# ---------------------------------------------------------------------------
+# Wigner D^l at 50 digits
+
+DIGITS = 50
+#: Working precision: the factorial sum cancels about 20 digits at l = 32.
+_PREC = DIGITS + 40
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _cos_sin(x: Fraction) -> tuple:
+    """(cos x, sin x) for |x| <= 4 by their Taylor series."""
+    x = _decimal(x)
+    cos, sin, term, k = Decimal(0), Decimal(0), Decimal(1), 0
+    eps = Decimal(10) ** -(_PREC + 5)
+    while abs(term) > eps or k < 2:
+        part = term if k % 4 < 2 else -term
+        if k % 2:
+            sin += part
+        else:
+            cos += part
+        k += 1
+        term = term * x / k
+    return cos, sin
+
+
+def _phases(l: int, angle: Fraction) -> list:
+    """exp(-i m angle) for m = l, ..., -l as (re, im) pairs, from powers of
+    exp(i angle)."""
+    c, s = _cos_sin(angle)
+    powers = [(Decimal(1), Decimal(0))]
+    for _ in range(l):
+        re, im = powers[-1]
+        powers.append((re * c - im * s, re * s + im * c))
+    return [(powers[abs(m)][0], -powers[abs(m)][1] if m > 0 else powers[-m][1])
+            for m in range(l, -l - 1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _factorial_sum(l: int) -> list:
+    """The factorial sum of d^l per entry (rows and columns m = l, ..., -l):
+    the integer ``(l+a)! (l-a)! (l+b)! (l-b)!`` under the square root and
+    the terms ``(+-(2l)! / ((l+b-s)! s! (a-b+s)! (l-a-s)!), cos power, sin
+    power)`` of cos(beta/2) and sin(beta/2); the entry divides by (2l)!."""
+    f = math.factorial
+    return [[(f(l + a) * f(l - a) * f(l + b) * f(l - b),
+              [((-1) ** (a - b + k) * (f(2 * l) // (
+                  f(l + b - k) * f(k) * f(a - b + k) * f(l - a - k))),
+                2 * l + b - a - 2 * k, a - b + 2 * k)
+               for k in range(max(0, b - a), min(l + b, l - a) + 1)])
+             for b in range(l, -l - 1, -1)] for a in range(l, -l - 1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _small_d(l: int, beta: Fraction) -> tuple:
+    """d^l(beta) by the factorial sum, rows and columns m = l, ..., -l."""
+    c, s = _cos_sin(beta / 2)
+    cpow, spow = [Decimal(1)], [Decimal(1)]
+    for _ in range(2 * l):
+        cpow.append(cpow[-1] * c)
+        spow.append(spow[-1] * s)
+    scale = math.factorial(2 * l)
+    return tuple(tuple(sum(coef * cpow[cp] * spow[sp] for coef, cp, sp in terms)
+                       * Decimal(norm).sqrt() / scale for norm, terms in row)
+                 for row in _factorial_sum(l))
+
+
+def _real_rows(l: int) -> list:
+    """Rows of S (``irreps.real_change_of_basis``) as (column, re, im)."""
+    h, zero = 1 / Decimal(2).sqrt(), Decimal(0)
+    rows = [[(l, Decimal(1), zero)]]
+    for m in range(1, l + 1):
+        cs = (-1) ** m
+        rows.append([(l - m, h, zero), (l + m, cs * h, zero)])
+        rows.append([(l - m, zero, -h), (l + m, zero, cs * h)])
+    return rows
+
+
+def wigner_D(l: int, alpha: float, beta: float, gamma: float, real: bool):
+    """D^l at the Euler angles, each float taken exactly: a pair of Decimal
+    matrices (re, im) in the complex basis, a Decimal matrix in the real
+    basis."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        d = _small_d(l, Fraction(beta))
+        left, right = _phases(l, Fraction(alpha)), _phases(l, Fraction(gamma))
+        n = 2 * l + 1
+        re = [[None] * n for _ in range(n)]
+        im = [[None] * n for _ in range(n)]
+        for i, (lr, li) in enumerate(left):
+            for k, (rr, ri) in enumerate(right):
+                re[i][k] = (lr * rr - li * ri) * d[i][k]
+                im[i][k] = (lr * ri + li * rr) * d[i][k]
+        if not real:
+            return re, im
+        rows = _real_rows(l)
+        out = [[Decimal(0)] * n for _ in range(n)]
+        for a, row_a in enumerate(rows):
+            for b, row_b in enumerate(rows):
+                for i, sr, si in row_a:
+                    for k, tr, ti in row_b:
+                        # Re((sr - i si) (re + i im) (tr + i ti))
+                        pr = sr * re[i][k] + si * im[i][k]
+                        pi = sr * im[i][k] - si * re[i][k]
+                        out[a][b] += pr * tr - pi * ti
+        return out
+
+
+def max_error(matrix, exact) -> float:
+    """Largest entry of |matrix - exact|, formed in Decimal; ``exact`` as
+    returned by :func:`wigner_D`."""
+    m = np.asarray(matrix)
+    if isinstance(exact, tuple):
+        return max(max_error(m.real, exact[0]), max_error(m.imag, exact[1]))
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        return float(max(abs(Decimal(float(v)) - e)
+                         for row, row_e in zip(m, exact)
+                         for v, e in zip(row, row_e)))

@@ -98,6 +98,20 @@ def test_bad_label_reports_json_error(capsys):
         assert code == 1
         message = json.loads(err)["error"]
         assert grammar in message and "invalid literal" not in message
+    # SO(3)/O(3) labels above l = 32 and a negative --jmax are errors, not
+    # tracebacks or an empty table that matches vacuously.
+    for argv, why in [
+            (("sample", "--group", "so3", "--j", "40", "--l", "1", "--grid",
+              "sphere:2x2", "--out", "unused"), "0..32"),
+            (("basis", "--group", "o3", "--j", "33+", "--l", "1+",
+              "--point", "0,0"), "0..32"),
+            (("basis", "--group", "so3", "--j", "33", "--l", "1",
+              "--point", "0,0"), "0..32"),
+            (("dims", "--group", "so3", "--jmax", "33"), "0..32"),
+            (("dims", "--group", "so2", "--jmax", "-1"), "--jmax must be >= 0")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out, argv
+        assert why in json.loads(err)["error"], argv
 
 
 def test_bad_grid_reports_json_error(tmp_path, capsys):

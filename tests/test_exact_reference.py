@@ -1,11 +1,16 @@
-"""Lorentz kernels against the exact reference of ``exact_reference``.
+"""Lorentz kernels and Wigner matrices against the references of
+``exact_reference``.
 
 The points sit where the coset section is hardest to get right: next to
 the z axis on both sides, next to the rest frame, and at the backward null
 direction.  Each kernel from ``section_kernels`` and from ``kernel_at`` is
-within 1e-14 of the exact kernel, relative to max(1, |K|).
+within 1e-14 of the exact kernel, relative to max(1, |K|).  The SO(3)
+representation matrices in both bases are within ``WIGNER_TOL`` per unit
+of l + 1 of the 50-digit D^l, at and next to beta = 0 and pi and at
+generic angles.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,10 +20,12 @@ import pytest
 from steerkit import analytic_bases as bases
 from steerkit import groups
 from steerkit.groups import MassiveHyperboloid
-from steerkit.irreps import dirac_irrep, tensor_irrep
+from steerkit.irreps import (dirac_irrep, rep_matrices, so3_irrep,
+                             tensor_irrep)
 from steerkit.steering import kernel_at, section_kernels
 
-from exact_reference import cone_kernels, half_angle, massive_kernels
+from exact_reference import (cone_kernels, half_angle, massive_kernels,
+                             max_error, wigner_D)
 
 TOL = 1e-14
 
@@ -90,3 +97,22 @@ def test_section_rapidity_near_rest_frame(name):
         ctx.prec = 50
         exact = float(2 * (Decimal(h.numerator) / Decimal(h.denominator)).ln())
     assert abs(eta - exact) <= 4 * np.spacing(exact)
+
+
+#: Error allowed per unit of l + 1.  The rounding of m * alpha and
+#: m * gamma in the phases alone can reach 2 * 2^-53 * pi * l.
+WIGNER_TOL = 8e-16
+
+#: (alpha, beta, gamma): beta at and next to the poles, and generic angles.
+WIGNER_ANGLES = [(0.7, 0.0, -1.3), (-2.9, math.pi, 0.4), (1.9, 1e-9, 3.1),
+                 (-0.6, math.pi - 1e-9, -2.2), (2.6, 1.234, -0.8),
+                 (-3.0, 2.71, 1.5)]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 8, 16, 32])
+def test_wigner_D_matches_exact_reference(l):
+    for field in ("complex", "real"):
+        got = rep_matrices(so3_irrep(l, field), WIGNER_ANGLES)
+        for angles, m in zip(WIGNER_ANGLES, got):
+            err = max_error(m, wigner_D(l, *angles, field == "real"))
+            assert err <= WIGNER_TOL * (l + 1), (field, angles, err)

@@ -7,6 +7,11 @@ The three Lorentz ``sample`` payloads, the ``verify`` report and the sweep
 were re-pinned once since, when the coset sections and sphere coordinates
 began to be computed from the point with atan2 and asinh instead of being
 read back from a rotation matrix; CHANGES.md gives the differences.
+The five SO(3)/O(3) ``sample`` payloads, the ``verify`` report, the sweep
+and the oracle bases were re-pinned once more when the Wigner matrices
+began to be read from one table of Fourier coefficients of d^l(beta) per
+l and basis, which is closer to the exact D^l from l = 2 up; CHANGES.md
+gives the differences and the errors against the 50-digit reference.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digest pins the verifier's
@@ -27,11 +32,11 @@ from steerkit.stabilizer_solver import solve_basepoint
 
 SAMPLE_GOLDENS = [
     (("so3", "2", "1", "real", "sphere:4x3"),
-     "ddeaf9b7a32b2fe51c687a7fd5b6e1426b332eb304bf33c617351482da5e7e1f"),
+     "a810aab50fe7c5c93d2114646b120ef4f83223a1e51e624862c09a9625080a43"),
     (("so3", "2", "2", "complex", "sphere:4x3"),
-     "74e3cf32b18c269f4e4e55f46f2994262ecede299e9f4669b61f9305349c866a"),
+     "6ab2d9ce40420afe63a23f0eef729e18898b4d62dd2bcfafd79853d26723aff5"),
     (("o3", "2-", "1+", "real", "sphere:4x3"),
-     "a838a3195bc7715d34baeda253b0d107c90100329614f29bfe73e7794da4d4df"),
+     "25d45e4da6b03040a1487d622e69573f3cbfec9d5a1187414f340b313d5ec55d"),
     (("so2", "2", "3", "real", "circle:8"),
      "f559c7ccce1b24848069f03ba57f6b44c1afb1b4e74a89ba488b06d770ac301b"),
     (("lorentz", "tensor20", "tensor20", "real", "massive:3x2x2:eta=2"),
@@ -42,13 +47,13 @@ SAMPLE_GOLDENS = [
      "8052b88270ed7753874ef7e7bd390587d3dbe76c1b834a801928091c091100d8"),
     # Several chunks, the last one partial: 26 + 26 + 4 and 89 + 39 points.
     (("so3", "8", "8", "real", "sphere:8x7"),
-     "8d739170baba6f56d012da101fe8663b56437aca0d2fa8e586a43336d0b39755"),
+     "fba2665cbcf3d10db90240bd2abcc40fc1abbf293673d67a51425b3275c4939c"),
     (("so3", "4", "4", "complex", "sphere:16x8"),
-     "6e07c0cff87e8ab6a3bd15eb12360682dc28e33031797ae9aff21d2d1da00999"),
+     "238c35c31c730de5e3b7a65ce4d2f8d61afeb9db6fc93cc125cd30f09d1d12e7"),
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "24465091f51f548019b77a91cefdba7d31dc5135ca2d60c1d7a67816e01f2b93")
+    "fb570c475a6ff5f7cd63f0faafd7ec8a2cd856efeb55da7c6cd6f8e199fe1b9d")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -66,14 +71,14 @@ DIMS_GOLDENS = [
 #: tensor20/vector, realified Dirac, realified spinor-vector and the cone
 #: vector/vector case.
 SWEEP_GOLDEN = (
-    "255b8bb8a16a2d627009d2bf859e8f46e49fbe4015c2b36b3eb842148c72ca90")
+    "fcf88b8e008ff7c197a4e66fe6f8f3db8e5866511216b9db4697dc927b4a6a27")
 
 #: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
 #: realified spinor-vector pair (massive), tensor20/tensor20 on the cone, o3
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
 #: tables pin only the dimensions; this pins the oracle's bits.
 ORACLE_GOLDEN = (
-    "e6f1ea0b56f6bc0e4f4b9c8eef35b5067ee787a5d5bda0a80caffeff01180f23")
+    "0a0f3fda06a7a8446369fbb6096b773c7837b3878ac1a9aec400a2e058f7397c")
 
 
 def _sweep_cases():

@@ -32,32 +32,37 @@ def sample_labels(max_l=4):
 
 def test_wigner_small_d_degenerate_cases():
     np.testing.assert_array_equal(wigner_small_d(0, 0.7), [[1.0]])
+    # At beta = 0 only the identity row of the table remains.
     for l in range(5):
-        np.testing.assert_allclose(wigner_small_d(l, 0.0), np.eye(2 * l + 1),
-                                   atol=1e-14)
-    # The stacked sum equals a scalar loop over the term table, each entry
-    # starting from 0.0, bit for bit (a -0.0 first term sums to +0.0).
+        np.testing.assert_array_equal(wigner_small_d(l, 0.0), np.eye(2 * l + 1))
+    # A stack is C-ordered and equals its one-angle calls bit for bit.
     rng = np.random.default_rng(3)
     betas = np.concatenate([[0.0, math.pi, 1e-9, math.pi - 1e-9],
                             rng.uniform(0.0, math.pi, 5)])
     for l in (0, 1, 2, 4, 8, 16, 32):
         n = 2 * l + 1
-        d = irreps._wigner_small_d_stack(l, betas)
-        assert d.shape == (len(betas), n, n) and d.flags.c_contiguous
-        cpow = np.power(np.cos(betas / 2.0)[:, None], np.arange(n)).tolist()
-        spow = np.power(np.sin(betas / 2.0)[:, None], np.arange(n)).tolist()
-        terms = list(zip(*(a.tolist() for a in irreps._dsmall_terms(l)[:4])))
-        for i in range(len(betas)):
-            ref = [0.0] * (n * n)
-            for entry, cp, sp, coef in terms:
-                ref[entry] += coef * cpow[i][cp] * spow[i][sp]
-            assert d[i].ravel().tobytes() == np.array(ref).tobytes(), (l, i)
+        for field in ("real", "complex"):
+            d = irreps._small_d_stack(l, betas, field)
+            assert d.shape == (len(betas), n, n) and d.flags.c_contiguous
+            for beta, row in zip(betas, d):
+                one = irreps._small_d_stack(l, np.array([beta]), field)[0]
+                assert row.tobytes() == one.tobytes(), (l, field, beta)
 
 
 def test_wigner_small_d_orthogonal():
-    for l in (1, 2, 5, 9):
+    # Every l up to the maximum in both bases, at the poles, next to them
+    # and at random angles.
+    rng = np.random.default_rng(4)
+    betas = [0.0, math.pi, 1e-9, math.pi - 1e-9] + list(rng.uniform(0, math.pi, 4))
+    params = [(rng.uniform(-math.pi, math.pi), b, rng.uniform(-math.pi, math.pi))
+              for b in betas]
+    for l in range(irreps._MAX_L + 1):
+        for field in ("real", "complex"):
+            m = irreps.rep_matrices(so3_irrep(l, field), params)
+            err = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2 * l + 1)).max()
+            assert err <= 1e-13, (l, field, err)
         d = wigner_small_d(l, 0.83)
-        np.testing.assert_allclose(d @ d.T, np.eye(2 * l + 1), atol=1e-12)
+        np.testing.assert_allclose(d @ d.T, np.eye(2 * l + 1), atol=1e-13)
 
 
 def test_wigner_small_d_additive_in_beta():
@@ -459,6 +464,12 @@ def test_label_validation():
         so3_irrep(-1)
     with pytest.raises(IrrepError):
         o3_irrep(2, 0)
+    # l above the table bound is rejected when the label is made
+    for make, args in [(so3_irrep, (33,)), (so3_irrep, (40, "complex")),
+                       (o3_irrep, (33, 1))]:
+        with pytest.raises(IrrepError, match=r"0\.\.32"):
+            make(*args)
+    assert so3_irrep(32).dim == 65 and o3_irrep(32, -1).dim == 65
     with pytest.raises(IrrepError):
         tensor_irrep(2, 1)
     with pytest.raises(IrrepError):

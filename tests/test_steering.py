@@ -145,6 +145,10 @@ STACK_LABELS = [
     (so3_irrep(3, "complex"), Sphere()), (o3_irrep(0, 1), Sphere()),
     (o3_irrep(2, -1), Sphere()), (o3_irrep(1, 1, "complex"), Sphere()),
     (o3_irrep(0, -1, "complex"), Sphere()),
+    # Large Wigner tables; the o3 stacks mix parity elements and rotations.
+    (so3_irrep(8), Sphere()), (so3_irrep(8, "complex"), Sphere()),
+    (so3_irrep(32), Sphere()), (so3_irrep(32, "complex"), Sphere()),
+    (o3_irrep(16, 1), Sphere()),
 ] + [(tensor_irrep(p, q), MassiveHyperboloid())
      for p in range(3) for q in range(3 - p)] + [
     (dirac_irrep(realified=True), MassiveHyperboloid()),
