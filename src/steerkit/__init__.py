@@ -23,7 +23,7 @@ from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
 from .numerics import kron, nullspace, principal_angle_distance
 from .stabilizer_solver import (IntertwinerSpace, predicted_dimension,
                                 solve_basepoint)
-from .steering import kernel_at, kernels_at, steer
+from .steering import kernel_at, steer
 from .verify import check_case, check_projectors, equivariance_demo, run_suite
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "so3_irrep", "spinor_vector_irrep", "tensor_irrep", "wigner_small_d",
     "kron", "nullspace", "principal_angle_distance",
     "IntertwinerSpace", "predicted_dimension", "solve_basepoint",
-    "kernel_at", "kernels_at", "steer",
+    "kernel_at", "steer",
     "check_case", "check_projectors", "equivariance_demo", "run_suite",
     "__version__",
 ]

@@ -2,8 +2,8 @@
 
 Subcommands: ``dims`` (predicted vs oracle dimension tables), ``basis``
 (basis matrices at one orbit point), ``verify`` (run the verification suite)
-and ``sample`` (evaluate a basis on a grid with ``steering.kernels_at`` and
-write a manifest + binary payload).
+and ``sample`` (evaluate a basis on a grid with ``steering.section_kernels``
+and write a manifest + binary payload).
 
 Dump format, version 1: a JSON manifest ``<out>.json`` describing the case,
 grid and conventions plus the SHA-256 of the payload, and a raw
@@ -72,8 +72,15 @@ _LABEL_GRAMMAR = {
 POINT_GRAMMAR = "circle: phi | sphere: alpha,beta | Lorentz: t,x,y,z"
 
 
+def _check_field(group: str, field: str) -> None:
+    if group == "lorentz" and field == COMPLEX:
+        raise CliError("Lorentz labels are real (spinors realified); "
+                       "--field complex does not apply")
+
+
 def parse_label(group: str, field: str, text: str) -> IrrepLabel:
     text = text.strip()
+    _check_field(group, field)
     if group == "lorentz":
         try:
             return _LORENTZ_LABELS[text]()
@@ -286,6 +293,7 @@ def _default_orbit(group: str, args) -> object:
 def _cmd_dims(args) -> int:
     if args.jmax < 0:
         raise CliError(f"--jmax must be >= 0, got {args.jmax}")
+    _check_field(args.group, args.field)
     rows = []
     if args.group == "lorentz":
         cases = verify.lorentz_case_grid(include_spinor_vector=args.full)

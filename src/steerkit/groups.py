@@ -151,13 +151,15 @@ PARAM_COUNT = {SO2: 1, O2: 2, SO3: 3, O3: 4, LORENTZ: 6}
 
 
 def parameter_stack(group: str, params) -> np.ndarray:
-    """``params`` as a float array of shape (..., k) for ``group``."""
+    """``params`` as a float array of shape (..., k) for ``group``; NaN and
+    infinite entries are rejected."""
     p = np.asarray(params, dtype=float)
     if group not in PARAM_COUNT:
         raise GroupError(f"unknown group {group!r}")
     if p.ndim == 0 or p.shape[-1] != PARAM_COUNT[group]:
         raise GroupError(f"{group} parameters have {PARAM_COUNT[group]} "
                          f"entries per element, got shape {p.shape}")
+    _require_finite(f"{group} parameters", p)
     return p
 
 

@@ -570,40 +570,39 @@ TENSOR_SLOTS = {
 }
 
 
-def massive_spin_content(label: IrrepLabel) -> dict:
-    """Multiplicity of each SO(3) spin in the restriction to the massive
-    stabilizer.  Keys are Fractions."""
-    if label.tensor is not None:
-        return dict(Counter(Fraction(SLOTS[s][0])
-                            for s in TENSOR_SLOTS[label.tensor]))
-    if label.spinor == DIRAC:
-        return {Fraction(1, 2): 2}
-    if label.spinor == SPINOR_VECTOR:
-        return {Fraction(1, 2): 4, Fraction(3, 2): 2}
-    raise IrrepError(f"label {label} is not a Lorentz label")
+def stabilizer_content(label: IrrepLabel, orbit: groups.Orbit) -> Counter:
+    """Multiplicity of each irrep of the base-point stabilizer H in the
+    complexified ``label``; a realified label counts as V + conj(V).
 
-
-def massless_weight_content(label: IrrepLabel) -> dict:
-    """Complexified SO(2)-weight multiplicities on the massless orbit."""
+    Keys name the irreps of H: ``0`` (trivial) for SO(2) on the circle, the
+    sign of r_y for O(2), the z weight m for SO(3) and on the null cone,
+    m > 0 or ``(0, sign of r_y)`` for O(3), and the spin (a Fraction) on
+    the hyperboloid.  The null-cone weights are the J_z weights of the
+    hyperboloid's spin content.
+    """
+    if label.group not in groups.ORBIT_GROUPS.get(type(orbit), ()):
+        raise IrrepError(f"{label.group} labels do not live on "
+                         f"{type(orbit).__name__}")
+    if label.group == SO2:
+        return Counter({0: label.dim})
+    if label.group == O2:
+        if label.dim == 2:
+            return Counter((1, -1))
+        return Counter((-1 if label.tilde else 1,))
+    if label.group == SO3:
+        return Counter(range(-label.j, label.j + 1))
+    if label.group == O3:
+        # r_y = parity * Ry(pi) scales the m = 0 vector by eps (-1)^l (-1)^l.
+        return Counter([(0, label.parity)] + list(range(1, label.j + 1)))
     if label.tensor is not None:
-        base = {Fraction(0): 2, Fraction(1): 1, Fraction(-1): 1}
-        p, q = label.tensor
-        if p + q == 0:
-            return {Fraction(0): 1}
-        if p + q == 1:
-            return dict(base)
-        out: dict = {}
-        for m1, n1 in base.items():
-            for m2, n2 in base.items():
-                out[m1 + m2] = out.get(m1 + m2, 0) + n1 * n2
-        return out
-    if label.spinor == DIRAC:
-        out = {Fraction(1, 2): 2, Fraction(-1, 2): 2}
-    elif label.spinor == SPINOR_VECTOR:
-        out = {Fraction(1, 2): 6, Fraction(-1, 2): 6,
-               Fraction(3, 2): 2, Fraction(-3, 2): 2}
+        spins = Counter(Fraction(SLOTS[s][0]) for s in TENSOR_SLOTS[label.tensor])
+    elif label.spinor == DIRAC:
+        spins = Counter({Fraction(1, 2): 2})
     else:
-        raise IrrepError(f"label {label} is not a Lorentz label")
+        spins = Counter({Fraction(1, 2): 4, Fraction(3, 2): 2})
     if label.realified:
-        out = {m: 2 * n for m, n in out.items()}
-    return out
+        spins += spins
+    if isinstance(orbit, groups.MassiveHyperboloid):
+        return spins
+    return Counter(s - k for s, n in spins.items()
+                   for k in range(int(2 * s) + 1) for _ in range(n))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, numerics
-from .groups import MassiveHyperboloid, Orbit
-from .irreps import (COMPLEX, REAL, IrrepError, IrrepLabel,
-                     massive_spin_content, massless_weight_content,
-                     rep_inverses, rep_matrices)
+from .groups import Orbit
+from .irreps import (IrrepError, IrrepLabel, rep_inverses, rep_matrices,
+                     stabilizer_content)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
 #: value; anything smaller means the rank detection is not trustworthy.
@@ -106,45 +105,13 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
 
 
 def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
-    """Closed-form dimension of the base-point intertwiner space."""
-    group = _check_pair(j, l, orbit)
-    if group == groups.SO2:
-        if j.field == COMPLEX:
-            return 1
-        trivial = (j.j == 0, l.j == 0)
-        return {(True, True): 1, (True, False): 2, (False, True): 2,
-                (False, False): 4}[trivial]
-    if group == groups.O2:
-        # r_y forces the signs to match on the 1-dim reps and pairs the
-        # off-diagonal weights on the 2-dim ones; both fields count alike.
-        j1, l1 = j.j == 0 or j.tilde, l.j == 0 or l.tilde
-        if j1 and l1:
-            return 1 if j.tilde == l.tilde else 0
-        if j1 or l1:
-            return 1
-        return 2
-    if group == groups.SO3:
-        return 2 * min(j.j, l.j) + 1
-    if group == groups.O3:
-        same = j.parity == l.parity
-        return min(j.j, l.j) + (1 if same else 0)
-    # Lorentz
-    if isinstance(orbit, MassiveHyperboloid):
-        cj = massive_spin_content(j)
-        cl = massive_spin_content(l)
-        total = 0
-        for spin, nj in cj.items():
-            nl = cl.get(spin, 0)
-            if nl == 0:
-                continue
-            half_integer = spin.denominator == 2
-            schur = 1
-            if half_integer:
-                # quaternionic commutant over the reals, complex line over C
-                schur = 4 if (j.realified or j.field == REAL) else 1
-            total += nj * nl * schur
-        return total
-    cj = massless_weight_content(j)
-    cl = massless_weight_content(l)
-    return sum(n * cl.get(m, 0) for m, n in cj.items())
+    """Closed-form dimension of the base-point intertwiner space.
 
+    By Schur's lemma, the sum over the stabilizer irreps sigma of
+    ``n_j[sigma] * n_l[sigma]`` (see :func:`irreps.stabilizer_content`);
+    ``dim_R Hom_H(V, W) = dim_C Hom_H(V_C, W_C)``, so one count serves both
+    fields.
+    """
+    _check_pair(j, l, orbit)
+    cj, cl = stabilizer_content(j, orbit), stabilizer_content(l, orbit)
+    return sum(n * cl[sigma] for sigma, n in cj.items())

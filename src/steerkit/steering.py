@@ -7,10 +7,9 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`steer` is the one place that forms the product, for one element or a
 stack of elements, into fresh arrays or into arrays the caller owns;
-:func:`kernels_at` and :func:`section_kernels` evaluate a whole basis at a
-stack of points through it, writing chunk by chunk in place into the output
-with one work array per call, and :func:`kernel_at` is the
-element-by-element reference path.
+:func:`section_kernels` evaluates a whole basis at a stack of points through
+it, writing chunk by chunk in place into the output with one work array per
+call, and :func:`kernel_at` is the element-by-element reference path.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
     """Evaluate a basis element at an orbit point via the coset section.
 
     ``elem`` needs attributes ``j``, ``l``, ``orbit`` and ``base_matrix``.
-    This is the element-by-element reference path; :func:`kernels_at`
+    This is the element-by-element reference path; :func:`section_kernels`
     equals it bit for bit.
     """
     if x.orbit != elem.orbit:
@@ -102,29 +101,11 @@ def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
 
 def _check_basis(elements) -> None:
     if not elements:
-        raise IrrepError("kernels_at needs at least one basis element")
+        raise IrrepError("section_kernels needs at least one basis element")
     e0 = elements[0]
     if any((e.j, e.l, e.orbit) != (e0.j, e0.l, e0.orbit) for e in elements):
         raise IrrepError("basis elements must share j, l and the orbit; "
                          "they are steered as one stack")
-
-
-def kernels_at(elements, points) -> np.ndarray:
-    """Values of a basis at orbit points, shape
-    ``(n_basis, n_points, dim_j, dim_l)``.
-
-    The elements must share ``j``, ``l`` and the orbit; see
-    :func:`section_kernels`.  Each slice equals :func:`kernel_at` bit for
-    bit.
-    """
-    _check_basis(elements)
-    orbit = elements[0].orbit
-    for x in points:
-        if x.orbit != orbit:
-            raise IrrepError(f"point on {x.orbit} does not match {orbit}")
-    coords = np.array([x.coords for x in points], dtype=float)
-    return section_kernels(elements, coords.reshape(len(points), -1)
-                           if len(points) else np.zeros((0, 1)))
 
 
 def section_kernels(elements, coords, out=None, work=None) -> np.ndarray:

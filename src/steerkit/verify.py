@@ -104,7 +104,7 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     gs = np.array([groups.random_element(j.group, rng, eta_max=eta_max).params
                    for _ in range(n_g)])
     coords = np.array([x.coords for x in xs])
-    kx = steering.kernels_at(elements, xs)
+    kx = steering.section_kernels(elements, coords)
     scale = np.fmax(1.0, numerics.norms(kx))[:, :, None]
     worst = 0.0
     step = steering.chunk_length(kx.nbytes)
@@ -169,7 +169,7 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     coords = np.array([x.coords for x in xs])
     nbar_x = groups.matrices(
         lorentz, groups.section_params(cone, coords)) @ bases.NBAR0
-    kx = steering.kernels_at([elem], xs)[0]
+    kx = steering.section_kernels([elem], coords)[0]
     scale = np.fmax(1.0, numerics.norms(kx))
     worst = 0.0
     step = steering.chunk_length(n_g * kx[0].nbytes) * n_g

@@ -70,7 +70,7 @@ def test_unknown_flag_exits_2(capsys):
         capsys.readouterr()
 
 
-def test_bad_label_reports_json_error(capsys):
+def test_bad_label_reports_json_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "basis", "--group", "lorentz",
                            "--j", "nonsense", "--l", "vector",
                            "--point", "1,0,0,0")
@@ -112,6 +112,18 @@ def test_bad_label_reports_json_error(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out, argv
         assert why in json.loads(err)["error"], argv
+    # The Lorentz labels are real (spinors realified): --field complex is
+    # an error for every subcommand that takes it, and nothing is written.
+    dump = str(tmp_path / "dump")
+    for argv in [("dims", "--group", "lorentz"),
+                 ("basis", "--group", "lorentz", "--j", "dirac", "--l",
+                  "dirac", "--point", "1,0,0,0"),
+                 ("sample", "--group", "lorentz", "--j", "vector", "--l",
+                  "vector", "--grid", "massive:2x2x2", "--out", dump)]:
+        code, out, err = run_cli(capsys, *argv, "--field", "complex")
+        assert code == 1 and not out, argv
+        assert "Lorentz labels are real" in json.loads(err)["error"], argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_grid_reports_json_error(tmp_path, capsys):
@@ -182,10 +194,10 @@ def test_sample_roundtrip_bit_exact(tmp_path, capsys):
     # re-evaluate through the same code path: bit-exact agreement
     from steerkit import analytic_bases as bases
     from steerkit.irreps import so3_irrep
-    from steerkit.steering import kernels_at
+    from steerkit.steering import section_kernels
     elements = bases.basis_for(so3_irrep(1), so3_irrep(2), Sphere())
     grid = parse_grid("sphere:4x3", 1.0, 1.0)
-    fresh = kernels_at(elements, grid.points())
+    fresh = section_kernels(elements, grid.coords())
     assert np.array_equal(arr, fresh)
     # A grid on another sphere than the basis's is not evaluated.
     with pytest.raises(ValueError):

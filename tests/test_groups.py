@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, steering
+from steerkit import groups, irreps, steering
 from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              NullCone, Sphere, act, base_point, boost_matrix,
                              circle_point, cone_point, coset_representative,
@@ -12,7 +12,7 @@ from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              o2_reflection, o3_element, random_element,
                              random_orbit_point, so2_element, so3_element,
                              sphere_point, stabilizer_sample)
-from steerkit.irreps import tensor_irrep
+from steerkit.irreps import so3_irrep, tensor_irrep
 
 from group_law import inverse, product, stabilizer_draw
 
@@ -245,6 +245,28 @@ def test_element_validation():
                        (groups.lorentz_element, (0, nan, 0))]:
         with pytest.raises(GroupError, match="must be finite"):
             make(*args)
+
+
+def test_non_finite_parameter_stacks_rejected():
+    # Parameter stacks skip the element constructors; a NaN or infinite
+    # entry is rejected where the stack is read, not returned as NaN rows.
+    for label, orbit in [(so3_irrep(1), Sphere()),
+                         (tensor_irrep(1, 0), MassiveHyperboloid())]:
+        group, x0 = label.group, base_point(orbit).coords
+        for bad in (math.nan, math.inf, -math.inf):
+            for at in (0, -1):
+                p = np.full((2, groups.PARAM_COUNT[group]), 0.1)
+                p[1, at] = bad
+                for call in (
+                        lambda: irreps.rep_matrices(label, p),
+                        lambda: irreps.rep_inverses(label, p),
+                        lambda: steering.steer(np.eye(label.dim), label,
+                                               label, p),
+                        lambda: groups.matrices(group, p),
+                        lambda: groups.act_points(group, p, orbit, x0)):
+                    with pytest.raises(GroupError,
+                                       match="parameters must be finite"):
+                        call()
 
 
 def test_angle_canonicalization():

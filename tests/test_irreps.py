@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from steerkit import groups, irreps
-from steerkit.groups import MassiveHyperboloid, boost_matrix, random_element
+from steerkit.groups import (Circle, MassiveHyperboloid, NullCone, Sphere,
+                             boost_matrix, random_element)
 from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
-                             IrrepError, dirac_irrep, massive_spin_content,
-                             massless_weight_content, o2_irrep, o3_irrep,
+                             IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverse, rep_matrix,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
-                             tensor_irrep, wigner_D, wigner_small_d)
+                             stabilizer_content, tensor_irrep, wigner_D,
+                             wigner_small_d)
 
 from group_law import inverse, product, stabilizer_draw
 
@@ -408,7 +409,7 @@ def test_sl2c_sign_invariance_and_validation():
 # restriction to stabilizers
 
 def test_tensor_slots_partition_and_are_stabilizer_invariant():
-    # The slot embeddings behind massive_spin_content: together they form an
+    # The slot embeddings behind stabilizer_content: together they form an
     # orthonormal basis of the tensor space, and the massive stabilizer
     # (rotations) maps every slot into itself.
     rng = np.random.default_rng(59)
@@ -430,14 +431,56 @@ def test_tensor_slots_partition_and_are_stabilizer_invariant():
 
 
 def test_spin_and_weight_content_tables():
-    assert massive_spin_content(tensor_irrep(2, 0)) == {
+    mh, cone = MassiveHyperboloid(), NullCone()
+    assert stabilizer_content(tensor_irrep(2, 0), mh) == {
         Fraction(0): 2, Fraction(1): 3, Fraction(2): 1}
-    assert massive_spin_content(spinor_vector_irrep(True)) == {
-        Fraction(1, 2): 4, Fraction(3, 2): 2}
-    w = massless_weight_content(tensor_irrep(1, 0))
+    # A realified label counts as V + conj(V).
+    assert stabilizer_content(spinor_vector_irrep(True), mh) == {
+        Fraction(1, 2): 8, Fraction(3, 2): 4}
+    w = stabilizer_content(tensor_irrep(1, 0), cone)
     assert w == {Fraction(0): 2, Fraction(1): 1, Fraction(-1): 1}
-    w2 = massless_weight_content(tensor_irrep(2, 0))
+    w2 = stabilizer_content(tensor_irrep(2, 0), cone)
     assert sum(w2.values()) == 16 and w2[Fraction(2)] == 1
+    assert stabilizer_content(spinor_vector_irrep(), cone) == {
+        Fraction(1, 2): 6, Fraction(-1, 2): 6,
+        Fraction(3, 2): 2, Fraction(-3, 2): 2}
+    assert stabilizer_content(o2_irrep("0~"), Circle()) == {-1: 1}
+    assert stabilizer_content(o3_irrep(2, -1), Sphere()) == {
+        (0, -1): 1, 1: 1, 2: 1}
+    with pytest.raises(IrrepError):
+        stabilizer_content(so3_irrep(1), Circle())
+
+
+def _stabilizer_irrep_dim(label, orbit, sigma) -> int:
+    # The stabilizers: trivial (SO(2) on the circle), {e, r_y} (O(2)),
+    # SO(2) (SO(3) on the sphere; the null cone), O(2) (O(3) on the sphere)
+    # and SU(2) (the hyperboloid).
+    if label.group == "o3":
+        return 1 if isinstance(sigma, tuple) else 2
+    if isinstance(orbit, MassiveHyperboloid):
+        return int(2 * sigma) + 1
+    return 1
+
+
+def test_stabilizer_content_accounts_for_the_whole_label():
+    labels = []
+    for f in ("real", "complex"):
+        low = -32 if f == "complex" else 0
+        labels += [(so2_irrep(n, f), Circle()) for n in range(low, 33)]
+        labels += [(o2_irrep(j, f), Circle()) for j in [*range(33), "0~"]]
+        labels += [(so3_irrep(l, f), Sphere()) for l in range(33)]
+        labels += [(o3_irrep(l, p, f), Sphere())
+                   for l in range(33) for p in (1, -1)]
+    lorentz = [tensor_irrep(p, q) for p in range(3) for q in range(3 - p)]
+    lorentz += [dirac_irrep(), dirac_irrep(True), spinor_vector_irrep(),
+                spinor_vector_irrep(True)]
+    labels += [(lab, orbit) for lab in lorentz
+               for orbit in (MassiveHyperboloid(), NullCone())]
+    for label, orbit in labels:
+        content = stabilizer_content(label, orbit)
+        assert min(content.values()) > 0
+        assert sum(n * _stabilizer_irrep_dim(label, orbit, sigma)
+                   for sigma, n in content.items()) == label.dim, label
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,24 @@ def test_lorentz_massless_weight_counts():
     _check(vec, vec, NullCone(), 6)       # 2*2 + 2 * 1*1
     _check(vec, t20, NullCone(), 20)      # 2*6 + 2 * 1*4
     _check(t20, t20, NullCone(), 70)      # 6*6 + 2 * (4*4 + 1*1)
-    # the (0,0), spinor and realified branches of massless_weight_content
+    # the scalar, spinor and realified labels: the J_z weights of their spins
     d, d_real, sv = dirac_irrep(), dirac_irrep(True), spinor_vector_irrep()
     _check(tensor_irrep(0, 0), vec, NullCone(), 2)   # 1*2 at weight 0
     _check(d, d, NullCone(), 8)           # 2*2 at +-1/2
     _check(d_real, d_real, NullCone(), 32)  # 4*4 at +-1/2
     _check(d, sv, NullCone(), 24)         # 2*6 at +-1/2
+
+
+def test_lorentz_predicted_dimension_matches_oracle_on_both_orbits():
+    # All pairs of the tensor labels and the realified Dirac label, plus
+    # the complex Dirac label with itself and with the spinor-vector.
+    real = [tensor_irrep(p, q) for p in range(3) for q in range(3 - p)]
+    real.append(dirac_irrep(realified=True))
+    d, sv = dirac_irrep(), spinor_vector_irrep()
+    pairs = [(j, l) for j in real for l in real] + [(d, d), (d, sv), (sv, d)]
+    for orbit in (MassiveHyperboloid(), NullCone()):
+        for j, l in pairs:
+            _check(j, l, orbit)
 
 
 def test_solutions_satisfy_constraint_for_all_samples():

@@ -12,7 +12,7 @@ from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              rep_inverse, rep_inverses, rep_matrices,
                              rep_matrix, so2_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep, wigner_D)
-from steerkit.steering import kernel_at, kernels_at, steer
+from steerkit.steering import kernel_at, section_kernels, steer
 
 from group_law import product
 
@@ -156,6 +156,10 @@ STACK_LABELS = [
 ]
 
 
+def _coords(points) -> np.ndarray:
+    return np.array([x.coords for x in points])
+
+
 def test_steer_stack_matches_elementwise():
     # The batched representation, section, action and steering stacks must
     # equal the one-element calls row by row, bit for bit, including at the
@@ -218,8 +222,9 @@ def test_steer_stack_matches_elementwise():
     for bad in ({"out": out[:, 1:]}, {"work": np.empty((4, 12, 5, 2))}):
         with pytest.raises(IrrepError):
             steer(k0[:, :1], j, l, params, **bad)
-    # kernels_at steers the whole basis in chunks of stacked sections; each
-    # slice must equal the kernel_at reference, also across chunk borders.
+    # section_kernels steers the whole basis in chunks of stacked sections;
+    # each slice must equal the kernel_at reference, also across chunk
+    # borders.
     vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
     sv = spinor_vector_irrep(realified=True)
     evaluated = [
@@ -241,13 +246,11 @@ def test_steer_stack_matches_elementwise():
         n = steering.chunk_length(per_point) + 3 if e0.j.dim > 8 else 4
         pts = ([groups.random_orbit_point(orbit, rng) for _ in range(n)]
                + SINGULAR_POINTS[type(orbit)])
-        values = kernels_at(els, pts)
+        values = section_kernels(els, _coords(pts))
         assert values.shape == (len(els), len(pts), e0.j.dim, e0.l.dim)
         for b, elem in enumerate(els):
             for p, x in enumerate(pts):
                 assert _same_bits(values[b, p], kernel_at(elem, x))
-    with pytest.raises(IrrepError):
-        kernels_at(bases.basis_so3(1, 1), [groups.sphere_point(0.1, 0.2, 2.0)])
     # An empty basis, or elements that do not share (j, l, orbit), cannot
     # be steered as one stack; tensor(1,1) and tensor(2,0) even share shapes.
     t11 = tensor_irrep(1, 1)
@@ -258,7 +261,7 @@ def test_steer_stack_matches_elementwise():
     for bad, x in [([], groups.base_point(Sphere()))] + [
             (els, groups.base_point(els[0].orbit)) for els in mixed]:
         with pytest.raises(IrrepError):
-            kernels_at(bad, [x])
+            section_kernels(bad, _coords([x]))
 
 
 #: Angles at and next to the poles, where the sections switch branches.
@@ -311,7 +314,7 @@ def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
     orbit, j, l = els[0].orbit, els[0].j, els[0].l
     pts = data.draw(st.lists(_orbit_points(orbit), min_size=1, max_size=24),
                     label="points")
-    values = kernels_at(els, pts)
+    values = section_kernels(els, _coords(pts))
     for b, elem in enumerate(els):
         for p, x in enumerate(pts):
             assert _same_bits(values[b, p], kernel_at(elem, x))
