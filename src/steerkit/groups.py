@@ -150,9 +150,14 @@ def _rot4(r3: np.ndarray) -> np.ndarray:
 PARAM_COUNT = {SO2: 1, O2: 2, SO3: 3, O3: 4, LORENTZ: 6}
 
 
+#: The parameter that must be +1 or -1: the O(2) sign s, the O(3) parity p.
+_SIGN_PARAM = {O2: (1, "O(2) sign"), O3: (3, "O(3) parity")}
+
+
 def parameter_stack(group: str, params) -> np.ndarray:
     """``params`` as a float array of shape (..., k) for ``group``; NaN and
-    infinite entries are rejected."""
+    infinite entries, and an O(2) sign or O(3) parity other than +-1, are
+    rejected."""
     p = np.asarray(params, dtype=float)
     if group not in PARAM_COUNT:
         raise GroupError(f"unknown group {group!r}")
@@ -160,6 +165,12 @@ def parameter_stack(group: str, params) -> np.ndarray:
         raise GroupError(f"{group} parameters have {PARAM_COUNT[group]} "
                          f"entries per element, got shape {p.shape}")
     _require_finite(f"{group} parameters", p)
+    if group in _SIGN_PARAM:
+        at, what = _SIGN_PARAM[group]
+        bad = np.abs(p[..., at]) != 1.0
+        if bad.any():
+            raise GroupError(f"{what} must be +1 or -1, got "
+                             f"{float(p[..., at][bad].flat[0])}")
     return p
 
 

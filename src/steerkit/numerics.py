@@ -1,4 +1,5 @@
-"""Dense matrix kernel: Kronecker products, SVD nullspaces, principal angles.
+"""Dense matrix kernel: Kronecker products, SVD nullspaces and column spaces,
+principal angles.
 
 Matrices are plain 2-D numpy arrays in row-major (C) order.  The dtype is the
 reality flag: float arrays are exactly real, complex arrays may carry phases.
@@ -15,7 +16,12 @@ import math
 
 import numpy as np
 
-NULLSPACE_TOL = 1e-9  # relative rank cut: sigma <= tol * sigma_max is zero
+#: Rank cut: a singular value at or below ``NULLSPACE_TOL * max(sigma_max,
+#: 1)`` is zero.  The oracle's stacks and projectors are built from unitary
+#: matrices, so sigma_max = O(1) unless a matrix is pure round-off; the
+#: floor gives such a matrix rank 0, where a cut relative to its own
+#: round-off would find full rank.
+NULLSPACE_TOL = 1e-9
 
 
 class NumericsError(ValueError):
@@ -102,11 +108,17 @@ def _fix_column_signs(q: np.ndarray) -> np.ndarray:
     return np.negative(q, out=q, where=pivot < 0)
 
 
+def _rank_cut(s: np.ndarray) -> float:
+    """The cut for singular values ``s`` in descending order."""
+    return NULLSPACE_TOL * max(s[0] if len(s) else 0.0, 1.0)
+
+
 def nullspace_with_spectrum(a):
     """Nullspace basis plus the kept/dropped singular values.
 
     Returns ``(basis, kept, dropped)`` where ``basis`` has orthonormal columns
-    spanning the numerical kernel (sigma <= NULLSPACE_TOL * sigma_max), and
+    spanning the numerical kernel (sigma at or below the rank cut of
+    :data:`NULLSPACE_TOL`), and
     ``kept``/``dropped`` are the singular values above/below the cut, both in
     descending order.  Used by callers that need to inspect the rank gap.
     """
@@ -123,14 +135,31 @@ def nullspace_with_spectrum(a):
     _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     # Wide matrices have n - m implicit zero singular values.
     s_full = np.concatenate([s, np.zeros(n - len(s))])
-    smax = s_full[0] if len(s_full) else 0.0
-    null_mask = s_full <= NULLSPACE_TOL * smax
+    null_mask = s_full <= _rank_cut(s_full)
     k = int(null_mask.sum())
     # Rows of vh are right-singular vectors, sigma descending; reverse the
     # null block so basis columns come out by ascending singular value.
     basis = vh[n - k:][::-1].conj().T if k else np.zeros((n, 0), dtype=vh.dtype)
     basis = _fix_column_signs(basis)
     return basis, s_full[~null_mask], s_full[null_mask]
+
+
+def range_with_spectrum(a):
+    """Column-space basis plus the kept/dropped singular values.
+
+    Returns ``(basis, kept, dropped)`` like :func:`nullspace_with_spectrum`,
+    with the same rank cut; ``basis`` has orthonormal, sign-fixed columns
+    ordered by descending singular value.
+    """
+    a = as_matrix(a)
+    if a.shape[1] == 0:
+        return a.copy(), np.zeros(0), np.zeros(0)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    k = int(np.sum(s > _rank_cut(s)))
+    # The SVD's own U leaves the range by ~n * eps on clustered spectra;
+    # combinations of the columns of ``a`` stay in it to round-off.
+    q = np.linalg.qr(a @ (vh[:k].conj().T / s[:k]))[0]
+    return _fix_column_signs(q), s[:k], s[k:]
 
 
 def nullspace(a) -> np.ndarray:

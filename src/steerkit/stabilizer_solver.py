@@ -1,22 +1,47 @@
 """Numerical intertwiner oracle.
 
-Solves the base-point constraint ``rho_j(h) K rho_l(h)^-1 = K`` over the
-sampled stabilizer generators by stacking the vectorized operators
-``kron(rho_j(h), rho_l(h)^-T) - I`` into one matrix and extracting its
-nullspace.  The computation knows nothing about the closed-form bases; it is
-the independent cross-check for them.
+Solves the base-point constraint ``rho_j(h) K rho_l(h)^-1 = K`` over a
+stabilizer sample, block by block over the weights of the rotations about z
+(the harmonic analysis on the stabilizer of Lang & Weiler, arXiv:2010.10952).
+The stabilizers of the sphere, the massive hyperboloid and the null cone
+contain every rotation about z:
+
+* The weight-m space of a label is the range of the projector ``P_m =
+  (1/N) sum_k exp(-i m theta_k) rho(Rz(theta_k))``, theta_k = 4 pi k / N on
+  [0, 4 pi) so that the half-integer weights of spinors show, N = 2 dim.
+  The candidates m = -(dim-1)/2, ..., (dim-1)/2 in steps of 1/2 never alias.
+  :func:`weight_bases` takes an orthonormal basis U_m of each range, once
+  per label.
+* K commutes with the rotations about z iff ``K = sum_m U^j_m X_m
+  U^l_m^H``: the unknowns are the blocks X_m of equal weight.
+* Only the other sampled generators (the y rotations of the hyperboloid,
+  the O(3) reflection) are stacked, on those unknowns:
+  ``kron(rho_j(h) U^j_m, rho_l(h)^-T conj(U^l_m)) - kron(U^j_m,
+  conj(U^l_m))`` per block.  Without such generators (the sphere under
+  SO(3), the null cone) every X_m is free and no stack is built.
+
+The circle's stabilizer has no rotations: its one block is U = I and its
+stack is the full constraint of every sampled element.  Real labels are
+solved over C and return a real basis of the real and imaginary parts of
+the solutions.  Every spectrum the solve takes (the projector ranges, the
+stack and the real parts) must show a clean rank gap.  The computation uses
+``rep_matrices`` at stabilizer elements only, never the closed-form bases
+or the content tables; it is the independent cross-check for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from . import groups, numerics
-from .groups import Orbit
-from .irreps import (IrrepError, IrrepLabel, rep_inverses, rep_matrices,
-                     stabilizer_content)
+from .groups import Circle, Orbit
+from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_inverses,
+                     rep_matrices, stabilizer_content)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
 #: value; anything smaller means the rank detection is not trustworthy.
@@ -32,13 +57,16 @@ class IntertwinerSpace:
     """Solution space of the base-point constraint.
 
     ``basis`` columns are row-major vectorized kernels; ``matrices()``
-    reshapes them back to dim_j x dim_l.
+    reshapes them back to dim_j x dim_l.  ``gap_ratio`` is the smallest
+    ratio of the smallest kept to the largest dropped singular value over
+    the spectra of the solve (infinite when none has a dropped value).
     """
 
     j: IrrepLabel
     l: IrrepLabel
     orbit: Orbit
     basis: np.ndarray
+    gap_ratio: float
 
     @property
     def dimension(self) -> int:
@@ -59,49 +87,105 @@ def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
     return j.group
 
 
-def constraint_operator(j: IrrepLabel, l: IrrepLabel, elements) -> np.ndarray:
-    """Vectorized stabilizer constraints of a sequence of elements h, the
-    blocks ``kron(rho_j(h), rho_l(h)^-T) - I`` stacked in order into one
-    (n * d, d) matrix, d = dim_j * dim_l."""
-    params = [h.params for h in elements]
-    ops = numerics.kron(rep_matrices(j, params),
-                        rep_inverses(l, params).swapaxes(-1, -2))
-    n, d = len(ops), ops.shape[-1]
-    # kron returns a fresh C-ordered stack: this reshape is a view, so the
-    # diagonals are written in place.
-    ops.reshape(n, d * d)[:, ::d + 1] -= 1.0
-    return ops.reshape(n * d, d)
-
-
 def require_rank_gap(kept: np.ndarray, dropped: np.ndarray,
-                     context: str = "") -> None:
+                     context: str = "") -> float:
     """Reject spectra where the kept/dropped split is not clean.
 
     A silent rank misdetection would poison every downstream count, so a
     ratio below :data:`GAP_RATIO` between the smallest kept and the largest
-    dropped singular value raises instead of guessing.
+    dropped singular value raises instead of guessing.  Returns the ratio,
+    infinite when either side is empty or the dropped values are zeros.
     """
-    if kept.size and dropped.size and dropped[0] > 0.0:
-        if kept[-1] / dropped[0] < GAP_RATIO:
-            raise DegenerateSpectrumError(
-                f"singular-value gap {kept[-1]:.3e}/{dropped[0]:.3e} below "
-                f"{GAP_RATIO:.0e}{context}")
+    if not (kept.size and dropped.size and dropped[0] > 0.0):
+        return math.inf
+    ratio = kept[-1] / dropped[0]
+    if ratio < GAP_RATIO:
+        raise DegenerateSpectrumError(
+            f"singular-value gap {kept[-1]:.3e}/{dropped[0]:.3e} below "
+            f"{GAP_RATIO:.0e}{context}")
+    return float(ratio)
+
+
+@lru_cache(maxsize=None)
+def weight_bases(label: IrrepLabel) -> tuple[MappingProxyType, float]:
+    """Orthonormal bases of the weight spaces of the rotations about z.
+
+    Returns ``(bases, gap_ratio)``: ``bases`` maps twice the weight, an
+    int, to a read-only complex (dim, n) matrix for every weight present,
+    and ``gap_ratio`` is the smallest over the projectors' spectra.  For
+    SO(3), O(3) and Lorentz labels, whose orbits have every rotation about
+    z in their stabilizers.
+    """
+    d = label.dim
+    n = 2 * d
+    params = np.tile(groups.identity(label.group).params, (n, 1))
+    params[:, 0] = 4.0 * math.pi * np.arange(n) / n
+    rho = rep_matrices(label, params).reshape(n, d * d)
+    twice = np.arange(1 - d, d)
+    # exp(-i m theta_k) = exp(-2 pi i (2m) k / n), the exponent reduced mod n
+    phases = np.exp(-2j * math.pi * (np.outer(twice, np.arange(n)) % n) / n)
+    projectors = (phases @ rho / n).reshape(len(twice), d, d)
+    bases, gap, rank = {}, math.inf, 0
+    for m2, p in zip(twice.tolist(), projectors):
+        u, kept, dropped = numerics.range_with_spectrum(p)
+        gap = min(gap, require_rank_gap(
+            kept, dropped, f" for the weight {m2}/2 projector of {label}"))
+        if u.shape[1]:
+            u.flags.writeable = False
+            bases[m2] = u
+            rank += u.shape[1]
+    if rank != d:
+        raise DegenerateSpectrumError(
+            f"the weight spaces of {label} have {rank} dimensions, not {d}")
+    return MappingProxyType(bases), gap
+
+
+def _about_z(h: groups.GroupElement) -> bool:
+    # A rotation about z differs from the identity in the first parameter
+    # (alpha) only.
+    return h.params[1:] == groups.identity(h.group).params[1:]
 
 
 def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
                     orbit: Orbit) -> IntertwinerSpace:
     """Full intertwiner space Hom_H(V_l, V_j) at the orbit base point.
 
-    Real labels are solved over the reals, complex labels over the complex
-    numbers.  Raises :class:`DegenerateSpectrumError` when the singular-value
-    spectrum carries no clean rank gap.
+    Real labels get a real basis, complex labels a complex one.  Raises
+    :class:`DegenerateSpectrumError` when a singular-value spectrum of the
+    solve carries no clean rank gap.
     """
     group = _check_pair(j, l, orbit)
     sample = groups.stabilizer_sample(orbit, group)
-    stack = constraint_operator(j, l, sample.elements)
-    basis, kept, dropped = numerics.nullspace_with_spectrum(stack)
-    require_rank_gap(kept, dropped, f" for {j} / {l}")
-    return IntertwinerSpace(j, l, orbit, basis)
+    if isinstance(orbit, Circle):
+        blocks = [(np.eye(j.dim), np.eye(l.dim))]
+        rest, gap = sample.elements, math.inf
+    else:
+        (bj, gap_j), (bl, gap_l) = weight_bases(j), weight_bases(l)
+        blocks = [(bj[m], bl[m].conj()) for m in bj if m in bl]
+        rest = [h for h in sample.elements if not _about_z(h)]
+        gap = min(gap_j, gap_l)
+    # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major.
+    embed = (np.concatenate([numerics.kron(uj, ul) for uj, ul in blocks], 1)
+             if blocks else np.zeros((j.dim * l.dim, 0), complex))
+    basis = embed
+    if rest and blocks:
+        params = [h.params for h in rest]
+        rho_j = rep_matrices(j, params)
+        rho_l = rep_inverses(l, params).swapaxes(-1, -2)
+        stack = np.concatenate([numerics.kron(rho_j @ uj, rho_l @ ul)
+                                for uj, ul in blocks], -1) - embed
+        x, kept, dropped = numerics.nullspace_with_spectrum(
+            stack.reshape(-1, embed.shape[1]))
+        gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
+        basis = embed @ x
+    if j.field != COMPLEX and np.iscomplexobj(basis):
+        # The solutions of a real constraint are closed under conjugation:
+        # their real and imaginary parts span the real solutions.
+        basis, kept, dropped = numerics.range_with_spectrum(
+            np.concatenate([basis.real, basis.imag], 1))
+        gap = min(gap, require_rank_gap(
+            kept, dropped, f" for the real parts of {j} / {l}"))
+    return IntertwinerSpace(j, l, orbit, basis, gap)
 
 
 def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:

@@ -12,6 +12,9 @@ and the oracle bases were re-pinned once more when the Wigner matrices
 began to be read from one table of Fourier coefficients of d^l(beta) per
 l and basis, which is closer to the exact D^l from l = 2 up; CHANGES.md
 gives the differences and the errors against the 50-digit reference.
+The ``verify`` report and the oracle bases were re-pinned once more when
+the oracle began to solve per weight block of the rotations about z
+instead of through one dense stack; CHANGES.md gives the differences.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digest pins the verifier's
@@ -53,7 +56,7 @@ SAMPLE_GOLDENS = [
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "fb570c475a6ff5f7cd63f0faafd7ec8a2cd856efeb55da7c6cd6f8e199fe1b9d")
+    "654d0c36f2195cb66e5348370d19800377bf0eae27d6751b986743e3338debda")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -78,7 +81,7 @@ SWEEP_GOLDEN = (
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
 #: tables pin only the dimensions; this pins the oracle's bits.
 ORACLE_GOLDEN = (
-    "0a0f3fda06a7a8446369fbb6096b773c7837b3878ac1a9aec400a2e058f7397c")
+    "6fe1878b58b3e87e1f1a923a55edf6af5b3a79997611ed6ada24bb648aded9df")
 
 
 def _sweep_cases():

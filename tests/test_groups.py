@@ -269,6 +269,29 @@ def test_non_finite_parameter_stacks_rejected():
                         call()
 
 
+def test_sign_and_parity_parameters_must_be_unit():
+    # The O(2) sign and the O(3) parity of a parameter stack are +1 or -1;
+    # any other finite value is rejected and named, not read as a scale.
+    for label in (irreps.o2_irrep(1), irreps.o2_irrep("0~", "complex"),
+                  irreps.o3_irrep(1, -1)):
+        group = label.group
+        at = {"o2": 1, "o3": 3}[group]
+        for bad in (0.5, 0.0, 2.0, -0.999):
+            p = np.full((2, groups.PARAM_COUNT[group]), 1.0)
+            p[1, at] = bad
+            for call in (
+                    lambda: irreps.rep_matrices(label, p),
+                    lambda: irreps.rep_inverses(label, p),
+                    lambda: steering.steer(np.eye(label.dim), label, label,
+                                           p),
+                    lambda: groups.matrices(group, p)):
+                with pytest.raises(GroupError, match=f"got {bad}"):
+                    call()
+        p[1, at] = -1.0
+        assert irreps.rep_matrices(label, p).shape == (2, label.dim,
+                                                       label.dim)
+
+
 def test_angle_canonicalization():
     g = so2_element(-0.5)
     assert 0.0 <= g.params[0] < 2 * math.pi

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from steerkit import groups, numerics
+from steerkit import groups, numerics, stabilizer_solver
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
-                             rep_inverse, rep_matrix, so2_irrep, so3_irrep,
-                             spinor_vector_irrep, tensor_irrep)
-from steerkit.stabilizer_solver import (DegenerateSpectrumError,
-                                        constraint_operator,
+                             rep_inverse, rep_matrices, rep_matrix,
+                             so2_irrep, so3_irrep, spinor_vector_irrep,
+                             tensor_irrep)
+from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
                                         predicted_dimension, require_rank_gap,
-                                        solve_basepoint)
+                                        solve_basepoint, weight_bases)
 from steerkit.steering import steer
+from steerkit.verify import SPAN_TOL, compact_case_grid, lorentz_case_grid
 
+from dense_oracle import constraint_stack, dense_basis
 from group_law import stabilizer_draw
 
 
@@ -158,12 +160,12 @@ def test_solutions_satisfy_constraint_for_all_samples():
     for j, l, orbit in cases:
         space = solve_basepoint(j, l, orbit)
         sample = groups.stabilizer_sample(orbit, j.group)
-        # The one stacked constraint is the per-element vstack bit for bit.
+        # The dense reference's stack is the per-element vstack bit for bit.
         blocks = []
         for h in sample.elements:
             op = np.kron(rep_matrix(j, h), rep_inverse(l, h).T)
             blocks.append(op - np.eye(op.shape[0]))
-        stack = constraint_operator(j, l, sample.elements)
+        stack = constraint_stack(j, l, sample.elements)
         assert stack.dtype == blocks[0].dtype
         np.testing.assert_array_equal(stack, np.vstack(blocks))
         for h in sample.elements:
@@ -233,10 +235,11 @@ def test_so3_complex_real_reconciliation():
 
 
 def test_rank_gap_guard():
-    # a clean split passes, a 10^5 ratio raises rather than guessing
-    require_rank_gap(np.array([2.0, 1.0]), np.array([1e-12]))
-    require_rank_gap(np.array([2.0, 1.0]), np.array([0.0]))
-    require_rank_gap(np.zeros(0), np.array([1e-12]))
+    # a clean split passes and returns its ratio (infinite when nothing
+    # nonzero is dropped), a 10^5 ratio raises rather than guessing
+    assert require_rank_gap(np.array([2.0, 1.0]), np.array([1e-12])) == 1e12
+    assert require_rank_gap(np.array([2.0, 1.0]), np.array([0.0])) == np.inf
+    assert require_rank_gap(np.zeros(0), np.array([1e-12])) == np.inf
     with pytest.raises(DegenerateSpectrumError):
         require_rank_gap(np.array([1.0, 1e-4]), np.array([1e-9]))
 
@@ -250,3 +253,142 @@ def test_mismatched_labels_rejected():
         solve_basepoint(so3_irrep(1), so3_irrep(1), Circle())
     with pytest.raises(IrrepError):
         predicted_dimension(so2_irrep(1), so2_irrep(1), Sphere())
+
+
+# ---------------------------------------------------------------------------
+# the weight-blocked solve against the dense reference, and its edges
+
+def _dims_pairs():
+    """Every pair of the `dims` tables: the Lorentz table with the
+    spinor-vector pair, SO(3) to 8, O(3) to 4 over both fields, complex
+    SO(2) to 8 and O(2) to 8; plus tensor(1,1) / tensor(0,2)."""
+    mixed = (tensor_irrep(1, 1), tensor_irrep(0, 2))
+    return (lorentz_case_grid(True)
+            + compact_case_grid("so3", 8, ("real",))
+            + compact_case_grid("o3", 4)
+            + compact_case_grid("so2", 8, ("complex",))
+            + compact_case_grid("o2", 8, ("real",))
+            + [mixed + (MassiveHyperboloid(),), mixed + (NullCone(),)])
+
+
+def test_span_matches_dense_reference():
+    for j, l, orbit in _dims_pairs():
+        space = solve_basepoint(j, l, orbit)
+        dense = dense_basis(j, l, orbit)
+        assert space.dimension == dense.shape[1], (j, l, orbit)
+        assert space.basis.dtype == dense.dtype, (j, l, orbit)
+        angle, _ = numerics.principal_angle_distance(space.basis, dense)
+        assert angle <= SPAN_TOL, (j, l, orbit, angle)
+
+
+def test_gap_ratio_recorded_on_every_dims_pair():
+    for j, l, orbit in _dims_pairs():
+        assert solve_basepoint(j, l, orbit).gap_ratio >= GAP_RATIO
+
+
+def _record_nullspace_calls(monkeypatch) -> list:
+    shapes = []
+    solve = numerics.nullspace_with_spectrum
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return solve(a)
+    monkeypatch.setattr(numerics, "nullspace_with_spectrum", recording)
+    return shapes
+
+
+def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
+    # A dense stack that comes back (4 elements x 1024 rows, 1024 unknowns)
+    # fails here: the one solve has the equal-weight unknowns, the sum over
+    # the weights of n_j(m) * n_l(m) read from the projector ranks, and the
+    # rows of the two y rotations only.
+    sv = spinor_vector_irrep(realified=True)
+    shapes = _record_nullspace_calls(monkeypatch)
+    space = solve_basepoint(sv, sv, MassiveHyperboloid())
+    ranks = {m: u.shape[1] for m, u in weight_bases(sv)[0].items()}
+    unknowns = sum(n * n for n in ranks.values())
+    assert ranks == {-3: 4, -1: 12, 1: 12, 3: 4}
+    assert unknowns == 320 < sv.dim ** 2
+    assert shapes == [(2 * sv.dim ** 2, unknowns)]
+    assert space.dimension == 80
+
+
+def test_round_off_stack_keeps_its_solution():
+    # For o3 0+ / 1+ the r_y rows of the weight-0 block are pure round-off
+    # (norm ~1e-16): the rank cut is measured against 1, not against that
+    # round-off, so the radial solution survives.  Opposite parities have
+    # no solution.
+    for field in ("real", "complex"):
+        for pj in (1, -1):
+            for pl in (1, -1):
+                j, l = o3_irrep(0, pj, field), o3_irrep(1, pl, field)
+                space = _check(j, l, Sphere(), 1 if pj == pl else 0)
+                assert space.gap_ratio >= GAP_RATIO
+                for h in groups.stabilizer_sample(Sphere(), "o3").elements:
+                    for k in space.matrices():
+                        assert np.linalg.norm(rep_matrix(j, h) @ k
+                                              @ rep_inverse(l, h) - k) <= 1e-12
+
+
+def test_circle_has_no_weight_blocks(monkeypatch):
+    # The circle's one block is U = I: its stack is the dense constraint, so
+    # its bases are the dense reference's bit for bit.
+    def no_weights(label):
+        raise AssertionError(f"weight bases taken for {label} on the circle")
+    monkeypatch.setattr(stabilizer_solver, "weight_bases", no_weights)
+    for j, l, orbit in [(so2_irrep(2), so2_irrep(3), Circle()),
+                        (so2_irrep(1, "complex"), so2_irrep(1, "complex"),
+                         Circle()),
+                        (o2_irrep(2), o2_irrep("0~"), Circle()),
+                        (o2_irrep(3, "complex"), o2_irrep(3, "complex"),
+                         Circle())]:
+        space = solve_basepoint(j, l, orbit)
+        np.testing.assert_array_equal(space.basis, dense_basis(j, l, orbit))
+
+
+def test_sphere_and_cone_build_no_stack(monkeypatch):
+    # Their sampled stabilizers are rotations about z only: every
+    # equal-weight block is free and no nullspace is taken.
+    shapes = _record_nullspace_calls(monkeypatch)
+    for j, l, orbit, dim in [
+            (so3_irrep(2), so3_irrep(3), Sphere(), 5),
+            (so3_irrep(4, "complex"), so3_irrep(4, "complex"), Sphere(), 9),
+            (tensor_irrep(2, 0), tensor_irrep(2, 0), NullCone(), 70),
+            (dirac_irrep(), spinor_vector_irrep(), NullCone(), 24)]:
+        assert _check(j, l, orbit, dim).dimension == dim
+    assert shapes == []
+
+
+@pytest.fixture
+def fresh_weight_bases():
+    weight_bases.cache_clear()
+    yield
+    weight_bases.cache_clear()
+
+
+def test_degenerate_projector_spectrum_raises(monkeypatch,
+                                              fresh_weight_bases):
+    # A constant perturbation of rho adds diag(1e-8, 0, 1e-12) to the
+    # weight-0 projector of l = 1, diag(0, 1, 0): its spectrum 1, 1e-8,
+    # 1e-12 splits at the cut with a ratio of 1e4.
+    def fuzzy(label, params):
+        return rep_matrices(label, params) + np.diag([1e-8, 0.0, 1e-12])
+    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+    one = so3_irrep(1, "complex")
+    with pytest.raises(DegenerateSpectrumError, match="projector"):
+        solve_basepoint(one, one, Sphere())
+
+
+def test_degenerate_stack_spectrum_raises(monkeypatch):
+    # O(2) j = 1 on the circle: rho(r_y) = diag(1 + 1e-8, -1 + 1e-12) gives
+    # the reflection rows diag(1e-8, -2 - 1e-8, -2 + 1e-12, -1e-12), whose
+    # spectrum 2, 2, 1e-8, 1e-12 splits at the cut with a ratio of 1e4.
+    def fuzzy(label, params):
+        m = rep_matrices(label, params)
+        reflections = np.asarray(params)[..., 1] < 0
+        m[reflections] += np.diag([1e-8, 1e-12])
+        return m
+    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+    one = o2_irrep(1)
+    with pytest.raises(DegenerateSpectrumError, match="o2"):
+        solve_basepoint(one, one, Circle())
