@@ -32,9 +32,9 @@ from . import groups, steering
 from .groups import (ETA, LORENTZ, O2, O3, SO2, SO3, Circle,
                      MassiveHyperboloid, NullCone, Orbit, OrbitPoint, Sphere)
 from .irreps import (CHARGE_CONJUGATION, COMPLEX, DIRAC, GAMMA, REAL, SLOTS,
-                     SPINOR_VECTOR, TENSOR_SLOTS, IrrepError, IrrepLabel,
-                     o2_irrep, o3_irrep, realify, realify_antilinear,
-                     so2_irrep, so3_irrep, tensor_irrep)
+                     SPINOR_VECTOR, IrrepError, IrrepLabel, o2_irrep,
+                     o3_irrep, realify, realify_antilinear, so2_irrep,
+                     so3_irrep, tensor_irrep, tensor_slots)
 
 #: Auxiliary null vector at the cone base point; n0 . nbar0 = 1.
 NBAR0 = np.array([0.5, 0.0, 0.0, -0.5])
@@ -314,8 +314,8 @@ def lorentz_massive_basis(j: IrrepLabel, l: IrrepLabel,
         raise IrrepError("massive bases take Lorentz labels")
     orbit = MassiveHyperboloid(mass)
     if j.tensor is not None and l.tensor is not None:
-        pairs = sorted(((SLOTS[o][0], o, i) for o in TENSOR_SLOTS[j.tensor]
-                        for i in TENSOR_SLOTS[l.tensor]
+        pairs = sorted(((SLOTS[o][0], o, i) for o in tensor_slots(j)
+                        for i in tensor_slots(l)
                         if SLOTS[o][0] == SLOTS[i][0]), key=lambda t: t[0])
         return [_element(j, l, orbit, f"spin{spin}:{i}->{o}",
                          SLOTS[o][1] @ SLOTS[i][1].T) for spin, o, i in pairs]

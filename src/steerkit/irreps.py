@@ -570,6 +570,14 @@ TENSOR_SLOTS = {
 }
 
 
+def tensor_slots(label: IrrepLabel) -> tuple[str, ...]:
+    """The slot names of a tensor label, for the signatures of the table."""
+    if label.tensor not in TENSOR_SLOTS:
+        raise IrrepError(f"tensor slots are tabulated for p, q >= 0 with "
+                         f"p + q <= 2, got {label.tensor}")
+    return TENSOR_SLOTS[label.tensor]
+
+
 def stabilizer_content(label: IrrepLabel, orbit: groups.Orbit) -> Counter:
     """Multiplicity of each irrep of the base-point stabilizer H in the
     complexified ``label``; a realified label counts as V + conj(V).
@@ -595,7 +603,7 @@ def stabilizer_content(label: IrrepLabel, orbit: groups.Orbit) -> Counter:
         # r_y = parity * Ry(pi) scales the m = 0 vector by eps (-1)^l (-1)^l.
         return Counter([(0, label.parity)] + list(range(1, label.j + 1)))
     if label.tensor is not None:
-        spins = Counter(Fraction(SLOTS[s][0]) for s in TENSOR_SLOTS[label.tensor])
+        spins = Counter(Fraction(SLOTS[s][0]) for s in tensor_slots(label))
     elif label.spinor == DIRAC:
         spins = Counter({Fraction(1, 2): 2})
     else:

@@ -11,22 +11,22 @@ contain every rotation about z:
   [0, 4 pi) so that the half-integer weights of spinors show, N = 2 dim.
   The candidates m = -(dim-1)/2, ..., (dim-1)/2 in steps of 1/2 never alias.
   :func:`weight_bases` takes an orthonormal basis U_m of each range, once
-  per label.
+  per label; a real label keeps m >= 0 only, as U_-m = conj(U_m).
 * K commutes with the rotations about z iff ``K = sum_m U^j_m X_m
-  U^l_m^H``: the unknowns are the blocks X_m of equal weight.
+  U^l_m^H``: the unknowns are the blocks X_m of equal weight.  A real K
+  has X_-m = conj(X_m), so real labels solve for the real and imaginary
+  parts of X_m, m >= 0, in real arithmetic.
 * Only the other sampled generators (the y rotations of the hyperboloid,
-  the O(3) reflection) are stacked, on those unknowns:
-  ``kron(rho_j(h) U^j_m, rho_l(h)^-T conj(U^l_m)) - kron(U^j_m,
-  conj(U^l_m))`` per block.  Without such generators (the sphere under
-  SO(3), the null cone) every X_m is free and no stack is built.
+  the O(3) reflection) are stacked, on those unknowns.  Without such
+  generators (the sphere under SO(3), the null cone) every X_m is free and
+  no stack is built.
 
-The circle's stabilizer has no rotations: its one block is U = I and its
-stack is the full constraint of every sampled element.  Real labels are
-solved over C and return a real basis of the real and imaginary parts of
-the solutions.  Every spectrum the solve takes (the projector ranges, the
-stack and the real parts) must show a clean rank gap.  The computation uses
-``rep_matrices`` at stabilizer elements only, never the closed-form bases
-or the content tables; it is the independent cross-check for them.
+The circle's stabilizer has no rotations: it is the one weight-0 block U = I
+on the same path, and its stack is the full constraint of every sampled
+element.  Every spectrum the solve takes (the projector ranges and the
+stack) must show a clean rank gap.  The computation uses ``rep_matrices``
+at stabilizer elements only, never the closed-form bases or the content
+tables; it is the independent cross-check for them.
 """
 
 from __future__ import annotations
@@ -111,29 +111,32 @@ def weight_bases(label: IrrepLabel) -> tuple[MappingProxyType, float]:
     """Orthonormal bases of the weight spaces of the rotations about z.
 
     Returns ``(bases, gap_ratio)``: ``bases`` maps twice the weight, an
-    int, to a read-only complex (dim, n) matrix for every weight present,
-    and ``gap_ratio`` is the smallest over the projectors' spectra.  For
-    SO(3), O(3) and Lorentz labels, whose orbits have every rotation about
-    z in their stabilizers.
+    int, to a read-only (dim, n) matrix for every weight present, and
+    ``gap_ratio`` is the smallest over the projectors' spectra.  A real
+    label keeps the weights m >= 0 only (P_-m = conj(P_m)), with a real U_0
+    from Re P_0.  For SO(3), O(3) and Lorentz labels, whose orbits have
+    every rotation about z in their stabilizers.
     """
     d = label.dim
     n = 2 * d
+    real = label.field != COMPLEX
     params = np.tile(groups.identity(label.group).params, (n, 1))
     params[:, 0] = 4.0 * math.pi * np.arange(n) / n
     rho = rep_matrices(label, params).reshape(n, d * d)
-    twice = np.arange(1 - d, d)
+    twice = np.arange(0 if real else 1 - d, d)
     # exp(-i m theta_k) = exp(-2 pi i (2m) k / n), the exponent reduced mod n
     phases = np.exp(-2j * math.pi * (np.outer(twice, np.arange(n)) % n) / n)
     projectors = (phases @ rho / n).reshape(len(twice), d, d)
     bases, gap, rank = {}, math.inf, 0
     for m2, p in zip(twice.tolist(), projectors):
-        u, kept, dropped = numerics.range_with_spectrum(p)
+        u, kept, dropped = numerics.range_with_spectrum(
+            p.real if real and m2 == 0 else p)
         gap = min(gap, require_rank_gap(
             kept, dropped, f" for the weight {m2}/2 projector of {label}"))
         if u.shape[1]:
             u.flags.writeable = False
             bases[m2] = u
-            rank += u.shape[1]
+            rank += u.shape[1] * (2 if real and m2 else 1)
     if rank != d:
         raise DegenerateSpectrumError(
             f"the weight spaces of {label} have {rank} dimensions, not {d}")
@@ -157,34 +160,36 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
     group = _check_pair(j, l, orbit)
     sample = groups.stabilizer_sample(orbit, group)
     if isinstance(orbit, Circle):
-        blocks = [(np.eye(j.dim), np.eye(l.dim))]
-        rest, gap = sample.elements, math.inf
+        bj, bl, gap = {0: np.eye(j.dim)}, {0: np.eye(l.dim)}, math.inf
+        rest = sample.elements
     else:
         (bj, gap_j), (bl, gap_l) = weight_bases(j), weight_bases(l)
-        blocks = [(bj[m], bl[m].conj()) for m in bj if m in bl]
         rest = [h for h in sample.elements if not _about_z(h)]
         gap = min(gap_j, gap_l)
-    # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major.
-    embed = (np.concatenate([numerics.kron(uj, ul) for uj, ul in blocks], 1)
-             if blocks else np.zeros((j.dim * l.dim, 0), complex))
-    basis = embed
-    if rest and blocks:
+
+    def columns(kron):
+        # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major; a weight
+        # of j missing from l gives a block with no unknowns.  A real K has
+        # X_-m = conj(X_m): a column c of weight m > 0 stands for c +
+        # conj(c), whose real, orthonormal parts are sqrt(2) Re c and
+        # sqrt(2) Im c.
+        parts = []
+        for m, uj in bj.items():
+            c = kron(uj, bl.get(m, np.zeros((l.dim, 0))).conj())
+            parts += ([c] if j.field == COMPLEX else [c.real] if m == 0
+                      else [math.sqrt(2.0) * c.real, math.sqrt(2.0) * c.imag])
+        return np.concatenate(parts, -1)
+
+    embed = basis = columns(numerics.kron)
+    if rest:
         params = [h.params for h in rest]
         rho_j = rep_matrices(j, params)
         rho_l = rep_inverses(l, params).swapaxes(-1, -2)
-        stack = np.concatenate([numerics.kron(rho_j @ uj, rho_l @ ul)
-                                for uj, ul in blocks], -1) - embed
+        stack = columns(lambda uj, ul: numerics.kron(rho_j @ uj, rho_l @ ul))
         x, kept, dropped = numerics.nullspace_with_spectrum(
-            stack.reshape(-1, embed.shape[1]))
+            (stack - embed).reshape(len(rest) * len(embed), embed.shape[1]))
         gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
         basis = embed @ x
-    if j.field != COMPLEX and np.iscomplexobj(basis):
-        # The solutions of a real constraint are closed under conjugation:
-        # their real and imaginary parts span the real solutions.
-        basis, kept, dropped = numerics.range_with_spectrum(
-            np.concatenate([basis.real, basis.imag], 1))
-        gap = min(gap, require_rank_gap(
-            kept, dropped, f" for the real parts of {j} / {l}"))
     return IntertwinerSpace(j, l, orbit, basis, gap)
 
 

@@ -355,9 +355,7 @@ def _steerable_angular(j: int, l: int, phis: np.ndarray,
     """Batch-evaluate a fixed combination of the real SO(2) basis."""
     elements = bases.basis_so2(j, l, REAL)
     k0 = sum(c * e.base_matrix for c, e in zip(coeffs, elements))
-    rj = rep_matrices(so2_irrep(j), phis[:, None])
-    rl_inv = rep_matrices(so2_irrep(l), -phis[:, None])
-    return np.einsum("nab,bc,ncd->nad", rj, k0, rl_inv)
+    return steering.steer(k0, so2_irrep(j), so2_irrep(l), phis[:, None])
 
 
 def _control_angular(j: int, l: int, phis: np.ndarray) -> np.ndarray:
@@ -440,12 +438,9 @@ def negative_control_residual(seed: int = 0) -> float:
     j, l = so2_irrep(1), so2_irrep(2)
     k0 = rng.normal(size=(2, 2))
     scale = max(1.0, np.linalg.norm(k0))
-    worst = 0.0
-    for _ in range(10):
-        g = groups.random_element(groups.SO2, rng)
-        steered = steering.steer(k0, j, l, g)
-        worst = max(worst, float(np.linalg.norm(k0 - steered) / scale))
-    return worst
+    params = [groups.random_element(groups.SO2, rng).params for _ in range(10)]
+    steered = steering.steer(k0, j, l, params)
+    return float((numerics.norms(k0 - steered) / scale).max())
 
 
 def run_suite(seed: int = 0, group: Optional[str] = None) -> dict:

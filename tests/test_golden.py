@@ -14,7 +14,10 @@ l and basis, which is closer to the exact D^l from l = 2 up; CHANGES.md
 gives the differences and the errors against the 50-digit reference.
 The ``verify`` report and the oracle bases were re-pinned once more when
 the oracle began to solve per weight block of the rotations about z
-instead of through one dense stack; CHANGES.md gives the differences.
+instead of through one dense stack, and once more when real labels began
+to solve in real arithmetic and the demo to steer through ``steer``;
+CHANGES.md gives the differences.  Both digests are also recomputed in a
+process pinned to one BLAS thread.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digest pins the verifier's
@@ -22,9 +25,13 @@ steering path at the benchmark's 50 x 20 draws.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import steerkit
 from steerkit import analytic_bases as bases
 from steerkit import verify
 from steerkit.cli import main
@@ -56,7 +63,7 @@ SAMPLE_GOLDENS = [
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "654d0c36f2195cb66e5348370d19800377bf0eae27d6751b986743e3338debda")
+    "755f9f4176b799a10c3c9dc359b7921cf7e7cca9bafa79d70baef64bd6657026")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -81,7 +88,7 @@ SWEEP_GOLDEN = (
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
 #: tables pin only the dimensions; this pins the oracle's bits.
 ORACLE_GOLDEN = (
-    "6fe1878b58b3e87e1f1a923a55edf6af5b3a79997611ed6ada24bb648aded9df")
+    "243bfbb61035888904cd9b722e9bba70cb2b46b8789f9e4f4c21c23b348cf1de")
 
 
 def _sweep_cases():
@@ -131,7 +138,7 @@ def test_steer_sweep_matches_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_GOLDEN
 
 
-def test_oracle_bases_match_golden():
+def _oracle_digest() -> str:
     sv, t20 = spinor_vector_irrep(realified=True), tensor_irrep(2, 0)
     dirac = dirac_irrep(realified=True)
     cases = [(sv, sv, MassiveHyperboloid()), (t20, t20, NullCone()),
@@ -141,4 +148,28 @@ def test_oracle_bases_match_golden():
     digest = hashlib.sha256()
     for j, l, orbit in cases:
         digest.update(solve_basepoint(j, l, orbit).basis.tobytes())
-    assert digest.hexdigest() == ORACLE_GOLDEN
+    return digest.hexdigest()
+
+
+def test_oracle_bases_match_golden():
+    assert _oracle_digest() == ORACLE_GOLDEN
+
+
+def test_goldens_hold_on_one_blas_thread():
+    # The oracle bases and the verify report must not hang on the BLAS
+    # thread count: a fresh process pinned to one thread recomputes both
+    # digests.
+    src = os.path.dirname(os.path.dirname(steerkit.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+
+    def run(*args) -> bytes:
+        return subprocess.run([sys.executable, *args], env=env, check=True,
+                              capture_output=True).stdout
+
+    oracle = run("-c",
+                 "import test_golden; print(test_golden._oracle_digest())")
+    assert oracle.decode().strip() == ORACLE_GOLDEN
+    report = run("-m", "steerkit.cli", "verify", "--seed", "7")
+    assert hashlib.sha256(report).hexdigest() == VERIFY_SEED7_GOLDEN

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -481,6 +482,27 @@ def test_stabilizer_content_accounts_for_the_whole_label():
         assert min(content.values()) > 0
         assert sum(n * _stabilizer_irrep_dim(label, orbit, sigma)
                    for sigma, n in content.items()) == label.dim, label
+
+
+def test_tensor_signatures_outside_the_slot_table_raise_irrep_error():
+    # Labels built directly, past tensor_irrep's check: the spin content and
+    # the massive basis name the tabulated range instead of a bare KeyError.
+    from steerkit.analytic_bases import lorentz_massive_basis
+    from steerkit.stabilizer_solver import predicted_dimension
+    vec = tensor_irrep(1, 0)
+    for sig in [(3, 0), (-1, 0), (1, 2)]:
+        lab = irreps.IrrepLabel(groups.LORENTZ, "real", tensor=sig)
+        calls = [lambda: stabilizer_content(lab, MassiveHyperboloid()),
+                 lambda: stabilizer_content(lab, NullCone()),
+                 lambda: predicted_dimension(lab, vec, NullCone()),
+                 lambda: predicted_dimension(vec, lab, MassiveHyperboloid()),
+                 lambda: lorentz_massive_basis(lab, vec),
+                 lambda: lorentz_massive_basis(vec, lab)]
+        for call in calls:
+            with pytest.raises(IrrepError,
+                               match=r"p, q >= 0 with p \+ q <= 2, got "
+                                     + re.escape(str(sig))):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from steerkit import groups, numerics, stabilizer_solver
-from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
-from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
-                             rep_inverse, rep_matrices, rep_matrix,
+from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
+                             Sphere)
+from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
+                             o3_irrep, rep_inverse, rep_matrices, rep_matrix,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
                              tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
@@ -291,7 +292,7 @@ def _record_nullspace_calls(monkeypatch) -> list:
     solve = numerics.nullspace_with_spectrum
 
     def recording(a):
-        shapes.append(np.shape(a))
+        shapes.append((np.shape(a), np.asarray(a).dtype))
         return solve(a)
     monkeypatch.setattr(numerics, "nullspace_with_spectrum", recording)
     return shapes
@@ -299,18 +300,62 @@ def _record_nullspace_calls(monkeypatch) -> list:
 
 def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
     # A dense stack that comes back (4 elements x 1024 rows, 1024 unknowns)
-    # fails here: the one solve has the equal-weight unknowns, the sum over
-    # the weights of n_j(m) * n_l(m) read from the projector ranks, and the
-    # rows of the two y rotations only.
+    # fails here: the one solve is real and has the equal-weight unknowns,
+    # the real and imaginary parts of X_m for m > 0 (2 n_j(m) n_l(m) each,
+    # n read from the projector ranks; a real label keeps m >= 0 only), and
+    # the rows of the two y rotations only.
     sv = spinor_vector_irrep(realified=True)
     shapes = _record_nullspace_calls(monkeypatch)
     space = solve_basepoint(sv, sv, MassiveHyperboloid())
     ranks = {m: u.shape[1] for m, u in weight_bases(sv)[0].items()}
-    unknowns = sum(n * n for n in ranks.values())
-    assert ranks == {-3: 4, -1: 12, 1: 12, 3: 4}
+    unknowns = sum(2 * n * n for n in ranks.values())
+    assert ranks == {1: 12, 3: 4}
     assert unknowns == 320 < sv.dim ** 2
-    assert shapes == [(2 * sv.dim ** 2, unknowns)]
+    assert shapes == [((2 * sv.dim ** 2, unknowns), np.dtype(np.float64))]
     assert space.dimension == 80
+
+
+def test_real_pairs_solve_in_real_arithmetic(monkeypatch):
+    # Every real pair of the dims tables: no complex array reaches the
+    # nullspace, and once the weight bases are cached no range is taken, so
+    # a real-part step after the solve would fail here.
+    pairs = [(j, l, orbit) for j, l, orbit in _dims_pairs()
+             if j.field != "complex"]
+    for j, l, orbit in pairs:
+        if not isinstance(orbit, Circle):
+            weight_bases(j), weight_bases(l)
+    shapes = _record_nullspace_calls(monkeypatch)
+
+    def no_range(a):
+        raise AssertionError("range_with_spectrum called by the solve")
+    monkeypatch.setattr(numerics, "range_with_spectrum", no_range)
+    for j, l, orbit in pairs:
+        assert solve_basepoint(j, l, orbit).basis.dtype == np.float64
+    assert shapes and all(dtype == np.float64 for _, dtype in shapes)
+
+
+def test_rank3_tensor_on_the_cone():
+    # A (3, 0) tensor, built directly since tensor_irrep stops at rank 2:
+    # spin content {0: 5, 1: 9, 2: 5, 3: 1}, so the weight m has
+    # n(m) = sum over s >= |m| of those counts, and the cone keeps
+    # sum_m n(m)^2 = 20^2 + 2 (15^2 + 6^2 + 1^2) = 924 real solutions.
+    t30 = IrrepLabel(LORENTZ, "real", tensor=(3, 0))
+    spins = {0: 5, 1: 9, 2: 5, 3: 1}
+    assert sum(c * (2 * s + 1) for s, c in spins.items()) == t30.dim
+    n = {m: sum(c for s, c in spins.items() if s >= abs(m))
+         for m in range(-3, 4)}
+    assert sum(c * c for c in n.values()) == 924
+    orbit = NullCone()
+    space = solve_basepoint(t30, t30, orbit)
+    assert space.dimension == 924 and space.basis.dtype == np.float64
+    assert space.gap_ratio >= GAP_RATIO
+    rng = np.random.default_rng(30)
+    elements = (list(groups.stabilizer_sample(orbit, LORENTZ).elements)
+                + [stabilizer_draw(orbit, LORENTZ, rng) for _ in range(4)])
+    kernels = np.stack(space.matrices())
+    for h in elements:
+        moved = rep_matrix(t30, h) @ kernels @ rep_inverse(t30, h)
+        assert np.linalg.norm(moved - kernels, axis=(-2, -1)).max() <= 1e-10
 
 
 def test_round_off_stack_keeps_its_solution():
