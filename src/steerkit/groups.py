@@ -273,26 +273,71 @@ def identity(group: str) -> GroupElement:
     return _IDENTITIES[group]
 
 
+#: Low and high of the uniform double behind each parameter of a compact
+#: draw, in stream order: beta is drawn as cos(beta) in [-1, 1], and the
+#: O(2) sign and the O(3) parity as a double in [0, 1) that is +1 below 0.5.
+_COMPACT_DRAWS = {
+    SO2: ((0.0,), (TWO_PI,)),
+    O2: ((0.0, 0.0), (TWO_PI, 1.0)),
+    SO3: ((0.0, -1.0, 0.0), (TWO_PI, 1.0, TWO_PI)),
+    O3: ((0.0, -1.0, 0.0, 0.0), (TWO_PI, 1.0, TWO_PI, 1.0)),
+}
+
+
+def _check_draw(n: int, eta_max: float) -> None:
+    if n < 0:
+        raise GroupError(f"cannot draw {n} elements or points")
+    if not 0.0 <= eta_max < math.inf:
+        raise GroupError(f"eta_max must be finite and >= 0, got {eta_max}")
+
+
+def _angles_from_cosines(c: np.ndarray) -> np.ndarray:
+    # math.acos, not np.arccos: the two differ in the last bit.
+    return _scalar(math.acos, c)
+
+
+def random_params(group: str, rng: np.random.Generator, n: int,
+                  eta_max: float = 2.0) -> np.ndarray:
+    """Canonical parameters of n random elements, shape (n, k).
+
+    Rotation angles are quasi-uniform and Lorentz rapidities have |eta| <=
+    eta_max.  Row i is the element that the i-th of n calls of
+    :func:`random_element` returns, drawn from the same doubles in the same
+    order, and the generator ends in the same state.  Compact groups take
+    all their doubles in one ``rng.uniform`` call; a Lorentz element draws
+    its direction with ``rng.normal`` between its uniforms, so those are
+    drawn element by element.
+    """
+    _check_draw(n, eta_max)
+    if group == LORENTZ:
+        out = np.empty((n, 6))
+        for row in out:
+            row[0] = rng.uniform(0.0, TWO_PI)
+            row[1] = math.acos(rng.uniform(-1.0, 1.0))
+            row[2] = rng.uniform(0.0, TWO_PI)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            row[3:] = rng.uniform(0.0, eta_max) * direction
+        return out
+    if group not in _COMPACT_DRAWS:
+        raise GroupError(f"unknown group {group!r}")
+    low, high = _COMPACT_DRAWS[group]
+    out = rng.uniform(low, high, size=(n, len(low)))
+    if group in (SO2, O2):
+        out[:, 0] = _wrap_angles(out[:, 0])
+    else:
+        out[:, 1] = _angles_from_cosines(out[:, 1])
+    if group in _SIGN_PARAM:
+        at = _SIGN_PARAM[group][0]
+        out[:, at] = np.where(out[:, at] < 0.5, 1.0, -1.0)
+    return out
+
+
 def random_element(group: str, rng: np.random.Generator,
                    eta_max: float = 2.0) -> GroupElement:
-    """Random element; rotation angles quasi-uniform, |eta| <= eta_max."""
-    if group == SO2:
-        return so2_element(rng.uniform(0.0, TWO_PI))
-    if group == O2:
-        return o2_element(rng.uniform(0.0, TWO_PI), 1 if rng.random() < 0.5 else -1)
-    alpha = rng.uniform(0.0, TWO_PI)
-    beta = math.acos(rng.uniform(-1.0, 1.0))
-    gamma = rng.uniform(0.0, TWO_PI)
-    if group == SO3:
-        return GroupElement(SO3, (alpha, beta, gamma))
-    if group == O3:
-        return GroupElement(O3, (alpha, beta, gamma, 1.0 if rng.random() < 0.5 else -1.0))
-    if group == LORENTZ:
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        eta = rng.uniform(0.0, eta_max) * direction
-        return GroupElement(LORENTZ, (alpha, beta, gamma) + tuple(eta))
-    raise GroupError(f"unknown group {group!r}")
+    """Random element; the one-element view of :func:`random_params`."""
+    return GroupElement(group, tuple(
+        random_params(group, rng, 1, eta_max)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +647,31 @@ def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSa
     return StabilizerSample(x0, elems)
 
 
+def random_orbit_coords(orbit: Orbit, rng: np.random.Generator, n: int,
+                        eta_max: float = 2.0) -> np.ndarray:
+    """Canonical coordinates of n random points on the orbit, shape (n, c).
+
+    Row i is the point that the i-th of n calls of
+    :func:`random_orbit_point` returns, from the same doubles in the same
+    order.  Circle and sphere angles are quasi-uniform; a point on a Lorentz
+    orbit is a random element (see :func:`random_params`, rapidity capped at
+    eta_max) acting on the base point, the whole stack in one action.
+    """
+    _check_draw(n, eta_max)
+    if isinstance(orbit, Circle):
+        return _canonical_coords(orbit, rng.uniform(0.0, TWO_PI, size=(n, 1)))
+    if isinstance(orbit, Sphere):
+        c = rng.uniform((0.0, -1.0), (TWO_PI, 1.0), size=(n, 2))
+        c[:, 1] = _angles_from_cosines(c[:, 1])
+        return _canonical_coords(orbit, c)
+    x0 = base_point(orbit)
+    return act_points(LORENTZ, random_params(LORENTZ, rng, n, eta_max),
+                      orbit, x0.coords)
+
+
 def random_orbit_point(orbit: Orbit, rng: np.random.Generator,
                        eta_max: float = 2.0) -> OrbitPoint:
-    """Random point on the orbit (rapidity capped for Lorentz orbits)."""
-    if isinstance(orbit, Circle):
-        return circle_point(rng.uniform(0.0, TWO_PI), orbit.radius)
-    if isinstance(orbit, Sphere):
-        return sphere_point(rng.uniform(0.0, TWO_PI),
-                            math.acos(rng.uniform(-1.0, 1.0)), orbit.radius)
-    g = random_element(LORENTZ, rng, eta_max=eta_max)
-    return act(g, base_point(orbit))
+    """Random point on the orbit; the one-point view of
+    :func:`random_orbit_coords`."""
+    return OrbitPoint(orbit, tuple(
+        random_orbit_coords(orbit, rng, 1, eta_max)[0].tolist()))

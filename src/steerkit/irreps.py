@@ -388,8 +388,12 @@ def sl2_of(g: GroupElement) -> np.ndarray:
 def realify(m: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors;
     a stack of maps gives a stack."""
-    return np.concatenate([np.concatenate([m.real, -m.imag], axis=-1),
-                           np.concatenate([m.imag, m.real], axis=-1)], axis=-2)
+    r, c = m.shape[-2:]
+    out = np.empty(m.shape[:-2] + (2 * r, 2 * c), m.real.dtype)
+    out[..., :r, :c] = out[..., r:, c:] = m.real
+    np.negative(m.imag, out=out[..., :r, c:])
+    out[..., r:, :c] = m.imag
+    return out
 
 
 def realify_antilinear(m: np.ndarray) -> np.ndarray:

@@ -5,11 +5,14 @@ Extends a base-point intertwiner over its orbit by the defining rule
 points through the fixed coset section.  Well-definedness across section
 choices is exactly the stabilizer constraint on the base-point matrix.
 
-:func:`steer` is the one place that forms the product, for one element or a
-stack of elements, into fresh arrays or into arrays the caller owns;
-:func:`section_kernels` evaluates a whole basis at a stack of points through
-it, writing chunk by chunk in place into the output with one work array per
-call, and :func:`kernel_at` is the element-by-element reference path.
+:func:`_product` is the one place that forms the product, from stacks of
+representation matrices, into fresh arrays or into arrays the caller owns.
+:func:`steer` evaluates those stacks for one element or a stack of elements;
+:func:`section_kernels` evaluates a whole basis at a stack of points, writing
+chunk by chunk in place into the output with one work array per call, and
+:func:`kernel_at` is the element-by-element reference path.  The verifier's
+sweeps evaluate their stacks once and form their products through
+:func:`_product` too.
 """
 
 from __future__ import annotations
@@ -21,14 +24,32 @@ from .groups import LORENTZ
 from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_inverses,
                      rep_matrices)
 
-#: Byte budget of the kernel stacks formed at a time: the batched paths
-#: steer at most this many bytes of kernels per numpy call.
+#: Byte budget of the stacks formed at a time: the batched paths steer at
+#: most this many bytes of kernels per numpy call, and no representation
+#: stack they form at once is larger.
 CHUNK_BYTES = 1 << 20
 
 
 def chunk_length(item_bytes: int) -> int:
     """Number of items of ``item_bytes`` bytes that fit the chunk budget."""
     return max(1, CHUNK_BYTES // item_bytes)
+
+
+def _dtype(j: IrrepLabel) -> np.dtype:
+    """dtype of the kernels and representation stacks of a label pair."""
+    return np.dtype(complex if j.field == COMPLEX else float)
+
+
+def _rep_bytes(j: IrrepLabel, l: IrrepLabel) -> int:
+    """Bytes of the larger of ``rho_j(g)`` and ``rho_l(g)^-1``."""
+    return _dtype(j).itemsize * max(j.dim, l.dim) ** 2
+
+
+def _steered_bytes(j: IrrepLabel, l: IrrepLabel, n_basis: int) -> int:
+    """Bytes per steering element that the chunk budget counts: the
+    ``n_basis`` kernels it steers or one representation matrix, whichever is
+    larger, so that neither kind of stack of a chunk exceeds the budget."""
+    return max(_dtype(j).itemsize * n_basis * j.dim * l.dim, _rep_bytes(j, l))
 
 
 def _require_shape(shape: tuple, *arrays) -> None:
@@ -76,12 +97,25 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
                          f"{params.shape}")
     shape = np.broadcast_shapes(k0.shape[:-2], params.shape[:1]) + k0.shape[-2:]
     _require_shape(shape, out, work)
+    return _product(*_reps(j, l, params), k0, out=out, work=work)
+
+
+def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
+    """``rho_j(g)`` and ``rho_l(g)^-1`` for a stack of elements, canonical
+    parameters of shape (..., k) -> two stacks (..., dim, dim)."""
     rho = rep_matrices(j, params)
     if j == l and j.group != LORENTZ:
         # Compact inverses are conjugate transposes (see irreps.rep_inverses).
-        rho_inv = rho.conj().swapaxes(-1, -2)
-    else:
-        rho_inv = rep_inverses(l, params)
+        return rho, rho.conj().swapaxes(-1, -2)
+    return rho, rep_inverses(l, params)
+
+
+def _product(rho: np.ndarray, rho_inv: np.ndarray, k0: np.ndarray, *,
+             out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """``rho @ k0 @ rho_inv`` over broadcast stacks, with ``rho @ k0`` formed
+    in ``work``; every matrix of the result is the one-element product bit
+    for bit."""
     work = np.matmul(rho, k0, out=work)
     return np.matmul(work, rho_inv, out=out)
 
@@ -122,18 +156,28 @@ def section_kernels(elements, coords, out=None, work=None) -> np.ndarray:
     j, l = e0.j, e0.l
     coords = np.asarray(coords, dtype=float)
     shape = (len(elements), len(coords), j.dim, l.dim)
-    dtype = complex if j.field == COMPLEX else float
     if out is None:
-        out = np.empty(shape, dtype)
+        out = np.empty(shape, _dtype(j))
     _require_shape(shape, out, work)
     if not len(coords):
         return out
     params = groups.section_params(e0.orbit, coords, j.group)
+    return _steer_basis(elements, params, out, work)
+
+
+def _steer_basis(elements, params, out, work=None) -> np.ndarray:
+    """A basis steered by a stack of elements, canonical parameters of shape
+    (n, k), written into ``out`` of shape ``(n_basis, n, dim_j, dim_l)``; the
+    representation stacks are evaluated chunk by chunk within the budget."""
+    e0 = elements[0]
+    j, l = e0.j, e0.l
     k0 = np.stack([e.base_matrix for e in elements])[:, None]
-    step = chunk_length(out.itemsize * len(elements) * j.dim * l.dim)
+    step = chunk_length(_steered_bytes(j, l, len(elements)))
     if work is None:
-        work = np.empty(shape[:1] + (min(step, len(params)),) + shape[2:], dtype)
+        work = np.empty(out.shape[:1] + (min(step, len(params)),)
+                        + out.shape[2:], out.dtype)
     for i in range(0, len(params), step):
-        g = params[i:i + step]
-        steer(k0, j, l, g, out=out[:, i:i + step], work=work[:, :len(g)])
+        rho, rho_inv = _reps(j, l, params[i:i + step])
+        _product(rho, rho_inv, k0, out=out[:, i:i + len(rho)],
+                 work=work[:, :len(rho)])
     return out

@@ -82,46 +82,63 @@ def _worst(worst: float, resid: np.ndarray) -> float:
     return max(worst, float(np.fmax.reduce(resid, axis=None)))
 
 
+def _require_counts(n_g: int, n_x: int) -> None:
+    if min(n_g, n_x) < 0:
+        raise ValueError(f"draw counts must be >= 0, got n_g={n_g}, n_x={n_x}")
+
+
 def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
                        seed: int, eta_max: float = 2.0) -> float:
     """Worst relative steerability defect over random (g, x) draws.
 
     For each pair the kernels at g.x, evaluated through the coset section,
-    are compared with the kernels at x steered by g.  All n_g x n_x pairs
-    are evaluated as stacks, a block of group elements at a time within the
-    chunk budget, into arrays allocated once per call.  On the null cone the
-    kernel is well defined only modulo the gauge choice of the auxiliary
-    null vector, so the massless cases are dispatched to
-    :func:`massless_steer_residual`.
+    are compared with the kernels at x steered by g.  The points and the
+    elements are drawn as stacks, and the action and the coset sections are
+    computed once for the whole n_x x n_g grid.  The representations of the
+    elements are evaluated a block at a time, and the pairs are steered a
+    chunk of elements at a time, each stack within the chunk budget, into
+    arrays allocated once per call.  On the null cone the kernel is well
+    defined only modulo the gauge choice of the auxiliary null vector, so
+    the massless cases are dispatched to :func:`massless_steer_residual`.
     """
+    _require_counts(n_g, n_x)
     if not elements or min(n_g, n_x) < 1:
         return 0.0
     if isinstance(orbit, NullCone):
         return massless_steer_residual(elements[0], n_g, n_x, seed, eta_max)
     rng = np.random.default_rng(seed)
     j, l = elements[0].j, elements[0].l
-    xs = [groups.random_orbit_point(orbit, rng, eta_max) for _ in range(n_x)]
-    gs = np.array([groups.random_element(j.group, rng, eta_max=eta_max).params
-                   for _ in range(n_g)])
-    coords = np.array([x.coords for x in xs])
+    coords = groups.random_orbit_coords(orbit, rng, n_x, eta_max)
+    gs = groups.random_params(j.group, rng, n_g, eta_max)
     kx = steering.section_kernels(elements, coords)
     scale = np.fmax(1.0, numerics.norms(kx))[:, :, None]
+    sections = groups.section_params(
+        orbit, groups.act_points(j.group, gs, orbit, coords[:, None]), j.group)
     worst = 0.0
-    step = steering.chunk_length(kx.nbytes)
-    # Flat buffers: the leading part of each is a C-ordered block of any
+    step = steering.chunk_length(
+        n_x * steering._steered_bytes(j, l, len(elements)))
+    # A block of elements, whose representations are evaluated at once, has
+    # no more elements than the sections of one chunk and fits the budget.
+    block = step * max(1, min(n_x, steering.chunk_length(
+        steering._rep_bytes(j, l)) // step))
+    # Flat buffers: the leading part of each is a C-ordered chunk of any
     # length up to step.
     bufs = [np.empty(min(step, n_g) * kx.size, kx.dtype) for _ in range(3)]
-    for i in range(0, n_g, step):
-        g = gs[i:i + step]
-        shape = kx.shape[:2] + (len(g),) + kx.shape[2:]
-        kgx, steered, work = (b[:math.prod(shape)].reshape(shape) for b in bufs)
-        moved = groups.act_points(j.group, g, orbit, coords[:, None])
-        flat = (len(elements), -1, j.dim, l.dim)
-        steering.section_kernels(elements, moved.reshape(-1, moved.shape[-1]),
-                                 out=kgx.reshape(flat), work=work.reshape(flat))
-        steering.steer(kx[:, :, None], j, l, g, out=steered, work=work)
-        worst = _worst(worst, numerics.norms(
-            np.subtract(kgx, steered, out=steered)) / scale)
+    flat = (len(elements), -1, j.dim, l.dim)
+    for b in range(0, n_g, block):
+        rho, rho_inv = steering._reps(j, l, gs[b:b + block])
+        for i in range(0, len(rho), step):
+            m = min(step, len(rho) - i)
+            shape = kx.shape[:2] + (m,) + kx.shape[2:]
+            kgx, steered, work = (
+                buf[:math.prod(shape)].reshape(shape) for buf in bufs)
+            at = sections[:, b + i:b + i + m].reshape(-1, sections.shape[-1])
+            steering._steer_basis(elements, at, kgx.reshape(flat),
+                                  work.reshape(flat))
+            steering._product(rho[i:i + m], rho_inv[i:i + m], kx[:, :, None],
+                              out=steered, work=work)
+            worst = _worst(worst, numerics.norms(
+                np.subtract(kgx, steered, out=steered)) / scale)
     return worst
 
 
@@ -150,47 +167,63 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     projector built from ``(n(g.x), g . nbar(x))`` exactly; the section value
     at g.x uses the section's own nbar and may differ from the steered one
     only inside the gauge span ``{n e_i + e_i n, n n}``.  Both residuals are
-    folded into the returned maximum.  Each x has its own n_g draws; the
-    pairs are evaluated as stacks, a block of points at a time.
+    folded into the returned maximum.  Each x has its own n_g draws, drawn
+    right after the element that places x.  All draws, the action and the
+    transported nbar are computed once; the pairs are steered a chunk at a
+    time, within the chunk budget, into arrays allocated once per call.
     """
+    _require_counts(n_g, n_x)
     if min(n_g, n_x) < 1:
         return 0.0
     rng = np.random.default_rng(seed)
-    spin = 1 if elem.j.tensor == (1, 0) else 2
+    j, l = elem.j, elem.l
+    spin = 1 if j.tensor == (1, 0) else 2
     build = (bases.massless_transverse_projector if spin == 1
              else bases.massless_spin2_projector)
     cone, lorentz = NullCone(), groups.LORENTZ
-    xs, gs = [], []
-    for _ in range(n_x):
-        xs.append(groups.random_orbit_point(cone, rng, eta_max))
-        gs.append([groups.random_element(lorentz, rng, eta_max=eta_max).params
-                   for _ in range(n_g)])
-    gs = np.array(gs).reshape(n_x * n_g, -1)
-    coords = np.array([x.coords for x in xs])
+    draws = groups.random_params(lorentz, rng, n_x * (1 + n_g), eta_max)
+    draws = draws.reshape(n_x, 1 + n_g, -1)
+    coords = groups.act_points(lorentz, draws[:, 0], cone,
+                               groups.base_point(cone).coords)
+    gs = draws[:, 1:].reshape(n_x * n_g, -1)
+    at = np.repeat(np.arange(n_x), n_g)
     nbar_x = groups.matrices(
         lorentz, groups.section_params(cone, coords)) @ bases.NBAR0
     kx = steering.section_kernels([elem], coords)[0]
-    scale = np.fmax(1.0, numerics.norms(kx))
+    scale = np.fmax(1.0, numerics.norms(kx))[at]
+    gx = groups.act_points(lorentz, gs, cone, coords[at])
+    nbar_t = (groups.matrices(lorentz, gs) @ nbar_x[at, :, None])[..., 0]
+    if spin == 1:
+        sections = groups.section_params(cone, gx)
+        lam_gx = groups.matrices(lorentz, sections)
+        e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
     worst = 0.0
-    step = steering.chunk_length(n_g * kx[0].nbytes) * n_g
+    step = steering.chunk_length(steering._steered_bytes(j, l, 1))
+    # Flat buffers: the leading part of each is a C-ordered block of any
+    # number of pairs up to step.
+    bufs = [np.empty(min(step, len(gs)) * kx[0].size, kx.dtype)
+            for _ in range(2)]
     for i in range(0, len(gs), step):
-        g = gs[i:i + step]
-        at = np.arange(i, i + len(g)) // n_g
-        gx = groups.act_points(lorentz, g, cone, coords[at])
-        steered = steering.steer(kx[at], elem.j, elem.l, g)
-        nbar_t = groups.matrices(lorentz, g) @ nbar_x[at][..., None]
-        direct = build(gx, nbar_t[..., 0])
-        worst = _worst(worst, numerics.norms(steered - direct) / scale[at])
+        p = slice(i, i + step)
+        shape = gx[p].shape[:1] + kx.shape[1:]
+        steered, work = (b[:math.prod(shape)].reshape(shape) for b in bufs)
+        # The kernels at x are gathered into the output, which the product
+        # reads before it overwrites it; the indices are in range, and
+        # mode="clip" lets take write them without a buffer.
+        steering._product(*steering._reps(j, l, gs[p]),
+                          np.take(kx, at[p], axis=0, out=steered, mode="clip"),
+                          out=steered, work=work)
+        worst = _worst(worst, numerics.norms(np.subtract(
+            steered, build(gx[p], nbar_t[p]), out=work)) / scale[p])
         if spin == 1:
             # section value vs steered: difference must be pure gauge
-            lam_gx = groups.matrices(lorentz, groups.section_params(cone, gx))
-            e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
-            diff = (steering.section_kernels([elem], gx)[0] - steered).reshape(
-                len(g), -1, 1)
-            off = numerics.norms(diff) > 1e-12 * scale[at]
+            diff = steering._steer_basis([elem], sections[p], work[None])[0]
+            diff = np.subtract(diff, steered, out=diff).reshape(len(diff), -1, 1)
+            off = numerics.norms(diff) > 1e-12 * scale[p]
             if off.any():
                 worst = _worst(worst, numerics.projection_residual(
-                    diff[off], _gauge_span(gx[off], e1[off], e2[off])))
+                    diff[off], _gauge_span(gx[p][off], e1[p][off],
+                                           e2[p][off])))
     return worst
 
 

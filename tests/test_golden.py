@@ -16,12 +16,14 @@ The ``verify`` report and the oracle bases were re-pinned once more when
 the oracle began to solve per weight block of the rotations about z
 instead of through one dense stack, and once more when real labels began
 to solve in real arithmetic and the demo to steer through ``steer``;
-CHANGES.md gives the differences.  Both digests are also recomputed in a
-process pinned to one BLAS thread.
+CHANGES.md gives the differences.  Both digests, and the two sweep
+digests, are also recomputed in a process pinned to one BLAS thread.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
-spinor rep and the null-cone section.  The sweep digest pins the verifier's
-steering path at the benchmark's 50 x 20 draws.
+spinor rep and the null-cone section.  The sweep digests pin the
+verifier's steering path at the benchmark's 50 x 20 draws; the second one,
+pinned before the sweeps began to draw and act on whole stacks, covers the
+circle and orbits of non-unit size.
 """
 
 import hashlib
@@ -83,6 +85,13 @@ DIMS_GOLDENS = [
 SWEEP_GOLDEN = (
     "fcf88b8e008ff7c197a4e66fe6f8f3db8e5866511216b9db4697dc927b4a6a27")
 
+#: The same sweep on the compact circle and on orbits of non-unit size: so2
+#: real 2/3 and complex 1/2, o2 real 1/2 and 0~/1 on the circle of radius
+#: 0.5, o3 1-/2+ on the sphere of radius 2.5 and tensor20/tensor20 on the
+#: mass-2 hyperboloid.
+ORBIT_SWEEP_GOLDEN = (
+    "a7a0ecb98d2a34cf0d6b091316dd017768b8cafe3a8426dc75f498e504b45fe4")
+
 #: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
 #: realified spinor-vector pair (massive), tensor20/tensor20 on the cone, o3
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
@@ -98,6 +107,24 @@ def _sweep_cases():
             bases.basis_o3(0, 1, 2, 1), bases.lorentz_massive_basis(t20, vec),
             bases.lorentz_massive_basis(dirac, dirac),
             bases.lorentz_massive_basis(sv, sv), bases.basis_lorentz_massless(1)]
+
+
+def _orbit_sweep_cases():
+    t20 = tensor_irrep(2, 0)
+    return [bases.basis_so2(2, 3, radius=0.5),
+            bases.basis_so2(1, 2, "complex", radius=0.5),
+            bases.basis_o2(1, 2, radius=0.5),
+            bases.basis_o2("0~", 1, radius=0.5),
+            bases.basis_o3(1, -1, 2, 1, radius=2.5),
+            bases.lorentz_massive_basis(t20, t20, 2.0)]
+
+
+def _sweep_digest(cases) -> str:
+    text = "\n".join(
+        repr(verify.max_steer_residual(els, els[0].orbit, n_g=50, n_x=20,
+                                       seed=idx, eta_max=2.0))
+        for idx, els in enumerate(cases))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case,golden", SAMPLE_GOLDENS,
@@ -131,11 +158,11 @@ def test_dims_table_matches_golden(args, golden, capsys):
 
 
 def test_steer_sweep_matches_golden():
-    text = "\n".join(
-        repr(verify.max_steer_residual(els, els[0].orbit, n_g=50, n_x=20,
-                                       seed=idx, eta_max=2.0))
-        for idx, els in enumerate(_sweep_cases()))
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_GOLDEN
+    assert _sweep_digest(_sweep_cases()) == SWEEP_GOLDEN
+
+
+def test_orbit_steer_sweep_matches_golden():
+    assert _sweep_digest(_orbit_sweep_cases()) == ORBIT_SWEEP_GOLDEN
 
 
 def _oracle_digest() -> str:
@@ -156,9 +183,9 @@ def test_oracle_bases_match_golden():
 
 
 def test_goldens_hold_on_one_blas_thread():
-    # The oracle bases and the verify report must not hang on the BLAS
-    # thread count: a fresh process pinned to one thread recomputes both
-    # digests.
+    # The oracle bases, the verify report and the steer sweeps must not hang
+    # on the BLAS thread count: a fresh process pinned to one thread
+    # recomputes their digests.
     src = os.path.dirname(os.path.dirname(steerkit.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -168,8 +195,10 @@ def test_goldens_hold_on_one_blas_thread():
         return subprocess.run([sys.executable, *args], env=env, check=True,
                               capture_output=True).stdout
 
-    oracle = run("-c",
-                 "import test_golden; print(test_golden._oracle_digest())")
-    assert oracle.decode().strip() == ORACLE_GOLDEN
+    digests = run("-c", "import test_golden as t; print(t._oracle_digest(), "
+                  "t._sweep_digest(t._sweep_cases()), "
+                  "t._sweep_digest(t._orbit_sweep_cases()))")
+    assert digests.decode().split() == [ORACLE_GOLDEN, SWEEP_GOLDEN,
+                                        ORBIT_SWEEP_GOLDEN]
     report = run("-m", "steerkit.cli", "verify", "--seed", "7")
     assert hashlib.sha256(report).hexdigest() == VERIFY_SEED7_GOLDEN

@@ -326,3 +326,118 @@ def test_identity_elements():
     for group in ALL_GROUPS:
         e = identity(group)
         np.testing.assert_array_equal(e.matrix, np.eye(e.matrix.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# batched draws on the scalar random stream
+
+ALL_ORBITS = (Circle(0.5), Sphere(2.5), MassiveHyperboloid(2.0), NullCone())
+
+
+def _scalar_params(group, rng, eta_max):
+    """One element drawn double by double, in the documented stream order."""
+    tau = 2.0 * math.pi
+    if group in ("so2", "o2"):
+        phi = rng.uniform(0.0, tau) % tau
+        return (phi,) if group == "so2" else (phi, 1.0 if rng.random() < 0.5
+                                              else -1.0)
+    euler = (rng.uniform(0.0, tau), math.acos(rng.uniform(-1.0, 1.0)),
+             rng.uniform(0.0, tau))
+    if group == "so3":
+        return euler
+    if group == "o3":
+        return euler + (1.0 if rng.random() < 0.5 else -1.0,)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return euler + tuple(rng.uniform(0.0, eta_max) * direction)
+
+
+def _scalar_coords(orbit, rng, eta_max):
+    tau = 2.0 * math.pi
+    if isinstance(orbit, Circle):
+        return circle_point(rng.uniform(0.0, tau), orbit.radius).coords
+    if isinstance(orbit, Sphere):
+        return sphere_point(rng.uniform(0.0, tau),
+                            math.acos(rng.uniform(-1.0, 1.0)),
+                            orbit.radius).coords
+    g = groups.GroupElement("lorentz", _scalar_params("lorentz", rng, eta_max))
+    return act(g, base_point(orbit)).coords
+
+
+def _same_stream(draw, scalar, one, n, eta_max):
+    """Batched draw == n scalar reference draws == n one-item calls, bit for
+    bit, with the generator left in the same state by all three."""
+    rngs = [np.random.default_rng(n + 7) for _ in range(3)]
+    batched = draw(rngs[0], n, eta_max)
+    ref = np.array([scalar(rngs[1], eta_max) for _ in range(n)])
+    ones = np.array([one(rngs[2], eta_max) for _ in range(n)])
+    assert batched.shape[0] == n
+    for other in (ref, ones):
+        assert np.array_equal(batched, other.reshape(batched.shape))
+        assert np.array_equal(np.signbit(batched),
+                              np.signbit(other.reshape(batched.shape)))
+    states = [r.bit_generator.state for r in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+@pytest.mark.parametrize("group", ALL_GROUPS)
+def test_random_params_match_scalar_draws(group, n):
+    for eta_max in (0.0, 2.0):
+        _same_stream(
+            lambda rng, k, e: groups.random_params(group, rng, k, e),
+            lambda rng, e: _scalar_params(group, rng, e),
+            lambda rng, e: random_element(group, rng, e).params, n, eta_max)
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+@pytest.mark.parametrize("orbit", ALL_ORBITS, ids=lambda o: type(o).__name__)
+def test_random_orbit_coords_match_scalar_draws(orbit, n):
+    for eta_max in (0.0, 2.0):
+        _same_stream(
+            lambda rng, k, e: groups.random_orbit_coords(orbit, rng, k, e),
+            lambda rng, e: _scalar_coords(orbit, rng, e),
+            lambda rng, e: random_orbit_point(orbit, rng, e).coords, n,
+            eta_max)
+
+
+@pytest.mark.parametrize("draw,cos_at", [
+    (lambda rng, n: groups.random_params("so3", rng, n), 1),
+    (lambda rng, n: groups.random_params("o3", rng, n), 1),
+    (lambda rng, n: groups.random_orbit_coords(Sphere(), rng, n), 1),
+])
+def test_polar_angles_are_math_acos_of_the_drawn_double(draw, cos_at):
+    # np.arccos differs from math.acos in the last bit for some doubles, so
+    # a batched arccos would change the stream's angles.
+    n = 500
+    width = draw(np.random.default_rng(0), 1).shape[1]
+    raw = np.random.default_rng(3).random((n, width))
+    beta = draw(np.random.default_rng(3), n)[:, cos_at]
+    expect = [math.acos(-1.0 + 2.0 * d) for d in raw[:, cos_at]]
+    assert beta.tolist() == expect
+    assert (np.arccos(-1.0 + 2.0 * raw[:, cos_at]) != beta).any()
+
+
+def test_invalid_draw_caps_and_counts_rejected():
+    lorentz_draws = [
+        lambda rng, e: random_element("lorentz", rng, eta_max=e),
+        lambda rng, e: groups.random_params("lorentz", rng, 3, e),
+        lambda rng, e: random_orbit_point(MassiveHyperboloid(), rng, e),
+        lambda rng, e: groups.random_orbit_coords(NullCone(), rng, 3, e),
+    ]
+    for draw in lorentz_draws:
+        for bad in (-1.0, -1e-300, math.nan, math.inf):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(GroupError, match="eta_max"):
+                draw(rng, bad)
+            assert rng.bit_generator.state == before  # raised before drawing
+        # eta_max = 0 draws pure rotations, as before
+        draw(np.random.default_rng(0), 0.0)
+    assert random_element("lorentz", np.random.default_rng(0),
+                          eta_max=0.0).params[3:] == (0.0, 0.0, 0.0)
+    for draw in (lambda rng: groups.random_params("so3", rng, -1),
+                 lambda rng: groups.random_orbit_coords(Circle(), rng, -2)):
+        with pytest.raises(ValueError, match="cannot draw"):
+            draw(np.random.default_rng(0))
+    assert groups.random_params("o2", np.random.default_rng(0), 0).shape == (0, 2)

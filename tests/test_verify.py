@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from steerkit import verify
+from steerkit import analytic_bases as bases
+from steerkit import groups, verify
 from steerkit.analytic_bases import KernelBasisElement
-from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
+from steerkit.groups import (Circle, GroupError, MassiveHyperboloid, NullCone,
+                             Sphere)
 from steerkit.irreps import (dirac_irrep, o2_irrep, o3_irrep, so2_irrep,
-                             so3_irrep, tensor_irrep)
+                             so3_irrep, spinor_vector_irrep, tensor_irrep)
 from steerkit.verify import (check_case, check_projectors, compact_case_grid,
                              equivariance_demo, gauge_shift_residual,
                              negative_control_residual, run_suite)
@@ -126,3 +129,60 @@ def test_run_suite_lorentz_block():
     assert max(rep["projectors"].values()) <= 1e-11
     assert rep["gauge_residual"] <= 1e-11
     json.dumps(rep)  # must be JSON-serializable
+
+
+def test_sweeps_reject_invalid_caps_and_counts():
+    so3 = bases.basis_so3(1, 1)
+    t20 = tensor_irrep(2, 0)
+    massive = bases.lorentz_massive_basis(t20, t20)
+    cone = bases.basis_lorentz_massless(1)
+    sweeps = [
+        lambda **kw: verify.max_steer_residual(so3, Sphere(), **kw),
+        lambda **kw: verify.max_steer_residual(massive, MassiveHyperboloid(),
+                                               **kw),
+        lambda **kw: verify.max_steer_residual(cone, NullCone(), **kw),
+        lambda **kw: verify.massless_steer_residual(cone[0], **kw),
+    ]
+    for sweep in sweeps:
+        for n_g, n_x in ((-1, 3), (3, -1), (-1, 0)):
+            with pytest.raises(ValueError, match="draw counts"):
+                sweep(n_g=n_g, n_x=n_x, seed=0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(GroupError, match="eta_max"):
+                sweep(n_g=2, n_x=2, seed=0, eta_max=bad)
+        # zero counts are a vacuous pass and a zero cap a valid sweep
+        assert sweep(n_g=0, n_x=3, seed=0) == sweep(n_g=3, n_x=0, seed=0) == 0.0
+        assert sweep(n_g=2, n_x=2, seed=0, eta_max=0.0) <= 1e-10
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(groups, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(groups, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("elements", [
+    bases.basis_so3(2, 3),
+    bases.lorentz_massive_basis(spinor_vector_irrep(True),
+                                spinor_vector_irrep(True)),
+], ids=["so3 2/3", "spinor-vector"])
+def test_sweep_acts_and_sections_once_per_call(elements, monkeypatch):
+    # The action and the coset sections run on whole stacks, so their call
+    # counts do not grow with the number of group elements, and no element
+    # or point is drawn one object at a time.
+    names = ("act_points", "section_params", "random_element",
+             "random_orbit_point")
+    orbit = elements[0].orbit
+    seen = []
+    for n_g in (10, 50):
+        counts = _count_calls(monkeypatch, names)
+        verify.max_steer_residual(elements, orbit, n_g=n_g, n_x=20, seed=1)
+        seen.append(counts)
+        monkeypatch.undo()
+    assert seen[0] == seen[1]
+    assert seen[0]["random_element"] == seen[0]["random_orbit_point"] == 0
+    assert seen[0]["act_points"] >= 1 and seen[0]["section_params"] >= 1
