@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, choices=groups.GROUPS)
     p.add_argument("--jmax", type=int, default=4)
     p.add_argument("--full", action="store_true",
-                   help="include the spinor-vector case (slow)")
+                   help="include the spinor-vector case")
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("basis", parents=[orbit],

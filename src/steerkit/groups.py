@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -611,8 +612,15 @@ class StabilizerSample:
 
 
 def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSample:
+    """Generating sample of the stabilizer of the orbit's base point, built
+    and checked once per (orbit, group)."""
     group = group or default_group(orbit)
     _require_compatible(group, orbit)
+    return _stabilizer_sample(orbit, group)
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_sample(orbit: Orbit, group: str) -> StabilizerSample:
     x0 = base_point(orbit)
     if isinstance(orbit, Circle):
         if group == SO2:

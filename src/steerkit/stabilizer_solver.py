@@ -26,7 +26,10 @@ on the same path, and its stack is the full constraint of every sampled
 element.  Every spectrum the solve takes (the projector ranges and the
 stack) must show a clean rank gap.  The computation uses ``rep_matrices``
 at stabilizer elements only, never the closed-form bases or the content
-tables; it is the independent cross-check for them.
+tables; it is the independent cross-check for them.  What depends on one
+label only (its weight bases and their images under the stacked
+generators) is computed once per label and cached; per pair the solve
+forms only the Kronecker products, the stack and its nullspace.
 """
 
 from __future__ import annotations
@@ -149,6 +152,38 @@ def _about_z(h: groups.GroupElement) -> bool:
     return h.params[1:] == groups.identity(h.group).params[1:]
 
 
+@lru_cache(maxsize=None)
+def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
+    """What the solve needs of one label, whatever it is paired with.
+
+    ``params`` are the stacked stabilizer generators (see
+    :func:`solve_basepoint`).  Returns ``(bases, conj_bases, images,
+    inverse_images, gap_ratio)``: the weight bases U_m keyed by twice the
+    weight (U = I on the circle), their conjugates, ``rho(h) U_m`` and
+    ``rho(h)^-T conj(U_m)`` stacked over the generators (empty without
+    generators), and the gap ratio of :func:`weight_bases`.  Cached like
+    :func:`weight_bases`, on the generators' parameters rather than the
+    orbit, so that radius and mass do not split it; every array is
+    read-only.
+    """
+    if label.group in groups.ORBIT_GROUPS[Circle]:
+        bases, gap = {0: np.eye(label.dim)}, math.inf
+    else:
+        bases, gap = weight_bases(label)
+    conj = {m: u.conj() for m, u in bases.items()}
+    images, inverse_images = {}, {}
+    if params:
+        rho = rep_matrices(label, params)
+        rho_inv_t = rep_inverses(label, params).swapaxes(-1, -2)
+        images = {m: rho @ u for m, u in bases.items()}
+        inverse_images = {m: rho_inv_t @ u for m, u in conj.items()}
+    factors = (bases, conj, images, inverse_images)
+    for part in factors:
+        for a in part.values():
+            a.flags.writeable = False
+    return tuple(map(MappingProxyType, factors)) + (gap,)
+
+
 def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
                     orbit: Orbit) -> IntertwinerSpace:
     """Full intertwiner space Hom_H(V_l, V_j) at the orbit base point.
@@ -158,36 +193,32 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
     solve carries no clean rank gap.
     """
     group = _check_pair(j, l, orbit)
-    sample = groups.stabilizer_sample(orbit, group)
-    if isinstance(orbit, Circle):
-        bj, bl, gap = {0: np.eye(j.dim)}, {0: np.eye(l.dim)}, math.inf
-        rest = sample.elements
-    else:
-        (bj, gap_j), (bl, gap_l) = weight_bases(j), weight_bases(l)
-        rest = [h for h in sample.elements if not _about_z(h)]
-        gap = min(gap_j, gap_l)
+    rest = groups.stabilizer_sample(orbit, group).elements
+    if not isinstance(orbit, Circle):
+        rest = [h for h in rest if not _about_z(h)]
+    params = tuple(h.params for h in rest)
+    uj, _, rho_uj, _, gap_j = _label_factors(j, params)
+    _, ul, _, rho_ul, gap_l = _label_factors(l, params)
 
-    def columns(kron):
+    def columns(left, right, empty):
         # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major; a weight
         # of j missing from l gives a block with no unknowns.  A real K has
         # X_-m = conj(X_m): a column c of weight m > 0 stands for c +
         # conj(c), whose real, orthonormal parts are sqrt(2) Re c and
         # sqrt(2) Im c.
         parts = []
-        for m, uj in bj.items():
-            c = kron(uj, bl.get(m, np.zeros((l.dim, 0))).conj())
+        for m, a in left.items():
+            c = numerics.kron(a, right.get(m, empty))
             parts += ([c] if j.field == COMPLEX else [c.real] if m == 0
                       else [math.sqrt(2.0) * c.real, math.sqrt(2.0) * c.imag])
         return np.concatenate(parts, -1)
 
-    embed = basis = columns(numerics.kron)
-    if rest:
-        params = [h.params for h in rest]
-        rho_j = rep_matrices(j, params)
-        rho_l = rep_inverses(l, params).swapaxes(-1, -2)
-        stack = columns(lambda uj, ul: numerics.kron(rho_j @ uj, rho_l @ ul))
+    embed = basis = columns(uj, ul, np.zeros((l.dim, 0)))
+    gap = min(gap_j, gap_l)
+    if params:
+        stack = columns(rho_uj, rho_ul, np.zeros((len(params), l.dim, 0)))
         x, kept, dropped = numerics.nullspace_with_spectrum(
-            (stack - embed).reshape(len(rest) * len(embed), embed.shape[1]))
+            (stack - embed).reshape(len(params) * len(embed), embed.shape[1]))
         gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
         basis = embed @ x
     return IntertwinerSpace(j, l, orbit, basis, gap)

@@ -484,6 +484,8 @@ def run_suite(seed: int = 0, group: Optional[str] = None) -> dict:
     """
     if group and group not in groups.GROUPS:
         raise ValueError(f"unknown group {group!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     cases = []
     for gname in [group] if group else groups.GROUPS:
         cases.extend(lorentz_case_grid() if gname == groups.LORENTZ

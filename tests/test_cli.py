@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,27 @@ def test_verify_is_byte_identical_across_runs(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--group", "o2", "--seed", "7")
     assert code1 == code2 == 0
     assert out1.encode() == out2.encode()
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "seed must be a non-negative integer, got -1"}
+
+
+def test_python_m_steerkit_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "steerkit", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: steerkit")
+    for command in ("dims", "basis", "verify", "sample"):
+        assert command in done.stdout
 
 
 def test_unknown_flag_exits_2(capsys):

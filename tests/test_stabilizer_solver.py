@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -405,14 +407,19 @@ def test_sphere_and_cone_build_no_stack(monkeypatch):
 
 
 @pytest.fixture
-def fresh_weight_bases():
-    weight_bases.cache_clear()
+def cold_caches():
+    # The oracle's caches hold the representations of earlier solves: a test
+    # that monkeypatches rep_matrices or counts calls starts and ends cold.
+    caches = (weight_bases, stabilizer_solver._label_factors,
+              groups._stabilizer_sample)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    weight_bases.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
-def test_degenerate_projector_spectrum_raises(monkeypatch,
-                                              fresh_weight_bases):
+def test_degenerate_projector_spectrum_raises(monkeypatch, cold_caches):
     # A constant perturbation of rho adds diag(1e-8, 0, 1e-12) to the
     # weight-0 projector of l = 1, diag(0, 1, 0): its spectrum 1, 1e-8,
     # 1e-12 splits at the cut with a ratio of 1e4.
@@ -424,7 +431,7 @@ def test_degenerate_projector_spectrum_raises(monkeypatch,
         solve_basepoint(one, one, Sphere())
 
 
-def test_degenerate_stack_spectrum_raises(monkeypatch):
+def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches):
     # O(2) j = 1 on the circle: rho(r_y) = diag(1 + 1e-8, -1 + 1e-12) gives
     # the reflection rows diag(1e-8, -2 - 1e-8, -2 + 1e-12, -1e-12), whose
     # spectrum 2, 2, 1e-8, 1e-12 splits at the cut with a ratio of 1e4.
@@ -437,3 +444,85 @@ def test_degenerate_stack_spectrum_raises(monkeypatch):
     one = o2_irrep(1)
     with pytest.raises(DegenerateSpectrumError, match="o2"):
         solve_basepoint(one, one, Circle())
+
+
+def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
+    # From cold caches, the O(3) tables (200 pairs) and the full Lorentz table
+    # (8 pairs) evaluate each label once per side and per parameter stack
+    # (the weight projectors' rotations, the stacked generators), and build
+    # each stabilizer sample once per (orbit, group); a solve that evaluated
+    # them per pair would count one call per pair.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(label, params):
+            calls[name, label, np.asarray(params).tobytes()] += 1
+            return fn(label, params)
+        return wrapper
+    for name in ("rep_matrices", "rep_inverses"):
+        monkeypatch.setattr(stabilizer_solver, name,
+                            counted(name, getattr(stabilizer_solver, name)))
+    base_point = groups.base_point
+
+    def counted_base_point(orbit):
+        calls["stabilizer_sample", orbit] += 1
+        return base_point(orbit)
+    monkeypatch.setattr(groups, "base_point", counted_base_point)
+    cases = (compact_case_grid("o3", 4)
+             + lorentz_case_grid(include_spinor_vector=True))
+    assert len(cases) == 208
+    for j, l, orbit in cases:
+        solve_basepoint(j, l, orbit)
+    assert max(calls.values()) == 1
+    names = Counter(key[0] for key in calls)
+    labels = {(j.group, j) for j, _, _ in cases} | {(l.group, l)
+                                                    for _, l, _ in cases}
+    # o3: 20 labels, each with its weight rotations and its reflection on
+    # both sides; Lorentz: 4 labels, their weight rotations, plus the y
+    # rotations of the hyperboloid on both sides (the cone stacks none).
+    assert len(labels) == 24
+    assert names == {"rep_matrices": 20 * 2 + 4 * 2, "rep_inverses": 24,
+                     "stabilizer_sample": 3}
+
+
+def test_cached_factors_are_read_only(cold_caches):
+    one = o3_irrep(1, -1)
+    space = solve_basepoint(one, one, Sphere())
+    params = tuple(h.params for h in groups.stabilizer_sample(Sphere(), "o3")
+                   .elements if not stabilizer_solver._about_z(h))
+    factors = stabilizer_solver._label_factors(one, params)
+    arrays = [a for part in factors[:4] for a in part.values()]
+    assert len(arrays) == 4 * 2  # weights 0 and 1 of a real l = 1 label
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    with pytest.raises(TypeError):
+        factors[0][0] = np.eye(3)
+    # A caller that writes to a returned basis changes no later solve, with
+    # or without a stack.
+    for j, l, orbit in [(one, one, Sphere()),
+                        (so3_irrep(2), so3_irrep(3), Sphere()),
+                        (so2_irrep(2), so2_irrep(3), Circle()),
+                        (tensor_irrep(1, 0), tensor_irrep(1, 0), NullCone()),
+                        (tensor_irrep(1, 0), tensor_irrep(2, 0),
+                         MassiveHyperboloid())]:
+        space = solve_basepoint(j, l, orbit)
+        before = space.basis.copy()
+        space.basis[...] = 7.0
+        np.testing.assert_array_equal(solve_basepoint(j, l, orbit).basis,
+                                      before)
+
+
+def test_factors_are_shared_across_radius_and_mass(cold_caches):
+    # The factors are keyed on the generators, not on the orbit: a sphere
+    # of another radius or a hyperboloid of another mass solves from them.
+    for j, l, unit, scaled in [
+            (o3_irrep(2, 1), o3_irrep(1, -1), Sphere(), Sphere(2.5)),
+            (tensor_irrep(2, 0), tensor_irrep(1, 0), MassiveHyperboloid(),
+             MassiveHyperboloid(2.0))]:
+        first = solve_basepoint(j, l, unit)
+        misses = stabilizer_solver._label_factors.cache_info().misses
+        again = solve_basepoint(j, l, scaled)
+        assert stabilizer_solver._label_factors.cache_info().misses == misses
+        np.testing.assert_array_equal(again.basis, first.basis)
+        assert again.gap_ratio == first.gap_ratio

@@ -123,6 +123,15 @@ def test_run_suite_passes_and_is_deterministic():
     assert rep3["all_passed"]
 
 
+def test_run_suite_rejects_negative_seed(monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran before the seed was checked")
+    monkeypatch.setattr(verify, "check_case", no_case)
+    for group in (None, "so2", "lorentz"):
+        with pytest.raises(ValueError, match="seed .* got -1"):
+            run_suite(-1, group)
+
+
 def test_run_suite_lorentz_block():
     rep = run_suite(seed=2, group="lorentz")
     assert rep["all_passed"]
