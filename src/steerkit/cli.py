@@ -2,22 +2,31 @@
 
 Subcommands: ``dims`` (predicted vs oracle dimension tables), ``basis``
 (basis matrices at one orbit point), ``verify`` (run the verification suite)
-and ``sample`` (evaluate a basis on a grid with ``steering.section_kernels``
-and write a manifest + binary payload).
+and ``sample`` (evaluate a basis on a grid and write a manifest + binary
+payload).
 
 Dump format, version 1: a JSON manifest ``<out>.json`` describing the case,
-grid and conventions plus the SHA-256 of the payload, and a raw
-little-endian float64 file ``<out>.bin`` with layout
+grid and conventions plus the SHA-256 and the size of the payload, and a
+raw little-endian float64 file ``<out>.bin`` with layout
 ``[basis_index][grid_point][row][col][re, im]`` (the trailing axis is absent
-for real kernels).
+for real kernels).  :func:`write_dump` streams the payload from
+``steering.section_pieces``: piece by piece it checks it for overflow,
+hashes it and writes it to temporary files beside the output, which replace
+the payload and then the manifest only when both are complete, so the
+write path holds the representation stacks of the grid and a few chunk
+buffers but never the payload.  :func:`read_dump` checks the payload's
+size against the manifest and its checksum and returns the stored values
+bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -210,70 +219,112 @@ def parse_grid(text: str, radius: float, mass: float) -> GridSpec:
 
 
 def write_dump(out_path: str, elements, grid: GridSpec, seed: int) -> dict:
-    """Write ``<out>.json`` + ``<out>.bin``; returns the manifest."""
-    if grid.orbit != elements[0].orbit:
-        raise CliError(f"grid on {grid.orbit} does not match the basis on "
-                       f"{elements[0].orbit}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # An overflow is reported once, as the error below.
-        values = steering.section_kernels(elements, grid.coords())
-    if not np.isfinite(values).all():
-        raise CliError("kernel values overflow float64 on this grid; "
-                       "lower eta_max")
-    is_complex = np.iscomplexobj(values)
-    # A C-ordered complex stack viewed as floats is already [re, im].
-    payload = np.ascontiguousarray(
-        values, dtype=values.dtype.newbyteorder("<")).view("<f8")
-    digest = hashlib.sha256(payload).hexdigest()
+    """Write ``<out>.json`` + ``<out>.bin``; returns the manifest.
+
+    The payload is streamed: each piece of ``steering.section_pieces`` is
+    checked for overflow, hashed and written to a new file beside the
+    output, so the payload is never held in memory.  Both files are
+    moved into place, payload first, only after the last piece; on any
+    error an existing dump is left as it was and no temporary file stays.
+    """
     e0 = elements[0]
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "group": e0.group,
-        "field": e0.j.field,
-        "j": str(e0.j),
-        "l": str(e0.l),
-        "basis_convention_j": basis_convention(e0.j),
-        "basis_convention_l": basis_convention(e0.l),
-        "basis_kinds": [e.kind for e in elements],
-        "basis_size": len(elements),
-        "dim_j": e0.j.dim,
-        "dim_l": e0.l.dim,
-        "grid": grid.to_dict(),
-        "n_points": values.shape[1],
-        "complex": is_complex,
-        "layout": "[basis][point][row][col]" + ("[re,im]" if is_complex else ""),
-        "dtype": "<f8",
-        "conventions": CONVENTIONS,
-        "seed": seed,
-        "payload_sha256": digest,
-        "payload_bytes": payload.nbytes,
-    }
-    with open(out_path + ".bin", "wb") as fh:
-        fh.write(payload)
-    with open(out_path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if grid.orbit != e0.orbit:
+        raise CliError(f"grid on {grid.orbit} does not match the basis on "
+                       f"{e0.orbit}")
+    staged = {}
+    try:
+        digest, size = hashlib.sha256(), 0
+        # An overflow is reported once, as the error below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pieces = steering.section_pieces(elements, grid.coords())
+            with _create_beside(out_path + ".bin", staged) as fh:
+                for piece in pieces:
+                    # A C-ordered complex stack viewed as floats is
+                    # [re, im]; its min and max are finite only if every
+                    # value is (they propagate NaN).
+                    floats = piece.astype(piece.dtype.newbyteorder("<"),
+                                          copy=False).view("<f8")
+                    if not (np.isfinite(floats.min())
+                            and np.isfinite(floats.max())):
+                        raise CliError("kernel values overflow float64 on "
+                                       "this grid; lower eta_max")
+                    digest.update(floats)
+                    fh.write(floats)
+                    size += floats.nbytes
+        is_complex = np.iscomplexobj(piece)
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "group": e0.group,
+            "field": e0.j.field,
+            "j": str(e0.j),
+            "l": str(e0.l),
+            "basis_convention_j": basis_convention(e0.j),
+            "basis_convention_l": basis_convention(e0.l),
+            "basis_kinds": [e.kind for e in elements],
+            "basis_size": len(elements),
+            "dim_j": e0.j.dim,
+            "dim_l": e0.l.dim,
+            "grid": grid.to_dict(),
+            "n_points": math.prod(grid.shape),
+            "complex": is_complex,
+            "layout": ("[basis][point][row][col]"
+                       + ("[re,im]" if is_complex else "")),
+            "dtype": "<f8",
+            "conventions": CONVENTIONS,
+            "seed": seed,
+            "payload_sha256": digest.hexdigest(),
+            "payload_bytes": size,
+        }
+        with _create_beside(out_path + ".json", staged) as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode()
+                     + b"\n")
+        for path, temp in staged.items():
+            os.replace(temp, path)
+    finally:
+        for temp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
     return manifest
 
 
+def _create_beside(path: str, staged: dict):
+    """Open a new binary file beside ``path`` under a unique name, created
+    with the permissions ``open(path, "wb")`` would give it, and record it
+    as ``staged[path]``."""
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged[path] = temp
+    return open(fd, "wb")
+
+
 def read_dump(out_path: str) -> tuple[dict, np.ndarray]:
-    """Read a dump back; validates the version and the payload checksum."""
+    """Read a dump back; validates the version, the payload size and the
+    payload checksum.  The values are exactly the ones written, signed
+    zeros included, in a writable array."""
     with open(out_path + ".json") as fh:
         manifest = json.load(fh)
     if manifest["format_version"] != FORMAT_VERSION:
         raise CliError(f"unsupported format version "
                        f"{manifest['format_version']}")
-    with open(out_path + ".bin", "rb") as fh:
-        raw = fh.read()
-    if hashlib.sha256(raw).hexdigest() != manifest["payload_sha256"]:
-        raise CliError("payload checksum mismatch")
     shape = [manifest["basis_size"], manifest["n_points"],
              manifest["dim_j"], manifest["dim_l"]]
     if manifest["complex"]:
         shape.append(2)
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    with open(out_path + ".bin", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != manifest["payload_bytes"]:
+            raise CliError(f"payload is {size} bytes but the manifest's "
+                           f"payload_bytes is {manifest['payload_bytes']}")
+        if size != 8 * math.prod(shape):
+            raise CliError(f"payload is {size} bytes but the manifest's shape "
+                           f"{shape} of float64 needs {8 * math.prod(shape)}")
+        arr = np.empty(shape, "<f8")
+        if fh.readinto(arr) != size:
+            raise CliError("payload changed size while it was read")
+    if hashlib.sha256(arr).hexdigest() != manifest["payload_sha256"]:
+        raise CliError("payload checksum mismatch")
     if manifest["complex"]:
-        arr = arr[..., 0] + 1j * arr[..., 1]
+        arr = arr.view("<c16")[..., 0]
     return manifest, arr
 
 

@@ -7,15 +7,19 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`_product` is the one place that forms the product, from stacks of
 representation matrices, into fresh arrays or into arrays the caller owns.
-:func:`steer` evaluates those stacks for one element or a stack of elements;
-:func:`section_kernels` evaluates a whole basis at a stack of points, writing
-chunk by chunk in place into the output with one work array per call, and
-:func:`kernel_at` is the element-by-element reference path.  The verifier's
-sweeps evaluate their stacks once and form their products through
-:func:`_product` too.
+:func:`steer` evaluates those stacks for one element or a stack of elements.
+:func:`section_pieces` streams a whole basis at a stack of points in the
+order ``[basis][point]``, in pieces within the chunk budget, evaluating the
+representations of the points' sections once per call; ``sample`` writes
+the pieces as they come and :func:`section_kernels` gathers them into one
+array.  :func:`kernel_at` is the element-by-element reference path.  The
+verifier's sweeps evaluate their stacks once and form their products
+through :func:`_product` too.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -142,27 +146,68 @@ def _check_basis(elements) -> None:
                          "they are steered as one stack")
 
 
-def section_kernels(elements, coords, out=None, work=None) -> np.ndarray:
+def section_pieces(elements, coords) -> Iterator[np.ndarray]:
     """Values of a basis at a stack of points of its orbit given by their
-    coordinates, shape (n, c) -> ``(n_basis, n, dim_j, dim_l)``.
+    coordinates, shape (n, c), streamed in the order ``[basis][point]``.
 
-    The coset sections of all points are computed at once, and the whole
-    basis is steered by stacks of sections that fit the chunk budget, each
-    written in place into the output through one work array per call.
-    ``out`` and ``work``, when given, have the output's shape and dtype.
+    Yields C-ordered kernel stacks ``(k, dim_j, dim_l)`` whose concatenation
+    is ``section_kernels(elements, coords)`` flattened over its first two
+    axes.  A piece holds whole basis elements when one element's values at
+    all n points fit the chunk budget, and a run of points of one element
+    otherwise; no piece, and no representation stack formed at once,
+    exceeds the budget.  Each piece lives in a buffer that the next one
+    overwrites.  The basis and the points are checked, and the coset
+    sections computed, before this returns.  The representations of the
+    sections are evaluated once per call, a piece's points at a time; they
+    are kept for the other pieces that reuse them only when there are
+    such pieces, so a consumer holds at most the representations of all n
+    sections and two chunk buffers, never the whole basis.
     """
     _check_basis(elements)
     e0 = elements[0]
-    j, l = e0.j, e0.l
     coords = np.asarray(coords, dtype=float)
-    shape = (len(elements), len(coords), j.dim, l.dim)
-    if out is None:
-        out = np.empty(shape, _dtype(j))
-    _require_shape(shape, out, work)
     if not len(coords):
-        return out
-    params = groups.section_params(e0.orbit, coords, j.group)
-    return _steer_basis(elements, params, out, work)
+        return iter(())
+    params = groups.section_params(e0.orbit, coords, e0.j.group)
+    return _pieces(elements, params)
+
+
+def _pieces(elements, params) -> Iterator[np.ndarray]:
+    e0 = elements[0]
+    j, l = e0.j, e0.l
+    n, n_basis = len(params), len(elements)
+    k0 = np.stack([e.base_matrix for e in elements])[:, None]
+    step = chunk_length(_steered_bytes(j, l, 1))
+    width = min(step, n)
+    rows = max(1, step // n)
+    reps = (_reps(j, l, params[i:i + width]) for i in range(0, n, width))
+    if rows < n_basis:
+        # Every row of elements reuses them.
+        reps = list(reps)
+    shape = (min(rows, n_basis), width, j.dim, l.dim)
+    out, work = np.empty(shape, _dtype(j)), np.empty(shape, _dtype(j))
+    for b in range(0, n_basis, rows):
+        k = k0[b:b + rows]
+        for rho, rho_inv in reps:
+            m = len(rho)
+            piece = _product(rho, rho_inv, k, out=out[:len(k), :m],
+                             work=work[:len(k), :m])
+            yield piece.reshape(-1, j.dim, l.dim)
+
+
+def section_kernels(elements, coords) -> np.ndarray:
+    """Values of a basis at a stack of points of its orbit given by their
+    coordinates, shape (n, c) -> ``(n_basis, n, dim_j, dim_l)``: the pieces
+    of :func:`section_pieces` gathered into one array."""
+    pieces = section_pieces(elements, coords)
+    j, l = elements[0].j, elements[0].l
+    out = np.empty((len(elements), len(coords), j.dim, l.dim), _dtype(j))
+    flat = out.reshape(-1, j.dim, l.dim)
+    i = 0
+    for piece in pieces:
+        flat[i:i + len(piece)] = piece
+        i += len(piece)
+    return out
 
 
 def _steer_basis(elements, params, out, work=None) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,80 @@ def test_dump_rejects_tampering(tmp_path, capsys):
     json.dump(manifest, open(out + ".json", "w"))
     with pytest.raises(cli.CliError):
         read_dump(out)
+
+
+def test_complex_roundtrip_keeps_signed_zeros(tmp_path, capsys):
+    # The values read back are the stored doubles, signed zeros included,
+    # in a writable array.
+    out = str(tmp_path / "dump")
+    code, _, _ = run_cli(capsys, "sample", "--group", "so3", "--field",
+                         "complex", "--j", "1", "--l", "1", "--grid",
+                         "sphere:4x3", "--out", out)
+    assert code == 0
+    with open(out + ".bin", "rb") as fh:
+        raw = fh.read()
+    stored = np.frombuffer(raw, "<f8")
+    assert ((stored == 0) & np.signbit(stored)).any()
+    _, arr = read_dump(out)
+    assert arr.dtype == np.dtype("<c16") and arr.shape == (3, 12, 3, 3)
+    assert arr.tobytes() == raw
+    assert arr.flags.writeable
+
+
+def test_read_dump_checks_the_payload_size(tmp_path, capsys):
+    out = str(tmp_path / "dump")
+    run_cli(capsys, "sample", "--group", "so3", "--j", "1", "--l", "1",
+            "--grid", "sphere:4x3", "--out", out)
+    manifest = Path(out + ".json")
+    good = json.loads(manifest.read_text())
+    size = good["payload_bytes"]
+    assert size == 3 * 12 * 3 * 3 * 8
+    # The checksum still matches; the size that the manifest states does
+    # not, through its shape or through payload_bytes.
+    for key, value, needed in [("n_points", 13, 3 * 13 * 3 * 3 * 8),
+                               ("payload_bytes", size + 8, size + 8)]:
+        manifest.write_text(json.dumps(dict(good, **{key: value})))
+        with pytest.raises(cli.CliError) as err:
+            read_dump(out)
+        assert str(size) in str(err.value) and str(needed) in str(err.value)
+
+
+def test_failed_sample_leaves_the_existing_dump(tmp_path, capsys):
+    # A grid whose kernel values overflow is rejected after steering has
+    # begun; the dump already at --out stays byte-identical and no
+    # temporary file is left beside it.
+    out = str(tmp_path / "dump")
+    argv = ["sample", "--group", "lorentz", "--j", "tensor20", "--l",
+            "tensor20", "--out", out, "--grid"]
+    code, _, _ = run_cli(capsys, *argv, "massive:2x2x2")
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["dump.bin", "dump.json"]
+    code, _, err = run_cli(capsys, *argv, "massive:2x2x2:eta=200")
+    assert code == 1 and "overflow float64" in json.loads(err)["error"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("grid,bound_mb", [("massive:16x8x8:eta=2", 12.0),
+                                          ("cone:16x8x8:eta=2", 7.4)])
+def test_write_dump_never_holds_the_payload(grid, bound_mb, tmp_path):
+    # tensor20 on the massive orbit (14 elements) has a 29.4 MB payload;
+    # on the cone (one element) a 2.1 MB one, whose write path holds no
+    # representation stack of the whole grid.
+    from steerkit import analytic_bases as bases
+    t20 = parse_label("lorentz", "real", "tensor20")
+    spec = parse_grid(grid, 1.0, 1.0)
+    elements = bases.basis_for(t20, t20, spec.orbit)
+    out = str(tmp_path / "dump")
+    cli.write_dump(out, elements, spec, 0)
+    tracemalloc.start()
+    try:
+        manifest = cli.write_dump(out, elements, spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+    assert manifest["payload_bytes"] == len(elements) * 1024 * 16 * 16 * 8
 
 
 def test_lorentz_dims_table(capsys):

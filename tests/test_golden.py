@@ -16,8 +16,9 @@ The ``verify`` report and the oracle bases were re-pinned once more when
 the oracle began to solve per weight block of the rotations about z
 instead of through one dense stack, and once more when real labels began
 to solve in real arithmetic and the demo to steer through ``steer``;
-CHANGES.md gives the differences.  Both digests, and the two sweep
-digests, are also recomputed in a process pinned to one BLAS thread.
+CHANGES.md gives the differences.  Both digests, the two sweep digests
+and the ``sample`` payload digests are also recomputed in a process pinned
+to one BLAS thread.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digests pin the
@@ -26,10 +27,13 @@ pinned before the sweeps began to draw and act on whole stacks, covers the
 circle and orbits of non-unit size.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -127,18 +131,28 @@ def _sweep_digest(cases) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _sample_digest(case, out: str) -> str:
+    """SHA-256 of the payload that ``sample`` writes for one case."""
+    group, j, l, field, grid = case
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sample", "--group", group, "--j", j, "--l", l,
+                     "--field", field, "--grid", grid, "--out", out])
+    assert code == 0
+    with open(out + ".bin", "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sample_digests() -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        return [_sample_digest(case, os.path.join(tmp, "dump"))
+                for case, _ in SAMPLE_GOLDENS]
+
+
 @pytest.mark.parametrize("case,golden", SAMPLE_GOLDENS,
                          ids=[" ".join(c[:3]) + " " + c[4]
                               for c, _ in SAMPLE_GOLDENS])
-def test_sample_payload_matches_golden(case, golden, tmp_path, capsys):
-    group, j, l, field, grid = case
-    out = str(tmp_path / "dump")
-    code = main(["sample", "--group", group, "--j", j, "--l", l,
-                 "--field", field, "--grid", grid, "--out", out])
-    capsys.readouterr()
-    assert code == 0
-    with open(out + ".bin", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == golden
+def test_sample_payload_matches_golden(case, golden, tmp_path):
+    assert _sample_digest(case, str(tmp_path / "dump")) == golden
 
 
 def test_verify_seed7_report_matches_golden(capsys):
@@ -183,9 +197,9 @@ def test_oracle_bases_match_golden():
 
 
 def test_goldens_hold_on_one_blas_thread():
-    # The oracle bases, the verify report and the steer sweeps must not hang
-    # on the BLAS thread count: a fresh process pinned to one thread
-    # recomputes their digests.
+    # The oracle bases, the verify report, the steer sweeps and the sample
+    # payloads must not hang on the BLAS thread count: a fresh process
+    # pinned to one thread recomputes their digests.
     src = os.path.dirname(os.path.dirname(steerkit.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -200,5 +214,8 @@ def test_goldens_hold_on_one_blas_thread():
                   "t._sweep_digest(t._orbit_sweep_cases()))")
     assert digests.decode().split() == [ORACLE_GOLDEN, SWEEP_GOLDEN,
                                         ORBIT_SWEEP_GOLDEN]
+    digests = run("-c", "import test_golden as t; "
+                  "print(*t._sample_digests())")
+    assert digests.decode().split() == [g for _, g in SAMPLE_GOLDENS]
     report = run("-m", "steerkit.cli", "verify", "--seed", "7")
     assert hashlib.sha256(report).hexdigest() == VERIFY_SEED7_GOLDEN

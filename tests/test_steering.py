@@ -264,6 +264,62 @@ def test_steer_stack_matches_elementwise():
             section_kernels(bad, _coords([x]))
 
 
+def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
+    # The streamed pieces, concatenated, are the basis at every point in the
+    # order [basis][point], bit for bit equal to the verifier's batched path
+    # (_steer_basis, which steers all elements per chunk of sections) and
+    # to kernel_at at every piece border.  Each section's representations
+    # are evaluated once per call, however many pieces reuse them, and no
+    # piece exceeds the chunk budget.  The cases cover a partial last piece
+    # per element (so3 8/8, spinor-vector, the cone), one basis element with
+    # streamed representations (the cone), pieces of several whole elements
+    # (complex so3, O(3) parity, the circle) and a representation stack
+    # evaluated in several blocks (spinor-vector).
+    rng = np.random.default_rng(19)
+    sv, t20 = spinor_vector_irrep(realified=True), tensor_irrep(2, 0)
+    cases = [
+        (bases.basis_so3(8, 8), 500),
+        (bases.basis_so3(2, 2, "complex"), 1000),
+        (bases.basis_o3(2, -1, 1, 1), 300),
+        (bases.basis_so2(2, 3), 9000),
+        (bases.basis_lorentz_massless(2), 600),
+        (bases.lorentz_massive_basis(sv, sv), 150),
+    ]
+    evaluated, reps = [], steering._reps
+
+    def counted_reps(j, l, params):
+        evaluated.append(len(params))
+        return reps(j, l, params)
+
+    monkeypatch.setattr(steering, "_reps", counted_reps)
+    for els, n in cases:
+        e0 = els[0]
+        orbit, j, l = e0.orbit, e0.j, e0.l
+        coords = np.concatenate([groups.random_orbit_coords(orbit, rng, n),
+                                 _coords(SINGULAR_POINTS[type(orbit)])])
+        evaluated.clear()
+        pieces = [p.copy() for p in steering.section_pieces(els, coords)]
+        assert sum(evaluated) == len(coords), j
+        one = steering._dtype(j).itemsize * j.dim * l.dim
+        for p in pieces:
+            assert p.ndim == 3 and p.shape[1:] == (j.dim, l.dim)
+            assert p.flags.c_contiguous
+            assert p.nbytes <= max(steering.CHUNK_BYTES, one)
+        stream = np.concatenate(pieces)
+        shape = (len(els), len(coords), j.dim, l.dim)
+        assert stream.shape == (math.prod(shape[:2]),) + shape[2:]
+        assert _same_bits(stream.reshape(shape), section_kernels(els, coords))
+        params = groups.section_params(orbit, coords, j.group)
+        batched = steering._steer_basis(els, params, np.empty_like(
+            stream.reshape(shape)))
+        assert _same_bits(stream.reshape(shape), batched), j
+        borders = np.cumsum([0] + [len(p) for p in pieces])
+        points = groups.orbit_points(orbit, coords)
+        for k in np.unique(np.concatenate([borders[:-1], borders[1:] - 1])):
+            b, p = divmod(int(k), len(coords))
+            assert _same_bits(stream[k], kernel_at(els[b], points[p]))
+
+
 #: Angles at and next to the poles, where the sections switch branches.
 POLAR_EDGES = [0.0, 5e-324, 1e-12, 1e-9, 1e-6, math.pi,
                math.nextafter(math.pi, 0.0), math.pi - 1e-12, math.pi - 1e-9,
