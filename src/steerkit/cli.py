@@ -14,9 +14,9 @@ for real kernels).  :func:`write_dump` streams the payload from
 hashes it and writes it to temporary files beside the output, which replace
 the payload and then the manifest only when both are complete, so the
 write path holds the representation stacks of the grid and a few chunk
-buffers but never the payload.  :func:`read_dump` checks the payload's
-size against the manifest and its checksum and returns the stored values
-bit for bit, signed zeros included.
+buffers but never the payload.  :func:`read_dump` checks each manifest
+field it reads, the payload's size against the manifest and its checksum,
+and returns the stored values bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import analytic_bases as bases
 from . import groups, stabilizer_solver, steering, verify
 from .groups import Circle, MassiveHyperboloid, NullCone, Sphere
-from .irreps import (COMPLEX, REAL, IrrepLabel, basis_convention,
+from .irreps import (_MAX_L, COMPLEX, REAL, IrrepLabel, basis_convention,
                      dirac_irrep, o2_irrep, o3_irrep, so2_irrep, so3_irrep,
                      spinor_vector_irrep, tensor_irrep)
 
@@ -297,33 +297,57 @@ def _create_beside(path: str, staged: dict):
     return open(fd, "wb")
 
 
+def _manifest_field(manifest: dict, key: str):
+    try:
+        return manifest[key]
+    except KeyError:
+        raise CliError(f"the manifest lacks the field {key!r}") from None
+
+
+def _manifest_count(manifest: dict, key: str) -> int:
+    """A shape or size field: a JSON integer >= 0 (not a boolean)."""
+    value = _manifest_field(manifest, key)
+    if type(value) is not int or value < 0:
+        raise CliError(f"the manifest's {key!r} must be an integer >= 0, "
+                       f"got {value!r}")
+    return value
+
+
 def read_dump(out_path: str) -> tuple[dict, np.ndarray]:
-    """Read a dump back; validates the version, the payload size and the
-    payload checksum.  The values are exactly the ones written, signed
-    zeros included, in a writable array."""
+    """Read a dump back; validates the manifest's fields, the version, the
+    payload size and the payload checksum.  The values are exactly the ones
+    written, signed zeros included, in a writable array."""
     with open(out_path + ".json") as fh:
         manifest = json.load(fh)
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise CliError(f"unsupported format version "
-                       f"{manifest['format_version']}")
-    shape = [manifest["basis_size"], manifest["n_points"],
-             manifest["dim_j"], manifest["dim_l"]]
-    if manifest["complex"]:
+    if not isinstance(manifest, dict):
+        raise CliError("the manifest is not a JSON object")
+    version = _manifest_field(manifest, "format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CliError(f"unsupported format version {version!r}")
+    shape = [_manifest_count(manifest, key)
+             for key in ("basis_size", "n_points", "dim_j", "dim_l")]
+    is_complex = _manifest_field(manifest, "complex")
+    if type(is_complex) is not bool:
+        raise CliError(f"the manifest's 'complex' must be true or false, "
+                       f"got {is_complex!r}")
+    if is_complex:
         shape.append(2)
+    payload_bytes = _manifest_count(manifest, "payload_bytes")
+    checksum = _manifest_field(manifest, "payload_sha256")
     with open(out_path + ".bin", "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != manifest["payload_bytes"]:
+        if size != payload_bytes:
             raise CliError(f"payload is {size} bytes but the manifest's "
-                           f"payload_bytes is {manifest['payload_bytes']}")
+                           f"payload_bytes is {payload_bytes}")
         if size != 8 * math.prod(shape):
             raise CliError(f"payload is {size} bytes but the manifest's shape "
                            f"{shape} of float64 needs {8 * math.prod(shape)}")
         arr = np.empty(shape, "<f8")
         if fh.readinto(arr) != size:
             raise CliError("payload changed size while it was read")
-    if hashlib.sha256(arr).hexdigest() != manifest["payload_sha256"]:
+    if hashlib.sha256(arr).hexdigest() != checksum:
         raise CliError("payload checksum mismatch")
-    if manifest["complex"]:
+    if is_complex:
         arr = arr.view("<c16")[..., 0]
     return manifest, arr
 
@@ -344,6 +368,11 @@ def _default_orbit(group: str, args) -> object:
 def _cmd_dims(args) -> int:
     if args.jmax < 0:
         raise CliError(f"--jmax must be >= 0, got {args.jmax}")
+    # The tables hold every pair of labels up to --jmax, built before the
+    # first row; SO(3) and O(3) stop there anyway.
+    if args.jmax > _MAX_L:
+        raise CliError(f"--jmax must be at most {_MAX_L} (labels "
+                       f"0..{_MAX_L}), got {args.jmax}")
     _check_field(args.group, args.field)
     rows = []
     if args.group == "lorentz":
@@ -352,7 +381,7 @@ def _cmd_dims(args) -> int:
         cases = verify.compact_case_grid(args.group, args.jmax, (args.field,))
     for j, l, orbit in cases:
         predicted = stabilizer_solver.predicted_dimension(j, l, orbit)
-        oracle = stabilizer_solver.solve_basepoint(j, l, orbit).dimension
+        oracle = stabilizer_solver.oracle_dimension(j, l, orbit)
         rows.append({"j": str(j), "l": str(l),
                      "orbit": verify._orbit_tag(orbit),
                      "predicted": predicted, "oracle": oracle,

@@ -113,6 +113,29 @@ def _rank_cut(s: np.ndarray) -> float:
     return NULLSPACE_TOL * max(s[0] if len(s) else 0.0, 1.0)
 
 
+def _spectrum(a: np.ndarray, compute_uv: bool):
+    """The SVD of a validated matrix ``a`` split at the rank cut:
+    ``(vh, kept, dropped)``.
+
+    ``vh`` is the full (n x n) V^H for a wide ``a``, the reduced one
+    otherwise, and None without ``compute_uv``.  A wide ``a`` has n - m
+    implicit zero singular values, which join the dropped ones.
+    """
+    m, n = a.shape
+    if m >= 2 * n:
+        # R-SVD (Chan 1982): A = QR and R share S and V^H, and U is unused.
+        # LAPACK's gesdd factors stacks this tall the same way before it
+        # bidiagonalizes R, so S and V^H are the same bits as its own.
+        a = np.linalg.qr(a, mode="r")
+    if compute_uv:
+        _, s, vh = np.linalg.svd(a, full_matrices=m < n)
+    else:
+        s, vh = np.linalg.svd(a, compute_uv=False), None
+    s = np.concatenate([s, np.zeros(n - len(s))])
+    null_mask = s <= _rank_cut(s)
+    return vh, s[~null_mask], s[null_mask]
+
+
 def nullspace_with_spectrum(a):
     """Nullspace basis plus the kept/dropped singular values.
 
@@ -126,22 +149,23 @@ def nullspace_with_spectrum(a):
     m, n = a.shape
     if n == 0:
         return a.reshape(m, 0)[:0].T, np.zeros(0), np.zeros(0)
-    if m >= 2 * n:
-        # R-SVD (Chan 1982): A = QR and R share S and V^H, and U is unused.
-        # LAPACK's gesdd factors stacks this tall the same way before it
-        # bidiagonalizes R, so S and V^H are the same bits as its own.
-        a = np.linalg.qr(a, mode="r")
-    # Only wide matrices need the full (n x n) V.
-    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
-    # Wide matrices have n - m implicit zero singular values.
-    s_full = np.concatenate([s, np.zeros(n - len(s))])
-    null_mask = s_full <= _rank_cut(s_full)
-    k = int(null_mask.sum())
+    vh, kept, dropped = _spectrum(a, compute_uv=True)
+    k = len(dropped)
     # Rows of vh are right-singular vectors, sigma descending; reverse the
     # null block so basis columns come out by ascending singular value.
     basis = vh[n - k:][::-1].conj().T if k else np.zeros((n, 0), dtype=vh.dtype)
-    basis = _fix_column_signs(basis)
-    return basis, s_full[~null_mask], s_full[null_mask]
+    return _fix_column_signs(basis), kept, dropped
+
+
+def nullity_with_spectrum(a):
+    """Dimension of the numerical kernel plus the kept/dropped singular values.
+
+    Returns ``(k, kept, dropped)``: the count and the spectrum of
+    :func:`nullspace_with_spectrum`, with the same R step and rank cut, from
+    the singular values alone; no singular vector is computed.
+    """
+    _, kept, dropped = _spectrum(as_matrix(a), compute_uv=False)
+    return len(dropped), kept, dropped
 
 
 def range_with_spectrum(a):

@@ -30,6 +30,11 @@ tables; it is the independent cross-check for them.  What depends on one
 label only (its weight bases and their images under the stacked
 generators) is computed once per label and cached; per pair the solve
 forms only the Kronecker products, the stack and its nullspace.
+
+:func:`solve_basepoint` returns the basis; :func:`oracle_dimension`, which
+``steerkit dims`` prints, counts it from the singular values of the same
+stack alone, with the same rank cut and gap checks, and forms no singular
+vector and no basis.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     """What the solve needs of one label, whatever it is paired with.
 
     ``params`` are the stacked stabilizer generators (see
-    :func:`solve_basepoint`).  Returns ``(bases, conj_bases, images,
+    :func:`_constraint`).  Returns ``(bases, conj_bases, images,
     inverse_images, gap_ratio)``: the weight bases U_m keyed by twice the
     weight (U = I on the circle), their conjugates, ``rho(h) U_m`` and
     ``rho(h)^-T conj(U_m)`` stacked over the generators (empty without
@@ -184,13 +189,14 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     return tuple(map(MappingProxyType, factors)) + (gap,)
 
 
-def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
-                    orbit: Orbit) -> IntertwinerSpace:
-    """Full intertwiner space Hom_H(V_l, V_j) at the orbit base point.
+def _constraint(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
+    """The base-point constraint of a pair on its equal-weight unknowns.
 
-    Real labels get a real basis, complex labels a complex one.  Raises
-    :class:`DegenerateSpectrumError` when a singular-value spectrum of the
-    solve carries no clean rank gap.
+    Returns ``(embed, stack, gap_ratio)``: ``embed`` maps the unknowns to
+    row-major vectorized kernels (orthonormal columns), ``stack`` is the
+    constraint ``rho_j(h) K rho_l(h)^-1 - K`` on them stacked over the
+    sampled generators other than the rotations about z (None when there
+    are none), and ``gap_ratio`` is that of the weight bases.
     """
     group = _check_pair(j, l, orbit)
     rest = groups.stabilizer_sample(orbit, group).elements
@@ -213,15 +219,45 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
                       else [math.sqrt(2.0) * c.real, math.sqrt(2.0) * c.imag])
         return np.concatenate(parts, -1)
 
-    embed = basis = columns(uj, ul, np.zeros((l.dim, 0)))
+    embed = columns(uj, ul, np.zeros((l.dim, 0)))
     gap = min(gap_j, gap_l)
-    if params:
-        stack = columns(rho_uj, rho_ul, np.zeros((len(params), l.dim, 0)))
-        x, kept, dropped = numerics.nullspace_with_spectrum(
-            (stack - embed).reshape(len(params) * len(embed), embed.shape[1]))
-        gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
-        basis = embed @ x
-    return IntertwinerSpace(j, l, orbit, basis, gap)
+    if not params:
+        return embed, None, gap
+    stack = columns(rho_uj, rho_ul, np.zeros((len(params), l.dim, 0)))
+    return embed, (stack - embed).reshape(
+        len(params) * len(embed), embed.shape[1]), gap
+
+
+def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
+                    orbit: Orbit) -> IntertwinerSpace:
+    """Full intertwiner space Hom_H(V_l, V_j) at the orbit base point.
+
+    Real labels get a real basis, complex labels a complex one.  Raises
+    :class:`DegenerateSpectrumError` when a singular-value spectrum of the
+    solve carries no clean rank gap.
+    """
+    embed, stack, gap = _constraint(j, l, orbit)
+    if stack is None:
+        return IntertwinerSpace(j, l, orbit, embed, gap)
+    x, kept, dropped = numerics.nullspace_with_spectrum(stack)
+    gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
+    return IntertwinerSpace(j, l, orbit, embed @ x, gap)
+
+
+def oracle_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
+    """``solve_basepoint(j, l, orbit).dimension`` without forming the basis.
+
+    The count is taken from the singular values of the same stack, with the
+    same rank cut and the same gap checks: no singular vector, sign fixing
+    or basis product.  Raises :class:`DegenerateSpectrumError` where
+    :func:`solve_basepoint` does.
+    """
+    embed, stack, _ = _constraint(j, l, orbit)
+    if stack is None:
+        return embed.shape[1]
+    k, kept, dropped = numerics.nullity_with_spectrum(stack)
+    require_rank_gap(kept, dropped, f" for {j} / {l}")
+    return k
 
 
 def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:

@@ -134,6 +134,8 @@ def test_bad_label_reports_json_error(tmp_path, capsys):
             (("basis", "--group", "so3", "--j", "33", "--l", "1",
               "--point", "0,0"), "0..32"),
             (("dims", "--group", "so3", "--jmax", "33"), "0..32"),
+            (("dims", "--group", "so2", "--jmax", "33"), "at most 32"),
+            (("dims", "--group", "o2", "--jmax", "33"), "at most 32"),
             (("dims", "--group", "so2", "--jmax", "-1"), "--jmax must be >= 0")]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out, argv
@@ -245,6 +247,37 @@ def test_sample_complex_payload_roundtrip(tmp_path, capsys):
     np.testing.assert_array_equal(arr[0, 1], expect)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("payload_bytes", None), ("n_points", None), ("complex", None),
+    ("format_version", None), ("basis_size", None), ("payload_sha256", None),
+    ("n_points", "12"), ("n_points", 12.0), ("n_points", True),
+    ("n_points", -12), ("basis_size", -3), ("dim_j", [3]),
+    ("payload_bytes", "2592"), ("complex", 0), ("complex", "false"),
+    ("format_version", True), ("format_version", "1")])
+def test_read_dump_checks_the_manifest_fields(key, value, tmp_path, capsys):
+    # A field that is missing (None here) or of the wrong kind is a CliError
+    # that names it, never a KeyError, a repeated string or numpy's
+    # ValueError.  Shape and size fields are integers >= 0, not booleans;
+    # complex is a boolean.
+    out = str(tmp_path / "dump")
+    run_cli(capsys, "sample", "--group", "so3", "--j", "1", "--l", "1",
+            "--grid", "sphere:4x3", "--out", out)
+    manifest = Path(out + ".json")
+    good = json.loads(manifest.read_text())
+    assert good["n_points"] == 12
+    assert good["payload_bytes"] == 3 * 12 * 3 * 3 * 8
+    read_dump(out)
+    edited = {k: v for k, v in good.items() if k != key}
+    if value is not None:
+        edited[key] = value
+    manifest.write_text(json.dumps(edited))
+    with pytest.raises(cli.CliError) as err:
+        read_dump(out)
+    message = str(err.value)
+    assert key in message or "format version" in message
+    assert "1212" not in message
+
+
 def test_dump_rejects_tampering(tmp_path, capsys):
     out = str(tmp_path / "dump")
     run_cli(capsys, "sample", "--group", "so2", "--j", "1", "--l", "1",
@@ -334,6 +367,21 @@ def test_write_dump_never_holds_the_payload(grid, bound_mb, tmp_path):
         tracemalloc.stop()
     assert peak < bound_mb * 1e6
     assert manifest["payload_bytes"] == len(elements) * 1024 * 16 * 16 * 8
+
+
+def test_dims_never_forms_a_basis(monkeypatch, capsys):
+    # dims counts the oracle's solutions from the singular values alone:
+    # no nullspace basis is taken on any table.
+    from steerkit import numerics
+
+    def no_basis(a):
+        raise AssertionError("nullspace_with_spectrum called by dims")
+    monkeypatch.setattr(numerics, "nullspace_with_spectrum", no_basis)
+    for argv in [("--group", "lorentz", "--full"), ("--group", "so3"),
+                 ("--group", "o3"), ("--group", "so2"), ("--group", "o2")]:
+        code, out, err = run_cli(capsys, "dims", *argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["all_match"] is True, argv
 
 
 def test_lorentz_dims_table(capsys):

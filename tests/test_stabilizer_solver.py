@@ -1,9 +1,12 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from steerkit import groups, numerics, stabilizer_solver
+from steerkit import cli, groups, numerics, stabilizer_solver
 from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
 from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
@@ -11,8 +14,9 @@ from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
                              tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
-                                        predicted_dimension, require_rank_gap,
-                                        solve_basepoint, weight_bases)
+                                        oracle_dimension, predicted_dimension,
+                                        require_rank_gap, solve_basepoint,
+                                        weight_bases)
 from steerkit.steering import steer
 from steerkit.verify import SPAN_TOL, compact_case_grid, lorentz_case_grid
 
@@ -279,6 +283,7 @@ def test_span_matches_dense_reference():
         space = solve_basepoint(j, l, orbit)
         dense = dense_basis(j, l, orbit)
         assert space.dimension == dense.shape[1], (j, l, orbit)
+        assert oracle_dimension(j, l, orbit) == dense.shape[1], (j, l, orbit)
         assert space.basis.dtype == dense.dtype, (j, l, orbit)
         angle, _ = numerics.principal_angle_distance(space.basis, dense)
         assert angle <= SPAN_TOL, (j, l, orbit, angle)
@@ -444,6 +449,52 @@ def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches):
     one = o2_irrep(1)
     with pytest.raises(DegenerateSpectrumError, match="o2"):
         solve_basepoint(one, one, Circle())
+
+
+def test_degenerate_generator_images_raise(monkeypatch, cold_caches,
+                                          capsys):
+    # rho(h) diag(1 + 1e-12, 1 + 1e-8, 1 + 1e-8) for the real O(3) l = 1+
+    # label scales its weight-0 image by 1 + 1e-12 and its weight-1 image by
+    # 1 + 1e-8 and leaves its weight spaces as they are.  The stack of 1+ /
+    # 1+ then moves its weight-0 solution to sigma = 1e-12 and its weight-1
+    # solution to 1e-8: a split at the cut with a ratio of 1e4, which the
+    # count must reject like the solve.
+    target = o3_irrep(1, 1)
+
+    def fuzzy(label, params):
+        rho = rep_matrices(label, params)
+        return rho @ np.diag([1 + 1e-12, 1 + 1e-8, 1 + 1e-8]) if (
+            label == target) else rho
+    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+    pair = f"for {target} / {target}"
+    for solve in (solve_basepoint, oracle_dimension):
+        with pytest.raises(DegenerateSpectrumError) as err:
+            solve(target, target, Sphere())
+        assert pair in str(err.value)
+    assert cli.main(["dims", "--group", "o3", "--jmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert pair in json.loads(captured.err)["error"]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(group=st.sampled_from(("so3", "o3")),
+       field=st.sampled_from(("real", "complex")),
+       lj=st.integers(0, 32), lk=st.integers(0, 32),
+       pj=st.sampled_from((1, -1)), pk=st.sampled_from((1, -1)))
+@example(group="o3", field="real", lj=32, lk=32, pj=1, pk=-1)
+@example(group="so3", field="complex", lj=32, lk=31, pj=1, pk=1)
+def test_count_matches_closed_form_up_to_the_largest_label(group, field, lj,
+                                                           lk, pj, pk):
+    # Random SO(3) and O(3) pairs with l up to 32, parities included (SO(3)
+    # ignores them), in both fields: the oracle's count equals the Schur
+    # count.
+    if group == "so3":
+        j, l = so3_irrep(lj, field), so3_irrep(lk, field)
+    else:
+        j, l = o3_irrep(lj, pj, field), o3_irrep(lk, pk, field)
+    assert oracle_dimension(j, l, Sphere()) == predicted_dimension(
+        j, l, Sphere())
 
 
 def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
