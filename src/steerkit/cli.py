@@ -402,13 +402,26 @@ def _cmd_basis(args) -> int:
     out = {"group": args.group, "j": str(j), "l": str(l),
            "point": list(x.coords), "elements": []}
     for e in elements:
-        k = e.at(x)
-        entry = {"kind": e.kind, "re": np.round(k.real, 15).tolist()}
+        # An overflow is reported once, as the error below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = e.at(x)
+        if not np.isfinite(k).all():
+            raise CliError("kernel values overflow float64 at this point")
+        entry = {"kind": e.kind, "re": _rounded(k.real).tolist()}
         if np.iscomplexobj(k):
-            entry["im"] = np.round(k.imag, 15).tolist()
+            entry["im"] = _rounded(k.imag).tolist()
         out["elements"].append(entry)
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
     return 0
+
+
+def _rounded(a: np.ndarray) -> np.ndarray:
+    """``a`` rounded to 15 decimals.  The rounding scales by 1e15, which
+    overflows above about 1.8e293; such values are whole numbers already
+    and are kept as they are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.round(a, 15)
+    return np.where(np.isfinite(r), r, a)
 
 
 def _cmd_verify(args) -> int:

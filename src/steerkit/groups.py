@@ -636,13 +636,20 @@ def _stabilizer_sample(orbit: Orbit, group: str) -> StabilizerSample:
             # r_y = diag(1,-1,1) = parity * rotation by pi about y.
             elems = o3_zrots + (GroupElement(O3, (0.0, math.pi, 0.0, -1.0)),)
     elif isinstance(orbit, MassiveHyperboloid):
+        # One y rotation suffices: the weight blocking imposes every rotation
+        # about z, and the closed subgroups of SO(3) that contain SO(2)_z are
+        # SO(2)_z, O(2)_z and SO(3), the first two holding R_y(t) only for t
+        # = 0 or pi modulo 2 pi.
+        y = STABILIZER_ANGLES[-1]
+        if math.remainder(y, math.pi) == 0.0:
+            raise GroupError(
+                f"the y rotation by {y!r} of the hyperboloid's stabilizer "
+                f"sample lies in O(2)_z, so the sample does not generate "
+                f"SO(3)")
         elems = tuple(
             GroupElement(LORENTZ, (t, 0.0, 0.0, 0.0, 0.0, 0.0))
             for t in STABILIZER_ANGLES
-        ) + tuple(
-            GroupElement(LORENTZ, (0.0, t, 0.0, 0.0, 0.0, 0.0))
-            for t in STABILIZER_ANGLES
-        )
+        ) + (GroupElement(LORENTZ, (0.0, y, 0.0, 0.0, 0.0, 0.0)),)
     else:
         elems = tuple(
             GroupElement(LORENTZ, (t, 0.0, 0.0, 0.0, 0.0, 0.0))

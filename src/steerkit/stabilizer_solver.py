@@ -16,7 +16,7 @@ contain every rotation about z:
   U^l_m^H``: the unknowns are the blocks X_m of equal weight.  A real K
   has X_-m = conj(X_m), so real labels solve for the real and imaginary
   parts of X_m, m >= 0, in real arithmetic.
-* Only the other sampled generators (the y rotations of the hyperboloid,
+* Only the other sampled generators (the y rotation of the hyperboloid,
   the O(3) reflection) are stacked, on those unknowns.  Without such
   generators (the sphere under SO(3), the null cone) every X_m is free and
   no stack is built.
@@ -34,7 +34,8 @@ forms only the Kronecker products, the stack and its nullspace.
 :func:`solve_basepoint` returns the basis; :func:`oracle_dimension`, which
 ``steerkit dims`` prints, counts it from the singular values of the same
 stack alone, with the same rank cut and gap checks, and forms no singular
-vector and no basis.
+vector and no basis; without a stack it counts the free unknowns from the
+dimensions of the weight spaces, and forms no embedding either.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     """What the solve needs of one label, whatever it is paired with.
 
     ``params`` are the stacked stabilizer generators (see
-    :func:`_constraint`).  Returns ``(bases, conj_bases, images,
+    :func:`_generators`).  Returns ``(bases, conj_bases, images,
     inverse_images, gap_ratio)``: the weight bases U_m keyed by twice the
     weight (U = I on the circle), their conjugates, ``rho(h) U_m`` and
     ``rho(h)^-T conj(U_m)`` stacked over the generators (empty without
@@ -189,20 +190,27 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     return tuple(map(MappingProxyType, factors)) + (gap,)
 
 
-def _constraint(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
-    """The base-point constraint of a pair on its equal-weight unknowns.
-
-    Returns ``(embed, stack, gap_ratio)``: ``embed`` maps the unknowns to
-    row-major vectorized kernels (orthonormal columns), ``stack`` is the
-    constraint ``rho_j(h) K rho_l(h)^-1 - K`` on them stacked over the
-    sampled generators other than the rotations about z (None when there
-    are none), and ``gap_ratio`` is that of the weight bases.
-    """
+def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
+    """Parameters of the sampled stabilizer generators that a pair's solve
+    stacks: every sampled element on the circle, the ones other than the
+    rotations about z elsewhere."""
     group = _check_pair(j, l, orbit)
     rest = groups.stabilizer_sample(orbit, group).elements
     if not isinstance(orbit, Circle):
         rest = [h for h in rest if not _about_z(h)]
-    params = tuple(h.params for h in rest)
+    return tuple(h.params for h in rest)
+
+
+def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
+    """The base-point constraint of a pair on its equal-weight unknowns.
+
+    ``params`` are the pair's :func:`_generators`.  Returns ``(embed,
+    stack, gap_ratio)``: ``embed`` maps the unknowns to row-major
+    vectorized kernels (orthonormal columns), ``stack`` is the constraint
+    ``rho_j(h) K rho_l(h)^-1 - K`` on them stacked over the generators
+    (None when there are none), and ``gap_ratio`` is that of the weight
+    bases.
+    """
     uj, _, rho_uj, _, gap_j = _label_factors(j, params)
     _, ul, _, rho_ul, gap_l = _label_factors(l, params)
 
@@ -236,7 +244,7 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
     :class:`DegenerateSpectrumError` when a singular-value spectrum of the
     solve carries no clean rank gap.
     """
-    embed, stack, gap = _constraint(j, l, orbit)
+    embed, stack, gap = _constraint(j, l, _generators(j, l, orbit))
     if stack is None:
         return IntertwinerSpace(j, l, orbit, embed, gap)
     x, kept, dropped = numerics.nullspace_with_spectrum(stack)
@@ -249,12 +257,19 @@ def oracle_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
 
     The count is taken from the singular values of the same stack, with the
     same rank cut and the same gap checks: no singular vector, sign fixing
-    or basis product.  Raises :class:`DegenerateSpectrumError` where
-    :func:`solve_basepoint` does.
+    or basis product.  Without a stack, every equal-weight block is free
+    and the count is that of the unknowns, n_j(m) n_l(m) summed over the
+    weights both labels share (twice for m > 0 over the reals), read from
+    the weight bases without forming the embedding.  Raises
+    :class:`DegenerateSpectrumError` where :func:`solve_basepoint` does.
     """
-    embed, stack, _ = _constraint(j, l, orbit)
-    if stack is None:
-        return embed.shape[1]
+    params = _generators(j, l, orbit)
+    if not params:
+        uj, ul = weight_bases(j)[0], weight_bases(l)[0]
+        real = j.field != COMPLEX
+        return sum(u.shape[1] * ul[m].shape[1] * (2 if real and m else 1)
+                   for m, u in uj.items() if m in ul)
+    _, stack, _ = _constraint(j, l, params)
     k, kept, dropped = numerics.nullity_with_spectrum(stack)
     require_rank_gap(kept, dropped, f" for {j} / {l}")
     return k

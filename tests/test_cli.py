@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,32 @@ def test_basis_complex_output_carries_imaginary_part(capsys):
     data = json.loads(out)
     assert len(data["elements"]) == 3
     assert "im" in data["elements"][0]
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_basis_near_the_float64_limit_prints_standard_json(capsys):
+    # At this point the spin-0 kernel reaches 1.0e308, finite; rounding to
+    # 15 decimals scales by 1e15 and used to turn it into Infinity, with an
+    # overflow warning.  A kernel that does overflow (tensor20 at 1e78,
+    # about 1e312) is a JSON error.
+    argv = ["basis", "--group", "lorentz", "--mass", "1", "--point"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "1e154,1e154,0,0",
+                                 "--j", "vector", "--l", "vector")
+        assert code == 0 and not err
+        values = np.array([e["re"] for e in _strict_json(out)["elements"]])
+        assert np.isfinite(values).all()
+        assert 1e308 <= np.abs(values).max() < 1.01e308
+        code, out, err = run_cli(capsys, *argv, "1e78,1e78,0,0",
+                                 "--j", "tensor20", "--l", "tensor20")
+    assert code == 1 and out == ""
+    assert "overflow float64" in _strict_json(err)["error"]
 
 
 def test_verify_is_byte_identical_across_runs(capsys):
@@ -295,9 +322,20 @@ def test_dump_rejects_tampering(tmp_path, capsys):
         read_dump(out)
 
 
-def test_complex_roundtrip_keeps_signed_zeros(tmp_path, capsys):
-    # The values read back are the stored doubles, signed zeros included,
-    # in a writable array.
+def test_complex_roundtrip_keeps_signed_zeros(tmp_path, capsys,
+                                              monkeypatch):
+    # The values written and read back are the steered doubles, signed
+    # zeros included, in a writable array.  The zeros are crafted into the
+    # pieces rather than left to the products, whose signs of zero hang on
+    # the BLAS kernels.
+    from steerkit import steering
+    crafted = np.arange(1.0, 325.0).reshape(36, 3, 3) * (0.5 - 0.25j)
+    crafted.real[0, 0, 0], crafted.imag[0, 0, 0] = -0.0, 0.0
+    crafted.real[5, 1, 2], crafted.imag[5, 1, 2] = 0.0, -0.0
+    crafted.real[30, 2, 1], crafted.imag[30, 2, 1] = -0.0, -0.0
+    monkeypatch.setattr(steering, "section_pieces",
+                        lambda elements, coords: iter([crafted[:20],
+                                                       crafted[20:]]))
     out = str(tmp_path / "dump")
     code, _, _ = run_cli(capsys, "sample", "--group", "so3", "--field",
                          "complex", "--j", "1", "--l", "1", "--grid",
@@ -305,8 +343,11 @@ def test_complex_roundtrip_keeps_signed_zeros(tmp_path, capsys):
     assert code == 0
     with open(out + ".bin", "rb") as fh:
         raw = fh.read()
+    assert raw == crafted.astype("<c16").tobytes()
     stored = np.frombuffer(raw, "<f8")
-    assert ((stored == 0) & np.signbit(stored)).any()
+    assert np.flatnonzero(stored == 0).tolist() == [0, 1, 100, 101, 554, 555]
+    assert np.flatnonzero(np.signbit(stored) & (stored == 0)).tolist() == [
+        0, 101, 554, 555]
     _, arr = read_dump(out)
     assert arr.dtype == np.dtype("<c16") and arr.shape == (3, 12, 3, 3)
     assert arr.tobytes() == raw

@@ -162,6 +162,33 @@ def test_stabilizer_samples():
                                        s.base.vector, atol=1e-12)
 
 
+def test_massive_sample_has_one_y_rotation():
+    # The rotations about z and one y rotation, by sqrt(2): with U(1)_z
+    # imposed by the weight blocking, one rotation outside O(2)_z generates
+    # SO(3).
+    s = stabilizer_sample(MassiveHyperboloid(), "lorentz")
+    root2 = math.sqrt(2.0)
+    assert [h.params[:3] for h in s.elements] == [
+        (1.0, 0.0, 0.0), (root2, 0.0, 0.0), (0.0, root2, 0.0)]
+
+
+@pytest.mark.parametrize("y", [0.0, math.pi, -math.pi, 2 * math.pi,
+                               3 * math.pi])
+def test_degenerate_y_rotation_is_rejected(monkeypatch, y):
+    # A y rotation by 0 or pi modulo 2 pi lies in O(2)_z: the sample would
+    # no longer generate SO(3), and building it says so.
+    groups._stabilizer_sample.cache_clear()
+    try:
+        monkeypatch.setattr(groups, "STABILIZER_ANGLES", (1.0, y))
+        with pytest.raises(GroupError, match="does not generate SO\\(3\\)"):
+            stabilizer_sample(MassiveHyperboloid(), "lorentz")
+        # The other orbits stack no y rotation.
+        stabilizer_sample(NullCone(), "lorentz")
+        stabilizer_sample(Sphere(), "so3")
+    finally:
+        groups._stabilizer_sample.cache_clear()
+
+
 def test_random_stabilizer_elements_fix_base_point():
     rng = np.random.default_rng(2)
     for group, orbit in [("so2", Circle()), ("o2", Circle()),

@@ -306,11 +306,11 @@ def _record_nullspace_calls(monkeypatch) -> list:
 
 
 def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
-    # A dense stack that comes back (4 elements x 1024 rows, 1024 unknowns)
-    # fails here: the one solve is real and has the equal-weight unknowns,
-    # the real and imaginary parts of X_m for m > 0 (2 n_j(m) n_l(m) each,
-    # n read from the projector ranks; a real label keeps m >= 0 only), and
-    # the rows of the two y rotations only.
+    # A dense stack that comes back (3 elements x 1024 rows, 1024 unknowns)
+    # or a second y rotation fails here: the one solve is real and has the
+    # equal-weight unknowns, the real and imaginary parts of X_m for m > 0
+    # (2 n_j(m) n_l(m) each, n read from the projector ranks; a real label
+    # keeps m >= 0 only), and the rows of the one y rotation only.
     sv = spinor_vector_irrep(realified=True)
     shapes = _record_nullspace_calls(monkeypatch)
     space = solve_basepoint(sv, sv, MassiveHyperboloid())
@@ -318,8 +318,29 @@ def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
     unknowns = sum(2 * n * n for n in ranks.values())
     assert ranks == {1: 12, 3: 4}
     assert unknowns == 320 < sv.dim ** 2
-    assert shapes == [((2 * sv.dim ** 2, unknowns), np.dtype(np.float64))]
+    assert shapes == [((sv.dim ** 2, unknowns), np.dtype(np.float64))]
     assert space.dimension == 80
+
+
+def test_stackless_counts_form_no_embedding(monkeypatch):
+    # The real SO(3) table to 8 and the cone pairs stack no generator: their
+    # counts are read from the cached weight bases, with no Kronecker
+    # product.  On every pair of the dims tables the count is the solve's.
+    pairs = _dims_pairs()
+    stackless = [(j, l, orbit) for j, l, orbit in pairs
+                 if j.group == "so3" or isinstance(orbit, NullCone)]
+    assert len(stackless) == 81 + 3
+    dims = {(j, l, orbit): solve_basepoint(j, l, orbit).dimension
+            for j, l, orbit in pairs}
+
+    def no_kron(*args):
+        raise AssertionError("numerics.kron called by a stackless count")
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "kron", no_kron)
+        for pair in stackless:
+            assert oracle_dimension(*pair) == dims[pair], pair
+    for pair in pairs:
+        assert oracle_dimension(*pair) == dims[pair], pair
 
 
 def test_real_pairs_solve_in_real_arithmetic(monkeypatch):
