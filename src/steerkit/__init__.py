@@ -20,7 +20,7 @@ from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
                      real_change_of_basis, rep_matrix, so2_irrep,
                      so3_irrep, spinor_vector_irrep, tensor_irrep,
                      wigner_small_d)
-from .numerics import kron, nullspace, principal_angle_distance
+from .numerics import kron, principal_angle_distance
 from .stabilizer_solver import (IntertwinerSpace, predicted_dimension,
                                 solve_basepoint)
 from .steering import kernel_at, steer
@@ -39,7 +39,7 @@ __all__ = [
     "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
     "real_change_of_basis", "rep_matrix", "so2_irrep",
     "so3_irrep", "spinor_vector_irrep", "tensor_irrep", "wigner_small_d",
-    "kron", "nullspace", "principal_angle_distance",
+    "kron", "principal_angle_distance",
     "IntertwinerSpace", "predicted_dimension", "solve_basepoint",
     "kernel_at", "steer",
     "check_case", "check_projectors", "equivariance_demo", "run_suite",

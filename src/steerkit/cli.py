@@ -416,12 +416,11 @@ def _cmd_basis(args) -> int:
 
 
 def _rounded(a: np.ndarray) -> np.ndarray:
-    """``a`` rounded to 15 decimals.  The rounding scales by 1e15, which
-    overflows above about 1.8e293; such values are whole numbers already
-    and are kept as they are."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.round(a, 15)
-    return np.where(np.isfinite(r), r, a)
+    """``a`` rounded to 15 decimals where |a| < 8.  From 8 up the doubles
+    are more than 1e-15 apart and are kept as they are, which the scaling
+    by 1e15 would not do (it moves some by an ulp, and overflows)."""
+    small = np.abs(a) < 8.0
+    return np.where(small, np.round(np.where(small, a, 0.0), 15), a)
 
 
 def _cmd_verify(args) -> int:

@@ -307,18 +307,18 @@ def random_params(group: str, rng: np.random.Generator, n: int,
     order, and the generator ends in the same state.  Compact groups take
     all their doubles in one ``rng.uniform`` call; a Lorentz element draws
     its direction with ``rng.normal`` between its uniforms, so those are
-    drawn element by element.
+    drawn element by element, each uniform and norm as numpy forms it.
     """
     _check_draw(n, eta_max)
     if group == LORENTZ:
         out = np.empty((n, 6))
         for row in out:
-            row[0] = rng.uniform(0.0, TWO_PI)
-            row[1] = math.acos(rng.uniform(-1.0, 1.0))
-            row[2] = rng.uniform(0.0, TWO_PI)
+            row[0] = TWO_PI * rng.random()
+            row[1] = math.acos(-1.0 + 2.0 * rng.random())
+            row[2] = TWO_PI * rng.random()
             direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            row[3:] = rng.uniform(0.0, eta_max) * direction
+            direction /= math.sqrt(direction.dot(direction))
+            row[3:] = eta_max * rng.random() * direction
         return out
     if group not in _COMPACT_DRAWS:
         raise GroupError(f"unknown group {group!r}")

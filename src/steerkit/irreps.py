@@ -289,13 +289,6 @@ def _so3_stack(l: int, angles: np.ndarray, field: str) -> np.ndarray:
     return d
 
 
-def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Wigner D^l, the SO(3) irrep matrix for z-y-z Euler angles."""
-    _check_l(l)
-    return _so3_stack(l, np.array([[alpha, beta, gamma]], dtype=float),
-                      COMPLEX)[0]
-
-
 @lru_cache(maxsize=None)
 def real_change_of_basis(l: int) -> np.ndarray:
     """Unitary S^l mapping complex harmonics (m descending) to real ones.
@@ -378,13 +371,6 @@ def _sl2_stack(p: np.ndarray) -> np.ndarray:
     return uz(p[:, 0]) @ uy @ uz(p[:, 2]) @ boost
 
 
-def sl2_of(g: GroupElement) -> np.ndarray:
-    """SL(2,C) element covering the Lorentz element (one of the two signs)."""
-    if g.group != LORENTZ:
-        raise IrrepError("sl2_of expects a Lorentz element")
-    return _sl2_stack(groups.parameter_stack(LORENTZ, [g.params]))[0]
-
-
 def realify(m: np.ndarray) -> np.ndarray:
     """Real 2n x 2n form of a complex-linear map on (Re, Im) stacked vectors;
     a stack of maps gives a stack."""
@@ -456,7 +442,8 @@ def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
     return rep_inverses(label, g.params)
 
 
-def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool) -> np.ndarray:
+def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool,
+               covers: Optional[tuple] = None) -> np.ndarray:
     """Matrices (inverses only for Lorentz labels) at parameters (n, k)."""
     n = len(p)
     ones = np.ones((n, 1, 1))
@@ -482,18 +469,26 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool) -> np.ndarray:
         if label.group == O3:
             m[p[:, 3] < 0] *= label.parity * (-1.0) ** label.j
         return m
+    lam, sl2 = covers or _covers(p, [label])
     if label.tensor is not None:
-        return _tensor_stack(*label.tensor, p, inverse)
-    return _spinor_stack(label, p, inverse)
+        return _tensor_stack(*label.tensor, lam, inverse)
+    return _spinor_stack(label, lam, sl2, inverse)
 
 
-def _tensor_stack(p: int, q: int, params: np.ndarray, inverse: bool) -> np.ndarray:
+def _covers(p: np.ndarray, labels) -> tuple:
+    """The Lorentz matrices and their SL(2,C) covers at parameters (n, 6)
+    that the Lorentz ``labels`` are built on (None where none is)."""
+    lam = (groups.matrices(LORENTZ, p)
+           if any(x.spinor != DIRAC for x in labels) else None)
+    return lam, _sl2_stack(p) if any(x.spinor for x in labels) else None
+
+
+def _tensor_stack(p: int, q: int, lam: np.ndarray, inverse: bool) -> np.ndarray:
     """Kronecker chain of p factors Lambda and q factors of its inverse
     transpose ``eta Lambda eta`` (exact for Lorentz); with ``inverse``, of
     ``Lambda^-1 = eta Lambda^T eta`` and ``Lambda^T``."""
     if p + q == 0:
-        return np.ones((len(params), 1, 1))
-    lam = groups.matrices(LORENTZ, params)
+        return np.ones((len(lam), 1, 1))
     if inverse:
         lam, lam_dual = ETA @ lam.swapaxes(-1, -2) @ ETA, lam.swapaxes(-1, -2)
     else:
@@ -505,20 +500,20 @@ def _tensor_stack(p: int, q: int, params: np.ndarray, inverse: bool) -> np.ndarr
     return out
 
 
-def _spinor_stack(label: IrrepLabel, params: np.ndarray, inverse: bool) -> np.ndarray:
+def _spinor_stack(label: IrrepLabel, lam: np.ndarray, a: np.ndarray,
+                  inverse: bool) -> np.ndarray:
     """Weyl-basis spinor rep S(Lambda) = diag((A^dag)^-1, A), A from
     :func:`_sl2_stack`, or with ``inverse`` its inverse diag(A^dag, A^-1);
     tensored with the vector rep for the spinor-vector and realified when
     asked."""
-    a = _sl2_stack(params)
     adag = a.conj().swapaxes(-1, -2)
-    s = np.zeros((len(params), 4, 4), dtype=complex)
+    s = np.zeros((len(a), 4, 4), dtype=complex)
     if inverse:
         s[:, :2, :2], s[:, 2:, 2:] = adag, _sl2_inverse(a)
     else:
         s[:, :2, :2], s[:, 2:, 2:] = _sl2_inverse(adag), a
     if label.spinor == SPINOR_VECTOR:
-        s = numerics.kron(_tensor_stack(1, 0, params, inverse), s)
+        s = numerics.kron(_tensor_stack(1, 0, lam, inverse), s)
     return realify(s) if label.realified else s
 
 

@@ -186,16 +186,6 @@ def range_with_spectrum(a):
     return _fix_column_signs(q), s[:k], s[k:]
 
 
-def nullspace(a) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of ``a``.
-
-    Columns are ordered by ascending singular value and sign-fixed so the
-    first significant component of each column is positive real.
-    """
-    basis, _, _ = nullspace_with_spectrum(a)
-    return basis
-
-
 def principal_angle_distance(u, v) -> tuple[float, bool]:
     """Largest principal angle between two orthonormal column spans.
 

@@ -5,16 +5,18 @@ Extends a base-point intertwiner over its orbit by the defining rule
 points through the fixed coset section.  Well-definedness across section
 choices is exactly the stabilizer constraint on the base-point matrix.
 
-:func:`_product` is the one place that forms the product, from stacks of
-representation matrices, into fresh arrays or into arrays the caller owns.
+:func:`_product` forms per-kernel products (a pair of small gemms per
+kernel) from representation stacks, into fresh or caller-owned arrays.
 :func:`steer` evaluates those stacks for one element or a stack of elements.
 :func:`section_pieces` streams a whole basis at a stack of points in the
 order ``[basis][point]``, in pieces within the chunk budget, evaluating the
 representations of the points' sections once per call; ``sample`` writes
 the pieces as they come and :func:`section_kernels` gathers them into one
-array.  :func:`kernel_at` is the element-by-element reference path.  The
-verifier's sweeps evaluate their stacks once and form their products
-through :func:`_product` too.
+array.  :func:`kernel_at` is the element-by-element reference path, and
+``sample``, :func:`section_kernels` and :func:`steer` equal it bit for bit.
+
+The verifier's sweeps form whole-basis products (:func:`_steered_blocks`),
+which round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import groups
 from .groups import LORENTZ
-from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_inverses,
+from .irreps import (COMPLEX, IrrepError, IrrepLabel, _covers, _rep_stack,
                      rep_matrices)
 
 #: Byte budget of the stacks formed at a time: the batched paths steer at
@@ -105,13 +107,15 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
 
 
 def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
-    """``rho_j(g)`` and ``rho_l(g)^-1`` for a stack of elements, canonical
-    parameters of shape (..., k) -> two stacks (..., dim, dim)."""
+    """``rho_j(g)``, ``rho_l(g)^-1`` at parameters (n, k), as rep_matrices and
+    rep_inverses give them; a Lorentz pair shares its group evaluation."""
+    if j.group == LORENTZ:
+        p = groups.parameter_stack(LORENTZ, params)
+        covers = _covers(p, (j, l))
+        return _rep_stack(j, p, False, covers), _rep_stack(l, p, True, covers)
+    # Compact inverses are conjugate transposes (see irreps.rep_inverses).
     rho = rep_matrices(j, params)
-    if j == l and j.group != LORENTZ:
-        # Compact inverses are conjugate transposes (see irreps.rep_inverses).
-        return rho, rho.conj().swapaxes(-1, -2)
-    return rho, rep_inverses(l, params)
+    return rho, (rho if j == l else rep_matrices(l, params)).conj().swapaxes(-1, -2)
 
 
 def _product(rho: np.ndarray, rho_inv: np.ndarray, k0: np.ndarray, *,
@@ -210,19 +214,31 @@ def section_kernels(elements, coords) -> np.ndarray:
     return out
 
 
-def _steer_basis(elements, params, out, work=None) -> np.ndarray:
-    """A basis steered by a stack of elements, canonical parameters of shape
-    (n, k), written into ``out`` of shape ``(n_basis, n, dim_j, dim_l)``; the
-    representation stacks are evaluated chunk by chunk within the budget."""
-    e0 = elements[0]
-    j, l = e0.j, e0.l
-    k0 = np.stack([e.base_matrix for e in elements])[:, None]
-    step = chunk_length(_steered_bytes(j, l, len(elements)))
-    if work is None:
-        work = np.empty(out.shape[:1] + (min(step, len(params)),)
-                        + out.shape[2:], out.dtype)
-    for i in range(0, len(params), step):
-        rho, rho_inv = _reps(j, l, params[i:i + step])
-        _product(rho, rho_inv, k0, out=out[:, i:i + len(rho)],
-                 work=work[:, :len(rho)])
-    return out
+def _steered_blocks(k, j, l, params, step, out, work) -> Iterator[np.ndarray]:
+    """Whole-basis products ``rho_j(g) K rho_l(g)^-1`` for n elements,
+    parameters (n, p), and every K of ``k`` (n_k, dim_j, w, dim_l): n_k
+    stacks of w kernels side by side, run c of n_k equal runs of elements
+    steering ``k[c]``.  Yields blocks (m, dim_j, w, dim_l) of ``step``
+    elements, the last maybe shorter: rho_j K in the flat buffer ``work``
+    (the block's rho_j stacked vertically, one gemm per stack), times
+    rho_l^-1 in ``out`` (one gemm per element), each of ``step * k[0].size``
+    items.  Representations go a run of blocks at a time, within budget.
+    """
+    dj, dl, size = j.dim, l.dim, k[0].size
+    per = len(params) // len(k)
+    run = step * max(1, chunk_length(2 * _rep_bytes(j, l)) // step)
+    for r in range(0, len(params), run):
+        rho, rho_inv = _reps(j, l, params[r:r + run])
+        for i in range(0, len(rho), step):
+            m = min(step, len(rho) - i)
+            left = work[:m * size].reshape(m * dj, -1)
+            for c in range((r + i) // per, (r + i + m - 1) // per + 1):
+                a, b = max(i, c * per - r), min(i + m, (c + 1) * per - r)
+                np.matmul(rho[a:b].reshape(-1, dj), k[c].reshape(dj, -1),
+                          out=left[(a - i) * dj:(b - i) * dj])
+            # A C-ordered copy of a conjugate transpose view multiplies faster.
+            right = np.matmul(left.reshape(m, -1, dl),
+                              np.ascontiguousarray(rho_inv[i:i + m]),
+                              out=out[:m * size].reshape(m, -1, dl))
+            yield right.reshape(m, dj, -1, dl)
+        del rho, rho_inv

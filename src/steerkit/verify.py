@@ -4,7 +4,8 @@ Binds the numerical oracle, the analytic bases and the steering engine into
 per-case pass/fail reports, runs the Lorentz projector identities and the
 massless gauge check, and provides a discretized circle-convolution
 equivariance demo.  Everything is seeded and deterministic: the same seed
-yields a byte-identical report.
+yields a byte-identical report.  The steerability sweeps compare
+whole-basis products, which round differently from ``kernel_at``.
 """
 
 from __future__ import annotations
@@ -94,12 +95,11 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     For each pair the kernels at g.x, evaluated through the coset section,
     are compared with the kernels at x steered by g.  The points and the
     elements are drawn as stacks, and the action and the coset sections are
-    computed once for the whole n_x x n_g grid.  The representations of the
-    elements are evaluated a block at a time, and the pairs are steered a
-    chunk of elements at a time, each stack within the chunk budget, into
-    arrays allocated once per call.  On the null cone the kernel is well
-    defined only modulo the gauge choice of the auxiliary null vector, so
-    the massless cases are dispatched to :func:`massless_steer_residual`.
+    computed once for the whole n_x x n_g grid.  Both sides are whole-basis
+    products, the basis at the sections of g.x and the kernels at a block of
+    points steered by g, into three buffers allocated once per call.  On the
+    null cone the kernel is well defined only modulo the gauge choice of the
+    auxiliary null vector, so those cases go to :func:`massless_steer_residual`.
     """
     _require_counts(n_g, n_x)
     if not elements or min(n_g, n_x) < 1:
@@ -111,34 +111,36 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     coords = groups.random_orbit_coords(orbit, rng, n_x, eta_max)
     gs = groups.random_params(j.group, rng, n_g, eta_max)
     kx = steering.section_kernels(elements, coords)
-    scale = np.fmax(1.0, numerics.norms(kx))[:, :, None]
+    scale = np.fmax(1.0, numerics.norms(kx)).T
+    kx = np.ascontiguousarray(kx.transpose(2, 1, 0, 3))     # (dj, x, b, dl)
+    k0 = np.stack([e.base_matrix for e in elements], axis=1).astype(kx.dtype)
     sections = groups.section_params(
         orbit, groups.act_points(j.group, gs, orbit, coords[:, None]), j.group)
+    # The points go in even blocks of x_step and the elements in blocks of
+    # g_step, so that the kernels of g_step x x_step pairs fit the budget.
+    fit = steering.chunk_length(steering._steered_bytes(j, l, len(elements)))
+    x_step = -(-n_x // -(-n_x // fit))
+    g_step = min(n_g, fit // x_step)
+    out_g, out_s, work = (np.empty(g_step * x_step * k0.size, kx.dtype)
+                          for _ in range(3))
     worst = 0.0
-    step = steering.chunk_length(
-        n_x * steering._steered_bytes(j, l, len(elements)))
-    # A block of elements, whose representations are evaluated at once, has
-    # no more elements than the sections of one chunk and fits the budget.
-    block = step * max(1, min(n_x, steering.chunk_length(
-        steering._rep_bytes(j, l)) // step))
-    # Flat buffers: the leading part of each is a C-ordered chunk of any
-    # length up to step.
-    bufs = [np.empty(min(step, n_g) * kx.size, kx.dtype) for _ in range(3)]
-    flat = (len(elements), -1, j.dim, l.dim)
-    for b in range(0, n_g, block):
-        rho, rho_inv = steering._reps(j, l, gs[b:b + block])
-        for i in range(0, len(rho), step):
-            m = min(step, len(rho) - i)
-            shape = kx.shape[:2] + (m,) + kx.shape[2:]
-            kgx, steered, work = (
-                buf[:math.prod(shape)].reshape(shape) for buf in bufs)
-            at = sections[:, b + i:b + i + m].reshape(-1, sections.shape[-1])
-            steering._steer_basis(elements, at, kgx.reshape(flat),
-                                  work.reshape(flat))
-            steering._product(rho[i:i + m], rho_inv[i:i + m], kx[:, :, None],
-                              out=steered, work=work)
-            worst = _worst(worst, numerics.norms(
-                np.subtract(kgx, steered, out=steered)) / scale)
+    for x in range(0, n_x, x_step):
+        xs = slice(x, x + x_step)
+        m_x = min(x_step, n_x - x)
+        at = sections[xs].swapaxes(0, 1).reshape(-1, sections.shape[-1])
+        for by_g, at_gx in zip(
+                steering._steered_blocks(kx[None, :, xs], j, l, gs, g_step,
+                                         out_g, work),
+                steering._steered_blocks(k0[None], j, l, at, g_step * m_x,
+                                         out_s, work)):
+            # Both as (g, x, row, b, col); sum squares over rows and columns.
+            m = len(by_g)
+            diff = at_gx.reshape(m, m_x, j.dim, -1, l.dim)
+            np.subtract(diff, by_g.reshape(m, j.dim, m_x, -1, l.dim).swapaxes(
+                1, 2), out=diff)
+            v = diff.view(diff.real.dtype)
+            worst = _worst(worst, np.sqrt(np.einsum(
+                "...c,...c->...", v, v).sum(axis=2)) / scale[xs])
     return worst
 
 
@@ -169,8 +171,9 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     only inside the gauge span ``{n e_i + e_i n, n n}``.  Both residuals are
     folded into the returned maximum.  Each x has its own n_g draws, drawn
     right after the element that places x.  All draws, the action and the
-    transported nbar are computed once; the pairs are steered a chunk at a
-    time, within the chunk budget, into arrays allocated once per call.
+    transported nbar are computed once.  The kernel at x is steered by the
+    run of its n_g elements, and the base matrix at the sections of g.x, a
+    block of pairs at a time into arrays allocated once per call.
     """
     _require_counts(n_g, n_x)
     if min(n_g, n_x) < 1:
@@ -193,32 +196,28 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     scale = np.fmax(1.0, numerics.norms(kx))[at]
     gx = groups.act_points(lorentz, gs, cone, coords[at])
     nbar_t = (groups.matrices(lorentz, gs) @ nbar_x[at, :, None])[..., 0]
+    # A block's kernels, and its forward and inverse reps together, fit.
+    step = min(len(gs), steering.chunk_length(2 * steering._rep_bytes(j, l)))
+    out, work = (np.empty(step * kx[0].size, kx.dtype) for _ in range(2))
     if spin == 1:
         sections = groups.section_params(cone, gx)
         lam_gx = groups.matrices(lorentz, sections)
         e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
+        at_gx = steering._steered_blocks(
+            elem.base_matrix[None, :, None].astype(kx.dtype), j, l, sections,
+            step, np.empty_like(out), work)
     worst = 0.0
-    step = steering.chunk_length(steering._steered_bytes(j, l, 1))
-    # Flat buffers: the leading part of each is a C-ordered block of any
-    # number of pairs up to step.
-    bufs = [np.empty(min(step, len(gs)) * kx[0].size, kx.dtype)
-            for _ in range(2)]
-    for i in range(0, len(gs), step):
+    for i, steered in zip(range(0, len(gs), step), steering._steered_blocks(
+            kx[:, :, None], j, l, gs, step, out, work)):
         p = slice(i, i + step)
-        shape = gx[p].shape[:1] + kx.shape[1:]
-        steered, work = (b[:math.prod(shape)].reshape(shape) for b in bufs)
-        # The kernels at x are gathered into the output, which the product
-        # reads before it overwrites it; the indices are in range, and
-        # mode="clip" lets take write them without a buffer.
-        steering._product(*steering._reps(j, l, gs[p]),
-                          np.take(kx, at[p], axis=0, out=steered, mode="clip"),
-                          out=steered, work=work)
+        steered = steered.reshape(-1, j.dim, l.dim)
+        diff = work[:steered.size].reshape(steered.shape)
         worst = _worst(worst, numerics.norms(np.subtract(
-            steered, build(gx[p], nbar_t[p]), out=work)) / scale[p])
+            steered, build(gx[p], nbar_t[p]), out=diff)) / scale[p])
         if spin == 1:
             # section value vs steered: difference must be pure gauge
-            diff = steering._steer_basis([elem], sections[p], work[None])[0]
-            diff = np.subtract(diff, steered, out=diff).reshape(len(diff), -1, 1)
+            diff = np.subtract(next(at_gx).reshape(steered.shape), steered,
+                               out=diff).reshape(len(diff), -1, 1)
             off = numerics.norms(diff) > 1e-12 * scale[p]
             if off.any():
                 worst = _worst(worst, numerics.projection_residual(

@@ -1,0 +1,37 @@
+"""One-element views of the library's stacked routines, for the tests only.
+
+The library evaluates representations on stacks of elements and keeps the
+oracle's spectrum with its nullspace; no library path needs the views of one
+element or of the basis alone.  The tests that state conventions element by
+element take them from here.
+"""
+
+import numpy as np
+
+from steerkit import groups, irreps
+from steerkit.irreps import COMPLEX, IrrepError
+from steerkit.numerics import nullspace_with_spectrum
+
+
+def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Wigner D^l, the SO(3) irrep matrix for z-y-z Euler angles."""
+    irreps._check_l(l)
+    return irreps._so3_stack(l, np.array([[alpha, beta, gamma]], dtype=float),
+                             COMPLEX)[0]
+
+
+def sl2_of(g: groups.GroupElement) -> np.ndarray:
+    """SL(2,C) element covering the Lorentz element (one of the two signs)."""
+    if g.group != groups.LORENTZ:
+        raise IrrepError("sl2_of expects a Lorentz element")
+    return irreps._sl2_stack(
+        groups.parameter_stack(groups.LORENTZ, [g.params]))[0]
+
+
+def nullspace(a) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical kernel of ``a``.
+
+    Columns are ordered by ascending singular value and sign-fixed so the
+    first significant component of each column is positive real.
+    """
+    return nullspace_with_spectrum(a)[0]

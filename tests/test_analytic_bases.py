@@ -18,7 +18,9 @@ from steerkit.groups import (ETA, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
 from steerkit.irreps import (GAMMA, IrrepError, dirac_irrep, o2_irrep,
                              o3_irrep, realify, so2_irrep, so3_irrep,
-                             spinor_vector_irrep, tensor_irrep, wigner_D)
+                             spinor_vector_irrep, tensor_irrep)
+
+from single_views import wigner_D
 
 
 def _oracle_residual(space, k):

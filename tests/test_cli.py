@@ -433,3 +433,20 @@ def test_lorentz_dims_table(capsys):
     rows = {(r["j"], r["l"], r["orbit"]): r["oracle"] for r in data["table"]}
     assert rows[("lorentz tensor(1, 0)", "lorentz tensor(1, 0)",
                  "massive(m=1)")] == 2
+
+
+def test_rounding_keeps_values_from_eight_up_and_rounds_below():
+    # From 8 up the doubles are more than 1e-15 apart, so rounding to 15
+    # decimals is the identity there and basis prints those values as they
+    # are; below 8 they are rounded as by np.round.
+    rng = np.random.default_rng(31)
+    a = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(0.0, 290.0, 20000)
+    big = np.abs(a) >= 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = cli._rounded(a)
+    assert r[big].tobytes() == a[big].tobytes()
+    assert [json.loads(json.dumps(v)) for v in r[big].tolist()] == a[big].tolist()
+    assert r[~big].tobytes() == np.round(a[~big], 15).tobytes()
+    small = rng.uniform(-8.0, 8.0, 20000)
+    assert cli._rounded(small).tobytes() == np.round(small, 15).tobytes()

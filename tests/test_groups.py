@@ -417,6 +417,32 @@ def test_random_params_match_scalar_draws(group, n):
             lambda rng, e: random_element(group, rng, e).params, n, eta_max)
 
 
+def _lorentz_rows_by_uniform(rng, n, eta_max):
+    """Lorentz draws through ``rng.uniform`` and ``np.linalg.norm``."""
+    out = np.empty((n, 6))
+    for row in out:
+        row[0] = rng.uniform(0.0, 2.0 * math.pi)
+        row[1] = math.acos(rng.uniform(-1.0, 1.0))
+        row[2] = rng.uniform(0.0, 2.0 * math.pi)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        row[3:] = rng.uniform(0.0, eta_max) * direction
+    return out
+
+
+def test_lorentz_draws_keep_the_uniform_and_norm_bits():
+    # The Lorentz draws take rng.uniform's formula on rng.random and the
+    # dot product np.linalg.norm takes; rows, signed zeros and the
+    # generator's end state are those of the rng.uniform loop.
+    for seed in range(60):
+        for eta_max in (0.0, 1e-3, 2.0, 5.0):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = groups.random_params("lorentz", a, 40, eta_max)
+            assert rows.tobytes() == _lorentz_rows_by_uniform(
+                b, 40, eta_max).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [0, 1, 50])
 @pytest.mark.parametrize("orbit", ALL_ORBITS, ids=lambda o: type(o).__name__)
 def test_random_orbit_coords_match_scalar_draws(orbit, n):

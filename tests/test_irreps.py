@@ -13,10 +13,10 @@ from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverse, rep_matrix,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
-                             stabilizer_content, tensor_irrep, wigner_D,
-                             wigner_small_d)
+                             stabilizer_content, tensor_irrep, wigner_small_d)
 
 from group_law import inverse, product, stabilizer_draw
+from single_views import sl2_of, wigner_D
 
 
 def sample_labels(max_l=4):
@@ -397,13 +397,13 @@ def test_sl2c_sign_invariance_and_validation():
     # cover the same one, and non-Lorentz elements are rejected.
     rng = np.random.default_rng(53)
     g = random_element("lorentz", rng)
-    a = irreps.sl2_of(g)
+    a = sl2_of(g)
     assert abs(np.linalg.det(a) - 1.0) < 1e-12
     np.testing.assert_allclose(_sigma_trace(a), _sigma_trace(-a), atol=1e-12)
     np.testing.assert_allclose(_sigma_trace(a),
                                groups.matrices("lorentz", g.params), atol=1e-11)
     with pytest.raises(IrrepError):
-        irreps.sl2_of(groups.so3_element(0.3, 0.2, 0.1))
+        sl2_of(groups.so3_element(0.3, 0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------

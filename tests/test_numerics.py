@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from steerkit import numerics
-from steerkit.numerics import (NumericsError, kron, nullspace,
-                               nullspace_with_spectrum,
+from steerkit.numerics import (NumericsError, kron, nullspace_with_spectrum,
                                principal_angle_distance, projection_residual,
                                vec)
+
+from single_views import nullspace
 
 
 def test_nullspace_identity_is_trivial():

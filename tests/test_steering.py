@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, steering, verify
+from steerkit import groups, numerics, steering, verify
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              rep_inverse, rep_inverses, rep_matrices,
                              rep_matrix, so2_irrep, so3_irrep,
-                             spinor_vector_irrep, tensor_irrep, wigner_D)
+                             spinor_vector_irrep, tensor_irrep)
 from steerkit.steering import kernel_at, section_kernels, steer
 
 from group_law import product
+from single_views import wigner_D
 
 
 def test_steer_identity_leaves_kernel():
@@ -266,9 +267,8 @@ def test_steer_stack_matches_elementwise():
 
 def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
     # The streamed pieces, concatenated, are the basis at every point in the
-    # order [basis][point], bit for bit equal to the verifier's batched path
-    # (_steer_basis, which steers all elements per chunk of sections) and
-    # to kernel_at at every piece border.  Each section's representations
+    # order [basis][point], bit for bit equal to section_kernels and to
+    # kernel_at at every piece border.  Each section's representations
     # are evaluated once per call, however many pieces reuse them, and no
     # piece exceeds the chunk budget.  The cases cover a partial last piece
     # per element (so3 8/8, spinor-vector, the cone), one basis element with
@@ -309,10 +309,6 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         shape = (len(els), len(coords), j.dim, l.dim)
         assert stream.shape == (math.prod(shape[:2]),) + shape[2:]
         assert _same_bits(stream.reshape(shape), section_kernels(els, coords))
-        params = groups.section_params(orbit, coords, j.group)
-        batched = steering._steer_basis(els, params, np.empty_like(
-            stream.reshape(shape)))
-        assert _same_bits(stream.reshape(shape), batched), j
         borders = np.cumsum([0] + [len(p) for p in pieces])
         points = groups.orbit_points(orbit, coords)
         for k in np.unique(np.concatenate([borders[:-1], borders[1:] - 1])):
@@ -406,3 +402,55 @@ def test_lorentz_steer_matches_covariant_projector():
         u = x.vector  # m = 1
         expect = np.eye(4) - np.outer(u, groups.ETA @ u)
         np.testing.assert_allclose(kernel_at(elem, x), expect, atol=1e-11)
+
+
+def _whole_basis(k, j, l, params, step):
+    """Every block of ``steering._steered_blocks`` gathered, (n, dj, w, dl)."""
+    size = step * k[0].size
+    out, work = np.empty(size, k.dtype), np.empty(size, k.dtype)
+    return np.concatenate([b.copy() for b in steering._steered_blocks(
+        k, j, l, params, step, out, work)])
+
+
+_sv = spinor_vector_irrep(realified=True)
+
+
+@pytest.mark.parametrize("els,group", [
+    (bases.basis_so3(0, 0), "so3"),
+    (bases.basis_o2("0~", 2), "o2"),
+    (bases.basis_o2(1, 2), "o2"),
+    (bases.basis_o3(1, -1, 2, 1), "o3"),
+    (bases.basis_so3(2, 1, "complex"), "so3"),
+    (bases.basis_o2(1, 2, "complex"), "o2"),
+    (bases.lorentz_massive_basis(_sv, _sv), "lorentz"),
+    (bases.basis_lorentz_massless(1), "lorentz"),
+    (bases.basis_lorentz_massless(2), "lorentz"),
+], ids=["so3 0/0", "o2 0~/2", "o2 1/2", "o3 1-/2+", "so3 complex 2/1",
+        "o2 complex 1/2", "spinor-vector", "cone vector", "cone tensor20"])
+def test_whole_basis_products_match_per_kernel_steer(els, group):
+    # The sweeps' whole-basis products are the per-kernel steer to within a
+    # few ulps of |rho_j| |K| |rho_l^-1| per kernel.  Each case steers three
+    # runs of elements, each its own stack of kernels side by side, in
+    # blocks that straddle the runs.  The kernels are the base matrices,
+    # a random real stack (also under complex labels) and the basis at a
+    # point.  The elements include O(2) and O(3) parity elements.
+    rng = np.random.default_rng(23)
+    j, l = els[0].j, els[0].l
+    dtype = steering._dtype(j)
+    base = np.stack([e.base_matrix for e in els])
+    real = rng.normal(size=base.shape)
+    x = groups.random_orbit_point(els[0].orbit, rng)
+    at_x = section_kernels(els, _coords([x]))[:, 0]
+    params = groups.random_params(group, rng, 3 * 13)
+    if group in ("o2", "o3"):
+        assert set(params[:, -1]) == {1.0, -1.0}
+    stacks = [base, real, at_x]
+    k = np.stack([s.transpose(1, 0, 2) for s in stacks]).astype(dtype)
+    whole = _whole_basis(k, j, l, params, step=5)
+    rho, rho_inv = steering._reps(j, l, params)
+    scale = (numerics.norms(rho)[:, None] * numerics.norms(k.swapaxes(1, 2)
+             ).repeat(13, axis=0) * numerics.norms(rho_inv)[:, None])
+    for i, g in enumerate(params):
+        one = steer(stacks[i // 13], j, l, groups.GroupElement(group, tuple(g)))
+        err = np.abs(whole[i].swapaxes(0, 1) - one).max(axis=(1, 2))
+        assert (err <= 4 * np.finfo(float).eps * scale[i]).all(), (i, err)

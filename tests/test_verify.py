@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, verify
+from steerkit import groups, steering, verify
 from steerkit.analytic_bases import KernelBasisElement
 from steerkit.groups import (Circle, GroupError, MassiveHyperboloid, NullCone,
                              Sphere)
@@ -195,3 +197,66 @@ def test_sweep_acts_and_sections_once_per_call(elements, monkeypatch):
     assert seen[0] == seen[1]
     assert seen[0]["random_element"] == seen[0]["random_orbit_point"] == 0
     assert seen[0]["act_points"] >= 1 and seen[0]["section_params"] >= 1
+
+
+@pytest.mark.parametrize("elements", [
+    bases.basis_o2(1, 2),
+    bases.basis_so3(2, 1),
+    bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)),
+    bases.basis_lorentz_massless(2),
+], ids=["circle", "sphere", "hyperboloid", "cone"])
+def test_sweep_fails_a_basis_with_one_perturbed_base_matrix(elements):
+    # One base matrix moved by 1e-8 off the stabilizer constraint, in the
+    # middle of the stack the whole-basis products lay side by side, makes
+    # the sweep fail; the basis as built passes.
+    rng = np.random.default_rng(29)
+    orbit, i = elements[0].orbit, len(elements) // 2
+    e = elements[i]
+    moved = dataclasses.replace(e, base_matrix=e.base_matrix + 1e-8 * rng.normal(
+        size=e.base_matrix.shape))
+    bad = elements[:i] + [moved] + elements[i + 1:]
+    assert verify.max_steer_residual(elements, orbit, n_g=50, n_x=20,
+                                     seed=4) <= verify.RESIDUAL_TOL
+    assert verify.max_steer_residual(bad, orbit, n_g=50, n_x=20,
+                                     seed=4) > 10 * verify.RESIDUAL_TOL
+
+
+_SV = spinor_vector_irrep(True)
+_SV_BASIS = bases.lorentz_massive_basis(_SV, _SV)
+
+
+def test_spinor_vector_sweep_evaluates_representations_in_blocks(monkeypatch):
+    # The 1000 sections of g.x and the 50 elements are evaluated in blocks
+    # whose forward and inverse representations fit the chunk budget
+    # together, not in the ~100 fragments of 16 and 4 that a chunk of one
+    # element's kernels allows.  Only the last block of each run of points
+    # and the 20 points of section_kernels may be short.
+    calls, reps = [], steering._reps
+
+    def counted_reps(j, l, params):
+        calls.append(len(params))
+        return reps(j, l, params)
+
+    monkeypatch.setattr(steering, "_reps", counted_reps)
+    verify.max_steer_residual(_SV_BASIS, MassiveHyperboloid(), n_g=50,
+                              n_x=20, seed=2)
+    full = steering.chunk_length(2 * steering._rep_bytes(_SV, _SV))
+    assert max(calls) <= full
+    assert len([n for n in calls if n < full // 2]) <= 3
+    assert len(calls) <= 24
+
+
+def test_spinor_vector_sweep_peak_stays_within_six_chunks():
+    # Three chunk buffers, the kernels at x, the representations of the 50
+    # elements and a block of the sections' ones: the traced peak stays
+    # within six chunk budgets.
+    verify.max_steer_residual(_SV_BASIS, MassiveHyperboloid(), n_g=50,
+                              n_x=20, seed=2)
+    tracemalloc.start()
+    try:
+        verify.max_steer_residual(_SV_BASIS, MassiveHyperboloid(), n_g=50,
+                                  n_x=20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * steering.CHUNK_BYTES
