@@ -116,7 +116,8 @@ def basis_o2(j, l, field: str = REAL, radius: float = 1.0) -> list[KernelBasisEl
     if one_j and one_l:
         if lj.tilde != ll.tilde:
             return []
-        return [_element(lj, ll, orbit, "unit", [[1.0]])]
+        unit = np.ones((1, 1), complex if field == COMPLEX else float)
+        return [_element(lj, ll, orbit, "unit", unit)]
     if one_j or one_l:
         # r_y acts as +1 on the first real component (cosine-like) and -1 on
         # the second; the sign rep picks the other one.  Complex basis: the
@@ -353,7 +354,7 @@ def massless_pair(x: OrbitPoint, gauge: Sequence[float] = (0.0, 0.0)):
     """
     if not isinstance(x.orbit, NullCone):
         raise IrrepError("massless kernels live on the null cone")
-    lam = groups.coset_representative(x, LORENTZ).matrix
+    lam = groups.matrices(LORENTZ, groups.section_params(x.orbit, x.coords))
     a1, a2 = float(gauge[0]), float(gauge[1])
     n0 = np.array([1.0, 0.0, 0.0, 1.0])
     nbar_base = (NBAR0 + a1 * TRANSVERSE0[0] + a2 * TRANSVERSE0[1]

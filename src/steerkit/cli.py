@@ -401,12 +401,14 @@ def _cmd_basis(args) -> int:
     x = _parse_point(orbit, args.point)
     out = {"group": args.group, "j": str(j), "l": str(l),
            "point": list(x.coords), "elements": []}
-    for e in elements:
+    values = []
+    if elements:
         # An overflow is reported once, as the error below.
         with np.errstate(over="ignore", invalid="ignore"):
-            k = e.at(x)
-        if not np.isfinite(k).all():
+            values = steering.section_kernels(elements, [x.coords])[:, 0]
+        if not np.isfinite(values).all():
             raise CliError("kernel values overflow float64 at this point")
+    for e, k in zip(elements, values):
         entry = {"kind": e.kind, "re": _rounded(k.real).tolist()}
         if np.iscomplexobj(k):
             entry["im"] = _rounded(k.imag).tolist()
@@ -504,8 +506,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, stabilizer_solver.DegenerateSpectrumError,
             OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError does not.
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

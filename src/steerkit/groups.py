@@ -209,11 +209,6 @@ class GroupElement:
     group: str
     params: tuple[float, ...]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Concrete matrix realization on R^d (d = 2, 3 or 4)."""
-        return matrices(self.group, self.params)
-
 
 def so2_element(phi: float) -> GroupElement:
     _require_finite("SO(2) angle", phi)
@@ -302,12 +297,13 @@ def random_params(group: str, rng: np.random.Generator, n: int,
     """Canonical parameters of n random elements, shape (n, k).
 
     Rotation angles are quasi-uniform and Lorentz rapidities have |eta| <=
-    eta_max.  Row i is the element that the i-th of n calls of
-    :func:`random_element` returns, drawn from the same doubles in the same
-    order, and the generator ends in the same state.  Compact groups take
-    all their doubles in one ``rng.uniform`` call; a Lorentz element draws
-    its direction with ``rng.normal`` between its uniforms, so those are
-    drawn element by element, each uniform and norm as numpy forms it.
+    eta_max.  The stack is n successive one-row draws: row i is what the
+    i-th of n calls with ``n = 1`` returns, drawn from the same doubles in
+    the same order, and the generator ends in the same state.  Compact
+    groups take all their doubles in one ``rng.uniform`` call; a Lorentz
+    element draws its direction with ``rng.normal`` between its uniforms, so
+    those are drawn element by element, each uniform and norm as numpy forms
+    it.
     """
     _check_draw(n, eta_max)
     if group == LORENTZ:
@@ -332,13 +328,6 @@ def random_params(group: str, rng: np.random.Generator, n: int,
         at = _SIGN_PARAM[group][0]
         out[:, at] = np.where(out[:, at] < 0.5, 1.0, -1.0)
     return out
-
-
-def random_element(group: str, rng: np.random.Generator,
-                   eta_max: float = 2.0) -> GroupElement:
-    """Random element; the one-element view of :func:`random_params`."""
-    return GroupElement(group, tuple(
-        random_params(group, rng, 1, eta_max)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +527,6 @@ def act_points(group: str, params, orbit: Orbit, coords) -> np.ndarray:
     return orbit_coords(orbit, moved[..., 0])
 
 
-def act(g: GroupElement, x: OrbitPoint) -> OrbitPoint:
-    """Linear action of ``g`` on the orbit point; the orbit is preserved."""
-    return OrbitPoint(x.orbit, tuple(
-        act_points(g.group, g.params, x.orbit, x.coords).tolist()))
-
-
 def default_group(orbit: Orbit) -> str:
     if type(orbit) not in ORBIT_GROUPS:
         raise GroupError(f"unknown orbit {orbit!r}")
@@ -584,14 +567,6 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
         else:
             out[:, 5] = np.log(flat[:, 0])
     return out.reshape(c.shape[:-1] + out.shape[-1:])
-
-
-def coset_representative(x: OrbitPoint, group: Optional[str] = None) -> GroupElement:
-    """Section g with ``g . x0 = x`` for the fixed base point of the orbit;
-    see :func:`section_params`."""
-    group = group or default_group(x.orbit)
-    return GroupElement(group, tuple(
-        section_params(x.orbit, x.coords, group).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +641,9 @@ def random_orbit_coords(orbit: Orbit, rng: np.random.Generator, n: int,
                         eta_max: float = 2.0) -> np.ndarray:
     """Canonical coordinates of n random points on the orbit, shape (n, c).
 
-    Row i is the point that the i-th of n calls of
-    :func:`random_orbit_point` returns, from the same doubles in the same
-    order.  Circle and sphere angles are quasi-uniform; a point on a Lorentz
+    The stack is n successive one-row draws: row i is what the i-th of n
+    calls with ``n = 1`` returns, from the same doubles in the same order.
+    Circle and sphere angles are quasi-uniform; a point on a Lorentz
     orbit is a random element (see :func:`random_params`, rapidity capped at
     eta_max) acting on the base point, the whole stack in one action.
     """
@@ -682,11 +657,3 @@ def random_orbit_coords(orbit: Orbit, rng: np.random.Generator, n: int,
     x0 = base_point(orbit)
     return act_points(LORENTZ, random_params(LORENTZ, rng, n, eta_max),
                       orbit, x0.coords)
-
-
-def random_orbit_point(orbit: Orbit, rng: np.random.Generator,
-                       eta_max: float = 2.0) -> OrbitPoint:
-    """Random point on the orbit; the one-point view of
-    :func:`random_orbit_coords`."""
-    return OrbitPoint(orbit, tuple(
-        random_orbit_coords(orbit, rng, 1, eta_max)[0].tolist()))

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups, numerics
-from .groups import ETA, LORENTZ, O2, O3, SO2, SO3, GroupElement
+from .groups import ETA, LORENTZ, O2, O3, SO2, SO3
 
 REAL, COMPLEX = "real", "complex"
 
@@ -391,9 +391,8 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 # representation matrices
 #
 # ``rep_matrices`` and ``rep_inverses`` evaluate a stack of elements, given
-# by their canonical parameters, at once; ``rep_matrix`` and ``rep_inverse``
-# are their one-element views.  Each matrix of a stack equals the matrix of
-# that element alone bit for bit.
+# by their canonical parameters, at once; one element is a stack of one.
+# Each matrix of a stack equals the matrix of that element alone bit for bit.
 
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
     """Representation matrices of a stack of elements of ``label.group``,
@@ -423,23 +422,6 @@ def rep_inverses(label: IrrepLabel, params) -> np.ndarray:
     else:
         out = _rep_stack(label, flat, inverse=False).conj().swapaxes(-1, -2)
     return out.reshape(p.shape[:-1] + out.shape[-2:])
-
-
-def _check_element(label: IrrepLabel, g: GroupElement) -> None:
-    if label.group != g.group:
-        raise IrrepError(f"label {label} does not accept {g.group} elements")
-
-
-def rep_matrix(label: IrrepLabel, g: GroupElement) -> np.ndarray:
-    """Representation matrix of ``g`` in the conventions listed above."""
-    _check_element(label, g)
-    return rep_matrices(label, g.params)
-
-
-def rep_inverse(label: IrrepLabel, g: GroupElement) -> np.ndarray:
-    """Matrix of ``rho(g)^-1``; see :func:`rep_inverses`."""
-    _check_element(label, g)
-    return rep_inverses(label, g.params)
 
 
 def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool,

@@ -173,7 +173,10 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     read-only.
     """
     if label.group in groups.ORBIT_GROUPS[Circle]:
-        bases, gap = {0: np.eye(label.dim)}, math.inf
+        # Complex, for a complex label: its reps may all be real (O(2) j = 0
+        # and 0~), and its basis must still be complex.
+        dtype = complex if label.field == COMPLEX else float
+        bases, gap = {0: np.eye(label.dim, dtype=dtype)}, math.inf
     else:
         bases, gap = weight_bases(label)
     conj = {m: u.conj() for m, u in bases.items()}

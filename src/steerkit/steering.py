@@ -7,7 +7,7 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`_product` forms per-kernel products (a pair of small gemms per
 kernel) from representation stacks, into fresh or caller-owned arrays.
-:func:`steer` evaluates those stacks for one element or a stack of elements.
+:func:`steer` evaluates those stacks for an (n, k) stack of parameters.
 :func:`section_pieces` streams a whole basis at a stack of points in the
 order ``[basis][point]``, in pieces within the chunk budget, evaluating the
 representations of the points' sections once per call; ``sample`` writes
@@ -58,52 +58,28 @@ def _steered_bytes(j: IrrepLabel, l: IrrepLabel, n_basis: int) -> int:
     return max(_dtype(j).itemsize * n_basis * j.dim * l.dim, _rep_bytes(j, l))
 
 
-def _require_shape(shape: tuple, *arrays) -> None:
-    for a in arrays:
-        if a is not None and a.shape != shape:
-            raise IrrepError(f"output shape {a.shape} does not match {shape}")
-
-
-def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, g, *,
-          out: np.ndarray | None = None,
-          work: np.ndarray | None = None) -> np.ndarray:
-    """``rho_j(g) @ k0 @ rho_l(g)^-1``.
+def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
+    """``rho_j(g) @ k0 @ rho_l(g)^-1`` for a stack of n elements given by
+    their canonical parameters, shape ``(n, k)``.
 
     ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)`` or a stack
-    of them, shape ``(..., dim_j, dim_l)``.  ``g`` is one group element,
-    which steers every kernel of the stack, or a stack of n elements given
-    by their canonical parameters, shape ``(n, k)``: element i steers
-    ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1) and the
-    result has shape ``(..., n, dim_j, dim_l)``.  The representation
-    stacks are fresh C-ordered arrays for every group, so one pair of
-    stacked products steers any mix of elements, O(3) parity elements
-    included, and each slice equals the one-element call bit for bit.
-
-    With ``out``, the result is written into it and ``out`` is returned;
-    with ``work``, ``rho_j(g) @ k0`` is formed there.  Both have the
-    result's shape and dtype and may be strided views; the values equal
-    the fresh result bit for bit.
+    of them, shape ``(..., dim_j, dim_l)``: element i steers
+    ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1, or is absent)
+    and the result has shape ``(..., n, dim_j, dim_l)``.  The
+    representation stacks are fresh C-ordered arrays for every group, so
+    one pair of stacked products steers any mix of elements, O(3) parity
+    elements included, and each slice equals the steering by that element
+    alone bit for bit.
     """
     k0 = np.asarray(k0)
     if k0.shape[-2:] != (j.dim, l.dim):
         raise IrrepError(
             f"kernel shape {k0.shape} does not match ({j.dim}, {l.dim})")
-    if isinstance(g, groups.GroupElement):
-        for label in (j, l):
-            if label.group != g.group:
-                raise IrrepError(
-                    f"label {label} does not accept {g.group} elements")
-        out, work = (None if a is None else a[..., None, :, :]
-                     for a in (out, work))
-        return steer(k0[..., None, :, :], j, l, [g.params], out=out,
-                     work=work)[..., 0, :, :]
-    params = groups.parameter_stack(j.group, g)
+    params = groups.parameter_stack(j.group, params)
     if params.ndim != 2:
         raise IrrepError(f"expected an (n, k) parameter stack, got shape "
                          f"{params.shape}")
-    shape = np.broadcast_shapes(k0.shape[:-2], params.shape[:1]) + k0.shape[-2:]
-    _require_shape(shape, out, work)
-    return _product(*_reps(j, l, params), k0, out=out, work=work)
+    return _product(*_reps(j, l, params), k0)
 
 
 def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
@@ -137,8 +113,8 @@ def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
     """
     if x.orbit != elem.orbit:
         raise IrrepError(f"point on {x.orbit} does not match {elem.orbit}")
-    g = groups.coset_representative(x, elem.j.group)
-    return steer(elem.base_matrix, elem.j, elem.l, g)
+    params = groups.section_params(x.orbit, [x.coords], elem.j.group)
+    return steer(elem.base_matrix, elem.j, elem.l, params)[0]
 
 
 def _check_basis(elements) -> None:

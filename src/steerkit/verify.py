@@ -322,7 +322,9 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     massless transverse projectors.
     """
     rng = np.random.default_rng(seed)
-    x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max)
+    orbit = MassiveHyperboloid()
+    x = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max))[0]
     u = bases.unit_velocity(x)
     d = bases.transverse_projector(u)
     res = {}
@@ -348,7 +350,9 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     gperp_low = np.einsum("mn,nab->mab", groups.ETA, gperp)
     res["rarita_gamma_contraction"] = float(np.linalg.norm(
         np.einsum("mca,manb->cnb", gperp_low, pi4)))
-    xk = groups.random_orbit_point(NullCone(), rng, eta_max)
+    cone = NullCone()
+    xk = groups.orbit_points(
+        cone, groups.random_orbit_coords(cone, rng, 1, eta_max))[0]
     n, nbar = bases.massless_pair(xk)
     dm = bases.massless_transverse_projector(n, nbar)
     res["massless_pairing"] = abs(groups.minkowski(n, nbar) - 1.0)
@@ -363,10 +367,12 @@ def gauge_shift_residual(seed: int = 0, eta_max: float = 2.0) -> float:
     """Massless gauge covariance: Delta(nbar') - Delta(nbar) must lie in
     span{n (x) e_i symmetrized, n (x) n} (second index lowered)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cone, worst = NullCone(), 0.0
     for _ in range(GAUGE_DRAWS):
-        x = groups.random_orbit_point(NullCone(), rng, eta_max)
-        lam = groups.coset_representative(x, groups.LORENTZ).matrix
+        x = groups.orbit_points(
+            cone, groups.random_orbit_coords(cone, rng, 1, eta_max))[0]
+        lam = groups.matrices(groups.LORENTZ,
+                              groups.section_params(cone, x.coords))
         n, nbar = bases.massless_pair(x)
         e1, e2 = (lam @ v for v in bases.TRANSVERSE0)
         a = rng.uniform(-2.0, 2.0, size=2)
@@ -470,7 +476,7 @@ def negative_control_residual(seed: int = 0) -> float:
     j, l = so2_irrep(1), so2_irrep(2)
     k0 = rng.normal(size=(2, 2))
     scale = max(1.0, np.linalg.norm(k0))
-    params = [groups.random_element(groups.SO2, rng).params for _ in range(10)]
+    params = groups.random_params(groups.SO2, rng, 10)
     steered = steering.steer(k0, j, l, params)
     return float((numerics.norms(k0 - steered) / scale).max())
 

@@ -51,11 +51,12 @@ def element(group: str, m: np.ndarray) -> GroupElement:
 
 def product(a: GroupElement, b: GroupElement) -> GroupElement:
     """``a * b`` (matrices multiply left to right)."""
-    return element(a.group, a.matrix @ b.matrix)
+    return element(a.group, groups.matrices(a.group, a.params)
+                   @ groups.matrices(b.group, b.params))
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    m = g.matrix
+    m = groups.matrices(g.group, g.params)
     return element(g.group, ETA @ m.T @ ETA if g.group == LORENTZ else m.T)
 
 
@@ -75,6 +76,6 @@ def stabilizer_draw(orbit, group: str,
         # Rz(theta) times the reflection r_y = -Ry(pi)
         return GroupElement(O3, (theta, math.pi, 0.0, -1.0))
     if isinstance(orbit, MassiveHyperboloid):
-        return GroupElement(LORENTZ, groups.random_element(SO3, rng).params
-                            + (0.0, 0.0, 0.0))
+        return GroupElement(LORENTZ, tuple(
+            groups.random_params(SO3, rng, 1)[0].tolist()) + (0.0, 0.0, 0.0))
     return GroupElement(LORENTZ, (theta, 0.0, 0.0, 0.0, 0.0, 0.0))

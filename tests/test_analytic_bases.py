@@ -156,13 +156,13 @@ def test_so3_real_steered_forms_are_r_matrix_products():
     #   K_(m,I)[mj, ml] = Rj[mj, m] Rl^-1[m, ml] + Rj[mj, -m] Rl^-1[-m, ml]
     #   K_(m,J)[mj, ml] = Rj[mj, -m] Rl^-1[m, ml] - Rj[mj, m] Rl^-1[-m, ml]
     # with ket index 2m-1 for +m (cosine) and 2m for -m (sine)
-    from steerkit.irreps import rep_matrix
+    from steerkit.irreps import rep_matrices
     j, l, m = 2, 3, 1
     alpha, beta = 0.8, 1.9
     x = groups.sphere_point(alpha, beta)
-    g = groups.so3_element(alpha, beta, 0.0)
-    rj = rep_matrix(so3_irrep(j), g)
-    rl_inv = rep_matrix(so3_irrep(l), g).T  # orthogonal
+    g = groups.so3_element(alpha, beta, 0.0).params
+    rj = rep_matrices(so3_irrep(j), g)
+    rl_inv = rep_matrices(so3_irrep(l), g).T  # orthogonal
     pos, neg = 2 * m - 1, 2 * m
     expect_i = (np.outer(rj[:, pos], rl_inv[pos, :])
                 + np.outer(rj[:, neg], rl_inv[neg, :]))
@@ -183,7 +183,8 @@ def test_so3_kernels_do_not_depend_on_gamma():
     for field in ("real", "complex"):
         for elem in basis_so3(2, 2, field):
             g_twisted = groups.so3_element(alpha, beta, 0.7)
-            twisted = steer(elem.base_matrix, elem.j, elem.l, g_twisted)
+            (twisted,) = steer(elem.base_matrix, elem.j, elem.l,
+                               [g_twisted.params])
             np.testing.assert_allclose(twisted, elem.at(x), atol=1e-11)
 
 
@@ -271,7 +272,9 @@ def test_massive_rank2_same_slot_elements_are_covariant_projectors():
     # oracle: the covariant component formulas built directly from u
     t20 = tensor_irrep(2, 0)
     rng = np.random.default_rng(5)
-    x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=1.5)
+    orbit = MassiveHyperboloid()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
     u = unit_velocity(x)
     d = transverse_projector(u)
     ul = ETA @ u
@@ -325,8 +328,9 @@ def test_massive_spin_half_steered_forms_are_covariant():
     els = lorentz_massive_basis(d, d)
     n = (CHARGE_CONJUGATION @ GAMMA[0]).real
     rng = np.random.default_rng(37)
-    for _ in range(4):
-        x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=2.0)
+    orbit = MassiveHyperboloid()
+    for x in groups.orbit_points(
+            orbit, groups.random_orbit_coords(orbit, rng, 4, eta_max=2.0)):
         u = unit_velocity(x)
         for e in els:
             sign = +1 if e.kind.endswith("P+1)") else -1
@@ -350,7 +354,9 @@ def test_massive_spin_three_half_steered_forms_are_covariant():
     els = lorentz_massive_basis(sv, sv)
     n16 = np.kron(np.eye(4), (CHARGE_CONJUGATION @ GAMMA[0]).real)
     rng = np.random.default_rng(41)
-    x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=1.5)
+    orbit = MassiveHyperboloid()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
     u = unit_velocity(x)
     for e in els:
         sign = +1 if e.kind.endswith("P+1)") else -1
@@ -369,7 +375,9 @@ def test_massive_spin_three_half_steered_forms_are_covariant():
 
 def test_energy_projector_algebra():
     rng = np.random.default_rng(11)
-    x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=1.5)
+    orbit = MassiveHyperboloid()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
     u = unit_velocity(x)
     pp, pm = energy_projector(u, +1), energy_projector(u, -1)
     np.testing.assert_allclose(pp @ pp, pp, atol=1e-12)
@@ -380,7 +388,9 @@ def test_energy_projector_algebra():
 
 def test_rarita_projector_identities():
     rng = np.random.default_rng(13)
-    x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=1.5)
+    orbit = MassiveHyperboloid()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
     u = unit_velocity(x)
     pi = rarita_projector(u)
     np.testing.assert_allclose(pi @ pi, pi, atol=1e-11)
@@ -454,8 +464,9 @@ def test_massless_base_point_projector():
 
 def test_massless_pair_invariants_under_steering():
     rng = np.random.default_rng(17)
-    for _ in range(8):
-        x = groups.random_orbit_point(NullCone(), rng, eta_max=2.0)
+    orbit = NullCone()
+    for x in groups.orbit_points(
+            orbit, groups.random_orbit_coords(orbit, rng, 8, eta_max=2.0)):
         n, nbar = massless_pair(x)
         np.testing.assert_allclose(n, x.vector, atol=1e-11)
         assert abs(groups.minkowski(n, nbar) - 1.0) <= 1e-11
@@ -464,7 +475,9 @@ def test_massless_pair_invariants_under_steering():
 
 def test_massless_transverse_projector_identities():
     rng = np.random.default_rng(19)
-    x = groups.random_orbit_point(NullCone(), rng, eta_max=2.0)
+    orbit = NullCone()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=2.0))
     n, nbar = massless_pair(x)
     d = massless_transverse_projector(n, nbar)
     np.testing.assert_allclose(d @ d, d, atol=1e-11)
@@ -475,7 +488,9 @@ def test_massless_transverse_projector_identities():
 
 def test_massless_spin2_trace_and_idempotence():
     rng = np.random.default_rng(23)
-    x = groups.random_orbit_point(NullCone(), rng, eta_max=1.5)
+    orbit = NullCone()
+    (x,) = groups.orbit_points(
+        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
     n, nbar = massless_pair(x)
     p = massless_spin2_projector(n, nbar)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
@@ -487,8 +502,9 @@ def test_massless_evaluator_matches_covariant_formula():
     (e1,) = basis_lorentz_massless(1)
     (e2,) = basis_lorentz_massless(2)
     rng = np.random.default_rng(29)
-    for _ in range(5):
-        x = groups.random_orbit_point(NullCone(), rng, eta_max=1.5)
+    orbit = NullCone()
+    for x in groups.orbit_points(
+            orbit, groups.random_orbit_coords(orbit, rng, 5, eta_max=1.5)):
         n, nbar = massless_pair(x)
         np.testing.assert_allclose(e1.at(x),
                                    massless_transverse_projector(n, nbar),
@@ -501,9 +517,12 @@ def test_massless_evaluator_matches_covariant_formula():
 def test_massless_gauge_shift_stays_in_gauge_span():
     # Delta(nbar') - Delta(nbar) must lie in span{n e_i + e_i n, n n}
     rng = np.random.default_rng(31)
+    orbit = NullCone()
     for _ in range(10):
-        x = groups.random_orbit_point(NullCone(), rng, eta_max=1.5)
-        lam = groups.coset_representative(x, "lorentz").matrix
+        (x,) = groups.orbit_points(
+            orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+        lam = groups.matrices("lorentz",
+                              groups.section_params(orbit, x.coords))
         n, nbar = massless_pair(x)
         a = rng.uniform(-2, 2, size=2)
         _, nbar_shift = massless_pair(x, gauge=a)

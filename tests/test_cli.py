@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steerkit import cli, groups
+from steerkit import analytic_bases as bases
+from steerkit import cli, groups, steering
 from steerkit.cli import main, parse_grid, parse_label, read_dump
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 
@@ -57,6 +58,62 @@ def test_basis_complex_output_carries_imaginary_part(capsys):
     data = json.loads(out)
     assert len(data["elements"]) == 3
     assert "im" in data["elements"][0]
+
+
+def test_basis_complex_compact_pairs_are_complex(capsys):
+    # Every complex compact pair prints "im", 1x1 O(2) pairs included, and
+    # kernel_at and section_kernels agree in dtype and bytes.
+    labels = {"so2": ("0", "1", "-2"), "o2": ("0", "0~", "1", "2"),
+              "so3": ("0", "1", "2"), "o3": ("0+", "0-", "1-", "2+")}
+    points = {"so2": groups.circle_point(0.3), "o2": groups.circle_point(0.3),
+              "so3": groups.sphere_point(0.4, 1.1),
+              "o3": groups.sphere_point(0.4, 1.1)}
+    for group, names in labels.items():
+        x = points[group]
+        for j in names:
+            for l in names:
+                code, out, _ = run_cli(
+                    capsys, "basis", "--group", group, "--field", "complex",
+                    "--j", j, "--l", l,
+                    "--point", ",".join(map(repr, x.coords)))
+                assert code == 0
+                printed = json.loads(out)["elements"]
+                assert all("im" in e for e in printed), (group, j, l)
+                els = bases.basis_for(parse_label(group, "complex", j),
+                                      parse_label(group, "complex", l),
+                                      x.orbit)
+                assert len(printed) == len(els)
+                if not els:
+                    continue
+                values = steering.section_kernels(els, [x.coords])[:, 0]
+                assert values.dtype == np.complex128
+                for e, k in zip(els, values):
+                    ref = steering.kernel_at(e, x)
+                    assert ref.dtype == k.dtype
+                    assert ref.tobytes() == k.tobytes()
+    code, out, _ = run_cli(capsys, "basis", "--group", "o2", "--field",
+                           "complex", "--j", "0~", "--l", "0~",
+                           "--point", "0.3")
+    assert json.loads(out)["elements"] == [
+        {"kind": "unit", "re": [[1.0]], "im": [[0.0]]}]
+
+
+def test_basis_never_calls_kernel_at(monkeypatch, capsys):
+    # basis steers the whole basis with one section_kernels call; an empty
+    # basis prints an empty list.
+    def no_kernel_at(elem, x):
+        raise AssertionError("kernel_at called by basis")
+    monkeypatch.setattr(steering, "kernel_at", no_kernel_at)
+    cases = [("so2", "2", "3", "0.3"), ("o2", "0", "0~", "0.3"),
+             ("so3", "2", "1", "0.4,1.1"), ("o3", "1-", "2+", "0.7,1.1"),
+             ("lorentz", "dirac", "dirac", "2,1,1,1"),
+             ("lorentz", "tensor20", "tensor20", "1,0,0,-1", "--orbit",
+              "massless")]
+    for group, j, l, point, *extra in cases:
+        code, out, err = run_cli(capsys, "basis", "--group", group, "--j", j,
+                                 "--l", l, "--point", point, *extra)
+        assert code == 0, (group, j, l, err)
+        assert (json.loads(out)["elements"] == []) == (group == "o2")
 
 
 def _strict_json(text: str):
@@ -386,6 +443,36 @@ def test_failed_sample_leaves_the_existing_dump(tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv, "massive:2x2x2:eta=200")
     assert code == 1 and "overflow float64" in json.loads(err)["error"]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_memory_error_is_a_json_error(monkeypatch, tmp_path, capsys):
+    # A grid too large for memory is a JSON error with exit 1, not a numpy
+    # traceback, and leaves no file behind, whether the coordinates or the
+    # stream of pieces fail to allocate.  The failures are simulated: the
+    # grid of a hundred million points is never built.
+    def no_coords(self):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+    out = str(tmp_path / "dump")
+    argv = ["sample", "--group", "so3", "--j", "1", "--l", "1", "--out", out,
+            "--grid"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.GridSpec, "coords", no_coords)
+        code, stdout, err = run_cli(capsys, *argv, "sphere:100000x100000")
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {
+        "error": "out of memory: Unable to allocate 149. GiB for an array"}
+    assert list(tmp_path.iterdir()) == []
+
+    pieces = steering.section_pieces
+
+    def one_piece_then_fail(elements, coords):
+        yield next(iter(pieces(elements, coords)))
+        raise MemoryError
+    monkeypatch.setattr(steering, "section_pieces", one_piece_then_fail)
+    code, stdout, err = run_cli(capsys, *argv, "sphere:4x3")
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {"error": "out of memory"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid,bound_mb", [("massive:16x8x8:eta=2", 12.0),

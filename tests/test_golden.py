@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of ``sample`` payloads, the ``verify`` report, two
-``dims`` oracle tables, a steerability sweep and the oracle's bases.
+``dims`` oracle tables, a steerability sweep, the oracle's bases and the
+``basis`` output at single points.
 
 The digests were computed before the grid-steering path was batched; any
 change of output bits must be deliberate and come with new digests here.
@@ -21,9 +22,12 @@ rotations; CHANGES.md gives the differences.  The ``verify`` report and
 the two sweep digests were re-pinned once more when the sweeps began to
 steer whole bases per matrix product, which rounds differently from the
 per-kernel products in the last bits; CHANGES.md gives the differences
-and the accuracy against the exact references.  Both digests, the two sweep
-digests and the ``sample`` payload digests are also recomputed in a
-process pinned to one BLAS thread.
+and the accuracy against the exact references.  The ``basis`` digests were
+pinned before ``basis`` began to evaluate a whole basis through
+``steering.section_kernels`` instead of element by element through
+``kernel_at``.  Both digests, the two sweep digests, the ``sample`` payload
+digests and the ``basis`` digests are also recomputed in a process pinned to
+one BLAS thread.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digests pin the
@@ -108,6 +112,37 @@ ORBIT_SWEEP_GOLDEN = (
 ORACLE_GOLDEN = (
     "54f5ecc770bb05534e2475fd4696b60763d25e301f0d8eb907b2a34163d92b23")
 
+#: SHA-256 of ``basis`` stdout: so3 real 2/1 at both poles (the sections'
+#: singular points), complex o3 and so2, the Lorentz vector pair at the
+#: rest frame and at a point where its kernels reach 1e308, the Dirac pair
+#: at a generic point and tensor20 on the cone at the backward null
+#: direction.
+BASIS_GOLDENS = [
+    (("--group", "so3", "--j", "2", "--l", "1", "--point", "0,0"),
+     "bac49dd2b0e522b71adf177078d3c2c2c9fff24bac0dcf9e648c53981cd1430c"),
+    (("--group", "so3", "--j", "2", "--l", "1",
+      "--point", "0.4,3.141592653589793"),
+     "3c4cd72b30e3213b09bd9da0638ed166b527e402cff23e172a439ef2cc4e6a13"),
+    (("--group", "o3", "--field", "complex", "--j", "1-", "--l", "2+",
+      "--point", "0.7,1.1"),
+     "2efb0b54902eb72ba31d8613e5d12c0e1875669a91c82c1cddc1715a1469bad1"),
+    (("--group", "so2", "--field", "complex", "--j", "3", "--l", "3",
+      "--point", "0.3"),
+     "8073754fa8e9c563c279ee4face7fc577ebe025555b314f0d957d98a70196236"),
+    (("--group", "lorentz", "--j", "vector", "--l", "vector",
+      "--point", "1,0,0,0"),
+     "7c4640b9b46c8d3b99e8885d87c47d2465551955c68a1415665196cb3a82d577"),
+    (("--group", "lorentz", "--j", "vector", "--l", "vector",
+      "--point", "1e154,1e154,0,0"),
+     "a68cb25a0a0eba16191c4371f3f69e6b9e76e2df2aabd9d25576f453580fd2de"),
+    (("--group", "lorentz", "--j", "dirac", "--l", "dirac",
+      "--point", "2,1,1,1"),
+     "39ebdb0a4a8d7e30975ad9af3ccf08e444862ead2df0da0da8847637dd8f364b"),
+    (("--group", "lorentz", "--j", "tensor20", "--l", "tensor20",
+      "--orbit", "massless", "--point", "1,0,0,-1"),
+     "0a48580341dcdccc766b5ba836a1beff53626929d559770df793615dc32b66b7"),
+]
+
 
 def _sweep_cases():
     vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
@@ -147,6 +182,19 @@ def _sample_digest(case, out: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _basis_digest(args) -> str:
+    """SHA-256 of what ``basis`` prints for one case."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["basis", *args])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _basis_digests() -> list:
+    return [_basis_digest(args) for args, _ in BASIS_GOLDENS]
+
+
 def _sample_digests() -> list:
     with tempfile.TemporaryDirectory() as tmp:
         return [_sample_digest(case, os.path.join(tmp, "dump"))
@@ -158,6 +206,12 @@ def _sample_digests() -> list:
                               for c, _ in SAMPLE_GOLDENS])
 def test_sample_payload_matches_golden(case, golden, tmp_path):
     assert _sample_digest(case, str(tmp_path / "dump")) == golden
+
+
+@pytest.mark.parametrize("args,golden", BASIS_GOLDENS,
+                         ids=[" ".join(a[1::2]) for a, _ in BASIS_GOLDENS])
+def test_basis_output_matches_golden(args, golden):
+    assert _basis_digest(args) == golden
 
 
 def test_verify_seed7_report_matches_golden(capsys):
@@ -202,9 +256,9 @@ def test_oracle_bases_match_golden():
 
 
 def test_goldens_hold_on_one_blas_thread():
-    # The oracle bases, the verify report, the steer sweeps and the sample
-    # payloads must not hang on the BLAS thread count: a fresh process
-    # pinned to one thread recomputes their digests.
+    # The oracle bases, the verify report, the steer sweeps, the sample
+    # payloads and the basis output must not hang on the BLAS thread count:
+    # a fresh process pinned to one thread recomputes their digests.
     src = os.path.dirname(os.path.dirname(steerkit.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -220,7 +274,8 @@ def test_goldens_hold_on_one_blas_thread():
     assert digests.decode().split() == [ORACLE_GOLDEN, SWEEP_GOLDEN,
                                         ORBIT_SWEEP_GOLDEN]
     digests = run("-c", "import test_golden as t; "
-                  "print(*t._sample_digests())")
-    assert digests.decode().split() == [g for _, g in SAMPLE_GOLDENS]
+                  "print(*t._sample_digests(), *t._basis_digests())")
+    assert digests.decode().split() == [g for _, g in SAMPLE_GOLDENS
+                                        + BASIS_GOLDENS]
     report = run("-m", "steerkit.cli", "verify", "--seed", "7")
     assert hashlib.sha256(report).hexdigest() == VERIFY_SEED7_GOLDEN

@@ -5,12 +5,14 @@ import pytest
 
 from steerkit import analytic_bases as bases
 from steerkit import groups, irreps, steering
-from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
-                             NullCone, Sphere, act, base_point, boost_matrix,
-                             circle_point, cone_point, coset_representative,
-                             identity, massive_point, o2_element,
-                             o2_reflection, o3_element, random_element,
-                             random_orbit_point, so2_element, so3_element,
+from steerkit.groups import (ETA, GroupElement, GroupError, Circle,
+                             MassiveHyperboloid, NullCone, Sphere, act_points,
+                             base_point, boost_matrix, circle_point,
+                             cone_point, default_group, identity,
+                             massive_point, matrices, o2_element,
+                             o2_reflection, o3_element, orbit_vectors,
+                             random_orbit_coords, random_params,
+                             section_params, so2_element, so3_element,
                              sphere_point, stabilizer_sample)
 from steerkit.irreps import so3_irrep, tensor_irrep
 
@@ -36,15 +38,16 @@ def test_o2_reflection_conjugation_flips_angle():
 def test_so3_inverse_composes_to_identity():
     g = so3_element(0.4, 1.1, 2.2)
     e = product(g, inverse(g))
-    np.testing.assert_allclose(e.matrix, np.eye(3), atol=1e-13)
+    np.testing.assert_allclose(matrices(e.group, e.params), np.eye(3),
+                               atol=1e-13)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS)
 def test_inverse_matrix_property(group):
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        g = random_element(group, rng)
-        prod = inverse(g).matrix @ g.matrix
+    for p in random_params(group, rng, 10):
+        g_inv = inverse(GroupElement(group, tuple(p)))
+        prod = matrices(group, g_inv.params) @ matrices(group, p)
         np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-12)
 
 
@@ -56,63 +59,67 @@ def test_inverse_matrix_property(group):
 def test_action_is_associative(group, orbit):
     rng = np.random.default_rng(9)
     for _ in range(8):
-        a = random_element(group, rng)
-        b = random_element(group, rng)
-        x = random_orbit_point(orbit, rng)
-        lhs = act(product(a, b), x).vector
-        rhs = act(a, act(b, x)).vector
+        a, b = random_params(group, rng, 2)
+        x = random_orbit_coords(orbit, rng, 1)[0]
+        ab = product(GroupElement(group, tuple(a)),
+                     GroupElement(group, tuple(b)))
+        lhs = orbit_vectors(orbit, act_points(group, ab.params, orbit, x))
+        rhs = orbit_vectors(orbit, act_points(
+            group, a, orbit, act_points(group, b, orbit, x)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, abs(lhs[0])))
 
 
 def test_act_examples():
-    x = act(so2_element(math.pi / 2), circle_point(0.0))
-    assert abs(x.coords[0] - math.pi / 2) < 1e-14
+    x = act_points("so2", so2_element(math.pi / 2).params, Circle(), [0.0])
+    assert abs(x[0] - math.pi / 2) < 1e-14
 
     # boost of the rest frame point: oracle is the explicit 4x4 boost matrix
     m = 1.7
     b = boost_matrix([0.0, 0.0, 1.0])
     expect = b @ np.array([m, 0.0, 0.0, 0.0])
     g = groups.lorentz_element(0, 0, 0, (0, 0, 1.0))
-    got = act(g, base_point(MassiveHyperboloid(m))).vector
+    got = act_points("lorentz", g.params, MassiveHyperboloid(m),
+                     base_point(MassiveHyperboloid(m)).coords)
     np.testing.assert_allclose(got, expect, atol=1e-13)
     np.testing.assert_allclose(got, [m * math.cosh(1), 0, 0, m * math.sinh(1)],
                                atol=1e-13)
 
     flip = o3_element(0, 0, 0, parity=-1)  # -identity
-    south = act(flip, sphere_point(0.0, 0.0))
-    np.testing.assert_allclose(south.vector, [0, 0, -1.0], atol=1e-14)
+    south = act_points("o3", flip.params, Sphere(), [0.0, 0.0])
+    np.testing.assert_allclose(orbit_vectors(Sphere(), south), [0, 0, -1.0],
+                               atol=1e-14)
 
 
 def test_act_rejects_wrong_orbit():
     with pytest.raises(GroupError):
-        act(so2_element(0.1), sphere_point(0.0, 0.0))
+        act_points("so2", so2_element(0.1).params, Sphere(), [0.0, 0.0])
 
 
 def test_lorentz_invariants():
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        lam = random_element("lorentz", rng).matrix
+    for lam in matrices("lorentz", random_params("lorentz", rng, 10)):
         np.testing.assert_allclose(lam.T @ ETA @ lam, ETA, atol=1e-12)
         assert lam[0, 0] >= 1.0 - 1e-12
         assert abs(np.linalg.det(lam) - 1.0) < 1e-11
 
 
-def test_coset_representative_base_points_are_identity():
+def test_section_at_base_points_is_identity():
     for orbit in (Circle(), Sphere(), MassiveHyperboloid(), NullCone()):
-        g = coset_representative(base_point(orbit))
-        np.testing.assert_allclose(g.matrix, np.eye(g.matrix.shape[0]),
-                                   atol=1e-13)
+        m = matrices(default_group(orbit),
+                     section_params(orbit, base_point(orbit).coords))
+        np.testing.assert_allclose(m, np.eye(m.shape[0]), atol=1e-13)
 
 
-def test_coset_representative_hyperboloid_pure_boost():
+def test_hyperboloid_section_is_pure_boost():
     m = 1.2
     x = massive_point([m * math.cosh(2.0), 0, 0, m * math.sinh(2.0)], m)
-    g = coset_representative(x)
-    alpha, beta, gamma, e1, e2, e3 = g.params
+    p = section_params(x.orbit, x.coords)
+    alpha, beta, gamma, e1, e2, e3 = p
     assert abs(e3 - 2.0) < 1e-12 and abs(e1) < 1e-12 and abs(e2) < 1e-12
     assert abs(alpha) < 1e-12 and abs(beta) < 1e-12
     # oracle: apply the representative to the base point
-    np.testing.assert_allclose(g.matrix @ base_point(x.orbit).vector, x.vector,
+    np.testing.assert_allclose(matrices("lorentz", p)
+                               @ base_point(x.orbit).vector, x.vector,
                                atol=1e-12)
 
 
@@ -123,33 +130,34 @@ def test_coset_representative_hyperboloid_pure_boost():
 def test_coset_section_property(group, orbit):
     rng = np.random.default_rng(21)
     x0 = base_point(orbit)
-    for _ in range(10):
-        g = random_element(group, rng)
-        x = act(g, x0)
-        rep = coset_representative(x, group)
-        scale = max(1.0, abs(x.vector[0]))
-        np.testing.assert_allclose(rep.matrix @ x0.vector, x.vector,
+    for p in random_params(group, rng, 10):
+        x = act_points(group, p, orbit, x0.coords)
+        rep = section_params(orbit, x, group)
+        xv = orbit_vectors(orbit, x)
+        scale = max(1.0, abs(xv[0]))
+        np.testing.assert_allclose(matrices(group, rep) @ x0.vector, xv,
                                    atol=1e-11 * scale)
 
 
 def test_coset_section_degenerate_points():
     south = sphere_point(0.0, math.pi)
-    rep = coset_representative(south)
-    np.testing.assert_allclose(rep.matrix @ np.array([0, 0, 1.0]),
+    rep = matrices("so3", section_params(south.orbit, south.coords))
+    np.testing.assert_allclose(rep @ np.array([0, 0, 1.0]),
                                south.vector, atol=1e-12)
     backward = cone_point([1.0, 0.0, 0.0, -1.0])
-    rep = coset_representative(backward)
-    np.testing.assert_allclose(rep.matrix @ np.array([1.0, 0, 0, 1.0]),
+    rep = matrices("lorentz", section_params(backward.orbit, backward.coords))
+    np.testing.assert_allclose(rep @ np.array([1.0, 0, 0, 1.0]),
                                backward.vector, atol=1e-12)
 
 
 def test_stabilizer_samples():
     s = stabilizer_sample(Circle(), "so2")
     assert len(s.elements) == 1
-    np.testing.assert_allclose(s.elements[0].matrix, np.eye(2))
+    np.testing.assert_allclose(matrices("so2", s.elements[0].params),
+                               np.eye(2))
 
     s = stabilizer_sample(Circle(), "o2")
-    mats = [h.matrix for h in s.elements]
+    mats = matrices("o2", [h.params for h in s.elements])
     assert len(mats) == 2
     np.testing.assert_allclose(mats[1], np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -158,7 +166,8 @@ def test_stabilizer_samples():
                          ("lorentz", NullCone())]:
         s = stabilizer_sample(orbit, group)
         for h in s.elements:
-            np.testing.assert_allclose(h.matrix @ s.base.vector,
+            np.testing.assert_allclose(matrices(group, h.params)
+                                       @ s.base.vector,
                                        s.base.vector, atol=1e-12)
 
 
@@ -199,8 +208,8 @@ def test_random_stabilizer_elements_fix_base_point():
         for _ in range(5):
             h = stabilizer_draw(orbit, group, rng)
             assert h.group == group
-            np.testing.assert_allclose(h.matrix @ x0.vector, x0.vector,
-                                       atol=1e-12)
+            np.testing.assert_allclose(matrices(group, h.params) @ x0.vector,
+                                       x0.vector, atol=1e-12)
 
 
 def test_orbit_point_validation():
@@ -325,7 +334,7 @@ def test_angle_canonicalization():
     g = so3_element(7.0, 2.0, -3.0)
     a, b, c = g.params
     assert 0 <= a < 2 * math.pi and 0 <= b <= math.pi and 0 <= c < 2 * math.pi
-    np.testing.assert_allclose(g.matrix,
+    np.testing.assert_allclose(matrices("so3", g.params),
                                groups.euler_zyz_matrix(7.0, 2.0, -3.0),
                                atol=1e-13)
     # The angles are folded without a round trip through the matrix: the
@@ -334,7 +343,8 @@ def test_angle_canonicalization():
         g = so3_element(0.3, beta, 1.1)
         a, b, c = g.params
         assert 0 <= a < 2 * math.pi and 0 <= b <= math.pi and 0 <= c < 2 * math.pi
-        err = np.abs(g.matrix - groups.euler_zyz_matrix(0.3, beta, 1.1))
+        err = np.abs(matrices("so3", g.params)
+                     - groups.euler_zyz_matrix(0.3, beta, 1.1))
         assert err.max() <= 5 * np.finfo(float).eps, beta
 
 
@@ -351,8 +361,8 @@ def test_sphere_coords_near_the_poles():
 
 def test_identity_elements():
     for group in ALL_GROUPS:
-        e = identity(group)
-        np.testing.assert_array_equal(e.matrix, np.eye(e.matrix.shape[0]))
+        m = matrices(group, identity(group).params)
+        np.testing.assert_array_equal(m, np.eye(m.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +397,12 @@ def _scalar_coords(orbit, rng, eta_max):
         return sphere_point(rng.uniform(0.0, tau),
                             math.acos(rng.uniform(-1.0, 1.0)),
                             orbit.radius).coords
-    g = groups.GroupElement("lorentz", _scalar_params("lorentz", rng, eta_max))
-    return act(g, base_point(orbit)).coords
+    return act_points("lorentz", _scalar_params("lorentz", rng, eta_max),
+                      orbit, base_point(orbit).coords)
 
 
 def _same_stream(draw, scalar, one, n, eta_max):
-    """Batched draw == n scalar reference draws == n one-item calls, bit for
+    """Batched draw == n scalar reference draws == n one-row draws, bit for
     bit, with the generator left in the same state by all three."""
     rngs = [np.random.default_rng(n + 7) for _ in range(3)]
     batched = draw(rngs[0], n, eta_max)
@@ -414,7 +424,7 @@ def test_random_params_match_scalar_draws(group, n):
         _same_stream(
             lambda rng, k, e: groups.random_params(group, rng, k, e),
             lambda rng, e: _scalar_params(group, rng, e),
-            lambda rng, e: random_element(group, rng, e).params, n, eta_max)
+            lambda rng, e: random_params(group, rng, 1, e)[0], n, eta_max)
 
 
 def _lorentz_rows_by_uniform(rng, n, eta_max):
@@ -450,7 +460,7 @@ def test_random_orbit_coords_match_scalar_draws(orbit, n):
         _same_stream(
             lambda rng, k, e: groups.random_orbit_coords(orbit, rng, k, e),
             lambda rng, e: _scalar_coords(orbit, rng, e),
-            lambda rng, e: random_orbit_point(orbit, rng, e).coords, n,
+            lambda rng, e: random_orbit_coords(orbit, rng, 1, e)[0], n,
             eta_max)
 
 
@@ -473,10 +483,10 @@ def test_polar_angles_are_math_acos_of_the_drawn_double(draw, cos_at):
 
 def test_invalid_draw_caps_and_counts_rejected():
     lorentz_draws = [
-        lambda rng, e: random_element("lorentz", rng, eta_max=e),
-        lambda rng, e: groups.random_params("lorentz", rng, 3, e),
-        lambda rng, e: random_orbit_point(MassiveHyperboloid(), rng, e),
-        lambda rng, e: groups.random_orbit_coords(NullCone(), rng, 3, e),
+        lambda rng, e: random_params("lorentz", rng, 1, e),
+        lambda rng, e: random_params("lorentz", rng, 3, e),
+        lambda rng, e: random_orbit_coords(MassiveHyperboloid(), rng, 1, e),
+        lambda rng, e: random_orbit_coords(NullCone(), rng, 3, e),
     ]
     for draw in lorentz_draws:
         for bad in (-1.0, -1e-300, math.nan, math.inf):
@@ -487,8 +497,8 @@ def test_invalid_draw_caps_and_counts_rejected():
             assert rng.bit_generator.state == before  # raised before drawing
         # eta_max = 0 draws pure rotations, as before
         draw(np.random.default_rng(0), 0.0)
-    assert random_element("lorentz", np.random.default_rng(0),
-                          eta_max=0.0).params[3:] == (0.0, 0.0, 0.0)
+    assert random_params("lorentz", np.random.default_rng(0), 1,
+                         eta_max=0.0)[0, 3:].tolist() == [0.0, 0.0, 0.0]
     for draw in (lambda rng: groups.random_params("so3", rng, -1),
                  lambda rng: groups.random_orbit_coords(Circle(), rng, -2)):
         with pytest.raises(ValueError, match="cannot draw"):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from steerkit import groups, irreps
-from steerkit.groups import (Circle, MassiveHyperboloid, NullCone, Sphere,
-                             boost_matrix, random_element)
+from steerkit.groups import (Circle, GroupElement, GroupError,
+                             MassiveHyperboloid, NullCone, Sphere,
+                             boost_matrix, matrices, random_params)
 from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
-                             realify_antilinear, rep_inverse, rep_matrix,
+                             realify_antilinear, rep_inverses, rep_matrices,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
                              stabilizer_content, tensor_irrep, wigner_small_d)
 
@@ -143,9 +144,8 @@ def test_real_rep_is_real():
     rng = np.random.default_rng(3)
     for l in (1, 2, 4):
         s = real_change_of_basis(l)
-        for _ in range(5):
-            g = random_element("so3", rng)
-            r = s.conj() @ wigner_D(l, *g.params) @ s.T
+        for p in random_params("so3", rng, 5):
+            r = s.conj() @ wigner_D(l, *p) @ s.T
             assert np.abs(r.imag).max() <= 1e-12
 
 
@@ -156,10 +156,10 @@ def test_real_l1_matches_geometric_rotation():
     p[0, 2] = p[1, 0] = p[2, 1] = 1.0
     t = np.diag([1.0, -1.0, -1.0])
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        g = random_element("so3", rng)
-        r1 = rep_matrix(so3_irrep(1), g)
-        np.testing.assert_allclose(r1, t @ p @ g.matrix @ p.T @ t, atol=1e-13)
+    for g in random_params("so3", rng, 10):
+        r1 = rep_matrices(so3_irrep(1), g)
+        np.testing.assert_allclose(r1, t @ p @ matrices("so3", g) @ p.T @ t,
+                                   atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +169,18 @@ def test_rep_identity_is_identity():
     for lab in sample_labels() + [dirac_irrep(), dirac_irrep(realified=True),
                                   spinor_vector_irrep(realified=True)]:
         e = groups.identity(lab.group)
-        np.testing.assert_allclose(rep_matrix(lab, e), np.eye(lab.dim),
-                                   atol=1e-13)
+        np.testing.assert_allclose(rep_matrices(lab, e.params),
+                                   np.eye(lab.dim), atol=1e-13)
 
 
 @pytest.mark.parametrize("lab", sample_labels(), ids=str)
 def test_rep_homomorphism(lab):
     rng = np.random.default_rng(17)
     for _ in range(50):
-        a = random_element(lab.group, rng)
-        b = random_element(lab.group, rng)
-        lhs = rep_matrix(lab, product(a, b))
-        rhs = rep_matrix(lab, a) @ rep_matrix(lab, b)
+        a, b = (GroupElement(lab.group, tuple(p))
+                for p in random_params(lab.group, rng, 2))
+        lhs = rep_matrices(lab, product(a, b).params)
+        rhs = rep_matrices(lab, a.params) @ rep_matrices(lab, b.params)
         assert (np.linalg.norm(lhs - rhs)
                 <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -192,10 +192,10 @@ def test_spinor_rep_homomorphism_up_to_cover_sign(spinor):
     # flip the global sign, which conjugation-type formulas never see.
     rng = np.random.default_rng(19)
     for _ in range(50):
-        a = random_element("lorentz", rng)
-        b = random_element("lorentz", rng)
-        lhs = rep_matrix(spinor, product(a, b))
-        rhs = rep_matrix(spinor, a) @ rep_matrix(spinor, b)
+        a, b = (GroupElement("lorentz", tuple(p))
+                for p in random_params("lorentz", rng, 2))
+        lhs = rep_matrices(spinor, product(a, b).params)
+        rhs = rep_matrices(spinor, a.params) @ rep_matrices(spinor, b.params)
         defect = min(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs + rhs))
         assert defect <= 1e-11 * max(1.0, np.linalg.norm(rhs))
 
@@ -205,9 +205,7 @@ def test_compact_reps_unitary():
     for lab in sample_labels():
         if lab.group == "lorentz":
             continue
-        for _ in range(5):
-            g = random_element(lab.group, rng)
-            r = rep_matrix(lab, g)
+        for r in rep_matrices(lab, random_params(lab.group, rng, 5)):
             np.testing.assert_allclose(r @ r.conj().T, np.eye(lab.dim),
                                        atol=1e-12)
 
@@ -215,39 +213,39 @@ def test_compact_reps_unitary():
 def test_rep_inverse_matches_inverse_element():
     rng = np.random.default_rng(29)
     for lab in sample_labels():
-        for _ in range(5):
-            g = random_element(lab.group, rng)
-            lhs = rep_inverse(lab, g)
-            rhs = rep_matrix(lab, inverse(g))
+        for p in random_params(lab.group, rng, 5):
+            lhs = rep_inverses(lab, p)
+            rhs = rep_matrices(lab, inverse(GroupElement(lab.group,
+                                                         tuple(p))).params)
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
 
 def test_so2_real_rep_is_rotation_by_j_phi():
-    g = groups.so2_element(0.37)
-    np.testing.assert_allclose(rep_matrix(so2_irrep(1), g), groups.rot2(0.37),
-                               atol=1e-15)
-    np.testing.assert_allclose(rep_matrix(so2_irrep(3), g),
+    g = groups.so2_element(0.37).params
+    np.testing.assert_allclose(rep_matrices(so2_irrep(1), g),
+                               groups.rot2(0.37), atol=1e-15)
+    np.testing.assert_allclose(rep_matrices(so2_irrep(3), g),
                                groups.rot2(3 * 0.37), atol=1e-14)
 
 
 def test_o2_reflection_representations():
-    ry = groups.o2_reflection()
-    assert rep_matrix(o2_irrep(0), ry)[0, 0] == 1.0
-    assert rep_matrix(o2_irrep("0~"), ry)[0, 0] == -1.0
-    np.testing.assert_allclose(rep_matrix(o2_irrep(2), ry),
+    ry = groups.o2_reflection().params
+    assert rep_matrices(o2_irrep(0), ry)[0, 0] == 1.0
+    assert rep_matrices(o2_irrep("0~"), ry)[0, 0] == -1.0
+    np.testing.assert_allclose(rep_matrices(o2_irrep(2), ry),
                                np.diag([1.0, -1.0]), atol=1e-15)
-    np.testing.assert_allclose(rep_matrix(o2_irrep(2, "complex"), ry),
+    np.testing.assert_allclose(rep_matrices(o2_irrep(2, "complex"), ry),
                                [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_o3_reflection_weight_pattern():
     # rho_{l,eps}(r_y) has entries eps * (-1)^m on the m -> -m antidiagonal.
-    ry = groups.o3_element(0, math.pi, 0, parity=-1)
-    np.testing.assert_allclose(ry.matrix, np.diag([1.0, -1.0, 1.0]),
+    ry = groups.o3_element(0, math.pi, 0, parity=-1).params
+    np.testing.assert_allclose(matrices("o3", ry), np.diag([1.0, -1.0, 1.0]),
                                atol=1e-15)
     for l, eps in ((1, 1), (2, -1), (3, 1)):
-        r = rep_matrix(o3_irrep(l, eps, "complex"), ry)
+        r = rep_matrices(o3_irrep(l, eps, "complex"), ry)
         expect = np.zeros((2 * l + 1, 2 * l + 1))
         for i, m in enumerate(range(l, -l - 1, -1)):
             expect[i, l + m] = eps * (-1.0) ** m
@@ -256,19 +254,19 @@ def test_o3_reflection_weight_pattern():
 
 def test_tensor_rep_boost_on_rest_vector():
     g = groups.lorentz_element(0, 0, 0, (0, 0, 0.9))
-    out = rep_matrix(tensor_irrep(1, 0), g) @ np.array([1.0, 0, 0, 0])
+    out = rep_matrices(tensor_irrep(1, 0), g.params) @ np.array([1.0, 0, 0, 0])
     np.testing.assert_allclose(out, [math.cosh(0.9), 0, 0, math.sinh(0.9)],
                                atol=1e-14)
 
 
 def test_tensor_rep_kron_structure():
     rng = np.random.default_rng(31)
-    g = random_element("lorentz", rng)
-    lam = g.matrix
-    np.testing.assert_allclose(rep_matrix(tensor_irrep(2, 0), g),
+    (g,) = random_params("lorentz", rng, 1)
+    lam = matrices("lorentz", g)
+    np.testing.assert_allclose(rep_matrices(tensor_irrep(2, 0), g),
                                np.kron(lam, lam), atol=1e-13)
     dual = groups.ETA @ lam @ groups.ETA
-    np.testing.assert_allclose(rep_matrix(tensor_irrep(1, 1), g),
+    np.testing.assert_allclose(rep_matrices(tensor_irrep(1, 1), g),
                                np.kron(lam, dual), atol=1e-13)
 
 
@@ -303,11 +301,10 @@ def test_dirac_defining_property():
     # S(Lambda)^-1 gamma^mu S(Lambda) = Lambda^mu_nu gamma^nu anchors all the
     # spinor conventions.
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        g = random_element("lorentz", rng)
-        s = rep_matrix(dirac_irrep(), g)
-        sinv = rep_inverse(dirac_irrep(), g)
-        lam = g.matrix
+    for g in random_params("lorentz", rng, 20):
+        s = rep_matrices(dirac_irrep(), g)
+        sinv = rep_inverses(dirac_irrep(), g)
+        lam = matrices("lorentz", g)
         for mu in range(4):
             lhs = sinv @ GAMMA[mu] @ s
             rhs = np.einsum("n,nab->ab", lam[mu], GAMMA)
@@ -319,9 +316,7 @@ def test_charge_conjugation_commutes_with_boosts():
     # N conj(S) = S N with N = C gamma^0.
     n = (CHARGE_CONJUGATION @ GAMMA[0]).real
     rng = np.random.default_rng(41)
-    for _ in range(10):
-        g = random_element("lorentz", rng)
-        s = rep_matrix(dirac_irrep(), g)
+    for s in rep_matrices(dirac_irrep(), random_params("lorentz", rng, 10)):
         assert np.abs(n @ s.conj() - s @ n).max() <= 1e-12
 
 
@@ -329,13 +324,12 @@ def test_realified_rep_consistency():
     rng = np.random.default_rng(43)
     lab = dirac_irrep()
     for _ in range(5):
-        g = random_element("lorentz", rng)
-        s = rep_matrix(lab, g)
-        np.testing.assert_allclose(rep_matrix(lab.realify(), g), realify(s),
+        g, h = random_params("lorentz", rng, 2)
+        s = rep_matrices(lab, g)
+        np.testing.assert_allclose(rep_matrices(lab.realify(), g), realify(s),
                                    atol=1e-14)
         # realify is an algebra homomorphism
-        h = random_element("lorentz", rng)
-        t = rep_matrix(lab, h)
+        t = rep_matrices(lab, h)
         np.testing.assert_allclose(realify(s) @ realify(t), realify(s @ t),
                                    atol=1e-12)
 
@@ -388,7 +382,7 @@ def test_sl2c_to_lorentz_examples():
     theta = 0.9
     g2 = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     expect = np.eye(4)
-    expect[1:, 1:] = groups.so3_element(theta, 0, 0).matrix
+    expect[1:, 1:] = matrices("so3", groups.so3_element(theta, 0, 0).params)
     np.testing.assert_allclose(_sigma_trace(g2), expect, atol=1e-12)
 
 
@@ -396,7 +390,7 @@ def test_sl2c_sign_invariance_and_validation():
     # sl2_of covers the element with a unit-determinant matrix, a and -a
     # cover the same one, and non-Lorentz elements are rejected.
     rng = np.random.default_rng(53)
-    g = random_element("lorentz", rng)
+    g = GroupElement("lorentz", tuple(random_params("lorentz", rng, 1)[0]))
     a = sl2_of(g)
     assert abs(np.linalg.det(a) - 1.0) < 1e-12
     np.testing.assert_allclose(_sigma_trace(a), _sigma_trace(-a), atol=1e-12)
@@ -425,7 +419,7 @@ def test_tensor_slots_partition_and_are_stabilizer_invariant():
         for spin, cols in embeds:
             assert cols.shape[1] == 2 * spin + 1
         for h in hs:
-            r = rep_matrix(lab, h)
+            r = rep_matrices(lab, h.params)
             for _, cols in embeds:
                 moved = r @ cols
                 assert np.abs(moved - cols @ (cols.T @ moved)).max() <= 1e-12
@@ -537,8 +531,8 @@ def test_label_validation():
     assert so3_irrep(32).dim == 65 and o3_irrep(32, -1).dim == 65
     with pytest.raises(IrrepError):
         tensor_irrep(2, 1)
-    with pytest.raises(IrrepError):
-        rep_matrix(so2_irrep(1), groups.so3_element(0, 0, 0))
+    with pytest.raises(GroupError):
+        rep_matrices(so2_irrep(1), groups.so3_element(0, 0, 0).params)
     with pytest.raises(IrrepError):
         tensor_irrep(1, 0).realify()
     # non-integral labels are rejected, not truncated

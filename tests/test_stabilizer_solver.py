@@ -10,9 +10,8 @@ from steerkit import cli, groups, numerics, stabilizer_solver
 from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
 from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
-                             o3_irrep, rep_inverse, rep_matrices, rep_matrix,
-                             so2_irrep, so3_irrep, spinor_vector_irrep,
-                             tensor_irrep)
+                             o3_irrep, rep_inverses, rep_matrices, so2_irrep,
+                             so3_irrep, spinor_vector_irrep, tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
                                         oracle_dimension, predicted_dimension,
                                         require_rank_gap, solve_basepoint,
@@ -170,13 +169,14 @@ def test_solutions_satisfy_constraint_for_all_samples():
         # The dense reference's stack is the per-element vstack bit for bit.
         blocks = []
         for h in sample.elements:
-            op = np.kron(rep_matrix(j, h), rep_inverse(l, h).T)
+            op = np.kron(rep_matrices(j, h.params),
+                         rep_inverses(l, h.params).T)
             blocks.append(op - np.eye(op.shape[0]))
         stack = constraint_stack(j, l, sample.elements)
         assert stack.dtype == blocks[0].dtype
         np.testing.assert_array_equal(stack, np.vstack(blocks))
         for h in sample.elements:
-            rj, rli = rep_matrix(j, h), rep_inverse(l, h)
+            rj, rli = rep_matrices(j, h.params), rep_inverses(l, h.params)
             for k in space.matrices():
                 assert np.linalg.norm(rj @ k @ rli - k) <= 1e-10
 
@@ -197,11 +197,11 @@ def test_solutions_commute_with_fresh_stabilizer_elements():
         space = solve_basepoint(j, l, orbit)
         kernels = np.stack(space.matrices())
         scales = [max(1.0, np.linalg.norm(k)) for k in kernels]
-        for _ in range(20):
-            h = stabilizer_draw(orbit, j.group, rng)
-            moved = steer(kernels, j, l, h)
-            for k, k_h, scale in zip(kernels, moved, scales):
-                assert np.linalg.norm(k_h - k) / scale <= 1e-10
+        hs = [stabilizer_draw(orbit, j.group, rng).params for _ in range(20)]
+        moved = steer(kernels[:, None], j, l, hs)
+        for k, k_h, scale in zip(kernels, moved, scales):
+            err = np.linalg.norm(k_h - k, axis=(-2, -1)).max()
+            assert err / scale <= 1e-10
 
 
 def test_basis_is_orthonormal_and_deterministic():
@@ -382,7 +382,8 @@ def test_rank3_tensor_on_the_cone():
                 + [stabilizer_draw(orbit, LORENTZ, rng) for _ in range(4)])
     kernels = np.stack(space.matrices())
     for h in elements:
-        moved = rep_matrix(t30, h) @ kernels @ rep_inverse(t30, h)
+        moved = (rep_matrices(t30, h.params) @ kernels
+                 @ rep_inverses(t30, h.params))
         assert np.linalg.norm(moved - kernels, axis=(-2, -1)).max() <= 1e-10
 
 
@@ -399,8 +400,9 @@ def test_round_off_stack_keeps_its_solution():
                 assert space.gap_ratio >= GAP_RATIO
                 for h in groups.stabilizer_sample(Sphere(), "o3").elements:
                     for k in space.matrices():
-                        assert np.linalg.norm(rep_matrix(j, h) @ k
-                                              @ rep_inverse(l, h) - k) <= 1e-12
+                        assert np.linalg.norm(
+                            rep_matrices(j, h.params) @ k
+                            @ rep_inverses(l, h.params) - k) <= 1e-12
 
 
 def test_circle_has_no_weight_blocks(monkeypatch):

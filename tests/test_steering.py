@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from steerkit import analytic_bases as bases
 from steerkit import groups, numerics, steering, verify
-from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
+from steerkit.groups import (Circle, GroupElement, MassiveHyperboloid,
+                             NullCone, Sphere)
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
-                             rep_inverse, rep_inverses, rep_matrices,
-                             rep_matrix, so2_irrep, so3_irrep,
+                             rep_inverses, rep_matrices, so2_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep)
 from steerkit.steering import kernel_at, section_kernels, steer
 
@@ -20,7 +20,8 @@ from single_views import wigner_D
 
 def test_steer_identity_leaves_kernel():
     k0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = steer(k0, so2_irrep(2), so2_irrep(3), groups.identity("so2"))
+    (out,) = steer(k0, so2_irrep(2), so2_irrep(3),
+                   [groups.identity("so2").params])
     np.testing.assert_allclose(out, k0, atol=1e-15)
 
 
@@ -29,8 +30,8 @@ def test_steer_so2_complex_phase():
     for j, l in [(2, 5), (0, 3), (4, 4)]:
         phi = 0.77
         out = steer(np.array([[1.0 + 0j]]), so2_irrep(j, "complex"),
-                    so2_irrep(l, "complex"), groups.so2_element(phi))
-        assert abs(out[0, 0] - np.exp(1j * (j - l) * phi)) < 1e-14
+                    so2_irrep(l, "complex"), [[phi]])
+        assert abs(out[0, 0, 0] - np.exp(1j * (j - l) * phi)) < 1e-14
 
 
 def test_steer_so2_real_canonical_matrix():
@@ -38,8 +39,7 @@ def test_steer_so2_real_canonical_matrix():
     # [[cos j cos l, cos j sin l], [sin j cos l, sin j sin l]] (angles j phi,
     # l phi)
     j, l, phi = 2, 3, 0.6
-    out = steer(np.diag([1.0, 0.0]), so2_irrep(j), so2_irrep(l),
-                groups.so2_element(phi))
+    (out,) = steer(np.diag([1.0, 0.0]), so2_irrep(j), so2_irrep(l), [[phi]])
     cj, sj = math.cos(j * phi), math.sin(j * phi)
     cl, sl = math.cos(l * phi), math.sin(l * phi)
     np.testing.assert_allclose(out, [[cj * cl, cj * sl], [sj * cl, sj * sl]],
@@ -57,10 +57,11 @@ def test_steer_composition_property():
     for j, l, gname in cases:
         k0 = rng.normal(size=(j.dim, l.dim))
         for _ in range(5):
-            a = groups.random_element(gname, rng, eta_max=1.0)
-            b = groups.random_element(gname, rng, eta_max=1.0)
-            lhs = steer(steer(k0, j, l, a), j, l, b)
-            rhs = steer(k0, j, l, product(b, a))
+            a, b = groups.random_params(gname, rng, 2, eta_max=1.0)
+            ba = product(GroupElement(gname, tuple(b)),
+                         GroupElement(gname, tuple(a)))
+            lhs = steer(steer(k0, j, l, [a]), j, l, [b])
+            rhs = steer(k0, j, l, [ba.params])
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -93,9 +94,10 @@ def test_kernel_at_is_section_independent():
     theta = 1.2
     for elem in (bases.basis_so3(2, 1)[2], bases.basis_so3(1, 2, "complex")[0]):
         x = groups.sphere_point(0.8, 0.5)
-        rep = groups.coset_representative(x, "so3")
+        rep = GroupElement("so3", tuple(
+            groups.section_params(x.orbit, x.coords, "so3")))
         moved = product(rep, groups.so3_element(theta, 0.0, 0.0))
-        direct = steer(elem.base_matrix, elem.j, elem.l, moved)
+        (direct,) = steer(elem.base_matrix, elem.j, elem.l, [moved.params])
         np.testing.assert_allclose(direct, kernel_at(elem, x), atol=1e-12)
 
 
@@ -106,10 +108,13 @@ def test_steerability_defect_is_small_for_analytic_elements():
 
 
 def test_steer_shape_mismatch_rejected():
-    g = groups.so2_element(0.1)
+    g = [groups.so2_element(0.1).params]
     for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2)):
         with pytest.raises(IrrepError):
             steer(bad, so2_irrep(1), so2_irrep(1), g)
+    # One element is a stack of one: a bare parameter vector is rejected.
+    with pytest.raises(IrrepError, match="parameter stack"):
+        steer(np.eye(2), so2_irrep(1), so2_irrep(1), g[0])
 
 
 def _same_bits(a, b) -> bool:
@@ -132,9 +137,10 @@ SINGULAR_POINTS = {
                groups.cone_point([2.0, 0.0, 0.0, 2.0])],
 }
 
-#: A reflection or parity element of each group that has one.
-REFLECTIONS = {"o2": groups.o2_reflection(),
-               "o3": groups.GroupElement("o3", (0.0, math.pi, 0.0, -1.0))}
+#: The parameters of a reflection or parity element of each group that has
+#: one.
+REFLECTIONS = {"o2": groups.o2_reflection().params,
+               "o3": (0.0, math.pi, 0.0, -1.0)}
 
 #: One label of every representation family, with the orbit it acts on.
 STACK_LABELS = [
@@ -163,66 +169,49 @@ def _coords(points) -> np.ndarray:
 
 def test_steer_stack_matches_elementwise():
     # The batched representation, section, action and steering stacks must
-    # equal the one-element calls row by row, bit for bit, including at the
-    # sections' singular points.
+    # equal the stacks of one element or point row by row, bit for bit,
+    # including at the sections' singular points.
     rng = np.random.default_rng(11)
     for label, orbit in STACK_LABELS:
-        pts = ([groups.random_orbit_point(orbit, rng) for _ in range(5)]
+        pts = (groups.orbit_points(orbit,
+                                   groups.random_orbit_coords(orbit, rng, 5))
                + SINGULAR_POINTS[type(orbit)])
-        elems = [groups.random_element(label.group, rng) for _ in range(6)]
-        elems += [REFLECTIONS.get(label.group, elems[0])]
-        elems += [groups.coset_representative(x, label.group) for x in pts]
-        params = np.array([g.params for g in elems])
-        for stack, single in ((rep_matrices, rep_matrix),
-                              (rep_inverses, rep_inverse)):
-            rows = stack(label, params)
-            for row, g in zip(rows, elems):
-                assert _same_bits(row, single(label, g)), (label, g)
-        coords = np.array([x.coords for x in pts])
+        coords = _coords(pts)
+        drawn = groups.random_params(label.group, rng, 6)
         sections = groups.section_params(orbit, coords, label.group)
+        params = np.vstack([drawn, [REFLECTIONS.get(label.group, drawn[0])],
+                            sections])
+        for stack in (rep_matrices, rep_inverses):
+            rows = stack(label, params)
+            for row, g in zip(rows, params):
+                assert _same_bits(row, stack(label, g)), (label, g)
         moved = groups.act_points(label.group, params[:7, None], orbit, coords)
         for p, x in enumerate(pts):
-            rep = groups.coset_representative(x, label.group)
-            assert sections[p].tolist() == list(rep.params), (label, x)
-            for i, g in enumerate(elems[:7]):
-                assert moved[i, p].tolist() == list(groups.act(g, x).coords)
+            one = groups.section_params(orbit, x.coords, label.group)
+            assert sections[p].tolist() == one.tolist(), (label, x)
+            for i, g in enumerate(params[:7]):
+                assert moved[i, p].tolist() == groups.act_points(
+                    label.group, g, orbit, x.coords).tolist()
         k0 = rng.normal(size=(3, label.dim, label.dim))
         steered = steer(k0[:, None], label, label, params)
-        for i, g in enumerate(elems):
-            assert _same_bits(steered[:, i], steer(k0, label, label, g))
-            # j == l steers through one stack; rep_inverse is the reference.
-            assert _same_bits(steered[:, i], rep_matrix(label, g) @ k0
-                              @ rep_inverse(label, g)), (label, g)
-        # Into strided caller memory, with nothing written beside it.
-        dest = np.full((2, 3, 2 * len(elems), label.dim, label.dim), np.nan,
-                       steered.dtype)
-        out, work = dest[0, :, ::2], dest[1, :, 1::2]
-        assert steer(k0[:, None], label, label, params, out=out,
-                     work=work) is out
-        assert _same_bits(out, steered) and np.isnan(dest[0, :, 1::2]).all()
-        one = np.empty_like(steered[:, 0])
-        steer(k0, label, label, elems[-1], out=one, work=np.empty_like(one))
-        assert _same_bits(one, steered[:, -1])
+        for i, g in enumerate(params):
+            assert _same_bits(steered[:, i],
+                              steer(k0[:, None], label, label, [g])[:, 0])
+            # j == l steers through one stack; rep_inverses is the reference.
+            assert _same_bits(steered[:, i], rep_matrices(label, g) @ k0
+                              @ rep_inverses(label, g)), (label, g)
     # A stack of O(3) elements that mixes parities, against a 1x1 label.
     j, l = o3_irrep(2, 1), o3_irrep(0, 1)
-    elems = [groups.random_element("o3", rng) for _ in range(12)]
-    assert len({g.params[3] for g in elems}) == 2
+    params = groups.random_params("o3", rng, 12)
+    assert len(set(params[:, 3])) == 2
     k0 = rng.normal(size=(4, 2, 5, 1))
-    steered = steer(k0, j, l, np.array([g.params for g in elems[:2]]))
-    for i, g in enumerate(elems[:2]):
-        assert _same_bits(steered[:, i], steer(k0[:, i], j, l, g))
-    params = np.array([g.params for g in elems])
+    steered = steer(k0, j, l, params[:2])
+    for i, g in enumerate(params[:2]):
+        assert _same_bits(steered[:, i],
+                          steer(k0[:, i, None], j, l, [g])[:, 0])
     steered = steer(k0[:, :1], j, l, params)
-    for i, g in enumerate(elems):
-        assert _same_bits(steered[:, i], steer(k0[:, 0], j, l, g))
-    dest = np.full((4, 24, 5, 1), np.nan)
-    out = dest[:, ::2]
-    assert steer(k0[:, :1], j, l, params, out=out,
-                 work=np.empty_like(steered)) is out
-    assert _same_bits(out, steered) and np.isnan(dest[:, 1::2]).all()
-    for bad in ({"out": out[:, 1:]}, {"work": np.empty((4, 12, 5, 2))}):
-        with pytest.raises(IrrepError):
-            steer(k0[:, :1], j, l, params, **bad)
+    for i, g in enumerate(params):
+        assert _same_bits(steered[:, i], steer(k0[:, :1], j, l, [g])[:, 0])
     # section_kernels steers the whole basis in chunks of stacked sections;
     # each slice must equal the kernel_at reference, also across chunk
     # borders.
@@ -245,7 +234,8 @@ def test_steer_stack_matches_elementwise():
         itemsize = 16 if e0.j.field == "complex" else 8
         per_point = len(els) * e0.j.dim * e0.l.dim * itemsize
         n = steering.chunk_length(per_point) + 3 if e0.j.dim > 8 else 4
-        pts = ([groups.random_orbit_point(orbit, rng) for _ in range(n)]
+        pts = (groups.orbit_points(orbit,
+                                   groups.random_orbit_coords(orbit, rng, n))
                + SINGULAR_POINTS[type(orbit)])
         values = section_kernels(els, _coords(pts))
         assert values.shape == (len(els), len(pts), e0.j.dim, e0.l.dim)
@@ -378,7 +368,7 @@ def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
         steered = steer(values[:, :1], j, l, np.array(params))
         for i, g in enumerate(params):
             assert _same_bits(steered[:, i],
-                              steer(values[:, 0], j, l, groups.GroupElement("o3", g)))
+                              steer(values[:, :1], j, l, [g])[:, 0])
 
 
 def test_kernel_at_wrong_orbit_rejected():
@@ -397,8 +387,9 @@ def test_lorentz_steer_matches_covariant_projector():
     elem = next(e for e in bases.lorentz_massive_basis(vec, vec)
                 if "space" in e.kind)
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = groups.random_orbit_point(MassiveHyperboloid(), rng, eta_max=2.0)
+    orbit = MassiveHyperboloid()
+    for x in groups.orbit_points(
+            orbit, groups.random_orbit_coords(orbit, rng, 5, eta_max=2.0)):
         u = x.vector  # m = 1
         expect = np.eye(4) - np.outer(u, groups.ETA @ u)
         np.testing.assert_allclose(kernel_at(elem, x), expect, atol=1e-11)
@@ -439,8 +430,8 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
     dtype = steering._dtype(j)
     base = np.stack([e.base_matrix for e in els])
     real = rng.normal(size=base.shape)
-    x = groups.random_orbit_point(els[0].orbit, rng)
-    at_x = section_kernels(els, _coords([x]))[:, 0]
+    at_x = section_kernels(els, groups.random_orbit_coords(els[0].orbit, rng,
+                                                           1))[:, 0]
     params = groups.random_params(group, rng, 3 * 13)
     if group in ("o2", "o3"):
         assert set(params[:, -1]) == {1.0, -1.0}
@@ -451,6 +442,6 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
     scale = (numerics.norms(rho)[:, None] * numerics.norms(k.swapaxes(1, 2)
              ).repeat(13, axis=0) * numerics.norms(rho_inv)[:, None])
     for i, g in enumerate(params):
-        one = steer(stacks[i // 13], j, l, groups.GroupElement(group, tuple(g)))
+        one = steer(stacks[i // 13][:, None], j, l, [g])[:, 0]
         err = np.abs(whole[i].swapaxes(0, 1) - one).max(axis=(1, 2))
         assert (err <= 4 * np.finfo(float).eps * scale[i]).all(), (i, err)

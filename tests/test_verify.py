@@ -182,11 +182,10 @@ def _count_calls(monkeypatch, names) -> dict:
                                 spinor_vector_irrep(True)),
 ], ids=["so3 2/3", "spinor-vector"])
 def test_sweep_acts_and_sections_once_per_call(elements, monkeypatch):
-    # The action and the coset sections run on whole stacks, so their call
-    # counts do not grow with the number of group elements, and no element
-    # or point is drawn one object at a time.
-    names = ("act_points", "section_params", "random_element",
-             "random_orbit_point")
+    # The draws, the action and the coset sections run on whole stacks, so
+    # their call counts do not grow with the number of group elements.
+    names = ("act_points", "section_params", "random_params",
+             "random_orbit_coords")
     orbit = elements[0].orbit
     seen = []
     for n_g in (10, 50):
@@ -195,8 +194,7 @@ def test_sweep_acts_and_sections_once_per_call(elements, monkeypatch):
         seen.append(counts)
         monkeypatch.undo()
     assert seen[0] == seen[1]
-    assert seen[0]["random_element"] == seen[0]["random_orbit_point"] == 0
-    assert seen[0]["act_points"] >= 1 and seen[0]["section_params"] >= 1
+    assert all(count >= 1 for count in seen[0].values())
 
 
 @pytest.mark.parametrize("elements", [
