@@ -17,7 +17,7 @@ from .groups import (Circle, GroupElement, MassiveHyperboloid, NullCone,
                      sphere_point, stabilizer_sample)
 from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
                      real_change_of_basis, so2_irrep, so3_irrep,
-                     spinor_vector_irrep, tensor_irrep, wigner_small_d)
+                     spinor_vector_irrep, tensor_irrep)
 from .numerics import kron, principal_angle_distance
 from .stabilizer_solver import (IntertwinerSpace, predicted_dimension,
                                 solve_basepoint)
@@ -35,7 +35,7 @@ __all__ = [
     "so2_element", "so3_element", "sphere_point", "stabilizer_sample",
     "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
     "real_change_of_basis", "so2_irrep", "so3_irrep", "spinor_vector_irrep",
-    "tensor_irrep", "wigner_small_d",
+    "tensor_irrep",
     "kron", "principal_angle_distance",
     "IntertwinerSpace", "predicted_dimension", "solve_basepoint",
     "kernel_at", "steer",

@@ -158,7 +158,12 @@ _SIGN_PARAM = {O2: (1, "O(2) sign"), O3: (3, "O(3) parity")}
 def parameter_stack(group: str, params) -> np.ndarray:
     """``params`` as a float array of shape (..., k) for ``group``; NaN and
     infinite entries, and an O(2) sign or O(3) parity other than +-1, are
-    rejected."""
+    rejected, and so are group elements: a stack holds their ``params``."""
+    if isinstance(params, GroupElement) or (
+            isinstance(params, (list, tuple))
+            and any(isinstance(g, GroupElement) for g in params)):
+        raise GroupError(f"expected {group} parameters, got group elements; "
+                         "pass g.params, or [g.params] for a stack of one")
     p = np.asarray(params, dtype=float)
     if group not in PARAM_COUNT:
         raise GroupError(f"unknown group {group!r}")

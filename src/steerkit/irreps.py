@@ -258,16 +258,6 @@ def _small_d_stack(l: int, beta: np.ndarray, field: str) -> np.ndarray:
         len(beta), 2 * l + 1, 2 * l + 1)
 
 
-def wigner_small_d(l: int, beta: float) -> np.ndarray:
-    """Wigner d^l(beta), a real orthogonal (2l+1) x (2l+1) matrix.
-
-    Entry [i, k] is ``d^l_{m m'}(beta)`` with ``m = l - i`` and ``m' = l - k``
-    (both indices descending from +l).
-    """
-    _check_l(l)
-    return _small_d_stack(l, np.array([beta], dtype=float), COMPLEX)[0]
-
-
 def _so3_stack(l: int, angles: np.ndarray, field: str) -> np.ndarray:
     """D^l in the basis of ``field`` at a stack of z-y-z Euler angles,
     shape (n, 3); a fresh C-ordered array."""

@@ -7,7 +7,9 @@ Vectorization is row-major everywhere, so ``vec(A @ K @ B) ==
 kron(A, B.T) @ vec(K)`` with ``vec = ravel(order="C")``.
 
 All SVDs go through LAPACK via numpy and are deterministic for bit-identical
-inputs.
+inputs.  A nullspace of a stack at least twice as tall as wide is taken
+from the SVD of its R factor; a count takes the values-only SVD of the whole
+stack, where LAPACK's gesdd takes the same R step itself.
 """
 
 from __future__ import annotations
@@ -122,16 +124,20 @@ def _spectrum(a: np.ndarray, compute_uv: bool):
     implicit zero singular values, which join the dropped ones.
     """
     m, n = a.shape
-    if m >= 2 * n:
-        # R-SVD (Chan 1982): A = QR and R share S and V^H, and U is unused.
-        # LAPACK's gesdd factors stacks this tall the same way before it
-        # bidiagonalizes R, so S and V^H are the same bits as its own.
-        a = np.linalg.qr(a, mode="r")
     if compute_uv:
+        if m >= 2 * n:
+            # R-SVD (Chan 1982): A = QR and R share S and V^H, and U is
+            # unused.  LAPACK's gesdd factors stacks this tall the same way
+            # before it bidiagonalizes R, so S and V^H are the same bits as
+            # its own, without the m x n U.
+            a = np.linalg.qr(a, mode="r")
         _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     else:
+        # Without vectors gesdd takes that R step itself (for m >= 11n/6,
+        # 17n/9 complex), so the spectrum is the same bits as above.
         s, vh = np.linalg.svd(a, compute_uv=False), None
-    s = np.concatenate([s, np.zeros(n - len(s))])
+    if len(s) < n:
+        s = np.concatenate([s, np.zeros(n - len(s))])
     null_mask = s <= _rank_cut(s)
     return vh, s[~null_mask], s[null_mask]
 
@@ -160,9 +166,12 @@ def nullspace_with_spectrum(a):
 def nullity_with_spectrum(a):
     """Dimension of the numerical kernel plus the kept/dropped singular values.
 
-    Returns ``(k, kept, dropped)``: the count and the spectrum of
-    :func:`nullspace_with_spectrum`, with the same R step and rank cut, from
-    the singular values alone; no singular vector is computed.
+    Returns ``(k, kept, dropped)`` under the rank cut of
+    :func:`nullspace_with_spectrum`, from the values-only SVD of the whole
+    of ``a``; no singular vector is computed.  For tall stacks gesdd takes
+    the R step of :func:`nullspace_with_spectrum` itself, so the spectrum
+    is the bits of the values-only SVD of R; the vectors' route rounds its
+    values differently, by a few ulps of the largest.
     """
     _, kept, dropped = _spectrum(as_matrix(a), compute_uv=False)
     return len(dropped), kept, dropped

@@ -29,12 +29,14 @@ at stabilizer elements only, never the closed-form bases or the content
 tables; it is the independent cross-check for them.  What depends on one
 label only (its weight bases and their images under the stacked
 generators) is computed once per label and cached; per pair the solve
-forms only the Kronecker products, the stack and its nullspace.
+allocates the embedding and the stack once and writes the Kronecker
+products of each weight block straight into its columns, then takes the
+stack's nullspace.
 
 :func:`solve_basepoint` returns the basis; :func:`oracle_dimension`, which
-``steerkit dims`` prints, counts it from the singular values of the same
-stack alone, with the same rank cut and gap checks, and forms no singular
-vector and no basis; without a stack it counts the free unknowns from the
+``steerkit dims`` prints, counts it from the values-only SVD of the same
+stack, with the same rank cut and gap checks, and forms no singular vector
+and no basis; without a stack it counts the free unknowns from the
 dimensions of the weight spaces, and forms no embedding either.
 """
 
@@ -204,6 +206,17 @@ def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
     return tuple(h.params for h in rest)
 
 
+def _block(out: np.ndarray, at: int, a: np.ndarray,
+           b: np.ndarray) -> np.ndarray:
+    """The columns of ``out`` from ``at`` on that hold kron(a, b), as a
+    (..., ra, rb, ca, cb) view.  Setting ``shape`` raises where numpy would
+    have to copy, so no write to the view can be lost."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    v = out[..., at:at + ca * cb].view()
+    v.shape = out.shape[:-2] + (ra, rb, ca, cb)
+    return v
+
+
 def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
     """The base-point constraint of a pair on its equal-weight unknowns.
 
@@ -212,31 +225,44 @@ def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
     vectorized kernels (orthonormal columns), ``stack`` is the constraint
     ``rho_j(h) K rho_l(h)^-1 - K`` on them stacked over the generators
     (None when there are none), and ``gap_ratio`` is that of the weight
-    bases.
+    bases.  Each array is allocated once, at its final size: every weight
+    block writes its Kronecker products straight into its own columns, and
+    ``embed`` is subtracted from the stack in place.
     """
     uj, _, rho_uj, _, gap_j = _label_factors(j, params)
     _, ul, _, rho_ul, gap_l = _label_factors(l, params)
+    real = j.field != COMPLEX
+    # A weight of j missing from l has no unknowns.  A real K has X_-m =
+    # conj(X_m): a column c of weight m > 0 stands for c + conj(c), whose
+    # real, orthonormal parts are sqrt(2) Re c and sqrt(2) Im c.
+    shared = [m for m in uj if m in ul]
+    n = sum(uj[m].shape[1] * ul[m].shape[1] * (2 if real and m else 1)
+            for m in shared)
 
-    def columns(left, right, empty):
-        # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major; a weight
-        # of j missing from l gives a block with no unknowns.  A real K has
-        # X_-m = conj(X_m): a column c of weight m > 0 stands for c +
-        # conj(c), whose real, orthonormal parts are sqrt(2) Re c and
-        # sqrt(2) Im c.
-        parts = []
-        for m, a in left.items():
-            c = numerics.kron(a, right.get(m, empty))
-            parts += ([c] if j.field == COMPLEX else [c.real] if m == 0
-                      else [math.sqrt(2.0) * c.real, math.sqrt(2.0) * c.imag])
-        return np.concatenate(parts, -1)
+    def fill(out, left, right):
+        # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major: each
+        # entry is one product, as in np.kron.
+        at = 0
+        for m in shared:
+            a, b = left[m], right[m]
+            terms = [(a[..., :, None, :, None], b[..., None, :, None, :])]
+            if real and m:
+                c = np.multiply(*terms[0])
+                terms = [(c.real, math.sqrt(2.0)), (c.imag, math.sqrt(2.0))]
+            for x, y in terms:
+                np.multiply(x, y, out=_block(out, at, a, b))
+                at += a.shape[-1] * b.shape[-1]
 
-    embed = columns(uj, ul, np.zeros((l.dim, 0)))
+    dtype = float if real else complex
+    embed = np.empty((j.dim * l.dim, n), dtype)
+    fill(embed, uj, ul)
     gap = min(gap_j, gap_l)
     if not params:
         return embed, None, gap
-    stack = columns(rho_uj, rho_ul, np.zeros((len(params), l.dim, 0)))
-    return embed, (stack - embed).reshape(
-        len(params) * len(embed), embed.shape[1]), gap
+    stack = np.empty((len(params),) + embed.shape, dtype)
+    fill(stack, rho_uj, rho_ul)
+    stack -= embed
+    return embed, stack.reshape(len(params) * len(embed), n), gap
 
 
 def solve_basepoint(j: IrrepLabel, l: IrrepLabel,

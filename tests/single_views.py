@@ -20,6 +20,16 @@ def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
                              COMPLEX)[0]
 
 
+def wigner_small_d(l: int, beta: float) -> np.ndarray:
+    """Wigner d^l(beta), a real orthogonal (2l+1) x (2l+1) matrix.
+
+    Entry [i, k] is ``d^l_{m m'}(beta)`` with ``m = l - i`` and ``m' = l - k``
+    (both indices descending from +l).
+    """
+    irreps._check_l(l)
+    return irreps._small_d_stack(l, np.array([beta], dtype=float), COMPLEX)[0]
+
+
 def sl2_of(g: groups.GroupElement) -> np.ndarray:
     """SL(2,C) element covering the Lorentz element (one of the two signs)."""
     if g.group != groups.LORENTZ:

@@ -182,17 +182,21 @@ def _sample_digest(case, out: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _basis_digest(args) -> str:
-    """SHA-256 of what ``basis`` prints for one case."""
+def _stdout_digest(*argv) -> str:
+    """SHA-256 of what the CLI prints for one command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["basis", *args])
+        code = main(list(argv))
     assert code == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def _basis_digests() -> list:
-    return [_basis_digest(args) for args, _ in BASIS_GOLDENS]
+    return [_stdout_digest("basis", *args) for args, _ in BASIS_GOLDENS]
+
+
+def _dims_digests() -> list:
+    return [_stdout_digest("dims", *args) for args, _ in DIMS_GOLDENS]
 
 
 def _sample_digests() -> list:
@@ -211,23 +215,17 @@ def test_sample_payload_matches_golden(case, golden, tmp_path):
 @pytest.mark.parametrize("args,golden", BASIS_GOLDENS,
                          ids=[" ".join(a[1::2]) for a, _ in BASIS_GOLDENS])
 def test_basis_output_matches_golden(args, golden):
-    assert _basis_digest(args) == golden
+    assert _stdout_digest("basis", *args) == golden
 
 
-def test_verify_seed7_report_matches_golden(capsys):
-    code = main(["verify", "--seed", "7"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED7_GOLDEN
+def test_verify_seed7_report_matches_golden():
+    assert _stdout_digest("verify", "--seed", "7") == VERIFY_SEED7_GOLDEN
 
 
 @pytest.mark.parametrize("args,golden", DIMS_GOLDENS,
                          ids=[" ".join(a) for a, _ in DIMS_GOLDENS])
-def test_dims_table_matches_golden(args, golden, capsys):
-    code = main(["dims", *args])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == golden
+def test_dims_table_matches_golden(args, golden):
+    assert _stdout_digest("dims", *args) == golden
 
 
 def test_steer_sweep_matches_golden():
@@ -257,8 +255,9 @@ def test_oracle_bases_match_golden():
 
 def test_goldens_hold_on_one_blas_thread():
     # The oracle bases, the verify report, the steer sweeps, the sample
-    # payloads and the basis output must not hang on the BLAS thread count:
-    # a fresh process pinned to one thread recomputes their digests.
+    # payloads, the basis output and the dims tables (counted by gesdd's
+    # own QR step) must not hang on the BLAS thread count: a fresh process
+    # pinned to one thread recomputes their digests.
     src = os.path.dirname(os.path.dirname(steerkit.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -274,8 +273,9 @@ def test_goldens_hold_on_one_blas_thread():
     assert digests.decode().split() == [ORACLE_GOLDEN, SWEEP_GOLDEN,
                                         ORBIT_SWEEP_GOLDEN]
     digests = run("-c", "import test_golden as t; "
-                  "print(*t._sample_digests(), *t._basis_digests())")
+                  "print(*t._sample_digests(), *t._basis_digests(), "
+                  "*t._dims_digests())")
     assert digests.decode().split() == [g for _, g in SAMPLE_GOLDENS
-                                        + BASIS_GOLDENS]
+                                        + BASIS_GOLDENS + DIMS_GOLDENS]
     report = run("-m", "steerkit.cli", "verify", "--seed", "7")
     assert hashlib.sha256(report).hexdigest() == VERIFY_SEED7_GOLDEN

@@ -212,6 +212,25 @@ def test_random_stabilizer_elements_fix_base_point():
                                        x0.vector, atol=1e-12)
 
 
+def test_group_elements_are_not_parameter_stacks():
+    # A stack holds parameters: an element, or a list of them, where a
+    # stack is expected raises a GroupError that says what to pass, at
+    # every entry point that reads a stack.
+    g, label = so3_element(0.3, 0.4, 0.5), so3_irrep(1)
+    entry_points = [
+        lambda p: steering.steer(np.eye(3), label, label, p),
+        lambda p: irreps.rep_matrices(label, p),
+        lambda p: matrices("so3", p),
+        lambda p: act_points("so3", p, Sphere(), [[0.1, 0.2]]),
+    ]
+    for call in entry_points:
+        for params in (g, [g], (g, g)):
+            with pytest.raises(GroupError, match=r"g\.params.*\[g\.params\]"):
+                call(params)
+        np.testing.assert_array_equal(call([g.params]), call(
+            np.array([g.params])))
+
+
 def test_orbit_point_validation():
     with pytest.raises(GroupError):
         massive_point([1.0, 0.9, 0.0, 0.0], 1.0)

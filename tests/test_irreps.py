@@ -14,10 +14,10 @@ from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverses, rep_matrices,
                              so2_irrep, so3_irrep, spinor_vector_irrep,
-                             stabilizer_content, tensor_irrep, wigner_small_d)
+                             stabilizer_content, tensor_irrep)
 
 from group_law import inverse, product, stabilizer_draw
-from single_views import sl2_of, wigner_D
+from single_views import sl2_of, wigner_D, wigner_small_d
 
 
 def sample_labels(max_l=4):

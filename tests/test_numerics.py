@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from steerkit import numerics
-from steerkit.numerics import (NumericsError, kron, nullspace_with_spectrum,
+from steerkit.numerics import (NumericsError, kron, nullity_with_spectrum,
+                               nullspace_with_spectrum,
                                principal_angle_distance, projection_residual,
                                vec)
 
@@ -84,10 +85,13 @@ def test_nullspace_spectrum_split(monkeypatch):
     # whole stack.
     rng = np.random.default_rng(5)
     n, rank = 40, 29
+    tall = []
     for dtype in (float, complex):
         for ratio in (2, 3, 4):
             a = _rank_deficient(rng, ratio * n, n, rank, dtype)
             basis, kept, dropped = nullspace_with_spectrum(a)
+            tall.append((a, np.linalg.svd(np.linalg.qr(a, mode="r"),
+                                          compute_uv=False)))
             _, s, vh = np.linalg.svd(a, full_matrices=False)
             null = s <= numerics.NULLSPACE_TOL * s[0]
             assert null.sum() == n - rank
@@ -98,12 +102,18 @@ def test_nullspace_spectrum_split(monkeypatch):
             np.testing.assert_array_equal(dropped, s[null])
     # A stack less than twice as tall keeps the direct SVD.
     def no_qr(*args, **kwargs):
-        raise AssertionError("QR taken for a stack at m/n = 1.5")
+        raise AssertionError("QR taken for a stack at m/n = 1.5, or a count")
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     for dtype in (float, complex):
         basis, kept, dropped = nullspace_with_spectrum(
             _rank_deficient(rng, 60, n, rank, dtype))
         assert basis.shape == (n, n - rank) and kept.size == rank
+    # The count takes no QR step of its own: gesdd factors the tall stacks
+    # itself, and their spectra are the bits of the values-only SVD of R.
+    for a, s in tall:
+        k, kept, dropped = nullity_with_spectrum(a)
+        assert k == n - rank
+        np.testing.assert_array_equal(np.concatenate([kept, dropped]), s)
 
 
 def test_kron_identities():

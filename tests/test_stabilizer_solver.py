@@ -324,8 +324,9 @@ def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
 
 def test_stackless_counts_form_no_embedding(monkeypatch):
     # The real SO(3) table to 8 and the cone pairs stack no generator: their
-    # counts are read from the cached weight bases, with no Kronecker
-    # product.  On every pair of the dims tables the count is the solve's.
+    # counts are read from the cached weight bases, with no embedding or
+    # stack assembled.  On every pair of the dims tables the count is the
+    # solve's.
     pairs = _dims_pairs()
     stackless = [(j, l, orbit) for j, l, orbit in pairs
                  if j.group == "so3" or isinstance(orbit, NullCone)]
@@ -333,14 +334,59 @@ def test_stackless_counts_form_no_embedding(monkeypatch):
     dims = {(j, l, orbit): solve_basepoint(j, l, orbit).dimension
             for j, l, orbit in pairs}
 
-    def no_kron(*args):
-        raise AssertionError("numerics.kron called by a stackless count")
+    def no_constraint(*args):
+        raise AssertionError("_constraint called by a stackless count")
     with monkeypatch.context() as patch:
-        patch.setattr(numerics, "kron", no_kron)
+        patch.setattr(stabilizer_solver, "_constraint", no_constraint)
         for pair in stackless:
             assert oracle_dimension(*pair) == dims[pair], pair
     for pair in pairs:
         assert oracle_dimension(*pair) == dims[pair], pair
+
+
+def test_count_and_solve_split_every_dims_stack_alike():
+    # The count takes the values-only SVD of the whole stack and the solve
+    # the SVD of its R factor with vectors: two routes through LAPACK.  On
+    # every stacked pair of the dims tables they cut the spectrum at the
+    # same place, and agree to round-off; the count's spectrum is the bits
+    # of the values-only SVD of R wherever the solve takes R (m >= 2n).
+    stacked = 0
+    for j, l, orbit in _dims_pairs():
+        params = stabilizer_solver._generators(j, l, orbit)
+        if not params:
+            continue
+        stacked += 1
+        _, stack, _ = stabilizer_solver._constraint(j, l, params)
+        k, kept, dropped = numerics.nullity_with_spectrum(stack)
+        basis, solve_kept, solve_dropped = numerics.nullspace_with_spectrum(
+            stack)
+        assert k == basis.shape[1] == len(solve_dropped), (j, l, orbit)
+        assert len(kept) == len(solve_kept), (j, l, orbit)
+        scale = 16 * np.finfo(float).eps * max(kept[:1].max(initial=0.0), 1.0)
+        np.testing.assert_allclose(kept, solve_kept, rtol=0, atol=scale)
+        np.testing.assert_allclose(dropped, solve_dropped, rtol=0, atol=scale)
+        m, n = stack.shape
+        if m >= 2 * n:
+            s = np.linalg.svd(np.linalg.qr(stack, mode="r"), compute_uv=False)
+            np.testing.assert_array_equal(np.concatenate([kept, dropped]), s)
+    assert stacked == 388
+
+
+def test_spinor_vector_count_copies_nothing(monkeypatch):
+    # The spinor-vector stack is assembled in place, one array for the
+    # stack, and counted by the values-only SVD of the whole stack: no
+    # concatenation and no QR step of its own.
+    sv = spinor_vector_irrep(realified=True)
+    pair = (sv, sv, MassiveHyperboloid())
+    expected = oracle_dimension(*pair)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called by the spinor-vector count")
+        return call
+    monkeypatch.setattr(np, "concatenate", forbidden("np.concatenate"))
+    monkeypatch.setattr(np.linalg, "qr", forbidden("np.linalg.qr"))
+    assert oracle_dimension(*pair) == expected == 80
 
 
 def test_real_pairs_solve_in_real_arithmetic(monkeypatch):
