@@ -416,10 +416,14 @@ def _off_lorentz_orbit(orbit: Orbit, x: np.ndarray) -> np.ndarray:
 
 
 def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
-    """Validated canonical coordinates of a stack of points, shape (n, c):
-    circle angles wrapped to [0, 2pi), sphere angles to alpha in [0, 2pi)
-    and beta in [0, pi], and 4-vectors checked to lie on their orbit."""
+    """Validated canonical coordinates of a stack of points, shape (n, c),
+    c = 1, 2, 4: circle angles wrapped to [0, 2pi), sphere angles to alpha in
+    [0, 2pi) and beta in [0, pi], and 4-vectors checked to be on the orbit."""
     c = np.array(coords, dtype=float, ndmin=2)
+    count = {Circle: 1, Sphere: 2}.get(type(orbit), 4)
+    if c.ndim != 2 or c.shape[1] != count:
+        raise GroupError(f"a point on {type(orbit).__name__} has {count} "
+                         f"coordinates, got shape {np.shape(coords)}")
     if isinstance(orbit, Circle):
         _require_positive("circle radius", orbit.radius)
         _require_finite("circle angle", c)
@@ -437,8 +441,6 @@ def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
         return np.stack([_wrap_angles(alpha), np.minimum(beta, math.pi)], -1)
     if isinstance(orbit, MassiveHyperboloid):
         _require_positive("hyperboloid mass", orbit.mass)
-    if c.shape[1:] != (4,):
-        raise GroupError("a point on a Lorentz orbit must be a 4-vector")
     _require_finite("Lorentz orbit point", c)
     off = _off_lorentz_orbit(orbit, c)
     if off.any():

@@ -5,18 +5,19 @@ Extends a base-point intertwiner over its orbit by the defining rule
 points through the fixed coset section.  Well-definedness across section
 choices is exactly the stabilizer constraint on the base-point matrix.
 
-:func:`_product` forms per-kernel products (a pair of small gemms per
-kernel) from representation stacks, into fresh or caller-owned arrays.
-:func:`steer` evaluates those stacks for an (n, k) stack of parameters.
-:func:`section_pieces` streams a whole basis at a stack of points in the
-order ``[basis][point]``, in pieces within the chunk budget, evaluating the
-representations of the points' sections once per call; ``sample`` writes
-the pieces as they come and :func:`section_kernels` gathers them into one
-array.  :func:`kernel_at` is the element-by-element reference path, and
-``sample``, :func:`section_kernels` and :func:`steer` equal it bit for bit.
-
-The verifier's sweeps form whole-basis products (:func:`_steered_blocks`),
-which round differently in the last bits.
+:func:`_steered_blocks` is the one product engine: per element one gemm
+``rho_j(g) K`` and one gemm with ``rho_l(g)^-1``, for w kernels laid side by
+side, from runs of representations evaluated by the caller (:func:`_runs`).
+:func:`steer` steers each kernel of a stack alone (w = 1), and
+:func:`kernel_at` is :func:`steer` at one section.  :func:`section_pieces`
+streams a basis at a stack of points in the order ``[basis][point]``, one
+element's run of points per piece, evaluating the representations of the
+points' sections once per call; ``sample`` writes the pieces as they come
+and :func:`section_kernels` gathers them into one array.  All of these steer
+one kernel per gemm pair, so they equal one another bit for bit.  The
+verifier's sweeps steer a whole basis side by side (w > 1), which can round
+differently in the last bits (complex SO(3) labels, and real SO(3) and O(3)
+labels of dimension 17 and more, on the development machine).
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def _rep_bytes(j: IrrepLabel, l: IrrepLabel) -> int:
     return _dtype(j).itemsize * max(j.dim, l.dim) ** 2
 
 
-def _steered_bytes(j: IrrepLabel, l: IrrepLabel, n_basis: int) -> int:
-    """Bytes per steering element that the chunk budget counts: the
-    ``n_basis`` kernels it steers or one representation matrix, whichever is
-    larger, so that neither kind of stack of a chunk exceeds the budget."""
-    return max(_dtype(j).itemsize * n_basis * j.dim * l.dim, _rep_bytes(j, l))
-
-
 def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     """``rho_j(g) @ k0 @ rho_l(g)^-1`` for a stack of n elements given by
     their canonical parameters, shape ``(n, k)``.
@@ -66,10 +60,9 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     of them, shape ``(..., dim_j, dim_l)``: element i steers
     ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1, or is absent)
     and the result has shape ``(..., n, dim_j, dim_l)``.  The
-    representation stacks are fresh C-ordered arrays for every group, so
-    one pair of stacked products steers any mix of elements, O(3) parity
-    elements included, and each slice equals the steering by that element
-    alone bit for bit.
+    representations are evaluated once, and each leading kernel is steered
+    alone through :func:`_steered_blocks`, so each slice equals the steering
+    by that element alone bit for bit, O(3) parity elements included.
     """
     k0 = np.asarray(k0)
     if k0.shape[-2:] != (j.dim, l.dim):
@@ -79,7 +72,19 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     if params.ndim != 2:
         raise IrrepError(f"expected an (n, k) parameter stack, got shape "
                          f"{params.shape}")
-    return _product(*_reps(j, l, params), k0)
+    n = len(params)
+    stack = k0.reshape((-1,) + k0.shape[-3:]) if k0.ndim > 2 else k0[None, None]
+    if stack.shape[1] not in (1, n):
+        raise IrrepError(f"axis -3 of the kernel stack has length "
+                         f"{stack.shape[1]}, not 1 or the {n} elements")
+    runs = [_reps(j, l, params)]
+    out = np.empty((len(stack), n, j.dim, l.dim), np.result_type(k0, *runs[0]))
+    work = np.empty(out[0].size, out.dtype)
+    for k, o in zip(stack, out):
+        for _ in _steered_blocks(k[:, :, None], 1 if len(k) > 1 else n, runs,
+                                 max(1, n), o.reshape(-1), work):
+            pass
+    return out.reshape(k0.shape[:-3] + out.shape[1:])
 
 
 def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
@@ -94,14 +99,12 @@ def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
     return rho, (rho if j == l else rep_matrices(l, params)).conj().swapaxes(-1, -2)
 
 
-def _product(rho: np.ndarray, rho_inv: np.ndarray, k0: np.ndarray, *,
-             out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
-    """``rho @ k0 @ rho_inv`` over broadcast stacks, with ``rho @ k0`` formed
-    in ``work``; every matrix of the result is the one-element product bit
-    for bit."""
-    work = np.matmul(rho, k0, out=work)
-    return np.matmul(work, rho_inv, out=out)
+def _runs(j: IrrepLabel, l: IrrepLabel, params, step: int) -> Iterator[tuple]:
+    """:func:`_reps` of parameters (n, k), a run of whole blocks of ``step``
+    elements at a time, the forward and inverse stacks of a run within the
+    chunk budget together (or one block)."""
+    run = step * max(1, chunk_length(2 * _rep_bytes(j, l)) // step)
+    return (_reps(j, l, params[r:r + run]) for r in range(0, len(params), run))
 
 
 def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
@@ -132,46 +135,37 @@ def section_pieces(elements, coords) -> Iterator[np.ndarray]:
 
     Yields C-ordered kernel stacks ``(k, dim_j, dim_l)`` whose concatenation
     is ``section_kernels(elements, coords)`` flattened over its first two
-    axes.  A piece holds whole basis elements when one element's values at
-    all n points fit the chunk budget, and a run of points of one element
-    otherwise; no piece, and no representation stack formed at once,
-    exceeds the budget.  Each piece lives in a buffer that the next one
+    axes.  Each piece is one element's values at a run of points, as many
+    as fit the chunk budget, and lives in a buffer that the next one
     overwrites.  The basis and the points are checked, and the coset
     sections computed, before this returns.  The representations of the
-    sections are evaluated once per call, a piece's points at a time; they
-    are kept for the other pieces that reuse them only when there are
-    such pieces, so a consumer holds at most the representations of all n
-    sections and two chunk buffers, never the whole basis.
+    sections are evaluated once per call, a run at a time; every element
+    reuses them when there are several, so a consumer holds at most the
+    representations of all n sections and two chunk buffers, never the
+    whole basis.
     """
     _check_basis(elements)
     e0 = elements[0]
     coords = np.asarray(coords, dtype=float)
-    if not len(coords):
-        return iter(())
+    if coords.ndim != 2:
+        raise groups.GroupError(f"expected an (n, c) stack of coordinates, "
+                                f"got shape {coords.shape}")
     params = groups.section_params(e0.orbit, coords, e0.j.group)
     return _pieces(elements, params)
 
 
 def _pieces(elements, params) -> Iterator[np.ndarray]:
-    e0 = elements[0]
-    j, l = e0.j, e0.l
-    n, n_basis = len(params), len(elements)
-    k0 = np.stack([e.base_matrix for e in elements])[:, None]
-    step = chunk_length(_steered_bytes(j, l, 1))
-    width = min(step, n)
-    rows = max(1, step // n)
-    reps = (_reps(j, l, params[i:i + width]) for i in range(0, n, width))
-    if rows < n_basis:
-        # Every row of elements reuses them.
-        reps = list(reps)
-    shape = (min(rows, n_basis), width, j.dim, l.dim)
-    out, work = np.empty(shape, _dtype(j)), np.empty(shape, _dtype(j))
-    for b in range(0, n_basis, rows):
-        k = k0[b:b + rows]
-        for rho, rho_inv in reps:
-            m = len(rho)
-            piece = _product(rho, rho_inv, k, out=out[:len(k), :m],
-                             work=work[:len(k), :m])
+    j, l = elements[0].j, elements[0].l
+    step = chunk_length(_rep_bytes(j, l))
+    runs = _runs(j, l, params, step)
+    if len(elements) > 1:
+        # Every element reuses them.
+        runs = list(runs)
+    out, work = (np.empty(min(step, len(params)) * j.dim * l.dim, _dtype(j))
+                 for _ in range(2))
+    for e in elements:
+        for piece in _steered_blocks(e.base_matrix[None, :, None], len(params),
+                                     runs, step, out, work):
             yield piece.reshape(-1, j.dim, l.dim)
 
 
@@ -190,31 +184,30 @@ def section_kernels(elements, coords) -> np.ndarray:
     return out
 
 
-def _steered_blocks(k, j, l, params, step, out, work) -> Iterator[np.ndarray]:
-    """Whole-basis products ``rho_j(g) K rho_l(g)^-1`` for n elements,
-    parameters (n, p), and every K of ``k`` (n_k, dim_j, w, dim_l): n_k
-    stacks of w kernels side by side, run c of n_k equal runs of elements
-    steering ``k[c]``.  Yields blocks (m, dim_j, w, dim_l) of ``step``
-    elements, the last maybe shorter: rho_j K in the flat buffer ``work``
-    (the block's rho_j stacked vertically, one gemm per stack), times
-    rho_l^-1 in ``out`` (one gemm per element), each of ``step * k[0].size``
-    items.  Representations go a run of blocks at a time, within budget.
+def _steered_blocks(k, per, runs, step, out, work) -> Iterator[np.ndarray]:
+    """``rho_j(g) K rho_l(g)^-1`` for a sequence of elements, given as
+    ``runs`` of their representations ``(rho_j, rho_l^-1)`` (a list, or a
+    generator such as :func:`_runs`), and the kernels ``k`` (n_k, dim_j, w,
+    dim_l): n_k stacks of w kernels side by side, element i steering
+    ``k[i // per]``.  Yields blocks (m, dim_j, w, dim_l) of ``step`` elements
+    of a run, the last of a run maybe shorter: per element one gemm rho_j K
+    into the flat buffer ``work`` and one gemm with rho_l^-1, as the run
+    holds it, into ``out``, each of ``step * k[0].size`` items.  A run is
+    dropped before the next one is drawn.  With w = 1 every kernel is the
+    per-kernel product bit for bit; whole bases (w > 1) may round
+    differently in the last bits.
     """
-    dj, dl, size = j.dim, l.dim, k[0].size
-    per = len(params) // len(k)
-    run = step * max(1, chunk_length(2 * _rep_bytes(j, l)) // step)
-    for r in range(0, len(params), run):
-        rho, rho_inv = _reps(j, l, params[r:r + run])
+    dj, dl, size = k.shape[1], k.shape[-1], k[0].size
+    start = 0
+    for rho, rho_inv in runs:
         for i in range(0, len(rho), step):
             m = min(step, len(rho) - i)
-            left = work[:m * size].reshape(m * dj, -1)
-            for c in range((r + i) // per, (r + i + m - 1) // per + 1):
-                a, b = max(i, c * per - r), min(i + m, (c + 1) * per - r)
-                np.matmul(rho[a:b].reshape(-1, dj), k[c].reshape(dj, -1),
-                          out=left[(a - i) * dj:(b - i) * dj])
-            # A C-ordered copy of a conjugate transpose view multiplies faster.
-            right = np.matmul(left.reshape(m, -1, dl),
-                              np.ascontiguousarray(rho_inv[i:i + m]),
+            left = work[:m * size].reshape(m, dj, -1)
+            for c in range((start + i) // per, (start + i + m - 1) // per + 1):
+                a, b = max(i, c * per - start), min(i + m, (c + 1) * per - start)
+                np.matmul(rho[a:b], k[c].reshape(dj, -1), out=left[a - i:b - i])
+            right = np.matmul(left.reshape(m, -1, dl), rho_inv[i:i + m],
                               out=out[:m * size].reshape(m, -1, dl))
             yield right.reshape(m, dj, -1, dl)
+        start += len(rho)
         del rho, rho_inv

@@ -4,8 +4,10 @@ Binds the numerical oracle, the analytic bases and the steering engine into
 per-case pass/fail reports, runs the Lorentz projector identities and the
 massless gauge check, and provides a discretized circle-convolution
 equivariance demo.  Everything is seeded and deterministic: the same seed
-yields a byte-identical report.  The steerability sweeps compare
-whole-basis products, which round differently from ``kernel_at``.
+yields a byte-identical report.  The steerability sweeps steer whole bases
+side by side through the product engine of ``kernel_at``, which can round
+differently from one kernel at a time in the last bits (see
+:mod:`steerkit.steering`).
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
         orbit, groups.act_points(j.group, gs, orbit, coords[:, None]), j.group)
     # The points go in even blocks of x_step and the elements in blocks of
     # g_step, so that the kernels of g_step x x_step pairs fit the budget.
-    fit = steering.chunk_length(steering._steered_bytes(j, l, len(elements)))
+    fit = steering.chunk_length(max(kx.itemsize * k0.size,
+                                    steering._rep_bytes(j, l)))
     x_step = -(-n_x // -(-n_x // fit))
     g_step = min(n_g, fit // x_step)
     out_g, out_s, work = (np.empty(g_step * x_step * k0.size, kx.dtype)
@@ -129,10 +132,10 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
         m_x = min(x_step, n_x - x)
         at = sections[xs].swapaxes(0, 1).reshape(-1, sections.shape[-1])
         for by_g, at_gx in zip(
-                steering._steered_blocks(kx[None, :, xs], j, l, gs, g_step,
-                                         out_g, work),
-                steering._steered_blocks(k0[None], j, l, at, g_step * m_x,
-                                         out_s, work)):
+                steering._steered_blocks(kx[None, :, xs], n_g, steering._runs(
+                    j, l, gs, g_step), g_step, out_g, work),
+                steering._steered_blocks(k0[None], len(at), steering._runs(
+                    j, l, at, g_step * m_x), g_step * m_x, out_s, work)):
             # Both as (g, x, row, b, col); sum squares over rows and columns.
             m = len(by_g)
             diff = at_gx.reshape(m, m_x, j.dim, -1, l.dim)
@@ -204,11 +207,11 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
         lam_gx = groups.matrices(lorentz, sections)
         e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
         at_gx = steering._steered_blocks(
-            elem.base_matrix[None, :, None].astype(kx.dtype), j, l, sections,
-            step, np.empty_like(out), work)
+            elem.base_matrix[None, :, None].astype(kx.dtype), len(gs),
+            steering._runs(j, l, sections, step), step, np.empty_like(out), work)
     worst = 0.0
     for i, steered in zip(range(0, len(gs), step), steering._steered_blocks(
-            kx[:, :, None], j, l, gs, step, out, work)):
+            kx[:, :, None], n_g, steering._runs(j, l, gs, step), step, out, work)):
         p = slice(i, i + step)
         steered = steered.reshape(-1, j.dim, l.dim)
         diff = work[:steered.size].reshape(steered.shape)

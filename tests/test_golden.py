@@ -25,7 +25,9 @@ per-kernel products in the last bits; CHANGES.md gives the differences
 and the accuracy against the exact references.  The ``basis`` digests were
 pinned before ``basis`` began to evaluate a whole basis through
 ``steering.section_kernels`` instead of element by element through
-``kernel_at``.  Both digests, the two sweep digests, the ``sample`` payload
+``kernel_at``.  Every digest held, none re-pinned, when ``steer``, the
+streamed basis values and the sweeps began to steer through one product
+engine, one pair of gemms per element.  Both digests, the two sweep digests, the ``sample`` payload
 digests and the ``basis`` digests are also recomputed in a process pinned to
 one BLAS thread.
 One small grid per representation branch: real and complex Wigner D, the

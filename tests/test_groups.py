@@ -150,6 +150,38 @@ def test_coset_section_degenerate_points():
                                backward.vector, atol=1e-12)
 
 
+def test_coordinate_width_is_checked():
+    # Points on the circle have 1 coordinate, on the sphere 2 and on a
+    # Lorentz orbit 4.  Any other width is a GroupError that names the
+    # count, from the point constructors, the sections and the kernel
+    # stacks alike; a kernel stack takes an (n, c) stack only, so n angles
+    # in one row are not read as one point with n coordinates.
+    vec = tensor_irrep(1, 0)
+    cases = [(bases.basis_so2(1, 2), (3, 2), "1 coordinates"),
+             (bases.basis_so3(1, 1), (3, 3), "2 coordinates"),
+             (bases.basis_so3(1, 1), (3, 1), "2 coordinates"),
+             (bases.lorentz_massive_basis(vec, vec), (3, 3), "4 coordinates"),
+             (bases.basis_lorentz_massless(1), (3, 5), "4 coordinates")]
+    for elements, shape, count in cases:
+        orbit, coords = elements[0].orbit, np.full(shape, 0.5)
+        for build in (lambda: groups.orbit_points(orbit, coords),
+                      lambda: section_params(orbit, coords),
+                      lambda: steering.section_kernels(elements, coords),
+                      lambda: steering.section_pieces(elements, coords)):
+            with pytest.raises(GroupError, match=count):
+                build()
+    with pytest.raises(GroupError, match=r"\(n, c\) stack"):
+        steering.section_kernels(bases.basis_so2(1, 2),
+                                 np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(GroupError, match=r"\(n, c\) stack"):
+        steering.section_pieces(bases.basis_so3(1, 1), np.zeros((2, 1, 2)))
+    # The widths that fit still give one kernel stack per point.
+    for elements, coords in [(bases.basis_so2(1, 2), [[0.1], [0.2], [0.3]]),
+                             (bases.basis_so3(1, 1), [[0.1, 0.2]])]:
+        values = steering.section_kernels(elements, coords)
+        assert values.shape[:2] == (len(elements), len(coords))
+
+
 def test_stabilizer_samples():
     s = stabilizer_sample(Circle(), "so2")
     assert len(s.elements) == 1

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -115,6 +117,10 @@ def test_steer_shape_mismatch_rejected():
     # One element is a stack of one: a bare parameter vector is rejected.
     with pytest.raises(IrrepError, match="parameter stack"):
         steer(np.eye(2), so2_irrep(1), so2_irrep(1), g[0])
+    # Axis -3 of a kernel stack has length 1 or n; the error names both.
+    for bad in (np.zeros((3, 2, 2)), np.zeros((4, 3, 2, 2))):
+        with pytest.raises(IrrepError, match="length 3, not 1 or the 2 "):
+            steer(bad, so2_irrep(1), so2_irrep(1), g + g)
 
 
 def _same_bits(a, b) -> bool:
@@ -259,12 +265,13 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
     # The streamed pieces, concatenated, are the basis at every point in the
     # order [basis][point], bit for bit equal to section_kernels and to
     # kernel_at at every piece border.  Each section's representations
-    # are evaluated once per call, however many pieces reuse them, and no
-    # piece exceeds the chunk budget.  The cases cover a partial last piece
-    # per element (so3 8/8, spinor-vector, the cone), one basis element with
-    # streamed representations (the cone), pieces of several whole elements
+    # are evaluated once per call, however many elements reuse them, no
+    # piece exceeds the chunk budget, and each piece is one element's run of
+    # points.  The cases cover a partial last piece per element (so3 8/8,
+    # spinor-vector, the cone), one basis element with streamed
+    # representations (the cone), every point of an element in one piece
     # (complex so3, O(3) parity, the circle) and a representation stack
-    # evaluated in several blocks (spinor-vector).
+    # evaluated in several runs (spinor-vector).
     rng = np.random.default_rng(19)
     sv, t20 = spinor_vector_irrep(realified=True), tensor_irrep(2, 0)
     cases = [
@@ -300,6 +307,8 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         assert stream.shape == (math.prod(shape[:2]),) + shape[2:]
         assert _same_bits(stream.reshape(shape), section_kernels(els, coords))
         borders = np.cumsum([0] + [len(p) for p in pieces])
+        assert (borders[:-1] // len(coords)
+                == (borders[1:] - 1) // len(coords)).all(), j
         points = groups.orbit_points(orbit, coords)
         for k in np.unique(np.concatenate([borders[:-1], borders[1:] - 1])):
             b, p = divmod(int(k), len(coords))
@@ -400,7 +409,8 @@ def _whole_basis(k, j, l, params, step):
     size = step * k[0].size
     out, work = np.empty(size, k.dtype), np.empty(size, k.dtype)
     return np.concatenate([b.copy() for b in steering._steered_blocks(
-        k, j, l, params, step, out, work)])
+        k, len(params) // len(k), steering._runs(j, l, params, step), step,
+        out, work)])
 
 
 _sv = spinor_vector_irrep(realified=True)
@@ -445,3 +455,65 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
         one = steer(stacks[i // 13][:, None], j, l, [g])[:, 0]
         err = np.abs(whole[i].swapaxes(0, 1) - one).max(axis=(1, 2))
         assert (err <= 4 * np.finfo(float).eps * scale[i]).all(), (i, err)
+
+
+@pytest.mark.parametrize("j,orbit", [
+    (so3_irrep(2), Sphere()), (so3_irrep(2, "complex"), Sphere()),
+    (so3_irrep(8), Sphere()), (so3_irrep(8, "complex"), Sphere()),
+    (o3_irrep(16, 1), Sphere()), (tensor_irrep(2, 0), MassiveHyperboloid()),
+    (dirac_irrep(realified=True), MassiveHyperboloid()),
+], ids=["so3 2", "so3 complex 2", "so3 8", "so3 complex 8", "o3 16+",
+        "tensor20", "dirac realified"])
+def test_one_kernel_rounds_alike_on_every_path(j, orbit):
+    # One kernel steered by the product engine over a run of 30 elements,
+    # in blocks of 7, is steer's value bit for bit, and kernel_at's at the
+    # points whose sections the elements are.  The kernel is random and
+    # dense, so no zero entry hides a difference in the summation order.
+    rng = np.random.default_rng(31)
+    k = rng.normal(size=(j.dim, j.dim))
+    if j.field == "complex":
+        k = k + 1j * rng.normal(size=k.shape)
+    coords = groups.random_orbit_coords(orbit, rng, 30)
+    params = groups.section_params(orbit, coords, j.group)
+    out, work = (np.empty(7 * k.size, k.dtype) for _ in range(2))
+    engine = np.concatenate([b[:, :, 0].copy() for b in steering._steered_blocks(
+        k[None, :, None], 30, [steering._reps(j, j, params)], 7, out, work)])
+    assert _same_bits(engine, steer(k, j, j, params))
+    elem = bases.KernelBasisElement(j, j, orbit, "random", k)
+    for i, x in enumerate(groups.orbit_points(orbit, coords)):
+        assert _same_bits(engine[i], kernel_at(elem, x)), i
+
+
+def test_every_steering_path_reaches_the_one_engine(monkeypatch):
+    # steer, kernel_at, section_pieces (so section_kernels, sample and
+    # basis) and both sweeps steer through _steered_blocks, the only
+    # function of the module that multiplies.
+    tree = ast.parse(inspect.getsource(steering))
+    multiplying = {f.name for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and any(
+                       isinstance(n, ast.Attribute) and n.attr == "matmul"
+                       or isinstance(n, ast.MatMult) for n in ast.walk(f))}
+    assert multiplying == {"_steered_blocks"}
+    callers, engine = [], steering._steered_blocks
+
+    def counted(*args):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return engine(*args)
+
+    monkeypatch.setattr(steering, "_steered_blocks", counted)
+    so3, cone = bases.basis_so3(1, 1), bases.basis_lorentz_massless(1)
+    paths = [
+        (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
+         "steer"),
+        (lambda: kernel_at(so3[0], groups.sphere_point(0.1, 0.2)), "steer"),
+        (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
+        (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
+                                           seed=0), "max_steer_residual"),
+        (lambda: verify.massless_steer_residual(cone[0], n_g=2, n_x=2,
+                                                seed=0),
+         "massless_steer_residual"),
+    ]
+    for run, caller in paths:
+        callers.clear()
+        run()
+        assert caller in callers, (caller, callers)
