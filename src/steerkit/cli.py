@@ -36,7 +36,7 @@ import numpy as np
 from . import analytic_bases as bases
 from . import groups, stabilizer_solver, steering, verify
 from .groups import Circle, MassiveHyperboloid, NullCone, Sphere
-from .irreps import (_MAX_L, COMPLEX, REAL, IrrepLabel, basis_convention,
+from .irreps import (COMPLEX, MAX_L, REAL, IrrepLabel, basis_convention,
                      dirac_irrep, o2_irrep, o3_irrep, so2_irrep, so3_irrep,
                      spinor_vector_irrep, tensor_irrep)
 
@@ -370,9 +370,9 @@ def _cmd_dims(args) -> int:
         raise CliError(f"--jmax must be >= 0, got {args.jmax}")
     # The tables hold every pair of labels up to --jmax, built before the
     # first row; SO(3) and O(3) stop there anyway.
-    if args.jmax > _MAX_L:
-        raise CliError(f"--jmax must be at most {_MAX_L} (labels "
-                       f"0..{_MAX_L}), got {args.jmax}")
+    if args.jmax > MAX_L:
+        raise CliError(f"--jmax must be at most {MAX_L} (labels "
+                       f"0..{MAX_L}), got {args.jmax}")
     _check_field(args.group, args.field)
     rows = []
     if args.group == "lorentz":

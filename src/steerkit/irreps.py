@@ -12,7 +12,7 @@ Conventions fixed here:
   Condon-Shortley phases and rows/columns ordered by m descending from +l.
 * SO(3) real irreps are ``R^l = conj(S^l) D^l S^l.T`` in the real-harmonic
   order ``(Y_l0, Yc_l1, Ys_l1, ..., Yc_ll, Ys_ll)``.  Both turn one table of
-  d^l(beta) per l and basis by z rotations; l is at most ``_MAX_L = 32``.
+  d^l(beta) per l and basis by z rotations; l is at most ``MAX_L = 32``.
 * O(3) irreps multiply by ``eps * (-1)^l`` on parity elements.
 * Lorentz tensor reps of signature (p, q) are Kronecker products of p copies
   of Lambda and q copies of its inverse transpose, indices ordered
@@ -42,7 +42,7 @@ REAL, COMPLEX = "real", "complex"
 
 DIRAC, SPINOR_VECTOR = "dirac", "spinor_vector"
 
-_MAX_L = 32     # the largest SO(3)/O(3) label l
+MAX_L = 32  # the largest SO(3)/O(3) label l
 
 
 class IrrepError(ValueError):
@@ -113,9 +113,13 @@ class IrrepLabel:
 
 
 def _integer(what: str, value) -> int:
-    """``value`` as an int; a non-integral label is rejected, not truncated."""
+    """``value`` as an int; a non-integral label is rejected, not truncated,
+    and so is one beyond 2**53, where ``n * phi`` would round n."""
     if not isinstance(value, (int, np.integer)):
         raise IrrepError(f"{what} must be an integer, got {value!r}")
+    if abs(int(value)) > 2 ** 53:
+        raise IrrepError(f"{what} must be at most 2**53 in size: a larger "
+                         f"label does not convert to float exactly")
     return int(value)
 
 
@@ -242,35 +246,33 @@ def _small_d_table(l: int, field: str) -> np.ndarray:
 
 
 def _check_l(l: int) -> None:
-    if not 0 <= l <= _MAX_L:
-        raise IrrepError(f"l must be in 0..{_MAX_L}, got {l}")
+    if not 0 <= l <= MAX_L:
+        raise IrrepError(f"l must be in 0..{MAX_L}, got {l}")
 
 
-def _small_d_stack(l: int, beta: np.ndarray, field: str) -> np.ndarray:
-    """d^l in the basis of ``field`` at a 1-D stack of angles, a fresh
-    C-ordered (n, 2l+1, 2l+1) array.  ``np.einsum`` sums each entry over
-    the table rows in order and without BLAS, so every matrix of a stack
-    equals the matrix of its angle alone bit for bit."""
-    half = np.multiply.outer(0.5 * beta, np.arange(1, l + 1))
-    s, c = np.sin(half), np.cos(half)
-    trig = np.concatenate([np.ones((len(beta), 1)), -2.0 * s * s, 2.0 * s * c], 1)
+def _small_d_stack(l: int, factors: dict, field: str) -> np.ndarray:
+    """d^l in the basis of ``field`` from the :func:`_factors` of a stack of
+    angles, a fresh C-ordered (n, 2l+1, 2l+1) array.  ``np.einsum`` sums
+    each entry over the table rows in order and without BLAS, so every
+    matrix of a stack equals the matrix of its angle alone bit for bit."""
+    s, c = (t[:, :l] for t in factors["beta"])
+    trig = np.concatenate([np.ones((len(s), 1)), -2.0 * s * s, 2.0 * s * c], 1)
     return np.einsum("nk,kd->nd", trig, _small_d_table(l, field)).reshape(
-        len(beta), 2 * l + 1, 2 * l + 1)
+        len(s), 2 * l + 1, 2 * l + 1)
 
 
-def _so3_stack(l: int, angles: np.ndarray, field: str) -> np.ndarray:
-    """D^l in the basis of ``field`` at a stack of z-y-z Euler angles,
-    shape (n, 3); a fresh C-ordered array."""
-    d = _small_d_stack(l, angles[:, 1], field)
+def _so3_stack(l: int, factors: dict, field: str) -> np.ndarray:
+    """D^l in the basis of ``field`` from the :func:`_factors` of a stack of
+    z-y-z Euler angles; a fresh C-ordered array."""
+    d = _small_d_stack(l, factors, field)
     if field == COMPLEX:
-        phase = -1j * np.arange(l, -l - 1, -1)
-        left, right = np.exp(phase * angles[:, :1]), np.exp(phase * angles[:, 2:])
-        return left[:, :, None] * d * right[:, None, :]
+        left, right = factors[COMPLEX]
+        cut = slice(left.shape[1] // 2 - l, left.shape[1] // 2 + l + 1)
+        return left[:, cut, None] * d * right[:, None, cut]
     # Z(alpha) @ d, then d @ Z(gamma) = (Z(-gamma) @ d^T)^T, in place: the
     # rows (Yc_k, Ys_k) turn by k theta.
-    for rows, theta in ((d, angles[:, 0]), (d.swapaxes(1, 2), -angles[:, 2])):
-        k = np.multiply.outer(theta, np.arange(1, l + 1))
-        c, s = np.cos(k)[:, :, None], np.sin(k)[:, :, None]
+    for rows, (c, s) in zip((d, d.swapaxes(1, 2)), factors[REAL]):
+        c, s = c[:, :l, None], s[:, :l, None]
         x, y = rows[:, 1::2], rows[:, 2::2]
         turned = c * x - s * y
         y *= c
@@ -379,44 +381,75 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # representation matrices
-#
-# ``rep_matrices`` and ``rep_inverses`` evaluate a stack of elements, given
-# by their canonical parameters, at once; one element is a stack of one.
-# Each matrix of a stack equals the matrix of that element alone bit for bit.
+
+def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
+    """``(rho_j(g), rho_l(g)^-1)`` for a stack of elements of the labels'
+    group, canonical parameters of shape (..., k) -> two stacks (..., dim,
+    dim), from what the labels share (:func:`_factors`) evaluated once.
+    Every matrix equals that of its element and label alone bit for bit.
+
+    The inverses are exact closed forms, not the representation of the
+    inverse elements (the spinor reps are double-valued over the parameter
+    section, which could flip the sign relative to ``rho(g)``) and not a
+    numerical inverse (the non-compact reps are badly conditioned at large
+    rapidity): compact reps invert by unitarity (for ``j == l``, a view of
+    the first stack), tensor reps by ``Lambda^-1 = eta Lambda^T eta``, and
+    spinor reps by the SL(2,C) adjugate.
+    """
+    if j.group != l.group:
+        raise IrrepError(f"labels from different groups: {j} vs {l}")
+    p = groups.parameter_stack(j.group, params)
+    flat = p.reshape(-1, p.shape[-1])
+    factors = _factors(flat, (j, l))
+    rho = _rep_stack(j, flat, factors, False)
+    if j.group == LORENTZ:
+        inv = _rep_stack(l, flat, factors, True)
+    else:
+        inv = (rho if j == l else _rep_stack(l, flat, factors, False))
+        inv = inv.conj().swapaxes(-1, -2)
+    return tuple(m.reshape(p.shape[:-1] + m.shape[-2:]) for m in (rho, inv))
+
 
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
-    """Representation matrices of a stack of elements of ``label.group``,
-    canonical parameters of shape (..., k) -> (..., dim, dim)."""
-    p = groups.parameter_stack(label.group, params)
-    flat = p.reshape(-1, p.shape[-1])
-    out = _rep_stack(label, flat, inverse=False)
-    return out.reshape(p.shape[:-1] + out.shape[-2:])
+    """``rho(g)`` for a stack of elements: :func:`rep_pair` of one label."""
+    return rep_pair(label, label, params)[0]
 
 
 def rep_inverses(label: IrrepLabel, params) -> np.ndarray:
-    """Matrices of ``rho(g)^-1`` for a stack of elements, by exact closed
-    forms.
-
-    Not the representation of the inverse elements: the spinor reps are
-    double-valued over the parameter section and that could flip the sign
-    relative to ``rho(g)``.  Not a numerical inverse either: the non-compact
-    reps are badly conditioned at large rapidity.  Compact reps invert by
-    unitarity, tensor reps by the metric identity
-    ``Lambda^-1 = eta Lambda^T eta``, and spinor reps by the SL(2,C)
-    adjugate.
-    """
-    p = groups.parameter_stack(label.group, params)
-    flat = p.reshape(-1, p.shape[-1])
-    if label.group == LORENTZ:
-        out = _rep_stack(label, flat, inverse=True)
-    else:
-        out = _rep_stack(label, flat, inverse=False).conj().swapaxes(-1, -2)
-    return out.reshape(p.shape[:-1] + out.shape[-2:])
+    """``rho(g)^-1`` for a stack of elements: :func:`rep_pair` of one label."""
+    return rep_pair(label, label, params)[1]
 
 
-def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool,
-               covers: Optional[tuple] = None) -> np.ndarray:
-    """Matrices (inverses only for Lorentz labels) at parameters (n, k)."""
+def _factors(p: np.ndarray, labels):
+    """What the matrices of ``labels`` at parameters (n, k) are formed from.
+    SO(3) and O(3): sin and cos of k beta/2 (key ``"beta"``) and, per field,
+    the z rotations by k alpha and -k gamma, k = 1..L for the largest label;
+    a label l takes the first l columns, or the middle 2l+1 complex phases.
+    Lorentz: Lambda and its SL(2,C) cover, None where no label uses it."""
+    group = labels[0].group
+    if group == LORENTZ:
+        lam = (groups.matrices(LORENTZ, p)
+               if any(x.spinor != DIRAC for x in labels) else None)
+        return lam, _sl2_stack(p) if any(x.spinor for x in labels) else None
+    if group not in (SO3, O3):
+        return None
+    top = max(x.j for x in labels)
+    k = np.arange(1, top + 1)
+    half = np.multiply.outer(0.5 * p[:, 1], k)
+    factors = {"beta": (np.sin(half), np.cos(half))}
+    if any(x.field == COMPLEX for x in labels):
+        phase = -1j * np.arange(top, -top - 1, -1)
+        factors[COMPLEX] = np.exp(phase * p[:, :1]), np.exp(phase * p[:, 2:3])
+    if any(x.field == REAL for x in labels):
+        factors[REAL] = [(np.cos(t), np.sin(t)) for t in (
+            np.multiply.outer(p[:, 0], k), np.multiply.outer(-p[:, 2], k))]
+    return factors
+
+
+def _rep_stack(label: IrrepLabel, p: np.ndarray, factors,
+               inverse: bool) -> np.ndarray:
+    """Matrices (inverses only for Lorentz labels) at parameters (n, k),
+    from the :func:`_factors` of labels that include ``label``."""
     n = len(p)
     ones = np.ones((n, 1, 1))
     if label.group == SO2:
@@ -437,22 +470,14 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, inverse: bool,
             return rot
         return groups.rot2(label.j * phi) @ _diag2(np.ones(n), s)
     if label.group in (SO3, O3):
-        m = _so3_stack(label.j, p[:, :3], label.field)
+        m = _so3_stack(label.j, factors, label.field)
         if label.group == O3:
             m[p[:, 3] < 0] *= label.parity * (-1.0) ** label.j
         return m
-    lam, sl2 = covers or _covers(p, [label])
+    lam, sl2 = factors
     if label.tensor is not None:
         return _tensor_stack(*label.tensor, lam, inverse)
     return _spinor_stack(label, lam, sl2, inverse)
-
-
-def _covers(p: np.ndarray, labels) -> tuple:
-    """The Lorentz matrices and their SL(2,C) covers at parameters (n, 6)
-    that the Lorentz ``labels`` are built on (None where none is)."""
-    lam = (groups.matrices(LORENTZ, p)
-           if any(x.spinor != DIRAC for x in labels) else None)
-    return lam, _sl2_stack(p) if any(x.spinor for x in labels) else None
 
 
 def _tensor_stack(p: int, q: int, lam: np.ndarray, inverse: bool) -> np.ndarray:

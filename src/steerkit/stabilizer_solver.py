@@ -24,7 +24,7 @@ contain every rotation about z:
 The circle's stabilizer has no rotations: it is the one weight-0 block U = I
 on the same path, and its stack is the full constraint of every sampled
 element.  Every spectrum the solve takes (the projector ranges and the
-stack) must show a clean rank gap.  The computation uses ``rep_matrices``
+stack) must show a clean rank gap.  The computation uses the representations
 at stabilizer elements only, never the closed-form bases or the content
 tables; it is the independent cross-check for them.  What depends on one
 label only (its weight bases and their images under the stacked
@@ -51,8 +51,8 @@ import numpy as np
 
 from . import groups, numerics
 from .groups import Circle, Orbit
-from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_inverses,
-                     rep_matrices, stabilizer_content)
+from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_matrices,
+                     rep_pair, stabilizer_content)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
 #: value; anything smaller means the rank detection is not trustworthy.
@@ -184,8 +184,8 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     conj = {m: u.conj() for m, u in bases.items()}
     images, inverse_images = {}, {}
     if params:
-        rho = rep_matrices(label, params)
-        rho_inv_t = rep_inverses(label, params).swapaxes(-1, -2)
+        rho, rho_inv = rep_pair(label, label, params)
+        rho_inv_t = rho_inv.swapaxes(-1, -2)
         images = {m: rho @ u for m, u in bases.items()}
         inverse_images = {m: rho_inv_t @ u for m, u in conj.items()}
     factors = (bases, conj, images, inverse_images)

@@ -7,7 +7,8 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`_steered_blocks` is the one product engine: per element one gemm
 ``rho_j(g) K`` and one gemm with ``rho_l(g)^-1``, for w kernels laid side by
-side, from runs of representations evaluated by the caller (:func:`_runs`).
+side, from runs of the pairs ``(rho_j(g), rho_l(g)^-1)`` that the caller
+evaluates with :func:`~steerkit.irreps.rep_pair` (:func:`_runs`).
 :func:`steer` steers each kernel of a stack alone (w = 1), and
 :func:`kernel_at` is :func:`steer` at one section.  :func:`section_pieces`
 streams a basis at a stack of points in the order ``[basis][point]``, one
@@ -27,9 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import groups
-from .groups import LORENTZ
-from .irreps import (COMPLEX, IrrepError, IrrepLabel, _covers, _rep_stack,
-                     rep_matrices)
+from .irreps import COMPLEX, IrrepError, IrrepLabel, rep_pair
 
 #: Byte budget of the stacks formed at a time: the batched paths steer at
 #: most this many bytes of kernels per numpy call, and no representation
@@ -77,7 +76,7 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     if stack.shape[1] not in (1, n):
         raise IrrepError(f"axis -3 of the kernel stack has length "
                          f"{stack.shape[1]}, not 1 or the {n} elements")
-    runs = [_reps(j, l, params)]
+    runs = [rep_pair(j, l, params)]
     out = np.empty((len(stack), n, j.dim, l.dim), np.result_type(k0, *runs[0]))
     work = np.empty(out[0].size, out.dtype)
     for k, o in zip(stack, out):
@@ -87,24 +86,12 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     return out.reshape(k0.shape[:-3] + out.shape[1:])
 
 
-def _reps(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
-    """``rho_j(g)``, ``rho_l(g)^-1`` at parameters (n, k), as rep_matrices and
-    rep_inverses give them; a Lorentz pair shares its group evaluation."""
-    if j.group == LORENTZ:
-        p = groups.parameter_stack(LORENTZ, params)
-        covers = _covers(p, (j, l))
-        return _rep_stack(j, p, False, covers), _rep_stack(l, p, True, covers)
-    # Compact inverses are conjugate transposes (see irreps.rep_inverses).
-    rho = rep_matrices(j, params)
-    return rho, (rho if j == l else rep_matrices(l, params)).conj().swapaxes(-1, -2)
-
-
 def _runs(j: IrrepLabel, l: IrrepLabel, params, step: int) -> Iterator[tuple]:
-    """:func:`_reps` of parameters (n, k), a run of whole blocks of ``step``
-    elements at a time, the forward and inverse stacks of a run within the
-    chunk budget together (or one block)."""
+    """:func:`~steerkit.irreps.rep_pair` of parameters (n, k), a run of
+    whole blocks of ``step`` elements at a time, the forward and inverse
+    stacks of a run within the chunk budget together (or one block)."""
     run = step * max(1, chunk_length(2 * _rep_bytes(j, l)) // step)
-    return (_reps(j, l, params[r:r + run]) for r in range(0, len(params), run))
+    return (rep_pair(j, l, params[r:r + run]) for r in range(0, len(params), run))
 
 
 def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:

@@ -391,23 +391,6 @@ def gauge_shift_residual(seed: int = 0, eta_max: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 # equivariance demo on a discretized circle
 
-def _steerable_angular(j: int, l: int, phis: np.ndarray,
-                       coeffs: np.ndarray) -> np.ndarray:
-    """Batch-evaluate a fixed combination of the real SO(2) basis."""
-    elements = bases.basis_so2(j, l, REAL)
-    k0 = sum(c * e.base_matrix for c, e in zip(coeffs, elements))
-    return steering.steer(k0, so2_irrep(j), so2_irrep(l), phis[:, None])
-
-
-def _control_angular(j: int, l: int, phis: np.ndarray) -> np.ndarray:
-    """Deliberately non-steerable angular profile (negative control)."""
-    dj = 1 if j == 0 else 2
-    dl = 1 if l == 0 else 2
-    a = np.arange(dj)[None, :, None]
-    b = np.arange(dl)[None, None, :]
-    return np.cos((j + l + 1) * phis[:, None, None] + 0.7 * a + 1.3 * b) + 0.2
-
-
 def equivariance_demo(j: int, l: int, grid_size: int, steps: int,
                       seed: int = 0, kernel: str = "steerable") -> float:
     """Relative sup-norm equivariance defect of a discretized convolution.
@@ -427,8 +410,7 @@ def equivariance_demo(j: int, l: int, grid_size: int, steps: int,
     n = grid_size
     phis = 2.0 * math.pi * np.arange(n) / n
     pts = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-    dj = 1 if j == 0 else 2
-    dl = 1 if l == 0 else 2
+    dj, dl = so2_irrep(j).dim, so2_irrep(l).dim
 
     # band-limited random input field
     n_freq = max(2, n // 8)
@@ -443,10 +425,15 @@ def equivariance_demo(j: int, l: int, grid_size: int, steps: int,
     r = np.linalg.norm(diff, axis=-1)
     ang = np.arctan2(diff[..., 1], diff[..., 0])
     if kernel == "steerable":
-        coeffs = rng.normal(size=len(bases.basis_so2(j, l, REAL)))
-        kmat = _steerable_angular(j, l, ang.ravel(), coeffs)
+        # A fixed combination of the real SO(2) basis, steered.
+        elements = bases.basis_so2(j, l, REAL)
+        coeffs = rng.normal(size=len(elements))
+        k0 = sum(c * e.base_matrix for c, e in zip(coeffs, elements))
+        kmat = steering.steer(k0, so2_irrep(j), so2_irrep(l), ang.reshape(-1, 1))
     else:
-        kmat = _control_angular(j, l, ang.ravel())
+        # A deliberately non-steerable angular profile (negative control).
+        a, b = np.arange(dj)[:, None], np.arange(dl)
+        kmat = np.cos((j + l + 1) * ang.reshape(-1, 1, 1) + 0.7 * a + 1.3 * b) + 0.2
     kmat = kmat.reshape(n, n, dj, dl)
     profile = np.where(r > 1e-12, np.exp(-4.0 * (r - 1.0) ** 2), 0.0)
     kmat = kmat * profile[..., None, None]

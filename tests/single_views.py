@@ -16,8 +16,9 @@ from steerkit.numerics import nullspace_with_spectrum
 def wigner_D(l: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Wigner D^l, the SO(3) irrep matrix for z-y-z Euler angles."""
     irreps._check_l(l)
-    return irreps._so3_stack(l, np.array([[alpha, beta, gamma]], dtype=float),
-                             COMPLEX)[0]
+    factors = irreps._factors(np.array([[alpha, beta, gamma]], dtype=float),
+                              [irreps.so3_irrep(l, COMPLEX)])
+    return irreps._so3_stack(l, factors, COMPLEX)[0]
 
 
 def wigner_small_d(l: int, beta: float) -> np.ndarray:
@@ -27,7 +28,9 @@ def wigner_small_d(l: int, beta: float) -> np.ndarray:
     (both indices descending from +l).
     """
     irreps._check_l(l)
-    return irreps._small_d_stack(l, np.array([beta], dtype=float), COMPLEX)[0]
+    factors = irreps._factors(np.array([[0.0, beta, 0.0]]),
+                              [irreps.so3_irrep(l, COMPLEX)])
+    return irreps._small_d_stack(l, factors, COMPLEX)[0]
 
 
 def sl2_of(g: groups.GroupElement) -> np.ndarray:

@@ -238,6 +238,17 @@ def test_bad_label_reports_json_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_huge_circle_labels_report_json_error(capsys):
+    # A circle label beyond 2**53 is a JSON error with exit 1, not an
+    # OverflowError traceback from converting it to float.
+    nines = "9" * 400
+    for group in ("so2", "o2"):
+        code, out, err = run_cli(capsys, "basis", "--group", group, "--j",
+                                 nines, "--l", nines, "--point", "0.3")
+        assert code == 1 and not out, group
+        assert "at most 2**53" in json.loads(err)["error"], group
+
+
 def test_bad_grid_reports_json_error(tmp_path, capsys):
     # Malformed or out-of-range grids exit 1 with a JSON error that says
     # why, write nothing, and never steer a NaN point as the rest frame.

@@ -13,8 +13,9 @@ from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
                              realify_antilinear, rep_inverses, rep_matrices,
-                             so2_irrep, so3_irrep, spinor_vector_irrep,
-                             stabilizer_content, tensor_irrep)
+                             rep_pair, so2_irrep, so3_irrep,
+                             spinor_vector_irrep, stabilizer_content,
+                             tensor_irrep)
 
 from group_law import inverse, product, stabilizer_draw
 from single_views import sl2_of, wigner_D, wigner_small_d
@@ -33,6 +34,13 @@ def sample_labels(max_l=4):
 # ---------------------------------------------------------------------------
 # Wigner matrices
 
+def _small_d(l, betas, field):
+    angles = np.zeros((len(betas), 3))
+    angles[:, 1] = betas
+    factors = irreps._factors(angles, [so3_irrep(l, field)])
+    return irreps._small_d_stack(l, factors, field)
+
+
 def test_wigner_small_d_degenerate_cases():
     np.testing.assert_array_equal(wigner_small_d(0, 0.7), [[1.0]])
     # At beta = 0 only the identity row of the table remains.
@@ -45,10 +53,10 @@ def test_wigner_small_d_degenerate_cases():
     for l in (0, 1, 2, 4, 8, 16, 32):
         n = 2 * l + 1
         for field in ("real", "complex"):
-            d = irreps._small_d_stack(l, betas, field)
+            d = _small_d(l, betas, field)
             assert d.shape == (len(betas), n, n) and d.flags.c_contiguous
             for beta, row in zip(betas, d):
-                one = irreps._small_d_stack(l, np.array([beta]), field)[0]
+                one = _small_d(l, np.array([beta]), field)[0]
                 assert row.tobytes() == one.tobytes(), (l, field, beta)
 
 
@@ -59,7 +67,7 @@ def test_wigner_small_d_orthogonal():
     betas = [0.0, math.pi, 1e-9, math.pi - 1e-9] + list(rng.uniform(0, math.pi, 4))
     params = [(rng.uniform(-math.pi, math.pi), b, rng.uniform(-math.pi, math.pi))
               for b in betas]
-    for l in range(irreps._MAX_L + 1):
+    for l in range(irreps.MAX_L + 1):
         for field in ("real", "complex"):
             m = irreps.rep_matrices(so3_irrep(l, field), params)
             err = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2 * l + 1)).max()
@@ -219,6 +227,52 @@ def test_rep_inverse_matches_inverse_element():
                                                          tuple(p))).params)
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
+
+
+def _pair_cases():
+    cases = []
+    for field in ("real", "complex"):
+        for a, b in ((0, 32), (32, 0), (5, 17), (17, 5)):
+            cases.append((so3_irrep(a, field), so3_irrep(b, field)))
+            cases.append((o3_irrep(a, 1, field), o3_irrep(b, -1, field)))
+        cases += [(so2_irrep(2, field), so2_irrep(0, field)),
+                  (o2_irrep("0~", field), o2_irrep(3, field)),
+                  (o2_irrep(1, field), o2_irrep(0, field))]
+    cases += [(so2_irrep(-3, "complex"), so2_irrep(4, "complex")),
+              (tensor_irrep(1, 0), tensor_irrep(2, 0)),
+              (dirac_irrep(True), spinor_vector_irrep(True)),
+              (tensor_irrep(1, 1), tensor_irrep(0, 0))]
+    return cases
+
+
+@pytest.mark.parametrize("j,l", _pair_cases(), ids=lambda x: str(x))
+def test_pair_keeps_the_bits_of_each_label_alone(j, l):
+    # rep_pair evaluates what two labels share once: for SO(3) and O(3)
+    # the sine and cosine tables up to the larger l, of which the smaller
+    # label takes a prefix (the middle, for the complex phases).  That must
+    # give each label's bits alone, wherever an angle falls in the SIMD
+    # lanes of the longer table.  203 random elements (O(3) parities mixed)
+    # and the poles.
+    rng = np.random.default_rng(41)
+    params = random_params(j.group, rng, 203)
+    if j.group in ("so3", "o3"):
+        params[:4, 1] = [0.0, math.pi, 1e-9, math.pi - 1e-9]
+    if j.group in ("o2", "o3"):
+        assert set(params[:, -1]) == {1.0, -1.0}
+    rho, rho_inv = rep_pair(j, l, params)
+    for got, want in ((rho, rep_matrices(j, params)),
+                      (rho_inv, rep_inverses(l, params))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # And each element alone gets its row of the stacks.
+    for i in (0, 1, 202):
+        for a, b in zip(rep_pair(j, l, params[i]), (rho, rho_inv)):
+            assert a.tobytes() == b[i].tobytes(), i
+
+
+def test_pair_of_labels_from_different_groups_raises():
+    with pytest.raises(IrrepError, match="different groups"):
+        rep_pair(so3_irrep(1), o3_irrep(1, 1), [[0.1, 0.2, 0.3, 1.0]])
 
 
 def test_so2_real_rep_is_rotation_by_j_phi():
@@ -512,6 +566,22 @@ def test_label_dimensions():
     assert dirac_irrep().dim == 4 and dirac_irrep(True).dim == 8
     assert spinor_vector_irrep().dim == 16
     assert spinor_vector_irrep(True).dim == 32
+
+
+def test_labels_beyond_2_53_are_rejected():
+    # Beyond 2**53 an integer does not convert to float exactly, so
+    # n * phi would evaluate another SO(2)/O(2) irrep; 2**53 still does.
+    big = 2 ** 53
+    assert so2_irrep(big).j == big and o2_irrep(big, "complex").j == big
+    assert so2_irrep(-big, "complex").j == -big
+    assert np.isfinite(rep_matrices(so2_irrep(big), [0.3])).all()
+    for make, args in [(so2_irrep, (big + 1,)),
+                       (so2_irrep, (-big - 1, "complex")),
+                       (so2_irrep, (np.uint64(2 ** 63),)),
+                       (o2_irrep, (big + 1,)), (o2_irrep, (10 ** 400,)),
+                       (o2_irrep, (10 ** 400, "complex"))]:
+        with pytest.raises(IrrepError, match=r"at most 2\*\*53"):
+            make(*args)
 
 
 def test_label_validation():

@@ -10,8 +10,9 @@ from steerkit import cli, groups, numerics, stabilizer_solver
 from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
 from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
-                             o3_irrep, rep_inverses, rep_matrices, so2_irrep,
-                             so3_irrep, spinor_vector_irrep, tensor_irrep)
+                             o3_irrep, rep_inverses, rep_matrices, rep_pair,
+                             so2_irrep, so3_irrep, spinor_vector_irrep,
+                             tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
                                         oracle_dimension, predicted_dimension,
                                         require_rank_gap, solve_basepoint,
@@ -509,12 +510,14 @@ def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches):
     # O(2) j = 1 on the circle: rho(r_y) = diag(1 + 1e-8, -1 + 1e-12) gives
     # the reflection rows diag(1e-8, -2 - 1e-8, -2 + 1e-12, -1e-12), whose
     # spectrum 2, 2, 1e-8, 1e-12 splits at the cut with a ratio of 1e4.
-    def fuzzy(label, params):
-        m = rep_matrices(label, params)
+    # The generators' rho is perturbed and their rho^-1 is left exact.
+    def fuzzy(j, l, params):
+        m, inv = rep_pair(j, l, params)
+        m = m.copy()
         reflections = np.asarray(params)[..., 1] < 0
         m[reflections] += np.diag([1e-8, 1e-12])
-        return m
-    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+        return m, inv
+    monkeypatch.setattr(stabilizer_solver, "rep_pair", fuzzy)
     one = o2_irrep(1)
     with pytest.raises(DegenerateSpectrumError, match="o2"):
         solve_basepoint(one, one, Circle())
@@ -534,7 +537,13 @@ def test_degenerate_generator_images_raise(monkeypatch, cold_caches,
         rho = rep_matrices(label, params)
         return rho @ np.diag([1 + 1e-12, 1 + 1e-8, 1 + 1e-8]) if (
             label == target) else rho
+
+    # The generators' rho is perturbed like the weight rotations' and their
+    # rho^-1 is left exact.
+    def fuzzy_pair(j, l, params):
+        return fuzzy(j, params), rep_pair(j, l, params)[1]
     monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+    monkeypatch.setattr(stabilizer_solver, "rep_pair", fuzzy_pair)
     pair = f"for {target} / {target}"
     for solve in (solve_basepoint, oracle_dimension):
         with pytest.raises(DegenerateSpectrumError) as err:
@@ -575,11 +584,12 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     calls = Counter()
 
     def counted(name, fn):
-        def wrapper(label, params):
-            calls[name, label, np.asarray(params).tobytes()] += 1
-            return fn(label, params)
+        def wrapper(*args):
+            *labels, params = args
+            calls[name, *labels, np.asarray(params).tobytes()] += 1
+            return fn(*args)
         return wrapper
-    for name in ("rep_matrices", "rep_inverses"):
+    for name in ("rep_matrices", "rep_pair"):
         monkeypatch.setattr(stabilizer_solver, name,
                             counted(name, getattr(stabilizer_solver, name)))
     base_point = groups.base_point
@@ -597,11 +607,12 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     names = Counter(key[0] for key in calls)
     labels = {(j.group, j) for j, _, _ in cases} | {(l.group, l)
                                                     for _, l, _ in cases}
-    # o3: 20 labels, each with its weight rotations and its reflection on
-    # both sides; Lorentz: 4 labels, their weight rotations, plus the y
-    # rotations of the hyperboloid on both sides (the cone stacks none).
+    # o3: 20 labels, each with its weight rotations and one pair
+    # evaluation (rho and rho^-1) of its reflection; Lorentz: 4 labels,
+    # their weight rotations, plus one pair evaluation of the y rotations of
+    # the hyperboloid (the cone stacks none).
     assert len(labels) == 24
-    assert names == {"rep_matrices": 20 * 2 + 4 * 2, "rep_inverses": 24,
+    assert names == {"rep_matrices": 20 + 4, "rep_pair": 20 + 4,
                      "stabilizer_sample": 3}
 
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, numerics, steering, verify
+from steerkit import cli, groups, numerics, stabilizer_solver, steering, verify
 from steerkit.groups import (Circle, GroupElement, MassiveHyperboloid,
                              NullCone, Sphere)
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
-                             rep_inverses, rep_matrices, so2_irrep, so3_irrep,
-                             spinor_vector_irrep, tensor_irrep)
+                             rep_inverses, rep_matrices, rep_pair, so2_irrep,
+                             so3_irrep, spinor_vector_irrep, tensor_irrep)
 from steerkit.steering import kernel_at, section_kernels, steer
 
 from group_law import product
@@ -282,13 +282,13 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         (bases.basis_lorentz_massless(2), 600),
         (bases.lorentz_massive_basis(sv, sv), 150),
     ]
-    evaluated, reps = [], steering._reps
+    evaluated = []
 
     def counted_reps(j, l, params):
         evaluated.append(len(params))
-        return reps(j, l, params)
+        return rep_pair(j, l, params)
 
-    monkeypatch.setattr(steering, "_reps", counted_reps)
+    monkeypatch.setattr(steering, "rep_pair", counted_reps)
     for els, n in cases:
         e0 = els[0]
         orbit, j, l = e0.orbit, e0.j, e0.l
@@ -448,7 +448,7 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
     stacks = [base, real, at_x]
     k = np.stack([s.transpose(1, 0, 2) for s in stacks]).astype(dtype)
     whole = _whole_basis(k, j, l, params, step=5)
-    rho, rho_inv = steering._reps(j, l, params)
+    rho, rho_inv = rep_pair(j, l, params)
     scale = (numerics.norms(rho)[:, None] * numerics.norms(k.swapaxes(1, 2)
              ).repeat(13, axis=0) * numerics.norms(rho_inv)[:, None])
     for i, g in enumerate(params):
@@ -477,7 +477,7 @@ def test_one_kernel_rounds_alike_on_every_path(j, orbit):
     params = groups.section_params(orbit, coords, j.group)
     out, work = (np.empty(7 * k.size, k.dtype) for _ in range(2))
     engine = np.concatenate([b[:, :, 0].copy() for b in steering._steered_blocks(
-        k[None, :, None], 30, [steering._reps(j, j, params)], 7, out, work)])
+        k[None, :, None], 30, [rep_pair(j, j, params)], 7, out, work)])
     assert _same_bits(engine, steer(k, j, j, params))
     elem = bases.KernelBasisElement(j, j, orbit, "random", k)
     for i, x in enumerate(groups.orbit_points(orbit, coords)):
@@ -517,3 +517,57 @@ def test_every_steering_path_reaches_the_one_engine(monkeypatch):
         callers.clear()
         run()
         assert caller in callers, (caller, callers)
+
+
+def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
+    # The inverse rule and what a pair shares live in irreps alone: the
+    # modules that steer, solve, verify and dump import no private name
+    # from it, and steering names no group.  steer, section_pieces (so
+    # sample, basis and section_kernels), both sweeps and the oracle's
+    # per-label factors each take (rho_j, rho_l^-1) from rep_pair.
+    for module in (steering, stabilizer_solver, verify, cli):
+        tree = ast.parse(inspect.getsource(module))
+        private = [a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.module == "irreps"
+                   for a in n.names if a.name.startswith("_")]
+        private += [n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                    and isinstance(n.value, ast.Name) and n.value.id == "irreps"]
+        assert not private, (module.__name__, private)
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(ast.parse(inspect.getsource(steering)))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert not names & {"SO2", "O2", "SO3", "O3", "LORENTZ"}
+    callers, pair = [], rep_pair
+
+    def counted(j, l, params):
+        frame = inspect.currentframe().f_back
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return pair(j, l, params)
+
+    for module in (steering, stabilizer_solver):
+        monkeypatch.setattr(module, "rep_pair", counted)
+    so3, cone = bases.basis_so3(1, 1), bases.basis_lorentz_massless(1)
+    one = o3_irrep(1, 1)
+    paths = [
+        (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
+         "steer"),
+        (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
+        (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
+                                           seed=0), "max_steer_residual"),
+        (lambda: verify.massless_steer_residual(cone[0], n_g=2, n_x=2,
+                                                seed=0),
+         "massless_steer_residual"),
+        (lambda: stabilizer_solver.solve_basepoint(one, one, Sphere()),
+         "_label_factors"),
+    ]
+    stabilizer_solver._label_factors.cache_clear()
+    try:
+        for run, caller in paths:
+            callers.clear()
+            run()
+            assert caller in callers, (caller, callers)
+    finally:
+        stabilizer_solver._label_factors.cache_clear()

@@ -11,8 +11,9 @@ from steerkit import groups, steering, verify
 from steerkit.analytic_bases import KernelBasisElement
 from steerkit.groups import (Circle, GroupError, MassiveHyperboloid, NullCone,
                              Sphere)
-from steerkit.irreps import (dirac_irrep, o2_irrep, o3_irrep, so2_irrep,
-                             so3_irrep, spinor_vector_irrep, tensor_irrep)
+from steerkit.irreps import (dirac_irrep, o2_irrep, o3_irrep, rep_pair,
+                             so2_irrep, so3_irrep, spinor_vector_irrep,
+                             tensor_irrep)
 from steerkit.verify import (check_case, check_projectors, compact_case_grid,
                              equivariance_demo, gauge_shift_residual,
                              negative_control_residual, run_suite)
@@ -229,13 +230,13 @@ def test_spinor_vector_sweep_evaluates_representations_in_blocks(monkeypatch):
     # together, not in the ~100 fragments of 16 and 4 that a chunk of one
     # element's kernels allows.  Only the last block of each run of points
     # and the 20 points of section_kernels may be short.
-    calls, reps = [], steering._reps
+    calls = []
 
     def counted_reps(j, l, params):
         calls.append(len(params))
-        return reps(j, l, params)
+        return rep_pair(j, l, params)
 
-    monkeypatch.setattr(steering, "_reps", counted_reps)
+    monkeypatch.setattr(steering, "rep_pair", counted_reps)
     verify.max_steer_residual(_SV_BASIS, MassiveHyperboloid(), n_g=50,
                               n_x=20, seed=2)
     full = steering.chunk_length(2 * steering._rep_bytes(_SV, _SV))
