@@ -14,7 +14,7 @@ from .groups import (Circle, GroupElement, MassiveHyperboloid, NullCone,
                      OrbitPoint, Sphere, base_point, circle_point,
                      cone_point, identity, lorentz_element, massive_point,
                      o2_element, o3_element, so2_element, so3_element,
-                     sphere_point, stabilizer_sample)
+                     sphere_point)
 from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
                      real_change_of_basis, so2_irrep, so3_irrep,
                      spinor_vector_irrep, tensor_irrep)
@@ -32,7 +32,7 @@ __all__ = [
     "Circle", "GroupElement", "MassiveHyperboloid", "NullCone", "OrbitPoint",
     "Sphere", "base_point", "circle_point", "cone_point", "identity",
     "lorentz_element", "massive_point", "o2_element", "o3_element",
-    "so2_element", "so3_element", "sphere_point", "stabilizer_sample",
+    "so2_element", "so3_element", "sphere_point",
     "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
     "real_change_of_basis", "so2_irrep", "so3_irrep", "spinor_vector_irrep",
     "tensor_irrep",

@@ -163,15 +163,13 @@ class GridSpec:
         """Canonical coordinates of the grid points, shape (n, c)."""
         if isinstance(self.orbit, Circle):
             (n,) = self.shape
-            return groups._canonical_coords(
-                self.orbit, (2 * math.pi * np.arange(n) / n)[:, None])
+            return (2 * math.pi * np.arange(n) / n)[:, None]
         na, nb = self.shape[:2]
         alpha = 2 * math.pi * np.arange(na) / na
         beta = math.pi * (np.arange(nb) + 0.5) / nb
         if isinstance(self.orbit, Sphere):
-            return groups._canonical_coords(self.orbit, np.stack(
-                np.broadcast_arrays(alpha[:, None], beta[None, :]), -1
-            ).reshape(-1, 2))
+            return np.stack(np.broadcast_arrays(alpha[:, None], beta[None, :]),
+                            -1).reshape(-1, 2)
         # One boost along z per rapidity, rotated to each grid direction.
         ne = self.shape[2]
         params = np.zeros((na, nb, ne, 6))

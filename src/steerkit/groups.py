@@ -1,4 +1,4 @@
-"""Group elements, orbits, coset sections and stabilizer samples.
+"""Group elements, orbits and coset sections.
 
 Covers SO(2), O(2), SO(3), O(3) and the proper orthochronous Lorentz group
 SO+(1,3).  Conventions fixed here and relied on everywhere else:
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -574,74 +573,6 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
         else:
             out[:, 5] = np.log(flat[:, 0])
     return out.reshape(c.shape[:-1] + out.shape[-1:])
-
-
-# ---------------------------------------------------------------------------
-# stabilizers
-
-#: Angles with irrational ratio: the subgroup they generate is dense in the
-#: corresponding SO(2), so joint invariance under the sampled rotations is
-#: equivalent to invariance under the whole continuous stabilizer.
-STABILIZER_ANGLES = (1.0, math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class StabilizerSample:
-    """Base point plus group elements that fix it (generating sample)."""
-
-    base: OrbitPoint
-    elements: tuple[GroupElement, ...]
-
-
-def stabilizer_sample(orbit: Orbit, group: Optional[str] = None) -> StabilizerSample:
-    """Generating sample of the stabilizer of the orbit's base point, built
-    and checked once per (orbit, group)."""
-    group = group or default_group(orbit)
-    _require_compatible(group, orbit)
-    return _stabilizer_sample(orbit, group)
-
-
-@lru_cache(maxsize=None)
-def _stabilizer_sample(orbit: Orbit, group: str) -> StabilizerSample:
-    x0 = base_point(orbit)
-    if isinstance(orbit, Circle):
-        if group == SO2:
-            elems = (identity(SO2),)
-        else:
-            elems = (identity(O2), o2_reflection())
-    elif isinstance(orbit, Sphere):
-        zrots = tuple(GroupElement(SO3, (t, 0.0, 0.0)) for t in STABILIZER_ANGLES)
-        if group == SO3:
-            elems = zrots
-        else:
-            o3_zrots = tuple(GroupElement(O3, g.params + (1.0,)) for g in zrots)
-            # r_y = diag(1,-1,1) = parity * rotation by pi about y.
-            elems = o3_zrots + (GroupElement(O3, (0.0, math.pi, 0.0, -1.0)),)
-    elif isinstance(orbit, MassiveHyperboloid):
-        # One y rotation suffices: the weight blocking imposes every rotation
-        # about z, and the closed subgroups of SO(3) that contain SO(2)_z are
-        # SO(2)_z, O(2)_z and SO(3), the first two holding R_y(t) only for t
-        # = 0 or pi modulo 2 pi.
-        y = STABILIZER_ANGLES[-1]
-        if math.remainder(y, math.pi) == 0.0:
-            raise GroupError(
-                f"the y rotation by {y!r} of the hyperboloid's stabilizer "
-                f"sample lies in O(2)_z, so the sample does not generate "
-                f"SO(3)")
-        elems = tuple(
-            GroupElement(LORENTZ, (t, 0.0, 0.0, 0.0, 0.0, 0.0))
-            for t in STABILIZER_ANGLES
-        ) + (GroupElement(LORENTZ, (0.0, y, 0.0, 0.0, 0.0, 0.0)),)
-    else:
-        elems = tuple(
-            GroupElement(LORENTZ, (t, 0.0, 0.0, 0.0, 0.0, 0.0))
-            for t in STABILIZER_ANGLES
-        )
-    moved = matrices(group, [h.params for h in elems]) @ x0.vector - x0.vector
-    for h, shift in zip(elems, np.sqrt(row_dots(moved))):
-        if shift > _ORTHO_TOL * 10:
-            raise GroupError(f"stabilizer sample element {h} moves the base point")
-    return StabilizerSample(x0, elems)
 
 
 def random_orbit_coords(orbit: Orbit, rng: np.random.Generator, n: int,

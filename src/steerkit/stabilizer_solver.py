@@ -1,10 +1,10 @@
 """Numerical intertwiner oracle.
 
-Solves the base-point constraint ``rho_j(h) K rho_l(h)^-1 = K`` over a
-stabilizer sample, block by block over the weights of the rotations about z
-(the harmonic analysis on the stabilizer of Lang & Weiler, arXiv:2010.10952).
-The stabilizers of the sphere, the massive hyperboloid and the null cone
-contain every rotation about z:
+Solves the base-point constraint ``rho_j(h) K rho_l(h)^-1 = K`` for the
+stabilizer H of the base point, block by block over the weights of the
+rotations about z (the harmonic analysis on the stabilizer of Lang &
+Weiler, arXiv:2010.10952).  The stabilizers of the sphere, the massive
+hyperboloid and the null cone contain every rotation about z:
 
 * The weight-m space of a label is the range of the projector ``P_m =
   (1/N) sum_k exp(-i m theta_k) rho(Rz(theta_k))``, theta_k = 4 pi k / N on
@@ -16,20 +16,21 @@ contain every rotation about z:
   U^l_m^H``: the unknowns are the blocks X_m of equal weight.  A real K
   has X_-m = conj(X_m), so real labels solve for the real and imaginary
   parts of X_m, m >= 0, in real arithmetic.
-* Only the other sampled generators (the y rotation of the hyperboloid,
-  the O(3) reflection) are stacked, on those unknowns.  Without such
-  generators (the sphere under SO(3), the null cone) every X_m is free and
-  no stack is built.
+* Only the generators of H outside the rotations about z (see
+  :func:`_generators`: the y rotation of the hyperboloid, the O(3)
+  reflection) are stacked, on those unknowns.  Without such generators
+  (the sphere under SO(3), the null cone) every X_m is free and no stack
+  is built.
 
 The circle's stabilizer has no rotations: it is the one weight-0 block U = I
-on the same path, and its stack is the full constraint of every sampled
-element.  Every spectrum the solve takes (the projector ranges and the
-stack) must show a clean rank gap.  The computation uses the representations
-at stabilizer elements only, never the closed-form bases or the content
-tables; it is the independent cross-check for them.  What depends on one
-label only (its weight bases and their images under the stacked
-generators) is computed once per label and cached; per pair the solve
-allocates the embedding and the stack once and writes the Kronecker
+on the same path, with the O(2) reflection as its one generator, and SO(2)
+builds no stack.  Every spectrum the solve takes (the projector ranges and
+the stack) must show a clean rank gap.  The computation uses the
+representations at stabilizer elements only, never the closed-form bases or
+the content tables; it is the independent cross-check for them.  What
+depends on one label only (its weight bases and their images under the
+stacked generators) is computed once per label and cached; per pair the
+solve allocates the embedding and the stack once and writes the Kronecker
 products of each weight block straight into its columns, then takes the
 stack's nullspace.
 
@@ -37,7 +38,7 @@ stack's nullspace.
 ``steerkit dims`` prints, counts it from the values-only SVD of the same
 stack, with the same rank cut and gap checks, and forms no singular vector
 and no basis; without a stack it counts the free unknowns from the
-dimensions of the weight spaces, and forms no embedding either.
+dimensions of the weight blocks, and forms no embedding either.
 """
 
 from __future__ import annotations
@@ -50,13 +51,17 @@ from types import MappingProxyType
 import numpy as np
 
 from . import groups, numerics
-from .groups import Circle, Orbit
+from .groups import Circle, GroupError, MassiveHyperboloid, Orbit
 from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_matrices,
                      rep_pair, stabilizer_content)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
 #: value; anything smaller means the rank detection is not trustworthy.
 GAP_RATIO = 1e6
+
+#: The angle of the massive hyperboloid's y rotation generator.  Any angle
+#: but 0 or pi modulo 2 pi generates SO(3) with the rotations about z.
+Y_ANGLE = math.sqrt(2.0)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -154,12 +159,6 @@ def weight_bases(label: IrrepLabel) -> tuple[MappingProxyType, float]:
     return MappingProxyType(bases), gap
 
 
-def _about_z(h: groups.GroupElement) -> bool:
-    # A rotation about z differs from the identity in the first parameter
-    # (alpha) only.
-    return h.params[1:] == groups.identity(h.group).params[1:]
-
-
 @lru_cache(maxsize=None)
 def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     """What the solve needs of one label, whatever it is paired with.
@@ -196,14 +195,41 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
 
 
 def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
-    """Parameters of the sampled stabilizer generators that a pair's solve
-    stacks: every sampled element on the circle, the ones other than the
-    rotations about z elsewhere."""
-    group = _check_pair(j, l, orbit)
-    rest = groups.stabilizer_sample(orbit, group).elements
-    if not isinstance(orbit, Circle):
-        rest = [h for h in rest if not _about_z(h)]
-    return tuple(h.params for h in rest)
+    """Parameters of the generators of the base point's stabilizer H that
+    a pair's solve stacks: those that, with the rotations about z, generate
+    H.  On the circle H is trivial under SO(2) (none) and {1, r_y} under
+    O(2) (the reflection r_y).  On the sphere H is SO(2)_z under SO(3)
+    (none) and O(2)_z under O(3) (r_y = parity * R_y(pi)).  On the massive
+    hyperboloid H is SO(3) (R_y(:data:`Y_ANGLE`)): the closed subgroups of
+    SO(3) that contain SO(2)_z are SO(2)_z, O(2)_z and SO(3), the first two
+    holding R_y(t) only for t = 0 or pi modulo 2 pi.  On the null cone only
+    SO(2)_z is imposed (none): the null rotations of its stabilizer ISO(2)
+    are not."""
+    return _stabilizer_generators(orbit, _check_pair(j, l, orbit))
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_generators(orbit: Orbit, group: str) -> tuple:
+    # Built and checked once per orbit and group.
+    if group == groups.O2:
+        params = ((0.0, -1.0),)
+    elif group == groups.O3:
+        params = ((0.0, math.pi, 0.0, -1.0),)
+    elif isinstance(orbit, MassiveHyperboloid):
+        if math.remainder(Y_ANGLE, math.pi) == 0.0:
+            raise GroupError(
+                f"the y rotation by {Y_ANGLE!r} of the hyperboloid's "
+                f"stabilizer lies in O(2)_z, so the generators do not "
+                f"generate SO(3)")
+        params = ((0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),)
+    else:
+        params = ()
+    x0 = groups.base_point(orbit).vector
+    for p in params:
+        if np.linalg.norm(groups.matrices(group, p) @ x0 - x0) > 1e-11:
+            raise GroupError(f"the {group} stabilizer generator {p} moves "
+                             f"the base point")
+    return params
 
 
 def _block(out: np.ndarray, at: int, a: np.ndarray,
@@ -215,6 +241,17 @@ def _block(out: np.ndarray, at: int, a: np.ndarray,
     v = out[..., at:at + ca * cb].view()
     v.shape = out.shape[:-2] + (ra, rb, ca, cb)
     return v
+
+
+def _unknowns(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
+    """The weights both labels have, and the number of the pair's
+    unknowns: n_j(m) n_l(m) summed over those weights, twice for m > 0
+    over the reals.  A weight of j missing from l has no unknowns."""
+    uj, ul = _label_factors(j, params)[0], _label_factors(l, params)[0]
+    real = j.field != COMPLEX
+    shared = [m for m in uj if m in ul]
+    return shared, sum(uj[m].shape[1] * ul[m].shape[1]
+                       * (2 if real and m else 1) for m in shared)
 
 
 def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
@@ -232,12 +269,10 @@ def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
     uj, _, rho_uj, _, gap_j = _label_factors(j, params)
     _, ul, _, rho_ul, gap_l = _label_factors(l, params)
     real = j.field != COMPLEX
-    # A weight of j missing from l has no unknowns.  A real K has X_-m =
-    # conj(X_m): a column c of weight m > 0 stands for c + conj(c), whose
-    # real, orthonormal parts are sqrt(2) Re c and sqrt(2) Im c.
-    shared = [m for m in uj if m in ul]
-    n = sum(uj[m].shape[1] * ul[m].shape[1] * (2 if real and m else 1)
-            for m in shared)
+    # A real K has X_-m = conj(X_m): a column c of weight m > 0 stands for
+    # c + conj(c), whose real, orthonormal parts are sqrt(2) Re c and
+    # sqrt(2) Im c.
+    shared, n = _unknowns(j, l, params)
 
     def fill(out, left, right):
         # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major: each
@@ -287,17 +322,13 @@ def oracle_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
     The count is taken from the singular values of the same stack, with the
     same rank cut and the same gap checks: no singular vector, sign fixing
     or basis product.  Without a stack, every equal-weight block is free
-    and the count is that of the unknowns, n_j(m) n_l(m) summed over the
-    weights both labels share (twice for m > 0 over the reals), read from
-    the weight bases without forming the embedding.  Raises
-    :class:`DegenerateSpectrumError` where :func:`solve_basepoint` does.
+    and the count is that of the unknowns (see :func:`_unknowns`), without
+    forming the embedding.  Raises :class:`DegenerateSpectrumError` where
+    :func:`solve_basepoint` does.
     """
     params = _generators(j, l, orbit)
     if not params:
-        uj, ul = weight_bases(j)[0], weight_bases(l)[0]
-        real = j.field != COMPLEX
-        return sum(u.shape[1] * ul[m].shape[1] * (2 if real and m else 1)
-                   for m, u in uj.items() if m in ul)
+        return _unknowns(j, l, params)[1]
     _, stack, _ = _constraint(j, l, params)
     k, kept, dropped = numerics.nullity_with_spectrum(stack)
     require_rank_gap(kept, dropped, f" for {j} / {l}")

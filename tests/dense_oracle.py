@@ -5,17 +5,20 @@ weights of the rotations about z.  This is the direct route it replaced:
 stack ``kron(rho_j(h), rho_l(h)^-T) - I`` over every sampled stabilizer
 element h, for all dim_j * dim_l unknowns, and take the SVD nullspace of
 the stack.  It costs far more, and it shares nothing with the library's
-solve but the representation matrices and the SVD.  On the massive
-hyperboloid it keeps its own, redundant sample: the rotations about z and
-about y by 1 and by sqrt(2) each, where the library stacks one y rotation.
+solve but the representation matrices and the SVD.  It keeps its own,
+redundant sample of every stabilizer, and shares no choice of generators
+with the library, which imposes the rotations about z through its weight
+blocks and stacks only the generators outside them.
 """
 
 import math
 
 import numpy as np
 
-from steerkit import groups, numerics
-from steerkit.groups import MassiveHyperboloid, lorentz_element
+from steerkit import numerics
+from steerkit.groups import (Circle, MassiveHyperboloid, Sphere,
+                             lorentz_element, o2_element, o3_element,
+                             so2_element, so3_element)
 from steerkit.irreps import rep_inverses, rep_matrices
 from steerkit.stabilizer_solver import require_rank_gap
 
@@ -35,12 +38,24 @@ def constraint_stack(j, l, elements) -> np.ndarray:
 
 
 def reference_sample(orbit, group) -> tuple:
-    """The stabilizer elements the dense reference stacks."""
+    """The stabilizer elements the dense reference stacks: the identity, and
+    the reflection r_y under O(2), on the circle; the rotations about z by
+    1 and by sqrt(2) elsewhere, with r_y = parity * R_y(pi) under O(3) and
+    the rotations about y by 1 and by sqrt(2) on the massive hyperboloid."""
+    angles = (1.0, math.sqrt(2.0))
+    if isinstance(orbit, Circle):
+        if group == "so2":
+            return (so2_element(0.0),)
+        return o2_element(0.0, 1), o2_element(0.0, -1)
+    if isinstance(orbit, Sphere):
+        if group == "so3":
+            return tuple(so3_element(t, 0.0, 0.0) for t in angles)
+        return (tuple(o3_element(t, 0.0, 0.0, 1) for t in angles)
+                + (o3_element(0.0, math.pi, 0.0, -1),))
+    about_z = tuple(lorentz_element(t, 0.0, 0.0) for t in angles)
     if isinstance(orbit, MassiveHyperboloid):
-        angles = (1.0, math.sqrt(2.0))
-        return (tuple(lorentz_element(t, 0.0, 0.0) for t in angles)
-                + tuple(lorentz_element(0.0, t, 0.0) for t in angles))
-    return groups.stabilizer_sample(orbit, group).elements
+        return about_z + tuple(lorentz_element(0.0, t, 0.0) for t in angles)
+    return about_z
 
 
 def dense_basis(j, l, orbit) -> np.ndarray:

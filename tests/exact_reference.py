@@ -1,5 +1,6 @@
-"""Exact reference kernels on the Lorentz orbits and a 50-digit reference
-for the Wigner matrices, for the tests only.
+"""Exact reference kernels on the Lorentz orbits, exact projectors onto the
+circle's intertwiner spaces and a 50-digit reference for the Wigner
+matrices, for the tests only.
 
 A kernel at x is ``rho_j(g) K0 rho_l(g)^-1`` for a group element g with
 ``g . x0 = x``.  At the points built here g has rational entries, so the
@@ -135,6 +136,46 @@ def cone_kernels(elements, alpha, beta, x0) -> tuple:
     e0 = elements[0]
     return point, _steer(elements, _tensor_rep(*e0.j.tensor, lam),
                          _tensor_rep(*e0.l.tensor, _ETA @ lam.T @ _ETA))
+
+
+# ---------------------------------------------------------------------------
+# intertwiner spaces on the circle
+
+def _reflection(label) -> np.ndarray:
+    """rho(r_y) of an O(2) label, an integer matrix: 1 for j = 0, -1 for 0~,
+    diag(1, -1) for a real j >= 1 and sigma_1 for a complex one."""
+    if label.dim == 1:
+        return np.array([[-1 if label.tilde else 1]])
+    return np.array([[1, 0], [0, -1]] if label.field == "real"
+                    else [[0, 1], [1, 0]])
+
+
+def circle_projector(j, l) -> np.ndarray:
+    """The orthogonal projector onto the row-major vectorized intertwiners
+    of a pair of circle labels, exact in binary (entries 0, +-1/2 and 1).
+
+    The base point's stabilizer is trivial under SO(2): the projector is the
+    identity.  Under O(2) it is {1, r_y}, and the projector is the average
+    ``(I + R) / 2`` of the constraint operators, ``R = kron(rho_j(r_y),
+    rho_l(r_y)^-T) = kron(rho_j(r_y), rho_l(r_y))``: each rho(r_y) is a
+    real symmetric involution, so R is one too.
+    """
+    d = j.dim * l.dim
+    if j.group == "so2":
+        return np.eye(d)
+    return (np.eye(d) + np.kron(_reflection(j), _reflection(l))) / 2
+
+
+def projector_error(basis, exact) -> float:
+    """Largest entry of the real and imaginary parts of ``B B^H - P``, for a
+    basis B and a projector P of float entries, each taken exactly: the
+    product is formed in rationals and rounded once."""
+    b = np.asarray(basis, dtype=complex)
+    re, im, p = (np.vectorize(Fraction, otypes=[object])(a)
+                 for a in (b.real, b.imag, np.asarray(exact, dtype=float)))
+    # (Re + i Im)(Re^T - i Im^T)
+    parts = (re @ re.T + im @ im.T - p, im @ re.T - re @ im.T)
+    return float(max(abs(x) for part in parts for x in part.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
-"""The README's library quick tour runs, and ``steerkit.__all__`` resolves,
-so that removing a public name cannot leave either of them stale."""
+"""The README's library quick tour runs, ``steerkit.__all__`` resolves,
+and every name in the README's module map exists, so that removing a name
+cannot leave any of them stale."""
 
+import argparse
+import builtins
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import steerkit
+from steerkit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +27,46 @@ def test_every_exported_name_resolves():
     names = steerkit.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(steerkit, n)] == []
+
+
+def _resolves(name: str, namespaces) -> bool:
+    """Whether a dotted name is an attribute path from one of the
+    namespaces; a dataclass field counts as an attribute of its class."""
+    head, *rest = name.split(".")
+    for space in namespaces:
+        if head not in space:
+            continue
+        obj = space[head]
+        for part in rest:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            obj = fields[part] if part in fields else getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_module_map_names_exist():
+    # A backticked identifier in a module-map row is an attribute of some
+    # steerkit module, a subcommand, a builtin or a parameter of a function
+    # of that row's module.
+    modules = {m.name: importlib.import_module(f"steerkit.{m.name}")
+               for m in pkgutil.iter_modules(steerkit.__path__)
+               if not m.name.startswith("_")}
+    namespaces = [{"steerkit": steerkit, **modules}]
+    namespaces += [vars(m) for m in modules.values()]
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    rows = [line for line in README.read_text().splitlines()
+            if line.startswith("| `steerkit.")]
+    assert len(rows) == len(modules)
+    stale = []
+    for row in rows:
+        module = modules[re.match(r"\| `steerkit\.(\w+)`", row).group(1)]
+        params = {name for _, f in inspect.getmembers(module, inspect.isfunction)
+                  if f.__module__ == module.__name__
+                  for name in inspect.signature(f).parameters}
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", row):
+            if not (_resolves(name, namespaces) or name in sub.choices
+                    or hasattr(builtins, name) or name in params):
+                stale.append((module.__name__, name))
+    assert stale == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, irreps, steering
+from steerkit import groups, irreps, stabilizer_solver, steering
 from steerkit.groups import (ETA, GroupElement, GroupError, Circle,
                              MassiveHyperboloid, NullCone, Sphere, act_points,
                              base_point, boost_matrix, circle_point,
@@ -13,9 +13,11 @@ from steerkit.groups import (ETA, GroupElement, GroupError, Circle,
                              o2_reflection, o3_element, orbit_vectors,
                              random_orbit_coords, random_params,
                              section_params, so2_element, so3_element,
-                             sphere_point, stabilizer_sample)
-from steerkit.irreps import so3_irrep, tensor_irrep
+                             sphere_point)
+from steerkit.irreps import (o2_irrep, o3_irrep, so2_irrep, so3_irrep,
+                             tensor_irrep)
 
+from dense_oracle import reference_sample
 from group_law import inverse, product, stabilizer_draw
 
 ALL_GROUPS = ("so2", "o2", "so3", "o3", "lorentz")
@@ -183,51 +185,61 @@ def test_coordinate_width_is_checked():
 
 
 def test_stabilizer_samples():
-    s = stabilizer_sample(Circle(), "so2")
-    assert len(s.elements) == 1
-    np.testing.assert_allclose(matrices("so2", s.elements[0].params),
-                               np.eye(2))
+    # The dense reference's sample and the oracle's generators fix the base
+    # point; on the circle the sample holds the identity (SO(2)) and the
+    # reflection diag(1, -1) (O(2)), the latter the one O(2) generator.
+    s = reference_sample(Circle(), "so2")
+    assert len(s) == 1
+    np.testing.assert_allclose(matrices("so2", s[0].params), np.eye(2))
+    assert stabilizer_solver._generators(so2_irrep(1), so2_irrep(1),
+                                         Circle()) == ()
 
-    s = stabilizer_sample(Circle(), "o2")
-    mats = matrices("o2", [h.params for h in s.elements])
+    s = reference_sample(Circle(), "o2")
+    mats = matrices("o2", [h.params for h in s])
     assert len(mats) == 2
     np.testing.assert_allclose(mats[1], np.diag([1.0, -1.0]), atol=1e-14)
+    (reflection,) = stabilizer_solver._generators(o2_irrep(1), o2_irrep(1),
+                                                  Circle())
+    np.testing.assert_allclose(matrices("o2", reflection),
+                               np.diag([1.0, -1.0]), atol=1e-14)
 
-    for group, orbit in [("so3", Sphere()), ("o3", Sphere()),
-                         ("lorentz", MassiveHyperboloid()),
-                         ("lorentz", NullCone())]:
-        s = stabilizer_sample(orbit, group)
-        for h in s.elements:
-            np.testing.assert_allclose(matrices(group, h.params)
-                                       @ s.base.vector,
-                                       s.base.vector, atol=1e-12)
+    for group, orbit, label in [
+            ("so3", Sphere(), so3_irrep(1)), ("o3", Sphere(), o3_irrep(1, 1)),
+            ("lorentz", MassiveHyperboloid(), tensor_irrep(1, 0)),
+            ("lorentz", NullCone(), tensor_irrep(1, 0))]:
+        x0 = base_point(orbit).vector
+        params = [h.params for h in reference_sample(orbit, group)]
+        params += stabilizer_solver._generators(label, label, orbit)
+        for p in params:
+            np.testing.assert_allclose(matrices(group, p) @ x0, x0,
+                                       atol=1e-12)
 
 
 def test_massive_sample_has_one_y_rotation():
-    # The rotations about z and one y rotation, by sqrt(2): with U(1)_z
-    # imposed by the weight blocking, one rotation outside O(2)_z generates
-    # SO(3).
-    s = stabilizer_sample(MassiveHyperboloid(), "lorentz")
+    # One y rotation, by sqrt(2): with U(1)_z imposed by the weight
+    # blocking, one rotation outside O(2)_z generates SO(3).
+    t = tensor_irrep(1, 0)
     root2 = math.sqrt(2.0)
-    assert [h.params[:3] for h in s.elements] == [
-        (1.0, 0.0, 0.0), (root2, 0.0, 0.0), (0.0, root2, 0.0)]
+    assert stabilizer_solver._generators(t, t, MassiveHyperboloid()) == (
+        (0.0, root2, 0.0, 0.0, 0.0, 0.0),)
 
 
 @pytest.mark.parametrize("y", [0.0, math.pi, -math.pi, 2 * math.pi,
                                3 * math.pi])
 def test_degenerate_y_rotation_is_rejected(monkeypatch, y):
-    # A y rotation by 0 or pi modulo 2 pi lies in O(2)_z: the sample would
-    # no longer generate SO(3), and building it says so.
-    groups._stabilizer_sample.cache_clear()
+    # A y rotation by 0 or pi modulo 2 pi lies in O(2)_z: the generators
+    # would no longer generate SO(3), and building them says so.
+    build = stabilizer_solver._stabilizer_generators
+    build.cache_clear()
     try:
-        monkeypatch.setattr(groups, "STABILIZER_ANGLES", (1.0, y))
-        with pytest.raises(GroupError, match="does not generate SO\\(3\\)"):
-            stabilizer_sample(MassiveHyperboloid(), "lorentz")
+        monkeypatch.setattr(stabilizer_solver, "Y_ANGLE", y)
+        with pytest.raises(GroupError, match="do not generate SO\\(3\\)"):
+            build(MassiveHyperboloid(), "lorentz")
         # The other orbits stack no y rotation.
-        stabilizer_sample(NullCone(), "lorentz")
-        stabilizer_sample(Sphere(), "so3")
+        build(NullCone(), "lorentz")
+        build(Sphere(), "so3")
     finally:
-        groups._stabilizer_sample.cache_clear()
+        build.cache_clear()
 
 
 def test_random_stabilizer_elements_fix_base_point():

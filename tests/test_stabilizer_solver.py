@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 from collections import Counter
 
@@ -20,7 +22,8 @@ from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
 from steerkit.steering import steer
 from steerkit.verify import SPAN_TOL, compact_case_grid, lorentz_case_grid
 
-from dense_oracle import constraint_stack, dense_basis
+from dense_oracle import constraint_stack, dense_basis, reference_sample
+from exact_reference import circle_projector, projector_error
 from group_law import stabilizer_draw
 
 
@@ -166,17 +169,17 @@ def test_solutions_satisfy_constraint_for_all_samples():
     ]
     for j, l, orbit in cases:
         space = solve_basepoint(j, l, orbit)
-        sample = groups.stabilizer_sample(orbit, j.group)
+        sample = reference_sample(orbit, j.group)
         # The dense reference's stack is the per-element vstack bit for bit.
         blocks = []
-        for h in sample.elements:
+        for h in sample:
             op = np.kron(rep_matrices(j, h.params),
                          rep_inverses(l, h.params).T)
             blocks.append(op - np.eye(op.shape[0]))
-        stack = constraint_stack(j, l, sample.elements)
+        stack = constraint_stack(j, l, sample)
         assert stack.dtype == blocks[0].dtype
         np.testing.assert_array_equal(stack, np.vstack(blocks))
-        for h in sample.elements:
+        for h in sample:
             rj, rli = rep_matrices(j, h.params), rep_inverses(l, h.params)
             for k in space.matrices():
                 assert np.linalg.norm(rj @ k @ rli - k) <= 1e-10
@@ -324,14 +327,14 @@ def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
 
 
 def test_stackless_counts_form_no_embedding(monkeypatch):
-    # The real SO(3) table to 8 and the cone pairs stack no generator: their
-    # counts are read from the cached weight bases, with no embedding or
-    # stack assembled.  On every pair of the dims tables the count is the
-    # solve's.
+    # The real SO(3) table to 8, the complex SO(2) table to 8 and the cone
+    # pairs stack no generator: their counts are read from the dimensions
+    # of the weight blocks (U = I on the circle), with no embedding or stack
+    # assembled.  On every pair of the dims tables the count is the solve's.
     pairs = _dims_pairs()
     stackless = [(j, l, orbit) for j, l, orbit in pairs
-                 if j.group == "so3" or isinstance(orbit, NullCone)]
-    assert len(stackless) == 81 + 3
+                 if j.group in ("so2", "so3") or isinstance(orbit, NullCone)]
+    assert len(stackless) == 81 + 81 + 3
     dims = {(j, l, orbit): solve_basepoint(j, l, orbit).dimension
             for j, l, orbit in pairs}
 
@@ -350,11 +353,15 @@ def test_count_and_solve_split_every_dims_stack_alike():
     # the SVD of its R factor with vectors: two routes through LAPACK.  On
     # every stacked pair of the dims tables they cut the spectrum at the
     # same place, and agree to round-off; the count's spectrum is the bits
-    # of the values-only SVD of R wherever the solve takes R (m >= 2n).
+    # of the values-only SVD of R wherever the solve takes R (m >= 2n).  On
+    # the stackless pairs (SO(2), SO(3), the cone) the count is the solve's
+    # too.
     stacked = 0
     for j, l, orbit in _dims_pairs():
         params = stabilizer_solver._generators(j, l, orbit)
         if not params:
+            assert oracle_dimension(j, l, orbit) == solve_basepoint(
+                j, l, orbit).dimension, (j, l, orbit)
             continue
         stacked += 1
         _, stack, _ = stabilizer_solver._constraint(j, l, params)
@@ -370,7 +377,7 @@ def test_count_and_solve_split_every_dims_stack_alike():
         if m >= 2 * n:
             s = np.linalg.svd(np.linalg.qr(stack, mode="r"), compute_uv=False)
             np.testing.assert_array_equal(np.concatenate([kept, dropped]), s)
-    assert stacked == 388
+    assert stacked == 307
 
 
 def test_spinor_vector_count_copies_nothing(monkeypatch):
@@ -425,7 +432,7 @@ def test_rank3_tensor_on_the_cone():
     assert space.dimension == 924 and space.basis.dtype == np.float64
     assert space.gap_ratio >= GAP_RATIO
     rng = np.random.default_rng(30)
-    elements = (list(groups.stabilizer_sample(orbit, LORENTZ).elements)
+    elements = (list(reference_sample(orbit, LORENTZ))
                 + [stabilizer_draw(orbit, LORENTZ, rng) for _ in range(4)])
     kernels = np.stack(space.matrices())
     for h in elements:
@@ -445,7 +452,7 @@ def test_round_off_stack_keeps_its_solution():
                 j, l = o3_irrep(0, pj, field), o3_irrep(1, pl, field)
                 space = _check(j, l, Sphere(), 1 if pj == pl else 0)
                 assert space.gap_ratio >= GAP_RATIO
-                for h in groups.stabilizer_sample(Sphere(), "o3").elements:
+                for h in reference_sample(Sphere(), "o3"):
                     for k in space.matrices():
                         assert np.linalg.norm(
                             rep_matrices(j, h.params) @ k
@@ -453,24 +460,69 @@ def test_round_off_stack_keeps_its_solution():
 
 
 def test_circle_has_no_weight_blocks(monkeypatch):
-    # The circle's one block is U = I: its stack is the dense constraint, so
-    # its bases are the dense reference's bit for bit.
+    # The circle's one block is U = I, and no weight basis is taken.  Its
+    # bases span the exact intertwiner spaces: each B B^H is within 2.3e-16
+    # of the exact projector, entry by entry, for these pairs and complex
+    # O(2) j, l in 1..4 (whose projectors have the entries 0 and 1/2).
     def no_weights(label):
         raise AssertionError(f"weight bases taken for {label} on the circle")
     monkeypatch.setattr(stabilizer_solver, "weight_bases", no_weights)
-    for j, l, orbit in [(so2_irrep(2), so2_irrep(3), Circle()),
-                        (so2_irrep(1, "complex"), so2_irrep(1, "complex"),
-                         Circle()),
-                        (o2_irrep(2), o2_irrep("0~"), Circle()),
-                        (o2_irrep(3, "complex"), o2_irrep(3, "complex"),
-                         Circle())]:
-        space = solve_basepoint(j, l, orbit)
-        np.testing.assert_array_equal(space.basis, dense_basis(j, l, orbit))
+    pairs = [(so2_irrep(2), so2_irrep(3)),
+             (so2_irrep(1, "complex"), so2_irrep(1, "complex")),
+             (o2_irrep(2), o2_irrep("0~")),
+             (o2_irrep(3, "complex"), o2_irrep(3, "complex"))]
+    pairs += [(o2_irrep(a, "complex"), o2_irrep(b, "complex"))
+              for a in range(1, 5) for b in range(1, 5)]
+    for j, l in pairs:
+        space = solve_basepoint(j, l, Circle())
+        assert space.basis.dtype == dense_basis(j, l, Circle()).dtype
+        error = projector_error(space.basis, circle_projector(j, l))
+        assert error <= 2.3e-16, (j, l, error)
+
+
+def test_generators_lie_outside_the_rotations_about_z():
+    # The weight blocks impose the rotations about z (on the circle, where
+    # there are none, the identity): no generator the solve stacks is one
+    # of them, and SO(2) stacks none.  The choice of generators is made in
+    # stabilizer_solver alone, from parameters: it names no group element
+    # and no stabilizer sample, and groups defines none.
+    labels = {"so2": so2_irrep(1), "o2": o2_irrep(1), "so3": so3_irrep(1),
+              "o3": o3_irrep(1, 1), "lorentz": tensor_irrep(1, 0)}
+    counts = {}
+    for kind, names in groups.ORBIT_GROUPS.items():
+        orbit = kind()
+        x0 = groups.base_point(orbit).vector
+        for group in names:
+            params = stabilizer_solver._generators(labels[group],
+                                                   labels[group], orbit)
+            counts[group, kind.__name__] = len(params)
+            for p in params:
+                m = groups.matrices(group, p)
+                z = np.eye(len(m))[-1]
+                about_z = np.linalg.det(m) > 0 and (
+                    len(m) == 2 or np.allclose(m @ z, z))
+                assert not about_z, (group, type(orbit).__name__, p)
+                np.testing.assert_allclose(m @ x0, x0, atol=1e-12)
+    assert counts == {("so2", "Circle"): 0, ("o2", "Circle"): 1,
+                      ("so3", "Sphere"): 0, ("o3", "Sphere"): 1,
+                      ("lorentz", "MassiveHyperboloid"): 1,
+                      ("lorentz", "NullCone"): 0}
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(ast.parse(inspect.getsource(stabilizer_solver)))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert not names & {"GroupElement", "stabilizer_sample"}
+    body = ast.parse(inspect.getsource(groups)).body
+    defined = [n.name for n in body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    defined += [t.id for n in body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)]
+    assert not [n for n in defined if "stabilizer" in n.lower()], defined
 
 
 def test_sphere_and_cone_build_no_stack(monkeypatch):
-    # Their sampled stabilizers are rotations about z only: every
-    # equal-weight block is free and no nullspace is taken.
+    # Their stabilizers are generated by the rotations about z (SO(3)), or
+    # only those are imposed (the cone): every equal-weight block is free
+    # and no nullspace is taken.
     shapes = _record_nullspace_calls(monkeypatch)
     for j, l, orbit, dim in [
             (so3_irrep(2), so3_irrep(3), Sphere(), 5),
@@ -486,7 +538,7 @@ def cold_caches():
     # The oracle's caches hold the representations of earlier solves: a test
     # that monkeypatches rep_matrices or counts calls starts and ends cold.
     caches = (weight_bases, stabilizer_solver._label_factors,
-              groups._stabilizer_sample)
+              stabilizer_solver._stabilizer_generators)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -579,8 +631,8 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # From cold caches, the O(3) tables (200 pairs) and the full Lorentz table
     # (8 pairs) evaluate each label once per side and per parameter stack
     # (the weight projectors' rotations, the stacked generators), and build
-    # each stabilizer sample once per (orbit, group); a solve that evaluated
-    # them per pair would count one call per pair.
+    # and check the generators once per (orbit, group); a solve that
+    # evaluated them per pair would count one call per pair.
     calls = Counter()
 
     def counted(name, fn):
@@ -595,7 +647,7 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     base_point = groups.base_point
 
     def counted_base_point(orbit):
-        calls["stabilizer_sample", orbit] += 1
+        calls["generators", orbit] += 1
         return base_point(orbit)
     monkeypatch.setattr(groups, "base_point", counted_base_point)
     cases = (compact_case_grid("o3", 4)
@@ -613,14 +665,13 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # the hyperboloid (the cone stacks none).
     assert len(labels) == 24
     assert names == {"rep_matrices": 20 + 4, "rep_pair": 20 + 4,
-                     "stabilizer_sample": 3}
+                     "generators": 3}
 
 
 def test_cached_factors_are_read_only(cold_caches):
     one = o3_irrep(1, -1)
     space = solve_basepoint(one, one, Sphere())
-    params = tuple(h.params for h in groups.stabilizer_sample(Sphere(), "o3")
-                   .elements if not stabilizer_solver._about_z(h))
+    params = stabilizer_solver._generators(one, one, Sphere())
     factors = stabilizer_solver._label_factors(one, params)
     arrays = [a for part in factors[:4] for a in part.values()]
     assert len(arrays) == 4 * 2  # weights 0 and 1 of a real l = 1 label

@@ -524,16 +524,20 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
     # modules that steer, solve, verify and dump import no private name
     # from it, and steering names no group.  steer, section_pieces (so
     # sample, basis and section_kernels), both sweeps and the oracle's
-    # per-label factors each take (rho_j, rho_l^-1) from rep_pair.
-    for module in (steering, stabilizer_solver, verify, cli):
+    # per-label factors each take (rho_j, rho_l^-1) from rep_pair.  The
+    # CLI imports no private name from groups either.
+    def private(module, source):
         tree = ast.parse(inspect.getsource(module))
-        private = [a.name for n in ast.walk(tree)
-                   if isinstance(n, ast.ImportFrom) and n.module == "irreps"
-                   for a in n.names if a.name.startswith("_")]
-        private += [n.attr for n in ast.walk(tree)
-                    if isinstance(n, ast.Attribute) and n.attr.startswith("_")
-                    and isinstance(n.value, ast.Name) and n.value.id == "irreps"]
-        assert not private, (module.__name__, private)
+        names = [a.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module == source
+                 for a in n.names if a.name.startswith("_")]
+        return names + [
+            n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+            and isinstance(n.value, ast.Name) and n.value.id == source]
+    for module in (steering, stabilizer_solver, verify, cli):
+        assert not private(module, "irreps"), module.__name__
+    assert not private(cli, "groups")
     names = {n.id if isinstance(n, ast.Name) else n.attr
              for n in ast.walk(ast.parse(inspect.getsource(steering)))
              if isinstance(n, (ast.Name, ast.Attribute))}
