@@ -3,8 +3,15 @@
 Covers SO(2), O(2), SO(3), O(3) and the proper orthochronous Lorentz group
 SO+(1,3).  Conventions fixed here and relied on everywhere else:
 
+* A group element is its parameter tuple, and a stack of elements is an
+  array of shape (..., k): ``(phi,)`` for SO(2), ``(phi, s)`` for O(2),
+  ``(alpha, beta, gamma)`` for SO(3), plus the parity ``p`` for O(3), plus
+  the rapidity vector for the Lorentz group.  Parameters are taken as
+  given: any finite angles are valid, ``s`` and ``p`` are +-1.  The coset
+  sections and the random draws produce the canonical ranges, ``alpha,
+  gamma in [0, 2pi)`` and ``beta in [0, pi]``.
 * Euler angles are z-y-z: ``R(alpha, beta, gamma) = Rz(alpha) Ry(beta)
-  Rz(gamma)`` with ``alpha, gamma in [0, 2pi)`` and ``beta in [0, pi]``.
+  Rz(gamma)``.
 * O(2) elements are ``g_{phi,s} = [[cos phi, -s sin phi], [sin phi, s cos phi]]``
   with ``s = det``; O(3) elements are ``p * R`` with ``p = det``.
 * Lorentz elements factor as ``Lambda = R(alpha, beta, gamma) @ B(eta)`` with
@@ -16,6 +23,8 @@ SO+(1,3).  Conventions fixed here and relied on everywhere else:
   (1, 0, 0, 1)`` likewise with ``exp(eta) = x^0``.  On the z axis (the
   poles, the rest frame, the forward and backward null directions) the
   section fixes ``alpha = 0``, and the rest frame gets the identity.
+* Orbit membership is tested in units of the radius or the mass, so that
+  it holds on orbits of any positive finite radius or mass.
 """
 
 from __future__ import annotations
@@ -36,9 +45,6 @@ GROUPS = (SO2, O2, SO3, O3, LORENTZ)
 #: Minkowski metric diag(1, -1, -1, -1).
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
-_ORTHO_TOL = 1e-12
-
-
 class GroupError(ValueError):
     """Invalid group element, orbit point or operation."""
 
@@ -57,10 +63,6 @@ def _wrap_angles(angles) -> np.ndarray:
     # Collapse the 2*pi boundary so wrapped values stay in [0, 2*pi).
     return np.where((a >= TWO_PI) | (np.abs(a) < 1e-15)
                     | (np.abs(a - TWO_PI) < 1e-15), 0.0, a)
-
-
-def _wrap(angle: float) -> float:
-    return float(_wrap_angles(float(angle)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def _rot4(r3: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Number of canonical parameters per element of each group.
+#: Number of parameters per element of each group.
 PARAM_COUNT = {SO2: 1, O2: 2, SO3: 3, O3: 4, LORENTZ: 6}
 
 
@@ -157,12 +159,7 @@ _SIGN_PARAM = {O2: (1, "O(2) sign"), O3: (3, "O(3) parity")}
 def parameter_stack(group: str, params) -> np.ndarray:
     """``params`` as a float array of shape (..., k) for ``group``; NaN and
     infinite entries, and an O(2) sign or O(3) parity other than +-1, are
-    rejected, and so are group elements: a stack holds their ``params``."""
-    if isinstance(params, GroupElement) or (
-            isinstance(params, (list, tuple))
-            and any(isinstance(g, GroupElement) for g in params)):
-        raise GroupError(f"expected {group} parameters, got group elements; "
-                         "pass g.params, or [g.params] for a stack of one")
+    rejected."""
     p = np.asarray(params, dtype=float)
     if group not in PARAM_COUNT:
         raise GroupError(f"unknown group {group!r}")
@@ -181,7 +178,7 @@ def parameter_stack(group: str, params) -> np.ndarray:
 
 def matrices(group: str, params) -> np.ndarray:
     """Matrix realizations on R^d (d = 2, 3 or 4) of a stack of elements,
-    given by their canonical parameters, shape (..., k) -> (..., d, d)."""
+    given by their parameters, shape (..., k) -> (..., d, d)."""
     p = parameter_stack(group, params)
     if group == SO2:
         return rot2(p[..., 0])
@@ -195,82 +192,9 @@ def matrices(group: str, params) -> np.ndarray:
     return _rot4(rot) @ boost_matrix(p[..., 3:6])
 
 
-# ---------------------------------------------------------------------------
-# group elements
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Parametrized element of one of the five supported groups.
-
-    ``params`` is the canonical parameter tuple: ``(phi,)`` for SO(2),
-    ``(phi, s)`` for O(2), ``(alpha, beta, gamma)`` for SO(3), plus parity
-    ``p`` for O(3), plus the rapidity vector for the Lorentz group.  The
-    constructors put the angles in ``[0, 2pi)``, except ``beta`` in
-    ``[0, pi]``, with ``gamma = 0`` when ``beta`` is 0 or pi; ``s`` and
-    ``p`` are +-1 and the rapidity vector is any finite 3-vector.
-    """
-
-    group: str
-    params: tuple[float, ...]
-
-
-def so2_element(phi: float) -> GroupElement:
-    _require_finite("SO(2) angle", phi)
-    return GroupElement(SO2, (_wrap(phi),))
-
-
-def o2_element(phi: float, s: int = 1) -> GroupElement:
-    if s not in (1, -1):
-        raise GroupError("O(2) sign must be +1 or -1")
-    _require_finite("O(2) angle", phi)
-    return GroupElement(O2, (_wrap(phi), float(s)))
-
-
-def o2_reflection() -> GroupElement:
-    """The reflection r_y : (x, y) -> (x, -y)."""
-    return o2_element(0.0, -1)
-
-
-def so3_element(alpha: float, beta: float, gamma: float) -> GroupElement:
-    """``R(alpha, beta, gamma)`` with its angles folded into the z-y-z
-    ranges without forming the matrix."""
-    _require_finite("Euler angles", (alpha, beta, gamma))
-    beta = float(beta) % TWO_PI
-    if beta > math.pi:
-        # Ry(beta) = Rz(pi) Ry(2pi - beta) Rz(pi)
-        alpha, beta, gamma = alpha + math.pi, TWO_PI - beta, gamma + math.pi
-    # Only alpha + gamma (beta = 0) or alpha - gamma (beta = pi) is defined.
-    if beta == 0.0:
-        alpha, gamma = alpha + gamma, 0.0
-    elif beta == math.pi:
-        alpha, gamma = alpha - gamma, 0.0
-    return GroupElement(SO3, (_wrap(alpha), beta, _wrap(gamma)))
-
-
-def o3_element(alpha: float, beta: float, gamma: float, parity: int = 1) -> GroupElement:
-    if parity not in (1, -1):
-        raise GroupError("O(3) parity must be +1 or -1")
-    g = so3_element(alpha, beta, gamma)
-    return GroupElement(O3, g.params + (float(parity),))
-
-
-def lorentz_element(alpha: float, beta: float, gamma: float,
-                    eta=(0.0, 0.0, 0.0)) -> GroupElement:
-    g = so3_element(alpha, beta, gamma)
-    e = np.asarray(eta, dtype=float)
-    if e.shape != (3,):
-        raise GroupError("rapidity must be a 3-vector")
-    _require_finite("rapidity", e)
-    return GroupElement(LORENTZ, g.params + tuple(e))
-
-
-_IDENTITIES = {g: GroupElement(g, p) for g, p in (
-    (SO2, (0.0,)), (O2, (0.0, 1.0)), (SO3, (0.0,) * 3),
-    (O3, (0.0, 0.0, 0.0, 1.0)), (LORENTZ, (0.0,) * 6))}
-
-
-def identity(group: str) -> GroupElement:
-    return _IDENTITIES[group]
+#: Parameters of the identity element of each group.
+IDENTITY = {SO2: (0.0,), O2: (0.0, 1.0), SO3: (0.0,) * 3,
+            O3: (0.0, 0.0, 0.0, 1.0), LORENTZ: (0.0,) * 6}
 
 
 #: Low and high of the uniform double behind each parameter of a compact
@@ -405,10 +329,12 @@ def _off_lorentz_orbit(orbit: Orbit, x: np.ndarray) -> np.ndarray:
     """Mask of the 4-vectors of a finite stack that are not on ``orbit``."""
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflowing square fails the comparison and is rejected here.
+        if isinstance(orbit, MassiveHyperboloid):
+            x = x / orbit.mass
         q = x[..., 0] * x[..., 0] - row_dots(x[..., 1:])
         t2 = x[..., 0] ** 2
         if isinstance(orbit, MassiveHyperboloid):
-            on = np.abs(q - orbit.mass ** 2) <= 1e-11 * np.maximum(1.0, t2)
+            on = np.abs(q - 1.0) <= 1e-11 * np.maximum(1.0, t2)
         else:
             on = np.abs(q) <= 1e-11 * t2
     return ~((x[..., 0] > 0) & on)
@@ -508,8 +434,9 @@ def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
     flat = v.reshape(-1, v.shape[-1])
     if isinstance(orbit, (Circle, Sphere)):
         name = "circle" if isinstance(orbit, Circle) else "sphere"
-        r = np.sqrt(row_dots(flat))
-        if np.any(np.abs(r - orbit.radius) > 1e-10 * max(1.0, orbit.radius)):
+        _require_positive(f"{name} radius", orbit.radius)
+        r = np.sqrt(row_dots(flat / orbit.radius))
+        if np.any(np.abs(r - 1.0) > 1e-10):
             raise GroupError(f"vector is off the {name}")
         if isinstance(orbit, Circle):
             flat = _scalar(math.atan2, flat[:, 1], flat[:, 0])[:, None]

@@ -1,6 +1,8 @@
 """Irreducible representation matrices for all five groups.
 
-Conventions fixed here:
+Every representation is evaluated at a stack of group elements given by
+their parameters (see :mod:`steerkit.groups`), through :func:`rep_pair`,
+which pairs ``rho_j(g)`` with ``rho_l(g)^-1``.  Conventions fixed here:
 
 * SO(2) complex irreps: ``rho_n(g_phi) = exp(i n phi)``, n integer.  Real
   irreps: ``rho_0 = 1`` and the 2x2 rotation by ``j phi`` for j >= 1.
@@ -384,7 +386,7 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 
 def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
     """``(rho_j(g), rho_l(g)^-1)`` for a stack of elements of the labels'
-    group, canonical parameters of shape (..., k) -> two stacks (..., dim,
+    group, parameters of shape (..., k) -> two stacks (..., dim,
     dim), from what the labels share (:func:`_factors`) evaluated once.
     Every matrix equals that of its element and label alone bit for bit.
 
@@ -413,11 +415,6 @@ def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
     """``rho(g)`` for a stack of elements: :func:`rep_pair` of one label."""
     return rep_pair(label, label, params)[0]
-
-
-def rep_inverses(label: IrrepLabel, params) -> np.ndarray:
-    """``rho(g)^-1`` for a stack of elements: :func:`rep_pair` of one label."""
-    return rep_pair(label, label, params)[1]
 
 
 def _factors(p: np.ndarray, labels):

@@ -136,7 +136,7 @@ def weight_bases(label: IrrepLabel) -> tuple[MappingProxyType, float]:
     d = label.dim
     n = 2 * d
     real = label.field != COMPLEX
-    params = np.tile(groups.identity(label.group).params, (n, 1))
+    params = np.tile(groups.IDENTITY[label.group], (n, 1))
     params[:, 0] = 4.0 * math.pi * np.arange(n) / n
     rho = rep_matrices(label, params).reshape(n, d * d)
     twice = np.arange(0 if real else 1 - d, d)
@@ -224,7 +224,10 @@ def _stabilizer_generators(orbit: Orbit, group: str) -> tuple:
         params = ((0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),)
     else:
         params = ()
+    # Checked in units of the base point's largest entry: radius and mass
+    # set no scale for the stabilizer, and a norm of x0 could overflow.
     x0 = groups.base_point(orbit).vector
+    x0 = x0 / np.abs(x0).max()
     for p in params:
         if np.linalg.norm(groups.matrices(group, p) @ x0 - x0) > 1e-11:
             raise GroupError(f"the {group} stabilizer generator {p} moves "

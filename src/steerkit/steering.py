@@ -53,7 +53,7 @@ def _rep_bytes(j: IrrepLabel, l: IrrepLabel) -> int:
 
 def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     """``rho_j(g) @ k0 @ rho_l(g)^-1`` for a stack of n elements given by
-    their canonical parameters, shape ``(n, k)``.
+    their parameters, shape ``(n, k)``.
 
     ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)`` or a stack
     of them, shape ``(..., dim_j, dim_l)``: element i steers

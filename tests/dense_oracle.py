@@ -16,20 +16,17 @@ import math
 import numpy as np
 
 from steerkit import numerics
-from steerkit.groups import (Circle, MassiveHyperboloid, Sphere,
-                             lorentz_element, o2_element, o3_element,
-                             so2_element, so3_element)
-from steerkit.irreps import rep_inverses, rep_matrices
+from steerkit.groups import Circle, MassiveHyperboloid, Sphere
+from steerkit.irreps import rep_pair
 from steerkit.stabilizer_solver import require_rank_gap
 
 
 def constraint_stack(j, l, elements) -> np.ndarray:
     """The blocks ``kron(rho_j(h), rho_l(h)^-T) - I`` of a sequence of
-    elements h stacked in order into one (n * d, d) matrix, d = dim_j *
-    dim_l."""
-    params = [h.params for h in elements]
-    ops = numerics.kron(rep_matrices(j, params),
-                        rep_inverses(l, params).swapaxes(-1, -2))
+    elements h, given by their parameters, stacked in order into one
+    (n * d, d) matrix, d = dim_j * dim_l."""
+    ops = numerics.kron(rep_pair(j, j, elements)[0],
+                        rep_pair(l, l, elements)[1].swapaxes(-1, -2))
     n, d = len(ops), ops.shape[-1]
     # kron returns a fresh C-ordered stack: this reshape is a view, so the
     # diagonals are written in place.
@@ -38,23 +35,24 @@ def constraint_stack(j, l, elements) -> np.ndarray:
 
 
 def reference_sample(orbit, group) -> tuple:
-    """The stabilizer elements the dense reference stacks: the identity, and
-    the reflection r_y under O(2), on the circle; the rotations about z by
-    1 and by sqrt(2) elsewhere, with r_y = parity * R_y(pi) under O(3) and
-    the rotations about y by 1 and by sqrt(2) on the massive hyperboloid."""
+    """Parameters of the stabilizer elements the dense reference stacks: the
+    identity, and the reflection r_y under O(2), on the circle; the
+    rotations about z by 1 and by sqrt(2) elsewhere, with r_y = parity *
+    R_y(pi) under O(3) and the rotations about y by 1 and by sqrt(2) on the
+    massive hyperboloid."""
     angles = (1.0, math.sqrt(2.0))
     if isinstance(orbit, Circle):
         if group == "so2":
-            return (so2_element(0.0),)
-        return o2_element(0.0, 1), o2_element(0.0, -1)
+            return ((0.0,),)
+        return (0.0, 1.0), (0.0, -1.0)
     if isinstance(orbit, Sphere):
         if group == "so3":
-            return tuple(so3_element(t, 0.0, 0.0) for t in angles)
-        return (tuple(o3_element(t, 0.0, 0.0, 1) for t in angles)
-                + (o3_element(0.0, math.pi, 0.0, -1),))
-    about_z = tuple(lorentz_element(t, 0.0, 0.0) for t in angles)
+            return tuple((t, 0.0, 0.0) for t in angles)
+        return (tuple((t, 0.0, 0.0, 1.0) for t in angles)
+                + ((0.0, math.pi, 0.0, -1.0),))
+    about_z = tuple((t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in angles)
     if isinstance(orbit, MassiveHyperboloid):
-        return about_z + tuple(lorentz_element(0.0, t, 0.0) for t in angles)
+        return about_z + tuple((0.0, t, 0.0, 0.0, 0.0, 0.0) for t in angles)
     return about_z
 
 

@@ -9,7 +9,7 @@ element take them from here.
 import numpy as np
 
 from steerkit import groups, irreps
-from steerkit.irreps import COMPLEX, IrrepError
+from steerkit.irreps import COMPLEX
 from steerkit.numerics import nullspace_with_spectrum
 
 
@@ -33,12 +33,10 @@ def wigner_small_d(l: int, beta: float) -> np.ndarray:
     return irreps._small_d_stack(l, factors, COMPLEX)[0]
 
 
-def sl2_of(g: groups.GroupElement) -> np.ndarray:
-    """SL(2,C) element covering the Lorentz element (one of the two signs)."""
-    if g.group != groups.LORENTZ:
-        raise IrrepError("sl2_of expects a Lorentz element")
-    return irreps._sl2_stack(
-        groups.parameter_stack(groups.LORENTZ, [g.params]))[0]
+def sl2_of(params) -> np.ndarray:
+    """SL(2,C) element covering the Lorentz element with parameters
+    ``params`` (one of the two signs)."""
+    return irreps._sl2_stack(groups.parameter_stack(groups.LORENTZ, [params]))[0]
 
 
 def nullspace(a) -> np.ndarray:

@@ -160,7 +160,7 @@ def test_so3_real_steered_forms_are_r_matrix_products():
     j, l, m = 2, 3, 1
     alpha, beta = 0.8, 1.9
     x = groups.sphere_point(alpha, beta)
-    g = groups.so3_element(alpha, beta, 0.0).params
+    g = (alpha, beta, 0.0)
     rj = rep_matrices(so3_irrep(j), g)
     rl_inv = rep_matrices(so3_irrep(l), g).T  # orthogonal
     pos, neg = 2 * m - 1, 2 * m
@@ -182,9 +182,8 @@ def test_so3_kernels_do_not_depend_on_gamma():
     x = groups.sphere_point(alpha, beta)
     for field in ("real", "complex"):
         for elem in basis_so3(2, 2, field):
-            g_twisted = groups.so3_element(alpha, beta, 0.7)
             (twisted,) = steer(elem.base_matrix, elem.j, elem.l,
-                               [g_twisted.params])
+                               [(alpha, beta, 0.7)])
             np.testing.assert_allclose(twisted, elem.at(x), atol=1e-11)
 
 
@@ -604,6 +603,15 @@ def test_non_unit_orbit_scales():
     els = basis_so3(2, 1, radius=2.5)
     assert verify.max_steer_residual(els[:2], Sphere(2.5), n_g=4, n_x=4,
                                      seed=43) <= 1e-11
+    # Out to the ends of float64: no check squares a radius, and the
+    # oracle's stabilizer does not depend on it.
+    for radius in (1e-200, 1e200):
+        for els, orbit in ((basis_so3(1, 1, radius=radius), Sphere(radius)),
+                           (basis_so2(1, 1, radius=radius), Circle(radius))):
+            assert verify.max_steer_residual(els, orbit, n_g=4, n_x=4,
+                                             seed=43) <= 1e-11
+    assert verify.check_case(o3_irrep(1, 1), o3_irrep(1, 1),
+                             Sphere(1e6)).passed
 
     mass = 3.0
     vec = tensor_irrep(1, 0)

@@ -142,6 +142,19 @@ def test_basis_near_the_float64_limit_prints_standard_json(capsys):
     assert "overflow float64" in _strict_json(err)["error"]
 
 
+def test_basis_at_the_rest_frame_of_any_mass(capsys):
+    # Membership is tested in units of the mass, so no mass squares out of
+    # range: the rest frame of a huge mass gets the identity section.
+    args = ("basis", "--group", "lorentz", "--j", "vector", "--l", "vector")
+    runs = [run_cli(capsys, *args, "--mass", m, "--point", f"{m},0,0,0")
+            for m in ("1e200", "1")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    huge, unit = (json.loads(out) for _, out, _ in runs)
+    assert huge.pop("point") == [1e200, 0.0, 0.0, 0.0]
+    assert unit.pop("point") == [1.0, 0.0, 0.0, 0.0]
+    assert huge == unit
+
+
 def test_verify_is_byte_identical_across_runs(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--group", "o2", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "verify", "--group", "o2", "--seed", "7")

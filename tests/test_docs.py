@@ -1,8 +1,9 @@
 """The README's library quick tour runs, ``steerkit.__all__`` resolves,
 and every name in the README's module map exists, so that removing a name
-cannot leave any of them stale."""
+cannot leave any of them stale; and every library name has a reader."""
 
 import argparse
+import ast
 import builtins
 import importlib
 import inspect
@@ -13,7 +14,8 @@ from pathlib import Path
 import steerkit
 from steerkit import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_quick_tour_runs():
@@ -70,3 +72,43 @@ def test_module_map_names_exist():
                     or hasattr(builtins, name) or name in params):
                 stale.append((module.__name__, name))
     assert stale == []
+
+
+def _definitions(statement) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign)
+               else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def _reads(statement) -> set:
+    """The names and attribute names a statement loads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(statement)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_library_name_has_a_reader():
+    # Every module-level name of the library is read elsewhere in it, is
+    # exported by steerkit.__all__, or is read by the benchmark harness
+    # under perfbench/.  Dunder names are exempt.
+    statements = [(path.stem, s)
+                  for path in sorted(Path(steerkit.__file__).parent.glob("*.py"))
+                  for s in ast.parse(path.read_text()).body]
+    reads = [_reads(s) for _, s in statements]
+    bench = "\n".join(p.read_text()
+                      for p in sorted((ROOT / "perfbench").rglob("*.py")))
+    unread = []
+    for i, (module, statement) in enumerate(statements):
+        for name in _definitions(statement):
+            if not (name.startswith("__") and name.endswith("__")
+                    or any(name in r for k, r in enumerate(reads) if k != i)
+                    or name in steerkit.__all__
+                    or re.search(rf"\b{name}\b", bench)):
+                unread.append(f"{module}.{name}")
+    assert unread == []

@@ -5,15 +5,12 @@ import pytest
 
 from steerkit import analytic_bases as bases
 from steerkit import groups, irreps, stabilizer_solver, steering
-from steerkit.groups import (ETA, GroupElement, GroupError, Circle,
-                             MassiveHyperboloid, NullCone, Sphere, act_points,
-                             base_point, boost_matrix, circle_point,
-                             cone_point, default_group, identity,
-                             massive_point, matrices, o2_element,
-                             o2_reflection, o3_element, orbit_vectors,
-                             random_orbit_coords, random_params,
-                             section_params, so2_element, so3_element,
-                             sphere_point)
+from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
+                             NullCone, Sphere, act_points, base_point,
+                             boost_matrix, circle_point, cone_point,
+                             default_group, massive_point, matrices,
+                             orbit_vectors, random_orbit_coords,
+                             random_params, section_params, sphere_point)
 from steerkit.irreps import (o2_irrep, o3_irrep, so2_irrep, so3_irrep,
                              tensor_irrep)
 
@@ -24,32 +21,32 @@ ALL_GROUPS = ("so2", "o2", "so3", "o3", "lorentz")
 
 
 def test_so2_composition_adds_angles():
-    g = product(so2_element(0.3), so2_element(0.4))
-    assert abs(g.params[0] - 0.7) < 1e-14
+    g = product("so2", (0.3,), (0.4,))
+    np.testing.assert_allclose(matrices("so2", g), matrices("so2", (0.7,)),
+                               atol=1e-14)
 
 
 def test_o2_reflection_conjugation_flips_angle():
     # r_y g_phi r_y = g_{-phi}
     phi = 1.234
-    ry = o2_reflection()
-    g = product(product(ry, o2_element(phi)), ry)
-    assert abs(g.params[0] - (2 * math.pi - phi)) < 1e-12
-    assert g.params[1] == 1.0
+    ry = (0.0, -1.0)
+    g = product("o2", product("o2", ry, (phi, 1.0)), ry)
+    np.testing.assert_allclose(matrices("o2", g), matrices("o2", (-phi, 1.0)),
+                               atol=1e-12)
+    assert g[1] == 1.0
 
 
 def test_so3_inverse_composes_to_identity():
-    g = so3_element(0.4, 1.1, 2.2)
-    e = product(g, inverse(g))
-    np.testing.assert_allclose(matrices(e.group, e.params), np.eye(3),
-                               atol=1e-13)
+    g = (0.4, 1.1, 2.2)
+    e = product("so3", g, inverse("so3", g))
+    np.testing.assert_allclose(matrices("so3", e), np.eye(3), atol=1e-13)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS)
 def test_inverse_matrix_property(group):
     rng = np.random.default_rng(5)
     for p in random_params(group, rng, 10):
-        g_inv = inverse(GroupElement(group, tuple(p)))
-        prod = matrices(group, g_inv.params) @ matrices(group, p)
+        prod = matrices(group, inverse(group, p)) @ matrices(group, p)
         np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-12)
 
 
@@ -63,38 +60,37 @@ def test_action_is_associative(group, orbit):
     for _ in range(8):
         a, b = random_params(group, rng, 2)
         x = random_orbit_coords(orbit, rng, 1)[0]
-        ab = product(GroupElement(group, tuple(a)),
-                     GroupElement(group, tuple(b)))
-        lhs = orbit_vectors(orbit, act_points(group, ab.params, orbit, x))
+        ab = product(group, a, b)
+        lhs = orbit_vectors(orbit, act_points(group, ab, orbit, x))
         rhs = orbit_vectors(orbit, act_points(
             group, a, orbit, act_points(group, b, orbit, x)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, abs(lhs[0])))
 
 
 def test_act_examples():
-    x = act_points("so2", so2_element(math.pi / 2).params, Circle(), [0.0])
+    x = act_points("so2", (math.pi / 2,), Circle(), [0.0])
     assert abs(x[0] - math.pi / 2) < 1e-14
 
     # boost of the rest frame point: oracle is the explicit 4x4 boost matrix
     m = 1.7
     b = boost_matrix([0.0, 0.0, 1.0])
     expect = b @ np.array([m, 0.0, 0.0, 0.0])
-    g = groups.lorentz_element(0, 0, 0, (0, 0, 1.0))
-    got = act_points("lorentz", g.params, MassiveHyperboloid(m),
+    g = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    got = act_points("lorentz", g, MassiveHyperboloid(m),
                      base_point(MassiveHyperboloid(m)).coords)
     np.testing.assert_allclose(got, expect, atol=1e-13)
     np.testing.assert_allclose(got, [m * math.cosh(1), 0, 0, m * math.sinh(1)],
                                atol=1e-13)
 
-    flip = o3_element(0, 0, 0, parity=-1)  # -identity
-    south = act_points("o3", flip.params, Sphere(), [0.0, 0.0])
+    flip = (0.0, 0.0, 0.0, -1.0)  # -identity
+    south = act_points("o3", flip, Sphere(), [0.0, 0.0])
     np.testing.assert_allclose(orbit_vectors(Sphere(), south), [0, 0, -1.0],
                                atol=1e-14)
 
 
 def test_act_rejects_wrong_orbit():
     with pytest.raises(GroupError):
-        act_points("so2", so2_element(0.1).params, Sphere(), [0.0, 0.0])
+        act_points("so2", (0.1,), Sphere(), [0.0, 0.0])
 
 
 def test_lorentz_invariants():
@@ -190,12 +186,12 @@ def test_stabilizer_samples():
     # reflection diag(1, -1) (O(2)), the latter the one O(2) generator.
     s = reference_sample(Circle(), "so2")
     assert len(s) == 1
-    np.testing.assert_allclose(matrices("so2", s[0].params), np.eye(2))
+    np.testing.assert_allclose(matrices("so2", s[0]), np.eye(2))
     assert stabilizer_solver._generators(so2_irrep(1), so2_irrep(1),
                                          Circle()) == ()
 
     s = reference_sample(Circle(), "o2")
-    mats = matrices("o2", [h.params for h in s])
+    mats = matrices("o2", s)
     assert len(mats) == 2
     np.testing.assert_allclose(mats[1], np.diag([1.0, -1.0]), atol=1e-14)
     (reflection,) = stabilizer_solver._generators(o2_irrep(1), o2_irrep(1),
@@ -208,7 +204,7 @@ def test_stabilizer_samples():
             ("lorentz", MassiveHyperboloid(), tensor_irrep(1, 0)),
             ("lorentz", NullCone(), tensor_irrep(1, 0))]:
         x0 = base_point(orbit).vector
-        params = [h.params for h in reference_sample(orbit, group)]
+        params = list(reference_sample(orbit, group))
         params += stabilizer_solver._generators(label, label, orbit)
         for p in params:
             np.testing.assert_allclose(matrices(group, p) @ x0, x0,
@@ -251,28 +247,8 @@ def test_random_stabilizer_elements_fix_base_point():
         x0 = base_point(orbit)
         for _ in range(5):
             h = stabilizer_draw(orbit, group, rng)
-            assert h.group == group
-            np.testing.assert_allclose(matrices(group, h.params) @ x0.vector,
+            np.testing.assert_allclose(matrices(group, h) @ x0.vector,
                                        x0.vector, atol=1e-12)
-
-
-def test_group_elements_are_not_parameter_stacks():
-    # A stack holds parameters: an element, or a list of them, where a
-    # stack is expected raises a GroupError that says what to pass, at
-    # every entry point that reads a stack.
-    g, label = so3_element(0.3, 0.4, 0.5), so3_irrep(1)
-    entry_points = [
-        lambda p: steering.steer(np.eye(3), label, label, p),
-        lambda p: irreps.rep_matrices(label, p),
-        lambda p: matrices("so3", p),
-        lambda p: act_points("so3", p, Sphere(), [[0.1, 0.2]]),
-    ]
-    for call in entry_points:
-        for params in (g, [g], (g, g)):
-            with pytest.raises(GroupError, match=r"g\.params.*\[g\.params\]"):
-                call(params)
-        np.testing.assert_array_equal(call([g.params]), call(
-            np.array([g.params])))
 
 
 def test_orbit_point_validation():
@@ -302,6 +278,26 @@ def test_orbit_point_validation():
     # A finite 4-vector whose squared norm overflows is not on the orbit.
     with pytest.raises(GroupError):
         massive_point([1e200, 0.0, 0.0, 1e200])
+    # Membership is measured in units of the radius or the mass: a point at
+    # twice the radius or mass is off the smallest orbit, and the largest
+    # orbits keep their own points.
+    for off in (
+            lambda: groups.orbit_coords(Sphere(1e-200), [[0.0, 0.0, 2e-200]]),
+            lambda: groups.orbit_coords(Circle(1e-200), [[2e-200, 0.0]]),
+            lambda: massive_point([2e-200, 0.0, 0.0, 0.0], mass=1e-200)):
+        with pytest.raises(GroupError, match="off the|not on"):
+            off()
+    for scale in (1e-200, 1e200):
+        assert massive_point([scale, 0.0, 0.0, 0.0], scale).coords == (
+            scale, 0.0, 0.0, 0.0)
+        for group, orbit, x in (("so3", Sphere(scale), [[0.3, 1.1]]),
+                                ("so2", Circle(scale), [[0.3]])):
+            p = random_params(group, np.random.default_rng(4), 3)
+            moved = act_points(group, p, orbit, x)
+            np.testing.assert_allclose(
+                orbit_vectors(orbit, moved) / scale,
+                matrices(group, p) @ orbit_vectors(orbit, x[0]) / scale,
+                atol=1e-15)
     # Sections of raw sphere coordinates, as a dump or a kernel stack uses.
     for build in (lambda: groups.section_params(Sphere(), [[inf, 0.5]]),
                   lambda: steering.section_kernels(bases.basis_so3(1, 1),
@@ -332,23 +328,9 @@ def test_orbit_point_validation():
         assert params[:, :shape[1]].tobytes() == coords.tobytes()
 
 
-def test_element_validation():
-    with pytest.raises(GroupError):
-        o2_element(0.1, s=0)
-    nan, inf = math.nan, math.inf
-    for make, args in [(so2_element, (nan,)), (o2_element, (inf, -1)),
-                       (so3_element, (nan, 0, 0)), (so3_element, (0, inf, 0)),
-                       (o3_element, (nan, 0, 0)),
-                       (groups.lorentz_element, (0, 0, 0, (nan, 0, 0))),
-                       (groups.lorentz_element, (0, 0, 0, (0, 0, -inf))),
-                       (groups.lorentz_element, (0, nan, 0))]:
-        with pytest.raises(GroupError, match="must be finite"):
-            make(*args)
-
-
 def test_non_finite_parameter_stacks_rejected():
-    # Parameter stacks skip the element constructors; a NaN or infinite
-    # entry is rejected where the stack is read, not returned as NaN rows.
+    # A NaN or infinite parameter is rejected where the stack is read, not
+    # returned as NaN rows.
     for label, orbit in [(so3_irrep(1), Sphere()),
                          (tensor_irrep(1, 0), MassiveHyperboloid())]:
         group, x0 = label.group, base_point(orbit).coords
@@ -358,7 +340,7 @@ def test_non_finite_parameter_stacks_rejected():
                 p[1, at] = bad
                 for call in (
                         lambda: irreps.rep_matrices(label, p),
-                        lambda: irreps.rep_inverses(label, p),
+                        lambda: irreps.rep_pair(label, label, p)[1],
                         lambda: steering.steer(np.eye(label.dim), label,
                                                label, p),
                         lambda: groups.matrices(group, p),
@@ -380,7 +362,7 @@ def test_sign_and_parity_parameters_must_be_unit():
             p[1, at] = bad
             for call in (
                     lambda: irreps.rep_matrices(label, p),
-                    lambda: irreps.rep_inverses(label, p),
+                    lambda: irreps.rep_pair(label, label, p)[1],
                     lambda: steering.steer(np.eye(label.dim), label, label,
                                            p),
                     lambda: groups.matrices(group, p)):
@@ -389,26 +371,6 @@ def test_sign_and_parity_parameters_must_be_unit():
         p[1, at] = -1.0
         assert irreps.rep_matrices(label, p).shape == (2, label.dim,
                                                        label.dim)
-
-
-def test_angle_canonicalization():
-    g = so2_element(-0.5)
-    assert 0.0 <= g.params[0] < 2 * math.pi
-    g = so3_element(7.0, 2.0, -3.0)
-    a, b, c = g.params
-    assert 0 <= a < 2 * math.pi and 0 <= b <= math.pi and 0 <= c < 2 * math.pi
-    np.testing.assert_allclose(matrices("so3", g.params),
-                               groups.euler_zyz_matrix(7.0, 2.0, -3.0),
-                               atol=1e-13)
-    # The angles are folded without a round trip through the matrix: the
-    # same rotation up to the rounding of alpha + pi and gamma + pi.
-    for beta in (0.0, 1e-12, 1e-8, math.pi - 1e-8, math.pi, -0.3, 4.0, 7.0):
-        g = so3_element(0.3, beta, 1.1)
-        a, b, c = g.params
-        assert 0 <= a < 2 * math.pi and 0 <= b <= math.pi and 0 <= c < 2 * math.pi
-        err = np.abs(matrices("so3", g.params)
-                     - groups.euler_zyz_matrix(0.3, beta, 1.1))
-        assert err.max() <= 5 * np.finfo(float).eps, beta
 
 
 def test_sphere_coords_near_the_poles():
@@ -424,7 +386,7 @@ def test_sphere_coords_near_the_poles():
 
 def test_identity_elements():
     for group in ALL_GROUPS:
-        m = matrices(group, identity(group).params)
+        m = matrices(group, groups.IDENTITY[group])
         np.testing.assert_array_equal(m, np.eye(m.shape[0]))
 
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from steerkit import groups, irreps
-from steerkit.groups import (Circle, GroupElement, GroupError,
-                             MassiveHyperboloid, NullCone, Sphere,
-                             boost_matrix, matrices, random_params)
+from steerkit.groups import (Circle, GroupError, MassiveHyperboloid,
+                             NullCone, Sphere, boost_matrix, matrices,
+                             random_params)
 from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              IrrepError, dirac_irrep, o2_irrep, o3_irrep,
                              real_change_of_basis, realify,
-                             realify_antilinear, rep_inverses, rep_matrices,
-                             rep_pair, so2_irrep, so3_irrep,
+                             realify_antilinear, rep_matrices, rep_pair,
+                             so2_irrep, so3_irrep,
                              spinor_vector_irrep, stabilizer_content,
                              tensor_irrep)
 
@@ -176,8 +176,8 @@ def test_real_l1_matches_geometric_rotation():
 def test_rep_identity_is_identity():
     for lab in sample_labels() + [dirac_irrep(), dirac_irrep(realified=True),
                                   spinor_vector_irrep(realified=True)]:
-        e = groups.identity(lab.group)
-        np.testing.assert_allclose(rep_matrices(lab, e.params),
+        np.testing.assert_allclose(rep_matrices(lab,
+                                                groups.IDENTITY[lab.group]),
                                    np.eye(lab.dim), atol=1e-13)
 
 
@@ -185,10 +185,9 @@ def test_rep_identity_is_identity():
 def test_rep_homomorphism(lab):
     rng = np.random.default_rng(17)
     for _ in range(50):
-        a, b = (GroupElement(lab.group, tuple(p))
-                for p in random_params(lab.group, rng, 2))
-        lhs = rep_matrices(lab, product(a, b).params)
-        rhs = rep_matrices(lab, a.params) @ rep_matrices(lab, b.params)
+        a, b = random_params(lab.group, rng, 2)
+        lhs = rep_matrices(lab, product(lab.group, a, b))
+        rhs = rep_matrices(lab, a) @ rep_matrices(lab, b)
         assert (np.linalg.norm(lhs - rhs)
                 <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -200,10 +199,9 @@ def test_spinor_rep_homomorphism_up_to_cover_sign(spinor):
     # flip the global sign, which conjugation-type formulas never see.
     rng = np.random.default_rng(19)
     for _ in range(50):
-        a, b = (GroupElement("lorentz", tuple(p))
-                for p in random_params("lorentz", rng, 2))
-        lhs = rep_matrices(spinor, product(a, b).params)
-        rhs = rep_matrices(spinor, a.params) @ rep_matrices(spinor, b.params)
+        a, b = random_params("lorentz", rng, 2)
+        lhs = rep_matrices(spinor, product("lorentz", a, b))
+        rhs = rep_matrices(spinor, a) @ rep_matrices(spinor, b)
         defect = min(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs + rhs))
         assert defect <= 1e-11 * max(1.0, np.linalg.norm(rhs))
 
@@ -222,9 +220,8 @@ def test_rep_inverse_matches_inverse_element():
     rng = np.random.default_rng(29)
     for lab in sample_labels():
         for p in random_params(lab.group, rng, 5):
-            lhs = rep_inverses(lab, p)
-            rhs = rep_matrices(lab, inverse(GroupElement(lab.group,
-                                                         tuple(p))).params)
+            lhs = rep_pair(lab, lab, p)[1]
+            rhs = rep_matrices(lab, inverse(lab.group, p))
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -261,7 +258,7 @@ def test_pair_keeps_the_bits_of_each_label_alone(j, l):
         assert set(params[:, -1]) == {1.0, -1.0}
     rho, rho_inv = rep_pair(j, l, params)
     for got, want in ((rho, rep_matrices(j, params)),
-                      (rho_inv, rep_inverses(l, params))):
+                      (rho_inv, rep_pair(l, l, params)[1])):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     # And each element alone gets its row of the stacks.
@@ -276,7 +273,7 @@ def test_pair_of_labels_from_different_groups_raises():
 
 
 def test_so2_real_rep_is_rotation_by_j_phi():
-    g = groups.so2_element(0.37).params
+    g = (0.37,)
     np.testing.assert_allclose(rep_matrices(so2_irrep(1), g),
                                groups.rot2(0.37), atol=1e-15)
     np.testing.assert_allclose(rep_matrices(so2_irrep(3), g),
@@ -284,7 +281,7 @@ def test_so2_real_rep_is_rotation_by_j_phi():
 
 
 def test_o2_reflection_representations():
-    ry = groups.o2_reflection().params
+    ry = (0.0, -1.0)
     assert rep_matrices(o2_irrep(0), ry)[0, 0] == 1.0
     assert rep_matrices(o2_irrep("0~"), ry)[0, 0] == -1.0
     np.testing.assert_allclose(rep_matrices(o2_irrep(2), ry),
@@ -295,7 +292,7 @@ def test_o2_reflection_representations():
 
 def test_o3_reflection_weight_pattern():
     # rho_{l,eps}(r_y) has entries eps * (-1)^m on the m -> -m antidiagonal.
-    ry = groups.o3_element(0, math.pi, 0, parity=-1).params
+    ry = (0.0, math.pi, 0.0, -1.0)
     np.testing.assert_allclose(matrices("o3", ry), np.diag([1.0, -1.0, 1.0]),
                                atol=1e-15)
     for l, eps in ((1, 1), (2, -1), (3, 1)):
@@ -307,8 +304,8 @@ def test_o3_reflection_weight_pattern():
 
 
 def test_tensor_rep_boost_on_rest_vector():
-    g = groups.lorentz_element(0, 0, 0, (0, 0, 0.9))
-    out = rep_matrices(tensor_irrep(1, 0), g.params) @ np.array([1.0, 0, 0, 0])
+    g = (0.0, 0.0, 0.0, 0.0, 0.0, 0.9)
+    out = rep_matrices(tensor_irrep(1, 0), g) @ np.array([1.0, 0, 0, 0])
     np.testing.assert_allclose(out, [math.cosh(0.9), 0, 0, math.sinh(0.9)],
                                atol=1e-14)
 
@@ -357,7 +354,7 @@ def test_dirac_defining_property():
     rng = np.random.default_rng(37)
     for g in random_params("lorentz", rng, 20):
         s = rep_matrices(dirac_irrep(), g)
-        sinv = rep_inverses(dirac_irrep(), g)
+        sinv = rep_pair(dirac_irrep(), dirac_irrep(), g)[1]
         lam = matrices("lorentz", g)
         for mu in range(4):
             lhs = sinv @ GAMMA[mu] @ s
@@ -436,22 +433,22 @@ def test_sl2c_to_lorentz_examples():
     theta = 0.9
     g2 = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     expect = np.eye(4)
-    expect[1:, 1:] = matrices("so3", groups.so3_element(theta, 0, 0).params)
+    expect[1:, 1:] = matrices("so3", (theta, 0.0, 0.0))
     np.testing.assert_allclose(_sigma_trace(g2), expect, atol=1e-12)
 
 
 def test_sl2c_sign_invariance_and_validation():
     # sl2_of covers the element with a unit-determinant matrix, a and -a
-    # cover the same one, and non-Lorentz elements are rejected.
+    # cover the same one, and non-Lorentz parameters are rejected.
     rng = np.random.default_rng(53)
-    g = GroupElement("lorentz", tuple(random_params("lorentz", rng, 1)[0]))
+    (g,) = random_params("lorentz", rng, 1)
     a = sl2_of(g)
     assert abs(np.linalg.det(a) - 1.0) < 1e-12
     np.testing.assert_allclose(_sigma_trace(a), _sigma_trace(-a), atol=1e-12)
     np.testing.assert_allclose(_sigma_trace(a),
-                               groups.matrices("lorentz", g.params), atol=1e-11)
-    with pytest.raises(IrrepError):
-        sl2_of(groups.so3_element(0.3, 0.2, 0.1))
+                               groups.matrices("lorentz", g), atol=1e-11)
+    with pytest.raises(GroupError):
+        sl2_of((0.3, 0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +470,7 @@ def test_tensor_slots_partition_and_are_stabilizer_invariant():
         for spin, cols in embeds:
             assert cols.shape[1] == 2 * spin + 1
         for h in hs:
-            r = rep_matrices(lab, h.params)
+            r = rep_matrices(lab, h)
             for _, cols in embeds:
                 moved = r @ cols
                 assert np.abs(moved - cols @ (cols.T @ moved)).max() <= 1e-12
@@ -602,7 +599,7 @@ def test_label_validation():
     with pytest.raises(IrrepError):
         tensor_irrep(2, 1)
     with pytest.raises(GroupError):
-        rep_matrices(so2_irrep(1), groups.so3_element(0, 0, 0).params)
+        rep_matrices(so2_irrep(1), (0.0, 0.0, 0.0))
     with pytest.raises(IrrepError):
         tensor_irrep(1, 0).realify()
     # non-integral labels are rejected, not truncated

@@ -12,9 +12,8 @@ from steerkit import cli, groups, numerics, stabilizer_solver
 from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
 from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
-                             o3_irrep, rep_inverses, rep_matrices, rep_pair,
-                             so2_irrep, so3_irrep, spinor_vector_irrep,
-                             tensor_irrep)
+                             o3_irrep, rep_matrices, rep_pair, so2_irrep,
+                             so3_irrep, spinor_vector_irrep, tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
                                         oracle_dimension, predicted_dimension,
                                         require_rank_gap, solve_basepoint,
@@ -173,14 +172,13 @@ def test_solutions_satisfy_constraint_for_all_samples():
         # The dense reference's stack is the per-element vstack bit for bit.
         blocks = []
         for h in sample:
-            op = np.kron(rep_matrices(j, h.params),
-                         rep_inverses(l, h.params).T)
+            op = np.kron(rep_matrices(j, h), rep_pair(l, l, h)[1].T)
             blocks.append(op - np.eye(op.shape[0]))
         stack = constraint_stack(j, l, sample)
         assert stack.dtype == blocks[0].dtype
         np.testing.assert_array_equal(stack, np.vstack(blocks))
         for h in sample:
-            rj, rli = rep_matrices(j, h.params), rep_inverses(l, h.params)
+            rj, rli = rep_matrices(j, h), rep_pair(l, l, h)[1]
             for k in space.matrices():
                 assert np.linalg.norm(rj @ k @ rli - k) <= 1e-10
 
@@ -201,7 +199,7 @@ def test_solutions_commute_with_fresh_stabilizer_elements():
         space = solve_basepoint(j, l, orbit)
         kernels = np.stack(space.matrices())
         scales = [max(1.0, np.linalg.norm(k)) for k in kernels]
-        hs = [stabilizer_draw(orbit, j.group, rng).params for _ in range(20)]
+        hs = [stabilizer_draw(orbit, j.group, rng) for _ in range(20)]
         moved = steer(kernels[:, None], j, l, hs)
         for k, k_h, scale in zip(kernels, moved, scales):
             err = np.linalg.norm(k_h - k, axis=(-2, -1)).max()
@@ -436,8 +434,8 @@ def test_rank3_tensor_on_the_cone():
                 + [stabilizer_draw(orbit, LORENTZ, rng) for _ in range(4)])
     kernels = np.stack(space.matrices())
     for h in elements:
-        moved = (rep_matrices(t30, h.params) @ kernels
-                 @ rep_inverses(t30, h.params))
+        rho, rho_inv = rep_pair(t30, t30, h)
+        moved = rho @ kernels @ rho_inv
         assert np.linalg.norm(moved - kernels, axis=(-2, -1)).max() <= 1e-10
 
 
@@ -455,8 +453,8 @@ def test_round_off_stack_keeps_its_solution():
                 for h in reference_sample(Sphere(), "o3"):
                     for k in space.matrices():
                         assert np.linalg.norm(
-                            rep_matrices(j, h.params) @ k
-                            @ rep_inverses(l, h.params) - k) <= 1e-12
+                            rep_matrices(j, h) @ k
+                            @ rep_pair(l, l, h)[1] - k) <= 1e-12
 
 
 def test_circle_has_no_weight_blocks(monkeypatch):
@@ -697,14 +695,20 @@ def test_cached_factors_are_read_only(cold_caches):
 
 def test_factors_are_shared_across_radius_and_mass(cold_caches):
     # The factors are keyed on the generators, not on the orbit: a sphere
-    # of another radius or a hyperboloid of another mass solves from them.
+    # of another radius or a hyperboloid of another mass solves from them,
+    # out to the ends of float64 (the generators are checked to fix the
+    # base point in units of its size).
     for j, l, unit, scaled in [
-            (o3_irrep(2, 1), o3_irrep(1, -1), Sphere(), Sphere(2.5)),
+            (o3_irrep(2, 1), o3_irrep(1, -1), Sphere(),
+             (Sphere(2.5), Sphere(1e6), Sphere(1e300), Sphere(1e-300))),
             (tensor_irrep(2, 0), tensor_irrep(1, 0), MassiveHyperboloid(),
-             MassiveHyperboloid(2.0))]:
+             (MassiveHyperboloid(2.0), MassiveHyperboloid(1e300),
+              MassiveHyperboloid(1e-300)))]:
         first = solve_basepoint(j, l, unit)
         misses = stabilizer_solver._label_factors.cache_info().misses
-        again = solve_basepoint(j, l, scaled)
-        assert stabilizer_solver._label_factors.cache_info().misses == misses
-        np.testing.assert_array_equal(again.basis, first.basis)
-        assert again.gap_ratio == first.gap_ratio
+        for orbit in scaled:
+            again = solve_basepoint(j, l, orbit)
+            assert (stabilizer_solver._label_factors.cache_info().misses
+                    == misses)
+            np.testing.assert_array_equal(again.basis, first.basis)
+            assert again.gap_ratio == first.gap_ratio

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from steerkit import analytic_bases as bases
 from steerkit import cli, groups, numerics, stabilizer_solver, steering, verify
-from steerkit.groups import (Circle, GroupElement, MassiveHyperboloid,
-                             NullCone, Sphere)
+from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (IrrepError, dirac_irrep, o2_irrep, o3_irrep,
-                             rep_inverses, rep_matrices, rep_pair, so2_irrep,
-                             so3_irrep, spinor_vector_irrep, tensor_irrep)
+                             rep_matrices, rep_pair, so2_irrep, so3_irrep,
+                             spinor_vector_irrep, tensor_irrep)
 from steerkit.steering import kernel_at, section_kernels, steer
 
 from group_law import product
@@ -23,7 +22,7 @@ from single_views import wigner_D
 def test_steer_identity_leaves_kernel():
     k0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     (out,) = steer(k0, so2_irrep(2), so2_irrep(3),
-                   [groups.identity("so2").params])
+                   [groups.IDENTITY["so2"]])
     np.testing.assert_allclose(out, k0, atol=1e-15)
 
 
@@ -60,10 +59,8 @@ def test_steer_composition_property():
         k0 = rng.normal(size=(j.dim, l.dim))
         for _ in range(5):
             a, b = groups.random_params(gname, rng, 2, eta_max=1.0)
-            ba = product(GroupElement(gname, tuple(b)),
-                         GroupElement(gname, tuple(a)))
             lhs = steer(steer(k0, j, l, [a]), j, l, [b])
-            rhs = steer(k0, j, l, [ba.params])
+            rhs = steer(k0, j, l, [product(gname, b, a)])
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
 
@@ -96,10 +93,9 @@ def test_kernel_at_is_section_independent():
     theta = 1.2
     for elem in (bases.basis_so3(2, 1)[2], bases.basis_so3(1, 2, "complex")[0]):
         x = groups.sphere_point(0.8, 0.5)
-        rep = GroupElement("so3", tuple(
-            groups.section_params(x.orbit, x.coords, "so3")))
-        moved = product(rep, groups.so3_element(theta, 0.0, 0.0))
-        (direct,) = steer(elem.base_matrix, elem.j, elem.l, [moved.params])
+        rep = groups.section_params(x.orbit, x.coords, "so3")
+        moved = product("so3", rep, (theta, 0.0, 0.0))
+        (direct,) = steer(elem.base_matrix, elem.j, elem.l, [moved])
         np.testing.assert_allclose(direct, kernel_at(elem, x), atol=1e-12)
 
 
@@ -110,7 +106,7 @@ def test_steerability_defect_is_small_for_analytic_elements():
 
 
 def test_steer_shape_mismatch_rejected():
-    g = [groups.so2_element(0.1).params]
+    g = [(0.1,)]
     for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2)):
         with pytest.raises(IrrepError):
             steer(bad, so2_irrep(1), so2_irrep(1), g)
@@ -145,8 +141,7 @@ SINGULAR_POINTS = {
 
 #: The parameters of a reflection or parity element of each group that has
 #: one.
-REFLECTIONS = {"o2": groups.o2_reflection().params,
-               "o3": (0.0, math.pi, 0.0, -1.0)}
+REFLECTIONS = {"o2": (0.0, -1.0), "o3": (0.0, math.pi, 0.0, -1.0)}
 
 #: One label of every representation family, with the orbit it acts on.
 STACK_LABELS = [
@@ -187,10 +182,11 @@ def test_steer_stack_matches_elementwise():
         sections = groups.section_params(orbit, coords, label.group)
         params = np.vstack([drawn, [REFLECTIONS.get(label.group, drawn[0])],
                             sections])
-        for stack in (rep_matrices, rep_inverses):
-            rows = stack(label, params)
+        for side in (0, 1):
+            rows = rep_pair(label, label, params)[side]
             for row, g in zip(rows, params):
-                assert _same_bits(row, stack(label, g)), (label, g)
+                assert _same_bits(row, rep_pair(label, label, g)[side]), (
+                    label, g)
         moved = groups.act_points(label.group, params[:7, None], orbit, coords)
         for p, x in enumerate(pts):
             one = groups.section_params(orbit, x.coords, label.group)
@@ -203,9 +199,9 @@ def test_steer_stack_matches_elementwise():
         for i, g in enumerate(params):
             assert _same_bits(steered[:, i],
                               steer(k0[:, None], label, label, [g])[:, 0])
-            # j == l steers through one stack; rep_inverses is the reference.
-            assert _same_bits(steered[:, i], rep_matrices(label, g) @ k0
-                              @ rep_inverses(label, g)), (label, g)
+            # j == l steers through one stack; the pair is the reference.
+            rho, rho_inv = rep_pair(label, label, g)
+            assert _same_bits(steered[:, i], rho @ k0 @ rho_inv), (label, g)
     # A stack of O(3) elements that mixes parities, against a 1x1 label.
     j, l = o3_irrep(2, 1), o3_irrep(0, 1)
     params = groups.random_params("o3", rng, 12)
