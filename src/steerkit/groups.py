@@ -326,14 +326,15 @@ def _require_positive(what: str, value: float) -> None:
 
 
 def _off_lorentz_orbit(orbit: Orbit, x: np.ndarray) -> np.ndarray:
-    """Mask of the 4-vectors of a finite stack that are not on ``orbit``."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Mask of the 4-vectors of a finite stack that are not on ``orbit``,
+    measured in units of the mass, or of x^0 on the cone."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # An overflowing square fails the comparison and is rejected here.
-        if isinstance(orbit, MassiveHyperboloid):
-            x = x / orbit.mass
-        q = x[..., 0] * x[..., 0] - row_dots(x[..., 1:])
-        t2 = x[..., 0] ** 2
-        if isinstance(orbit, MassiveHyperboloid):
+        massive = isinstance(orbit, MassiveHyperboloid)
+        y = x / (orbit.mass if massive else x[..., :1])
+        q = y[..., 0] * y[..., 0] - row_dots(y[..., 1:])
+        t2 = y[..., 0] ** 2
+        if massive:
             on = np.abs(q - 1.0) <= 1e-11 * np.maximum(1.0, t2)
         else:
             on = np.abs(q) <= 1e-11 * t2
@@ -358,11 +359,12 @@ def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
         _require_finite("sphere angles", c)
         alpha, beta = c.T
         out = ~((0.0 <= beta) & (beta <= math.pi + 1e-12))
-        b = _wrap_angles(beta[out])
-        # (alpha, beta) and (alpha + pi, 2pi - beta) are the same point
-        turn = b > math.pi
-        alpha[np.flatnonzero(out)[turn]] += math.pi
-        beta[out] = np.where(turn, TWO_PI - b, b)
+        if out.any():
+            b = _wrap_angles(beta[out])
+            # (alpha, beta) and (alpha + pi, 2pi - beta) are the same point
+            turn = b > math.pi
+            alpha[np.flatnonzero(out)[turn]] += math.pi
+            beta[out] = np.where(turn, TWO_PI - b, b)
         return np.stack([_wrap_angles(alpha), np.minimum(beta, math.pi)], -1)
     if isinstance(orbit, MassiveHyperboloid):
         _require_positive("hyperboloid mass", orbit.mass)
@@ -476,7 +478,7 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
     component (s = p = +1).  The parameters come straight from the
     coordinates, checked and canonicalized by :func:`_canonical_coords`:
     ``alpha = atan2(y, x)``, ``beta = atan2(hypot(x, y), z)`` of the spatial
-    part, ``eta = asinh(|x|/m)`` on the hyperboloid and ``log x^0`` on the
+    part, ``eta = asinh(|x/m|)`` on the hyperboloid and ``log x^0`` on the
     cone.  The section is smooth except on the z axis, where alpha is 0,
     and the rest frame gets the identity.
     """
@@ -496,7 +498,7 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
         # part, then Bz supplies the rapidity.
         out[:, 0], out[:, 1] = _polar(*flat[:, 1:].T)
         if isinstance(orbit, MassiveHyperboloid):
-            out[:, 5] = np.arcsinh(np.sqrt(row_dots(flat[:, 1:])) / orbit.mass)
+            out[:, 5] = np.arcsinh(np.sqrt(row_dots(flat[:, 1:] / orbit.mass)))
         else:
             out[:, 5] = np.log(flat[:, 0])
     return out.reshape(c.shape[:-1] + out.shape[-1:])

@@ -265,21 +265,32 @@ def _small_d_stack(l: int, factors: dict, field: str) -> np.ndarray:
 
 def _so3_stack(l: int, factors: dict, field: str) -> np.ndarray:
     """D^l in the basis of ``field`` from the :func:`_factors` of a stack of
-    z-y-z Euler angles; a fresh C-ordered array."""
+    z-y-z Euler angles; a fresh C-ordered array, composed in place with the
+    operations, and so the bits, of the expressions ``left * d * right``
+    (complex labels cast d^l to complex once and multiply the phases into
+    it) and ``c x - s y``, ``y c + s x`` (real labels turn the rows, then the
+    columns)."""
     d = _small_d_stack(l, factors, field)
     if field == COMPLEX:
         left, right = factors[COMPLEX]
         cut = slice(left.shape[1] // 2 - l, left.shape[1] // 2 + l + 1)
-        return left[:, cut, None] * d * right[:, None, cut]
+        out = d.astype(complex)
+        np.multiply(left[:, cut, None], out, out=out)
+        out *= right[:, None, cut]
+        return out
     # Z(alpha) @ d, then d @ Z(gamma) = (Z(-gamma) @ d^T)^T, in place: the
-    # rows (Yc_k, Ys_k) turn by k theta.
+    # rows (Yc_k, Ys_k) turn by k theta, with s x and s y in two buffers
+    # that both turns reuse.
+    sx, sy = (np.empty((len(d), l, 2 * l + 1)) for _ in range(2))
     for rows, (c, s) in zip((d, d.swapaxes(1, 2)), factors[REAL]):
         c, s = c[:, :l, None], s[:, :l, None]
         x, y = rows[:, 1::2], rows[:, 2::2]
-        turned = c * x - s * y
+        np.multiply(s, x, out=sx)
+        np.multiply(s, y, out=sy)
+        x *= c
+        x -= sy
         y *= c
-        y += s * x
-        x[...] = turned
+        y += sx
     return d
 
 
@@ -394,9 +405,10 @@ def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
     inverse elements (the spinor reps are double-valued over the parameter
     section, which could flip the sign relative to ``rho(g)``) and not a
     numerical inverse (the non-compact reps are badly conditioned at large
-    rapidity): compact reps invert by unitarity (for ``j == l``, a view of
-    the first stack), tensor reps by ``Lambda^-1 = eta Lambda^T eta``, and
-    spinor reps by the SL(2,C) adjugate.
+    rapidity): compact reps invert by unitarity (the transpose of a real
+    stack is a view, for ``j == l`` of the first stack), tensor reps by
+    ``Lambda^-1 = eta Lambda^T eta``, and spinor reps by the SL(2,C)
+    adjugate.
     """
     if j.group != l.group:
         raise IrrepError(f"labels from different groups: {j} vs {l}")
@@ -408,7 +420,7 @@ def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
         inv = _rep_stack(l, flat, factors, True)
     else:
         inv = (rho if j == l else _rep_stack(l, flat, factors, False))
-        inv = inv.conj().swapaxes(-1, -2)
+        inv = (inv.conj() if inv.dtype.kind == "c" else inv).swapaxes(-1, -2)
     return tuple(m.reshape(p.shape[:-1] + m.shape[-2:]) for m in (rho, inv))
 
 
@@ -436,7 +448,8 @@ def _factors(p: np.ndarray, labels):
     factors = {"beta": (np.sin(half), np.cos(half))}
     if any(x.field == COMPLEX for x in labels):
         phase = -1j * np.arange(top, -top - 1, -1)
-        factors[COMPLEX] = np.exp(phase * p[:, :1]), np.exp(phase * p[:, 2:3])
+        factors[COMPLEX] = tuple(np.exp(t, out=t) for t in (
+            phase * p[:, :1], phase * p[:, 2:3]))
     if any(x.field == REAL for x in labels):
         factors[REAL] = [(np.cos(t), np.sin(t)) for t in (
             np.multiply.outer(p[:, 0], k), np.multiply.outer(-p[:, 2], k))]

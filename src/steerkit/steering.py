@@ -8,7 +8,9 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 :func:`_steered_blocks` is the one product engine: per element one gemm
 ``rho_j(g) K`` and one gemm with ``rho_l(g)^-1``, for w kernels laid side by
 side, from runs of the pairs ``(rho_j(g), rho_l(g)^-1)`` that the caller
-evaluates with :func:`~steerkit.irreps.rep_pair` (:func:`_runs`).
+evaluates with :func:`~steerkit.irreps.rep_pair`; :func:`_runs` evaluates
+consecutive units of a parameter stack, as many whole units per call as fit
+the chunk budget.
 :func:`steer` steers each kernel of a stack alone (w = 1), and
 :func:`kernel_at` is :func:`steer` at one section.  :func:`section_pieces`
 streams a basis at a stack of points in the order ``[basis][point]``, one
@@ -16,13 +18,16 @@ element's run of points per piece, evaluating the representations of the
 points' sections once per call; ``sample`` writes the pieces as they come
 and :func:`section_kernels` gathers them into one array.  All of these steer
 one kernel per gemm pair, so they equal one another bit for bit.  The
-verifier's sweeps steer a whole basis side by side (w > 1), which can round
-differently in the last bits (complex SO(3) labels, and real SO(3) and O(3)
-labels of dimension 17 and more, on the development machine).
+verifier's sweeps take their kernels at x from the same per-kernel pieces,
+from runs of their one evaluation, and steer a whole basis side by side
+(w > 1), which can round differently in the last bits (complex SO(3)
+labels, and real SO(3) and O(3) labels of dimension 17 and more, on the
+development machine).
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterator
 
 import numpy as np
@@ -86,12 +91,24 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     return out.reshape(k0.shape[:-3] + out.shape[1:])
 
 
-def _runs(j: IrrepLabel, l: IrrepLabel, params, step: int) -> Iterator[tuple]:
-    """:func:`~steerkit.irreps.rep_pair` of parameters (n, k), a run of
-    whole blocks of ``step`` elements at a time, the forward and inverse
-    stacks of a run within the chunk budget together (or one block)."""
-    run = step * max(1, chunk_length(2 * _rep_bytes(j, l)) // step)
-    return (rep_pair(j, l, params[r:r + run]) for r in range(0, len(params), run))
+def _runs(j: IrrepLabel, l: IrrepLabel, params, units) -> Iterator[tuple]:
+    """:func:`~steerkit.irreps.rep_pair` of parameters (n, k), unit by unit:
+    ``units`` lists the lengths of consecutive units, or is one length for
+    all.  Each unit's pair is a view of a run that holds as many whole units
+    as fit the chunk budget, forward and inverse stacks together (or one
+    unit); a run is dropped before the next one is drawn."""
+    n = len(params)
+    ends = (np.cumsum(units) if np.ndim(units)
+            else np.minimum(np.arange(units, n + units, units), n)).tolist()
+    budget = chunk_length(2 * _rep_bytes(j, l))
+    start = i = 0
+    while i < len(ends):
+        last = max(i + 1, bisect.bisect_right(ends, start + budget))
+        rho, rho_inv = rep_pair(j, l, params[start:ends[last - 1]])
+        for a, b in zip([start] + ends[i:last - 1], ends[i:last]):
+            yield rho[a - start:b - start], rho_inv[a - start:b - start]
+        start, i = ends[last - 1], last
+        del rho, rho_inv
 
 
 def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
@@ -138,21 +155,23 @@ def section_pieces(elements, coords) -> Iterator[np.ndarray]:
         raise groups.GroupError(f"expected an (n, c) stack of coordinates, "
                                 f"got shape {coords.shape}")
     params = groups.section_params(e0.orbit, coords, e0.j.group)
-    return _pieces(elements, params)
+    step = chunk_length(_rep_bytes(e0.j, e0.l))
+    return _pieces(elements, _runs(e0.j, e0.l, params, step), len(params),
+                   step)
 
 
-def _pieces(elements, params) -> Iterator[np.ndarray]:
+def _pieces(elements, runs, n: int, step: int) -> Iterator[np.ndarray]:
+    """Each element's values at n points, in blocks of ``step`` points, from
+    ``runs`` of the representations of their sections."""
     j, l = elements[0].j, elements[0].l
-    step = chunk_length(_rep_bytes(j, l))
-    runs = _runs(j, l, params, step)
     if len(elements) > 1:
         # Every element reuses them.
         runs = list(runs)
-    out, work = (np.empty(min(step, len(params)) * j.dim * l.dim, _dtype(j))
+    out, work = (np.empty(min(step, n) * j.dim * l.dim, _dtype(j))
                  for _ in range(2))
     for e in elements:
-        for piece in _steered_blocks(e.base_matrix[None, :, None], len(params),
-                                     runs, step, out, work):
+        for piece in _steered_blocks(e.base_matrix[None, :, None], n, runs,
+                                     step, out, work):
             yield piece.reshape(-1, j.dim, l.dim)
 
 
@@ -160,9 +179,13 @@ def section_kernels(elements, coords) -> np.ndarray:
     """Values of a basis at a stack of points of its orbit given by their
     coordinates, shape (n, c) -> ``(n_basis, n, dim_j, dim_l)``: the pieces
     of :func:`section_pieces` gathered into one array."""
-    pieces = section_pieces(elements, coords)
+    return _gathered(section_pieces(elements, coords), elements, len(coords))
+
+
+def _gathered(pieces, elements, n: int) -> np.ndarray:
+    """The pieces of a basis at n points gathered into one array."""
     j, l = elements[0].j, elements[0].l
-    out = np.empty((len(elements), len(coords), j.dim, l.dim), _dtype(j))
+    out = np.empty((len(elements), n, j.dim, l.dim), _dtype(j))
     flat = out.reshape(-1, j.dim, l.dim)
     i = 0
     for piece in pieces:
@@ -171,21 +194,22 @@ def section_kernels(elements, coords) -> np.ndarray:
     return out
 
 
-def _steered_blocks(k, per, runs, step, out, work) -> Iterator[np.ndarray]:
+def _steered_blocks(k, per, runs, step, out, work,
+                    first: int = 0) -> Iterator[np.ndarray]:
     """``rho_j(g) K rho_l(g)^-1`` for a sequence of elements, given as
     ``runs`` of their representations ``(rho_j, rho_l^-1)`` (a list, or a
     generator such as :func:`_runs`), and the kernels ``k`` (n_k, dim_j, w,
     dim_l): n_k stacks of w kernels side by side, element i steering
-    ``k[i // per]``.  Yields blocks (m, dim_j, w, dim_l) of ``step`` elements
-    of a run, the last of a run maybe shorter: per element one gemm rho_j K
-    into the flat buffer ``work`` and one gemm with rho_l^-1, as the run
-    holds it, into ``out``, each of ``step * k[0].size`` items.  A run is
-    dropped before the next one is drawn.  With w = 1 every kernel is the
-    per-kernel product bit for bit; whole bases (w > 1) may round
-    differently in the last bits.
+    ``k[i // per]``, where the runs begin at element ``first``.  Yields
+    blocks (m, dim_j, w, dim_l) of ``step`` elements of a run, the last of a
+    run maybe shorter: per element one gemm rho_j K into the flat buffer
+    ``work`` and one gemm with rho_l^-1, as the run holds it, into ``out``,
+    each of ``step * k[0].size`` items.  A run is dropped before the next
+    one is drawn.  With w = 1 every kernel is the per-kernel product bit for
+    bit; whole bases (w > 1) may round differently in the last bits.
     """
     dj, dl, size = k.shape[1], k.shape[-1], k[0].size
-    start = 0
+    start = first
     for rho, rho_inv in runs:
         for i in range(0, len(rho), step):
             m = min(step, len(rho) - i)

@@ -12,6 +12,7 @@ differently from one kernel at a time in the last bits (see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -81,8 +82,9 @@ def independence_ratio(elements) -> float:
 
 
 def _worst(worst: float, resid: np.ndarray) -> float:
-    """Running maximum; like ``max(worst, r)`` per value, NaNs are skipped."""
-    return max(worst, float(np.fmax.reduce(resid, axis=None)))
+    """Running maximum that propagates NaN: a residual that is not a number
+    makes the result NaN, which fails every gate."""
+    return float(np.max(resid, initial=worst))
 
 
 def _require_counts(n_g: int, n_x: int) -> None:
@@ -97,11 +99,18 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     For each pair the kernels at g.x, evaluated through the coset section,
     are compared with the kernels at x steered by g.  The points and the
     elements are drawn as stacks, and the action and the coset sections are
-    computed once for the whole n_x x n_g grid.  Both sides are whole-basis
-    products, the basis at the sections of g.x and the kernels at a block of
-    points steered by g, into three buffers allocated once per call.  On the
-    null cone the kernel is well defined only modulo the gauge choice of the
-    auxiliary null vector, so those cases go to :func:`massless_steer_residual`.
+    computed once for the whole n_x x n_g grid.  Every representation the
+    call needs, at the elements, the sections of x and the sections of g.x,
+    comes from one :func:`~steerkit.irreps.rep_pair` evaluation over their
+    concatenated parameters, in budget-sized runs (one run for the suite's
+    draws).  Per block of points the kernels at x are the basis steered one
+    kernel at a time, as :func:`~steerkit.steering.section_kernels` steers
+    them; per block of elements both sides are whole-basis products, the
+    kernels at x steered by g and the basis at the sections of g.x, into
+    three buffers allocated once per call.  On the null cone the kernel is
+    well defined only modulo the gauge choice of the auxiliary null vector,
+    so those cases go to :func:`massless_steer_residual`.  A residual that
+    is not a number makes the result NaN.
     """
     _require_counts(n_g, n_x)
     if not elements or min(n_g, n_x) < 1:
@@ -112,38 +121,53 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     j, l = elements[0].j, elements[0].l
     coords = groups.random_orbit_coords(orbit, rng, n_x, eta_max)
     gs = groups.random_params(j.group, rng, n_g, eta_max)
-    kx = steering.section_kernels(elements, coords)
-    scale = np.fmax(1.0, numerics.norms(kx)).T
-    kx = np.ascontiguousarray(kx.transpose(2, 1, 0, 3))     # (dj, x, b, dl)
-    k0 = np.stack([e.base_matrix for e in elements], axis=1).astype(kx.dtype)
-    sections = groups.section_params(
-        orbit, groups.act_points(j.group, gs, orbit, coords[:, None]), j.group)
+    moved = groups.act_points(j.group, gs, orbit, coords[:, None])
+    sections = groups.section_params(orbit, np.concatenate(
+        [coords, moved.reshape(-1, coords.shape[1])]), j.group)
+    at_x, sections = sections[:n_x], sections[n_x:].reshape(n_x, n_g, -1)
+    k0 = np.stack([e.base_matrix for e in elements], axis=1).astype(
+        steering._dtype(j))                                 # (dj, b, dl)
     # The points go in even blocks of x_step and the elements in blocks of
     # g_step, so that the kernels of g_step x x_step pairs fit the budget.
-    fit = steering.chunk_length(max(kx.itemsize * k0.size,
-                                    steering._rep_bytes(j, l)))
+    fit = steering.chunk_length(max(k0.nbytes, steering._rep_bytes(j, l)))
     x_step = -(-n_x // -(-n_x // fit))
     g_step = min(n_g, fit // x_step)
-    out_g, out_s, work = (np.empty(g_step * x_step * k0.size, kx.dtype)
+    x_blocks = [slice(x, x + x_step) for x in range(0, n_x, x_step)]
+    g_blocks = [slice(g, g + g_step) for g in range(0, n_g, g_step)]
+    # One unit per block of points, their sections, then one per block of
+    # pairs, its elements and the sections of its g.x in (g, x) order.
+    units = []
+    for xs in x_blocks:
+        units.append(at_x[xs])
+        units += [np.concatenate([gs[gb], sections[xs, gb].swapaxes(0, 1)
+                                  .reshape(-1, gs.shape[1])])
+                  for gb in g_blocks]
+    runs = steering._runs(j, l, np.concatenate(units), [len(u) for u in units])
+    out_g, out_s, work = (np.empty(g_step * x_step * k0.size, k0.dtype)
                           for _ in range(3))
     worst = 0.0
-    for x in range(0, n_x, x_step):
-        xs = slice(x, x + x_step)
-        m_x = min(x_step, n_x - x)
-        at = sections[xs].swapaxes(0, 1).reshape(-1, sections.shape[-1])
-        for by_g, at_gx in zip(
-                steering._steered_blocks(kx[None, :, xs], n_g, steering._runs(
-                    j, l, gs, g_step), g_step, out_g, work),
-                steering._steered_blocks(k0[None], len(at), steering._runs(
-                    j, l, at, g_step * m_x), g_step * m_x, out_s, work)):
+    for xs in x_blocks:
+        m_x = len(at_x[xs])
+        kx = steering._gathered(steering._pieces(elements, [next(runs)], m_x,
+                                                 m_x), elements, m_x)
+        scale = np.fmax(1.0, numerics.norms(kx)).T
+        kx = np.ascontiguousarray(kx.transpose(2, 1, 0, 3))  # (dj, x, b, dl)
+        for gb in g_blocks:
+            m = len(gs[gb])
+            rho, rho_inv = next(runs)
+            by_g, = steering._steered_blocks(
+                kx[None], m, [(rho[:m], rho_inv[:m])], m, out_g, work)
+            at_gx, = steering._steered_blocks(
+                k0[None], m * m_x, [(rho[m:], rho_inv[m:])], m * m_x, out_s,
+                work)
+            del rho, rho_inv
             # Both as (g, x, row, b, col); sum squares over rows and columns.
-            m = len(by_g)
             diff = at_gx.reshape(m, m_x, j.dim, -1, l.dim)
             np.subtract(diff, by_g.reshape(m, j.dim, m_x, -1, l.dim).swapaxes(
                 1, 2), out=diff)
             v = diff.view(diff.real.dtype)
             worst = _worst(worst, np.sqrt(np.einsum(
-                "...c,...c->...", v, v).sum(axis=2)) / scale[xs])
+                "...c,...c->...", v, v).sum(axis=2)) / scale)
     return worst
 
 
@@ -172,11 +196,16 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     projector built from ``(n(g.x), g . nbar(x))`` exactly; the section value
     at g.x uses the section's own nbar and may differ from the steered one
     only inside the gauge span ``{n e_i + e_i n, n n}``.  Both residuals are
-    folded into the returned maximum.  Each x has its own n_g draws, drawn
-    right after the element that places x.  All draws, the action and the
-    transported nbar are computed once.  The kernel at x is steered by the
-    run of its n_g elements, and the base matrix at the sections of g.x, a
-    block of pairs at a time into arrays allocated once per call.
+    folded into the returned maximum; one that is not a number makes it NaN.
+    Each x has its own n_g draws, drawn right after the element that places
+    x.  All draws, the action and the transported nbar are computed once,
+    and every representation the call needs, at the sections of x, the
+    elements and, for spin 1, the sections of g.x, comes from one
+    :func:`~steerkit.irreps.rep_pair` evaluation over their concatenated
+    parameters, in budget-sized runs.  The kernel at x is steered from those
+    runs, then by the run of its n_g elements, and the base matrix at the
+    sections of g.x, a block of pairs at a time into arrays allocated once
+    per call.
     """
     _require_counts(n_g, n_x)
     if min(n_g, n_x) < 1:
@@ -193,39 +222,55 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
                                groups.base_point(cone).coords)
     gs = draws[:, 1:].reshape(n_x * n_g, -1)
     at = np.repeat(np.arange(n_x), n_g)
-    nbar_x = groups.matrices(
-        lorentz, groups.section_params(cone, coords)) @ bases.NBAR0
-    kx = steering.section_kernels([elem], coords)[0]
-    scale = np.fmax(1.0, numerics.norms(kx))[at]
+    at_x = groups.section_params(cone, coords)
+    nbar_x = groups.matrices(lorentz, at_x) @ bases.NBAR0
     gx = groups.act_points(lorentz, gs, cone, coords[at])
     nbar_t = (groups.matrices(lorentz, gs) @ nbar_x[at, :, None])[..., 0]
-    # A block's kernels, and its forward and inverse reps together, fit.
-    step = min(len(gs), steering.chunk_length(2 * steering._rep_bytes(j, l)))
-    out, work = (np.empty(step * kx[0].size, kx.dtype) for _ in range(2))
+    per_pair = [gs]
     if spin == 1:
-        sections = groups.section_params(cone, gx)
-        lam_gx = groups.matrices(lorentz, sections)
+        per_pair.append(groups.section_params(cone, gx))
+        lam_gx = groups.matrices(lorentz, per_pair[1])
         e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
-        at_gx = steering._steered_blocks(
-            elem.base_matrix[None, :, None].astype(kx.dtype), len(gs),
-            steering._runs(j, l, sections, step), step, np.empty_like(out), work)
+    # A block's kernels, and the forward and inverse reps of its unit, fit:
+    # units of the sections of x, then per block of pairs its elements and
+    # the sections of its g.x.
+    step = min(len(gs), steering.chunk_length(
+        2 * len(per_pair) * steering._rep_bytes(j, l)))
+    x_blocks, blocks = range(0, n_x, step), range(0, len(gs), step)
+    runs = steering._runs(j, l, np.concatenate(
+        [at_x] + [p[i:i + step] for i in blocks for p in per_pair]),
+        [min(step, n_x - i) for i in x_blocks]
+        + [len(per_pair) * min(step, len(gs) - i) for i in blocks])
+    kx = steering._gathered(steering._pieces(
+        [elem], itertools.islice(runs, len(x_blocks)), n_x, step), [elem],
+        n_x)[0]
+    scale = np.fmax(1.0, numerics.norms(kx))[at]
+    k0 = elem.base_matrix[None, :, None].astype(kx.dtype)
+    out, out_s, work = (np.empty(step * kx[0].size, kx.dtype)
+                        for _ in range(3))
     worst = 0.0
-    for i, steered in zip(range(0, len(gs), step), steering._steered_blocks(
-            kx[:, :, None], n_g, steering._runs(j, l, gs, step), step, out, work)):
+    for i in blocks:
         p = slice(i, i + step)
+        rho, rho_inv = next(runs)
+        m = min(step, len(gs) - i)
+        steered, = steering._steered_blocks(
+            kx[:, :, None], n_g, [(rho[:m], rho_inv[:m])], step, out, work, i)
         steered = steered.reshape(-1, j.dim, l.dim)
         diff = work[:steered.size].reshape(steered.shape)
         worst = _worst(worst, numerics.norms(np.subtract(
             steered, build(gx[p], nbar_t[p]), out=diff)) / scale[p])
         if spin == 1:
             # section value vs steered: difference must be pure gauge
-            diff = np.subtract(next(at_gx).reshape(steered.shape), steered,
+            at_gx, = steering._steered_blocks(
+                k0, m, [(rho[m:], rho_inv[m:])], step, out_s, work)
+            diff = np.subtract(at_gx.reshape(steered.shape), steered,
                                out=diff).reshape(len(diff), -1, 1)
             off = numerics.norms(diff) > 1e-12 * scale[p]
             if off.any():
                 worst = _worst(worst, numerics.projection_residual(
                     diff[off], _gauge_span(gx[p][off], e1[p][off],
                                            e2[p][off])))
+        del rho, rho_inv
     return worst
 
 
@@ -238,6 +283,8 @@ def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
     blocks (eight quaternion x energy elements out of the quaternionic
     commutant) and the massless kernels (one gauge-fixed projector); those
     are checked by containment instead of span equality.
+    A basis whose steer residual is not finite fails without its span and
+    independence checks, which cannot be formed from non-finite matrices.
     """
     space = stabilizer_solver.solve_basepoint(j, l, orbit)
     predicted = stabilizer_solver.predicted_dimension(j, l, orbit)
@@ -248,8 +295,11 @@ def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,
         predicted_dim=predicted, analytic_count=len(elements),
         max_steer_residual=max_steer_residual(elements, orbit, *SUITE_DRAWS,
                                               seed),
-        independence_ratio=independence_ratio(elements),
+        independence_ratio=math.nan,
     )
+    if not math.isfinite(report.max_steer_residual):
+        return report
+    report.independence_ratio = independence_ratio(elements)
     subset_family = j.spinor is not None or isinstance(orbit, NullCone)
     vecs = _vec_stack(elements, j.dim * l.dim).astype(space.basis.dtype)
     if len(elements) == space.dimension:

@@ -46,3 +46,25 @@ def nullspace(a) -> np.ndarray:
     first significant component of each column is positive real.
     """
     return nullspace_with_spectrum(a)[0]
+
+
+def so3_stack_reference(l: int, params, field: str) -> np.ndarray:
+    """D^l at SO(3) parameters (n, 3) in the basis of ``field``, by the
+    out-of-place expressions the library composed with before it worked in
+    place: the complex phases as ``left * d * right``, and the real z
+    rotations of the rows and then the columns with fresh temporaries."""
+    factors = irreps._factors(np.asarray(params, dtype=float),
+                              [irreps.so3_irrep(l, field)])
+    d = irreps._small_d_stack(l, factors, field)
+    if field == COMPLEX:
+        left, right = factors[COMPLEX]
+        cut = slice(left.shape[1] // 2 - l, left.shape[1] // 2 + l + 1)
+        return left[:, cut, None] * d * right[:, None, cut]
+    for rows, (c, s) in zip((d, d.swapaxes(1, 2)), factors[irreps.REAL]):
+        c, s = c[:, :l, None], s[:, :l, None]
+        x, y = rows[:, 1::2], rows[:, 2::2]
+        turned = c * x - s * y
+        y *= c
+        y += s * x
+        x[...] = turned
+    return d

@@ -328,6 +328,25 @@ def test_orbit_point_validation():
         assert params[:, :shape[1]].tobytes() == coords.tobytes()
 
 
+def test_lorentz_orbits_at_extreme_scales():
+    # The hyperboloid's rapidity is measured in units of the mass, and the
+    # cone's membership in units of x^0: no square underflows or overflows.
+    for mass in (1e-200, 1e200):
+        x = [mass * math.cosh(1.0), 0.0, 0.0, mass * math.sinh(1.0)]
+        eta = section_params(MassiveHyperboloid(mass), [x])[0, 5]
+        assert abs(eta - 1.0) <= 1e-15
+    assert cone_point([1e200, 0.0, 0.0, 1e200]).coords == (
+        1e200, 0.0, 0.0, 1e200)
+    np.testing.assert_allclose(section_params(NullCone(), [[1e200, 0.0, 0.0,
+                                                            1e200]]),
+                               [[0.0, 0.0, 0.0, 0.0, 0.0,
+                                 math.log(1e200)]])
+    for off in ([1e200, 0.0, 0.0, 1.001e200], [1e200, 1e199, 0.0, 1e200],
+                [-1e200, 0.0, 0.0, 1e200], [1e-200, 0.0, 0.0, 2e-200]):
+        with pytest.raises(GroupError, match="not on the forward null cone"):
+            cone_point(off)
+
+
 def test_non_finite_parameter_stacks_rejected():
     # A NaN or infinite parameter is rejected where the stack is read, not
     # returned as NaN rows.

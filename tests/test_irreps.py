@@ -18,7 +18,8 @@ from steerkit.irreps import (CHARGE_CONJUGATION, GAMMA, SLOTS, TENSOR_SLOTS,
                              tensor_irrep)
 
 from group_law import inverse, product, stabilizer_draw
-from single_views import sl2_of, wigner_D, wigner_small_d
+from single_views import (sl2_of, so3_stack_reference, wigner_D,
+                          wigner_small_d)
 
 
 def sample_labels(max_l=4):
@@ -265,6 +266,41 @@ def test_pair_keeps_the_bits_of_each_label_alone(j, l):
     for i in (0, 1, 202):
         for a, b in zip(rep_pair(j, l, params[i]), (rho, rho_inv)):
             assert a.tobytes() == b[i].tobytes(), i
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_in_place_composition_keeps_every_bit(field):
+    # The SO(3) stacks are composed in place.  Their bytes, signed zeros
+    # included, are those of the out-of-place expressions, for SO(3) and
+    # O(3) labels of every l, at the angles where zeros arise: beta = 0 and
+    # pi, alpha = gamma = 0, and the sphere sections' gamma = 0.
+    rng = np.random.default_rng(47)
+    grid = [(a, b, c) for a in (0.0, 2.1) for b in (0.0, math.pi, 0.7)
+            for c in (0.0, 4.4)]
+    sections = groups.section_params(
+        Sphere(), np.concatenate([groups.random_orbit_coords(Sphere(), rng, 6),
+                                  [[0.0, 0.0], [0.0, math.pi]]]), "so3")
+    params = np.concatenate([grid, sections])
+    parity = np.where(np.arange(len(params)) % 2, -1.0, 1.0)[:, None]
+    signed_zero = False
+    for l in range(irreps.MAX_L + 1):
+        want = so3_stack_reference(l, params, field)
+        flip = parity[:, 0] < 0
+        for label, p, sign in (
+                (so3_irrep(l, field), params, 1.0),
+                (o3_irrep(l, 1, field), np.hstack([params, parity]),
+                 (-1.0) ** l),
+                (o3_irrep(l, -1, field), np.hstack([params, parity]),
+                 -(-1.0) ** l)):
+            ref = want.copy()
+            if label.group == "o3":
+                ref[flip] *= sign
+            rho, rho_inv = rep_pair(label, label, p)
+            assert rho.dtype == ref.dtype and rho.tobytes() == ref.tobytes()
+            assert rho_inv.tobytes() == ref.conj().swapaxes(1, 2).tobytes()
+        signed_zero |= bool(np.any(np.signbit(want.view(float))
+                                   & (want.view(float) == 0.0)))
+    assert signed_zero
 
 
 def test_pair_of_labels_from_different_groups_raises():

@@ -259,3 +259,85 @@ def test_spinor_vector_sweep_peak_stays_within_six_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * steering.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("elements", [
+    bases.basis_so3(2, 1),
+    bases.basis_o2(1, 2),
+    bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)),
+    bases.basis_lorentz_massless(1),
+], ids=["sphere", "circle", "hyperboloid", "cone"])
+def test_non_finite_base_matrices_fail_the_steer_gate(elements, bad,
+                                                      monkeypatch):
+    # A residual that is not a number propagates through the running
+    # maximum, so a basis whose base matrices are all NaN or inf, or with
+    # one such element, fails the steer gate of the sweep and of
+    # check_case; skipping NaN read 0.0 for every one of them.
+    def poisoned(e):
+        return dataclasses.replace(e, base_matrix=np.full_like(e.base_matrix,
+                                                               bad))
+    orbit, j, l = elements[0].orbit, elements[0].j, elements[0].l
+    for basis in ([poisoned(e) for e in elements],
+                  elements[:-1] + [poisoned(elements[-1])]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = verify.max_steer_residual(
+                basis, orbit, *verify.SUITE_DRAWS, seed=1)
+            assert not residual <= verify.RESIDUAL_TOL
+            monkeypatch.setattr(verify.bases, "basis_for",
+                                lambda *args, _b=basis: _b)
+            report = check_case(j, l, orbit, seed=1)
+        assert not report.max_steer_residual <= verify.RESIDUAL_TOL
+        assert not report.passed
+
+
+def _record_rep_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(j, l, params):
+        calls.append(len(params))
+        return rep_pair(j, l, params)
+
+    monkeypatch.setattr(steering, "rep_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("elements,per_draw", [
+    (bases.basis_o2(1, 2), 2),
+    (bases.basis_so3(2, 1, "complex"), 2),
+    (bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)), 2),
+    (bases.basis_lorentz_massless(1), 3),
+    (bases.basis_lorentz_massless(2), 2),
+], ids=["circle", "sphere", "hyperboloid", "cone vector", "cone tensor20"])
+def test_suite_draws_evaluate_representations_once(elements, per_draw,
+                                                   monkeypatch):
+    # One rep_pair evaluation covers every representation of a suite-size
+    # sweep: the sections of the n_x points, the elements and the sections
+    # of the n_g x n_x points g.x (the massless sweep draws n_g elements
+    # per point, and its spin-1 kernels need the sections of g.x).
+    calls = _record_rep_calls(monkeypatch)
+    n_g, n_x = verify.SUITE_DRAWS
+    verify.max_steer_residual(elements, elements[0].orbit, n_g, n_x, seed=6)
+    massless = isinstance(elements[0].orbit, NullCone)
+    assert calls == [n_x + (per_draw - 1) * n_g * n_x if massless
+                     else n_x + n_g + n_g * n_x]
+
+
+@pytest.mark.parametrize("elements,before", [
+    (bases.basis_so3(4, 4, "complex"), 5),
+    (bases.basis_so3(4, 2, "complex"), 6),
+    (bases.basis_so3(2, 3), 4),
+    (bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(2, 0)), 7),
+    (_SV_BASIS, 21),
+    (bases.basis_lorentz_massless(1), 3),
+    (bases.basis_lorentz_massless(2), 5),
+], ids=["so3 complex 4/4", "so3 complex 4/2", "so3 2/3", "tensor20",
+        "spinor-vector", "cone vector", "cone tensor20"])
+def test_sweep_draws_make_no_more_evaluations(elements, before, monkeypatch):
+    # A (50, 20) sweep makes no more rep_pair calls than the sweeps made
+    # when the elements, the sections of x and those of g.x were evaluated
+    # apart (``before``).
+    calls = _record_rep_calls(monkeypatch)
+    verify.max_steer_residual(elements, elements[0].orbit, n_g=50, n_x=20,
+                              seed=2)
+    assert 1 <= len(calls) <= before
