@@ -10,9 +10,8 @@ intertwiner space and cross-checks the closed forms.
 from .analytic_bases import (KernelBasisElement, basis_for,
                              basis_lorentz_massless, basis_o2, basis_o3,
                              basis_so2, basis_so3, lorentz_massive_basis)
-from .groups import (Circle, MassiveHyperboloid, NullCone, OrbitPoint,
-                     Sphere, base_point, circle_point, cone_point,
-                     massive_point, sphere_point)
+from .groups import (Circle, MassiveHyperboloid, NullCone, Sphere,
+                     base_point)
 from .irreps import (IrrepLabel, dirac_irrep, o2_irrep, o3_irrep,
                      real_change_of_basis, so2_irrep, so3_irrep,
                      spinor_vector_irrep, tensor_irrep)
@@ -27,9 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KernelBasisElement", "basis_for", "basis_lorentz_massless", "basis_o2",
     "basis_o3", "basis_so2", "basis_so3", "lorentz_massive_basis",
-    "Circle", "MassiveHyperboloid", "NullCone", "OrbitPoint", "Sphere",
-    "base_point", "circle_point", "cone_point", "massive_point",
-    "sphere_point",
+    "Circle", "MassiveHyperboloid", "NullCone", "Sphere", "base_point",
     "IrrepLabel", "dirac_irrep", "o2_irrep", "o3_irrep",
     "real_change_of_basis", "so2_irrep", "so3_irrep", "spinor_vector_irrep",
     "tensor_irrep",

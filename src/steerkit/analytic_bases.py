@@ -1,7 +1,7 @@
 """Closed-form steerable kernel bases.
 
-Every basis element stores its base-point intertwiner and evaluates anywhere
-on the orbit by steering through the fixed coset section.  The base-point
+Every basis element stores its base-point intertwiner; ``steering`` evaluates
+it anywhere on the orbit through the fixed coset section.  The base-point
 matrices are the canonical solutions of the stabilizer constraint:
 
 * SO(2): the full matrix space (trivial stabilizer), canonical units E_ab.
@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import groups, steering
+from . import groups
 from .groups import (ETA, LORENTZ, O2, O3, SO2, SO3, Circle,
-                     MassiveHyperboloid, NullCone, Orbit, OrbitPoint, Sphere)
+                     MassiveHyperboloid, NullCone, Orbit, Sphere)
 from .irreps import (CHARGE_CONJUGATION, COMPLEX, DIRAC, GAMMA, REAL, SLOTS,
                      SPINOR_VECTOR, IrrepError, IrrepLabel, o2_irrep,
                      o3_irrep, realify, realify_antilinear, so2_irrep,
@@ -45,7 +45,8 @@ TRANSVERSE0 = (np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]))
 
 @dataclass(frozen=True, eq=False)
 class KernelBasisElement:
-    """One evaluatable steerable-kernel basis element."""
+    """One steerable-kernel basis element, given by its base-point matrix;
+    ``steering.kernel_at`` and ``section_kernels`` evaluate it."""
 
     j: IrrepLabel
     l: IrrepLabel
@@ -56,10 +57,6 @@ class KernelBasisElement:
     @property
     def group(self) -> str:
         return self.j.group
-
-    def at(self, x: OrbitPoint) -> np.ndarray:
-        """Kernel value at an orbit point (steered base-point matrix)."""
-        return steering.kernel_at(self, x)
 
     def __repr__(self) -> str:
         return f"KernelBasisElement({self.j}, {self.l}, {self.kind})"
@@ -225,11 +222,10 @@ def basis_o3(j: int, parity_j: int, l: int, parity_l: int, field: str = REAL,
 # ---------------------------------------------------------------------------
 # Lorentz: covariant projector builders (massive orbit)
 
-def unit_velocity(x: OrbitPoint) -> np.ndarray:
-    """u = x / m for a point on a massive hyperboloid."""
-    if not isinstance(x.orbit, MassiveHyperboloid):
-        raise IrrepError("unit velocity is defined on massive orbits")
-    return x.vector / x.orbit.mass
+def unit_velocity(x) -> np.ndarray:
+    """u = x for a point x of the unit hyperboloid, given by its 4-vector;
+    a vector off that hyperboloid is a GroupError."""
+    return groups.canonical_coords(MassiveHyperboloid(), x)[0]
 
 
 def spin0_projector(u: np.ndarray) -> np.ndarray:
@@ -346,15 +342,14 @@ def lorentz_massive_basis(j: IrrepLabel, l: IrrepLabel,
 # ---------------------------------------------------------------------------
 # Lorentz: massless bases
 
-def massless_pair(x: OrbitPoint, gauge: Sequence[float] = (0.0, 0.0)):
-    """Null pair (n, nbar) at a cone point, with optional gauge shift.
+def massless_pair(x, gauge: Sequence[float] = (0.0, 0.0)):
+    """Null pair (n, nbar) at a point x of the null cone, given by its
+    4-vector, with optional gauge shift.
 
     n is the cone point itself; nbar steers the base choice
     ``nbar0 + a_i e_i + a^2 n0 / 2`` (still null, n . nbar = 1).
     """
-    if not isinstance(x.orbit, NullCone):
-        raise IrrepError("massless kernels live on the null cone")
-    lam = groups.matrices(LORENTZ, groups.section_params(x.orbit, x.coords))
+    lam = groups.matrices(LORENTZ, groups.section_params(NullCone(), x))
     a1, a2 = float(gauge[0]), float(gauge[1])
     n0 = np.array([1.0, 0.0, 0.0, 1.0])
     nbar_base = (NBAR0 + a1 * TRANSVERSE0[0] + a2 * TRANSVERSE0[1]

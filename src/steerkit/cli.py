@@ -110,24 +110,13 @@ def parse_label(group: str, field: str, text: str) -> IrrepLabel:
     return o3_irrep(int(text[:-1]), 1 if text[-1] == "+" else -1, field)
 
 
-def _parse_point(orbit, text: str) -> groups.OrbitPoint:
+def _parse_point(orbit, text: str) -> np.ndarray:
+    """The canonical coordinate row of a ``--point`` on ``orbit``."""
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise CliError(f"bad point {text!r}; expected {POINT_GRAMMAR}") from None
-    if isinstance(orbit, Circle):
-        if len(vals) != 1:
-            raise CliError("circle points take one angle")
-        return groups.circle_point(vals[0], orbit.radius)
-    if isinstance(orbit, Sphere):
-        if len(vals) != 2:
-            raise CliError("sphere points take alpha,beta")
-        return groups.sphere_point(vals[0], vals[1], orbit.radius)
-    if len(vals) != 4:
-        raise CliError("Lorentz orbit points take an explicit 4-vector")
-    if isinstance(orbit, MassiveHyperboloid):
-        return groups.massive_point(vals, orbit.mass)
-    return groups.cone_point(vals)
+    return groups.canonical_coords(orbit, vals)[0]
 
 
 GRID_GRAMMAR = ("circle:N | sphere:NAxNB | massive:NAxNBxNE[:eta=H] "
@@ -159,7 +148,7 @@ class GridSpec:
             raise CliError(f"eta_max must be in (0, {MAX_ETA:.1f}], "
                            f"got {self.eta_max}")
 
-    def coords(self) -> np.ndarray:
+    def points(self) -> np.ndarray:
         """Canonical coordinates of the grid points, shape (n, c)."""
         if isinstance(self.orbit, Circle):
             (n,) = self.shape
@@ -176,12 +165,8 @@ class GridSpec:
         params[..., 0] = alpha[:, None, None]
         params[..., 1] = beta[None, :, None]
         params[..., 5] = np.linspace(0.0, self.eta_max, ne)
-        base = groups.base_point(self.orbit)
         return groups.act_points(groups.LORENTZ, params.reshape(-1, 6),
-                                 self.orbit, base.coords)
-
-    def points(self) -> list[groups.OrbitPoint]:
-        return groups.orbit_points(self.orbit, self.coords())
+                                 self.orbit, groups.base_point(self.orbit))
 
     def to_dict(self) -> dict:
         d = {"orbit": verify._orbit_tag(self.orbit), "shape": list(self.shape)}
@@ -234,7 +219,7 @@ def write_dump(out_path: str, elements, grid: GridSpec, seed: int) -> dict:
         digest, size = hashlib.sha256(), 0
         # An overflow is reported once, as the error below.
         with np.errstate(over="ignore", invalid="ignore"):
-            pieces = steering.section_pieces(elements, grid.coords())
+            pieces = steering.section_pieces(elements, grid.points())
             with _create_beside(out_path + ".bin", staged) as fh:
                 for piece in pieces:
                     # A C-ordered complex stack viewed as floats is
@@ -398,12 +383,12 @@ def _cmd_basis(args) -> int:
     elements = bases.basis_for(j, l, orbit)
     x = _parse_point(orbit, args.point)
     out = {"group": args.group, "j": str(j), "l": str(l),
-           "point": list(x.coords), "elements": []}
+           "point": x.tolist(), "elements": []}
     values = []
     if elements:
         # An overflow is reported once, as the error below.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = steering.section_kernels(elements, [x.coords])[:, 0]
+            values = steering.section_kernels(elements, x[None])[:, 0]
         if not np.isfinite(values).all():
             raise CliError("kernel values overflow float64 at this point")
     for e, k in zip(elements, values):

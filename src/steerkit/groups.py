@@ -20,9 +20,17 @@ SO+(1,3).  Conventions fixed here and relied on everywhere else:
 * Coset sections: circle ``x0 = (R, 0)`` with ``g_phi``; sphere ``x0 =
   (0, 0, R)`` with ``g_{alpha,beta,0}``; massive hyperboloid ``x0 =
   (m, 0, 0, 0)`` with ``R(alpha,beta,0) Bz(eta)``; null cone ``x0 =
-  (1, 0, 0, 1)`` likewise with ``exp(eta) = x^0``.  On the z axis (the
-  poles, the rest frame, the forward and backward null directions) the
-  section fixes ``alpha = 0``, and the rest frame gets the identity.
+  (1, 0, 0, 1)`` likewise with ``exp(eta) = x^0``.  A point given as a
+  vector (``orbit_coords``, and every point of a Lorentz orbit) gets ``alpha
+  = 0`` on the z axis (the poles, the rest frame, the forward and backward
+  null directions), and the rest frame gets the identity.  Sphere
+  coordinates at a pole keep the alpha they are given: the section is then
+  ``Rz(alpha)`` or ``Rz(alpha) Ry(pi)``, and every alpha gives the same
+  kernel, because steering a kernel at a pole by a rotation about z leaves
+  it unchanged (the stabilizer constraint).
+* A point is its canonical coordinate row, shape (c,), and a stack of
+  points is an (n, c) array: the circle angle, c = 1; the sphere angles
+  ``(alpha, beta)``, c = 2; or the 4-vector on a Lorentz orbit, c = 4.
 * Orbit membership is tested in units of the radius or the mass, so that
   it holds on orbits of any positive finite radius or mass.
 """
@@ -56,13 +64,19 @@ def _require_finite(what: str, values) -> None:
         raise GroupError(f"{what} must be finite")
 
 
+#: The doubles near 2*pi are 8.9e-16 apart, so the wrapped angles within
+#: 1e-15 of 2*pi are 2*pi and the double just below it.
+_NEAR_TWO_PI = math.nextafter(TWO_PI, 0.0)
+
+
 def _wrap_angles(angles) -> np.ndarray:
     """Angles reduced to [0, 2*pi), elementwise; the same remainder as
-    Python's float ``%``."""
+    Python's float ``%``, with the values within 1e-15 of 0 or 2*pi set to
+    0."""
+    # The remainder lies in [0, 2*pi]: it reaches 2*pi for tiny negative
+    # angles.
     a = np.remainder(angles, TWO_PI)
-    # Collapse the 2*pi boundary so wrapped values stay in [0, 2*pi).
-    return np.where((a >= TWO_PI) | (np.abs(a) < 1e-15)
-                    | (np.abs(a - TWO_PI) < 1e-15), 0.0, a)
+    return np.where((a < 1e-15) | (a >= _NEAR_TWO_PI), 0.0, a)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +308,6 @@ def minkowski(x, y) -> float:
     return float(x[0] * y[0] - x[1:] @ y[1:])
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """Point on an orbit: circle angle, sphere angles, or explicit 4-vector."""
-
-    orbit: Orbit
-    coords: tuple[float, ...]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return orbit_vectors(self.orbit, self.coords)
-
-
 def orbit_vectors(orbit: Orbit, coords) -> np.ndarray:
     """Ambient vectors of a stack of orbit points given by their
     coordinates, shape (..., c) -> (..., d)."""
@@ -341,10 +343,14 @@ def _off_lorentz_orbit(orbit: Orbit, x: np.ndarray) -> np.ndarray:
     return ~((x[..., 0] > 0) & on)
 
 
-def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
-    """Validated canonical coordinates of a stack of points, shape (n, c),
-    c = 1, 2, 4: circle angles wrapped to [0, 2pi), sphere angles to alpha in
-    [0, 2pi) and beta in [0, pi], and 4-vectors checked to be on the orbit."""
+def canonical_coords(orbit: Orbit, coords) -> np.ndarray:
+    """Validated canonical coordinates of one point, shape (c,), or of a
+    stack of points, shape (n, c), as a stack (n, c), c = 1, 2, 4: circle
+    angles wrapped to [0, 2pi), sphere angles to alpha in [0, 2pi) and beta
+    in [0, pi] (never -0.0), and 4-vectors checked to be on the orbit.
+
+    The coordinates must be finite and the radius or mass positive and
+    finite; any other width or an off-orbit 4-vector is a GroupError."""
     c = np.array(coords, dtype=float, ndmin=2)
     count = {Circle: 1, Sphere: 2}.get(type(orbit), 4)
     if c.ndim != 2 or c.shape[1] != count:
@@ -365,7 +371,9 @@ def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
             turn = b > math.pi
             alpha[np.flatnonzero(out)[turn]] += math.pi
             beta[out] = np.where(turn, TWO_PI - b, b)
-        return np.stack([_wrap_angles(alpha), np.minimum(beta, math.pi)], -1)
+        # Adding 0.0 turns beta = -0.0 into +0.0, one form for the pole.
+        return np.stack([_wrap_angles(alpha),
+                         np.minimum(beta, math.pi) + 0.0], -1)
     if isinstance(orbit, MassiveHyperboloid):
         _require_positive("hyperboloid mass", orbit.mass)
     _require_finite("Lorentz orbit point", c)
@@ -378,45 +386,16 @@ def _canonical_coords(orbit: Orbit, coords) -> np.ndarray:
     return c
 
 
-def orbit_points(orbit: Orbit, coords) -> list[OrbitPoint]:
-    """OrbitPoints of a stack of coordinates, shape (n, c), in canonical
-    form; see :func:`_canonical_coords`."""
-    return [OrbitPoint(orbit, tuple(c))
-            for c in _canonical_coords(orbit, coords).tolist()]
-
-
-def circle_point(phi: float, radius: float = 1.0) -> OrbitPoint:
-    return orbit_points(Circle(radius), [[phi]])[0]
-
-
-def sphere_point(alpha: float, beta: float, radius: float = 1.0) -> OrbitPoint:
-    return orbit_points(Sphere(radius), [[alpha, beta]])[0]
-
-
-def massive_point(x, mass: float = 1.0) -> OrbitPoint:
-    return orbit_points(MassiveHyperboloid(mass), _four_vector(x))[0]
-
-
-def cone_point(x) -> OrbitPoint:
-    return orbit_points(NullCone(), _four_vector(x))[0]
-
-
-def _four_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise GroupError("a point on a Lorentz orbit must be a 4-vector")
-    return x[None]
-
-
-def base_point(orbit: Orbit) -> OrbitPoint:
+def base_point(orbit: Orbit) -> np.ndarray:
+    """Coordinate row of the base point x0 of ``orbit``, shape (c,)."""
     if isinstance(orbit, Circle):
-        return OrbitPoint(orbit, (0.0,))
+        return np.array([0.0])
     if isinstance(orbit, Sphere):
-        return OrbitPoint(orbit, (0.0, 0.0))
+        return np.array([0.0, 0.0])
     if isinstance(orbit, MassiveHyperboloid):
-        return OrbitPoint(orbit, (orbit.mass, 0.0, 0.0, 0.0))
+        return np.array([orbit.mass, 0.0, 0.0, 0.0])
     if isinstance(orbit, NullCone):
-        return OrbitPoint(orbit, (1.0, 0.0, 0.0, 1.0))
+        return np.array([1.0, 0.0, 0.0, 1.0])
     raise GroupError(f"unknown orbit {orbit!r}")
 
 
@@ -438,13 +417,17 @@ def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
         name = "circle" if isinstance(orbit, Circle) else "sphere"
         _require_positive(f"{name} radius", orbit.radius)
         r = np.sqrt(row_dots(flat / orbit.radius))
-        if np.any(np.abs(r - 1.0) > 1e-10):
-            raise GroupError(f"vector is off the {name}")
+        # "Accept if within", so that NaN and infinite vectors fail too.
+        on = np.abs(r - 1.0) <= 1e-10
+        if not on.all():
+            raise GroupError(f"vector {flat[~on][0]} is off the {name}")
         if isinstance(orbit, Circle):
-            flat = _scalar(math.atan2, flat[:, 1], flat[:, 0])[:, None]
+            coords = _wrap_angles(
+                _scalar(math.atan2, flat[:, 1], flat[:, 0]))[:, None]
         else:
-            flat = np.stack(_polar(*flat.T), -1)
-    coords = _canonical_coords(orbit, flat)
+            coords = np.stack(_polar(*flat.T), -1)
+    else:
+        coords = canonical_coords(orbit, flat)
     return coords.reshape(v.shape[:-1] + coords.shape[-1:])
 
 
@@ -476,16 +459,17 @@ def section_params(orbit: Orbit, coords, group: Optional[str] = None) -> np.ndar
     ``g_{alpha,beta,0}`` on the sphere, and ``R(alpha, beta, 0) Bz(eta)`` on
     the hyperboloid and the cone.  For O(2)/O(3) it stays in the connected
     component (s = p = +1).  The parameters come straight from the
-    coordinates, checked and canonicalized by :func:`_canonical_coords`:
+    coordinates, checked and canonicalized by :func:`canonical_coords`:
     ``alpha = atan2(y, x)``, ``beta = atan2(hypot(x, y), z)`` of the spatial
     part, ``eta = asinh(|x/m|)`` on the hyperboloid and ``log x^0`` on the
-    cone.  The section is smooth except on the z axis, where alpha is 0,
-    and the rest frame gets the identity.
+    cone.  The section is smooth except on the z axis, where a point of a
+    Lorentz orbit gets alpha = 0 and sphere angles keep their alpha, and
+    the rest frame gets the identity.
     """
     group = group or default_group(orbit)
     _require_compatible(group, orbit)
     c = np.asarray(coords, dtype=float)
-    flat = _canonical_coords(orbit, c.reshape(-1, c.shape[-1]))
+    flat = canonical_coords(orbit, c.reshape(-1, c.shape[-1]))
     out = np.zeros((len(flat), PARAM_COUNT[group]))
     if isinstance(orbit, Circle):
         out[:, 0] = flat[:, 0]
@@ -516,11 +500,10 @@ def random_orbit_coords(orbit: Orbit, rng: np.random.Generator, n: int,
     """
     _check_draw(n, eta_max)
     if isinstance(orbit, Circle):
-        return _canonical_coords(orbit, rng.uniform(0.0, TWO_PI, size=(n, 1)))
+        return canonical_coords(orbit, rng.uniform(0.0, TWO_PI, size=(n, 1)))
     if isinstance(orbit, Sphere):
         c = rng.uniform((0.0, -1.0), (TWO_PI, 1.0), size=(n, 2))
         c[:, 1] = _angles_from_cosines(c[:, 1])
-        return _canonical_coords(orbit, c)
-    x0 = base_point(orbit)
+        return canonical_coords(orbit, c)
     return act_points(LORENTZ, random_params(LORENTZ, rng, n, eta_max),
-                      orbit, x0.coords)
+                      orbit, base_point(orbit))

@@ -226,7 +226,7 @@ def _stabilizer_generators(orbit: Orbit, group: str) -> tuple:
         params = ()
     # Checked in units of the base point's largest entry: radius and mass
     # set no scale for the stabilizer, and a norm of x0 could overflow.
-    x0 = groups.base_point(orbit).vector
+    x0 = groups.orbit_vectors(orbit, groups.base_point(orbit))
     x0 = x0 / np.abs(x0).max()
     for p in params:
         if np.linalg.norm(groups.matrices(group, p) @ x0 - x0) > 1e-11:

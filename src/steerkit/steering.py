@@ -12,17 +12,17 @@ evaluates with :func:`~steerkit.irreps.rep_pair`; :func:`_runs` evaluates
 consecutive units of a parameter stack, as many whole units per call as fit
 the chunk budget.
 :func:`steer` steers each kernel of a stack alone (w = 1), and
-:func:`kernel_at` is :func:`steer` at one section.  :func:`section_pieces`
-streams a basis at a stack of points in the order ``[basis][point]``, one
-element's run of points per piece, evaluating the representations of the
-points' sections once per call; ``sample`` writes the pieces as they come
-and :func:`section_kernels` gathers them into one array.  All of these steer
-one kernel per gemm pair, so they equal one another bit for bit.  The
-verifier's sweeps take their kernels at x from the same per-kernel pieces,
-from runs of their one evaluation, and steer a whole basis side by side
-(w > 1), which can round differently in the last bits (complex SO(3)
-labels, and real SO(3) and O(3) labels of dimension 17 and more, on the
-development machine).
+:func:`kernel_at` is :func:`steer` at the section of one point, given by its
+coordinate row.  :func:`section_pieces` streams a basis at a stack of points
+in the order ``[basis][point]``, one element's run of points per piece,
+evaluating the representations of the points' sections once per call;
+``sample`` writes the pieces as they come and :func:`section_kernels`
+gathers them into one array.  All of these steer one kernel per gemm pair,
+so they equal one another bit for bit.  The verifier's sweeps take their
+kernels at x from the same per-kernel pieces, from runs of their one
+evaluation, and steer a whole basis side by side (w > 1), which can round
+differently in the last bits (complex SO(3) labels, and real SO(3) and O(3)
+labels of dimension 17 and more, on the development machine).
 """
 
 from __future__ import annotations
@@ -111,16 +111,20 @@ def _runs(j: IrrepLabel, l: IrrepLabel, params, units) -> Iterator[tuple]:
         del rho, rho_inv
 
 
-def kernel_at(elem, x: groups.OrbitPoint) -> np.ndarray:
-    """Evaluate a basis element at an orbit point via the coset section.
+def kernel_at(elem, coords) -> np.ndarray:
+    """Evaluate a basis element at one point of its orbit, given by its
+    coordinate row, shape (c,), via the coset section.
 
-    ``elem`` needs attributes ``j``, ``l``, ``orbit`` and ``base_matrix``.
-    This is the element-by-element reference path; :func:`section_kernels`
-    equals it bit for bit.
+    ``elem`` needs attributes ``j``, ``l``, ``orbit`` and ``base_matrix``;
+    :func:`~steerkit.groups.section_params` checks the point against
+    ``elem.orbit``.  This is the element-by-element reference path;
+    :func:`section_kernels` equals it bit for bit.
     """
-    if x.orbit != elem.orbit:
-        raise IrrepError(f"point on {x.orbit} does not match {elem.orbit}")
-    params = groups.section_params(x.orbit, [x.coords], elem.j.group)
+    x = np.asarray(coords, dtype=float)
+    if x.ndim != 1:
+        raise groups.GroupError(f"expected one point's coordinate row, "
+                                f"shape (c,), got shape {x.shape}")
+    params = groups.section_params(elem.orbit, x[None], elem.j.group)
     return steer(elem.base_matrix, elem.j, elem.l, params)[0]
 
 

@@ -219,7 +219,7 @@ def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
     draws = groups.random_params(lorentz, rng, n_x * (1 + n_g), eta_max)
     draws = draws.reshape(n_x, 1 + n_g, -1)
     coords = groups.act_points(lorentz, draws[:, 0], cone,
-                               groups.base_point(cone).coords)
+                               groups.base_point(cone))
     gs = draws[:, 1:].reshape(n_x * n_g, -1)
     at = np.repeat(np.arange(n_x), n_g)
     at_x = groups.section_params(cone, coords)
@@ -375,10 +375,8 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     massless transverse projectors.
     """
     rng = np.random.default_rng(seed)
-    orbit = MassiveHyperboloid()
-    x = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max))[0]
-    u = bases.unit_velocity(x)
+    u = bases.unit_velocity(groups.random_orbit_coords(
+        MassiveHyperboloid(), rng, 1, eta_max)[0])
     d = bases.transverse_projector(u)
     res = {}
     res["massive_delta_idempotent"] = float(np.linalg.norm(d @ d - d))
@@ -403,10 +401,8 @@ def check_projectors(seed: int = 0, eta_max: float = 2.0) -> dict:
     gperp_low = np.einsum("mn,nab->mab", groups.ETA, gperp)
     res["rarita_gamma_contraction"] = float(np.linalg.norm(
         np.einsum("mca,manb->cnb", gperp_low, pi4)))
-    cone = NullCone()
-    xk = groups.orbit_points(
-        cone, groups.random_orbit_coords(cone, rng, 1, eta_max))[0]
-    n, nbar = bases.massless_pair(xk)
+    n, nbar = bases.massless_pair(groups.random_orbit_coords(
+        NullCone(), rng, 1, eta_max)[0])
     dm = bases.massless_transverse_projector(n, nbar)
     res["massless_pairing"] = abs(groups.minkowski(n, nbar) - 1.0)
     res["massless_delta_idempotent"] = float(np.linalg.norm(dm @ dm - dm))
@@ -422,10 +418,8 @@ def gauge_shift_residual(seed: int = 0, eta_max: float = 2.0) -> float:
     rng = np.random.default_rng(seed)
     cone, worst = NullCone(), 0.0
     for _ in range(GAUGE_DRAWS):
-        x = groups.orbit_points(
-            cone, groups.random_orbit_coords(cone, rng, 1, eta_max))[0]
-        lam = groups.matrices(groups.LORENTZ,
-                              groups.section_params(cone, x.coords))
+        x = groups.random_orbit_coords(cone, rng, 1, eta_max)[0]
+        lam = groups.matrices(groups.LORENTZ, groups.section_params(cone, x))
         n, nbar = bases.massless_pair(x)
         e1, e2 = (lam @ v for v in bases.TRANSVERSE0)
         a = rng.uniform(-2.0, 2.0, size=2)

@@ -19,6 +19,7 @@ from steerkit.groups import (ETA, Circle, MassiveHyperboloid, NullCone,
 from steerkit.irreps import (GAMMA, IrrepError, dirac_irrep, o2_irrep,
                              o3_irrep, realify, so2_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep)
+from steerkit.steering import kernel_at
 
 from single_views import wigner_D
 
@@ -34,18 +35,21 @@ def _oracle_residual(space, k):
 
 def test_so2_complex_basis_value():
     (elem,) = basis_so2(3, 3, "complex")
-    x = groups.circle_point(0.4)
-    assert abs(elem.at(x)[0, 0] - 1.0) < 1e-14  # j = l: constant kernel
+    x = (0.4,)
+    # j = l: constant kernel
+    assert abs(kernel_at(elem, x)[0, 0] - 1.0) < 1e-14
 
 
 def test_so2_vector_case_closed_form():
     e1, e2 = basis_so2(0, 4)
     phi = 1.1
-    x = groups.circle_point(phi)
-    np.testing.assert_allclose(
-        e1.at(x), [[math.cos(4 * phi), math.sin(4 * phi)]], atol=1e-14)
-    np.testing.assert_allclose(
-        e2.at(x), [[-math.sin(4 * phi), math.cos(4 * phi)]], atol=1e-14)
+    x = (phi,)
+    np.testing.assert_allclose(kernel_at(e1, x), [[math.cos(4 * phi),
+                                                   math.sin(4 * phi)]],
+                               atol=1e-14)
+    np.testing.assert_allclose(kernel_at(e2, x), [[-math.sin(4 * phi),
+                                                   math.cos(4 * phi)]],
+                               atol=1e-14)
 
 
 def test_so2_matrix_case_closed_forms():
@@ -58,11 +62,12 @@ def test_so2_matrix_case_closed_forms():
         "E21": [[-sj * cl, -sj * sl], [cj * cl, cj * sl]],
         "E22": [[sj * sl, -sj * cl], [-cj * sl, cj * cl]],
     }
-    x = groups.circle_point(phi)
+    x = (phi,)
     els = basis_so2(j, l)
     assert [e.kind for e in els] == ["E11", "E12", "E21", "E22"]
     for e in els:
-        np.testing.assert_allclose(e.at(x), expected[e.kind], atol=1e-14)
+        np.testing.assert_allclose(kernel_at(e, x), expected[e.kind],
+                                   atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +85,27 @@ def test_o2_case_counts():
 
 def test_o2_vector_cases_closed_form():
     phi, l = 0.8, 3
-    x = groups.circle_point(phi)
+    x = (phi,)
     (e,) = basis_o2(0, l)
     np.testing.assert_allclose(
-        e.at(x), [[math.cos(l * phi), math.sin(l * phi)]], atol=1e-14)
+        kernel_at(e, x), [[math.cos(l * phi), math.sin(l * phi)]], atol=1e-14)
     (e,) = basis_o2("0~", l)
     np.testing.assert_allclose(
-        e.at(x), [[-math.sin(l * phi), math.cos(l * phi)]], atol=1e-14)
+        kernel_at(e, x), [[-math.sin(l * phi), math.cos(l * phi)]], atol=1e-14)
 
 
 def test_o2_matrix_case_closed_form():
     j, l, phi = 2, 3, 1.3
-    x = groups.circle_point(phi)
+    x = (phi,)
     cj, sj = math.cos(j * phi), math.sin(j * phi)
     cl, sl = math.cos(l * phi), math.sin(l * phi)
     e11, e22 = basis_o2(j, l)
-    np.testing.assert_allclose(
-        e11.at(x), [[cj * cl, cj * sl], [sj * cl, sj * sl]], atol=1e-14)
-    np.testing.assert_allclose(
-        e22.at(x), [[sj * sl, -sj * cl], [-cj * sl, cj * cl]], atol=1e-14)
+    np.testing.assert_allclose(kernel_at(e11, x), [[cj * cl, cj * sl],
+                                                   [sj * cl, sj * sl]],
+                               atol=1e-14)
+    np.testing.assert_allclose(kernel_at(e22, x), [[sj * sl, -sj * cl],
+                                                   [-cj * sl, cj * cl]],
+                               atol=1e-14)
 
 
 def test_o2_basis_respects_reflections():
@@ -125,8 +132,8 @@ def test_so3_complex_entries_are_wigner_products():
     j, l, m = 2, 1, -1
     elem = next(e for e in basis_so3(j, l, "complex") if e.kind == f"m={m}")
     alpha, beta = 1.3, 0.4
-    x = groups.sphere_point(alpha, beta)
-    got = elem.at(x)
+    x = (alpha, beta)
+    got = kernel_at(elem, x)
     dj = wigner_D(j, alpha, beta, 0.0)
     dl_inv = wigner_D(l, alpha, beta, 0.0).conj().T
     for mj in range(-j, j + 1):
@@ -159,7 +166,7 @@ def test_so3_real_steered_forms_are_r_matrix_products():
     from steerkit.irreps import rep_matrices
     j, l, m = 2, 3, 1
     alpha, beta = 0.8, 1.9
-    x = groups.sphere_point(alpha, beta)
+    x = (alpha, beta)
     g = (alpha, beta, 0.0)
     rj = rep_matrices(so3_irrep(j), g)
     rl_inv = rep_matrices(so3_irrep(l), g).T  # orthogonal
@@ -169,8 +176,10 @@ def test_so3_real_steered_forms_are_r_matrix_products():
     expect_j = (np.outer(rj[:, neg], rl_inv[pos, :])
                 - np.outer(rj[:, pos], rl_inv[neg, :]))
     els = {e.kind: e for e in basis_so3(j, l)}
-    np.testing.assert_allclose(els["(m=1,I)"].at(x), expect_i, atol=1e-13)
-    np.testing.assert_allclose(els["(m=1,J)"].at(x), expect_j, atol=1e-13)
+    np.testing.assert_allclose(kernel_at(els["(m=1,I)"], x), expect_i,
+                               atol=1e-13)
+    np.testing.assert_allclose(kernel_at(els["(m=1,J)"], x), expect_j,
+                               atol=1e-13)
 
 
 def test_so3_kernels_do_not_depend_on_gamma():
@@ -179,12 +188,12 @@ def test_so3_kernels_do_not_depend_on_gamma():
     # z-rotation blocks
     from steerkit.steering import steer
     alpha, beta = 0.7, 1.1
-    x = groups.sphere_point(alpha, beta)
+    x = (alpha, beta)
     for field in ("real", "complex"):
         for elem in basis_so3(2, 2, field):
             (twisted,) = steer(elem.base_matrix, elem.j, elem.l,
                                [(alpha, beta, 0.7)])
-            np.testing.assert_allclose(twisted, elem.at(x), atol=1e-11)
+            np.testing.assert_allclose(twisted, kernel_at(elem, x), atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +212,7 @@ def test_o3_complex_elements_are_weight_combinations():
     # same signs: D^j_{mj m} (D^l)^-1_{m ml} + D^j_{mj -m} (D^l)^-1_{-m ml};
     # opposite signs: the difference
     alpha, beta = 0.5, 1.2
-    x = groups.sphere_point(alpha, beta)
+    x = (alpha, beta)
     for pj, pl, sign in ((1, 1, 1.0), (1, -1, -1.0)):
         j, l, m = 2, 2, 1
         els = basis_o3(j, pj, l, pl, "complex")
@@ -212,7 +221,7 @@ def test_o3_complex_elements_are_weight_combinations():
         dl_inv = wigner_D(l, alpha, beta, 0.0).conj().T
         expect = (np.outer(dj[:, j - m], dl_inv[l - m, :])
                   + sign * np.outer(dj[:, j + m], dl_inv[l + m, :]))
-        np.testing.assert_allclose(elem.at(x), expect, atol=1e-13)
+        np.testing.assert_allclose(kernel_at(elem, x), expect, atol=1e-13)
 
 
 def test_o3_span_is_subspace_of_so3_span():
@@ -256,10 +265,9 @@ def test_massive_spin1_is_transverse_projector():
     (elem,) = _spin_block(vec, vec, 1)
     m = 1.0
     eta = 0.8
-    x = groups.massive_point(
-        [m * math.cosh(eta), 0, 0, m * math.sinh(eta)], m)
-    k = elem.at(x)
-    u = x.vector / m
+    x = [m * math.cosh(eta), 0, 0, m * math.sinh(eta)]
+    k = kernel_at(elem, x)
+    u = np.asarray(x) / m
     np.testing.assert_allclose(k, np.eye(4) - np.outer(u, ETA @ u),
                                atol=1e-12)
     assert np.linalg.norm(k @ u) <= 1e-12
@@ -272,8 +280,7 @@ def test_massive_rank2_same_slot_elements_are_covariant_projectors():
     t20 = tensor_irrep(2, 0)
     rng = np.random.default_rng(5)
     orbit = MassiveHyperboloid()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
     u = unit_velocity(x)
     d = transverse_projector(u)
     ul = ETA @ u
@@ -290,7 +297,7 @@ def test_massive_rank2_same_slot_elements_are_covariant_projectors():
     for e in els:
         if e.kind in expected:
             np.testing.assert_allclose(
-                e.at(x), expected[e.kind].reshape(16, 16), atol=1e-11)
+                kernel_at(e, x), expected[e.kind].reshape(16, 16), atol=1e-11)
 
 
 def test_massive_counts_match_predictions_for_tensor_pairs():
@@ -328,8 +335,7 @@ def test_massive_spin_half_steered_forms_are_covariant():
     n = (CHARGE_CONJUGATION @ GAMMA[0]).real
     rng = np.random.default_rng(37)
     orbit = MassiveHyperboloid()
-    for x in groups.orbit_points(
-            orbit, groups.random_orbit_coords(orbit, rng, 4, eta_max=2.0)):
+    for x in groups.random_orbit_coords(orbit, rng, 4, eta_max=2.0):
         u = unit_velocity(x)
         for e in els:
             sign = +1 if e.kind.endswith("P+1)") else -1
@@ -342,7 +348,7 @@ def test_massive_spin_half_steered_forms_are_covariant():
                 expect = realify_antilinear(n @ np.conj(p))
             else:
                 expect = realify_antilinear(1j * (n @ np.conj(p)))
-            np.testing.assert_allclose(e.at(x), expect, atol=1e-11)
+            np.testing.assert_allclose(kernel_at(e, x), expect, atol=1e-11)
 
 
 def test_massive_spin_three_half_steered_forms_are_covariant():
@@ -354,8 +360,7 @@ def test_massive_spin_three_half_steered_forms_are_covariant():
     n16 = np.kron(np.eye(4), (CHARGE_CONJUGATION @ GAMMA[0]).real)
     rng = np.random.default_rng(41)
     orbit = MassiveHyperboloid()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
     u = unit_velocity(x)
     for e in els:
         sign = +1 if e.kind.endswith("P+1)") else -1
@@ -369,14 +374,13 @@ def test_massive_spin_three_half_steered_forms_are_covariant():
             expect = realify_antilinear(n16 @ np.conj(base))
         else:
             expect = realify_antilinear(1j * (n16 @ np.conj(base)))
-        np.testing.assert_allclose(e.at(x), expect, atol=1e-10)
+        np.testing.assert_allclose(kernel_at(e, x), expect, atol=1e-10)
 
 
 def test_energy_projector_algebra():
     rng = np.random.default_rng(11)
     orbit = MassiveHyperboloid()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
     u = unit_velocity(x)
     pp, pm = energy_projector(u, +1), energy_projector(u, -1)
     np.testing.assert_allclose(pp @ pp, pp, atol=1e-12)
@@ -388,8 +392,7 @@ def test_energy_projector_algebra():
 def test_rarita_projector_identities():
     rng = np.random.default_rng(13)
     orbit = MassiveHyperboloid()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
     u = unit_velocity(x)
     pi = rarita_projector(u)
     np.testing.assert_allclose(pi @ pi, pi, atol=1e-11)
@@ -464,10 +467,9 @@ def test_massless_base_point_projector():
 def test_massless_pair_invariants_under_steering():
     rng = np.random.default_rng(17)
     orbit = NullCone()
-    for x in groups.orbit_points(
-            orbit, groups.random_orbit_coords(orbit, rng, 8, eta_max=2.0)):
+    for x in groups.random_orbit_coords(orbit, rng, 8, eta_max=2.0):
         n, nbar = massless_pair(x)
-        np.testing.assert_allclose(n, x.vector, atol=1e-11)
+        np.testing.assert_allclose(n, x, atol=1e-11)
         assert abs(groups.minkowski(n, nbar) - 1.0) <= 1e-11
         assert abs(groups.minkowski(nbar, nbar)) <= 1e-11
 
@@ -475,8 +477,7 @@ def test_massless_pair_invariants_under_steering():
 def test_massless_transverse_projector_identities():
     rng = np.random.default_rng(19)
     orbit = NullCone()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=2.0))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=2.0)
     n, nbar = massless_pair(x)
     d = massless_transverse_projector(n, nbar)
     np.testing.assert_allclose(d @ d, d, atol=1e-11)
@@ -488,8 +489,7 @@ def test_massless_transverse_projector_identities():
 def test_massless_spin2_trace_and_idempotence():
     rng = np.random.default_rng(23)
     orbit = NullCone()
-    (x,) = groups.orbit_points(
-        orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
+    (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
     n, nbar = massless_pair(x)
     p = massless_spin2_projector(n, nbar)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
@@ -502,13 +502,12 @@ def test_massless_evaluator_matches_covariant_formula():
     (e2,) = basis_lorentz_massless(2)
     rng = np.random.default_rng(29)
     orbit = NullCone()
-    for x in groups.orbit_points(
-            orbit, groups.random_orbit_coords(orbit, rng, 5, eta_max=1.5)):
+    for x in groups.random_orbit_coords(orbit, rng, 5, eta_max=1.5):
         n, nbar = massless_pair(x)
-        np.testing.assert_allclose(e1.at(x),
+        np.testing.assert_allclose(kernel_at(e1, x),
                                    massless_transverse_projector(n, nbar),
                                    atol=1e-11)
-        np.testing.assert_allclose(e2.at(x),
+        np.testing.assert_allclose(kernel_at(e2, x),
                                    massless_spin2_projector(n, nbar),
                                    atol=1e-10)
 
@@ -518,10 +517,8 @@ def test_massless_gauge_shift_stays_in_gauge_span():
     rng = np.random.default_rng(31)
     orbit = NullCone()
     for _ in range(10):
-        (x,) = groups.orbit_points(
-            orbit, groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5))
-        lam = groups.matrices("lorentz",
-                              groups.section_params(orbit, x.coords))
+        (x,) = groups.random_orbit_coords(orbit, rng, 1, eta_max=1.5)
+        lam = groups.matrices("lorentz", groups.section_params(orbit, x))
         n, nbar = massless_pair(x)
         a = rng.uniform(-2, 2, size=2)
         _, nbar_shift = massless_pair(x, gauge=a)
@@ -549,6 +546,7 @@ def test_massless_base_points_lie_in_oracle_space():
 def test_massless_unsupported_spin():
     with pytest.raises(IrrepError):
         basis_lorentz_massless(3)
+
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +616,10 @@ def test_non_unit_orbit_scales():
     elems = lorentz_massive_basis(vec, vec, mass=mass)
     eta = 1.1
     import math
-    x = groups.massive_point(
-        [mass * math.cosh(eta), 0, 0, mass * math.sinh(eta)], mass)
-    u = x.vector / mass
+    x = [mass * math.cosh(eta), 0, 0, mass * math.sinh(eta)]
+    u = np.asarray(x) / mass
     spin1 = next(e for e in elems if "space" in e.kind)
-    np.testing.assert_allclose(spin1.at(x), transverse_projector(u),
+    np.testing.assert_allclose(kernel_at(spin1, x), transverse_projector(u),
                                atol=1e-12)
     space = stabilizer_solver.solve_basepoint(
         vec, vec, MassiveHyperboloid(mass))

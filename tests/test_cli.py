@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import cli, groups, steering
+from steerkit import cli, steering
 from steerkit.cli import main, parse_grid, parse_label, read_dump
 from steerkit.groups import Circle, MassiveHyperboloid, NullCone, Sphere
 
@@ -48,6 +48,11 @@ def test_basis_at_base_point_is_canonical(capsys):
                                                      "E22"]
     np.testing.assert_array_equal(data["elements"][0]["re"],
                                   [[1.0, 0.0], [0.0, 0.0]])
+    # A point has one printed form: beta = -0 prints as 0.0.
+    printed = [run_cli(capsys, "basis", "--group", "so3", "--j", "1", "--l",
+                       "1", "--point", point)[1] for point in ("0.3,-0",
+                                                                "0.3,0")]
+    assert printed[0] == printed[1]
 
 
 def test_basis_complex_output_carries_imaginary_part(capsys):
@@ -65,27 +70,25 @@ def test_basis_complex_compact_pairs_are_complex(capsys):
     # kernel_at and section_kernels agree in dtype and bytes.
     labels = {"so2": ("0", "1", "-2"), "o2": ("0", "0~", "1", "2"),
               "so3": ("0", "1", "2"), "o3": ("0+", "0-", "1-", "2+")}
-    points = {"so2": groups.circle_point(0.3), "o2": groups.circle_point(0.3),
-              "so3": groups.sphere_point(0.4, 1.1),
-              "o3": groups.sphere_point(0.4, 1.1)}
+    points = {"so2": (0.3,), "o2": (0.3,), "so3": (0.4, 1.1),
+              "o3": (0.4, 1.1)}
     for group, names in labels.items():
         x = points[group]
         for j in names:
             for l in names:
                 code, out, _ = run_cli(
                     capsys, "basis", "--group", group, "--field", "complex",
-                    "--j", j, "--l", l,
-                    "--point", ",".join(map(repr, x.coords)))
+                    "--j", j, "--l", l, "--point", ",".join(map(repr, x)))
                 assert code == 0
                 printed = json.loads(out)["elements"]
                 assert all("im" in e for e in printed), (group, j, l)
                 els = bases.basis_for(parse_label(group, "complex", j),
                                       parse_label(group, "complex", l),
-                                      x.orbit)
+                                      Circle() if len(x) == 1 else Sphere())
                 assert len(printed) == len(els)
                 if not els:
                     continue
-                values = steering.section_kernels(els, [x.coords])[:, 0]
+                values = steering.section_kernels(els, [x])[:, 0]
                 assert values.dtype == np.complex128
                 for e, k in zip(els, values):
                     ref = steering.kernel_at(e, x)
@@ -333,7 +336,7 @@ def test_sample_roundtrip_bit_exact(tmp_path, capsys):
     from steerkit.steering import section_kernels
     elements = bases.basis_for(so3_irrep(1), so3_irrep(2), Sphere())
     grid = parse_grid("sphere:4x3", 1.0, 1.0)
-    fresh = section_kernels(elements, grid.coords())
+    fresh = section_kernels(elements, grid.points())
     assert np.array_equal(arr, fresh)
     # A grid on another sphere than the basis's is not evaluated.
     with pytest.raises(ValueError):
@@ -349,9 +352,9 @@ def test_sample_complex_payload_roundtrip(tmp_path, capsys):
     manifest, arr = read_dump(out)
     assert manifest["complex"]
     assert arr.dtype.kind == "c"
-    x = groups.circle_point(2 * math.pi / 6)
     from steerkit import analytic_bases as bases
-    expect = bases.basis_so2(2, 0, "complex")[0].at(x)
+    expect = steering.kernel_at(bases.basis_so2(2, 0, "complex")[0],
+                                [2 * math.pi / 6])
     np.testing.assert_array_equal(arr[0, 1], expect)
 
 
@@ -474,13 +477,13 @@ def test_memory_error_is_a_json_error(monkeypatch, tmp_path, capsys):
     # traceback, and leaves no file behind, whether the coordinates or the
     # stream of pieces fail to allocate.  The failures are simulated: the
     # grid of a hundred million points is never built.
-    def no_coords(self):
+    def no_points(self):
         raise MemoryError("Unable to allocate 149. GiB for an array")
     out = str(tmp_path / "dump")
     argv = ["sample", "--group", "so3", "--j", "1", "--l", "1", "--out", out,
             "--grid"]
     with monkeypatch.context() as patch:
-        patch.setattr(cli.GridSpec, "coords", no_coords)
+        patch.setattr(cli.GridSpec, "points", no_points)
         code, stdout, err = run_cli(capsys, *argv, "sphere:100000x100000")
     assert code == 1 and stdout == ""
     assert json.loads(err) == {

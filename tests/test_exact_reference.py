@@ -62,12 +62,11 @@ MASSIVE_BASES = [bases.lorentz_massive_basis(j, l)
 CONE_BASES = [bases.basis_lorentz_massless(1), bases.basis_lorentz_massless(2)]
 
 
-def _check(elements, point, exact, make_point):
+def _check(elements, point, exact):
     stacked = section_kernels(elements, np.array([point]))[:, 0]
-    x = make_point(point)
     for elem, k_stack, k_exact in zip(elements, stacked, exact):
         scale = max(1.0, np.linalg.norm(k_exact))
-        for k in (k_stack, kernel_at(elem, x)):
+        for k in (k_stack, kernel_at(elem, point)):
             err = np.linalg.norm(k - k_exact) / scale
             assert err <= TOL, (str(elem.j), str(elem.l), elem.kind, err)
 
@@ -77,7 +76,7 @@ def test_massive_kernels_match_exact_reference(name):
     (alpha, beta), h = MASSIVE_POINTS[name]
     for elements in MASSIVE_BASES:
         point, exact = massive_kernels(elements, alpha, beta, h)
-        _check(elements, point, exact, groups.massive_point)
+        _check(elements, point, exact)
 
 
 @pytest.mark.parametrize("name", CONE_POINTS)
@@ -85,7 +84,7 @@ def test_cone_kernels_match_exact_reference(name):
     (alpha, beta), x0 = CONE_POINTS[name]
     for elements in CONE_BASES:
         point, exact = cone_kernels(elements, alpha, beta, x0)
-        _check(elements, point, exact, groups.cone_point)
+        _check(elements, point, exact)
 
 
 @pytest.mark.parametrize("name", ["eta1e-7", "eta1e-9"])

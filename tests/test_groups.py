@@ -1,16 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import groups, irreps, stabilizer_solver, steering
+from steerkit import cli, groups, irreps, stabilizer_solver, steering
 from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              NullCone, Sphere, act_points, base_point,
-                             boost_matrix, circle_point, cone_point,
-                             default_group, massive_point, matrices,
-                             orbit_vectors, random_orbit_coords,
-                             random_params, section_params, sphere_point)
+                             boost_matrix, canonical_coords, default_group,
+                             matrices, orbit_vectors, random_orbit_coords,
+                             random_params, section_params)
 from steerkit.irreps import (o2_irrep, o3_irrep, so2_irrep, so3_irrep,
                              tensor_irrep)
 
@@ -77,7 +77,7 @@ def test_act_examples():
     expect = b @ np.array([m, 0.0, 0.0, 0.0])
     g = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     got = act_points("lorentz", g, MassiveHyperboloid(m),
-                     base_point(MassiveHyperboloid(m)).coords)
+                     base_point(MassiveHyperboloid(m)))
     np.testing.assert_allclose(got, expect, atol=1e-13)
     np.testing.assert_allclose(got, [m * math.cosh(1), 0, 0, m * math.sinh(1)],
                                atol=1e-13)
@@ -104,20 +104,21 @@ def test_lorentz_invariants():
 def test_section_at_base_points_is_identity():
     for orbit in (Circle(), Sphere(), MassiveHyperboloid(), NullCone()):
         m = matrices(default_group(orbit),
-                     section_params(orbit, base_point(orbit).coords))
+                     section_params(orbit, base_point(orbit)))
         np.testing.assert_allclose(m, np.eye(m.shape[0]), atol=1e-13)
 
 
 def test_hyperboloid_section_is_pure_boost():
     m = 1.2
-    x = massive_point([m * math.cosh(2.0), 0, 0, m * math.sinh(2.0)], m)
-    p = section_params(x.orbit, x.coords)
+    orbit = MassiveHyperboloid(m)
+    x = [m * math.cosh(2.0), 0, 0, m * math.sinh(2.0)]
+    p = section_params(orbit, x)
     alpha, beta, gamma, e1, e2, e3 = p
     assert abs(e3 - 2.0) < 1e-12 and abs(e1) < 1e-12 and abs(e2) < 1e-12
     assert abs(alpha) < 1e-12 and abs(beta) < 1e-12
     # oracle: apply the representative to the base point
     np.testing.assert_allclose(matrices("lorentz", p)
-                               @ base_point(x.orbit).vector, x.vector,
+                               @ orbit_vectors(orbit, base_point(orbit)), x,
                                atol=1e-12)
 
 
@@ -129,31 +130,33 @@ def test_coset_section_property(group, orbit):
     rng = np.random.default_rng(21)
     x0 = base_point(orbit)
     for p in random_params(group, rng, 10):
-        x = act_points(group, p, orbit, x0.coords)
+        x = act_points(group, p, orbit, x0)
         rep = section_params(orbit, x, group)
         xv = orbit_vectors(orbit, x)
         scale = max(1.0, abs(xv[0]))
-        np.testing.assert_allclose(matrices(group, rep) @ x0.vector, xv,
-                                   atol=1e-11 * scale)
+        np.testing.assert_allclose(
+            matrices(group, rep) @ orbit_vectors(orbit, x0), xv,
+            atol=1e-11 * scale)
 
 
 def test_coset_section_degenerate_points():
-    south = sphere_point(0.0, math.pi)
-    rep = matrices("so3", section_params(south.orbit, south.coords))
+    south = (0.0, math.pi)
+    rep = matrices("so3", section_params(Sphere(), south))
     np.testing.assert_allclose(rep @ np.array([0, 0, 1.0]),
-                               south.vector, atol=1e-12)
-    backward = cone_point([1.0, 0.0, 0.0, -1.0])
-    rep = matrices("lorentz", section_params(backward.orbit, backward.coords))
-    np.testing.assert_allclose(rep @ np.array([1.0, 0, 0, 1.0]),
-                               backward.vector, atol=1e-12)
+                               orbit_vectors(Sphere(), south), atol=1e-12)
+    backward = [1.0, 0.0, 0.0, -1.0]
+    rep = matrices("lorentz", section_params(NullCone(), backward))
+    np.testing.assert_allclose(rep @ np.array([1.0, 0, 0, 1.0]), backward,
+                               atol=1e-12)
 
 
-def test_coordinate_width_is_checked():
+def test_coordinate_width_is_checked(capsys):
     # Points on the circle have 1 coordinate, on the sphere 2 and on a
     # Lorentz orbit 4.  Any other width is a GroupError that names the
-    # count, from the point constructors, the sections and the kernel
-    # stacks alike; a kernel stack takes an (n, c) stack only, so n angles
-    # in one row are not read as one point with n coordinates.
+    # count, from canonical_coords, the sections, kernel_at, the kernel
+    # stacks and `steerkit basis` alike; a kernel stack takes an (n, c)
+    # stack only, so n angles in one row are not read as one point with n
+    # coordinates, and kernel_at one row only.
     vec = tensor_irrep(1, 0)
     cases = [(bases.basis_so2(1, 2), (3, 2), "1 coordinates"),
              (bases.basis_so3(1, 1), (3, 3), "2 coordinates"),
@@ -162,17 +165,21 @@ def test_coordinate_width_is_checked():
              (bases.basis_lorentz_massless(1), (3, 5), "4 coordinates")]
     for elements, shape, count in cases:
         orbit, coords = elements[0].orbit, np.full(shape, 0.5)
-        for build in (lambda: groups.orbit_points(orbit, coords),
+        for build in (lambda: canonical_coords(orbit, coords),
                       lambda: section_params(orbit, coords),
+                      lambda: steering.kernel_at(elements[0], coords[0]),
                       lambda: steering.section_kernels(elements, coords),
                       lambda: steering.section_pieces(elements, coords)):
             with pytest.raises(GroupError, match=count):
                 build()
+        assert count in _point_errors(orbit, coords[0], capsys)[-1]
     with pytest.raises(GroupError, match=r"\(n, c\) stack"):
         steering.section_kernels(bases.basis_so2(1, 2),
                                  np.array([0.1, 0.2, 0.3]))
     with pytest.raises(GroupError, match=r"\(n, c\) stack"):
         steering.section_pieces(bases.basis_so3(1, 1), np.zeros((2, 1, 2)))
+    with pytest.raises(GroupError, match=r"shape \(c,\)"):
+        steering.kernel_at(bases.basis_so2(1, 2)[0], [[0.1]])
     # The widths that fit still give one kernel stack per point.
     for elements, coords in [(bases.basis_so2(1, 2), [[0.1], [0.2], [0.3]]),
                              (bases.basis_so3(1, 1), [[0.1, 0.2]])]:
@@ -203,7 +210,7 @@ def test_stabilizer_samples():
             ("so3", Sphere(), so3_irrep(1)), ("o3", Sphere(), o3_irrep(1, 1)),
             ("lorentz", MassiveHyperboloid(), tensor_irrep(1, 0)),
             ("lorentz", NullCone(), tensor_irrep(1, 0))]:
-        x0 = base_point(orbit).vector
+        x0 = orbit_vectors(orbit, base_point(orbit))
         params = list(reference_sample(orbit, group))
         params += stabilizer_solver._generators(label, label, orbit)
         for p in params:
@@ -244,52 +251,101 @@ def test_random_stabilizer_elements_fix_base_point():
                          ("so3", Sphere()), ("o3", Sphere()),
                          ("lorentz", MassiveHyperboloid()),
                          ("lorentz", NullCone())]:
-        x0 = base_point(orbit)
+        x0 = orbit_vectors(orbit, base_point(orbit))
         for _ in range(5):
             h = stabilizer_draw(orbit, group, rng)
-            np.testing.assert_allclose(matrices(group, h) @ x0.vector,
-                                       x0.vector, atol=1e-12)
+            np.testing.assert_allclose(matrices(group, h) @ x0, x0,
+                                       atol=1e-12)
 
 
-def test_orbit_point_validation():
-    with pytest.raises(GroupError):
-        massive_point([1.0, 0.9, 0.0, 0.0], 1.0)
-    with pytest.raises(GroupError):
-        cone_point([1.0, 0.0, 0.0, 0.5])
-    with pytest.raises(GroupError):
-        cone_point([-1.0, 0.0, 0.0, 1.0])
-    with pytest.raises(GroupError):
-        groups.orbit_coords(Circle(), np.array([2.0, 0.0]))
-    # Non-finite input fails every "reject if out of range" comparison, so
-    # each constructor must reject it explicitly.
+def _point_errors(orbit, point, capsys) -> list[str]:
+    """The errors of the paths that take one point: canonical_coords, the
+    sections, kernel_at, `steerkit basis`, and unit_velocity or
+    massless_pair on their orbits, each of which must fail."""
+    vec = tensor_irrep(1, 0)
+    if isinstance(orbit, Circle):
+        elem = bases.basis_so2(1, 1, radius=orbit.radius)[0]
+        argv = ["so2", "1", f"--radius={orbit.radius!r}"]
+    elif isinstance(orbit, Sphere):
+        elem = bases.basis_so3(1, 1, radius=orbit.radius)[0]
+        argv = ["so3", "1", f"--radius={orbit.radius!r}"]
+    elif isinstance(orbit, MassiveHyperboloid):
+        elem = bases.lorentz_massive_basis(vec, vec, orbit.mass)[0]
+        argv = ["lorentz", "vector", "--mass", repr(orbit.mass)]
+    else:
+        elem = bases.basis_lorentz_massless(1)[0]
+        argv = ["lorentz", "vector", "--orbit", "massless"]
+    calls = [lambda: canonical_coords(orbit, point),
+             lambda: section_params(orbit, [point]),
+             lambda: steering.kernel_at(elem, point)]
+    if orbit == MassiveHyperboloid():
+        calls.append(lambda: bases.unit_velocity(point))
+    elif isinstance(orbit, NullCone):
+        calls.append(lambda: bases.massless_pair(point))
+    errors = []
+    for call in calls:
+        with pytest.raises(GroupError) as err:
+            call()
+        errors.append(str(err.value))
+    group, label, *extra = argv
+    text = ",".join(map(repr, np.ravel(point).tolist()))
+    code = cli.main(["basis", "--group", group, "--j", label, "--l", label,
+                     f"--point={text}"] + extra)
+    assert code == 1
+    errors.append(json.loads(capsys.readouterr().err)["error"])
+    return errors
+
+
+def test_orbit_point_validation(capsys):
+    # Every path that takes a point rejects it, saying why, when it is off
+    # its orbit, non-finite, or on an orbit whose radius or mass is not
+    # positive and finite.  Non-finite input fails every "reject if out of
+    # range" comparison, so it must be rejected explicitly.
     nan, inf = math.nan, math.inf
-    for build, args in [(massive_point, ([nan] * 4,)),
-                        (massive_point, ([inf, 0.0, 0.0, inf],)),
-                        (massive_point, ([1.0, 0.0, 0.0, 0.0], nan)),
-                        (cone_point, ([nan] * 4,)),
-                        (cone_point, ([inf, 0.0, 0.0, inf],)),
-                        (circle_point, (0.1, nan)),
-                        (circle_point, (nan,)),
-                        (sphere_point, (0.1, 0.2, nan)),
-                        (sphere_point, (0.1, nan)),
-                        (sphere_point, (inf, 0.2))]:
-        with pytest.raises(GroupError, match="finite"):
-            build(*args)
-    # A finite 4-vector whose squared norm overflows is not on the orbit.
-    with pytest.raises(GroupError):
-        massive_point([1e200, 0.0, 0.0, 1e200])
+    cases = [
+        (MassiveHyperboloid(), [1.0, 0.9, 0.0, 0.0], "not on"),
+        (NullCone(), [1.0, 0.0, 0.0, 0.5], "not on"),
+        (NullCone(), [-1.0, 0.0, 0.0, 1.0], "not on"),
+        # A finite 4-vector whose squared norm overflows is not on the orbit.
+        (MassiveHyperboloid(), [1e200, 0.0, 0.0, 1e200], "not on"),
+        (MassiveHyperboloid(), [nan] * 4, "must be finite"),
+        (MassiveHyperboloid(), [inf, 0.0, 0.0, inf], "must be finite"),
+        (MassiveHyperboloid(nan), [1.0, 0.0, 0.0, 0.0], "positive and finite"),
+        (MassiveHyperboloid(0.0), [1.0, 0.0, 0.0, 0.0], "positive and finite"),
+        (NullCone(), [nan] * 4, "must be finite"),
+        (NullCone(), [inf, 0.0, 0.0, inf], "must be finite"),
+        (Circle(nan), [0.1], "positive and finite"),
+        (Circle(-1.0), [0.1], "positive and finite"),
+        (Circle(), [nan], "must be finite"),
+        (Sphere(inf), [0.1, 0.2], "positive and finite"),
+        (Sphere(0.0), [0.1, 0.2], "positive and finite"),
+        (Sphere(), [0.1, nan], "must be finite"),
+        (Sphere(), [inf, 0.2], "must be finite"),
+    ]
+    for orbit, point, why in cases:
+        for error in _point_errors(orbit, point, capsys):
+            assert why in error, (orbit, point, error)
+    # A vector is checked where orbit_coords reads it, NaN and inf too.
+    for orbit, v in [(Circle(), [2.0, 0.0]), (Circle(), [nan, 0.0]),
+                     (Sphere(), [0.0, inf, 0.0]), (Sphere(), [nan] * 3)]:
+        with pytest.raises(GroupError, match=r"vector \[.*\] is off the"):
+            groups.orbit_coords(orbit, v)
     # Membership is measured in units of the radius or the mass: a point at
     # twice the radius or mass is off the smallest orbit, and the largest
     # orbits keep their own points.
     for off in (
             lambda: groups.orbit_coords(Sphere(1e-200), [[0.0, 0.0, 2e-200]]),
             lambda: groups.orbit_coords(Circle(1e-200), [[2e-200, 0.0]]),
-            lambda: massive_point([2e-200, 0.0, 0.0, 0.0], mass=1e-200)):
+            lambda: canonical_coords(MassiveHyperboloid(1e-200),
+                                     [2e-200, 0.0, 0.0, 0.0]),
+            # its unit velocity is x / 2, not x
+            lambda: bases.unit_velocity([2.0, 0.0, 0.0, 0.0])):
         with pytest.raises(GroupError, match="off the|not on"):
             off()
     for scale in (1e-200, 1e200):
-        assert massive_point([scale, 0.0, 0.0, 0.0], scale).coords == (
-            scale, 0.0, 0.0, 0.0)
+        assert canonical_coords(MassiveHyperboloid(scale),
+                                [scale, 0.0, 0.0, 0.0]).tolist() == [
+            [scale, 0.0, 0.0, 0.0]]
         for group, orbit, x in (("so3", Sphere(scale), [[0.3, 1.1]]),
                                 ("so2", Circle(scale), [[0.3]])):
             p = random_params(group, np.random.default_rng(4), 3)
@@ -323,9 +379,13 @@ def test_orbit_point_validation():
     # Canonical compact coordinates pass through with their bits.
     rng = np.random.default_rng(3)
     for orbit, shape in ((Circle(), (20, 1)), (Sphere(), (20, 2))):
-        coords = groups._canonical_coords(orbit, rng.uniform(-7, 7, shape))
+        coords = canonical_coords(orbit, rng.uniform(-7, 7, shape))
         params = groups.section_params(orbit, coords)
         assert params[:, :shape[1]].tobytes() == coords.tobytes()
+    # A point has one canonical form: a zero angle is +0.0.
+    for orbit, point in ((Circle(), [-0.0]), (Sphere(), [-0.0, -0.0]),
+                         (Sphere(), [0.3, -0.0])):
+        assert not np.signbit(canonical_coords(orbit, point)).any()
 
 
 def test_lorentz_orbits_at_extreme_scales():
@@ -335,8 +395,8 @@ def test_lorentz_orbits_at_extreme_scales():
         x = [mass * math.cosh(1.0), 0.0, 0.0, mass * math.sinh(1.0)]
         eta = section_params(MassiveHyperboloid(mass), [x])[0, 5]
         assert abs(eta - 1.0) <= 1e-15
-    assert cone_point([1e200, 0.0, 0.0, 1e200]).coords == (
-        1e200, 0.0, 0.0, 1e200)
+    assert canonical_coords(NullCone(), [1e200, 0.0, 0.0, 1e200]).tolist() == [
+        [1e200, 0.0, 0.0, 1e200]]
     np.testing.assert_allclose(section_params(NullCone(), [[1e200, 0.0, 0.0,
                                                             1e200]]),
                                [[0.0, 0.0, 0.0, 0.0, 0.0,
@@ -344,7 +404,7 @@ def test_lorentz_orbits_at_extreme_scales():
     for off in ([1e200, 0.0, 0.0, 1.001e200], [1e200, 1e199, 0.0, 1e200],
                 [-1e200, 0.0, 0.0, 1e200], [1e-200, 0.0, 0.0, 2e-200]):
         with pytest.raises(GroupError, match="not on the forward null cone"):
-            cone_point(off)
+            canonical_coords(NullCone(), off)
 
 
 def test_non_finite_parameter_stacks_rejected():
@@ -352,7 +412,7 @@ def test_non_finite_parameter_stacks_rejected():
     # returned as NaN rows.
     for label, orbit in [(so3_irrep(1), Sphere()),
                          (tensor_irrep(1, 0), MassiveHyperboloid())]:
-        group, x0 = label.group, base_point(orbit).coords
+        group, x0 = label.group, base_point(orbit)
         for bad in (math.nan, math.inf, -math.inf):
             for at in (0, -1):
                 p = np.full((2, groups.PARAM_COUNT[group]), 0.1)
@@ -403,6 +463,34 @@ def test_sphere_coords_near_the_poles():
             assert abs(a - 0.7) <= 4 * math.ulp(0.7)
 
 
+def _wrap_reference(angles) -> np.ndarray:
+    """The wrap as it was first written: |a| and |a - 2pi| each tested."""
+    a = np.remainder(angles, groups.TWO_PI)
+    return np.where((a >= groups.TWO_PI) | (np.abs(a) < 1e-15)
+                    | (np.abs(a - groups.TWO_PI) < 1e-15), 0.0, a)
+
+
+def test_wrap_angles_matches_the_reference_expression():
+    # Every double within 64 ulps of the edges of the collapse, of either
+    # sign, and random finite doubles wrap to the reference's bits.
+    angles = []
+    for centre in (0.0, 1e-15, groups.TWO_PI - 1e-15, groups.TWO_PI,
+                   2 * groups.TWO_PI):
+        for sign in (1.0, -1.0):
+            for direction in (math.inf, -math.inf):
+                x = sign * centre
+                for _ in range(65):
+                    angles.append(x)
+                    x = math.nextafter(x, direction)
+    rng = np.random.default_rng(8)
+    raw = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float)
+    angles = np.concatenate([angles, raw[np.isfinite(raw)],
+                             rng.uniform(-15.0, 15.0, 100_000)])
+    assert math.nextafter(groups.TWO_PI, 0.0) in angles
+    assert groups._wrap_angles(angles).tobytes() == (
+        _wrap_reference(angles).tobytes())
+
+
 def test_identity_elements():
     for group in ALL_GROUPS:
         m = matrices(group, groups.IDENTITY[group])
@@ -436,13 +524,12 @@ def _scalar_params(group, rng, eta_max):
 def _scalar_coords(orbit, rng, eta_max):
     tau = 2.0 * math.pi
     if isinstance(orbit, Circle):
-        return circle_point(rng.uniform(0.0, tau), orbit.radius).coords
+        return canonical_coords(orbit, [rng.uniform(0.0, tau)])[0]
     if isinstance(orbit, Sphere):
-        return sphere_point(rng.uniform(0.0, tau),
-                            math.acos(rng.uniform(-1.0, 1.0)),
-                            orbit.radius).coords
+        return canonical_coords(orbit, [rng.uniform(0.0, tau),
+                                        math.acos(rng.uniform(-1.0, 1.0))])[0]
     return act_points("lorentz", _scalar_params("lorentz", rng, eta_max),
-                      orbit, base_point(orbit).coords)
+                      orbit, base_point(orbit))
 
 
 def _same_stream(draw, scalar, one, n, eta_max):

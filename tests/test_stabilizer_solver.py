@@ -489,7 +489,7 @@ def test_generators_lie_outside_the_rotations_about_z():
     counts = {}
     for kind, names in groups.ORBIT_GROUPS.items():
         orbit = kind()
-        x0 = groups.base_point(orbit).vector
+        x0 = groups.orbit_vectors(orbit, groups.base_point(orbit))
         for group in names:
             params = stabilizer_solver._generators(labels[group],
                                                    labels[group], orbit)

@@ -79,8 +79,7 @@ def test_kernel_at_so3_complex_matches_direct_product():
     elem = next(e for e in bases.basis_so3(j, l, "complex")
                 if e.kind == "m=0")
     alpha, beta = 0.9, 1.7
-    x = groups.sphere_point(alpha, beta)
-    got = kernel_at(elem, x)
+    got = kernel_at(elem, (alpha, beta))
     dj = wigner_D(j, alpha, beta, 0.0)
     dl_inv = wigner_D(l, alpha, beta, 0.0).conj().T
     expect = np.outer(dj[:, j - 0], dl_inv[l - 0, :])
@@ -92,8 +91,8 @@ def test_kernel_at_is_section_independent():
     # the kernel value: that is exactly the base-point constraint
     theta = 1.2
     for elem in (bases.basis_so3(2, 1)[2], bases.basis_so3(1, 2, "complex")[0]):
-        x = groups.sphere_point(0.8, 0.5)
-        rep = groups.section_params(x.orbit, x.coords, "so3")
+        x = (0.8, 0.5)
+        rep = groups.section_params(Sphere(), x, "so3")
         moved = product("so3", rep, (theta, 0.0, 0.0))
         (direct,) = steer(elem.base_matrix, elem.j, elem.l, [moved])
         np.testing.assert_allclose(direct, kernel_at(elem, x), atol=1e-12)
@@ -127,16 +126,15 @@ def _same_bits(a, b) -> bool:
 #: and their neighbours (beta = 0, pi), the rest frame, the backward null
 #: direction and the forward null direction at another scale.
 SINGULAR_POINTS = {
-    Circle: [groups.circle_point(0.0), groups.circle_point(math.pi)],
-    Sphere: [groups.sphere_point(0.0, 0.0), groups.sphere_point(0.3, math.pi),
-             groups.sphere_point(1.0, 1e-9), groups.sphere_point(2.0, math.pi - 1e-9)],
-    MassiveHyperboloid: [
-        groups.base_point(MassiveHyperboloid()),
-        groups.massive_point([math.cosh(1.0), 0.0, 0.0, -math.sinh(1.0)]),
-        groups.massive_point([math.cosh(0.5), 0.0, 0.0, math.sinh(0.5)])],
-    NullCone: [groups.cone_point([1.0, 0.0, 0.0, 1.0]),
-               groups.cone_point([1.0, 0.0, 0.0, -1.0]),
-               groups.cone_point([2.0, 0.0, 0.0, 2.0])],
+    Circle: np.array([[0.0], [math.pi]]),
+    Sphere: np.array([[0.0, 0.0], [0.3, math.pi], [1.0, 1e-9],
+                      [2.0, math.pi - 1e-9]]),
+    MassiveHyperboloid: np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [math.cosh(1.0), 0.0, 0.0, -math.sinh(1.0)],
+        [math.cosh(0.5), 0.0, 0.0, math.sinh(0.5)]]),
+    NullCone: np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0],
+                        [2.0, 0.0, 0.0, 2.0]]),
 }
 
 #: The parameters of a reflection or parity element of each group that has
@@ -164,20 +162,14 @@ STACK_LABELS = [
 ]
 
 
-def _coords(points) -> np.ndarray:
-    return np.array([x.coords for x in points])
-
-
 def test_steer_stack_matches_elementwise():
     # The batched representation, section, action and steering stacks must
     # equal the stacks of one element or point row by row, bit for bit,
     # including at the sections' singular points.
     rng = np.random.default_rng(11)
     for label, orbit in STACK_LABELS:
-        pts = (groups.orbit_points(orbit,
-                                   groups.random_orbit_coords(orbit, rng, 5))
-               + SINGULAR_POINTS[type(orbit)])
-        coords = _coords(pts)
+        coords = np.concatenate([groups.random_orbit_coords(orbit, rng, 5),
+                                 SINGULAR_POINTS[type(orbit)]])
         drawn = groups.random_params(label.group, rng, 6)
         sections = groups.section_params(orbit, coords, label.group)
         params = np.vstack([drawn, [REFLECTIONS.get(label.group, drawn[0])],
@@ -188,12 +180,12 @@ def test_steer_stack_matches_elementwise():
                 assert _same_bits(row, rep_pair(label, label, g)[side]), (
                     label, g)
         moved = groups.act_points(label.group, params[:7, None], orbit, coords)
-        for p, x in enumerate(pts):
-            one = groups.section_params(orbit, x.coords, label.group)
+        for p, x in enumerate(coords):
+            one = groups.section_params(orbit, x, label.group)
             assert sections[p].tolist() == one.tolist(), (label, x)
             for i, g in enumerate(params[:7]):
                 assert moved[i, p].tolist() == groups.act_points(
-                    label.group, g, orbit, x.coords).tolist()
+                    label.group, g, orbit, x).tolist()
         k0 = rng.normal(size=(3, label.dim, label.dim))
         steered = steer(k0[:, None], label, label, params)
         for i, g in enumerate(params):
@@ -236,10 +228,9 @@ def test_steer_stack_matches_elementwise():
         itemsize = 16 if e0.j.field == "complex" else 8
         per_point = len(els) * e0.j.dim * e0.l.dim * itemsize
         n = steering.chunk_length(per_point) + 3 if e0.j.dim > 8 else 4
-        pts = (groups.orbit_points(orbit,
-                                   groups.random_orbit_coords(orbit, rng, n))
-               + SINGULAR_POINTS[type(orbit)])
-        values = section_kernels(els, _coords(pts))
+        pts = np.concatenate([groups.random_orbit_coords(orbit, rng, n),
+                              SINGULAR_POINTS[type(orbit)]])
+        values = section_kernels(els, pts)
         assert values.shape == (len(els), len(pts), e0.j.dim, e0.l.dim)
         for b, elem in enumerate(els):
             for p, x in enumerate(pts):
@@ -254,7 +245,7 @@ def test_steer_stack_matches_elementwise():
     for bad, x in [([], groups.base_point(Sphere()))] + [
             (els, groups.base_point(els[0].orbit)) for els in mixed]:
         with pytest.raises(IrrepError):
-            section_kernels(bad, _coords([x]))
+            section_kernels(bad, [x])
 
 
 def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
@@ -289,7 +280,7 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         e0 = els[0]
         orbit, j, l = e0.orbit, e0.j, e0.l
         coords = np.concatenate([groups.random_orbit_coords(orbit, rng, n),
-                                 _coords(SINGULAR_POINTS[type(orbit)])])
+                                 SINGULAR_POINTS[type(orbit)]])
         evaluated.clear()
         pieces = [p.copy() for p in steering.section_pieces(els, coords)]
         assert sum(evaluated) == len(coords), j
@@ -305,10 +296,9 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         borders = np.cumsum([0] + [len(p) for p in pieces])
         assert (borders[:-1] // len(coords)
                 == (borders[1:] - 1) // len(coords)).all(), j
-        points = groups.orbit_points(orbit, coords)
         for k in np.unique(np.concatenate([borders[:-1], borders[1:] - 1])):
             b, p = divmod(int(k), len(coords))
-            assert _same_bits(stream[k], kernel_at(els[b], points[p]))
+            assert _same_bits(stream[k], kernel_at(els[b], coords[p]))
 
 
 #: Angles at and next to the poles, where the sections switch branches.
@@ -323,19 +313,21 @@ def _angles(lo: float, hi: float):
 
 @st.composite
 def _orbit_points(draw, orbit):
+    """Canonical coordinates of a point on ``orbit``."""
     alpha = draw(_angles(0.0, 2 * math.pi))
     beta = draw(st.one_of(st.sampled_from(POLAR_EDGES), _angles(0.0, math.pi)))
     if isinstance(orbit, Circle):
-        return groups.circle_point(alpha)
-    if isinstance(orbit, Sphere):
-        return groups.sphere_point(alpha, beta)
-    eta = draw(st.one_of(st.just(0.0), _angles(0.0, 2.0)))
-    n = [math.cos(alpha) * math.sin(beta), math.sin(alpha) * math.sin(beta),
-         math.cos(beta)]
-    if isinstance(orbit, MassiveHyperboloid):
-        return groups.massive_point([math.cosh(eta)]
-                                    + [math.sinh(eta) * c for c in n])
-    return groups.cone_point([math.exp(eta) * c for c in [1.0] + n])
+        x = [alpha]
+    elif isinstance(orbit, Sphere):
+        x = [alpha, beta]
+    else:
+        eta = draw(st.one_of(st.just(0.0), _angles(0.0, 2.0)))
+        n = [math.cos(alpha) * math.sin(beta),
+             math.sin(alpha) * math.sin(beta), math.cos(beta)]
+        x = ([math.cosh(eta)] + [math.sinh(eta) * c for c in n]
+             if isinstance(orbit, MassiveHyperboloid)
+             else [math.exp(eta) * c for c in [1.0] + n])
+    return groups.canonical_coords(orbit, x)[0]
 
 
 PROPERTY_BASES = [
@@ -361,7 +353,7 @@ def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
     orbit, j, l = els[0].orbit, els[0].j, els[0].l
     pts = data.draw(st.lists(_orbit_points(orbit), min_size=1, max_size=24),
                     label="points")
-    values = section_kernels(els, _coords(pts))
+    values = section_kernels(els, pts)
     for b, elem in enumerate(els):
         for p, x in enumerate(pts):
             assert _same_bits(values[b, p], kernel_at(elem, x))
@@ -377,12 +369,11 @@ def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
 
 
 def test_kernel_at_wrong_orbit_rejected():
-    elem = bases.basis_so2(1, 1)[0]
-    with pytest.raises(IrrepError):
-        kernel_at(elem, groups.sphere_point(0.1, 0.2))
-    big = bases.basis_so2(1, 1, radius=2.0)[0]
-    with pytest.raises(IrrepError):
-        kernel_at(big, groups.circle_point(0.1, 1.0))
+    # The coordinates of a point of another orbit type have another width.
+    with pytest.raises(groups.GroupError, match="1 coordinates"):
+        kernel_at(bases.basis_so2(1, 1)[0], (0.1, 0.2))
+    with pytest.raises(groups.GroupError, match="4 coordinates"):
+        kernel_at(bases.basis_lorentz_massless(1)[0], (0.1, 0.2))
 
 
 def test_lorentz_steer_matches_covariant_projector():
@@ -393,9 +384,8 @@ def test_lorentz_steer_matches_covariant_projector():
                 if "space" in e.kind)
     rng = np.random.default_rng(3)
     orbit = MassiveHyperboloid()
-    for x in groups.orbit_points(
-            orbit, groups.random_orbit_coords(orbit, rng, 5, eta_max=2.0)):
-        u = x.vector  # m = 1
+    for x in groups.random_orbit_coords(orbit, rng, 5, eta_max=2.0):
+        u = x  # m = 1
         expect = np.eye(4) - np.outer(u, groups.ETA @ u)
         np.testing.assert_allclose(kernel_at(elem, x), expect, atol=1e-11)
 
@@ -476,7 +466,7 @@ def test_one_kernel_rounds_alike_on_every_path(j, orbit):
         k[None, :, None], 30, [rep_pair(j, j, params)], 7, out, work)])
     assert _same_bits(engine, steer(k, j, j, params))
     elem = bases.KernelBasisElement(j, j, orbit, "random", k)
-    for i, x in enumerate(groups.orbit_points(orbit, coords)):
+    for i, x in enumerate(coords):
         assert _same_bits(engine[i], kernel_at(elem, x)), i
 
 
@@ -501,7 +491,7 @@ def test_every_steering_path_reaches_the_one_engine(monkeypatch):
     paths = [
         (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
          "steer"),
-        (lambda: kernel_at(so3[0], groups.sphere_point(0.1, 0.2)), "steer"),
+        (lambda: kernel_at(so3[0], (0.1, 0.2)), "steer"),
         (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
         (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
                                            seed=0), "max_steer_residual"),
