@@ -480,8 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value that starts with "-" as an option unless it is
+    # one number, so "--point -0.5,1.1" goes in as "--point=-0.5,1.1".
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--point":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         # argparse exits 2 on unknown flags, 0 on --help
         return int(exc.code or 0)

@@ -410,9 +410,14 @@ def _polar(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
 
 def orbit_coords(orbit: Orbit, vectors) -> np.ndarray:
     """Canonical coordinates of a stack of ambient vectors on ``orbit``,
-    shape (..., d) -> (..., c); raises if any vector is off the orbit."""
+    shape (..., d) -> (..., c), d = 2, 3, 4; raises if a vector has another
+    width or is off the orbit."""
     v = np.asarray(vectors, dtype=float)
-    flat = v.reshape(-1, v.shape[-1])
+    width = {Circle: 2, Sphere: 3}.get(type(orbit), 4)
+    if v.shape[-1:] != (width,):
+        raise GroupError(f"a vector on {type(orbit).__name__} has {width} "
+                         f"components, got shape {v.shape}")
+    flat = v.reshape(-1, width)
     if isinstance(orbit, (Circle, Sphere)):
         name = "circle" if isinstance(orbit, Circle) else "sphere"
         _require_positive(f"{name} radius", orbit.radius)

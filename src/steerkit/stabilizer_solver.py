@@ -51,7 +51,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import groups, numerics
-from .groups import Circle, GroupError, MassiveHyperboloid, Orbit
+from .groups import Circle, MassiveHyperboloid, Orbit, Sphere
 from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_matrices,
                      rep_pair, stabilizer_content)
 
@@ -72,10 +72,10 @@ class DegenerateSpectrumError(RuntimeError):
 class IntertwinerSpace:
     """Solution space of the base-point constraint.
 
-    ``basis`` columns are row-major vectorized kernels; ``matrices()``
-    reshapes them back to dim_j x dim_l.  ``gap_ratio`` is the smallest
-    ratio of the smallest kept to the largest dropped singular value over
-    the spectra of the solve (infinite when none has a dropped value).
+    ``basis`` columns are row-major vectorized dim_j x dim_l kernels.
+    ``gap_ratio`` is the smallest ratio of the smallest kept to the largest
+    dropped singular value over the spectra of the solve (infinite when
+    none has a dropped value).
     """
 
     j: IrrepLabel
@@ -87,10 +87,6 @@ class IntertwinerSpace:
     @property
     def dimension(self) -> int:
         return self.basis.shape[1]
-
-    def matrices(self) -> list[np.ndarray]:
-        dj, dl = self.j.dim, self.l.dim
-        return [self.basis[:, k].reshape(dj, dl) for k in range(self.dimension)]
 
 
 def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
@@ -194,45 +190,29 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
     return tuple(map(MappingProxyType, factors)) + (gap,)
 
 
+#: The generators of the base point's stabilizer H that a pair's solve
+#: stacks, as parameters, by orbit type and group: those that, with the
+#: rotations about z, generate H.  On the circle H is trivial under SO(2)
+#: (none) and {1, r_y} under O(2) (the reflection r_y).  On the sphere H is
+#: SO(2)_z under SO(3) (none) and O(2)_z under O(3) (r_y = parity *
+#: R_y(pi)).  On the massive hyperboloid H is SO(3) (R_y(:data:`Y_ANGLE`)):
+#: the closed subgroups of SO(3) that contain SO(2)_z are SO(2)_z, O(2)_z
+#: and SO(3), the first two holding R_y(t) only for t = 0 or pi modulo
+#: 2 pi.  On the null cone only SO(2)_z is imposed (none): the null
+#: rotations of its stabilizer ISO(2) are not.  Each generator is linear and
+#: fixes x0, so it fixes every multiple of x0: radius and mass play no part.
+_GENERATORS = {
+    (Circle, groups.O2): ((0.0, -1.0),),
+    (Sphere, groups.O3): ((0.0, math.pi, 0.0, -1.0),),
+    (MassiveHyperboloid, groups.LORENTZ): (
+        (0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),),
+}
+
+
 def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
-    """Parameters of the generators of the base point's stabilizer H that
-    a pair's solve stacks: those that, with the rotations about z, generate
-    H.  On the circle H is trivial under SO(2) (none) and {1, r_y} under
-    O(2) (the reflection r_y).  On the sphere H is SO(2)_z under SO(3)
-    (none) and O(2)_z under O(3) (r_y = parity * R_y(pi)).  On the massive
-    hyperboloid H is SO(3) (R_y(:data:`Y_ANGLE`)): the closed subgroups of
-    SO(3) that contain SO(2)_z are SO(2)_z, O(2)_z and SO(3), the first two
-    holding R_y(t) only for t = 0 or pi modulo 2 pi.  On the null cone only
-    SO(2)_z is imposed (none): the null rotations of its stabilizer ISO(2)
-    are not."""
-    return _stabilizer_generators(orbit, _check_pair(j, l, orbit))
-
-
-@lru_cache(maxsize=None)
-def _stabilizer_generators(orbit: Orbit, group: str) -> tuple:
-    # Built and checked once per orbit and group.
-    if group == groups.O2:
-        params = ((0.0, -1.0),)
-    elif group == groups.O3:
-        params = ((0.0, math.pi, 0.0, -1.0),)
-    elif isinstance(orbit, MassiveHyperboloid):
-        if math.remainder(Y_ANGLE, math.pi) == 0.0:
-            raise GroupError(
-                f"the y rotation by {Y_ANGLE!r} of the hyperboloid's "
-                f"stabilizer lies in O(2)_z, so the generators do not "
-                f"generate SO(3)")
-        params = ((0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),)
-    else:
-        params = ()
-    # Checked in units of the base point's largest entry: radius and mass
-    # set no scale for the stabilizer, and a norm of x0 could overflow.
-    x0 = groups.orbit_vectors(orbit, groups.base_point(orbit))
-    x0 = x0 / np.abs(x0).max()
-    for p in params:
-        if np.linalg.norm(groups.matrices(group, p) @ x0 - x0) > 1e-11:
-            raise GroupError(f"the {group} stabilizer generator {p} moves "
-                             f"the base point")
-    return params
+    """Parameters of the stabilizer generators a pair's solve stacks (see
+    :data:`_GENERATORS`), after the pair is checked against the orbit."""
+    return _GENERATORS.get((type(orbit), _check_pair(j, l, orbit)), ())
 
 
 def _block(out: np.ndarray, at: int, a: np.ndarray,

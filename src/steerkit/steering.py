@@ -18,11 +18,12 @@ in the order ``[basis][point]``, one element's run of points per piece,
 evaluating the representations of the points' sections once per call;
 ``sample`` writes the pieces as they come and :func:`section_kernels`
 gathers them into one array.  All of these steer one kernel per gemm pair,
-so they equal one another bit for bit.  The verifier's sweeps take their
-kernels at x from the same per-kernel pieces, from runs of their one
-evaluation, and steer a whole basis side by side (w > 1), which can round
-differently in the last bits (complex SO(3) labels, and real SO(3) and O(3)
-labels of dimension 17 and more, on the development machine).
+so they equal one another bit for bit.  The verifier's one sweep, on every
+orbit the null cone included, takes its kernels at x from the same
+per-kernel pieces, from runs of its one evaluation, and steers a whole
+basis side by side (w > 1), which can round differently in the last bits
+(complex SO(3) labels, and real SO(3) and O(3) labels of dimension 17 and
+more, on the development machine).
 """
 
 from __future__ import annotations
@@ -198,22 +199,20 @@ def _gathered(pieces, elements, n: int) -> np.ndarray:
     return out
 
 
-def _steered_blocks(k, per, runs, step, out, work,
-                    first: int = 0) -> Iterator[np.ndarray]:
+def _steered_blocks(k, per, runs, step, out, work) -> Iterator[np.ndarray]:
     """``rho_j(g) K rho_l(g)^-1`` for a sequence of elements, given as
     ``runs`` of their representations ``(rho_j, rho_l^-1)`` (a list, or a
     generator such as :func:`_runs`), and the kernels ``k`` (n_k, dim_j, w,
     dim_l): n_k stacks of w kernels side by side, element i steering
-    ``k[i // per]``, where the runs begin at element ``first``.  Yields
-    blocks (m, dim_j, w, dim_l) of ``step`` elements of a run, the last of a
-    run maybe shorter: per element one gemm rho_j K into the flat buffer
-    ``work`` and one gemm with rho_l^-1, as the run holds it, into ``out``,
-    each of ``step * k[0].size`` items.  A run is dropped before the next
-    one is drawn.  With w = 1 every kernel is the per-kernel product bit for
+    ``k[i // per]``.  Yields blocks (m, dim_j, w, dim_l) of ``step``
+    elements of a run, the last of a run maybe shorter: per element one
+    gemm rho_j K into the flat buffer ``work`` and one gemm with rho_l^-1,
+    as the run holds it, into ``out``, each of ``step * k[0].size`` items.
+    A run is dropped before the next one is drawn.  With w = 1 every kernel is the per-kernel product bit for
     bit; whole bases (w > 1) may round differently in the last bits.
     """
     dj, dl, size = k.shape[1], k.shape[-1], k[0].size
-    start = first
+    start = 0
     for rho, rho_inv in runs:
         for i in range(0, len(rho), step):
             m = min(step, len(rho) - i)

@@ -4,15 +4,14 @@ Binds the numerical oracle, the analytic bases and the steering engine into
 per-case pass/fail reports, runs the Lorentz projector identities and the
 massless gauge check, and provides a discretized circle-convolution
 equivariance demo.  Everything is seeded and deterministic: the same seed
-yields a byte-identical report.  The steerability sweeps steer whole bases
-side by side through the product engine of ``kernel_at``, which can round
-differently from one kernel at a time in the last bits (see
-:mod:`steerkit.steering`).
+yields a byte-identical report.  The steerability sweep, one path for
+every orbit, steers whole bases side by side through the product engine of
+``kernel_at``, which can round differently from one kernel at a time in the
+last bits (see :mod:`steerkit.steering`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -107,16 +106,15 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     kernel at a time, as :func:`~steerkit.steering.section_kernels` steers
     them; per block of elements both sides are whole-basis products, the
     kernels at x steered by g and the basis at the sections of g.x, into
-    three buffers allocated once per call.  On the null cone the kernel is
-    well defined only modulo the gauge choice of the auxiliary null vector,
-    so those cases go to :func:`massless_steer_residual`.  A residual that
-    is not a number makes the result NaN.
+    three buffers allocated once per call.  On the null cone the two sides
+    agree only modulo the gauge of the auxiliary null vector, so they are
+    compared through :func:`_null_cone_defects` instead.  Each defect is
+    measured in units of max(1, |K(x)|); one that is not a number makes the
+    result NaN.
     """
     _require_counts(n_g, n_x)
     if not elements or min(n_g, n_x) < 1:
         return 0.0
-    if isinstance(orbit, NullCone):
-        return massless_steer_residual(elements[0], n_g, n_x, seed, eta_max)
     rng = np.random.default_rng(seed)
     j, l = elements[0].j, elements[0].l
     coords = groups.random_orbit_coords(orbit, rng, n_x, eta_max)
@@ -125,11 +123,15 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     sections = groups.section_params(orbit, np.concatenate(
         [coords, moved.reshape(-1, coords.shape[1])]), j.group)
     at_x, sections = sections[:n_x], sections[n_x:].reshape(n_x, n_g, -1)
+    defects = (_null_cone_defects(j, gs, at_x, moved, sections)
+               if isinstance(orbit, NullCone) else None)
     k0 = np.stack([e.base_matrix for e in elements], axis=1).astype(
         steering._dtype(j))                                 # (dj, b, dl)
     # The points go in even blocks of x_step and the elements in blocks of
-    # g_step, so that the kernels of g_step x x_step pairs fit the budget.
-    fit = steering.chunk_length(max(k0.nbytes, steering._rep_bytes(j, l)))
+    # g_step, so that the kernels of g_step x x_step pairs fit the budget;
+    # on the cone four kernels a pair, for the closed form's temporaries.
+    fit = steering.chunk_length(max(k0.nbytes, steering._rep_bytes(j, l))
+                                * (4 if defects else 1))
     x_step = -(-n_x // -(-n_x // fit))
     g_step = min(n_g, fit // x_step)
     x_blocks = [slice(x, x + x_step) for x in range(0, n_x, x_step)]
@@ -162,13 +164,49 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
                 work)
             del rho, rho_inv
             # Both as (g, x, row, b, col); sum squares over rows and columns.
-            diff = at_gx.reshape(m, m_x, j.dim, -1, l.dim)
-            np.subtract(diff, by_g.reshape(m, j.dim, m_x, -1, l.dim).swapaxes(
-                1, 2), out=diff)
-            v = diff.view(diff.real.dtype)
-            worst = _worst(worst, np.sqrt(np.einsum(
-                "...c,...c->...", v, v).sum(axis=2)) / scale)
+            by_g = by_g.reshape(m, j.dim, m_x, -1, l.dim).swapaxes(1, 2)
+            diff = at_gx.reshape(by_g.shape)
+            np.subtract(diff, by_g, out=diff)
+            if defects:
+                resid = defects(by_g, diff, xs, gb)
+            else:
+                v = diff.view(diff.real.dtype)
+                resid = np.sqrt(np.einsum("...c,...c->...", v, v).sum(axis=2))
+            worst = _worst(worst, resid / scale)
     return worst
+
+
+def _null_cone_defects(j: IrrepLabel, gs, at_x, moved, sections):
+    """The sweep's comparisons on the null cone, given its elements ``gs``,
+    the sections ``at_x`` of its points, and the points g.x (``moved``) and
+    their sections, both (x, g, ...).  Returns ``defects(steered, diff, xs,
+    gb)``, the absolute defect per (g, x, b) of a block's steered kernels
+    and section values minus them, both (g, x, row, b, col).  The steered
+    kernel carries the auxiliary null vector along with g, so it must be
+    the closed-form projector at ``(n(g.x), g . nbar(x))``, and for spin 1
+    the difference must lie in the gauge span ``{n e_i + e_i n, n n}`` at
+    g.x.  Spin 2 is checked against the closed form only."""
+    lorentz = groups.LORENTZ
+    spin1 = j.tensor == (1, 0)
+    build = (bases.massless_transverse_projector if spin1
+             else bases.massless_spin2_projector)
+    nbar = groups.matrices(lorentz, at_x) @ bases.NBAR0           # (x, 4)
+    lam_g = groups.matrices(lorentz, gs)
+
+    def defects(steered, diff, xs, gb):
+        n = moved[xs, gb].swapaxes(0, 1)                          # (g, x, 4)
+        nbar_g = np.einsum("gab,xb->gxa", lam_g[gb], nbar[xs])
+        out = numerics.norms(np.subtract(
+            steered, build(n, nbar_g)[:, :, :, None]).swapaxes(2, 3))
+        if spin1:
+            lam = groups.matrices(lorentz, sections[xs, gb].swapaxes(0, 1))
+            span = _gauge_span(n, *(lam @ e for e in bases.TRANSVERSE0))
+            d = diff.swapaxes(2, 3).reshape(out.shape + (-1,))
+            d = d - np.einsum("gxkc,gxbc->gxbk", span,
+                              np.einsum("gxkc,gxbk->gxbc", span, d))
+            out = np.maximum(out, np.sqrt(np.einsum("...k,...k->...", d, d)))
+        return out
+    return defects
 
 
 def _gauge_span(n: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -185,93 +223,6 @@ def _gauge_span(n: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
         lowered_outer(n, n),
     ], axis=-1)
     return numerics.orthonormal_columns(span.reshape(span.shape[:-3] + (16, 3)))
-
-
-def massless_steer_residual(elem, n_g: int, n_x: int, seed: int,
-                            eta_max: float = 2.0) -> float:
-    """Steerability of the massless kernels, modulo the gauge freedom.
-
-    The steered kernel ``rho(g) K(x) rho(g)^-1`` transports the auxiliary
-    null vector along with the group element, so it must equal the covariant
-    projector built from ``(n(g.x), g . nbar(x))`` exactly; the section value
-    at g.x uses the section's own nbar and may differ from the steered one
-    only inside the gauge span ``{n e_i + e_i n, n n}``.  Both residuals are
-    folded into the returned maximum; one that is not a number makes it NaN.
-    Each x has its own n_g draws, drawn right after the element that places
-    x.  All draws, the action and the transported nbar are computed once,
-    and every representation the call needs, at the sections of x, the
-    elements and, for spin 1, the sections of g.x, comes from one
-    :func:`~steerkit.irreps.rep_pair` evaluation over their concatenated
-    parameters, in budget-sized runs.  The kernel at x is steered from those
-    runs, then by the run of its n_g elements, and the base matrix at the
-    sections of g.x, a block of pairs at a time into arrays allocated once
-    per call.
-    """
-    _require_counts(n_g, n_x)
-    if min(n_g, n_x) < 1:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    j, l = elem.j, elem.l
-    spin = 1 if j.tensor == (1, 0) else 2
-    build = (bases.massless_transverse_projector if spin == 1
-             else bases.massless_spin2_projector)
-    cone, lorentz = NullCone(), groups.LORENTZ
-    draws = groups.random_params(lorentz, rng, n_x * (1 + n_g), eta_max)
-    draws = draws.reshape(n_x, 1 + n_g, -1)
-    coords = groups.act_points(lorentz, draws[:, 0], cone,
-                               groups.base_point(cone))
-    gs = draws[:, 1:].reshape(n_x * n_g, -1)
-    at = np.repeat(np.arange(n_x), n_g)
-    at_x = groups.section_params(cone, coords)
-    nbar_x = groups.matrices(lorentz, at_x) @ bases.NBAR0
-    gx = groups.act_points(lorentz, gs, cone, coords[at])
-    nbar_t = (groups.matrices(lorentz, gs) @ nbar_x[at, :, None])[..., 0]
-    per_pair = [gs]
-    if spin == 1:
-        per_pair.append(groups.section_params(cone, gx))
-        lam_gx = groups.matrices(lorentz, per_pair[1])
-        e1, e2 = (lam_gx @ v for v in bases.TRANSVERSE0)
-    # A block's kernels, and the forward and inverse reps of its unit, fit:
-    # units of the sections of x, then per block of pairs its elements and
-    # the sections of its g.x.
-    step = min(len(gs), steering.chunk_length(
-        2 * len(per_pair) * steering._rep_bytes(j, l)))
-    x_blocks, blocks = range(0, n_x, step), range(0, len(gs), step)
-    runs = steering._runs(j, l, np.concatenate(
-        [at_x] + [p[i:i + step] for i in blocks for p in per_pair]),
-        [min(step, n_x - i) for i in x_blocks]
-        + [len(per_pair) * min(step, len(gs) - i) for i in blocks])
-    kx = steering._gathered(steering._pieces(
-        [elem], itertools.islice(runs, len(x_blocks)), n_x, step), [elem],
-        n_x)[0]
-    scale = np.fmax(1.0, numerics.norms(kx))[at]
-    k0 = elem.base_matrix[None, :, None].astype(kx.dtype)
-    out, out_s, work = (np.empty(step * kx[0].size, kx.dtype)
-                        for _ in range(3))
-    worst = 0.0
-    for i in blocks:
-        p = slice(i, i + step)
-        rho, rho_inv = next(runs)
-        m = min(step, len(gs) - i)
-        steered, = steering._steered_blocks(
-            kx[:, :, None], n_g, [(rho[:m], rho_inv[:m])], step, out, work, i)
-        steered = steered.reshape(-1, j.dim, l.dim)
-        diff = work[:steered.size].reshape(steered.shape)
-        worst = _worst(worst, numerics.norms(np.subtract(
-            steered, build(gx[p], nbar_t[p]), out=diff)) / scale[p])
-        if spin == 1:
-            # section value vs steered: difference must be pure gauge
-            at_gx, = steering._steered_blocks(
-                k0, m, [(rho[m:], rho_inv[m:])], step, out_s, work)
-            diff = np.subtract(at_gx.reshape(steered.shape), steered,
-                               out=diff).reshape(len(diff), -1, 1)
-            off = numerics.norms(diff) > 1e-12 * scale[p]
-            if off.any():
-                worst = _worst(worst, numerics.projection_residual(
-                    diff[off], _gauge_span(gx[p][off], e1[p][off],
-                                           e2[p][off])))
-        del rho, rho_inv
-    return worst
 
 
 def check_case(j: IrrepLabel, l: IrrepLabel, orbit: Orbit,

@@ -55,6 +55,23 @@ def test_basis_at_base_point_is_canonical(capsys):
     assert printed[0] == printed[1]
 
 
+def test_basis_point_may_start_with_a_minus_sign(capsys):
+    # "--point -0.5,1.1" is "--point=-0.5,1.1", though argparse alone reads
+    # a value that starts with "-" and is not one number as an option; a
+    # Lorentz point with a negative t is off the orbit either way.
+    for group, j, l, point in [("so3", "1", "0", "-0.5,1.1"),
+                               ("lorentz", "vector", "vector", "-1,0,0,0")]:
+        args = ("basis", "--group", group, "--j", j, "--l", l)
+        spaced = run_cli(capsys, *args, "--point", point)
+        assert spaced == run_cli(capsys, *args, f"--point={point}")
+        code, out, err = spaced
+        if group == "so3":
+            assert code == 0 and json.loads(out)["point"][1] == 1.1
+        else:
+            assert code == 1 and out == ""
+            assert "not on the" in json.loads(err)["error"]
+
+
 def test_basis_complex_output_carries_imaginary_part(capsys):
     code, out, _ = run_cli(capsys, "basis", "--group", "so3", "--field",
                            "complex", "--j", "1", "--l", "1",

@@ -156,7 +156,8 @@ def test_coordinate_width_is_checked(capsys):
     # count, from canonical_coords, the sections, kernel_at, the kernel
     # stacks and `steerkit basis` alike; a kernel stack takes an (n, c)
     # stack only, so n angles in one row are not read as one point with n
-    # coordinates, and kernel_at one row only.
+    # coordinates, and kernel_at one row only.  Likewise orbit_coords takes
+    # ambient vectors of 2, 3 and 4 components only.
     vec = tensor_irrep(1, 0)
     cases = [(bases.basis_so2(1, 2), (3, 2), "1 coordinates"),
              (bases.basis_so3(1, 1), (3, 3), "2 coordinates"),
@@ -185,6 +186,11 @@ def test_coordinate_width_is_checked(capsys):
                              (bases.basis_so3(1, 1), [[0.1, 0.2]])]:
         values = steering.section_kernels(elements, coords)
         assert values.shape[:2] == (len(elements), len(coords))
+    # A 3-vector is no circle point and a 4-vector no sphere point.
+    for orbit, v, width in [(Circle(), [0.6, 0.8, 0.0], "2 components"),
+                            (Sphere(), [0.6, 0.8, 0.0, 0.0], "3 components")]:
+        with pytest.raises(GroupError, match=width):
+            groups.orbit_coords(orbit, v)
 
 
 def test_stabilizer_samples():
@@ -229,20 +235,18 @@ def test_massive_sample_has_one_y_rotation():
 
 @pytest.mark.parametrize("y", [0.0, math.pi, -math.pi, 2 * math.pi,
                                3 * math.pi])
-def test_degenerate_y_rotation_is_rejected(monkeypatch, y):
-    # A y rotation by 0 or pi modulo 2 pi lies in O(2)_z: the generators
-    # would no longer generate SO(3), and building them says so.
-    build = stabilizer_solver._stabilizer_generators
-    build.cache_clear()
-    try:
-        monkeypatch.setattr(stabilizer_solver, "Y_ANGLE", y)
-        with pytest.raises(GroupError, match="do not generate SO\\(3\\)"):
-            build(MassiveHyperboloid(), "lorentz")
-        # The other orbits stack no y rotation.
-        build(NullCone(), "lorentz")
-        build(Sphere(), "so3")
-    finally:
-        build.cache_clear()
+def test_degenerate_y_rotation_is_rejected(y):
+    # A y rotation by 0 or pi modulo 2 pi maps the z axis to itself or its
+    # negative, so it lies in O(2)_z and would not generate SO(3) with the
+    # rotations about z.  The remainder test finds every such angle, and
+    # the hyperboloid's constant generator angle passes it.
+    z = [0.0, 0.0, 1.0]
+    assert math.remainder(y, math.pi) == 0.0
+    np.testing.assert_allclose(np.abs(matrices("so3", (0.0, y, 0.0)) @ z), z,
+                               atol=1e-12)
+    y_angle = stabilizer_solver.Y_ANGLE
+    assert math.remainder(y_angle, math.pi) != 0.0
+    assert abs(matrices("so3", (0.0, y_angle, 0.0))[2, 2]) < 1.0 - 1e-3
 
 
 def test_random_stabilizer_elements_fix_base_point():

@@ -179,7 +179,7 @@ def test_solutions_satisfy_constraint_for_all_samples():
         np.testing.assert_array_equal(stack, np.vstack(blocks))
         for h in sample:
             rj, rli = rep_matrices(j, h), rep_pair(l, l, h)[1]
-            for k in space.matrices():
+            for k in space.basis.T.reshape(-1, j.dim, l.dim):
                 assert np.linalg.norm(rj @ k @ rli - k) <= 1e-10
 
 
@@ -197,7 +197,7 @@ def test_solutions_commute_with_fresh_stabilizer_elements():
     rng = np.random.default_rng(1)
     for j, l, orbit in cases:
         space = solve_basepoint(j, l, orbit)
-        kernels = np.stack(space.matrices())
+        kernels = space.basis.T.reshape(-1, j.dim, l.dim)
         scales = [max(1.0, np.linalg.norm(k)) for k in kernels]
         hs = [stabilizer_draw(orbit, j.group, rng) for _ in range(20)]
         moved = steer(kernels[:, None], j, l, hs)
@@ -432,7 +432,7 @@ def test_rank3_tensor_on_the_cone():
     rng = np.random.default_rng(30)
     elements = (list(reference_sample(orbit, LORENTZ))
                 + [stabilizer_draw(orbit, LORENTZ, rng) for _ in range(4)])
-    kernels = np.stack(space.matrices())
+    kernels = space.basis.T.reshape(-1, t30.dim, t30.dim)
     for h in elements:
         rho, rho_inv = rep_pair(t30, t30, h)
         moved = rho @ kernels @ rho_inv
@@ -451,7 +451,7 @@ def test_round_off_stack_keeps_its_solution():
                 space = _check(j, l, Sphere(), 1 if pj == pl else 0)
                 assert space.gap_ratio >= GAP_RATIO
                 for h in reference_sample(Sphere(), "o3"):
-                    for k in space.matrices():
+                    for k in space.basis.T.reshape(-1, j.dim, l.dim):
                         assert np.linalg.norm(
                             rep_matrices(j, h) @ k
                             @ rep_pair(l, l, h)[1] - k) <= 1e-12
@@ -535,8 +535,7 @@ def test_sphere_and_cone_build_no_stack(monkeypatch):
 def cold_caches():
     # The oracle's caches hold the representations of earlier solves: a test
     # that monkeypatches rep_matrices or counts calls starts and ends cold.
-    caches = (weight_bases, stabilizer_solver._label_factors,
-              stabilizer_solver._stabilizer_generators)
+    caches = (weight_bases, stabilizer_solver._label_factors)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -628,9 +627,8 @@ def test_count_matches_closed_form_up_to_the_largest_label(group, field, lj,
 def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # From cold caches, the O(3) tables (200 pairs) and the full Lorentz table
     # (8 pairs) evaluate each label once per side and per parameter stack
-    # (the weight projectors' rotations, the stacked generators), and build
-    # and check the generators once per (orbit, group); a solve that
-    # evaluated them per pair would count one call per pair.
+    # (the weight projectors' rotations, the stacked generators); a solve
+    # that evaluated them per pair would count one call per pair.
     calls = Counter()
 
     def counted(name, fn):
@@ -642,12 +640,6 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     for name in ("rep_matrices", "rep_pair"):
         monkeypatch.setattr(stabilizer_solver, name,
                             counted(name, getattr(stabilizer_solver, name)))
-    base_point = groups.base_point
-
-    def counted_base_point(orbit):
-        calls["generators", orbit] += 1
-        return base_point(orbit)
-    monkeypatch.setattr(groups, "base_point", counted_base_point)
     cases = (compact_case_grid("o3", 4)
              + lorentz_case_grid(include_spinor_vector=True))
     assert len(cases) == 208
@@ -662,8 +654,7 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # their weight rotations, plus one pair evaluation of the y rotations of
     # the hyperboloid (the cone stacks none).
     assert len(labels) == 24
-    assert names == {"rep_matrices": 20 + 4, "rep_pair": 20 + 4,
-                     "generators": 3}
+    assert names == {"rep_matrices": 20 + 4, "rep_pair": 20 + 4}
 
 
 def test_cached_factors_are_read_only(cold_caches):

@@ -472,8 +472,8 @@ def test_one_kernel_rounds_alike_on_every_path(j, orbit):
 
 def test_every_steering_path_reaches_the_one_engine(monkeypatch):
     # steer, kernel_at, section_pieces (so section_kernels, sample and
-    # basis) and both sweeps steer through _steered_blocks, the only
-    # function of the module that multiplies.
+    # basis) and the sweep, on the cone too, steer through _steered_blocks,
+    # the only function of the module that multiplies.
     tree = ast.parse(inspect.getsource(steering))
     multiplying = {f.name for f in ast.walk(tree)
                    if isinstance(f, ast.FunctionDef) and any(
@@ -495,9 +495,8 @@ def test_every_steering_path_reaches_the_one_engine(monkeypatch):
         (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
         (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
                                            seed=0), "max_steer_residual"),
-        (lambda: verify.massless_steer_residual(cone[0], n_g=2, n_x=2,
-                                                seed=0),
-         "massless_steer_residual"),
+        (lambda: verify.max_steer_residual(cone, NullCone(), n_g=2, n_x=2,
+                                           seed=0), "max_steer_residual"),
     ]
     for run, caller in paths:
         callers.clear()
@@ -509,9 +508,9 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
     # The inverse rule and what a pair shares live in irreps alone: the
     # modules that steer, solve, verify and dump import no private name
     # from it, and steering names no group.  steer, section_pieces (so
-    # sample, basis and section_kernels), both sweeps and the oracle's
-    # per-label factors each take (rho_j, rho_l^-1) from rep_pair.  The
-    # CLI imports no private name from groups either.
+    # sample, basis and section_kernels), the sweep on every orbit and the
+    # oracle's per-label factors each take (rho_j, rho_l^-1) from rep_pair.
+    # The CLI imports no private name from groups either.
     def private(module, source):
         tree = ast.parse(inspect.getsource(module))
         names = [a.name for n in ast.walk(tree)
@@ -547,9 +546,8 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
         (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
         (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
                                            seed=0), "max_steer_residual"),
-        (lambda: verify.massless_steer_residual(cone[0], n_g=2, n_x=2,
-                                                seed=0),
-         "massless_steer_residual"),
+        (lambda: verify.max_steer_residual(cone, NullCone(), n_g=2, n_x=2,
+                                           seed=0), "max_steer_residual"),
         (lambda: stabilizer_solver.solve_basepoint(one, one, Sphere()),
          "_label_factors"),
     ]

@@ -96,12 +96,16 @@ def test_negative_control_is_large():
 def test_max_steer_residual_detects_non_steerable_kernels():
     # A fixed random base matrix is not stabilizer-invariant, so the kernel
     # at g.x and the steered kernel at x disagree; the stacked check must
-    # see that and not compare a stack with itself.
+    # see that and not compare a stack with itself.  On the null cone the
+    # steered kernel is compared with the closed form.
     rng = np.random.default_rng(3)
+    vec, t20 = tensor_irrep(1, 0), tensor_irrep(2, 0)
     cases = [
         (so3_irrep(1), so3_irrep(1), Sphere()),
         (o3_irrep(1, 1), o3_irrep(1, -1), Sphere()),
-        (tensor_irrep(1, 0), tensor_irrep(1, 0), MassiveHyperboloid()),
+        (vec, vec, MassiveHyperboloid()),
+        (vec, vec, NullCone()),
+        (t20, t20, NullCone()),
     ]
     for j, l, orbit in cases:
         elem = KernelBasisElement(j, l, orbit, "random",
@@ -153,7 +157,6 @@ def test_sweeps_reject_invalid_caps_and_counts():
         lambda **kw: verify.max_steer_residual(massive, MassiveHyperboloid(),
                                                **kw),
         lambda **kw: verify.max_steer_residual(cone, NullCone(), **kw),
-        lambda **kw: verify.massless_steer_residual(cone[0], **kw),
     ]
     for sweep in sweeps:
         for n_g, n_x in ((-1, 3), (3, -1), (-1, 0)):
@@ -302,25 +305,21 @@ def _record_rep_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("elements,per_draw", [
-    (bases.basis_o2(1, 2), 2),
-    (bases.basis_so3(2, 1, "complex"), 2),
-    (bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)), 2),
-    (bases.basis_lorentz_massless(1), 3),
-    (bases.basis_lorentz_massless(2), 2),
+@pytest.mark.parametrize("elements", [
+    bases.basis_o2(1, 2),
+    bases.basis_so3(2, 1, "complex"),
+    bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)),
+    bases.basis_lorentz_massless(1),
+    bases.basis_lorentz_massless(2),
 ], ids=["circle", "sphere", "hyperboloid", "cone vector", "cone tensor20"])
-def test_suite_draws_evaluate_representations_once(elements, per_draw,
-                                                   monkeypatch):
+def test_suite_draws_evaluate_representations_once(elements, monkeypatch):
     # One rep_pair evaluation covers every representation of a suite-size
-    # sweep: the sections of the n_x points, the elements and the sections
-    # of the n_g x n_x points g.x (the massless sweep draws n_g elements
-    # per point, and its spin-1 kernels need the sections of g.x).
+    # sweep, on every orbit: the sections of the n_x points, the elements
+    # and the sections of the n_g x n_x points g.x.
     calls = _record_rep_calls(monkeypatch)
     n_g, n_x = verify.SUITE_DRAWS
     verify.max_steer_residual(elements, elements[0].orbit, n_g, n_x, seed=6)
-    massless = isinstance(elements[0].orbit, NullCone)
-    assert calls == [n_x + (per_draw - 1) * n_g * n_x if massless
-                     else n_x + n_g + n_g * n_x]
+    assert calls == [n_x + n_g + n_g * n_x]
 
 
 @pytest.mark.parametrize("elements,before", [
