@@ -32,9 +32,9 @@ from . import groups
 from .groups import (ETA, LORENTZ, O2, O3, SO2, SO3, Circle,
                      MassiveHyperboloid, NullCone, Orbit, Sphere)
 from .irreps import (CHARGE_CONJUGATION, COMPLEX, DIRAC, GAMMA, REAL, SLOTS,
-                     SPINOR_VECTOR, IrrepError, IrrepLabel, o2_irrep,
-                     o3_irrep, realify, realify_antilinear, so2_irrep,
-                     so3_irrep, tensor_irrep, tensor_slots)
+                     SPINOR_VECTOR, IrrepError, IrrepLabel, check_pair,
+                     o2_irrep, o3_irrep, realify, realify_antilinear,
+                     so2_irrep, so3_irrep, tensor_irrep, tensor_slots)
 
 #: Auxiliary null vector at the cone base point; n0 . nbar0 = 1.
 NBAR0 = np.array([0.5, 0.0, 0.0, -0.5])
@@ -391,24 +391,21 @@ def basis_lorentz_massless(spin: int) -> list[KernelBasisElement]:
 
 def basis_for(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> list[KernelBasisElement]:
     """Analytic basis for a label pair on an orbit (dispatch by group)."""
-    if isinstance(orbit, Circle):
-        if j.group == SO2:
-            return basis_so2(j.j, l.j, j.field, orbit.radius)
-        if j.group == O2:
-            return basis_o2("0~" if j.tilde else j.j,
-                            "0~" if l.tilde else l.j, j.field, orbit.radius)
-    if isinstance(orbit, Sphere):
-        if j.group == SO3:
-            return basis_so3(j.j, l.j, j.field, orbit.radius)
-        if j.group == O3:
-            return basis_o3(j.j, j.parity, l.j, l.parity, j.field, orbit.radius)
+    group = check_pair(j, l, orbit)
+    if group == SO2:
+        return basis_so2(j.j, l.j, j.field, orbit.radius)
+    if group == O2:
+        return basis_o2("0~" if j.tilde else j.j,
+                        "0~" if l.tilde else l.j, j.field, orbit.radius)
+    if group == SO3:
+        return basis_so3(j.j, l.j, j.field, orbit.radius)
+    if group == O3:
+        return basis_o3(j.j, j.parity, l.j, l.parity, j.field, orbit.radius)
     if isinstance(orbit, MassiveHyperboloid):
         return lorentz_massive_basis(j, l, orbit.mass)
-    if isinstance(orbit, NullCone):
-        if j.tensor == (1, 0) and l.tensor == (1, 0):
-            return basis_lorentz_massless(1)
-        if j.tensor == (2, 0) and l.tensor == (2, 0):
-            return basis_lorentz_massless(2)
-        raise IrrepError("massless analytic bases cover the (1,0) and (2,0) "
-                         "tensor pairs")
-    raise IrrepError(f"no analytic basis for {j} / {l} on {orbit}")
+    if j.tensor == (1, 0) and l.tensor == (1, 0):
+        return basis_lorentz_massless(1)
+    if j.tensor == (2, 0) and l.tensor == (2, 0):
+        return basis_lorentz_massless(2)
+    raise IrrepError("massless analytic bases cover the (1,0) and (2,0) "
+                     "tensor pairs")

@@ -584,6 +584,20 @@ def tensor_slots(label: IrrepLabel) -> tuple[str, ...]:
     return TENSOR_SLOTS[label.tensor]
 
 
+def check_pair(j: IrrepLabel, l: IrrepLabel, orbit: groups.Orbit) -> str:
+    """The group of a label pair on an orbit; raises :class:`IrrepError`,
+    naming both labels, unless they share the group and the field and the
+    group acts on the orbit."""
+    if j.group != l.group:
+        raise IrrepError(f"labels from different groups: {j} vs {l}")
+    if j.field != l.field:
+        raise IrrepError(f"labels over different fields: {j} vs {l}")
+    if j.group not in groups.ORBIT_GROUPS.get(type(orbit), ()):
+        raise IrrepError(f"{j} / {l} labels do not live on "
+                         f"{type(orbit).__name__}")
+    return j.group
+
+
 def stabilizer_content(label: IrrepLabel, orbit: groups.Orbit) -> Counter:
     """Multiplicity of each irrep of the base-point stabilizer H in the
     complexified ``label``; a realified label counts as V + conj(V).
@@ -594,9 +608,7 @@ def stabilizer_content(label: IrrepLabel, orbit: groups.Orbit) -> Counter:
     the hyperboloid.  The null-cone weights are the J_z weights of the
     hyperboloid's spin content.
     """
-    if label.group not in groups.ORBIT_GROUPS.get(type(orbit), ()):
-        raise IrrepError(f"{label.group} labels do not live on "
-                         f"{type(orbit).__name__}")
+    check_pair(label, label, orbit)
     if label.group == SO2:
         return Counter({0: label.dim})
     if label.group == O2:

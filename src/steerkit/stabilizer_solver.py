@@ -52,7 +52,7 @@ import numpy as np
 
 from . import groups, numerics
 from .groups import Circle, MassiveHyperboloid, Orbit, Sphere
-from .irreps import (COMPLEX, IrrepError, IrrepLabel, rep_matrices,
+from .irreps import (COMPLEX, IrrepLabel, check_pair, rep_matrices,
                      rep_pair, stabilizer_content)
 
 #: Minimum ratio between the smallest kept and largest dropped singular
@@ -87,16 +87,6 @@ class IntertwinerSpace:
     @property
     def dimension(self) -> int:
         return self.basis.shape[1]
-
-
-def _check_pair(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> str:
-    if j.group != l.group:
-        raise IrrepError(f"labels from different groups: {j} vs {l}")
-    if j.field != l.field:
-        raise IrrepError(f"labels over different fields: {j} vs {l}")
-    if j.group not in groups.ORBIT_GROUPS.get(type(orbit), ()):
-        raise IrrepError(f"{j.group} labels do not live on {type(orbit).__name__}")
-    return j.group
 
 
 def require_rank_gap(kept: np.ndarray, dropped: np.ndarray,
@@ -212,7 +202,7 @@ _GENERATORS = {
 def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
     """Parameters of the stabilizer generators a pair's solve stacks (see
     :data:`_GENERATORS`), after the pair is checked against the orbit."""
-    return _GENERATORS.get((type(orbit), _check_pair(j, l, orbit)), ())
+    return _GENERATORS.get((type(orbit), check_pair(j, l, orbit)), ())
 
 
 def _block(out: np.ndarray, at: int, a: np.ndarray,
@@ -326,6 +316,6 @@ def predicted_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
     ``dim_R Hom_H(V, W) = dim_C Hom_H(V_C, W_C)``, so one count serves both
     fields.
     """
-    _check_pair(j, l, orbit)
+    check_pair(j, l, orbit)
     cj, cl = stabilizer_content(j, orbit), stabilizer_content(l, orbit)
     return sum(n * cl[sigma] for sigma, n in cj.items())

@@ -7,23 +7,22 @@ choices is exactly the stabilizer constraint on the base-point matrix.
 
 :func:`_steered_blocks` is the one product engine: per element one gemm
 ``rho_j(g) K`` and one gemm with ``rho_l(g)^-1``, for w kernels laid side by
-side, from runs of the pairs ``(rho_j(g), rho_l(g)^-1)`` that the caller
-evaluates with :func:`~steerkit.irreps.rep_pair`; :func:`_runs` evaluates
-consecutive units of a parameter stack, as many whole units per call as fit
-the chunk budget.
-:func:`steer` steers each kernel of a stack alone (w = 1), and
-:func:`kernel_at` is :func:`steer` at the section of one point, given by its
-coordinate row.  :func:`section_pieces` streams a basis at a stack of points
-in the order ``[basis][point]``, one element's run of points per piece,
-evaluating the representations of the points' sections once per call;
-``sample`` writes the pieces as they come and :func:`section_kernels`
-gathers them into one array.  All of these steer one kernel per gemm pair,
-so they equal one another bit for bit.  The verifier's one sweep, on every
-orbit the null cone included, takes its kernels at x from the same
-per-kernel pieces, from runs of its one evaluation, and steers a whole
-basis side by side (w > 1), which can round differently in the last bits
-(complex SO(3) labels, and real SO(3) and O(3) labels of dimension 17 and
-more, on the development machine).
+side that every element steers, from runs of the pairs ``(rho_j(g),
+rho_l(g)^-1)``; :func:`_runs` is the one caller of
+:func:`~steerkit.irreps.rep_pair`, for consecutive units of a parameter
+stack, as many whole units per call as fit the chunk budget.
+:func:`_pieces` steers a stack of base matrices one kernel at a time (w = 1)
+by a stack of elements, a run at a time, and :func:`_gathered` gathers its
+pieces.  :func:`section_pieces` streams a basis at a stack of points through
+it in the order ``[basis][point]``, which ``sample`` writes as it comes;
+:func:`section_kernels` gathers them, :func:`steer` does the same for one
+kernel and a stack of elements, and :func:`kernel_at` is :func:`steer` at
+the section of one point.  All of these steer one kernel per gemm pair, so
+they equal one another bit for bit.  The verifier's one sweep, on every
+orbit the null cone included, takes its kernels at x from the same pieces
+and steers a whole basis side by side (w > 1), which can round differently
+in the last bits (complex SO(3) labels, and real SO(3) and O(3) labels of
+dimension 17 and more, on the development machine).
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ def chunk_length(item_bytes: int) -> int:
     return max(1, CHUNK_BYTES // item_bytes)
 
 
-def _dtype(j: IrrepLabel) -> np.dtype:
-    """dtype of the kernels and representation stacks of a label pair."""
-    return np.dtype(complex if j.field == COMPLEX else float)
+def _dtype(*labels: IrrepLabel) -> np.dtype:
+    """A dtype that holds the kernels and representations of the labels."""
+    return np.dtype(complex if any(x.field == COMPLEX for x in labels)
+                    else float)
 
 
 def _rep_bytes(j: IrrepLabel, l: IrrepLabel) -> int:
@@ -61,35 +61,22 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
     """``rho_j(g) @ k0 @ rho_l(g)^-1`` for a stack of n elements given by
     their parameters, shape ``(n, k)``.
 
-    ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)`` or a stack
-    of them, shape ``(..., dim_j, dim_l)``: element i steers
-    ``k0[..., i, :, :]`` (axis -3 of ``k0`` has length n or 1, or is absent)
-    and the result has shape ``(..., n, dim_j, dim_l)``.  The
-    representations are evaluated once, and each leading kernel is steered
-    alone through :func:`_steered_blocks`, so each slice equals the steering
-    by that element alone bit for bit, O(3) parity elements included.
+    ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)``; any other
+    shape is rejected.  The result has shape ``(n, dim_j, dim_l)`` and the
+    dtype of ``k0`` and the representations together.  The kernel goes
+    through the pieces of :func:`section_pieces`, a budget-sized run of
+    representations at a time, so each slice equals the steering by that
+    element alone bit for bit, O(3) parity elements included.
     """
     k0 = np.asarray(k0)
-    if k0.shape[-2:] != (j.dim, l.dim):
-        raise IrrepError(
-            f"kernel shape {k0.shape} does not match ({j.dim}, {l.dim})")
+    if k0.shape != (j.dim, l.dim):
+        raise IrrepError(f"kernel shape {k0.shape} is not the ({j.dim}, "
+                         f"{l.dim}) of one kernel")
     params = groups.parameter_stack(j.group, params)
     if params.ndim != 2:
         raise IrrepError(f"expected an (n, k) parameter stack, got shape "
                          f"{params.shape}")
-    n = len(params)
-    stack = k0.reshape((-1,) + k0.shape[-3:]) if k0.ndim > 2 else k0[None, None]
-    if stack.shape[1] not in (1, n):
-        raise IrrepError(f"axis -3 of the kernel stack has length "
-                         f"{stack.shape[1]}, not 1 or the {n} elements")
-    runs = [rep_pair(j, l, params)]
-    out = np.empty((len(stack), n, j.dim, l.dim), np.result_type(k0, *runs[0]))
-    work = np.empty(out[0].size, out.dtype)
-    for k, o in zip(stack, out):
-        for _ in _steered_blocks(k[:, :, None], 1 if len(k) > 1 else n, runs,
-                                 max(1, n), o.reshape(-1), work):
-            pass
-    return out.reshape(k0.shape[:-3] + out.shape[1:])
+    return _gathered(k0[None], j, l, params)[0]
 
 
 def _runs(j: IrrepLabel, l: IrrepLabel, params, units) -> Iterator[tuple]:
@@ -129,13 +116,21 @@ def kernel_at(elem, coords) -> np.ndarray:
     return steer(elem.base_matrix, elem.j, elem.l, params)[0]
 
 
-def _check_basis(elements) -> None:
+def _basis(elements, coords) -> tuple:
+    """The stacked base matrices and labels of a basis, and the coset
+    sections of a stack of points of its orbit, both checked."""
     if not elements:
         raise IrrepError("section_kernels needs at least one basis element")
     e0 = elements[0]
     if any((e.j, e.l, e.orbit) != (e0.j, e0.l, e0.orbit) for e in elements):
         raise IrrepError("basis elements must share j, l and the orbit; "
                          "they are steered as one stack")
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2:
+        raise groups.GroupError(f"expected an (n, c) stack of coordinates, "
+                                f"got shape {coords.shape}")
+    k = np.stack([e.base_matrix for e in elements]).astype(_dtype(e0.j))
+    return k, e0.j, e0.l, groups.section_params(e0.orbit, coords, e0.j.group)
 
 
 def section_pieces(elements, coords) -> Iterator[np.ndarray]:
@@ -153,75 +148,70 @@ def section_pieces(elements, coords) -> Iterator[np.ndarray]:
     representations of all n sections and two chunk buffers, never the
     whole basis.
     """
-    _check_basis(elements)
-    e0 = elements[0]
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise groups.GroupError(f"expected an (n, c) stack of coordinates, "
-                                f"got shape {coords.shape}")
-    params = groups.section_params(e0.orbit, coords, e0.j.group)
-    step = chunk_length(_rep_bytes(e0.j, e0.l))
-    return _pieces(elements, _runs(e0.j, e0.l, params, step), len(params),
-                   step)
-
-
-def _pieces(elements, runs, n: int, step: int) -> Iterator[np.ndarray]:
-    """Each element's values at n points, in blocks of ``step`` points, from
-    ``runs`` of the representations of their sections."""
-    j, l = elements[0].j, elements[0].l
-    if len(elements) > 1:
-        # Every element reuses them.
-        runs = list(runs)
-    out, work = (np.empty(min(step, n) * j.dim * l.dim, _dtype(j))
-                 for _ in range(2))
-    for e in elements:
-        for piece in _steered_blocks(e.base_matrix[None, :, None], n, runs,
-                                     step, out, work):
-            yield piece.reshape(-1, j.dim, l.dim)
+    return _pieces(*_basis(elements, coords))
 
 
 def section_kernels(elements, coords) -> np.ndarray:
     """Values of a basis at a stack of points of its orbit given by their
     coordinates, shape (n, c) -> ``(n_basis, n, dim_j, dim_l)``: the pieces
     of :func:`section_pieces` gathered into one array."""
-    return _gathered(section_pieces(elements, coords), elements, len(coords))
+    return _gathered(*_basis(elements, coords))
 
 
-def _gathered(pieces, elements, n: int) -> np.ndarray:
-    """The pieces of a basis at n points gathered into one array."""
-    j, l = elements[0].j, elements[0].l
-    out = np.empty((len(elements), n, j.dim, l.dim), _dtype(j))
-    flat = out.reshape(-1, j.dim, l.dim)
+def _pieces(k, j: IrrepLabel, l: IrrepLabel, params,
+            runs=None) -> Iterator[np.ndarray]:
+    """Each kernel of the stack ``k`` (b, dim_j, dim_l) steered by the n
+    elements ``params`` (n, k), in the order ``[kernel][element]``, in
+    pieces of at most a chunk's elements in two buffers, from the caller's
+    ``runs`` of their representations or else from :func:`_runs` of them."""
+    step = chunk_length(_rep_bytes(j, l))
+    runs = _runs(j, l, params, step) if runs is None else runs
+    if len(k) > 1:
+        # Every kernel reuses them.
+        runs = list(runs)
+    out, work = (np.empty(min(step, len(params)) * k[0].size,
+                          np.result_type(k, _dtype(j, l))) for _ in range(2))
+    for kernel in k:
+        for piece in _steered_blocks(kernel[:, None], runs, step, out, work):
+            yield piece.reshape(-1, j.dim, l.dim)
+
+
+def _gathered(k, j: IrrepLabel, l: IrrepLabel, params,
+              runs=None) -> np.ndarray:
+    """The pieces of :func:`_pieces` gathered into one array (b, n, dim_j,
+    dim_l) of their dtype."""
+    out = np.empty((len(k), len(params), j.dim, l.dim),
+                   np.result_type(k, _dtype(j, l)))
     i = 0
-    for piece in pieces:
-        flat[i:i + len(piece)] = piece
+    for piece in _pieces(k, j, l, params, runs):
+        if piece.dtype != out.dtype:
+            out = np.empty(out.shape, piece.dtype)
+        out.reshape(-1, j.dim, l.dim)[i:i + len(piece)] = piece
         i += len(piece)
     return out
 
 
-def _steered_blocks(k, per, runs, step, out, work) -> Iterator[np.ndarray]:
+def _steered_blocks(k, runs, step, out, work) -> Iterator[np.ndarray]:
     """``rho_j(g) K rho_l(g)^-1`` for a sequence of elements, given as
     ``runs`` of their representations ``(rho_j, rho_l^-1)`` (a list, or a
-    generator such as :func:`_runs`), and the kernels ``k`` (n_k, dim_j, w,
-    dim_l): n_k stacks of w kernels side by side, element i steering
-    ``k[i // per]``.  Yields blocks (m, dim_j, w, dim_l) of ``step``
-    elements of a run, the last of a run maybe shorter: per element one
-    gemm rho_j K into the flat buffer ``work`` and one gemm with rho_l^-1,
-    as the run holds it, into ``out``, each of ``step * k[0].size`` items.
-    A run is dropped before the next one is drawn.  With w = 1 every kernel is the per-kernel product bit for
+    generator such as :func:`_runs`), every one steering the kernels ``k``
+    (dim_j, ..., dim_l), the w kernels of its middle axes side by side.
+    Yields blocks (m, dim_j, w, dim_l) of ``step`` elements of a run, the
+    last of a run maybe shorter: per element one gemm rho_j K into the flat
+    buffer ``work`` and one gemm with rho_l^-1, as the run holds it, into
+    ``out``, each of ``step * k.size`` items of a dtype at least as wide as
+    that of ``k`` and the run together.  A run is dropped before the next
+    one is drawn.  With w = 1 every kernel is the per-kernel product bit for
     bit; whole bases (w > 1) may round differently in the last bits.
     """
-    dj, dl, size = k.shape[1], k.shape[-1], k[0].size
-    start = 0
+    dj, dl, flat = k.shape[0], k.shape[-1], k.reshape(k.shape[0], -1)
     for rho, rho_inv in runs:
+        typed = [b.view(np.result_type(k, rho, rho_inv)) for b in (work, out)]
         for i in range(0, len(rho), step):
             m = min(step, len(rho) - i)
-            left = work[:m * size].reshape(m, dj, -1)
-            for c in range((start + i) // per, (start + i + m - 1) // per + 1):
-                a, b = max(i, c * per - start), min(i + m, (c + 1) * per - start)
-                np.matmul(rho[a:b], k[c].reshape(dj, -1), out=left[a - i:b - i])
+            left = np.matmul(rho[i:i + m], flat,
+                             out=typed[0][:m * k.size].reshape(m, dj, -1))
             right = np.matmul(left.reshape(m, -1, dl), rho_inv[i:i + m],
-                              out=out[:m * size].reshape(m, -1, dl))
+                              out=typed[1][:m * k.size].reshape(m, -1, dl))
             yield right.reshape(m, dj, -1, dl)
-        start += len(rho)
         del rho, rho_inv

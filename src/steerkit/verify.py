@@ -150,18 +150,17 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     worst = 0.0
     for xs in x_blocks:
         m_x = len(at_x[xs])
-        kx = steering._gathered(steering._pieces(elements, [next(runs)], m_x,
-                                                 m_x), elements, m_x)
+        kx = steering._gathered(k0.swapaxes(0, 1), j, l, at_x[xs],
+                                [next(runs)])
         scale = np.fmax(1.0, numerics.norms(kx)).T
         kx = np.ascontiguousarray(kx.transpose(2, 1, 0, 3))  # (dj, x, b, dl)
         for gb in g_blocks:
             m = len(gs[gb])
             rho, rho_inv = next(runs)
             by_g, = steering._steered_blocks(
-                kx[None], m, [(rho[:m], rho_inv[:m])], m, out_g, work)
+                kx, [(rho[:m], rho_inv[:m])], m, out_g, work)
             at_gx, = steering._steered_blocks(
-                k0[None], m * m_x, [(rho[m:], rho_inv[m:])], m * m_x, out_s,
-                work)
+                k0, [(rho[m:], rho_inv[m:])], m * m_x, out_s, work)
             del rho, rho_inv
             # Both as (g, x, row, b, col); sum squares over rows and columns.
             by_g = by_g.reshape(m, j.dim, m_x, -1, l.dim).swapaxes(1, 2)

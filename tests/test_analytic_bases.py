@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -637,3 +638,18 @@ def test_base_matrices_are_read_only():
 def test_basis_for_rejects_unsupported():
     with pytest.raises(IrrepError):
         basis_for(tensor_irrep(1, 1), tensor_irrep(1, 1), NullCone())
+
+
+@pytest.mark.parametrize("j,l,orbit", [
+    (so2_irrep(1), o2_irrep(1), Circle()),
+    (so3_irrep(1), so3_irrep(1, "complex"), Sphere()),
+    (o3_irrep(1, 1), so3_irrep(1), Sphere()),
+], ids=["so2/o2", "real/complex", "o3/so3"])
+def test_mixed_label_pairs_are_rejected_naming_both(j, l, orbit):
+    # A pair of labels from two groups or over two fields has no basis, no
+    # oracle space and no predicted dimension; each says which two labels.
+    for call in (basis_for, stabilizer_solver.solve_basepoint,
+                 stabilizer_solver.oracle_dimension,
+                 stabilizer_solver.predicted_dimension):
+        with pytest.raises(IrrepError, match=re.escape(f"{j} vs {l}")):
+            call(j, l, orbit)

@@ -200,7 +200,7 @@ def test_solutions_commute_with_fresh_stabilizer_elements():
         kernels = space.basis.T.reshape(-1, j.dim, l.dim)
         scales = [max(1.0, np.linalg.norm(k)) for k in kernels]
         hs = [stabilizer_draw(orbit, j.group, rng) for _ in range(20)]
-        moved = steer(kernels[:, None], j, l, hs)
+        moved = [steer(k, j, l, hs) for k in kernels]
         for k, k_h, scale in zip(kernels, moved, scales):
             err = np.linalg.norm(k_h - k, axis=(-2, -1)).max()
             assert err / scale <= 1e-10

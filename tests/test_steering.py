@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,10 +60,27 @@ def test_steer_composition_property():
         k0 = rng.normal(size=(j.dim, l.dim))
         for _ in range(5):
             a, b = groups.random_params(gname, rng, 2, eta_max=1.0)
-            lhs = steer(steer(k0, j, l, [a]), j, l, [b])
+            lhs = steer(steer(k0, j, l, [a])[0], j, l, [b])
             rhs = steer(k0, j, l, [product(gname, b, a)])
             assert (np.linalg.norm(lhs - rhs)
                     <= 1e-11 * max(1.0, np.linalg.norm(rhs)))
+
+
+def test_steer_peak_stays_within_six_chunks_of_its_output():
+    # steer evaluates the representations a budget-sized run at a time, so
+    # one kernel steered by 50,000 elements holds its output, two chunk
+    # buffers and a run with its temporaries, not all n representations.
+    rng = np.random.default_rng(37)
+    j, l = so3_irrep(2), so3_irrep(3)
+    params = groups.random_params("so3", rng, 50_000)
+    k0 = rng.normal(size=(j.dim, l.dim))
+    tracemalloc.start()
+    try:
+        out = steer(k0, j, l, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 6 * steering.CHUNK_BYTES
 
 
 def test_kernel_at_base_point_returns_base_matrix():
@@ -105,17 +123,17 @@ def test_steerability_defect_is_small_for_analytic_elements():
 
 
 def test_steer_shape_mismatch_rejected():
+    # steer takes one kernel: a kernel of another shape and a stack of
+    # kernels, of one kernel too, are rejected, naming the expected shape.
     g = [(0.1,)]
-    for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2)):
-        with pytest.raises(IrrepError):
-            steer(bad, so2_irrep(1), so2_irrep(1), g)
+    for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros(2),
+                np.zeros((1, 2, 2)), np.zeros((3, 2, 2)),
+                np.zeros((4, 3, 2, 2))):
+        with pytest.raises(IrrepError, match=r"\(2, 2\) of one kernel"):
+            steer(bad, so2_irrep(1), so2_irrep(1), g + g)
     # One element is a stack of one: a bare parameter vector is rejected.
     with pytest.raises(IrrepError, match="parameter stack"):
         steer(np.eye(2), so2_irrep(1), so2_irrep(1), g[0])
-    # Axis -3 of a kernel stack has length 1 or n; the error names both.
-    for bad in (np.zeros((3, 2, 2)), np.zeros((4, 3, 2, 2))):
-        with pytest.raises(IrrepError, match="length 3, not 1 or the 2 "):
-            steer(bad, so2_irrep(1), so2_irrep(1), g + g)
 
 
 def _same_bits(a, b) -> bool:
@@ -187,10 +205,10 @@ def test_steer_stack_matches_elementwise():
                 assert moved[i, p].tolist() == groups.act_points(
                     label.group, g, orbit, x).tolist()
         k0 = rng.normal(size=(3, label.dim, label.dim))
-        steered = steer(k0[:, None], label, label, params)
+        steered = np.stack([steer(k, label, label, params) for k in k0])
         for i, g in enumerate(params):
-            assert _same_bits(steered[:, i],
-                              steer(k0[:, None], label, label, [g])[:, 0])
+            assert _same_bits(steered[:, i], np.stack(
+                [steer(k, label, label, [g])[0] for k in k0]))
             # j == l steers through one stack; the pair is the reference.
             rho, rho_inv = rep_pair(label, label, g)
             assert _same_bits(steered[:, i], rho @ k0 @ rho_inv), (label, g)
@@ -199,13 +217,10 @@ def test_steer_stack_matches_elementwise():
     params = groups.random_params("o3", rng, 12)
     assert len(set(params[:, 3])) == 2
     k0 = rng.normal(size=(4, 2, 5, 1))
-    steered = steer(k0, j, l, params[:2])
-    for i, g in enumerate(params[:2]):
-        assert _same_bits(steered[:, i],
-                          steer(k0[:, i, None], j, l, [g])[:, 0])
-    steered = steer(k0[:, :1], j, l, params)
-    for i, g in enumerate(params):
-        assert _same_bits(steered[:, i], steer(k0[:, :1], j, l, [g])[:, 0])
+    for k in k0[:, 0]:
+        steered = steer(k, j, l, params)
+        for i, g in enumerate(params):
+            assert _same_bits(steered[i], steer(k, j, l, [g])[0])
     # section_kernels steers the whole basis in chunks of stacked sections;
     # each slice must equal the kernel_at reference, also across chunk
     # borders.
@@ -362,10 +377,10 @@ def test_kernels_at_matches_kernel_at_on_drawn_stacks(data):
             _angles(0.0, 2 * math.pi), st.sampled_from(POLAR_EDGES),
             _angles(0.0, 2 * math.pi), st.sampled_from([1.0, -1.0])),
             min_size=1, max_size=12), label="o3 elements")
-        steered = steer(values[:, :1], j, l, np.array(params))
-        for i, g in enumerate(params):
-            assert _same_bits(steered[:, i],
-                              steer(values[:, :1], j, l, [g])[:, 0])
+        for k in values[:, 0]:
+            steered = steer(k, j, l, np.array(params))
+            for i, g in enumerate(params):
+                assert _same_bits(steered[i], steer(k, j, l, [g])[0])
 
 
 def test_kernel_at_wrong_orbit_rejected():
@@ -390,13 +405,12 @@ def test_lorentz_steer_matches_covariant_projector():
         np.testing.assert_allclose(kernel_at(elem, x), expect, atol=1e-11)
 
 
-def _whole_basis(k, j, l, params, step):
-    """Every block of ``steering._steered_blocks`` gathered, (n, dj, w, dl)."""
-    size = step * k[0].size
-    out, work = np.empty(size, k.dtype), np.empty(size, k.dtype)
+def _whole_basis(k, j, l, params, units, step):
+    """Every block of one ``steering._steered_blocks`` call gathered, (n,
+    dj, w, dl): the kernels k (dj, w, dl) steered by every element."""
+    out, work = (np.empty(step * k.size, k.dtype) for _ in range(2))
     return np.concatenate([b.copy() for b in steering._steered_blocks(
-        k, len(params) // len(k), steering._runs(j, l, params, step), step,
-        out, work)])
+        k, steering._runs(j, l, params, units), step, out, work)])
 
 
 _sv = spinor_vector_irrep(realified=True)
@@ -417,10 +431,11 @@ _sv = spinor_vector_irrep(realified=True)
 def test_whole_basis_products_match_per_kernel_steer(els, group):
     # The sweeps' whole-basis products are the per-kernel steer to within a
     # few ulps of |rho_j| |K| |rho_l^-1| per kernel.  Each case steers three
-    # runs of elements, each its own stack of kernels side by side, in
-    # blocks that straddle the runs.  The kernels are the base matrices,
-    # a random real stack (also under complex labels) and the basis at a
-    # point.  The elements include O(2) and O(3) parity elements.
+    # stacks of kernels side by side, each by its own 13 elements in one
+    # engine call, in units of 6 and blocks of 4, so that the last block of
+    # a unit is shorter.  The kernels are the base matrices, a random real
+    # stack (also under complex labels) and the basis at a point.  The
+    # elements include O(2) and O(3) parity elements.
     rng = np.random.default_rng(23)
     j, l = els[0].j, els[0].l
     dtype = steering._dtype(j)
@@ -433,12 +448,13 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
         assert set(params[:, -1]) == {1.0, -1.0}
     stacks = [base, real, at_x]
     k = np.stack([s.transpose(1, 0, 2) for s in stacks]).astype(dtype)
-    whole = _whole_basis(k, j, l, params, step=5)
+    whole = np.concatenate([_whole_basis(k[s], j, l, params[13 * s:][:13],
+                                         units=6, step=4) for s in range(3)])
     rho, rho_inv = rep_pair(j, l, params)
     scale = (numerics.norms(rho)[:, None] * numerics.norms(k.swapaxes(1, 2)
              ).repeat(13, axis=0) * numerics.norms(rho_inv)[:, None])
     for i, g in enumerate(params):
-        one = steer(stacks[i // 13][:, None], j, l, [g])[:, 0]
+        one = np.stack([steer(s, j, l, [g])[0] for s in stacks[i // 13]])
         err = np.abs(whole[i].swapaxes(0, 1) - one).max(axis=(1, 2))
         assert (err <= 4 * np.finfo(float).eps * scale[i]).all(), (i, err)
 
@@ -463,7 +479,7 @@ def test_one_kernel_rounds_alike_on_every_path(j, orbit):
     params = groups.section_params(orbit, coords, j.group)
     out, work = (np.empty(7 * k.size, k.dtype) for _ in range(2))
     engine = np.concatenate([b[:, :, 0].copy() for b in steering._steered_blocks(
-        k[None, :, None], 30, [rep_pair(j, j, params)], 7, out, work)])
+        k[:, None], [rep_pair(j, j, params)], 7, out, work)])
     assert _same_bits(engine, steer(k, j, j, params))
     elem = bases.KernelBasisElement(j, j, orbit, "random", k)
     for i, x in enumerate(coords):
@@ -473,7 +489,8 @@ def test_one_kernel_rounds_alike_on_every_path(j, orbit):
 def test_every_steering_path_reaches_the_one_engine(monkeypatch):
     # steer, kernel_at, section_pieces (so section_kernels, sample and
     # basis) and the sweep, on the cone too, steer through _steered_blocks,
-    # the only function of the module that multiplies.
+    # the only function of the module that multiplies; all but the sweep's
+    # whole-basis products reach it through the pieces of _pieces.
     tree = ast.parse(inspect.getsource(steering))
     multiplying = {f.name for f in ast.walk(tree)
                    if isinstance(f, ast.FunctionDef) and any(
@@ -490,18 +507,21 @@ def test_every_steering_path_reaches_the_one_engine(monkeypatch):
     so3, cone = bases.basis_so3(1, 1), bases.basis_lorentz_massless(1)
     paths = [
         (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
-         "steer"),
-        (lambda: kernel_at(so3[0], (0.1, 0.2)), "steer"),
-        (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])), "_pieces"),
+         {"_pieces"}),
+        (lambda: kernel_at(so3[0], (0.1, 0.2)), {"_pieces"}),
+        (lambda: list(steering.section_pieces(so3, [[0.1, 0.2]])),
+         {"_pieces"}),
         (lambda: verify.max_steer_residual(so3, Sphere(), n_g=2, n_x=2,
-                                           seed=0), "max_steer_residual"),
+                                           seed=0),
+         {"_pieces", "max_steer_residual"}),
         (lambda: verify.max_steer_residual(cone, NullCone(), n_g=2, n_x=2,
-                                           seed=0), "max_steer_residual"),
+                                           seed=0),
+         {"_pieces", "max_steer_residual"}),
     ]
-    for run, caller in paths:
+    for run, expected in paths:
         callers.clear()
         run()
-        assert caller in callers, (caller, callers)
+        assert set(callers) == expected, (expected, callers)
 
 
 def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
@@ -523,10 +543,15 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
     for module in (steering, stabilizer_solver, verify, cli):
         assert not private(module, "irreps"), module.__name__
     assert not private(cli, "groups")
+    tree = ast.parse(inspect.getsource(steering))
     names = {n.id if isinstance(n, ast.Name) else n.attr
-             for n in ast.walk(ast.parse(inspect.getsource(steering)))
+             for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute))}
     assert not names & {"SO2", "O2", "SO3", "O3", "LORENTZ"}
+    # _runs is the one representation stream of the steering paths.
+    assert {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(isinstance(n, ast.Name) and n.id == "rep_pair"
+                    for n in ast.walk(f))} == {"_runs"}
     callers, pair = [], rep_pair
 
     def counted(j, l, params):

@@ -223,6 +223,27 @@ def test_sweep_fails_a_basis_with_one_perturbed_base_matrix(elements):
                                      seed=4) > 10 * verify.RESIDUAL_TOL
 
 
+def test_cone_sweep_compares_spin1_sections_with_the_gauge_span(monkeypatch):
+    # On the null cone the spin-1 section side may differ from the steered
+    # side only by the gauge span at g.x.  Tilting the sweep's sections of
+    # the g.x (rows n_x on of its one section_params call) by 1e-3 in beta
+    # leaves the steered side and its closed form alone, so only the gauge
+    # comparison can see it.
+    vec, section = bases.basis_lorentz_massless(1), groups.section_params
+    n_g, n_x = 5, 3
+    assert verify.max_steer_residual(vec, NullCone(), n_g, n_x,
+                                     seed=4) <= verify.RESIDUAL_TOL
+
+    def tilted(orbit, coords, group=None):
+        params = section(orbit, coords, group)
+        params[n_x:, 1] += 1e-3
+        return params
+
+    monkeypatch.setattr(groups, "section_params", tilted)
+    assert verify.max_steer_residual(vec, NullCone(), n_g, n_x,
+                                     seed=4) >= 1e-4
+
+
 _SV = spinor_vector_irrep(True)
 _SV_BASIS = bases.lorentz_massive_basis(_SV, _SV)
 
