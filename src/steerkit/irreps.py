@@ -425,8 +425,12 @@ def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
 
 
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
-    """``rho(g)`` for a stack of elements: :func:`rep_pair` of one label."""
-    return rep_pair(label, label, params)[0]
+    """``rho(g)`` for a stack of elements, the bits of the first stack of
+    :func:`rep_pair` of one label, without forming an inverse."""
+    p = groups.parameter_stack(label.group, params)
+    flat = p.reshape(-1, p.shape[-1])
+    rho = _rep_stack(label, flat, _factors(flat, (label,)), False)
+    return rho.reshape(p.shape[:-1] + rho.shape[-2:])
 
 
 def _factors(p: np.ndarray, labels):

@@ -16,20 +16,33 @@ hyperboloid and the null cone contain every rotation about z:
   U^l_m^H``: the unknowns are the blocks X_m of equal weight.  A real K
   has X_-m = conj(X_m), so real labels solve for the real and imaginary
   parts of X_m, m >= 0, in real arithmetic.
-* Only the generators of H outside the rotations about z (see
-  :func:`_generators`: the y rotation of the hyperboloid, the O(3)
-  reflection) are stacked, on those unknowns.  Without such generators
-  (the sphere under SO(3), the null cone) every X_m is free and no stack
-  is built.
+* Where H holds an element w that maps the weight m to -m (see
+  :data:`_WEYL`: r_y on the circle under O(2), r_y = parity * R_y(pi) on
+  the sphere under O(3), R_y(pi) on the massive hyperboloid), its
+  constraint is met by construction, in weight bases adapted to w once per
+  label (:func:`_adapted`), and the unknowns halve:
 
-The circle's stabilizer has no rotations: it is the one weight-0 block U = I
-on the same path, with the O(2) reflection as its one generator, and SO(2)
-builds no stack.  Every spectrum the solve takes (the projector ranges and
-the stack) must show a clean rank gap.  The computation uses the
+  - complex labels take U_-m = rho(w) U_m, and w reads X_-m = X_m;
+  - real labels of integer weight take rho(w) U_m = conj(U_m), and w reads
+    X_m real;
+  - realified spinors, where rho(w)^2 = -1, take a symplectic basis, each
+    second column the conjugate of rho(w) times the one before, and w reads
+    X_m = [[a, b], [-conj(b), conj(a)]] on every 2 x 2 block;
+  - the weight-0 space, and the circle's one block U = I (its stabilizer
+    has no rotations), split into the +-1 eigenspaces of rho(w), and X_0
+    into the two diagonal blocks.
+* What H holds beyond these is stacked on the unknowns (see
+  :data:`_GENERATORS`): on the massive hyperboloid the rotation
+  R_y(:data:`Y_ANGLE`), which with O(2)_z generates SO(3); the
+  spinor-vector stack is 1024 x 160, tensor(2,0) 256 x 35.  The sphere, the
+  circle and the null cone build no stack: there every unknown is free.
+
+Every spectrum the solve takes (the projector ranges, the adaptation to w
+and the stack) must show a clean rank gap.  The computation uses the
 representations at stabilizer elements only, never the closed-form bases or
 the content tables; it is the independent cross-check for them.  What
-depends on one label only (its weight bases and their images under the
-stacked generators) is computed once per label and cached; per pair the
+depends on one label only (its adapted weight bases and their images under
+the stacked generators) is computed once per label and cached; per pair the
 solve allocates the embedding and the stack once and writes the Kronecker
 products of each weight block straight into its columns, then takes the
 stack's nullspace.
@@ -145,19 +158,153 @@ def weight_bases(label: IrrepLabel) -> tuple[MappingProxyType, float]:
     return MappingProxyType(bases), gap
 
 
+#: The element w of the base point's stabilizer H that maps the weight m
+#: of the rotations about z to -m, imposed in closed form by the adapted
+#: weight bases (see :func:`_adapted`), as parameters, by orbit type and
+#: group: the reflection r_y on the circle under O(2) (where H = {1, r_y}),
+#: r_y = parity * R_y(pi) on the sphere under O(3) (H = O(2)_z) and R_y(pi)
+#: on the massive hyperboloid (H = SO(3)).  SO(2) and SO(3) have none, and
+#: neither has the null cone's ISO(2).
+_WEYL = {
+    (Circle, groups.O2): (0.0, -1.0),
+    (Sphere, groups.O3): (0.0, math.pi, 0.0, -1.0),
+    (MassiveHyperboloid, groups.LORENTZ): (0.0, math.pi, 0.0, 0.0, 0.0, 0.0),
+}
+
+#: The generators of H that a pair's solve stacks, as parameters, by orbit
+#: type and group: those that, with the rotations about z and w, generate
+#: H.  Only the massive hyperboloid has one, R_y(:data:`Y_ANGLE`): the
+#: closed subgroups of SO(3) that contain SO(2)_z are SO(2)_z, O(2)_z and
+#: SO(3), the first two holding R_y(t) only for t = 0 or pi modulo 2 pi.  On
+#: the null cone only SO(2)_z is imposed: the null rotations of its
+#: stabilizer ISO(2) are not.  Each element of these tables is linear and
+#: fixes x0, so it fixes every multiple of x0: radius and mass play no part.
+_GENERATORS = {
+    (MassiveHyperboloid, groups.LORENTZ): (
+        (0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),),
+}
+
+
+def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
+    """``(weyl, params)``: the parameters of the element a pair's solve
+    imposes in closed form (None without one, see :data:`_WEYL`) and of the
+    generators it stacks (see :data:`_GENERATORS`), after the pair is
+    checked against the orbit."""
+    key = (type(orbit), check_pair(j, l, orbit))
+    return _WEYL.get(key), _GENERATORS.get(key, ())
+
+
+#: How the real unknowns of a block are read from its complex products: the
+#: real and imaginary parts, each scaled to a unit column.
+_RE_IM = (("real", math.sqrt(2.0)), ("imag", math.sqrt(2.0)))
+
+
+def _symplectic(a: np.ndarray) -> np.ndarray:
+    """A unitary Q whose columns pair as ``q_2k+1 = conj(a q_2k)``, for a
+    unitary ``a`` with ``a conj(a) = -1`` (so a is antisymmetric): then
+    ``Q^T a Q`` is [[0, -1], [1, 0]] block by block.  Each q_2k is the unit
+    vector farthest from the pairs taken so far, its residual
+    orthogonalized twice; ``conj(a q_2k)`` is orthogonal to both."""
+    n = len(a)
+    q = np.zeros((n, n), dtype=complex)
+    rest = np.eye(n, dtype=complex)
+    for k in range(0, n, 2):
+        for _ in range(2):
+            rest -= q[:, :k] @ (q[:, :k].conj().T @ rest)
+        norms = np.linalg.norm(rest, axis=0)
+        top = int(np.argmax(norms))
+        q[:, k] = rest[:, top] / norms[top]
+        q[:, k + 1] = (a @ q[:, k]).conj()
+    return q
+
+
+def _adapted(label: IrrepLabel, bases, rho_w: np.ndarray) -> tuple:
+    """The weight blocks of ``label`` adapted to w, whose representation is
+    ``rho_w``, so that w's constraint holds by construction (see the module
+    docstring).  Returns ``(blocks, gap_ratio)``: ``blocks`` maps (twice the
+    weight m >= 0, the sign of w on the block) to the (left, right, parts)
+    of :func:`_label_factors`, and ``gap_ratio`` is the smallest over the
+    spectra the adaptation takes: the ranges of the projectors onto the +-1
+    eigenspaces of w at weight 0 and onto the real forms of w."""
+    real = label.field != COMPLEX
+    blocks, gap, rank = {}, math.inf, 0
+
+    def projector_range(p, what):
+        nonlocal gap
+        q, kept, dropped = numerics.range_with_spectrum(p)
+        gap = min(gap, require_rank_gap(kept, dropped,
+                                        f" for the {what} of {label}"))
+        return q
+
+    for m2, u in bases.items():
+        n = u.shape[1]
+        if m2 == 0:
+            b = u.conj().T @ rho_w @ u
+            for sign in (1, -1):
+                v = u @ projector_range((np.eye(n) + sign * b) / 2,
+                                        f"{sign:+d} eigenspace of w")
+                rank += v.shape[1]
+                if v.shape[1]:
+                    blocks[0, sign] = ((v,), (v.conj(),), None)
+        elif m2 < 0:
+            continue
+        elif not real:
+            # U_-m = rho(w) U_m, projected onto the weight -m basis so that
+            # its columns stay weight vectors to round-off: each column is
+            # c_m + c_-m over sqrt 2.
+            minus = bases[-m2]
+            v = minus @ (minus.conj().T @ (rho_w @ u))
+            blocks[m2, 1] = ((u, v), (u.conj(), v.conj()),
+                             (("", math.sqrt(0.5)),))
+            rank += 2 * n
+        elif m2 % 2 == 0:
+            # Q = X + iY with rho(w) U Q = conj(U Q): with a = U^T rho(w) U,
+            # (X, Y) spans the +1 eigenspace of [[Re a, -Im a], [-Im a,
+            # -Re a]], the fixed space of the involution c -> a conj(c).
+            a, eye = u.T @ rho_w @ u, np.eye(n)
+            xy = projector_range(np.block([[eye + a.real, -a.imag],
+                                           [-a.imag, eye - a.real]]) / 2,
+                                 f"real form of w at weight {m2 // 2}")
+            v = u @ (xy[:n] + 1j * xy[n:])
+            blocks[m2, 1] = ((v,), (v.conj(),), (_RE_IM[0],))
+            rank += 2 * v.shape[1]
+        elif n % 2 == 0:     # an odd n leaves the rank check below short
+            # rho(w) v_2k = conj(v_2k+1) and rho(w) v_2k+1 = -conj(v_2k):
+            # the products of the even columns of j with all of l, plus
+            # their images under w, carry the quaternionic X_m.
+            v = u @ _symplectic(u.T @ rho_w @ u)
+            turned = np.empty_like(v)
+            turned[:, 0::2], turned[:, 1::2] = v[:, 1::2], -v[:, 0::2]
+            blocks[m2, 1] = ((v[:, 0::2], v[:, 1::2].conj()),
+                             (v.conj(), turned),
+                             (("real", 1.0), ("imag", 1.0)))
+            rank += 2 * n
+    if rank != label.dim:
+        raise DegenerateSpectrumError(
+            f"the weight spaces of {label} adapted to w have {rank} "
+            f"dimensions, not {label.dim}")
+    return blocks, gap
+
+
 @lru_cache(maxsize=None)
-def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
+def _label_factors(label: IrrepLabel, weyl, params: tuple) -> tuple:
     """What the solve needs of one label, whatever it is paired with.
 
-    ``params`` are the stacked stabilizer generators (see
-    :func:`_generators`).  Returns ``(bases, conj_bases, images,
-    inverse_images, gap_ratio)``: the weight bases U_m keyed by twice the
-    weight (U = I on the circle), their conjugates, ``rho(h) U_m`` and
-    ``rho(h)^-T conj(U_m)`` stacked over the generators (empty without
-    generators), and the gap ratio of :func:`weight_bases`.  Cached like
-    :func:`weight_bases`, on the generators' parameters rather than the
-    orbit, so that radius and mass do not split it; every array is
-    read-only.
+    ``weyl`` and ``params`` are the parameters of the element imposed in
+    closed form and of the stacked generators (see :func:`_generators`).
+    Returns ``(blocks, images, gap_ratio)``.  ``blocks`` maps each weight
+    block (twice the weight; with w, also the sign of w on the block) to
+    ``(left, right, parts)``: the block's unknowns are the columns of the
+    sum over t of ``kron(left_t of j, right_t of l)`` (the right factors
+    are conjugated weight bases, so that this is vec(U^j X U^l^H)), the one
+    product as it is when ``parts`` is None, and otherwise for each named
+    part (``"real"``, ``"imag"`` or ``""``, all of it) that part of the
+    sum times its scale.  ``images`` maps the block to the images of left
+    under ``rho(h)`` and of right under ``rho(h)^-T``, stacked over the
+    generators (empty without generators).  ``gap_ratio`` is the smallest
+    over :func:`weight_bases` and the adaptation.  Cached like
+    :func:`weight_bases`, on the parameters rather than the orbit, so that
+    radius and mass do not split it; every array is read-only.
     """
     if label.group in groups.ORBIT_GROUPS[Circle]:
         # Complex, for a complex label: its reps may all be real (O(2) j = 0
@@ -166,43 +313,26 @@ def _label_factors(label: IrrepLabel, params: tuple) -> tuple:
         bases, gap = {0: np.eye(label.dim, dtype=dtype)}, math.inf
     else:
         bases, gap = weight_bases(label)
-    conj = {m: u.conj() for m, u in bases.items()}
-    images, inverse_images = {}, {}
+    if weyl is None:
+        real = label.field != COMPLEX
+        blocks = {m2: ((u,), (u.conj(),), _RE_IM if real and m2 else None)
+                  for m2, u in bases.items()}
+    else:
+        blocks, adapted_gap = _adapted(label, bases,
+                                       rep_matrices(label, weyl))
+        gap = min(gap, adapted_gap)
+    images = {}
     if params:
         rho, rho_inv = rep_pair(label, label, params)
         rho_inv_t = rho_inv.swapaxes(-1, -2)
-        images = {m: rho @ u for m, u in bases.items()}
-        inverse_images = {m: rho_inv_t @ u for m, u in conj.items()}
-    factors = (bases, conj, images, inverse_images)
-    for part in factors:
-        for a in part.values():
-            a.flags.writeable = False
-    return tuple(map(MappingProxyType, factors)) + (gap,)
-
-
-#: The generators of the base point's stabilizer H that a pair's solve
-#: stacks, as parameters, by orbit type and group: those that, with the
-#: rotations about z, generate H.  On the circle H is trivial under SO(2)
-#: (none) and {1, r_y} under O(2) (the reflection r_y).  On the sphere H is
-#: SO(2)_z under SO(3) (none) and O(2)_z under O(3) (r_y = parity *
-#: R_y(pi)).  On the massive hyperboloid H is SO(3) (R_y(:data:`Y_ANGLE`)):
-#: the closed subgroups of SO(3) that contain SO(2)_z are SO(2)_z, O(2)_z
-#: and SO(3), the first two holding R_y(t) only for t = 0 or pi modulo
-#: 2 pi.  On the null cone only SO(2)_z is imposed (none): the null
-#: rotations of its stabilizer ISO(2) are not.  Each generator is linear and
-#: fixes x0, so it fixes every multiple of x0: radius and mass play no part.
-_GENERATORS = {
-    (Circle, groups.O2): ((0.0, -1.0),),
-    (Sphere, groups.O3): ((0.0, math.pi, 0.0, -1.0),),
-    (MassiveHyperboloid, groups.LORENTZ): (
-        (0.0, Y_ANGLE, 0.0, 0.0, 0.0, 0.0),),
-}
-
-
-def _generators(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> tuple:
-    """Parameters of the stabilizer generators a pair's solve stacks (see
-    :data:`_GENERATORS`), after the pair is checked against the orbit."""
-    return _GENERATORS.get((type(orbit), check_pair(j, l, orbit)), ())
+        images = {key: (tuple(rho @ a for a in left),
+                        tuple(rho_inv_t @ b for b in right))
+                  for key, (left, right, _) in blocks.items()}
+    for part in (blocks, images):
+        for terms in part.values():
+            for a in terms[0] + terms[1]:
+                a.flags.writeable = False
+    return MappingProxyType(blocks), MappingProxyType(images), gap
 
 
 def _block(out: np.ndarray, at: int, a: np.ndarray,
@@ -216,59 +346,64 @@ def _block(out: np.ndarray, at: int, a: np.ndarray,
     return v
 
 
-def _unknowns(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
-    """The weights both labels have, and the number of the pair's
-    unknowns: n_j(m) n_l(m) summed over those weights, twice for m > 0
-    over the reals.  A weight of j missing from l has no unknowns."""
-    uj, ul = _label_factors(j, params)[0], _label_factors(l, params)[0]
-    real = j.field != COMPLEX
-    shared = [m for m in uj if m in ul]
-    return shared, sum(uj[m].shape[1] * ul[m].shape[1]
-                       * (2 if real and m else 1) for m in shared)
+def _unknowns(j: IrrepLabel, l: IrrepLabel, weyl, params: tuple) -> tuple:
+    """The weight blocks both labels have, and the number of the pair's
+    unknowns: n_j n_l summed over those blocks, once per part that a real
+    label reads (n the columns of the first left and right factors).  A
+    block of j missing from l has no unknowns."""
+    bj = _label_factors(j, weyl, params)[0]
+    bl = _label_factors(l, weyl, params)[0]
+    shared = [key for key in bj if key in bl]
+    return shared, sum(len(bj[key][2] or (None,)) * bj[key][0][0].shape[1]
+                       * bl[key][1][0].shape[1] for key in shared)
 
 
-def _constraint(j: IrrepLabel, l: IrrepLabel, params: tuple) -> tuple:
-    """The base-point constraint of a pair on its equal-weight unknowns.
+def _constraint(j: IrrepLabel, l: IrrepLabel, weyl, params: tuple) -> tuple:
+    """The base-point constraint of a pair on its reduced unknowns.
 
-    ``params`` are the pair's :func:`_generators`.  Returns ``(embed,
-    stack, gap_ratio)``: ``embed`` maps the unknowns to row-major
-    vectorized kernels (orthonormal columns), ``stack`` is the constraint
-    ``rho_j(h) K rho_l(h)^-1 - K`` on them stacked over the generators
-    (None when there are none), and ``gap_ratio`` is that of the weight
-    bases.  Each array is allocated once, at its final size: every weight
-    block writes its Kronecker products straight into its own columns, and
-    ``embed`` is subtracted from the stack in place.
+    ``weyl`` and ``params`` are the pair's :func:`_generators`.  Returns
+    ``(embed, stack, gap_ratio)``: ``embed`` maps the unknowns to row-major
+    vectorized kernels (orthonormal columns, each invariant under the
+    rotations about z and w), ``stack`` is the constraint ``rho_j(h) K
+    rho_l(h)^-1 - K`` on them stacked over the generators (None when there
+    are none), and ``gap_ratio`` is that of the weight bases.  Each array
+    is allocated once, at its final size: every weight block writes its
+    Kronecker products straight into its own columns, and ``embed`` is
+    subtracted from the stack in place.
     """
-    uj, _, rho_uj, _, gap_j = _label_factors(j, params)
-    _, ul, _, rho_ul, gap_l = _label_factors(l, params)
-    real = j.field != COMPLEX
-    # A real K has X_-m = conj(X_m): a column c of weight m > 0 stands for
-    # c + conj(c), whose real, orthonormal parts are sqrt(2) Re c and
-    # sqrt(2) Im c.
-    shared, n = _unknowns(j, l, params)
+    bj, ij, gap_j = _label_factors(j, weyl, params)
+    bl, il, gap_l = _label_factors(l, weyl, params)
+    shared, n = _unknowns(j, l, weyl, params)
 
-    def fill(out, left, right):
+    def fill(out, jside, lside):
         # vec(U_j X U_l^H) = kron(U_j, conj(U_l)) vec(X), row-major: each
-        # entry is one product, as in np.kron.
+        # entry is one product, as in np.kron, plus the products of the
+        # second term where a block has one.
         at = 0
-        for m in shared:
-            a, b = left[m], right[m]
-            terms = [(a[..., :, None, :, None], b[..., None, :, None, :])]
-            if real and m:
-                c = np.multiply(*terms[0])
-                terms = [(c.real, math.sqrt(2.0)), (c.imag, math.sqrt(2.0))]
-            for x, y in terms:
-                np.multiply(x, y, out=_block(out, at, a, b))
-                at += a.shape[-1] * b.shape[-1]
+        for key in shared:
+            a, b, parts = jside[key][0], lside[key][1], bj[key][2]
+            terms = [(x[..., :, None, :, None], y[..., None, :, None, :])
+                     for x, y in zip(a, b)]
+            if parts is None:
+                np.multiply(*terms[0], out=_block(out, at, a[0], b[0]))
+                at += a[0].shape[-1] * b[0].shape[-1]
+                continue
+            c = np.multiply(*terms[0])
+            for x, y in terms[1:]:
+                c += x * y
+            for name, scale in parts:
+                np.multiply(getattr(c, name) if name else c, scale,
+                            out=_block(out, at, a[0], b[0]))
+                at += a[0].shape[-1] * b[0].shape[-1]
 
-    dtype = float if real else complex
+    dtype = float if j.field != COMPLEX else complex
     embed = np.empty((j.dim * l.dim, n), dtype)
-    fill(embed, uj, ul)
+    fill(embed, bj, bl)
     gap = min(gap_j, gap_l)
     if not params:
         return embed, None, gap
     stack = np.empty((len(params),) + embed.shape, dtype)
-    fill(stack, rho_uj, rho_ul)
+    fill(stack, ij, il)
     stack -= embed
     return embed, stack.reshape(len(params) * len(embed), n), gap
 
@@ -281,8 +416,14 @@ def solve_basepoint(j: IrrepLabel, l: IrrepLabel,
     :class:`DegenerateSpectrumError` when a singular-value spectrum of the
     solve carries no clean rank gap.
     """
-    embed, stack, gap = _constraint(j, l, _generators(j, l, orbit))
+    weyl, params = _generators(j, l, orbit)
+    embed, stack, gap = _constraint(j, l, weyl, params)
     if stack is None:
+        if weyl is not None:
+            # Adapted columns multiply vectors that passed a second spectral
+            # step; rescaled to unit norm, the circle's entries +-1/2 come
+            # out exact.
+            embed /= np.linalg.norm(embed, axis=0)
         return IntertwinerSpace(j, l, orbit, embed, gap)
     x, kept, dropped = numerics.nullspace_with_spectrum(stack)
     gap = min(gap, require_rank_gap(kept, dropped, f" for {j} / {l}"))
@@ -299,10 +440,10 @@ def oracle_dimension(j: IrrepLabel, l: IrrepLabel, orbit: Orbit) -> int:
     forming the embedding.  Raises :class:`DegenerateSpectrumError` where
     :func:`solve_basepoint` does.
     """
-    params = _generators(j, l, orbit)
+    weyl, params = _generators(j, l, orbit)
     if not params:
-        return _unknowns(j, l, params)[1]
-    _, stack, _ = _constraint(j, l, params)
+        return _unknowns(j, l, weyl, params)[1]
+    _, stack, _ = _constraint(j, l, weyl, params)
     k, kept, dropped = numerics.nullity_with_spectrum(stack)
     require_rank_gap(kept, dropped, f" for {j} / {l}")
     return k

@@ -1,6 +1,7 @@
 """Exact reference kernels on the Lorentz orbits, exact projectors onto the
-circle's intertwiner spaces and a 50-digit reference for the Wigner
-matrices, for the tests only.
+circle's intertwiner spaces, exact counts of the massive tensor
+intertwiners and a 50-digit reference for the Wigner matrices, for the tests
+only.
 
 A kernel at x is ``rho_j(g) K0 rho_l(g)^-1`` for a group element g with
 ``g . x0 = x``.  At the points built here g has rational entries, so the
@@ -21,6 +22,10 @@ A direction is given by the rational cosines and sines of its angles (see
 :func:`half_angle`), a rapidity by the rational ``e^(eta/2)`` (massive) or
 ``e^eta = x^0`` (cone).  Rational matrices are kept as an integer object
 array over one common denominator.
+
+The counts stack the constraint of two rational rotations, which generate
+a dense subgroup of the massive stabilizer, in integers and take its
+nullity modulo primes in int64 arithmetic.
 
 The Wigner D^l reference takes float Euler angles exactly (``Fraction``)
 and evaluates d^l(beta) by the factorial sum, the phases by Taylor series
@@ -176,6 +181,58 @@ def projector_error(basis, exact) -> float:
     # (Re + i Im)(Re^T - i Im^T)
     parts = (re @ re.T + im @ im.T - p, im @ re.T - re @ im.T)
     return float(max(abs(x) for part in parts for x in part.ravel()))
+
+
+# ---------------------------------------------------------------------------
+# exact counts on the massive hyperboloid
+
+#: Two primes p = 1 mod 4 below 2^31: i exists mod p, and the product of two
+#: residues stays below 2^62, inside int64.
+PRIMES = (2147483629, 2147483549)
+
+#: 5 Lambda for the rotations by theta about z and about y, cos theta =
+#: 3/5: integer matrices.  theta is no rational multiple of pi (Niven), so
+#: the two generate a dense subgroup of SO(3), the massive stabilizer.
+_ROTATIONS5 = (np.array([[5, 0, 0, 0], [0, 3, -4, 0], [0, 4, 3, 0],
+                         [0, 0, 0, 5]], dtype=np.int64),
+               np.array([[5, 0, 0, 0], [0, 3, 0, 4], [0, 0, 5, 0],
+                         [0, -4, 0, 3]], dtype=np.int64))
+
+
+def tensor_constraint(j, l) -> np.ndarray:
+    """The constraint ``kron(rho_j(h), rho_l(h)^-T) - I`` of a massive
+    tensor pair for both rotations h, stacked, times 5^(rank j + rank l):
+    an integer matrix.  A rotation has eta Lambda eta = Lambda^-T = Lambda,
+    so both factors are Kronecker powers of Lambda."""
+    k = sum(j.tensor) + sum(l.tensor)
+    blocks = []
+    for r in _ROTATIONS5:
+        m = np.ones((1, 1), dtype=np.int64)
+        for _ in range(k):
+            m = np.kron(m, r)
+        blocks.append(m - 5 ** k * np.eye(len(m), dtype=np.int64))
+    return np.vstack(blocks)
+
+
+def nullity_mod(a: np.ndarray, p: int) -> int:
+    """Dimension of the kernel of an integer matrix modulo the prime p, by
+    Gaussian elimination in int64.  The rank mod p is at most the rank over
+    Q, so this bounds the nullity over Q from above."""
+    a = np.asarray(a, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        rows = rank + np.flatnonzero(a[rank:, col])
+        if not len(rows):
+            continue
+        a[[rank, rows[0]]] = a[[rows[0], rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        # Only the rows with an entry in the pivot column change: the
+        # constraint stacks are sparse.
+        rows = rank + 1 + np.flatnonzero(a[rank + 1:, col])
+        a[rows, col:] = (a[rows, col:]
+                         - a[rows, col:col + 1] * a[rank, col:] % p) % p
+        rank += 1
+    return a.shape[1] - rank
 
 
 # ---------------------------------------------------------------------------

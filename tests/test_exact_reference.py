@@ -7,7 +7,8 @@ direction.  Each kernel from ``section_kernels`` and from ``kernel_at`` is
 within 1e-14 of the exact kernel, relative to max(1, |K|).  The SO(3)
 representation matrices in both bases are within ``WIGNER_TOL`` per unit
 of l + 1 of the 50-digit D^l, at and next to beta = 0 and pi and at
-generic angles.
+generic angles.  The massive tensor counts of ``dims`` equal the nullity
+of the rational constraint stack modulo two primes.
 """
 
 import math
@@ -22,10 +23,13 @@ from steerkit import groups
 from steerkit.groups import MassiveHyperboloid
 from steerkit.irreps import (dirac_irrep, rep_matrices, so3_irrep,
                              tensor_irrep)
+from steerkit.stabilizer_solver import oracle_dimension, predicted_dimension
 from steerkit.steering import kernel_at, section_kernels
+from steerkit.verify import lorentz_case_grid
 
-from exact_reference import (cone_kernels, half_angle, massive_kernels,
-                             max_error, wigner_D)
+from exact_reference import (PRIMES, cone_kernels, half_angle,
+                             massive_kernels, max_error, nullity_mod,
+                             tensor_constraint, wigner_D)
 
 TOL = 1e-14
 
@@ -115,3 +119,24 @@ def test_wigner_D_matches_exact_reference(l):
         for angles, m in zip(WIGNER_ANGLES, got):
             err = max_error(m, wigner_D(l, *angles, field == "real"))
             assert err <= WIGNER_TOL * (l + 1), (field, angles, err)
+
+
+def test_massive_tensor_counts_are_exact():
+    # The oracle's count rests on one SVD and its rank cut, the closed form
+    # on the content tables; neither is exact.  The nullity of the rational
+    # constraint stack of the two rotations, taken modulo two primes, bounds
+    # the count over Q from above, and the oracle's independent solutions
+    # from below: they meet on every massive tensor pair of `dims --group
+    # lorentz --full`, and on the mixed pair tensor(1,1) / tensor(0,2).
+    pairs = [(j, l) for j, l, orbit in lorentz_case_grid(True)
+             if isinstance(orbit, MassiveHyperboloid) and j.tensor]
+    pairs.append((tensor_irrep(1, 1), tensor_irrep(0, 2)))
+    assert len(pairs) == 5
+    for p in PRIMES:
+        assert p % 4 == 1 and p < 2 ** 31
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    for j, l in pairs:
+        count = oracle_dimension(j, l, MassiveHyperboloid())
+        assert count == predicted_dimension(j, l, MassiveHyperboloid())
+        stack = tensor_constraint(j, l)
+        assert [nullity_mod(stack, p) for p in PRIMES] == [count] * 2, (j, l)

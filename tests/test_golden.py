@@ -36,7 +36,13 @@ were re-pinned once more when the null cone's sweep joined the one sweep
 of every other orbit, drawing its points and elements as they do; only
 its cone values moved, and CHANGES.md gives them.  Both digests, the two
 sweep digests, the ``sample`` payload digests and the ``basis`` digests
-are also recomputed in a process pinned to one BLAS thread.
+are also recomputed in a process pinned to one BLAS thread.  The oracle
+bases and the ``verify`` report were re-pinned once more when the oracle
+began to impose the element w that maps the weight m to -m (r_y under O(2)
+and O(3), R_y(pi) on the massive hyperboloid) through weight bases adapted
+to it; ``UNADAPTED_ORACLE_GOLDEN``, pinned then from the bits before that
+change, holds the weight bases and the oracle bases of the pairs that have
+no w (SO(2), SO(3), the null cone) to those bits.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digests pin the
@@ -62,7 +68,7 @@ from steerkit.cli import main
 from steerkit.groups import MassiveHyperboloid, NullCone, Sphere
 from steerkit.irreps import (dirac_irrep, o3_irrep, so3_irrep,
                              spinor_vector_irrep, tensor_irrep)
-from steerkit.stabilizer_solver import solve_basepoint
+from steerkit.stabilizer_solver import solve_basepoint, weight_bases
 
 SAMPLE_GOLDENS = [
     (("so3", "2", "1", "real", "sphere:4x3"),
@@ -87,7 +93,7 @@ SAMPLE_GOLDENS = [
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "586df35cad605a071d84767336000e838889261d751ffef3efcd9b1280dd5f32")
+    "d659833229d8b2255f5372da92bbf98fc9fa920feae238bc5ed79ce970da8ca7")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -119,7 +125,14 @@ ORBIT_SWEEP_GOLDEN = (
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
 #: tables pin only the dimensions; this pins the oracle's bits.
 ORACLE_GOLDEN = (
-    "54f5ecc770bb05534e2475fd4696b60763d25e301f0d8eb907b2a34163d92b23")
+    "bb7e07bf16c2cfe674c58b6ed8d24260bf56d22a707d8a280703081be6b673cc")
+
+#: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
+#: real SO(3) table to 8, the complex SO(2) table to 8 and the cone pairs of
+#: the dims tables (tensor(1,1) / tensor(0,2) included), then of the weight
+#: bases (twice the weight, then U_m) of their SO(3) and Lorentz labels.
+UNADAPTED_ORACLE_GOLDEN = (
+    "4da361f316a0cbb2ffbe06ab5547f4831d12188f4d8acd8a6563b2100bbf4517")
 
 #: SHA-256 of ``basis`` stdout: so3 real 2/1 at both poles (the sections'
 #: singular points), complex o3 and so2, the Lorentz vector pair at the
@@ -260,6 +273,23 @@ def _oracle_digest() -> str:
 
 def test_oracle_bases_match_golden():
     assert _oracle_digest() == ORACLE_GOLDEN
+
+
+def test_unadapted_oracle_bases_match_golden():
+    cases = (verify.compact_case_grid("so3", 8, ("real",))
+             + verify.compact_case_grid("so2", 8, ("complex",))
+             + [c for c in verify.lorentz_case_grid(True)
+                if isinstance(c[2], NullCone)]
+             + [(tensor_irrep(1, 1), tensor_irrep(0, 2), NullCone())])
+    digest = hashlib.sha256()
+    for j, l, orbit in cases:
+        digest.update(solve_basepoint(j, l, orbit).basis.tobytes())
+    for label in dict.fromkeys(x for j, l, _ in cases for x in (j, l)
+                               if x.group != "so2"):
+        for m2, u in weight_bases(label)[0].items():
+            digest.update(str(m2).encode())
+            digest.update(u.tobytes())
+    assert digest.hexdigest() == UNADAPTED_ORACLE_GOLDEN
 
 
 def test_goldens_hold_on_one_blas_thread():

@@ -194,21 +194,23 @@ def test_coordinate_width_is_checked(capsys):
 
 
 def test_stabilizer_samples():
-    # The dense reference's sample and the oracle's generators fix the base
-    # point; on the circle the sample holds the identity (SO(2)) and the
-    # reflection diag(1, -1) (O(2)), the latter the one O(2) generator.
+    # The dense reference's sample and the oracle's stabilizer elements fix
+    # the base point; on the circle the sample holds the identity (SO(2)) and
+    # the reflection diag(1, -1) (O(2)), the latter the O(2) element the
+    # oracle imposes in closed form.
     s = reference_sample(Circle(), "so2")
     assert len(s) == 1
     np.testing.assert_allclose(matrices("so2", s[0]), np.eye(2))
     assert stabilizer_solver._generators(so2_irrep(1), so2_irrep(1),
-                                         Circle()) == ()
+                                         Circle()) == (None, ())
 
     s = reference_sample(Circle(), "o2")
     mats = matrices("o2", s)
     assert len(mats) == 2
     np.testing.assert_allclose(mats[1], np.diag([1.0, -1.0]), atol=1e-14)
-    (reflection,) = stabilizer_solver._generators(o2_irrep(1), o2_irrep(1),
-                                                  Circle())
+    reflection, stacked = stabilizer_solver._generators(o2_irrep(1),
+                                                        o2_irrep(1), Circle())
+    assert stacked == ()
     np.testing.assert_allclose(matrices("o2", reflection),
                                np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -217,20 +219,23 @@ def test_stabilizer_samples():
             ("lorentz", MassiveHyperboloid(), tensor_irrep(1, 0)),
             ("lorentz", NullCone(), tensor_irrep(1, 0))]:
         x0 = orbit_vectors(orbit, base_point(orbit))
-        params = list(reference_sample(orbit, group))
-        params += stabilizer_solver._generators(label, label, orbit)
+        weyl, stacked = stabilizer_solver._generators(label, label, orbit)
+        params = list(reference_sample(orbit, group)) + list(stacked)
+        params += [weyl] if weyl else []
         for p in params:
             np.testing.assert_allclose(matrices(group, p) @ x0, x0,
                                        atol=1e-12)
 
 
 def test_massive_sample_has_one_y_rotation():
-    # One y rotation, by sqrt(2): with U(1)_z imposed by the weight
-    # blocking, one rotation outside O(2)_z generates SO(3).
+    # One stacked y rotation, by sqrt(2), beside R_y(pi), which the adapted
+    # weight blocks impose: with U(1)_z imposed by the weight blocking, one
+    # rotation outside O(2)_z generates SO(3).
     t = tensor_irrep(1, 0)
     root2 = math.sqrt(2.0)
     assert stabilizer_solver._generators(t, t, MassiveHyperboloid()) == (
-        (0.0, root2, 0.0, 0.0, 0.0, 0.0),)
+        (0.0, math.pi, 0.0, 0.0, 0.0, 0.0),
+        ((0.0, root2, 0.0, 0.0, 0.0, 0.0),))
 
 
 @pytest.mark.parametrize("y", [0.0, math.pi, -math.pi, 2 * math.pi,

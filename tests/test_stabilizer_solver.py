@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from steerkit import cli, groups, numerics, stabilizer_solver
 from steerkit.groups import (LORENTZ, Circle, MassiveHyperboloid, NullCone,
                              Sphere)
-from steerkit.irreps import (IrrepError, IrrepLabel, dirac_irrep, o2_irrep,
-                             o3_irrep, rep_matrices, rep_pair, so2_irrep,
-                             so3_irrep, spinor_vector_irrep, tensor_irrep)
+from steerkit.irreps import (MAX_L, IrrepError, IrrepLabel, dirac_irrep,
+                             o2_irrep, o3_irrep, rep_matrices, rep_pair,
+                             so2_irrep, so3_irrep, spinor_vector_irrep,
+                             tensor_irrep)
 from steerkit.stabilizer_solver import (GAP_RATIO, DegenerateSpectrumError,
                                         oracle_dimension, predicted_dimension,
                                         require_rank_gap, solve_basepoint,
@@ -308,31 +309,36 @@ def _record_nullspace_calls(monkeypatch) -> list:
 
 
 def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
-    # A dense stack that comes back (3 elements x 1024 rows, 1024 unknowns)
-    # or a second y rotation fails here: the one solve is real and has the
-    # equal-weight unknowns, the real and imaginary parts of X_m for m > 0
-    # (2 n_j(m) n_l(m) each, n read from the projector ranks; a real label
-    # keeps m >= 0 only), and the rows of the one y rotation only.
+    # A dense stack that comes back (3 elements x 1024 rows, 1024 unknowns),
+    # a second y rotation or a stack of R_y(pi) fails here: the one solve is
+    # real and has the equal-weight unknowns with R_y(pi) imposed in closed
+    # form, n(m)^2 for each weight m > 0 (n read from the projector ranks; a
+    # real label keeps m >= 0 only): the quaternionic blocks of X_m, half
+    # the 2 n(m)^2 real and imaginary parts.  Its rows are those of the one
+    # y rotation by sqrt 2.
     sv = spinor_vector_irrep(realified=True)
     shapes = _record_nullspace_calls(monkeypatch)
     space = solve_basepoint(sv, sv, MassiveHyperboloid())
     ranks = {m: u.shape[1] for m, u in weight_bases(sv)[0].items()}
-    unknowns = sum(2 * n * n for n in ranks.values())
+    unknowns = sum(n * n for n in ranks.values())
     assert ranks == {1: 12, 3: 4}
-    assert unknowns == 320 < sv.dim ** 2
+    assert unknowns == 160 < sv.dim ** 2
     assert shapes == [((sv.dim ** 2, unknowns), np.dtype(np.float64))]
     assert space.dimension == 80
 
 
 def test_stackless_counts_form_no_embedding(monkeypatch):
-    # The real SO(3) table to 8, the complex SO(2) table to 8 and the cone
-    # pairs stack no generator: their counts are read from the dimensions
-    # of the weight blocks (U = I on the circle), with no embedding or stack
-    # assembled.  On every pair of the dims tables the count is the solve's.
+    # Every pair of the dims tables off the massive hyperboloid stacks no
+    # generator: the SO(3) table to 8, the O(3) tables to 4 and the O(2)
+    # table to 8 (whose reflection is imposed by the adapted weight blocks),
+    # the complex SO(2) table to 8 and the cone pairs.  Their counts are read
+    # from the dimensions of the weight blocks (U = I on the circle), with no
+    # embedding or stack assembled.  On every pair of the dims tables the
+    # count is the solve's.
     pairs = _dims_pairs()
     stackless = [(j, l, orbit) for j, l, orbit in pairs
-                 if j.group in ("so2", "so3") or isinstance(orbit, NullCone)]
-    assert len(stackless) == 81 + 81 + 3
+                 if not isinstance(orbit, MassiveHyperboloid)]
+    assert len(stackless) == 81 + 200 + 100 + 81 + 3
     dims = {(j, l, orbit): solve_basepoint(j, l, orbit).dimension
             for j, l, orbit in pairs}
 
@@ -349,20 +355,20 @@ def test_stackless_counts_form_no_embedding(monkeypatch):
 def test_count_and_solve_split_every_dims_stack_alike():
     # The count takes the values-only SVD of the whole stack and the solve
     # the SVD of its R factor with vectors: two routes through LAPACK.  On
-    # every stacked pair of the dims tables they cut the spectrum at the
-    # same place, and agree to round-off; the count's spectrum is the bits
-    # of the values-only SVD of R wherever the solve takes R (m >= 2n).  On
-    # the stackless pairs (SO(2), SO(3), the cone) the count is the solve's
-    # too.
+    # every stacked pair of the dims tables (the massive hyperboloid's) they
+    # cut the spectrum at the same place, and agree to round-off; the
+    # count's spectrum is the bits of the values-only SVD of R wherever the
+    # solve takes R (m >= 2n).  On the stackless pairs the count is the
+    # solve's too.
     stacked = 0
     for j, l, orbit in _dims_pairs():
-        params = stabilizer_solver._generators(j, l, orbit)
+        weyl, params = stabilizer_solver._generators(j, l, orbit)
         if not params:
             assert oracle_dimension(j, l, orbit) == solve_basepoint(
                 j, l, orbit).dimension, (j, l, orbit)
             continue
         stacked += 1
-        _, stack, _ = stabilizer_solver._constraint(j, l, params)
+        _, stack, _ = stabilizer_solver._constraint(j, l, weyl, params)
         k, kept, dropped = numerics.nullity_with_spectrum(stack)
         basis, solve_kept, solve_dropped = numerics.nullspace_with_spectrum(
             stack)
@@ -375,7 +381,7 @@ def test_count_and_solve_split_every_dims_stack_alike():
         if m >= 2 * n:
             s = np.linalg.svd(np.linalg.qr(stack, mode="r"), compute_uv=False)
             np.testing.assert_array_equal(np.concatenate([kept, dropped]), s)
-    assert stacked == 307
+    assert stacked == 7
 
 
 def test_spinor_vector_count_copies_nothing(monkeypatch):
@@ -397,13 +403,15 @@ def test_spinor_vector_count_copies_nothing(monkeypatch):
 
 def test_real_pairs_solve_in_real_arithmetic(monkeypatch):
     # Every real pair of the dims tables: no complex array reaches the
-    # nullspace, and once the weight bases are cached no range is taken, so
-    # a real-part step after the solve would fail here.
+    # nullspace, and once the per-label factors (the weight bases, adapted
+    # to w where there is one) are cached no range is taken, so a real-part
+    # step after the solve would fail here.
     pairs = [(j, l, orbit) for j, l, orbit in _dims_pairs()
              if j.field != "complex"]
     for j, l, orbit in pairs:
-        if not isinstance(orbit, Circle):
-            weight_bases(j), weight_bases(l)
+        for label in (j, l):
+            stabilizer_solver._label_factors(
+                label, *stabilizer_solver._generators(j, l, orbit))
     shapes = _record_nullspace_calls(monkeypatch)
 
     def no_range(a):
@@ -440,10 +448,11 @@ def test_rank3_tensor_on_the_cone():
 
 
 def test_round_off_stack_keeps_its_solution():
-    # For o3 0+ / 1+ the r_y rows of the weight-0 block are pure round-off
-    # (norm ~1e-16): the rank cut is measured against 1, not against that
-    # round-off, so the radial solution survives.  Opposite parities have
-    # no solution.
+    # The weight-0 vectors of o3 0 and 1 are radial, and r_y acts on them by
+    # +-1 up to round-off: the projectors (1 +- b) / 2 onto its eigenspaces
+    # have the spectra {1} and {~1e-16}, and the rank cut is measured
+    # against 1, not against that round-off.  So the radial solution
+    # survives where the parities match, and opposite parities have none.
     for field in ("real", "complex"):
         for pj in (1, -1):
             for pl in (1, -1):
@@ -480,31 +489,40 @@ def test_circle_has_no_weight_blocks(monkeypatch):
 
 def test_generators_lie_outside_the_rotations_about_z():
     # The weight blocks impose the rotations about z (on the circle, where
-    # there are none, the identity): no generator the solve stacks is one
-    # of them, and SO(2) stacks none.  The choice of generators is made in
-    # stabilizer_solver alone, from parameters: it names no group element
-    # and no stabilizer sample, and groups defines none.
+    # there are none, the identity), and the adapted blocks the element w
+    # that fixes x0 and turns the rotations about z backwards, w Rz(t) w^-1
+    # = Rz(-t): r_y under O(2) and O(3), R_y(pi) on the massive hyperboloid.
+    # Only the massive hyperboloid stacks a generator, and it lies outside
+    # O(2)_z: it maps z to neither z nor -z.  The choice of these elements
+    # is made in stabilizer_solver alone, from parameters: it names no group
+    # element and no stabilizer sample, and groups defines none.
     labels = {"so2": so2_irrep(1), "o2": o2_irrep(1), "so3": so3_irrep(1),
               "o3": o3_irrep(1, 1), "lorentz": tensor_irrep(1, 0)}
-    counts = {}
+    found = {}
     for kind, names in groups.ORBIT_GROUPS.items():
         orbit = kind()
         x0 = groups.orbit_vectors(orbit, groups.base_point(orbit))
         for group in names:
-            params = stabilizer_solver._generators(labels[group],
-                                                   labels[group], orbit)
-            counts[group, kind.__name__] = len(params)
-            for p in params:
+            weyl, params = stabilizer_solver._generators(
+                labels[group], labels[group], orbit)
+            found[group, kind.__name__] = (weyl is not None, len(params))
+            for p in params + ((weyl,) if weyl else ()):
                 m = groups.matrices(group, p)
-                z = np.eye(len(m))[-1]
-                about_z = np.linalg.det(m) > 0 and (
-                    len(m) == 2 or np.allclose(m @ z, z))
-                assert not about_z, (group, type(orbit).__name__, p)
                 np.testing.assert_allclose(m @ x0, x0, atol=1e-12)
-    assert counts == {("so2", "Circle"): 0, ("o2", "Circle"): 1,
-                      ("so3", "Sphere"): 0, ("o3", "Sphere"): 1,
-                      ("lorentz", "MassiveHyperboloid"): 1,
-                      ("lorentz", "NullCone"): 0}
+            for p in params:
+                assert abs(groups.matrices(group, p)[-1, -1]) < 1 - 1e-3
+            if weyl is None:
+                continue
+            w = groups.matrices(group, weyl)
+            for t in (1.0, np.sqrt(2.0)):
+                rz = [groups.matrices(group, (s,) + groups.IDENTITY[group][1:])
+                      for s in (t, -t)]
+                np.testing.assert_allclose(w @ rz[0] @ np.linalg.inv(w),
+                                           rz[1], atol=1e-12)
+    assert found == {("so2", "Circle"): (False, 0), ("o2", "Circle"): (True, 0),
+                     ("so3", "Sphere"): (False, 0), ("o3", "Sphere"): (True, 0),
+                     ("lorentz", "MassiveHyperboloid"): (True, 1),
+                     ("lorentz", "NullCone"): (False, 0)}
     names = {n.id if isinstance(n, ast.Name) else n.attr
              for n in ast.walk(ast.parse(inspect.getsource(stabilizer_solver)))
              if isinstance(n, (ast.Name, ast.Attribute))}
@@ -518,17 +536,116 @@ def test_generators_lie_outside_the_rotations_about_z():
 
 
 def test_sphere_and_cone_build_no_stack(monkeypatch):
-    # Their stabilizers are generated by the rotations about z (SO(3)), or
-    # only those are imposed (the cone): every equal-weight block is free
+    # Their stabilizers are generated by the rotations about z (SO(3)) and
+    # r_y (O(3)), which the adapted weight blocks impose, or only those are
+    # imposed (the cone); the circle's by r_y (O(2)): every unknown is free
     # and no nullspace is taken.
     shapes = _record_nullspace_calls(monkeypatch)
     for j, l, orbit, dim in [
             (so3_irrep(2), so3_irrep(3), Sphere(), 5),
             (so3_irrep(4, "complex"), so3_irrep(4, "complex"), Sphere(), 9),
+            (o3_irrep(2, 1), o3_irrep(3, -1), Sphere(), 2),
+            (o3_irrep(4, -1, "complex"), o3_irrep(4, -1, "complex"),
+             Sphere(), 5),
+            (o2_irrep(2), o2_irrep(3), Circle(), 2),
+            (o2_irrep("0~", "complex"), o2_irrep(3, "complex"), Circle(), 1),
             (tensor_irrep(2, 0), tensor_irrep(2, 0), NullCone(), 70),
             (dirac_irrep(), spinor_vector_irrep(), NullCone(), 24)]:
         assert _check(j, l, orbit, dim).dimension == dim
     assert shapes == []
+
+
+def test_only_the_massive_hyperboloid_stacks(monkeypatch):
+    # The one stacked generator is R_y(sqrt 2), on R_y(pi)-adapted unknowns:
+    # the spinor-vector stack is 1024 x 160 (320 unknowns without the
+    # adaptation), tensor20 256 x 35 (70) and realified Dirac 64 x 16 (32).
+    # The O(2) and O(3) counts build no stack and no embedding.
+    mh = MassiveHyperboloid()
+    sv, dirac = spinor_vector_irrep(realified=True), dirac_irrep(realified=True)
+    t20 = tensor_irrep(2, 0)
+    for j, shape, dim in [(sv, (1024, 160), 80), (t20, (256, 35), 14),
+                          (dirac, (64, 16), 16)]:
+        weyl, params = stabilizer_solver._generators(j, j, mh)
+        embed, stack, _ = stabilizer_solver._constraint(j, j, weyl, params)
+        assert stack.shape == embed.shape == shape
+        assert oracle_dimension(j, j, mh) == dim
+    for j, l, orbit in _dims_pairs():
+        params = stabilizer_solver._generators(j, l, orbit)[1]
+        assert bool(params) == isinstance(orbit, MassiveHyperboloid)
+
+    def no_constraint(*args):
+        raise AssertionError("_constraint called by an O(2) or O(3) count")
+    monkeypatch.setattr(stabilizer_solver, "_constraint", no_constraint)
+    cases = compact_case_grid("o3", 4) + compact_case_grid("o2", 8)
+    for j, l, orbit in cases:
+        assert oracle_dimension(j, l, orbit) == predicted_dimension(j, l,
+                                                                    orbit)
+
+
+def _adapted_labels() -> dict:
+    """Every label of the dims tables on an orbit with w, mapped to w's
+    parameters, and the O(3) labels at the largest l, both fields and
+    parities."""
+    labels = {}
+    for j, l, orbit in _dims_pairs():
+        weyl = stabilizer_solver._generators(j, l, orbit)[0]
+        if weyl is not None:
+            labels.update(dict.fromkeys((j, l), weyl))
+    top = [o3_irrep(MAX_L, p, f) for p in (1, -1) for f in ("real", "complex")]
+    weyl = stabilizer_solver._generators(top[0], top[0], Sphere())[0]
+    return labels | dict.fromkeys(top, weyl)
+
+
+def test_adapted_bases_meet_their_defining_relations():
+    # Each kind of block meets the relation that imposes w by construction,
+    # to 1e-14: rho(w) v = +-v on the weight-0 split (and the circle's one
+    # block), U_-m = rho(w) U_m for complex labels, rho(w) U_m = conj(U_m)
+    # for real integer weights, rho(w) v_2k = conj(v_2k+1) and rho(w) v_2k+1
+    # = -conj(v_2k) for the realified spinors.  With the partners of the
+    # weight -m blocks the columns form a unitary basis of the label, each
+    # a weight vector of the rotations about z, and every spectrum the
+    # adaptation takes passes the gap check.
+    kinds = Counter()
+    for label, weyl in _adapted_labels().items():
+        blocks, images, gap = stabilizer_solver._label_factors(label, weyl, ())
+        assert not images and gap >= GAP_RATIO, label
+        rho_w = rep_matrices(label, weyl)
+        weights = []                       # (columns, twice their weight)
+        for (m2, sign), (left, right, _) in blocks.items():
+            if m2 == 0:
+                kind, (v,) = "+-1", left
+                np.testing.assert_allclose(rho_w @ v, sign * v, atol=1e-14)
+                weights.append((v, 0))
+            elif label.field == "complex":
+                kind, (u, v) = "complex", left
+                np.testing.assert_allclose(rho_w @ u, v, atol=1e-14)
+                weights += [(u, m2), (v, -m2)]
+            elif m2 % 2 == 0:
+                kind, (v,) = "real", left
+                np.testing.assert_allclose(rho_w @ v, v.conj(), atol=1e-14)
+                weights += [(v, m2), (v.conj(), -m2)]
+            else:
+                kind, v = "quaternionic", right[0].conj()
+                even, odd = v[:, 0::2], v[:, 1::2]
+                np.testing.assert_array_equal(left[0], even)
+                np.testing.assert_allclose(rho_w @ even, odd.conj(),
+                                           atol=1e-14)
+                np.testing.assert_allclose(rho_w @ odd, -even.conj(),
+                                           atol=1e-14)
+                weights += [(v, m2), (v.conj(), -m2)]
+            kinds[kind] += 1
+        q = np.hstack([v for v, _ in weights])
+        assert q.shape == (label.dim, label.dim), label
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(label.dim),
+                                   atol=1e-14)
+        if label.group in ("o3", "lorentz"):
+            angle = np.eye(len(weyl))[0]
+            angle[3:] = groups.IDENTITY[label.group][3:]
+            rz = rep_matrices(label, angle)
+            for v, m2 in weights:
+                np.testing.assert_allclose(rz @ v, np.exp(0.5j * m2) * v,
+                                           atol=1e-14)
+    assert set(kinds) == {"+-1", "complex", "real", "quaternionic"}
 
 
 @pytest.fixture
@@ -555,53 +672,56 @@ def test_degenerate_projector_spectrum_raises(monkeypatch, cold_caches):
         solve_basepoint(one, one, Sphere())
 
 
-def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches):
-    # O(2) j = 1 on the circle: rho(r_y) = diag(1 + 1e-8, -1 + 1e-12) gives
-    # the reflection rows diag(1e-8, -2 - 1e-8, -2 + 1e-12, -1e-12), whose
-    # spectrum 2, 2, 1e-8, 1e-12 splits at the cut with a ratio of 1e4.
-    # The generators' rho is perturbed and their rho^-1 is left exact.
-    def fuzzy(j, l, params):
-        m, inv = rep_pair(j, l, params)
-        m = m.copy()
-        reflections = np.asarray(params)[..., 1] < 0
-        m[reflections] += np.diag([1e-8, 1e-12])
-        return m, inv
-    monkeypatch.setattr(stabilizer_solver, "rep_pair", fuzzy)
-    one = o2_irrep(1)
-    with pytest.raises(DegenerateSpectrumError, match="o2"):
-        solve_basepoint(one, one, Circle())
+def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches, capsys):
+    # rho(h) diag(1 + 1e-12, 1 + 1e-8, 1 + 1e-8, 1 + 1e-8) for the Lorentz
+    # vector at the stacked generator h = R_y(sqrt 2), which fixes t, scales
+    # the image of the spin-0 solution (t t^T) by 1 + 1e-12 and that of the
+    # spin-1 solution by 1 + 1e-8.  The stack of vector / vector then moves
+    # them to sigma = 1e-12 and about 1.7e-8: a split at the cut with a
+    # ratio of about 1e4, which the count must reject like the solve.  The
+    # generator's rho^-1 and the weight and w evaluations are left exact.
+    target = tensor_irrep(1, 0)
 
-
-def test_degenerate_generator_images_raise(monkeypatch, cold_caches,
-                                          capsys):
-    # rho(h) diag(1 + 1e-12, 1 + 1e-8, 1 + 1e-8) for the real O(3) l = 1+
-    # label scales its weight-0 image by 1 + 1e-12 and its weight-1 image by
-    # 1 + 1e-8 and leaves its weight spaces as they are.  The stack of 1+ /
-    # 1+ then moves its weight-0 solution to sigma = 1e-12 and its weight-1
-    # solution to 1e-8: a split at the cut with a ratio of 1e4, which the
-    # count must reject like the solve.
-    target = o3_irrep(1, 1)
-
-    def fuzzy(label, params):
-        rho = rep_matrices(label, params)
-        return rho @ np.diag([1 + 1e-12, 1 + 1e-8, 1 + 1e-8]) if (
-            label == target) else rho
-
-    # The generators' rho is perturbed like the weight rotations' and their
-    # rho^-1 is left exact.
     def fuzzy_pair(j, l, params):
-        return fuzzy(j, params), rep_pair(j, l, params)[1]
-    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+        rho, inv = rep_pair(j, l, params)
+        if j == target:
+            rho = rho @ np.diag([1 + 1e-12, 1 + 1e-8, 1 + 1e-8, 1 + 1e-8])
+        return rho, inv
     monkeypatch.setattr(stabilizer_solver, "rep_pair", fuzzy_pair)
     pair = f"for {target} / {target}"
     for solve in (solve_basepoint, oracle_dimension):
         with pytest.raises(DegenerateSpectrumError) as err:
-            solve(target, target, Sphere())
+            solve(target, target, MassiveHyperboloid())
         assert pair in str(err.value)
-    assert cli.main(["dims", "--group", "o3", "--jmax", "1"]) == 1
+    assert cli.main(["dims", "--group", "lorentz"]) == 1
     captured = capsys.readouterr()
     assert not captured.out
     assert pair in json.loads(captured.err)["error"]
+
+
+def test_degenerate_generator_images_raise(monkeypatch, cold_caches,
+                                          capsys):
+    # The images of the weight bases under w decide its adaptation.  For
+    # O(2) j = 1 on the circle, rho(r_y) = diag(1, -1 + 1e-8) moves the -1
+    # eigenspace of w off the kernel of (1 + rho(r_y)) / 2, whose spectrum
+    # 1, 5e-9 then keeps both values above the cut: w's eigenspaces add up
+    # to three dimensions of a two-dimensional label.  The solve, the count
+    # and dims raise, naming the label, rather than guessing.
+    target = o2_irrep(1)
+
+    def fuzzy(label, params):
+        m = rep_matrices(label, params)
+        return m + np.diag([0.0, 1e-8]) if label == target else m
+    monkeypatch.setattr(stabilizer_solver, "rep_matrices", fuzzy)
+    message = f"{target} adapted to w have 3 dimensions, not 2"
+    for solve in (solve_basepoint, oracle_dimension):
+        with pytest.raises(DegenerateSpectrumError) as err:
+            solve(target, target, Circle())
+        assert message in str(err.value)
+    assert cli.main(["dims", "--group", "o2", "--jmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert message in json.loads(captured.err)["error"]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -627,7 +747,7 @@ def test_count_matches_closed_form_up_to_the_largest_label(group, field, lj,
 def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # From cold caches, the O(3) tables (200 pairs) and the full Lorentz table
     # (8 pairs) evaluate each label once per side and per parameter stack
-    # (the weight projectors' rotations, the stacked generators); a solve
+    # (the weight projectors' rotations, w, the stacked generators); a solve
     # that evaluated them per pair would count one call per pair.
     calls = Counter()
 
@@ -649,26 +769,33 @@ def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     names = Counter(key[0] for key in calls)
     labels = {(j.group, j) for j, _, _ in cases} | {(l.group, l)
                                                     for _, l, _ in cases}
-    # o3: 20 labels, each with its weight rotations and one pair
-    # evaluation (rho and rho^-1) of its reflection; Lorentz: 4 labels,
-    # their weight rotations, plus one pair evaluation of the y rotations of
-    # the hyperboloid (the cone stacks none).
+    # o3: 20 labels, each with its weight rotations and its reflection r_y
+    # (rho only: the adaptation needs no inverse), and no stack; Lorentz: 4
+    # labels, their weight rotations and R_y(pi), plus one pair evaluation
+    # (rho and rho^-1) of the y rotation by sqrt 2 of the hyperboloid (the
+    # cone imposes neither).
     assert len(labels) == 24
-    assert names == {"rep_matrices": 20 + 4, "rep_pair": 20 + 4}
+    assert names == {"rep_matrices": 2 * (20 + 4), "rep_pair": 4}
 
 
 def test_cached_factors_are_read_only(cold_caches):
-    one = o3_irrep(1, -1)
-    space = solve_basepoint(one, one, Sphere())
-    params = stabilizer_solver._generators(one, one, Sphere())
-    factors = stabilizer_solver._label_factors(one, params)
-    arrays = [a for part in factors[:4] for a in part.values()]
-    assert len(arrays) == 4 * 2  # weights 0 and 1 of a real l = 1 label
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0.0
-    with pytest.raises(TypeError):
-        factors[0][0] = np.eye(3)
+    one, t20 = o3_irrep(1, -1), tensor_irrep(2, 0)
+    for label, orbit, count in [(one, Sphere(), 2 * 2),
+                                (t20, MassiveHyperboloid(), 4 * 2 * 2)]:
+        solve_basepoint(label, label, orbit)
+        weyl, params = stabilizer_solver._generators(label, label, orbit)
+        blocks, images, _ = stabilizer_solver._label_factors(label, weyl,
+                                                             params)
+        arrays = [a for part in (blocks, images) for terms in part.values()
+                  for a in terms[0] + terms[1]]
+        # o3 1-: weight 0 (odd under r_y) and 1; tensor20: weight 0 split
+        # both ways, 1 and 2, each with its image under R_y(sqrt 2).
+        assert len(arrays) == count
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        with pytest.raises(TypeError):
+            blocks[0, 1] = blocks[0, -1]
     # A caller that writes to a returned basis changes no later solve, with
     # or without a stack.
     for j, l, orbit in [(one, one, Sphere()),

@@ -564,7 +564,7 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
     for module in (steering, stabilizer_solver):
         monkeypatch.setattr(module, "rep_pair", counted)
     so3, cone = bases.basis_so3(1, 1), bases.basis_lorentz_massless(1)
-    one = o3_irrep(1, 1)
+    vec = tensor_irrep(1, 0)
     paths = [
         (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
          "steer"),
@@ -573,7 +573,8 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
                                            seed=0), "max_steer_residual"),
         (lambda: verify.max_steer_residual(cone, NullCone(), n_g=2, n_x=2,
                                            seed=0), "max_steer_residual"),
-        (lambda: stabilizer_solver.solve_basepoint(one, one, Sphere()),
+        (lambda: stabilizer_solver.solve_basepoint(vec, vec,
+                                                   MassiveHyperboloid()),
          "_label_factors"),
     ]
     stabilizer_solver._label_factors.cache_clear()
