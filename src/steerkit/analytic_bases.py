@@ -63,10 +63,9 @@ class KernelBasisElement:
 
 
 def _element(j, l, orbit, kind, k0) -> KernelBasisElement:
-    k0 = np.asarray(k0)
+    k0 = np.array(k0, j.dtype)
     if k0.shape != (j.dim, l.dim):
         raise IrrepError(f"base matrix shape {k0.shape} != ({j.dim}, {l.dim})")
-    k0 = k0.copy()
     k0.flags.writeable = False
     return KernelBasisElement(j, l, orbit, kind, k0)
 
@@ -80,7 +79,7 @@ def basis_so2(j: int, l: int, field: str = REAL,
     orbit = Circle(radius)
     lj, ll = so2_irrep(j, field), so2_irrep(l, field)
     if field == COMPLEX:
-        return [_element(lj, ll, orbit, "unit", np.array([[1.0 + 0j]]))]
+        return [_element(lj, ll, orbit, "unit", [[1.0]])]
     out = []
     if j == 0 and l == 0:
         out.append(_element(lj, ll, orbit, "unit", [[1.0]]))
@@ -113,8 +112,7 @@ def basis_o2(j, l, field: str = REAL, radius: float = 1.0) -> list[KernelBasisEl
     if one_j and one_l:
         if lj.tilde != ll.tilde:
             return []
-        unit = np.ones((1, 1), complex if field == COMPLEX else float)
-        return [_element(lj, ll, orbit, "unit", unit)]
+        return [_element(lj, ll, orbit, "unit", [[1.0]])]
     if one_j or one_l:
         # r_y acts as +1 on the first real component (cosine-like) and -1 on
         # the second; the sign rep picks the other one.  Complex basis: the
@@ -122,15 +120,13 @@ def basis_o2(j, l, field: str = REAL, radius: float = 1.0) -> list[KernelBasisEl
         tilde = lj.tilde if one_j else ll.tilde
         if field == COMPLEX:
             v = np.array([[1.0, -1.0]]) if tilde else np.array([[1.0, 1.0]])
-            v = v.astype(complex)
         else:
             v = np.array([[0.0, 1.0]]) if tilde else np.array([[1.0, 0.0]])
         k0 = v if one_j else v.T
         return [_element(lj, ll, orbit, "0~" if tilde else "0", k0)]
     if field == COMPLEX:
-        out.append(_element(lj, ll, orbit, "I", np.eye(2, dtype=complex)))
-        out.append(_element(lj, ll, orbit, "sigma1",
-                            np.array([[0, 1], [1, 0]], dtype=complex)))
+        out.append(_element(lj, ll, orbit, "I", np.eye(2)))
+        out.append(_element(lj, ll, orbit, "sigma1", [[0, 1], [1, 0]]))
     else:
         out.append(_element(lj, ll, orbit, "E11", np.diag([1.0, 0.0])))
         out.append(_element(lj, ll, orbit, "E22", np.diag([0.0, 1.0])))
@@ -142,7 +138,7 @@ def basis_o2(j, l, field: str = REAL, radius: float = 1.0) -> list[KernelBasisEl
 
 def _weight_unit_complex(j: int, l: int, mj: int, ml: int) -> np.ndarray:
     """|j mj><l ml| in the m-descending complex harmonic bases."""
-    k0 = np.zeros((2 * j + 1, 2 * l + 1), dtype=complex)
+    k0 = np.zeros((2 * j + 1, 2 * l + 1))
     k0[j - mj, l - ml] = 1.0
     return k0
 

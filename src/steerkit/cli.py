@@ -234,7 +234,7 @@ def write_dump(out_path: str, elements, grid: GridSpec, seed: int) -> dict:
                     digest.update(floats)
                     fh.write(floats)
                     size += floats.nbytes
-        is_complex = np.iscomplexobj(piece)
+        is_complex = e0.j.dtype.kind == "c"
         manifest = {
             "format_version": FORMAT_VERSION,
             "group": e0.group,

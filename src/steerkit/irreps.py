@@ -93,6 +93,12 @@ class IrrepLabel:
         base = 4 if self.spinor == DIRAC else 16
         return 2 * base if self.realified else base
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the label's representations, kernels and oracle
+        unknowns: complex128 over the complex field, float64 otherwise."""
+        return np.dtype(complex if self.field == COMPLEX else float)
+
     def realify(self) -> "IrrepLabel":
         if self.spinor is None:
             raise IrrepError("only spinor labels have a realified form")
@@ -397,8 +403,9 @@ def realify_antilinear(m: np.ndarray) -> np.ndarray:
 
 def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
     """``(rho_j(g), rho_l(g)^-1)`` for a stack of elements of the labels'
-    group, parameters of shape (..., k) -> two stacks (..., dim,
-    dim), from what the labels share (:func:`_factors`) evaluated once.
+    group, parameters of shape (..., k) -> two stacks (..., dim, dim) of
+    ``j.dtype`` and ``l.dtype``, from what the labels share
+    (:func:`_factors`) evaluated once.
     Every matrix equals that of its element and label alone bit for bit.
 
     The inverses are exact closed forms, not the representation of the
@@ -420,13 +427,14 @@ def rep_pair(j: IrrepLabel, l: IrrepLabel, params) -> tuple:
         inv = _rep_stack(l, flat, factors, True)
     else:
         inv = (rho if j == l else _rep_stack(l, flat, factors, False))
-        inv = (inv.conj() if inv.dtype.kind == "c" else inv).swapaxes(-1, -2)
+        inv = inv.conj().swapaxes(-1, -2)
     return tuple(m.reshape(p.shape[:-1] + m.shape[-2:]) for m in (rho, inv))
 
 
 def rep_matrices(label: IrrepLabel, params) -> np.ndarray:
-    """``rho(g)`` for a stack of elements, the bits of the first stack of
-    :func:`rep_pair` of one label, without forming an inverse."""
+    """``rho(g)`` for a stack of elements, of ``label.dtype``: the bits of
+    the first stack of :func:`rep_pair` of one label, without forming an
+    inverse."""
     p = groups.parameter_stack(label.group, params)
     flat = p.reshape(-1, p.shape[-1])
     rho = _rep_stack(label, flat, _factors(flat, (label,)), False)
@@ -465,7 +473,7 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, factors,
     """Matrices (inverses only for Lorentz labels) at parameters (n, k),
     from the :func:`_factors` of labels that include ``label``."""
     n = len(p)
-    ones = np.ones((n, 1, 1))
+    ones = np.ones((n, 1, 1), label.dtype)
     if label.group == SO2:
         phi = p[:, 0]
         if label.field == COMPLEX:
@@ -474,7 +482,7 @@ def _rep_stack(label: IrrepLabel, p: np.ndarray, factors,
     if label.group == O2:
         phi, s = p[:, 0], p[:, 1]
         if label.tilde:
-            return s[:, None, None].copy()
+            return s[:, None, None].astype(label.dtype)
         if label.j == 0:
             return ones
         if label.field == COMPLEX:

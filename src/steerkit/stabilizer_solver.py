@@ -307,10 +307,7 @@ def _label_factors(label: IrrepLabel, weyl, params: tuple) -> tuple:
     radius and mass do not split it; every array is read-only.
     """
     if label.group in groups.ORBIT_GROUPS[Circle]:
-        # Complex, for a complex label: its reps may all be real (O(2) j = 0
-        # and 0~), and its basis must still be complex.
-        dtype = complex if label.field == COMPLEX else float
-        bases, gap = {0: np.eye(label.dim, dtype=dtype)}, math.inf
+        bases, gap = {0: np.eye(label.dim, dtype=label.dtype)}, math.inf
     else:
         bases, gap = weight_bases(label)
     if weyl is None:
@@ -396,13 +393,12 @@ def _constraint(j: IrrepLabel, l: IrrepLabel, weyl, params: tuple) -> tuple:
                             out=_block(out, at, a[0], b[0]))
                 at += a[0].shape[-1] * b[0].shape[-1]
 
-    dtype = float if j.field != COMPLEX else complex
-    embed = np.empty((j.dim * l.dim, n), dtype)
+    embed = np.empty((j.dim * l.dim, n), j.dtype)
     fill(embed, bj, bl)
     gap = min(gap_j, gap_l)
     if not params:
         return embed, None, gap
-    stack = np.empty((len(params),) + embed.shape, dtype)
+    stack = np.empty((len(params),) + embed.shape, j.dtype)
     fill(stack, ij, il)
     stack -= embed
     return embed, stack.reshape(len(params) * len(embed), n), gap

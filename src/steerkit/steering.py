@@ -13,8 +13,10 @@ rho_l(g)^-1)``; :func:`_runs` is the one caller of
 stack, as many whole units per call as fit the chunk budget.
 :func:`_pieces` steers a stack of base matrices one kernel at a time (w = 1)
 by a stack of elements, a run at a time, and :func:`_gathered` gathers its
-pieces.  :func:`section_pieces` streams a basis at a stack of points through
-it in the order ``[basis][point]``, which ``sample`` writes as it comes;
+pieces, in buffers of the dtype of the kernels and the labels'
+:attr:`~steerkit.irreps.IrrepLabel.dtype` together.  :func:`section_pieces`
+streams a basis at a stack of points through it in the order
+``[basis][point]``, which ``sample`` writes as it comes;
 :func:`section_kernels` gathers them, :func:`steer` does the same for one
 kernel and a stack of elements, and :func:`kernel_at` is :func:`steer` at
 the section of one point.  All of these steer one kernel per gemm pair, so
@@ -33,7 +35,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import groups
-from .irreps import COMPLEX, IrrepError, IrrepLabel, rep_pair
+from .irreps import IrrepError, IrrepLabel, rep_pair
 
 #: Byte budget of the stacks formed at a time: the batched paths steer at
 #: most this many bytes of kernels per numpy call, and no representation
@@ -46,15 +48,9 @@ def chunk_length(item_bytes: int) -> int:
     return max(1, CHUNK_BYTES // item_bytes)
 
 
-def _dtype(*labels: IrrepLabel) -> np.dtype:
-    """A dtype that holds the kernels and representations of the labels."""
-    return np.dtype(complex if any(x.field == COMPLEX for x in labels)
-                    else float)
-
-
 def _rep_bytes(j: IrrepLabel, l: IrrepLabel) -> int:
     """Bytes of the larger of ``rho_j(g)`` and ``rho_l(g)^-1``."""
-    return _dtype(j).itemsize * max(j.dim, l.dim) ** 2
+    return j.dtype.itemsize * max(j.dim, l.dim) ** 2
 
 
 def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
@@ -63,10 +59,11 @@ def steer(k0: np.ndarray, j: IrrepLabel, l: IrrepLabel, params) -> np.ndarray:
 
     ``k0`` is one base-point kernel of shape ``(dim_j, dim_l)``; any other
     shape is rejected.  The result has shape ``(n, dim_j, dim_l)`` and the
-    dtype of ``k0`` and the representations together.  The kernel goes
-    through the pieces of :func:`section_pieces`, a budget-sized run of
-    representations at a time, so each slice equals the steering by that
-    element alone bit for bit, O(3) parity elements included.
+    dtype of ``k0``, ``j.dtype`` and ``l.dtype`` together, for every n.
+    The kernel goes through the pieces of :func:`section_pieces`, a
+    budget-sized run of representations at a time, so each slice equals the
+    steering by that element alone bit for bit, O(3) parity elements
+    included.
     """
     k0 = np.asarray(k0)
     if k0.shape != (j.dim, l.dim):
@@ -129,7 +126,7 @@ def _basis(elements, coords) -> tuple:
     if coords.ndim != 2:
         raise groups.GroupError(f"expected an (n, c) stack of coordinates, "
                                 f"got shape {coords.shape}")
-    k = np.stack([e.base_matrix for e in elements]).astype(_dtype(e0.j))
+    k = np.stack([e.base_matrix for e in elements]).astype(e0.j.dtype)
     return k, e0.j, e0.l, groups.section_params(e0.orbit, coords, e0.j.group)
 
 
@@ -170,7 +167,8 @@ def _pieces(k, j: IrrepLabel, l: IrrepLabel, params,
         # Every kernel reuses them.
         runs = list(runs)
     out, work = (np.empty(min(step, len(params)) * k[0].size,
-                          np.result_type(k, _dtype(j, l))) for _ in range(2))
+                          np.result_type(k, j.dtype, l.dtype))
+                 for _ in range(2))
     for kernel in k:
         for piece in _steered_blocks(kernel[:, None], runs, step, out, work):
             yield piece.reshape(-1, j.dim, l.dim)
@@ -181,11 +179,9 @@ def _gathered(k, j: IrrepLabel, l: IrrepLabel, params,
     """The pieces of :func:`_pieces` gathered into one array (b, n, dim_j,
     dim_l) of their dtype."""
     out = np.empty((len(k), len(params), j.dim, l.dim),
-                   np.result_type(k, _dtype(j, l)))
+                   np.result_type(k, j.dtype, l.dtype))
     i = 0
     for piece in _pieces(k, j, l, params, runs):
-        if piece.dtype != out.dtype:
-            out = np.empty(out.shape, piece.dtype)
         out.reshape(-1, j.dim, l.dim)[i:i + len(piece)] = piece
         i += len(piece)
     return out
@@ -199,19 +195,19 @@ def _steered_blocks(k, runs, step, out, work) -> Iterator[np.ndarray]:
     Yields blocks (m, dim_j, w, dim_l) of ``step`` elements of a run, the
     last of a run maybe shorter: per element one gemm rho_j K into the flat
     buffer ``work`` and one gemm with rho_l^-1, as the run holds it, into
-    ``out``, each of ``step * k.size`` items of a dtype at least as wide as
-    that of ``k`` and the run together.  A run is dropped before the next
-    one is drawn.  With w = 1 every kernel is the per-kernel product bit for
-    bit; whole bases (w > 1) may round differently in the last bits.
+    ``out``, each of ``step * k.size`` items of the dtype of ``k`` and the
+    labels together, which holds the runs' stacks.  A run is dropped before
+    the next one is drawn.  With w = 1 every kernel is the per-kernel
+    product bit for bit; whole bases (w > 1) may round differently in the
+    last bits.
     """
     dj, dl, flat = k.shape[0], k.shape[-1], k.reshape(k.shape[0], -1)
     for rho, rho_inv in runs:
-        typed = [b.view(np.result_type(k, rho, rho_inv)) for b in (work, out)]
         for i in range(0, len(rho), step):
             m = min(step, len(rho) - i)
             left = np.matmul(rho[i:i + m], flat,
-                             out=typed[0][:m * k.size].reshape(m, dj, -1))
+                             out=work[:m * k.size].reshape(m, dj, -1))
             right = np.matmul(left.reshape(m, -1, dl), rho_inv[i:i + m],
-                              out=typed[1][:m * k.size].reshape(m, -1, dl))
+                              out=out[:m * k.size].reshape(m, -1, dl))
             yield right.reshape(m, dj, -1, dl)
         del rho, rho_inv

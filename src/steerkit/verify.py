@@ -76,7 +76,7 @@ def independence_ratio(elements) -> float:
         return 1.0
     a = _vec_stack(elements, elements[0].j.dim * elements[0].l.dim)
     gram = a.conj().T @ a
-    w = np.linalg.eigvalsh(gram.real if not np.iscomplexobj(gram) else gram)
+    w = np.linalg.eigvalsh(gram)
     return float(w[0] / w[-1])
 
 
@@ -126,7 +126,7 @@ def max_steer_residual(elements, orbit: Orbit, n_g: int, n_x: int,
     defects = (_null_cone_defects(j, gs, at_x, moved, sections)
                if isinstance(orbit, NullCone) else None)
     k0 = np.stack([e.base_matrix for e in elements], axis=1).astype(
-        steering._dtype(j))                                 # (dj, b, dl)
+        j.dtype)                                            # (dj, b, dl)
     # The points go in even blocks of x_step and the elements in blocks of
     # g_step, so that the kernels of g_step x x_step pairs fit the budget;
     # on the cone four kernels a pair, for the closed form's temporaries.

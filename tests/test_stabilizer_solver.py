@@ -814,8 +814,8 @@ def test_cached_factors_are_read_only(cold_caches):
 def test_factors_are_shared_across_radius_and_mass(cold_caches):
     # The factors are keyed on the generators, not on the orbit: a sphere
     # of another radius or a hyperboloid of another mass solves from them,
-    # out to the ends of float64 (the generators are checked to fix the
-    # base point in units of its size).
+    # out to the ends of float64 (the generators are constant tables that fix
+    # the base point of every radius and mass).
     for j, l, unit, scaled in [
             (o3_irrep(2, 1), o3_irrep(1, -1), Sphere(),
              (Sphere(2.5), Sphere(1e6), Sphere(1e300), Sphere(1e-300))),

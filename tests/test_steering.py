@@ -163,7 +163,8 @@ REFLECTIONS = {"o2": (0.0, -1.0), "o3": (0.0, math.pi, 0.0, -1.0)}
 STACK_LABELS = [
     (so2_irrep(0), Circle()), (so2_irrep(3), Circle()),
     (so2_irrep(-2, "complex"), Circle()), (o2_irrep("0~"), Circle()),
-    (o2_irrep(0, "complex"), Circle()), (o2_irrep(2), Circle()),
+    (o2_irrep(0, "complex"), Circle()), (o2_irrep("0~", "complex"), Circle()),
+    (o2_irrep(2), Circle()),
     (o2_irrep(3, "complex"), Circle()),
     (so3_irrep(0), Sphere()), (so3_irrep(2), Sphere()),
     (so3_irrep(3, "complex"), Sphere()), (o3_irrep(0, 1), Sphere()),
@@ -183,7 +184,9 @@ STACK_LABELS = [
 def test_steer_stack_matches_elementwise():
     # The batched representation, section, action and steering stacks must
     # equal the stacks of one element or point row by row, bit for bit,
-    # including at the sections' singular points.
+    # including at the sections' singular points.  The representations
+    # carry the label's dtype, and steering a real kernel by them that
+    # dtype too, at every stack size.
     rng = np.random.default_rng(11)
     for label, orbit in STACK_LABELS:
         coords = np.concatenate([groups.random_orbit_coords(orbit, rng, 5),
@@ -194,6 +197,7 @@ def test_steer_stack_matches_elementwise():
                             sections])
         for side in (0, 1):
             rows = rep_pair(label, label, params)[side]
+            assert rows.dtype == label.dtype, label
             for row, g in zip(rows, params):
                 assert _same_bits(row, rep_pair(label, label, g)[side]), (
                     label, g)
@@ -206,6 +210,8 @@ def test_steer_stack_matches_elementwise():
                     label.group, g, orbit, x).tolist()
         k0 = rng.normal(size=(3, label.dim, label.dim))
         steered = np.stack([steer(k, label, label, params) for k in k0])
+        for stack in (steered, steer(k0[0], label, label, params[:0])):
+            assert stack.dtype == np.result_type(k0, label.dtype), label
         for i, g in enumerate(params):
             assert _same_bits(steered[:, i], np.stack(
                 [steer(k, label, label, [g])[0] for k in k0]))
@@ -240,8 +246,7 @@ def test_steer_stack_matches_elementwise():
     ]
     for els, orbit in evaluated:
         e0 = els[0]
-        itemsize = 16 if e0.j.field == "complex" else 8
-        per_point = len(els) * e0.j.dim * e0.l.dim * itemsize
+        per_point = len(els) * e0.j.dim * e0.l.dim * e0.j.dtype.itemsize
         n = steering.chunk_length(per_point) + 3 if e0.j.dim > 8 else 4
         pts = np.concatenate([groups.random_orbit_coords(orbit, rng, n),
                               SINGULAR_POINTS[type(orbit)]])
@@ -299,7 +304,7 @@ def test_section_pieces_stream_the_basis_in_payload_order(monkeypatch):
         evaluated.clear()
         pieces = [p.copy() for p in steering.section_pieces(els, coords)]
         assert sum(evaluated) == len(coords), j
-        one = steering._dtype(j).itemsize * j.dim * l.dim
+        one = j.dtype.itemsize * j.dim * l.dim
         for p in pieces:
             assert p.ndim == 3 and p.shape[1:] == (j.dim, l.dim)
             assert p.flags.c_contiguous
@@ -438,7 +443,7 @@ def test_whole_basis_products_match_per_kernel_steer(els, group):
     # elements include O(2) and O(3) parity elements.
     rng = np.random.default_rng(23)
     j, l = els[0].j, els[0].l
-    dtype = steering._dtype(j)
+    dtype = j.dtype
     base = np.stack([e.base_matrix for e in els])
     real = rng.normal(size=base.shape)
     at_x = section_kernels(els, groups.random_orbit_coords(els[0].orbit, rng,

@@ -11,9 +11,9 @@ from steerkit import groups, steering, verify
 from steerkit.analytic_bases import KernelBasisElement
 from steerkit.groups import (Circle, GroupError, MassiveHyperboloid, NullCone,
                              Sphere)
-from steerkit.irreps import (dirac_irrep, o2_irrep, o3_irrep, rep_pair,
-                             so2_irrep, so3_irrep, spinor_vector_irrep,
-                             tensor_irrep)
+from steerkit.irreps import (MAX_L, dirac_irrep, o2_irrep, o3_irrep,
+                             rep_pair, so2_irrep, so3_irrep,
+                             spinor_vector_irrep, tensor_irrep)
 from steerkit.verify import (check_case, check_projectors, compact_case_grid,
                              equivariance_demo, gauge_shift_residual,
                              negative_control_residual, run_suite)
@@ -37,6 +37,82 @@ def test_check_case_so3_real_22():
     rep = check_case(so3_irrep(2), so3_irrep(2), Sphere())
     assert rep.oracle_dim == rep.predicted_dim == rep.analytic_count == 5
     assert rep.passed
+
+
+@pytest.mark.parametrize("j,l", [
+    (so3_irrep(MAX_L), so3_irrep(MAX_L)),
+    (o3_irrep(MAX_L, 1, "complex"), o3_irrep(MAX_L - 1, -1, "complex")),
+], ids=["so3 real 32/32", "o3 complex 32+/31-"])
+def test_check_case_passes_at_the_largest_label(j, l):
+    # The largest SO(3)/O(3) labels that the API accepts keep their counts,
+    # spans and steer gate.
+    rep = check_case(j, l, Sphere())
+    assert rep.oracle_dim == rep.predicted_dim == rep.analytic_count
+    assert rep.passed, rep
+
+
+def _landing(group, orbit, coords, targets):
+    """Parameters of elements g, one per point x and target, that move x
+    onto a section's singular set: on the circle to the angle t, elsewhere
+    to the polar angle t at alpha = 0, by Ry(t - beta) Rz(-alpha); on the
+    hyperboloid the target None is the rest frame, by B(-eta n), which
+    undoes the section R(alpha, beta, 0) Bz(eta).  O(2) and O(3) also take
+    the reflected elements, which land on t, or on the antipode."""
+    pairs = []
+    for x, p in zip(coords, groups.section_params(orbit, coords, group)):
+        for t in targets:
+            if isinstance(orbit, Circle):
+                pairs += [((t - x[0],), 1.0), ((t + x[0],), -1.0)]
+            elif t is None:
+                n = x[1:] / np.linalg.norm(x[1:])
+                pairs.append(((0.0, 0.0, 0.0, *(-p[5] * n)), 1.0))
+            else:
+                turn = (0.0, t - p[1], -p[0])
+                if group == groups.LORENTZ:
+                    turn += (0.0, 0.0, 0.0)
+                pairs += [(turn, 1.0), (turn, -1.0)]
+    if group in (groups.O2, groups.O3):
+        return np.array([g + (sign,) for g, sign in pairs])
+    return np.array([g for g, sign in pairs if sign > 0])
+
+
+@pytest.mark.parametrize("elements", [
+    bases.basis_so2(3, 1), bases.basis_o2(2, 1),
+    bases.basis_o2(2, "0~", "complex"), bases.basis_so3(2, 1),
+    bases.basis_so3(2, 2, "complex"), bases.basis_o3(2, -1, 1, 1),
+    bases.lorentz_massive_basis(tensor_irrep(2, 0), tensor_irrep(1, 0)),
+    bases.lorentz_massive_basis(dirac_irrep(realified=True),
+                                dirac_irrep(realified=True)),
+], ids=["so2 3/1", "o2 2/1", "o2 complex 2/0~", "so3 2/1",
+        "so3 complex 2/2", "o3 2-/1+", "tensor20/vec", "dirac realified"])
+def test_steering_holds_where_g_x_is_on_a_singular_set(elements):
+    # K(g.x) from the section at g.x equals rho_j(g) K(x) rho_l(g)^-1 when
+    # g.x sits on a section's singular set: at beta = 0 and pi, 1e-9 off a
+    # pole, the circle's wrap point and the hyperboloid's rest frame, each
+    # g closed-form parameters and g.x the library's own action.
+    e0 = elements[0]
+    orbit, j, l = e0.orbit, e0.j, e0.l
+    poles = [0.0, math.pi, 1e-9, math.pi - 1e-9]
+    targets = (poles + [-1e-9] if isinstance(orbit, Circle) else
+               poles + [None] if isinstance(orbit, MassiveHyperboloid)
+               else poles)
+    coords = groups.random_orbit_coords(orbit, np.random.default_rng(41), 3)
+    gs = _landing(j.group, orbit, coords, targets)
+    xs = np.repeat(coords, len(gs) // len(coords), axis=0)
+    moved = groups.act_points(j.group, gs, orbit, xs)
+    # Every g.x is within 1e-8 of the z axis, or of the circle's 0 and pi.
+    off = (np.abs(np.sin(moved[:, 0])) if isinstance(orbit, Circle) else
+           np.sin(moved[:, 1]) if isinstance(orbit, Sphere) else
+           np.hypot(moved[:, 1], moved[:, 2]) / moved[:, 0])
+    assert (off <= 1e-8).all(), moved
+    at_gx = steering.section_kernels(elements, moved)
+    at_x = steering.section_kernels(elements, xs)
+    for b in range(len(elements)):
+        for i, g in enumerate(gs):
+            steered = steering.steer(at_x[b, i], j, l, [g])[0]
+            scale = max(1.0, np.linalg.norm(at_x[b, i]))
+            resid = np.linalg.norm(at_gx[b, i] - steered) / scale
+            assert resid <= verify.RESIDUAL_TOL, (e0.kind, moved[i], resid)
 
 
 def test_check_case_dirac_subset():
