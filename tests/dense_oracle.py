@@ -8,7 +8,8 @@ the stack.  It costs far more, and it shares nothing with the library's
 solve but the representation matrices and the SVD.  It keeps its own,
 redundant sample of every stabilizer, and shares no choice of generators
 with the library, which imposes the rotations about z through its weight
-blocks and stacks only the generators outside them.
+blocks and the rest of the massive stabilizer through the ladder rows of
+one generator rather than a finite rotation.
 """
 
 import math

@@ -1,7 +1,7 @@
 """Exact reference kernels on the Lorentz orbits, exact projectors onto the
-circle's intertwiner spaces, exact counts of the massive tensor
-intertwiners and a 50-digit reference for the Wigner matrices, for the tests
-only.
+circle's intertwiner spaces, exact counts of the massive tensor and spinor
+intertwiners and a 50-digit reference for the Wigner matrices, for the
+tests only.
 
 A kernel at x is ``rho_j(g) K0 rho_l(g)^-1`` for a group element g with
 ``g . x0 = x``.  At the points built here g has rational entries, so the
@@ -25,7 +25,11 @@ array over one common denominator.
 
 The counts stack the constraint of two rational rotations, which generate
 a dense subgroup of the massive stabilizer, in integers and take its
-nullity modulo primes in int64 arithmetic.
+nullity modulo primes in int64 arithmetic.  The spinor counts take the
+SU(2) rotations with the rational half angle cos(theta/2) = 3/5, whose
+entries are Gaussian rationals, and i as a square root of -1 modulo primes
+p = 1 mod 4; a realified spinor pair is counted as the four complex blocks
+between V and its conjugate.
 
 The Wigner D^l reference takes float Euler angles exactly (``Fraction``)
 and evaluates d^l(beta) by the factorial sum, the phases by Taylor series
@@ -212,6 +216,88 @@ def tensor_constraint(j, l) -> np.ndarray:
             m = np.kron(m, r)
         blocks.append(m - 5 ** k * np.eye(len(m), dtype=np.int64))
     return np.vstack(blocks)
+
+
+#: (cos, sin) of theta / 2 for the spinor counts, 2 atan(1/2): (3/5, 4/5).
+#: Then cos theta = -7/25, and theta is again no rational multiple of pi.
+SPINOR_HALF_ANGLE = half_angle(Fraction(1, 2))
+
+
+def _gaussian_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two Gaussian integer matrices, each (re, im)."""
+    return a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0]
+
+
+def _su2_rotations5() -> list:
+    """5 A for the SU(2) rotations by theta about z and about y, A =
+    cos(theta/2) I - i sin(theta/2) n.sigma: Gaussian integer matrices."""
+    c, s = (int(5 * x) for x in SPINOR_HALF_ANGLE)
+    return [(np.array([[c, 0], [0, c]]), np.array([[-s, 0], [0, s]])),
+            (np.array([[c, -s], [s, c]]), np.zeros((2, 2), dtype=int))]
+
+
+#: The Pauli matrices x, y, z as Gaussian integer matrices.
+_PAULI = [(np.array([[0, 1], [1, 0]]), np.zeros((2, 2), dtype=int)),
+          (np.zeros((2, 2), dtype=int), np.array([[0, -1], [1, 0]])),
+          (np.array([[1, 0], [0, -1]]), np.zeros((2, 2), dtype=int))]
+
+
+def _covered_rotation25(a5: tuple) -> np.ndarray:
+    """25 Lambda for the Lorentz rotation that the SU(2) element A = a5 / 5
+    covers: the time row and column of the identity and R_jk = tr(sigma_j
+    A sigma_k A^H) / 2, an integer matrix."""
+    adjoint = (a5[0].T, -a5[1].T)
+    lam = np.zeros((4, 4), dtype=int)
+    lam[0, 0] = 25
+    for j, sj in enumerate(_PAULI):
+        for k, sk in enumerate(_PAULI):
+            m = _gaussian_mul(_gaussian_mul(sj, a5),
+                              _gaussian_mul(sk, adjoint))
+            assert np.trace(m[1]) == 0 and np.trace(m[0]) % 2 == 0
+            lam[1 + j, 1 + k] = np.trace(m[0]) // 2
+    return lam
+
+
+def _spinor_rotations(label) -> list:
+    """N rho(h) of the complex form V of a realified massive spinor label,
+    for both rotations h, with the scale N: the Weyl-basis Dirac rep
+    diag((A^H)^-1, A) = diag(A, A) of a rotation (N = 5), tensored with the
+    vector's Lambda for the spinor-vector (N = 125).  Gaussian integer
+    matrices."""
+    out = []
+    for a5 in _su2_rotations5():
+        zero = np.zeros((2, 2), dtype=int)
+        rho = tuple(np.block([[x, zero], [zero, x]]) for x in a5)
+        if label.spinor != DIRAC:
+            lam = _covered_rotation25(a5)
+            rho = tuple(np.kron(x, lam) for x in rho)
+        out.append(rho)
+    return out
+
+
+def spinor_nullity_mod(label, p: int) -> int:
+    """The nullity of the constraint of a realified massive spinor pair
+    (label, label) modulo the prime p = 1 mod 4, where i is a square root
+    of -1.  The realified label is V + conj(V) over C, so its real
+    intertwiners number dim_C Hom(V + conj V, V + conj V): the sum over the
+    four blocks Hom(V_a, V_b), a, b in {V, conj V}, each the nullity of the
+    stack of ``kron(N rho_b(h), N conj(rho_a(h))) - N^2 I`` (for a unitary
+    rho, rho^-T = conj(rho)).  conj sends i to -i."""
+    i = next(pow(g, (p - 1) // 4, p) for g in range(2, p)
+             if pow(g, (p - 1) // 2, p) == p - 1)
+    assert i * i % p == p - 1
+    forms = [[(re + i * im) % p, (re - i * im) % p]
+             for re, im in _spinor_rotations(label)]
+    n = len(forms[0][0])
+    scale = 5 if label.spinor == DIRAC else 125
+    count = 0
+    for a in (0, 1):
+        for b in (0, 1):
+            stack = np.vstack([np.kron(rho[b], rho[1 - a]) % p
+                               - scale ** 2 * np.eye(n * n, dtype=np.int64)
+                               for rho in forms])
+            count += nullity_mod(stack, p)
+    return count
 
 
 def nullity_mod(a: np.ndarray, p: int) -> int:

@@ -7,8 +7,8 @@ direction.  Each kernel from ``section_kernels`` and from ``kernel_at`` is
 within 1e-14 of the exact kernel, relative to max(1, |K|).  The SO(3)
 representation matrices in both bases are within ``WIGNER_TOL`` per unit
 of l + 1 of the 50-digit D^l, at and next to beta = 0 and pi and at
-generic angles.  The massive tensor counts of ``dims`` equal the nullity
-of the rational constraint stack modulo two primes.
+generic angles.  The massive tensor and spinor counts of ``dims`` equal
+the nullity of the rational constraint stack modulo two primes.
 """
 
 import math
@@ -22,13 +22,14 @@ from steerkit import analytic_bases as bases
 from steerkit import groups
 from steerkit.groups import MassiveHyperboloid
 from steerkit.irreps import (dirac_irrep, rep_matrices, so3_irrep,
-                             tensor_irrep)
+                             spinor_vector_irrep, tensor_irrep)
 from steerkit.stabilizer_solver import oracle_dimension, predicted_dimension
 from steerkit.steering import kernel_at, section_kernels
 from steerkit.verify import lorentz_case_grid
 
-from exact_reference import (PRIMES, cone_kernels, half_angle,
-                             massive_kernels, max_error, nullity_mod,
+from exact_reference import (PRIMES, SPINOR_HALF_ANGLE, cone_kernels,
+                             half_angle, massive_kernels, max_error,
+                             nullity_mod, spinor_nullity_mod,
                              tensor_constraint, wigner_D)
 
 TOL = 1e-14
@@ -140,3 +141,20 @@ def test_massive_tensor_counts_are_exact():
         assert count == predicted_dimension(j, l, MassiveHyperboloid())
         stack = tensor_constraint(j, l)
         assert [nullity_mod(stack, p) for p in PRIMES] == [count] * 2, (j, l)
+
+
+def test_massive_spinor_counts_are_exact():
+    # The oracle's ladder counts of the realified Dirac and spinor-vector
+    # pairs, which `dims --group lorentz --full` prints, against the
+    # nullity of the Gaussian-rational constraint of the two SU(2)
+    # rotations with cos(theta/2) = 3/5, modulo two primes: four complex
+    # blocks of 16 (Dirac) and 256 (spinor-vector) unknowns each, in place
+    # of one real stack of 64 or 1024 columns.  Dirac keeps every unknown,
+    # the spinor-vector half of them.
+    assert SPINOR_HALF_ANGLE == (Fraction(3, 5), Fraction(4, 5))
+    mh = MassiveHyperboloid()
+    for label, count in [(dirac_irrep(True), 16),
+                         (spinor_vector_irrep(True), 80)]:
+        assert oracle_dimension(label, label, mh) == count
+        assert predicted_dimension(label, label, mh) == count
+        assert [spinor_nullity_mod(label, p) for p in PRIMES] == [count] * 2

@@ -42,7 +42,13 @@ began to impose the element w that maps the weight m to -m (r_y under O(2)
 and O(3), R_y(pi) on the massive hyperboloid) through weight bases adapted
 to it; ``UNADAPTED_ORACLE_GOLDEN``, pinned then from the bits before that
 change, holds the weight bases and the oracle bases of the pairs that have
-no w (SO(2), SO(3), the null cone) to those bits.
+no w (SO(2), SO(3), the null cone) to those bits.  The oracle bases and the
+``verify`` report were re-pinned once more when the massive hyperboloid's
+stabilizer came to be imposed by the ladder rows between adjacent weights
+instead of a stacked rotation R_y(sqrt 2), its nullspace refined once, and
+the realified Dirac pair, whose rows keep nothing, to return its
+embedding; only the massive bases moved, and CHANGES.md gives the
+differences.
 One small grid per representation branch: real and complex Wigner D, the
 O(3) parity factor, SO(2), the Lorentz tensor Kronecker products, the Dirac
 spinor rep and the null-cone section.  The sweep digests pin the
@@ -93,7 +99,7 @@ SAMPLE_GOLDENS = [
 ]
 
 VERIFY_SEED7_GOLDEN = (
-    "d659833229d8b2255f5372da92bbf98fc9fa920feae238bc5ed79ce970da8ca7")
+    "9fcc9fd28981371f9d4c19678c685c4729579fdd9b93217be6510ff1b105c3a3")
 
 #: The largest oracle stacks (the spinor-vector pair) and the complex O(3)
 #: table, whose stacks are the ones a thin SVD rounds differently.
@@ -125,7 +131,7 @@ ORBIT_SWEEP_GOLDEN = (
 #: complex 2+/3-, so3 real 4/4 and the realified Dirac pair.  The ``dims``
 #: tables pin only the dimensions; this pins the oracle's bits.
 ORACLE_GOLDEN = (
-    "bb7e07bf16c2cfe674c58b6ed8d24260bf56d22a707d8a280703081be6b673cc")
+    "c6942e89700949b22d725f14444d73939318d7958dc5a26ce1c2198ba435daa6")
 
 #: SHA-256 of the concatenated ``solve_basepoint(...).basis`` bytes of the
 #: real SO(3) table to 8, the complex SO(2) table to 8 and the cone pairs of

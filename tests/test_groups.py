@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from steerkit import analytic_bases as bases
-from steerkit import cli, groups, irreps, stabilizer_solver, steering
+from steerkit import cli, groups, irreps, numerics, stabilizer_solver, steering
 from steerkit.groups import (ETA, GroupError, Circle, MassiveHyperboloid,
                              NullCone, Sphere, act_points, base_point,
                              boost_matrix, canonical_coords, default_group,
                              matrices, orbit_vectors, random_orbit_coords,
                              random_params, section_params)
 from steerkit.irreps import (o2_irrep, o3_irrep, so2_irrep, so3_irrep,
-                             tensor_irrep)
+                             spinor_vector_irrep, tensor_irrep)
+from steerkit.stabilizer_solver import predicted_dimension
 
 from dense_oracle import reference_sample
 from group_law import inverse, product, stabilizer_draw
@@ -202,15 +203,15 @@ def test_stabilizer_samples():
     assert len(s) == 1
     np.testing.assert_allclose(matrices("so2", s[0]), np.eye(2))
     assert stabilizer_solver._generators(so2_irrep(1), so2_irrep(1),
-                                         Circle()) == (None, ())
+                                         Circle()) == (None, None)
 
     s = reference_sample(Circle(), "o2")
     mats = matrices("o2", s)
     assert len(mats) == 2
     np.testing.assert_allclose(mats[1], np.diag([1.0, -1.0]), atol=1e-14)
-    reflection, stacked = stabilizer_solver._generators(o2_irrep(1),
-                                                        o2_irrep(1), Circle())
-    assert stacked == ()
+    reflection, turn = stabilizer_solver._generators(o2_irrep(1), o2_irrep(1),
+                                                     Circle())
+    assert turn is None
     np.testing.assert_allclose(matrices("o2", reflection),
                                np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -219,39 +220,55 @@ def test_stabilizer_samples():
             ("lorentz", MassiveHyperboloid(), tensor_irrep(1, 0)),
             ("lorentz", NullCone(), tensor_irrep(1, 0))]:
         x0 = orbit_vectors(orbit, base_point(orbit))
-        weyl, stacked = stabilizer_solver._generators(label, label, orbit)
-        params = list(reference_sample(orbit, group)) + list(stacked)
-        params += [weyl] if weyl else []
+        weyl, turn = stabilizer_solver._generators(label, label, orbit)
+        params = list(reference_sample(orbit, group))
+        params += [p for p in (weyl, turn) if p is not None]
         for p in params:
             np.testing.assert_allclose(matrices(group, p) @ x0, x0,
                                        atol=1e-12)
 
 
 def test_massive_sample_has_one_y_rotation():
-    # One stacked y rotation, by sqrt(2), beside R_y(pi), which the adapted
-    # weight blocks impose: with U(1)_z imposed by the weight blocking, one
-    # rotation outside O(2)_z generates SO(3).
+    # The massive hyperboloid's oracle names two y rotations: R_y(pi), which
+    # the adapted weight blocks impose, and the quarter turn R_y(pi / 2),
+    # which conjugates J_z into the generator about x whose raising part the
+    # ladder rows impose.  With U(1)_z imposed by the weight blocking, the
+    # generators about z and x span so(3), so SO(3) is imposed.
     t = tensor_irrep(1, 0)
-    root2 = math.sqrt(2.0)
     assert stabilizer_solver._generators(t, t, MassiveHyperboloid()) == (
         (0.0, math.pi, 0.0, 0.0, 0.0, 0.0),
-        ((0.0, root2, 0.0, 0.0, 0.0, 0.0),))
+        (0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0))
+    np.testing.assert_allclose(
+        matrices("so3", (0.0, math.pi / 2, 0.0)) @ [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("y", [0.0, math.pi, -math.pi, 2 * math.pi,
                                3 * math.pi])
 def test_degenerate_y_rotation_is_rejected(y):
     # A y rotation by 0 or pi modulo 2 pi maps the z axis to itself or its
-    # negative, so it lies in O(2)_z and would not generate SO(3) with the
-    # rotations about z.  The remainder test finds every such angle, and
-    # the hyperboloid's constant generator angle passes it.
+    # negative, so it lies in O(2)_z: conjugating J_z by it gives +-J_z,
+    # which has no raising part.  Its ladder rows vanish to round-off, and a
+    # count from them keeps every unknown, more than the closed form, on
+    # tensor20 and on the spinor-vector (Dirac would show nothing: all its
+    # unknowns are free).  The hyperboloid's own turn by pi / 2 is no such
+    # angle.
     z = [0.0, 0.0, 1.0]
     assert math.remainder(y, math.pi) == 0.0
     np.testing.assert_allclose(np.abs(matrices("so3", (0.0, y, 0.0)) @ z), z,
                                atol=1e-12)
-    y_angle = stabilizer_solver.Y_ANGLE
-    assert math.remainder(y_angle, math.pi) != 0.0
-    assert abs(matrices("so3", (0.0, y_angle, 0.0))[2, 2]) < 1.0 - 1e-3
+    orbit = MassiveHyperboloid()
+    for label in (tensor_irrep(2, 0), spinor_vector_irrep(realified=True)):
+        weyl, turn = stabilizer_solver._generators(label, label, orbit)
+        assert math.remainder(turn[1], math.pi) != 0.0
+        degenerate = (0.0, y, 0.0, 0.0, 0.0, 0.0)
+        rows = stabilizer_solver._ladder_rows(label, label, weyl, degenerate)
+        assert np.abs(rows).max() <= 1e-13
+        unknowns = stabilizer_solver._unknowns(label, label, weyl,
+                                               degenerate)[1]
+        k, kept, _ = numerics.nullity_with_spectrum(rows)
+        assert k == unknowns > predicted_dimension(label, label, orbit)
+        assert not kept.size
 
 
 def test_random_stabilizer_elements_fix_base_point():

@@ -310,12 +310,13 @@ def _record_nullspace_calls(monkeypatch) -> list:
 
 def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
     # A dense stack that comes back (3 elements x 1024 rows, 1024 unknowns),
-    # a second y rotation or a stack of R_y(pi) fails here: the one solve is
+    # a finite rotation or a stack of R_y(pi) fails here: the one solve is
     # real and has the equal-weight unknowns with R_y(pi) imposed in closed
     # form, n(m)^2 for each weight m > 0 (n read from the projector ranks; a
     # real label keeps m >= 0 only): the quaternionic blocks of X_m, half
-    # the 2 n(m)^2 real and imaginary parts.  Its rows are those of the one
-    # y rotation by sqrt 2.
+    # the 2 n(m)^2 real and imaginary parts.  Its rows are the real and
+    # imaginary parts of the ladder rows between adjacent weights, n(a)
+    # n(a - 1) for each weight a of the four, +-1/2 and +-3/2.
     sv = spinor_vector_irrep(realified=True)
     shapes = _record_nullspace_calls(monkeypatch)
     space = solve_basepoint(sv, sv, MassiveHyperboloid())
@@ -323,17 +324,19 @@ def test_spinor_vector_solves_for_equal_weight_blocks_only(monkeypatch):
     unknowns = sum(n * n for n in ranks.values())
     assert ranks == {1: 12, 3: 4}
     assert unknowns == 160 < sv.dim ** 2
-    assert shapes == [((sv.dim ** 2, unknowns), np.dtype(np.float64))]
+    rows = 2 * (4 * 12 + 12 * 12 + 12 * 4)
+    assert shapes == [((rows, unknowns), np.dtype(np.float64))]
+    assert rows == 480 < sv.dim ** 2
     assert space.dimension == 80
 
 
 def test_stackless_counts_form_no_embedding(monkeypatch):
-    # Every pair of the dims tables off the massive hyperboloid stacks no
-    # generator: the SO(3) table to 8, the O(3) tables to 4 and the O(2)
+    # Every pair of the dims tables off the massive hyperboloid builds no
+    # ladder rows: the SO(3) table to 8, the O(3) tables to 4 and the O(2)
     # table to 8 (whose reflection is imposed by the adapted weight blocks),
     # the complex SO(2) table to 8 and the cone pairs.  Their counts are read
     # from the dimensions of the weight blocks (U = I on the circle), with no
-    # embedding or stack assembled.  On every pair of the dims tables the
+    # embedding or rows assembled.  On every pair of the dims tables the
     # count is the solve's.
     pairs = _dims_pairs()
     stackless = [(j, l, orbit) for j, l, orbit in pairs
@@ -342,33 +345,58 @@ def test_stackless_counts_form_no_embedding(monkeypatch):
     dims = {(j, l, orbit): solve_basepoint(j, l, orbit).dimension
             for j, l, orbit in pairs}
 
-    def no_constraint(*args):
-        raise AssertionError("_constraint called by a stackless count")
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called by a stackless count")
+        return call
     with monkeypatch.context() as patch:
-        patch.setattr(stabilizer_solver, "_constraint", no_constraint)
+        for name in ("_embedding", "_ladder_rows"):
+            patch.setattr(stabilizer_solver, name, forbidden(name))
         for pair in stackless:
             assert oracle_dimension(*pair) == dims[pair], pair
     for pair in pairs:
         assert oracle_dimension(*pair) == dims[pair], pair
 
 
+def test_counts_form_no_embedding(monkeypatch, capsys):
+    # The count never forms the dim_j dim_l embedding, on any orbit: with
+    # the embedding's fill raising, every pair of the dims tables still
+    # counts (the massive hyperboloid from its ladder rows alone), and so
+    # does `dims --group lorentz --full`.
+    pairs = _dims_pairs()
+    counts = {pair: oracle_dimension(*pair) for pair in pairs}
+
+    def no_embedding(*args):
+        raise AssertionError("_embedding called by a count")
+    monkeypatch.setattr(stabilizer_solver, "_embedding", no_embedding)
+    for pair in pairs:
+        assert oracle_dimension(*pair) == counts[pair], pair
+    capsys.readouterr()
+    assert cli.main(["dims", "--group", "lorentz", "--full"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["all_match"] and len(table["table"]) == 8
+    with pytest.raises(AssertionError, match="_embedding called"):
+        solve_basepoint(tensor_irrep(1, 0), tensor_irrep(1, 0),
+                        MassiveHyperboloid())
+
+
 def test_count_and_solve_split_every_dims_stack_alike():
-    # The count takes the values-only SVD of the whole stack and the solve
-    # the SVD of its R factor with vectors: two routes through LAPACK.  On
-    # every stacked pair of the dims tables (the massive hyperboloid's) they
-    # cut the spectrum at the same place, and agree to round-off; the
-    # count's spectrum is the bits of the values-only SVD of R wherever the
-    # solve takes R (m >= 2n).  On the stackless pairs the count is the
-    # solve's too.
+    # The count takes the values-only SVD of the ladder rows and the solve
+    # the SVD of their R factor with vectors: two routes through LAPACK.  On
+    # every pair of the dims tables with ladder rows (the massive
+    # hyperboloid's) they cut the spectrum at the same place, and agree to
+    # round-off; the count's spectrum is the bits of the values-only SVD of
+    # R wherever the solve takes R (m >= 2n).  On the other pairs the count
+    # is the solve's too.
     stacked = 0
     for j, l, orbit in _dims_pairs():
-        weyl, params = stabilizer_solver._generators(j, l, orbit)
-        if not params:
+        weyl, turn = stabilizer_solver._generators(j, l, orbit)
+        if turn is None:
             assert oracle_dimension(j, l, orbit) == solve_basepoint(
                 j, l, orbit).dimension, (j, l, orbit)
             continue
         stacked += 1
-        _, stack, _ = stabilizer_solver._constraint(j, l, weyl, params)
+        stack = stabilizer_solver._ladder_rows(j, l, weyl, turn)
         k, kept, dropped = numerics.nullity_with_spectrum(stack)
         basis, solve_kept, solve_dropped = numerics.nullspace_with_spectrum(
             stack)
@@ -492,10 +520,11 @@ def test_generators_lie_outside_the_rotations_about_z():
     # there are none, the identity), and the adapted blocks the element w
     # that fixes x0 and turns the rotations about z backwards, w Rz(t) w^-1
     # = Rz(-t): r_y under O(2) and O(3), R_y(pi) on the massive hyperboloid.
-    # Only the massive hyperboloid stacks a generator, and it lies outside
-    # O(2)_z: it maps z to neither z nor -z.  The choice of these elements
-    # is made in stabilizer_solver alone, from parameters: it names no group
-    # element and no stabilizer sample, and groups defines none.
+    # Only the massive hyperboloid has a turn r for its ladder rows, and it
+    # lies outside O(2)_z: it maps z to neither z nor -z.  The choice of
+    # these elements is made in stabilizer_solver alone, from parameters: it
+    # names no group element and no stabilizer sample, and groups defines
+    # none.
     labels = {"so2": so2_irrep(1), "o2": o2_irrep(1), "so3": so3_irrep(1),
               "o3": o3_irrep(1, 1), "lorentz": tensor_irrep(1, 0)}
     found = {}
@@ -503,14 +532,15 @@ def test_generators_lie_outside_the_rotations_about_z():
         orbit = kind()
         x0 = groups.orbit_vectors(orbit, groups.base_point(orbit))
         for group in names:
-            weyl, params = stabilizer_solver._generators(
+            weyl, turn = stabilizer_solver._generators(
                 labels[group], labels[group], orbit)
-            found[group, kind.__name__] = (weyl is not None, len(params))
-            for p in params + ((weyl,) if weyl else ()):
-                m = groups.matrices(group, p)
-                np.testing.assert_allclose(m @ x0, x0, atol=1e-12)
-            for p in params:
-                assert abs(groups.matrices(group, p)[-1, -1]) < 1 - 1e-3
+            found[group, kind.__name__] = (weyl is not None, turn is not None)
+            for p in (weyl, turn):
+                if p is not None:
+                    m = groups.matrices(group, p)
+                    np.testing.assert_allclose(m @ x0, x0, atol=1e-12)
+            if turn is not None:
+                assert abs(groups.matrices(group, turn)[-1, -1]) < 1 - 1e-3
             if weyl is None:
                 continue
             w = groups.matrices(group, weyl)
@@ -519,10 +549,12 @@ def test_generators_lie_outside_the_rotations_about_z():
                       for s in (t, -t)]
                 np.testing.assert_allclose(w @ rz[0] @ np.linalg.inv(w),
                                            rz[1], atol=1e-12)
-    assert found == {("so2", "Circle"): (False, 0), ("o2", "Circle"): (True, 0),
-                     ("so3", "Sphere"): (False, 0), ("o3", "Sphere"): (True, 0),
-                     ("lorentz", "MassiveHyperboloid"): (True, 1),
-                     ("lorentz", "NullCone"): (False, 0)}
+    assert found == {("so2", "Circle"): (False, False),
+                     ("o2", "Circle"): (True, False),
+                     ("so3", "Sphere"): (False, False),
+                     ("o3", "Sphere"): (True, False),
+                     ("lorentz", "MassiveHyperboloid"): (True, True),
+                     ("lorentz", "NullCone"): (False, False)}
     names = {n.id if isinstance(n, ast.Name) else n.attr
              for n in ast.walk(ast.parse(inspect.getsource(stabilizer_solver)))
              if isinstance(n, (ast.Name, ast.Attribute))}
@@ -556,30 +588,87 @@ def test_sphere_and_cone_build_no_stack(monkeypatch):
 
 
 def test_only_the_massive_hyperboloid_stacks(monkeypatch):
-    # The one stacked generator is R_y(sqrt 2), on R_y(pi)-adapted unknowns:
-    # the spinor-vector stack is 1024 x 160 (320 unknowns without the
-    # adaptation), tensor20 256 x 35 (70) and realified Dirac 64 x 16 (32).
-    # The O(2) and O(3) counts build no stack and no embedding.
+    # Only the massive hyperboloid builds ladder rows, on R_y(pi)-adapted
+    # unknowns: 2 sum_a n_j(a) n_l(a - 1) real rows, against dim_j dim_l for
+    # the embedding.  The spinor-vector rows are 480 x 160 (embedding
+    # 1024 x 160, 320 unknowns without the adaptation), tensor20 112 x 35
+    # (256 x 35, 70) and realified Dirac 32 x 16 (64 x 16, 32).  The O(2)
+    # and O(3) counts build no rows and no embedding.
     mh = MassiveHyperboloid()
     sv, dirac = spinor_vector_irrep(realified=True), dirac_irrep(realified=True)
     t20 = tensor_irrep(2, 0)
-    for j, shape, dim in [(sv, (1024, 160), 80), (t20, (256, 35), 14),
-                          (dirac, (64, 16), 16)]:
-        weyl, params = stabilizer_solver._generators(j, j, mh)
-        embed, stack, _ = stabilizer_solver._constraint(j, j, weyl, params)
-        assert stack.shape == embed.shape == shape
+    for j, rows, embedding, dim in [(sv, (480, 160), (1024, 160), 80),
+                                    (t20, (112, 35), (256, 35), 14),
+                                    (dirac, (32, 16), (64, 16), 16)]:
+        weyl, turn = stabilizer_solver._generators(j, j, mh)
+        stack = stabilizer_solver._ladder_rows(j, j, weyl, turn)
+        embed, _ = stabilizer_solver._embedding(j, j, weyl, turn)
+        assert stack.shape == rows and embed.shape == embedding
+        assert stack.dtype == embed.dtype == np.float64
         assert oracle_dimension(j, j, mh) == dim
     for j, l, orbit in _dims_pairs():
-        params = stabilizer_solver._generators(j, l, orbit)[1]
-        assert bool(params) == isinstance(orbit, MassiveHyperboloid)
+        turn = stabilizer_solver._generators(j, l, orbit)[1]
+        assert (turn is not None) == isinstance(orbit, MassiveHyperboloid)
 
-    def no_constraint(*args):
-        raise AssertionError("_constraint called by an O(2) or O(3) count")
-    monkeypatch.setattr(stabilizer_solver, "_constraint", no_constraint)
+    def no_rows(*args):
+        raise AssertionError("_ladder_rows called by an O(2) or O(3) count")
+    monkeypatch.setattr(stabilizer_solver, "_ladder_rows", no_rows)
     cases = compact_case_grid("o3", 4) + compact_case_grid("o2", 8)
     for j, l, orbit in cases:
         assert oracle_dimension(j, l, orbit) == predicted_dimension(j, l,
                                                                     orbit)
+
+
+def test_ladder_generator_moves_the_weight_by_one():
+    # The ladder rows rest on J = rho(r) J_z rho(r)^H, r = R_y(pi / 2),
+    # moving each weight by exactly +-1: on every massive label of `dims
+    # --group lorentz --full`, U_b^H J U_a vanishes to 1e-13 unless |a - b|
+    # = 1, and is far from 0 for every such pair of weights.  With r a
+    # rotation about z instead (beta = 0), J is J_z, which moves no weight:
+    # the rows vanish, and the count keeps every unknown, more than the
+    # closed form on tensor20 and on the spinor-vector (Dirac would show
+    # nothing: all its unknowns are free).
+    mh = MassiveHyperboloid()
+    labels = dict.fromkeys(x for j, l, orbit in lorentz_case_grid(True)
+                           if isinstance(orbit, MassiveHyperboloid)
+                           for x in (j, l))
+    assert len(labels) == 4
+    for label in labels:
+        turn = stabilizer_solver._generators(label, label, mh)[1]
+        bases, gen = stabilizer_solver._generator(label, turn)
+        for a, ua in bases.items():
+            for b, ub in bases.items():
+                size = np.abs(ub.conj().T @ gen @ ua).max()
+                if abs(a - b) == 2:
+                    assert size > 0.1, (label, a, b)
+                else:
+                    assert size <= 1e-13, (label, a, b, size)
+    about_z = (0.7, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for label in (tensor_irrep(2, 0), spinor_vector_irrep(realified=True)):
+        weyl = stabilizer_solver._generators(label, label, mh)[0]
+        rows = stabilizer_solver._ladder_rows(label, label, weyl, about_z)
+        assert np.abs(rows).max() <= 1e-13
+        k, kept, _ = numerics.nullity_with_spectrum(rows)
+        assert not kept.size
+        assert k == stabilizer_solver._unknowns(label, label, weyl,
+                                                about_z)[1]
+        assert k > predicted_dimension(label, label, mh)
+
+
+def test_all_free_rows_keep_their_embedding():
+    # The realified Dirac pair keeps all 16 of its unknowns: its ladder rows
+    # are pure round-off and keep no singular value, so the solve returns
+    # the embedding with unit columns, as on the orbits without rows,
+    # rather than mixing it by the round-off's singular vectors.
+    d = dirac_irrep(realified=True)
+    weyl, turn = stabilizer_solver._generators(d, d, MassiveHyperboloid())
+    _, kept, dropped = numerics.nullspace_with_spectrum(
+        stabilizer_solver._ladder_rows(d, d, weyl, turn))
+    assert not kept.size and len(dropped) == 16
+    embed, _ = stabilizer_solver._embedding(d, d, weyl, turn)
+    expected = embed / np.linalg.norm(embed, axis=0)
+    np.testing.assert_array_equal(
+        solve_basepoint(d, d, MassiveHyperboloid()).basis, expected)
 
 
 def _adapted_labels() -> dict:
@@ -607,8 +696,9 @@ def test_adapted_bases_meet_their_defining_relations():
     # adaptation takes passes the gap check.
     kinds = Counter()
     for label, weyl in _adapted_labels().items():
-        blocks, images, gap = stabilizer_solver._label_factors(label, weyl, ())
-        assert not images and gap >= GAP_RATIO, label
+        blocks, ladder, gap = stabilizer_solver._label_factors(label, weyl,
+                                                               None)
+        assert ladder is None and gap >= GAP_RATIO, label
         rho_w = rep_matrices(label, weyl)
         weights = []                       # (columns, twice their weight)
         for (m2, sign), (left, right, _) in blocks.items():
@@ -673,21 +763,36 @@ def test_degenerate_projector_spectrum_raises(monkeypatch, cold_caches):
 
 
 def test_degenerate_stack_spectrum_raises(monkeypatch, cold_caches, capsys):
-    # rho(h) diag(1 + 1e-12, 1 + 1e-8, 1 + 1e-8, 1 + 1e-8) for the Lorentz
-    # vector at the stacked generator h = R_y(sqrt 2), which fixes t, scales
-    # the image of the spin-0 solution (t t^T) by 1 + 1e-12 and that of the
-    # spin-1 solution by 1 + 1e-8.  The stack of vector / vector then moves
-    # them to sigma = 1e-12 and about 1.7e-8: a split at the cut with a
-    # ratio of about 1e4, which the count must reject like the solve.  The
-    # generator's rho^-1 and the weight and w evaluations are left exact.
+    # The ladder images of the Lorentz vector, on the j side only, at the
+    # weight 1 rows: 1e-12 added to those of t, the weight-0 vector that w =
+    # R_y(pi) fixes and J leaves at rest (its exact image is 0), and those of
+    # the weight-1 block scaled by 1 + 1e-7.  The rows of vector / vector
+    # then move the spin-0 solution (t t^T) to sigma = 1e-12 and the spin-1
+    # solution to about 3e-8: a split at the cut with a ratio of about 3e4,
+    # which the count must reject like the solve.  The l side and the weight
+    # and w evaluations are left exact.
     target = tensor_irrep(1, 0)
+    factors = stabilizer_solver._label_factors
 
-    def fuzzy_pair(j, l, params):
-        rho, inv = rep_pair(j, l, params)
-        if j == target:
-            rho = rho @ np.diag([1 + 1e-12, 1 + 1e-8, 1 + 1e-8, 1 + 1e-8])
-        return rho, inv
-    monkeypatch.setattr(stabilizer_solver, "rep_pair", fuzzy_pair)
+    def fuzzy(label, weyl, turn):
+        blocks, ladder, gap = factors(label, weyl, turn)
+        if label != target or ladder is None:
+            return blocks, ladder, gap
+        sizes, rungs = ladder
+        rungs = dict(rungs)
+        for key, change in [((0, 1), lambda a: a + 1e-12),
+                            ((2, 1), lambda a: a * (1 + 1e-7))]:
+            rung = dict(rungs[key])
+            images, rights = rung[2]
+            rung[2] = (change(images), rights)
+            rungs[key] = rung
+        return blocks, (sizes, rungs), gap
+    monkeypatch.setattr(stabilizer_solver, "_label_factors", fuzzy)
+    weyl, turn = stabilizer_solver._generators(target, target,
+                                               MassiveHyperboloid())
+    _, kept, dropped = numerics.nullity_with_spectrum(
+        stabilizer_solver._ladder_rows(target, target, weyl, turn))
+    assert 1e-8 < kept[-1] < 1e-7 and dropped[0] == pytest.approx(1e-12)
     pair = f"for {target} / {target}"
     for solve in (solve_basepoint, oracle_dimension):
         with pytest.raises(DegenerateSpectrumError) as err:
@@ -746,64 +851,75 @@ def test_count_matches_closed_form_up_to_the_largest_label(group, field, lj,
 
 def test_tables_evaluate_each_label_once(monkeypatch, cold_caches):
     # From cold caches, the O(3) tables (200 pairs) and the full Lorentz table
-    # (8 pairs) evaluate each label once per side and per parameter stack
-    # (the weight projectors' rotations, w, the stacked generators); a solve
-    # that evaluated them per pair would count one call per pair.
+    # (8 pairs) evaluate each label once per parameter stack (the weight
+    # projectors' rotations, w, the ladder's turn); a solve that evaluated
+    # them per pair would count one call per pair.  The oracle evaluates
+    # representations at stabilizer elements only, through rep_matrices.
     calls = Counter()
+    evaluate = stabilizer_solver.rep_matrices
 
-    def counted(name, fn):
-        def wrapper(*args):
-            *labels, params = args
-            calls[name, *labels, np.asarray(params).tobytes()] += 1
-            return fn(*args)
-        return wrapper
-    for name in ("rep_matrices", "rep_pair"):
-        monkeypatch.setattr(stabilizer_solver, name,
-                            counted(name, getattr(stabilizer_solver, name)))
+    def counted(label, params):
+        calls[label, np.asarray(params).tobytes()] += 1
+        return evaluate(label, params)
+    monkeypatch.setattr(stabilizer_solver, "rep_matrices", counted)
     cases = (compact_case_grid("o3", 4)
              + lorentz_case_grid(include_spinor_vector=True))
     assert len(cases) == 208
     for j, l, orbit in cases:
         solve_basepoint(j, l, orbit)
     assert max(calls.values()) == 1
-    names = Counter(key[0] for key in calls)
-    labels = {(j.group, j) for j, _, _ in cases} | {(l.group, l)
-                                                    for _, l, _ in cases}
-    # o3: 20 labels, each with its weight rotations and its reflection r_y
-    # (rho only: the adaptation needs no inverse), and no stack; Lorentz: 4
-    # labels, their weight rotations and R_y(pi), plus one pair evaluation
-    # (rho and rho^-1) of the y rotation by sqrt 2 of the hyperboloid (the
-    # cone imposes neither).
+    labels = {j for j, _, _ in cases} | {l for _, l, _ in cases}
+    # o3: 20 labels, each with its weight rotations and its reflection r_y;
+    # Lorentz: 4 labels, each with its weight rotations, R_y(pi) and the
+    # turn R_y(pi / 2) of the hyperboloid (the cone imposes neither).
     assert len(labels) == 24
-    assert names == {"rep_matrices": 2 * (20 + 4), "rep_pair": 4}
+    assert len(calls) == 2 * 20 + 3 * 4
+    assert not hasattr(stabilizer_solver, "rep_pair")
 
 
 def test_cached_factors_are_read_only(cold_caches):
+    # o3 1-: weight 0 (odd under r_y) and 1, a left and a right factor each,
+    # and no ladder.  tensor20: weight 0 split both ways, 1 and 2, a left
+    # and a right factor each, and their ladder images: per block and per
+    # row weight a that its terms reach (their own weight, and one above),
+    # the left images where the label has the weight a and the right ones
+    # where it has a - 1.  The weight-0 blocks reach a = 0 and 1 (two
+    # arrays each), the weight-1 block a = -1, 0, 1, 2 (its conjugate terms
+    # have the weight -1; two each), and the weight-2 block a = -2, -1, 2, 3
+    # (one array at -2 and at 3, two at -1 and at 2): 4 + 4 + 8 + 6.
     one, t20 = o3_irrep(1, -1), tensor_irrep(2, 0)
     for label, orbit, count in [(one, Sphere(), 2 * 2),
-                                (t20, MassiveHyperboloid(), 4 * 2 * 2)]:
+                                (t20, MassiveHyperboloid(), 4 * 2 + 22)]:
         solve_basepoint(label, label, orbit)
-        weyl, params = stabilizer_solver._generators(label, label, orbit)
-        blocks, images, _ = stabilizer_solver._label_factors(label, weyl,
-                                                             params)
-        arrays = [a for part in (blocks, images) for terms in part.values()
-                  for a in terms[0] + terms[1]]
-        # o3 1-: weight 0 (odd under r_y) and 1; tensor20: weight 0 split
-        # both ways, 1 and 2, each with its image under R_y(sqrt 2).
+        weyl, turn = stabilizer_solver._generators(label, label, orbit)
+        blocks, ladder, _ = stabilizer_solver._label_factors(label, weyl,
+                                                             turn)
+        arrays = [a for left, right, _ in blocks.values()
+                  for a in left + right]
+        if ladder is not None:
+            arrays += [a for rung in ladder[1].values()
+                       for pair in rung.values() for a in pair
+                       if a is not None]
         assert len(arrays) == count
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
         with pytest.raises(TypeError):
             blocks[0, 1] = blocks[0, -1]
+        if ladder is not None:
+            for part in (ladder[0], ladder[1], ladder[1][0, 1]):
+                with pytest.raises(TypeError):
+                    part[0] = None
     # A caller that writes to a returned basis changes no later solve, with
-    # or without a stack.
+    # or without ladder rows.
     for j, l, orbit in [(one, one, Sphere()),
                         (so3_irrep(2), so3_irrep(3), Sphere()),
                         (so2_irrep(2), so2_irrep(3), Circle()),
                         (tensor_irrep(1, 0), tensor_irrep(1, 0), NullCone()),
                         (tensor_irrep(1, 0), tensor_irrep(2, 0),
-                         MassiveHyperboloid())]:
+                         MassiveHyperboloid()),
+                        (dirac_irrep(realified=True),
+                         dirac_irrep(realified=True), MassiveHyperboloid())]:
         space = solve_basepoint(j, l, orbit)
         before = space.basis.copy()
         space.basis[...] = 7.0

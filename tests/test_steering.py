@@ -533,9 +533,10 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
     # The inverse rule and what a pair shares live in irreps alone: the
     # modules that steer, solve, verify and dump import no private name
     # from it, and steering names no group.  steer, section_pieces (so
-    # sample, basis and section_kernels), the sweep on every orbit and the
-    # oracle's per-label factors each take (rho_j, rho_l^-1) from rep_pair.
-    # The CLI imports no private name from groups either.
+    # sample, basis and section_kernels) and the sweep on every orbit each
+    # take (rho_j, rho_l^-1) from rep_pair; the oracle takes no inverse,
+    # only representations at stabilizer elements.  The CLI imports no
+    # private name from groups either.
     def private(module, source):
         tree = ast.parse(inspect.getsource(module))
         names = [a.name for n in ast.walk(tree)
@@ -566,10 +567,9 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
             frame = frame.f_back
         return pair(j, l, params)
 
-    for module in (steering, stabilizer_solver):
-        monkeypatch.setattr(module, "rep_pair", counted)
+    monkeypatch.setattr(steering, "rep_pair", counted)
+    assert not hasattr(stabilizer_solver, "rep_pair")
     so3, cone = bases.basis_so3(1, 1), bases.basis_lorentz_massless(1)
-    vec = tensor_irrep(1, 0)
     paths = [
         (lambda: steer(np.eye(3), so3[0].j, so3[0].l, [[0.1, 0.2, 0.3]]),
          "steer"),
@@ -578,15 +578,8 @@ def test_every_pair_evaluation_goes_through_rep_pair(monkeypatch):
                                            seed=0), "max_steer_residual"),
         (lambda: verify.max_steer_residual(cone, NullCone(), n_g=2, n_x=2,
                                            seed=0), "max_steer_residual"),
-        (lambda: stabilizer_solver.solve_basepoint(vec, vec,
-                                                   MassiveHyperboloid()),
-         "_label_factors"),
     ]
-    stabilizer_solver._label_factors.cache_clear()
-    try:
-        for run, caller in paths:
-            callers.clear()
-            run()
-            assert caller in callers, (caller, callers)
-    finally:
-        stabilizer_solver._label_factors.cache_clear()
+    for run, caller in paths:
+        callers.clear()
+        run()
+        assert caller in callers, (caller, callers)
